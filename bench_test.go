@@ -215,7 +215,8 @@ func BenchmarkHandoverBalancing(b *testing.B) {
 
 // BenchmarkModelSolveSingle measures one steady-state solution of the
 // quick-fidelity model of traffic model 3 at 0.5 calls/s (the building block
-// of every figure).
+// of every figure). It reports the solver's sweep count as sweeps/op, so a
+// convergence regression shows separately from the cost per sweep.
 func BenchmarkModelSolveSingle(b *testing.B) {
 	cfg := core.BaseConfig(traffic.Model3, 0.5)
 	cfg.Channels.TotalChannels = 10
@@ -225,11 +226,14 @@ func BenchmarkModelSolveSingle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-6}); err != nil {
+		res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-6})
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportMetric(float64(res.Solver.Iterations), "sweeps/op")
 	}
 }
 

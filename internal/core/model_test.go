@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -34,6 +36,29 @@ func solveSmall(t *testing.T, cfg Config) (*Model, *Result) {
 		t.Fatalf("solver did not converge: %+v", res.Solver)
 	}
 	return model, res
+}
+
+// solvePlain solves the model by plain Gauss–Seidel from the uniform
+// distribution, without the product-form aggregation Solve installs, so the
+// result does not presuppose the closed-form marginals.
+func solvePlain(t *testing.T, model *Model) ([]float64, Measures) {
+	t.Helper()
+	gen, err := model.BuildGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := gen.SteadyState(ctmc.SolveOptions{Tolerance: 1e-12, MaxIterations: 200000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.Converged {
+		t.Fatalf("plain solve did not converge after %d sweeps", sol.Iterations)
+	}
+	meas, err := model.MeasuresFrom(sol.Pi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol.Pi, meas
 }
 
 func TestModelSolveSmallConfig(t *testing.T) {
@@ -79,13 +104,17 @@ func TestModelSolveSmallConfig(t *testing.T) {
 func TestGSMMarginalMatchesErlang(t *testing.T) {
 	// GSM voice calls have priority over GPRS and are unaffected by the data
 	// traffic, so the marginal distribution of n must coincide with the
-	// M/M/c/c closed form (Eq. 2).
-	model, res := solveSmall(t, smallConfig())
+	// M/M/c/c closed form (Eq. 2). The plain solve does not impose it.
+	model, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, _ := solvePlain(t, model)
 	want, err := model.GSMHandover().System.Distribution()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := model.MarginalGSM(res.Pi)
+	got := model.MarginalGSM(pi)
 	for n := range want {
 		if math.Abs(got[n]-want[n]) > 1e-6 {
 			t.Errorf("GSM marginal p[%d] = %v, want %v", n, got[n], want[n])
@@ -96,13 +125,17 @@ func TestGSMMarginalMatchesErlang(t *testing.T) {
 func TestSessionMarginalMatchesErlang(t *testing.T) {
 	// The number of active GPRS sessions evolves independently of the buffer
 	// and of GSM voice, so its marginal must match the M/M/M/M closed form
-	// (Eq. 3).
-	model, res := solveSmall(t, smallConfig())
+	// (Eq. 3). The plain solve does not impose it.
+	model, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi, meas := solvePlain(t, model)
 	want, err := model.GPRSHandover().System.Distribution()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := model.MarginalSessions(res.Pi)
+	got := model.MarginalSessions(pi)
 	for mm := range want {
 		if math.Abs(got[mm]-want[mm]) > 1e-6 {
 			t.Errorf("session marginal p[%d] = %v, want %v", mm, got[mm], want[mm])
@@ -113,8 +146,82 @@ func TestSessionMarginalMatchesErlang(t *testing.T) {
 	for mm, p := range got {
 		mean += float64(mm) * p
 	}
-	if math.Abs(mean-res.Measures.AverageSessions) > 1e-6 {
-		t.Errorf("AGS closed form %v vs marginal mean %v", res.Measures.AverageSessions, mean)
+	if math.Abs(mean-meas.AverageSessions) > 1e-6 {
+		t.Errorf("AGS closed form %v vs marginal mean %v", meas.AverageSessions, mean)
+	}
+}
+
+func TestProductFormMatchesPlainSolve(t *testing.T) {
+	// The premise of the aggregation Solve installs: the (n, m, r) process
+	// is lumpable, so the joint marginal of a solve that does not impose it
+	// equals the product-form block masses.
+	// Traffic model 3 has equal on and off durations; model 1 does not, so
+	// it also checks the binomial phase distribution is not mirrored.
+	noGPRS := smallConfig()
+	noGPRS.GPRSFraction = 0
+	model1 := smallConfig()
+	model1.Session = traffic.Model1.Spec().Session
+	for name, cfg := range map[string]Config{"small": smallConfig(), "no GPRS": noGPRS, "traffic model 1": model1} {
+		t.Run(name, func(t *testing.T) {
+			model, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg := model.aggregation
+			pi, _ := solvePlain(t, model)
+			got := make([]float64, len(agg.Mass))
+			for i, p := range pi {
+				got[agg.Block[i]] += p
+			}
+			for b, want := range agg.Mass {
+				if math.Abs(got[b]-want) > 1e-9 {
+					t.Errorf("block %d: plain-solve mass %v, product form %v", b, got[b], want)
+				}
+			}
+		})
+	}
+}
+
+func TestAggregatedSolveMatchesPlainSolve(t *testing.T) {
+	// Every measure agrees to 1e-8, relative to measures above 1 (the bit
+	// rates are in the tens of thousands).
+	model, res := solveSmall(t, smallConfig())
+	_, plain := solvePlain(t, model)
+	got, want := reflect.ValueOf(res.Measures), reflect.ValueOf(plain)
+	for i := 0; i < got.NumField(); i++ {
+		a, b := got.Field(i).Float(), want.Field(i).Float()
+		if math.Abs(a-b) > 1e-8*math.Max(1, math.Abs(b)) {
+			t.Errorf("%s: aggregated %v, plain %v", got.Type().Field(i).Name, a, b)
+		}
+	}
+}
+
+func TestSolveConcurrentUse(t *testing.T) {
+	// Concurrent solves share the model's aggregation, which the solver only
+	// reads; every solve must return the same distribution.
+	model, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const solves = 4
+	results := make([]*Result, solves)
+	errs := make([]error, solves)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = model.Solve(ctmc.SolveOptions{Tolerance: 1e-12})
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(res.Pi, results[0].Pi) {
+			t.Errorf("solve %d returned a different distribution", i)
+		}
 	}
 }
 

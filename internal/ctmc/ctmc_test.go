@@ -337,3 +337,160 @@ func TestSolutionProbabilityVectorProperties(t *testing.T) {
 		t.Errorf("probabilities sum to %v", sum)
 	}
 }
+
+func TestNewGeneratorAllocationsIndependentOfStates(t *testing.T) {
+	// The emit callbacks are bound once per pass, so the allocation count
+	// of a build does not grow with the number of states.
+	tf := mmckTransitions(3, 0.5, 4, 999)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := NewGenerator(1000, tf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("NewGenerator made %v allocations for 1000 states, want <= 16", allocs)
+	}
+}
+
+func TestAggregationValidation(t *testing.T) {
+	g := twoStateChain(t, 1, 2)
+	tests := []struct {
+		name string
+		agg  Aggregation
+	}{
+		{"short block map", Aggregation{Block: []int32{0}, Mass: []float64{1}}},
+		{"long block map", Aggregation{Block: []int32{0, 0, 0}, Mass: []float64{1}}},
+		{"negative block", Aggregation{Block: []int32{0, -1}, Mass: []float64{0.5, 0.5}}},
+		{"block past the masses", Aggregation{Block: []int32{0, 2}, Mass: []float64{0.5, 0.5}}},
+		{"no masses", Aggregation{Block: []int32{0, 0}}},
+		{"negative mass", Aggregation{Block: []int32{0, 1}, Mass: []float64{1.5, -0.5}}},
+		{"NaN mass", Aggregation{Block: []int32{0, 1}, Mass: []float64{math.NaN(), 1}}},
+		{"infinite mass", Aggregation{Block: []int32{0, 1}, Mass: []float64{math.Inf(1), 0}}},
+		{"masses sum below 1", Aggregation{Block: []int32{0, 1}, Mass: []float64{0.25, 0.25}}},
+		{"masses sum above 1", Aggregation{Block: []int32{0, 1}, Mass: []float64{0.75, 0.75}}},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, m := range []Method{GaussSeidel, Jacobi, Power} {
+				_, err := g.SteadyState(SolveOptions{Method: m, Aggregation: &tc.agg})
+				if !errors.Is(err, ErrInvalidArgument) {
+					t.Errorf("%v: got %v, want ErrInvalidArgument", m, err)
+				}
+			}
+		})
+	}
+}
+
+func TestAggregationRescale(t *testing.T) {
+	agg := &Aggregation{Block: []int32{0, 0, 1, 1, 2}, Mass: []float64{0.6, 0.4, 0}}
+	factor := make([]float64, len(agg.Mass))
+
+	v := []float64{1, 3, 2, 2, 7}
+	if err := agg.rescale(v, factor); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{0.15, 0.45, 0.2, 0.2, 0}
+	for i := range want {
+		if !almostEqual(v[i], want[i], 1e-15) {
+			t.Errorf("rescaled v = %v, want %v", v, want)
+			break
+		}
+	}
+
+	// Block 1 holds no mass yet: it is left at zero rather than divided by
+	// zero, and the vector is renormalized.
+	v = []float64{1, 3, 0, 0, 7}
+	if err := agg.rescale(v, factor); err != nil {
+		t.Fatal(err)
+	}
+	want = []float64{0.25, 0.75, 0, 0, 0}
+	for i := range want {
+		if !almostEqual(v[i], want[i], 1e-15) || math.IsNaN(v[i]) {
+			t.Errorf("rescaled v = %v, want %v", v, want)
+			break
+		}
+	}
+
+	if err := agg.rescale([]float64{0, 0, 0, 0, 0}, factor); !errors.Is(err, ErrNotIrreducible) {
+		t.Errorf("zero vector: got %v, want ErrNotIrreducible", err)
+	}
+	if err := agg.rescale([]float64{1, -1, 0, 0, 0}, factor); !errors.Is(err, ErrNotIrreducible) {
+		t.Errorf("negative entry: got %v, want ErrNotIrreducible", err)
+	}
+}
+
+// slowFastChain is a chain on (s, f) in {0..slow} × {0..fast}, indexed
+// s·(fast+1)+f. The slow coordinate s is an autonomous birth–death process
+// with rates far below those of the fast coordinate f, whose rates depend on
+// s. It returns the transition function and the exact marginal of s, which
+// is the aggregate of the blocks s.
+func slowFastChain(slow, fast int) (TransitionFunc, []float64) {
+	const birth, death = 0.02, 0.01
+	tf := func(state int, emit func(int, float64)) {
+		s, f := state/(fast+1), state%(fast+1)
+		if s < slow {
+			emit(state+fast+1, birth)
+		}
+		if s > 0 {
+			emit(state-fast-1, death*float64(s))
+		}
+		if f < fast {
+			emit(state+1, 1+float64(s))
+		}
+		if f > 0 {
+			emit(state-1, 2.5)
+		}
+	}
+	mass := make([]float64, slow+1)
+	mass[0] = 1
+	sum := 1.0
+	for s := 1; s <= slow; s++ {
+		mass[s] = mass[s-1] * birth / (death * float64(s))
+		sum += mass[s]
+	}
+	for s := range mass {
+		mass[s] /= sum
+	}
+	return tf, mass
+}
+
+func TestAggregationMatchesPlainSolveInFewerSweeps(t *testing.T) {
+	const slow, fast = 8, 12
+	tf, mass := slowFastChain(slow, fast)
+	g, err := NewGenerator((slow+1)*(fast+1), tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := &Aggregation{Block: make([]int32, g.NumStates()), Mass: mass}
+	for i := range agg.Block {
+		agg.Block[i] = int32(i / (fast + 1))
+	}
+	for name, opts := range map[string]SolveOptions{
+		"gauss-seidel": {Method: GaussSeidel},
+		"sor":          {Method: GaussSeidel, Relaxation: 1.3},
+		"jacobi":       {Method: Jacobi},
+	} {
+		opts.Tolerance, opts.MaxIterations = 1e-12, 1000000
+		plain, err := g.SteadyState(opts)
+		if err != nil {
+			t.Fatalf("%s plain: %v", name, err)
+		}
+		opts.Aggregation = agg
+		aggregated, err := g.SteadyState(opts)
+		if err != nil {
+			t.Fatalf("%s aggregated: %v", name, err)
+		}
+		if !plain.Converged || !aggregated.Converged {
+			t.Fatalf("%s: converged plain=%v aggregated=%v", name, plain.Converged, aggregated.Converged)
+		}
+		for i := range plain.Pi {
+			if !almostEqual(plain.Pi[i], aggregated.Pi[i], 1e-9) {
+				t.Fatalf("%s: pi[%d] plain %v, aggregated %v", name, i, plain.Pi[i], aggregated.Pi[i])
+			}
+		}
+		if aggregated.Iterations >= plain.Iterations {
+			t.Errorf("%s: aggregated solve took %d sweeps, plain %d", name, aggregated.Iterations, plain.Iterations)
+		}
+		t.Logf("%s: %d sweeps plain, %d aggregated", name, plain.Iterations, aggregated.Iterations)
+	}
+}

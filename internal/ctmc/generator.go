@@ -4,6 +4,16 @@
 // Jacobi, and uniformized power iteration). The GPRS Markov model of the
 // paper is solved through this package.
 //
+// A solver can optionally be given an exact aggregate: a partition of the
+// states into blocks together with the stationary probability of each
+// block, known in closed form when the block process is lumpable. After
+// every sweep the iterate is rescaled so that each block carries its exact
+// mass (aggregation–disaggregation in the sense of Takahashi and
+// Koury–McAllister–Stewart, with the aggregate solve replaced by the closed
+// form). The sweeps then only have to resolve the distribution within each
+// block, which removes the slow modes of the block process from the
+// iteration.
+//
 // The generator is stored column-oriented (incoming transitions per state)
 // because every provided solver needs, for a state j, the inflow
 // sum_i pi_i * q_ij and the total outflow rate d_j. This single representation
@@ -79,29 +89,34 @@ func NewGenerator(numStates int, transitions TransitionFunc) (*Generator, error)
 	}
 
 	// Pass 1: count incoming transitions per target state and accumulate
-	// outgoing rates.
-	var emitErr error
+	// outgoing rates. The emit callbacks of both passes are bound once and
+	// read the current source state from the shared loop variable, so
+	// building the generator allocates nothing per state.
+	var (
+		emitErr error
+		state   int
+	)
 	counts := make([]int64, numStates)
-	for s := 0; s < numStates; s++ {
-		state := s
-		transitions(state, func(to int, rate float64) {
-			if emitErr != nil {
-				return
-			}
-			if to < 0 || to >= numStates {
-				emitErr = fmt.Errorf("%w: state %d -> %d out of range", ErrInvalidTransition, state, to)
-				return
-			}
-			if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-				emitErr = fmt.Errorf("%w: state %d -> %d rate %v", ErrInvalidTransition, state, to, rate)
-				return
-			}
-			if rate == 0 || to == state {
-				return
-			}
-			counts[to]++
-			g.outRate[state] += rate
-		})
+	count := func(to int, rate float64) {
+		if emitErr != nil {
+			return
+		}
+		if to < 0 || to >= numStates {
+			emitErr = fmt.Errorf("%w: state %d -> %d out of range", ErrInvalidTransition, state, to)
+			return
+		}
+		if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
+			emitErr = fmt.Errorf("%w: state %d -> %d rate %v", ErrInvalidTransition, state, to, rate)
+			return
+		}
+		if rate == 0 || to == state {
+			return
+		}
+		counts[to]++
+		g.outRate[state] += rate
+	}
+	for state = 0; state < numStates; state++ {
+		transitions(state, count)
 		if emitErr != nil {
 			return nil, emitErr
 		}
@@ -131,17 +146,17 @@ func NewGenerator(numStates int, transitions TransitionFunc) (*Generator, error)
 	for j := range counts {
 		counts[j] = 0
 	}
-	for s := 0; s < numStates; s++ {
-		state := s
-		transitions(state, func(to int, rate float64) {
-			if to < 0 || to >= numStates || rate <= 0 || to == state {
-				return
-			}
-			pos := g.inPtr[to] + counts[to]
-			g.inSrc[pos] = int32(state)
-			g.inRate[pos] = rate
-			counts[to]++
-		})
+	fill := func(to int, rate float64) {
+		if to < 0 || to >= numStates || rate <= 0 || to == state {
+			return
+		}
+		pos := g.inPtr[to] + counts[to]
+		g.inSrc[pos] = int32(state)
+		g.inRate[pos] = rate
+		counts[to]++
+	}
+	for state = 0; state < numStates; state++ {
+		transitions(state, fill)
 	}
 	return g, nil
 }

@@ -68,6 +68,99 @@ type SolveOptions struct {
 	// NumStates; it does not need to be normalized. If nil, the uniform
 	// distribution is used.
 	Initial []float64
+	// Aggregation optionally provides the exact stationary mass of a
+	// partition of the states. The starting vector and every sweep's iterate
+	// are rescaled block by block to those masses, in place of the plain
+	// normalization. It applies to every method; uniformized power
+	// iteration already preserves the marginal of a lumpable partition and
+	// gains nothing from it. If nil, no aggregation is used.
+	Aggregation *Aggregation
+}
+
+// Aggregation is an exact aggregate of a chain: a partition of the states
+// into blocks and the stationary probability of each block. It is only
+// correct when the blocks form a lumpable (autonomous) process whose
+// stationary distribution is Mass; the solver cannot check that premise.
+type Aggregation struct {
+	// Block maps every state to its block, an index into Mass.
+	Block []int32
+	// Mass is the stationary probability of each block. The entries must be
+	// non-negative and sum to 1; a block of mass 0 is zeroed by every
+	// rescale.
+	Mass []float64
+}
+
+// massSumTolerance is how far the block masses of an Aggregation may sum
+// from 1.
+const massSumTolerance = 1e-9
+
+// validate checks the aggregation against a chain of n states.
+func (a *Aggregation) validate(n int) error {
+	if len(a.Block) != n {
+		return fmt.Errorf("%w: aggregation maps %d states, want %d", ErrInvalidArgument, len(a.Block), n)
+	}
+	var sum float64
+	for b, m := range a.Mass {
+		if m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
+			return fmt.Errorf("%w: block %d has mass %v", ErrInvalidArgument, b, m)
+		}
+		sum += m
+	}
+	if math.Abs(sum-1) > massSumTolerance {
+		return fmt.Errorf("%w: block masses sum to %v, want 1", ErrInvalidArgument, sum)
+	}
+	for i, b := range a.Block {
+		if b < 0 || int(b) >= len(a.Mass) {
+			return fmt.Errorf("%w: state %d in block %d, want [0, %d)", ErrInvalidArgument, i, b, len(a.Mass))
+		}
+	}
+	return nil
+}
+
+// rescale scales v in place so that every block sums to its mass, using
+// factor (one entry per block) as scratch. A block of mass 0 is zeroed; a
+// block whose current sum is 0 is left as it is, and the vector is then
+// renormalized to sum to 1. Like normalize, it clamps tiny negative rounding
+// artefacts to zero and returns ErrNotIrreducible for a clearly negative
+// entry or a vector summing to zero.
+func (a *Aggregation) rescale(v, factor []float64) error {
+	for b := range factor {
+		factor[b] = 0
+	}
+	var total float64
+	for i, x := range v {
+		if x < 0 {
+			if x < -1e-12 {
+				return fmt.Errorf("%w: negative probability %v at state %d", ErrNotIrreducible, x, i)
+			}
+			v[i] = 0
+			continue
+		}
+		factor[a.Block[i]] += x
+		total += x
+	}
+	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
+		return fmt.Errorf("%w: probability mass %v", ErrNotIrreducible, total)
+	}
+	unmatched := false
+	for b, sum := range factor {
+		switch mass := a.Mass[b]; {
+		case mass == 0:
+			factor[b] = 0
+		case sum == 0:
+			factor[b] = 1
+			unmatched = true
+		default:
+			factor[b] = mass / sum
+		}
+	}
+	for i := range v {
+		v[i] *= factor[a.Block[i]]
+	}
+	if unmatched {
+		return normalize(v)
+	}
+	return nil
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
@@ -114,6 +207,16 @@ type Solution struct {
 // solution of pi*Q = 0 with sum(pi) = 1.
 func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	o := opts.withDefaults()
+	// norm restores the invariants of an iterate after every sweep: a
+	// probability vector, and with an aggregation, the exact block masses.
+	norm := normalize
+	if agg := o.Aggregation; agg != nil {
+		if err := agg.validate(g.n); err != nil {
+			return nil, err
+		}
+		factor := make([]float64, len(agg.Mass))
+		norm = func(v []float64) error { return agg.rescale(v, factor) }
+	}
 	if g.n == 1 {
 		return &Solution{Pi: []float64{1}, Converged: true, Method: o.Method}, nil
 	}
@@ -124,13 +227,13 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 			return nil, fmt.Errorf("%w: initial vector length %d, want %d", ErrInvalidArgument, len(o.Initial), g.n)
 		}
 		copy(pi, o.Initial)
-		if err := normalize(pi); err != nil {
-			return nil, err
-		}
 	} else {
 		for i := range pi {
 			pi[i] = 1 / float64(g.n)
 		}
+	}
+	if err := norm(pi); err != nil {
+		return nil, err
 	}
 
 	if o.Relaxation < 0 || o.Relaxation >= 2 {
@@ -143,11 +246,11 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	)
 	switch o.Method {
 	case GaussSeidel:
-		sol, err = g.solveGaussSeidel(pi, o)
+		sol, err = g.solveGaussSeidel(pi, o, norm)
 	case Jacobi:
-		sol, err = g.solveJacobiOrPower(pi, o, false)
+		sol, err = g.solveJacobiOrPower(pi, o, norm, false)
 	case Power:
-		sol, err = g.solveJacobiOrPower(pi, o, true)
+		sol, err = g.solveJacobiOrPower(pi, o, norm, true)
 	default:
 		return nil, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, o.Method)
 	}
@@ -160,8 +263,9 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 }
 
 // solveGaussSeidel iterates pi_j <- (1-w) pi_j + w inflow_j / d_j in place
-// (plain Gauss–Seidel for w = 1, SOR otherwise).
-func (g *Generator) solveGaussSeidel(pi []float64, o SolveOptions) (*Solution, error) {
+// (plain Gauss–Seidel for w = 1, SOR otherwise), restoring the iterate's
+// invariants with norm after every sweep.
+func (g *Generator) solveGaussSeidel(pi []float64, o SolveOptions, norm func([]float64) error) (*Solution, error) {
 	prev := make([]float64, g.n)
 	sol := &Solution{Pi: pi}
 	w := o.Relaxation
@@ -189,7 +293,7 @@ func (g *Generator) solveGaussSeidel(pi []float64, o SolveOptions) (*Solution, e
 				pi[j] = v
 			}
 		}
-		if err := normalize(pi); err != nil {
+		if err := norm(pi); err != nil {
 			return nil, err
 		}
 		sol.Iterations = iter
@@ -209,8 +313,9 @@ func (g *Generator) solveGaussSeidel(pi []float64, o SolveOptions) (*Solution, e
 // solveJacobiOrPower iterates with a separate old/new vector. With power=true
 // the update is the uniformized power step
 // pi_j <- pi_j + (inflow_j - pi_j d_j)/Lambda; otherwise the Jacobi step
-// pi_j <- inflow_j / d_j is used.
-func (g *Generator) solveJacobiOrPower(pi []float64, o SolveOptions, power bool) (*Solution, error) {
+// pi_j <- inflow_j / d_j is used. norm restores the iterate's invariants
+// after every sweep.
+func (g *Generator) solveJacobiOrPower(pi []float64, o SolveOptions, norm func([]float64) error, power bool) (*Solution, error) {
 	next := make([]float64, g.n)
 	prev := make([]float64, g.n)
 	sol := &Solution{}
@@ -269,7 +374,7 @@ func (g *Generator) solveJacobiOrPower(pi []float64, o SolveOptions, power bool)
 			}
 			wg.Wait()
 		}
-		if err := normalize(next); err != nil {
+		if err := norm(next); err != nil {
 			return nil, err
 		}
 		pi, next = next, pi

@@ -22,7 +22,12 @@ type SolverComparison struct {
 // SolverAblation solves a quick-fidelity traffic-model-3 configuration with
 // every available steady-state method and reports iteration counts and the
 // resulting headline measures. All methods must agree on the measures; the
-// iteration counts quantify why Gauss–Seidel is the default.
+// iteration counts quantify why Gauss–Seidel is the default. Every method
+// runs with the product-form aggregation that core.Model.Solve installs: at
+// tolerance 1e-6, Gauss–Seidel, Jacobi and power iteration take 200, 730 and
+// 2810 sweeps. Plain sweeps from a product-form starting guess took 3020,
+// 10560 and 3160; power iteration already preserves the exact (n, m, r)
+// marginal, so the rescale does little for it.
 func SolverAblation(o Options) ([]SolverComparison, error) {
 	o = o.withDefaults()
 	cfg := baseConfig(Quick, traffic.Model3, 0.6)

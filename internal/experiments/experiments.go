@@ -103,7 +103,7 @@ type Options struct {
 	// the zero value means runtime.NumCPU().
 	Workers int
 	// Tolerance is the steady-state solver tolerance; the zero value means
-	// 1e-7 for Quick and 1e-8 for Full.
+	// 1e-6 at either fidelity.
 	Tolerance float64
 	// MaxIterations bounds the solver sweeps; the zero value means 20000.
 	MaxIterations int
