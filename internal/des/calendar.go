@@ -124,6 +124,24 @@ func (q *calQueue) findMin() (int, float64, bool) {
 	return min, year, true
 }
 
+// purge releases every cancelled record, filtering each bucket in place.
+// Removing events keeps every bucket sorted and the cursor invariant intact.
+func (q *calQueue) purge() {
+	for i, b := range q.buckets {
+		kept := b[:0]
+		for _, ev := range b {
+			if ev.canceled {
+				ev.sim.release(ev)
+				continue
+			}
+			kept = append(kept, ev)
+		}
+		clear(b[len(kept):])
+		q.count -= len(b) - len(kept)
+		q.buckets[i] = kept
+	}
+}
+
 // resize redistributes all events over nb buckets with a width estimated
 // from the current time span, then rewinds the cursor to the earliest
 // event's year.

@@ -9,13 +9,14 @@
 //
 // # Allocation discipline
 //
-// The steady-state event path is allocation-free: fired and discarded events
-// are recycled through a per-Simulation freelist, so a long run allocates
-// only while the calendar grows towards its peak size. Because event records
-// are recycled, Schedule hands out value-type Handles carrying a generation
-// number instead of raw event pointers: a Handle of an event that already
-// fired (and whose record may since have been reused for an unrelated event)
-// turns Cancel into a no-op instead of cancelling a stranger.
+// The steady-state event path is allocation-free: fired and collected events
+// are recycled through a per-Simulation freelist, shared by the event list
+// and the lanes, so a long run allocates only while the pending set grows
+// towards its peak size. Because event records are recycled, Schedule hands
+// out value-type Handles carrying a generation number instead of raw event
+// pointers: a Handle of an event that already fired or was collected (and
+// whose record may since have been reused for an unrelated event) turns
+// Cancel into a no-op instead of cancelling a stranger.
 //
 // # Event list selection
 //
@@ -29,6 +30,27 @@
 // the heap's cache-friendly sift at the calendar sizes the model produces
 // (hundreds to a few thousand pending events); the calendar queue is kept
 // selectable for larger topologies where it may win.
+//
+// Beside the event list, a Simulation keeps one FIFO lane per fixed delay
+// (Simulation.Lane): Lane.Schedule appends an event at now + delay in O(1),
+// without a sift. A FIFO needs no ordering work because it is already
+// sorted by (time, sequence number): the clock never goes back, float64
+// addition of a fixed delay is monotone in the clock, and sequence numbers
+// only grow. Step pops the earliest of the event list's top and the lane
+// heads under the same total order, so moving an event onto a lane changes
+// neither the pop order nor any result.
+//
+// # Batch collection of cancelled events
+//
+// Cancel marks an event; its record stays in the event list or lane until it
+// is collected. The Simulation counts the cancelled records it still holds;
+// once they are more than half of Pending and more than a floor of 64, one
+// O(n) pass removes and recycles them all (a heapify for the heap, an
+// in-place filter of each calendar bucket and each lane). Until then a
+// cancelled record is collected when it reaches the front. Pending therefore
+// stays at most twice the live count plus the floor under cancel-and-re-arm
+// churn such as a TCP retransmission timer restarted on every ACK, and dead
+// records no longer cost a sift each.
 package des
 
 import (
@@ -54,15 +76,16 @@ type Event struct {
 	seq      uint64
 	gen      uint64
 	canceled bool
-	index    int
+	sim      *Simulation // owner, whose count of uncollected cancellations Cancel bumps
 }
 
-// Handle is a cancellable reference to a scheduled event. The zero Handle is
-// valid and refers to no event (Cancel is a no-op). A Handle expires when its
-// event fires or its cancellation is collected: the underlying record is
-// recycled for a future event, and the generation number the Handle carries
-// stops matching, so Cancel and Canceled on an expired Handle are safe
-// no-ops.
+// Handle is a cancellable reference to a scheduled event, from
+// Simulation.Schedule or Lane.Schedule. The zero Handle is valid and refers
+// to no event (Cancel is a no-op). A Handle expires when its event fires or
+// its cancellation is collected — one at a time when the record reaches the
+// front, or in a batch purge — at which point the record is recycled for a
+// future event and the generation number the Handle carries stops matching,
+// so Cancel and Canceled on an expired Handle are safe no-ops.
 type Handle struct {
 	ev  *Event
 	gen uint64
@@ -71,14 +94,15 @@ type Handle struct {
 // Cancel prevents the event from firing. Cancelling the zero Handle, an
 // already fired, or an already cancelled event is a no-op.
 func (h Handle) Cancel() {
-	if h.ev != nil && h.ev.gen == h.gen {
-		h.ev.canceled = true
+	if ev := h.ev; ev != nil && ev.gen == h.gen && !ev.canceled {
+		ev.canceled = true
+		ev.sim.noteCancel()
 	}
 }
 
-// Canceled reports whether the event is still pending and has been cancelled.
-// It reports false for the zero Handle and for expired Handles (the event
-// fired or its cancellation was collected).
+// Canceled reports whether the event has been cancelled and its record not
+// yet collected. It reports false for the zero Handle and for expired
+// Handles (the event fired or its cancellation was collected).
 func (h Handle) Canceled() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.canceled
 }
@@ -109,6 +133,8 @@ type eventList interface {
 	// peek returns the earliest event without removing it, or nil when empty.
 	peek() *Event
 	size() int
+	// purge releases every cancelled record and keeps the rest in order.
+	purge()
 }
 
 // QueueKind selects the event-list implementation of a Simulation.
@@ -150,9 +176,8 @@ func (h *binHeap) peek() *Event {
 }
 
 func (h *binHeap) push(ev *Event) {
-	ev.index = len(h.a)
 	h.a = append(h.a, ev)
-	h.siftUp(ev.index)
+	h.siftUp(len(h.a) - 1)
 }
 
 func (h *binHeap) pop() *Event {
@@ -166,10 +191,27 @@ func (h *binHeap) pop() *Event {
 	h.a = h.a[:n-1]
 	if n > 1 {
 		h.a[0] = last
-		last.index = 0
 		h.siftDown(0)
 	}
 	return root
+}
+
+// purge releases every cancelled record and rebuilds the heap over the
+// survivors in one O(n) pass (Floyd's heapify).
+func (h *binHeap) purge() {
+	kept := h.a[:0]
+	for _, ev := range h.a {
+		if ev.canceled {
+			ev.sim.release(ev)
+			continue
+		}
+		kept = append(kept, ev)
+	}
+	clear(h.a[len(kept):])
+	h.a = kept
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
 }
 
 func (h *binHeap) siftUp(i int) {
@@ -180,11 +222,9 @@ func (h *binHeap) siftUp(i int) {
 			break
 		}
 		h.a[i] = h.a[parent]
-		h.a[i].index = i
 		i = parent
 	}
 	h.a[i] = ev
-	ev.index = i
 }
 
 func (h *binHeap) siftDown(i int) {
@@ -202,12 +242,15 @@ func (h *binHeap) siftDown(i int) {
 			break
 		}
 		h.a[i] = h.a[child]
-		h.a[i].index = i
 		i = child
 	}
 	h.a[i] = ev
-	ev.index = i
 }
+
+// purgeFloor is the number of uncollected cancelled records below which a
+// Simulation never purges, however small its pending set: a purge is an O(n)
+// pass, so it waits until it frees at least this many records.
+const purgeFloor = 64
 
 // Simulation owns the event calendar and the simulation clock. It is not safe
 // for concurrent use; a simulation run is single-threaded (replications can
@@ -215,8 +258,14 @@ func (h *binHeap) siftDown(i int) {
 type Simulation struct {
 	now    float64
 	list   eventList
+	lanes  []*Lane
 	seq    uint64
 	events uint64
+
+	// canceled counts cancelled records still held by the list or a lane:
+	// they are collected one by one when they reach the front, or all at
+	// once by purge.
+	canceled int
 
 	// free is the event-record freelist: fired and collected events are
 	// recycled here, making the steady-state event path allocation-free.
@@ -254,25 +303,40 @@ func (s *Simulation) Now() float64 { return s.now }
 // ProcessedEvents returns the number of events executed so far.
 func (s *Simulation) ProcessedEvents() uint64 { return s.events }
 
-// Pending returns the number of events currently scheduled (including
-// cancelled events that have not yet been discarded).
-func (s *Simulation) Pending() int { return s.list.size() }
+// Pending returns the number of event records held by the event list and the
+// lanes: the scheduled events plus the cancelled ones not yet collected.
+// Batch collection keeps it at most twice the scheduled count plus a small
+// constant floor.
+func (s *Simulation) Pending() int {
+	n := s.list.size()
+	for _, l := range s.lanes {
+		n += l.n
+	}
+	return n
+}
 
 // FreeEvents returns the current size of the event freelist (recycled
 // records awaiting reuse). It exists for allocation-budget tests.
 func (s *Simulation) FreeEvents() int { return len(s.free) }
 
-// acquire takes an event record off the freelist, or allocates one.
-func (s *Simulation) acquire() *Event {
+// acquire takes an event record off the freelist, or allocates one, and
+// stamps it with the next time and sequence number.
+func (s *Simulation) acquire(t float64, action func()) *Event {
+	var ev *Event
 	if n := len(s.free); n > 0 {
-		ev := s.free[n-1]
+		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		s.poolHits++
-		return ev
+	} else {
+		s.poolMisses++
+		ev = &Event{sim: s}
 	}
-	s.poolMisses++
-	return &Event{}
+	ev.Time = t
+	ev.Action = action
+	ev.seq = s.seq
+	s.seq++
+	return ev
 }
 
 // PoolStats returns the event-record freelist's reuse counters: hits are
@@ -291,6 +355,19 @@ func (s *Simulation) release(ev *Event) {
 	s.free = append(s.free, ev)
 }
 
+// noteCancel counts a fresh cancellation and purges once the uncollected
+// cancelled records exceed both purgeFloor and half of the pending records.
+func (s *Simulation) noteCancel() {
+	s.canceled++
+	if s.canceled > purgeFloor && 2*s.canceled > s.Pending() {
+		s.list.purge()
+		for _, l := range s.lanes {
+			l.purge()
+		}
+		s.canceled = 0
+	}
+}
+
 // Schedule registers action to run at absolute simulation time t and returns
 // a handle that can be used to cancel it.
 func (s *Simulation) Schedule(t float64, action func()) (Handle, error) {
@@ -300,11 +377,7 @@ func (s *Simulation) Schedule(t float64, action func()) (Handle, error) {
 	if action == nil {
 		return Handle{}, fmt.Errorf("%w: nil action", ErrInvalidTime)
 	}
-	ev := s.acquire()
-	ev.Time = t
-	ev.Action = action
-	ev.seq = s.seq
-	s.seq++
+	ev := s.acquire(t, action)
 	s.list.push(ev)
 	return Handle{ev: ev, gen: ev.gen}, nil
 }
@@ -318,26 +391,13 @@ func (s *Simulation) ScheduleAfter(delay float64, action func()) (Handle, error)
 // Step executes the next pending event. It returns false when the calendar is
 // empty.
 func (s *Simulation) Step() bool {
-	for {
-		ev := s.list.pop()
-		if ev == nil {
-			return false
-		}
-		if ev.canceled {
-			s.release(ev)
-			continue
-		}
-		s.now = ev.Time
-		s.events++
-		action := ev.Action
-		// Release before firing: the handle of a firing event expires the
-		// moment it leaves the calendar, so a Cancel from within its own
-		// action (or any later stale Cancel) cannot touch the recycled
-		// record.
-		s.release(ev)
-		action()
-		return true
+	ev, from := s.peek()
+	if ev == nil {
+		return false
 	}
+	s.remove(from)
+	s.run(ev)
+	return true
 }
 
 // RunUntil executes events until the simulation clock reaches endTime or the
@@ -345,14 +405,14 @@ func (s *Simulation) Step() bool {
 // It returns the number of events executed.
 func (s *Simulation) RunUntil(endTime float64) uint64 {
 	var executed uint64
-	for s.list.size() > 0 {
-		next := s.peekTime()
-		if next > endTime {
+	for {
+		ev, from := s.peek()
+		if ev == nil || ev.Time > endTime {
 			break
 		}
-		if s.Step() {
-			executed++
-		}
+		s.remove(from)
+		s.run(ev)
+		executed++
 	}
 	if s.now < endTime {
 		s.now = endTime
@@ -370,19 +430,50 @@ func (s *Simulation) Run() uint64 {
 	return executed
 }
 
-// peekTime returns the time of the earliest non-cancelled event, collecting
-// cancelled events it encounters, or +Inf when none remain.
-func (s *Simulation) peekTime() float64 {
+// peek returns the earliest live event and the lane holding it (nil for the
+// event list), collecting the cancelled records it meets at the front, or
+// nil when nothing is pending. The earliest of the list's top and the lane
+// heads under eventBefore is the earliest pending event, because every lane
+// is sorted by (Time, seq).
+func (s *Simulation) peek() (*Event, *Lane) {
 	for {
 		ev := s.list.peek()
-		if ev == nil {
-			return math.Inf(1)
+		var from *Lane
+		for _, l := range s.lanes {
+			if l.n > 0 {
+				if h := l.ring[l.head]; ev == nil || eventBefore(h, ev) {
+					ev, from = h, l
+				}
+			}
 		}
-		if ev.canceled {
-			s.list.pop()
-			s.release(ev)
-			continue
+		if ev == nil || !ev.canceled {
+			return ev, from
 		}
-		return ev.Time
+		s.remove(from)
+		s.canceled--
+		s.release(ev)
 	}
+}
+
+// remove drops the front record of the lane from, or of the event list when
+// from is nil.
+func (s *Simulation) remove(from *Lane) {
+	if from != nil {
+		from.pop()
+	} else {
+		s.list.pop()
+	}
+}
+
+// run advances the clock to ev, just removed from the front, and runs its
+// action.
+func (s *Simulation) run(ev *Event) {
+	s.now = ev.Time
+	s.events++
+	action := ev.Action
+	// Release before firing: the handle of a firing event expires the moment
+	// it leaves the calendar, so a Cancel from within its own action (or any
+	// later stale Cancel) cannot touch the recycled record.
+	s.release(ev)
+	action()
 }

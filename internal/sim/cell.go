@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/des"
@@ -156,6 +157,11 @@ type cell struct {
 
 	tickScheduled bool
 
+	// Fixed-delay lanes of the cell's calendar, resolved once at
+	// construction: the radio tick, core-network segment delivery, and the
+	// uplink-plus-core ACK path (see des.Lane).
+	tickLane, coreLane, ackLane *des.Lane
+
 	// Prebound hot-path closures (one allocation each, at construction).
 	radioTickFn func()
 	armVoiceFn  func() // re-arm the voice arrival process
@@ -269,14 +275,27 @@ func (c *cell) putQHO(q *queuedHO) {
 	c.freeQHO = append(c.freeQHO, q)
 }
 
-func newCell(id int, env cellEnv, eng *des.Simulation, seed int64, kind des.StreamKind) *cell {
-	c := &cell{id: id, env: env, eng: eng, streams: newCellStreams(seed, id, kind)}
+// newCell constructs cell id on calendar eng under the defaulted
+// configuration cfg. It fails only when a configured delay cannot key a
+// fixed-delay lane.
+func newCell(id int, env cellEnv, eng *des.Simulation, cfg *Config) (*cell, error) {
+	c := &cell{id: id, env: env, eng: eng, streams: newCellStreams(cfg.Seed, id, cfg.Streams)}
+	var err error
+	if c.tickLane, err = eng.Lane(blockPeriodSec); err != nil {
+		return nil, err // a positive constant: unreachable
+	}
+	if c.coreLane, err = eng.Lane(cfg.CoreNetworkDelaySec); err != nil {
+		return nil, fmt.Errorf("%w: core-network delay: %w", ErrInvalidConfig, err)
+	}
+	if c.ackLane, err = eng.Lane(cfg.UplinkDelaySec + cfg.CoreNetworkDelaySec); err != nil {
+		return nil, fmt.Errorf("%w: uplink delay: %w", ErrInvalidConfig, err)
+	}
 	c.radioTickFn = c.radioTick
 	c.armVoiceFn = func() { c.armArrival(true) }
 	c.armDataFn = func() { c.armArrival(false) }
 	c.fireVoiceFn = func() { c.gsmArrival(); c.armArrival(true) }
 	c.fireDataFn = func() { c.gprsArrival(); c.armArrival(false) }
-	return c
+	return c, nil
 }
 
 // getVoice takes a voice-call record off the cell's freelist, or allocates
@@ -446,6 +465,16 @@ func (c *cell) schedule(delay float64, action func()) des.Handle {
 		delay = 0
 	}
 	ev, err := c.eng.ScheduleAfter(delay, action)
+	if err != nil {
+		return des.Handle{}
+	}
+	return ev
+}
+
+// scheduleOn appends an action to one of the cell's fixed-delay lanes, which
+// fires it exactly as schedule(lane delay, action) would.
+func scheduleOn(l *des.Lane, action func()) des.Handle {
+	ev, err := l.Schedule(action)
 	if err != nil {
 		return des.Handle{}
 	}
@@ -917,7 +946,7 @@ func (c *cell) radioTick() {
 	}
 
 	c.tickScheduled = true
-	c.schedule(blockPeriodSec, c.radioTickFn)
+	scheduleOn(c.tickLane, c.radioTickFn)
 }
 
 // deliver records the delivery of a packet to the mobile station and notifies

@@ -243,6 +243,14 @@ func (c Config) Validate() error {
 	if c.HandoverLatencySec < 0 || math.IsNaN(c.HandoverLatencySec) || math.IsInf(c.HandoverLatencySec, 0) {
 		return fmt.Errorf("%w: handover latency = %v", ErrInvalidConfig, c.HandoverLatencySec)
 	}
+	// Non-positive TCP path delays select the defaults; non-finite ones
+	// cannot key the fixed-delay event lanes they are scheduled on.
+	if math.IsNaN(c.CoreNetworkDelaySec) || math.IsInf(c.CoreNetworkDelaySec, 0) {
+		return fmt.Errorf("%w: core-network delay = %v", ErrInvalidConfig, c.CoreNetworkDelaySec)
+	}
+	if math.IsNaN(c.UplinkDelaySec) || math.IsInf(c.UplinkDelaySec, 0) {
+		return fmt.Errorf("%w: uplink delay = %v", ErrInvalidConfig, c.UplinkDelaySec)
+	}
 	if c.Streams < des.StreamDefault || c.Streams > des.StreamAntithetic {
 		return fmt.Errorf("%w: stream kind %d", ErrInvalidConfig, c.Streams)
 	}

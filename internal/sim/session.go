@@ -378,7 +378,7 @@ func (c *connection) send(seq int) {
 	t.gen = c.gen
 	t.kind = ctSegment
 	t.seq = seq
-	c.cell.schedule(c.sess.cfg().CoreNetworkDelaySec, t.fn)
+	scheduleOn(c.cell.coreLane, t.fn)
 	c.restartRTO()
 }
 
@@ -401,7 +401,7 @@ func (c *connection) onDelivered(seq int) {
 	t.kind = ctAck
 	t.seq = seq
 	t.ack = c.recvNext
-	c.cell.schedule(c.sess.cfg().UplinkDelaySec+c.sess.cfg().CoreNetworkDelaySec, t.fn)
+	scheduleOn(c.cell.ackLane, t.fn)
 }
 
 // onAck processes a cumulative acknowledgement arriving at the sender.

@@ -54,6 +54,8 @@ func TestConfigValidation(t *testing.T) {
 		{"call duration", func(c *Config) { c.GSMCallDurationSec = 0 }},
 		{"dwell", func(c *Config) { c.GSMDwellTimeSec = -1 }},
 		{"gprs dwell", func(c *Config) { c.GPRSDwellTimeSec = 0 }},
+		{"core-network delay", func(c *Config) { c.CoreNetworkDelaySec = math.NaN() }},
+		{"uplink delay", func(c *Config) { c.UplinkDelaySec = math.Inf(1) }},
 	}
 	for _, m := range mutations {
 		cfg := quickConfig(true)

@@ -66,7 +66,7 @@ func New(cfg Config) (*Simulator, error) {
 // engine: it validates and defaults the configuration, computes the radio
 // blocks per packet, and constructs the cells of the cluster. calendarFor
 // supplies cell i's event calendar — the serial engine passes one shared
-// calendar, the sharded engine a private one per cell.
+// calendar, the sharded engine one per cell group.
 func buildCells(cfg Config, env cellEnv, calendarFor func(i int) *des.Simulation) (Config, int, []*cell, error) {
 	if err := cfg.Validate(); err != nil {
 		return Config{}, 0, nil, err
@@ -77,8 +77,11 @@ func buildCells(cfg Config, env cellEnv, calendarFor func(i int) *des.Simulation
 		return Config{}, 0, nil, fmt.Errorf("%w: coding scheme %v yields no radio blocks", ErrInvalidConfig, cfg.Channels.Coding)
 	}
 	cells := make([]*cell, cfg.Topology.NumCells())
+	var err error
 	for i := range cells {
-		cells[i] = newCell(i, env, calendarFor(i), cfg.Seed, cfg.Streams)
+		if cells[i], err = newCell(i, env, calendarFor(i), &cfg); err != nil {
+			return Config{}, 0, nil, err
+		}
 	}
 	return cfg, bpp, cells, nil
 }
