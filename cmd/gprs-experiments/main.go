@@ -89,7 +89,7 @@ func run(args []string) error {
 		target  = fs.String("target", "throughput", "measure watched by -precision: "+strings.Join(runner.MeasureNames(), ", "))
 		seed    = fs.Int64("seed", 1, "base seed of the simulator replications")
 		cells   = fs.Int("cells", 0, "simulated cluster size: 0/7 (paper) or a wrap-around hex-ring preset (cluster.PresetSizes)")
-		shards  = fs.Int("shards", 1, "cell groups advanced in parallel per simulator replication (1 = serial engine)")
+		shards  = fs.Int("shards", 1, "cell groups advanced in parallel per simulator replication (1 = one group on the calling goroutine)")
 		partFlg = fs.String("partition", "", "cell→group partitioning of -shards > 1 runs: kind[:groups] with kinds "+strings.Join(partition.Kinds(), ", ")+", or explicit JSON (default: locality); never affects results")
 		scnName = fs.String("scenario", "", "built-in workload scenario for all simulator runs: "+strings.Join(scenario.Names(), ", "))
 		scnFile = fs.String("scenario-file", "", "JSON workload-scenario file (overrides -scenario)")

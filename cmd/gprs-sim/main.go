@@ -114,7 +114,7 @@ func run(args []string) error {
 		reps    = fs.Int("replications", 1, "independent replications to run and merge")
 		workers = fs.Int("workers", 0, "concurrent replications (0 = NumCPU); also sizes adaptive growth batches — pin it to reproduce -precision runs across machines")
 		cells   = fs.Int("cells", 7, "cluster size, one of "+intsLabel(cluster.PresetSizes())+" (7 is the paper's cluster, larger sizes are wrap-around hex rings)")
-		shards  = fs.Int("shards", 1, "cell groups advanced in parallel per replication (1 = serial engine)")
+		shards  = fs.Int("shards", 1, "cell groups advanced in parallel per replication (1 = one group on the calling goroutine)")
 		partFlg = fs.String("partition", "", "cell→group partitioning of -shards > 1 runs: kind[:groups] with kinds "+strings.Join(partition.Kinds(), ", ")+", or explicit JSON (default: locality, one group per shard); never affects results")
 		scnName = fs.String("scenario", "", "built-in workload scenario: "+strings.Join(scenario.Names(), ", "))
 		scnFile = fs.String("scenario-file", "", "JSON workload-scenario file (overrides -scenario)")

@@ -72,7 +72,7 @@ func runSimulator(rate float64) sim.Results {
 	cfg.Seed = 42
 	// RunOnce is the engine-selection entry point: Shards > 1 advances cell
 	// groups in parallel conservative time windows, bit-identical to the
-	// serial engine, so the choice only affects wall-clock time.
+	// one-group run, so the choice only affects wall-clock time.
 	res, err := sim.RunOnce(cfg, sim.ShardedOptions{Shards: 2})
 	if err != nil {
 		log.Fatal(err)

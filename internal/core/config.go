@@ -117,13 +117,16 @@ func (c Config) Validate() error {
 	if c.GPRSFraction < 0 || c.GPRSFraction > 1 || math.IsNaN(c.GPRSFraction) {
 		return fmt.Errorf("%w: GPRS fraction %v", ErrInvalidConfig, c.GPRSFraction)
 	}
-	for name, v := range map[string]float64{
-		"GSM call duration": c.GSMCallDurationSec,
-		"GSM dwell time":    c.GSMDwellTimeSec,
-		"GPRS dwell time":   c.GPRSDwellTimeSec,
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"GSM call duration", c.GSMCallDurationSec},
+		{"GSM dwell time", c.GSMDwellTimeSec},
+		{"GPRS dwell time", c.GPRSDwellTimeSec},
 	} {
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: %s = %v", ErrInvalidConfig, name, v)
+		if f.v <= 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%w: %s = %v", ErrInvalidConfig, f.name, f.v)
 		}
 	}
 	if c.FlowControlThreshold <= 0 || c.FlowControlThreshold > 1 {

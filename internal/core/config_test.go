@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/radio"
@@ -90,22 +91,29 @@ func TestConfigNumStates(t *testing.T) {
 func TestConfigValidateErrors(t *testing.T) {
 	base := BaseConfig(traffic.Model3, 0.5)
 
+	// want, when set, is the field the error must name: with two invalid
+	// fields, validation reports the first in its fixed check order.
 	mutate := []struct {
 		name string
 		mod  func(*Config)
+		want string
 	}{
-		{"bad channels", func(c *Config) { c.Channels.TotalChannels = 0 }},
-		{"bad buffer", func(c *Config) { c.BufferSize = 0 }},
-		{"bad sessions", func(c *Config) { c.MaxSessions = 0 }},
-		{"bad session params", func(c *Config) { c.Session.NumPacketCalls = 0 }},
-		{"negative rate", func(c *Config) { c.TotalCallRate = -1 }},
-		{"NaN rate", func(c *Config) { c.TotalCallRate = math.NaN() }},
-		{"bad fraction", func(c *Config) { c.GPRSFraction = 1.5 }},
-		{"bad call duration", func(c *Config) { c.GSMCallDurationSec = 0 }},
-		{"bad dwell", func(c *Config) { c.GSMDwellTimeSec = -2 }},
-		{"bad gprs dwell", func(c *Config) { c.GPRSDwellTimeSec = math.Inf(1) }},
-		{"bad threshold", func(c *Config) { c.FlowControlThreshold = 0 }},
-		{"threshold above one", func(c *Config) { c.FlowControlThreshold = 1.2 }},
+		{"bad channels", func(c *Config) { c.Channels.TotalChannels = 0 }, ""},
+		{"bad buffer", func(c *Config) { c.BufferSize = 0 }, ""},
+		{"bad sessions", func(c *Config) { c.MaxSessions = 0 }, ""},
+		{"bad session params", func(c *Config) { c.Session.NumPacketCalls = 0 }, ""},
+		{"negative rate", func(c *Config) { c.TotalCallRate = -1 }, ""},
+		{"NaN rate", func(c *Config) { c.TotalCallRate = math.NaN() }, ""},
+		{"bad fraction", func(c *Config) { c.GPRSFraction = 1.5 }, ""},
+		{"bad call duration", func(c *Config) { c.GSMCallDurationSec = 0 }, ""},
+		{"bad dwell", func(c *Config) { c.GSMDwellTimeSec = -2 }, ""},
+		{"bad gprs dwell", func(c *Config) { c.GPRSDwellTimeSec = math.Inf(1) }, ""},
+		{"bad threshold", func(c *Config) { c.FlowControlThreshold = 0 }, ""},
+		{"threshold above one", func(c *Config) { c.FlowControlThreshold = 1.2 }, ""},
+		{"call duration and gprs dwell", func(c *Config) {
+			c.GSMCallDurationSec = 0
+			c.GPRSDwellTimeSec = -1
+		}, "GSM call duration"},
 	}
 	for _, tc := range mutate {
 		cfg := base
@@ -115,6 +123,12 @@ func TestConfigValidateErrors(t *testing.T) {
 		}
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: New should reject the configuration", tc.name)
+		}
+		for i := 0; i < 20 && tc.want != ""; i++ {
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %v does not name %q", tc.name, err, tc.want)
+				break
+			}
 		}
 	}
 }

@@ -144,13 +144,13 @@ type Options struct {
 	// 0 or 7 is the paper's seven-cell cluster; 19 and 37 select the
 	// generated wrap-around hex-ring clusters (cluster.Preset).
 	Cells int
-	// Shards, when > 1, runs every simulator replication on the sharded
-	// multi-cell engine with that many cell groups advanced in parallel,
-	// still bounded — together with all other work — by the shared limiter.
-	// Results are identical to the serial engine.
+	// Shards, when > 1, splits every simulator replication into that many
+	// cell groups advanced in parallel, still bounded — together with all
+	// other work — by the shared limiter. Results are identical to the
+	// one-group run.
 	Shards int
-	// Partition, when non-nil, pins the cell→group assignment of the sharded
-	// engine (internal/partition) on every simulator run; nil keeps the
+	// Partition, when non-nil, pins the cell→group assignment of Shards > 1
+	// runs (internal/partition) on every simulator run; nil keeps the
 	// default locality-aware grouping with one group per worker. Like Shards
 	// it never affects results, only how the run is scheduled.
 	Partition *partition.Spec

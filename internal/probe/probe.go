@@ -12,12 +12,11 @@
 //
 //   - No model events, no model draws: sampling schedules nothing on any
 //     event calendar and draws nothing from any random variate stream. The
-//     measurement loop of internal/sim advances the engines to the probe
+//     measurement loop of internal/sim advances the engine to the probe
 //     window boundaries between batch boundaries — a pure repartitioning of
-//     the advance targets, which both engines execute identically (the
-//     serial calendar pops the same total order either way; the sharded
-//     engine's conservative windows deliver the same messages in the same
-//     merged order).
+//     the advance targets, which the engine executes identically (each group
+//     calendar pops the same total order either way, and the conservative
+//     windows deliver the same messages in the same merged order).
 //
 //   - Shadow accumulators: the windowed time averages come from probe-owned
 //     copies of the per-cell time-weighted statistics, updated alongside

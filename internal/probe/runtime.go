@@ -33,10 +33,11 @@ type Runtime struct {
 	// target, 0 otherwise.
 	AdaptiveConverged atomic.Uint64
 
-	// WindowsAdvanced and MessagesMerged count the sharded engine's
-	// synchronization windows and barrier-merged messages.
+	// WindowsAdvanced and MessagesMerged count the shard engine's
+	// synchronization windows and barrier-merged messages. A one-group run
+	// adds one window per advance target and no messages.
 	WindowsAdvanced, MessagesMerged atomic.Uint64
-	// WindowNanos, AdvanceNanos and BarrierWaitNanos decompose the sharded
+	// WindowNanos, AdvanceNanos and BarrierWaitNanos decompose the shard
 	// engine's wall time: WindowNanos is total wall time per window
 	// (dispatch through barrier), AdvanceNanos the sum of per-shard advance
 	// work, and BarrierWaitNanos the sum over shards of (window wall time -
@@ -52,11 +53,12 @@ type Runtime struct {
 	FreeEvents atomic.Uint64
 
 	// mu guards groupEvents, the registry's only non-scalar field; it is
-	// written once per completed sharded run, never on the event hot path.
+	// written once per completed run, never on the event hot path.
 	mu sync.Mutex
 	// groupEvents is a latest-run gauge like FreeEvents: the per-group
-	// processed-event counts of the most recently completed sharded run,
-	// indexed by partition group. Empty until a sharded run completes.
+	// processed-event counts of the most recently completed run, indexed by
+	// partition group (one element for a one-group run). Empty until a run
+	// completes.
 	groupEvents []uint64
 
 	start time.Time
@@ -82,8 +84,8 @@ func (r *Runtime) SetAdaptive(relHalfWidth float64, converged bool) {
 }
 
 // SetGroupEvents records the per-group processed-event counts of the most
-// recently completed sharded run (a latest-run gauge, like FreeEvents). The
-// slice is copied.
+// recently completed run (a latest-run gauge, like FreeEvents): every run
+// publishes them, a one-group run as a single element. The slice is copied.
 func (r *Runtime) SetGroupEvents(counts []uint64) {
 	copied := append([]uint64(nil), counts...)
 	r.mu.Lock()
@@ -91,8 +93,8 @@ func (r *Runtime) SetGroupEvents(counts []uint64) {
 	r.mu.Unlock()
 }
 
-// GroupEvents returns a copy of the latest sharded run's per-group event
-// counts, or nil when no sharded run has completed.
+// GroupEvents returns a copy of the latest run's per-group event counts, or
+// nil when no run has completed.
 func (r *Runtime) GroupEvents() []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -128,7 +130,8 @@ type Snapshot struct {
 	PoolHitRate float64 `json:"pool_hit_rate"`
 	FreeEvents  uint64  `json:"free_events"`
 	// GroupEvents is the per-partition-group event breakdown of the most
-	// recently completed sharded run; absent until one completes.
+	// recently completed run (one element for a one-group run); absent until
+	// a run completes.
 	GroupEvents []uint64 `json:"group_events,omitempty"`
 }
 

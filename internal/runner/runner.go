@@ -43,10 +43,11 @@
 //     changes wall-clock time. ForEach reports the error of the lowest
 //     failing index for the same reason.
 //
-//   - Engine invariance: Shards > 1 runs each replication on the sharded
-//     engine, which reproduces the serial engine bit for bit (see the
-//     determinism contract of internal/shard), so the engine choice is
-//     also purely a scheduling decision.
+//   - Partition invariance: Shards > 1 splits each replication's cells
+//     into that many groups advanced in parallel, which reproduces the
+//     one-group run bit for bit (see the determinism contract of
+//     internal/shard), so the group count is also purely a scheduling
+//     decision.
 //
 //   - Stopping-rule determinism: the adaptive mode grows the replication
 //     set along the same substream sequence (replication i exists
@@ -118,14 +119,15 @@ type Options struct {
 	// replicated simulations concurrently pass one Limiter so the global
 	// number of in-flight simulator runs stays bounded.
 	Limiter *Limiter
-	// Shards, when > 1, runs every replication on the sharded multi-cell
-	// engine (sim.NewSharded) with that many cell groups advanced in
-	// parallel conservative time windows. Shard-level parallelism composes
-	// with replication-level parallelism: the replication fan-out is then
-	// gated by Admission (live simulators) while the shard workers of all
+	// Shards, when > 1, builds every replication with sim.NewSharded: that
+	// many cell groups advanced in parallel conservative time windows.
+	// Otherwise each replication is sim.New's one group, advanced on its
+	// worker's goroutine. Shard-level parallelism composes with
+	// replication-level parallelism: the replication fan-out is then gated
+	// by Admission (live simulators) while the shard workers of all
 	// replications acquire CPU tokens from the shared Limiter, keeping the
 	// number of active CPU-bound tasks at the worker bound. Results are
-	// bit-identical to the serial engine, so Shards only changes how the
+	// bit-identical for every Shards value, so Shards only changes how the
 	// work is scheduled.
 	Shards int
 	// Admission, used only when Shards > 1, bounds how many replications are
@@ -396,7 +398,7 @@ func mergePerCell(results []sim.Results) []sim.CellMeasures {
 // under VRAntithetic) and merges them. With Precision 0 exactly Replications
 // runs execute, and the merged result is bit-identical for a given
 // (BaseSeed, options) regardless of worker count and of the Shards setting
-// (the sharded engine reproduces the serial engine exactly). With
+// (every partitioning reproduces the one-group run exactly). With
 // Precision > 0 the adaptive stopping rule grows the count in pool-sized
 // batches (growBatch) until the target measure's relative confidence
 // half-width reaches the threshold or MaxReplications is hit; the batch

@@ -3,7 +3,7 @@
 // load — every cell of the seven-cell cluster sees the same constant
 // voice-call and GPRS-session arrival rates. Real cellular load is spatially
 // and temporally non-uniform, and the 19/37-cell hex-ring topologies plus the
-// sharded engine exist precisely to go beyond the symmetric case; this
+// parallel cell groups exist precisely to go beyond the symmetric case; this
 // package describes how.
 //
 // A Spec names a spatial load shape (uniform, radial hotspot with exponential
@@ -12,7 +12,7 @@
 // busy-hour ramp, optionally periodic). Compiling a Spec against a cluster
 // topology and the baseline per-cell arrival rates yields a Profile — an
 // immutable, pure per-cell rate function satisfying the sim.RateProfile
-// contract, so the serial and the sharded engine remain bit-identical under
+// contract, so every partitioning of the cells remains bit-identical under
 // every scenario. The uniform scenario compiles to weight 1 and scale 1
 // everywhere and therefore reproduces the paper's symmetric load bit for bit.
 //
@@ -43,9 +43,9 @@
 // therefore safe for unsynchronized concurrent readers, which is exactly
 // what the layers above assume:
 //
-//   - the sharded engine queries one profile from several shard workers at
-//     once, and stays bit-identical to the serial engine under every
-//     scenario (the engines' own contract plus profile purity);
+//   - a multi-group simulator queries one profile from several shard
+//     workers at once, and stays bit-identical to the one-group run under
+//     every scenario (the engine's own contract plus profile purity);
 //
 //   - the replication runner shares one profile across all replications, so
 //     replication i sees the same rates regardless of scheduling, keeping

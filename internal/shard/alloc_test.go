@@ -9,7 +9,7 @@ import "testing"
 
 // allocRingProc is a synthetic allocation-free process: every window it emits one
 // message to the next process in the ring, reusing a persistent outbox and a
-// pooled payload record, mirroring how internal/sim's cellProc behaves after
+// pooled payload record, mirroring how internal/sim's groupProc behaves after
 // the pooling refactor.
 type allocRingProc struct {
 	id, n  int

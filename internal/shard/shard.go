@@ -19,7 +19,8 @@
 //     HandoverLatencySec). A message sent at time t arrives no earlier than
 //     t + lookahead, so no message can arrive inside the window that
 //     produced it, and every process's intra-window execution is
-//     independent of all concurrent processes.
+//     independent of all concurrent processes. A lone process has no peer,
+//     so its window runs straight to the AdvanceTo target.
 //
 //   - Deterministic merge order: at the window barrier, the messages of the
 //     finished window are sorted by (timestamp, source process id,
@@ -38,7 +39,8 @@
 // reported as ErrLookaheadViolated rather than silently reordering events.
 //
 // The package is model-agnostic: internal/sim builds its multi-cell GPRS
-// simulator on top of it with one process per cell and handovers as the
+// simulator on top of it with one process per cell group (a single process
+// for the one-group simulator) and cross-group handovers as the
 // cross-process messages, the minimum handover latency serving as lookahead.
 // The contract holds for every workload the model expresses — internal/sim
 // exercises it under uniform, hotspot, gradient, and time-varying arrival
@@ -115,14 +117,6 @@ type Options struct {
 	// processes on the calling goroutine. The grouping never affects results,
 	// only the available parallelism.
 	Shards int
-	// Groups, when non-nil, assigns processes to shards explicitly: Groups[s]
-	// lists the process indices shard s advances. Every process must appear
-	// in exactly one group and every group must be non-empty; Shards is
-	// ignored and the worker count is len(Groups). Like the automatic split,
-	// the grouping never affects results — it only decides which processes
-	// share a worker (for internal/sim, internal/partition computes
-	// locality-aware groupings).
-	Groups [][]int
 	// Limiter, when non-nil, is acquired by each shard for the duration of
 	// one window's work, so shard-level parallelism composes with outer
 	// fan-outs (replications, sweep points) under one shared bound. Shards
@@ -172,45 +166,18 @@ func New(procs []Process, opt Options) (*Engine, error) {
 	if opt.Lookahead <= 0 || math.IsNaN(opt.Lookahead) || math.IsInf(opt.Lookahead, 0) {
 		return nil, fmt.Errorf("%w: lookahead %v", ErrInvalidEngine, opt.Lookahead)
 	}
-	var groups [][]int
-	if opt.Groups != nil {
-		seen := make([]bool, len(procs))
-		groups = make([][]int, len(opt.Groups))
-		for s, group := range opt.Groups {
-			if len(group) == 0 {
-				return nil, fmt.Errorf("%w: group %d is empty", ErrInvalidEngine, s)
-			}
-			groups[s] = append([]int(nil), group...)
-			for _, pi := range group {
-				if pi < 0 || pi >= len(procs) {
-					return nil, fmt.Errorf("%w: group %d lists out-of-range process %d", ErrInvalidEngine, s, pi)
-				}
-				if seen[pi] {
-					return nil, fmt.Errorf("%w: process %d assigned to two groups", ErrInvalidEngine, pi)
-				}
-				seen[pi] = true
-			}
-		}
-		for pi, ok := range seen {
-			if !ok {
-				return nil, fmt.Errorf("%w: process %d not assigned to any group", ErrInvalidEngine, pi)
-			}
-		}
-		opt.Shards = len(groups)
-	} else {
-		if opt.Shards <= 0 {
-			opt.Shards = runtime.NumCPU()
-		}
-		if opt.Shards > len(procs) {
-			opt.Shards = len(procs)
-		}
-		// Contiguous blocks of near-equal size; the split is cosmetic for
-		// results (any grouping yields identical output) but balances work.
-		groups = make([][]int, opt.Shards)
-		for i := range procs {
-			g := i * opt.Shards / len(procs)
-			groups[g] = append(groups[g], i)
-		}
+	if opt.Shards <= 0 {
+		opt.Shards = runtime.NumCPU()
+	}
+	if opt.Shards > len(procs) {
+		opt.Shards = len(procs)
+	}
+	// Contiguous blocks of near-equal size; the split is cosmetic for
+	// results (any grouping yields identical output) but balances work.
+	groups := make([][]int, opt.Shards)
+	for i := range procs {
+		g := i * opt.Shards / len(procs)
+		groups[g] = append(groups[g], i)
 	}
 	return &Engine{procs: procs, opt: opt, groups: groups}, nil
 }
@@ -225,8 +192,11 @@ func (e *Engine) Shards() int { return len(e.groups) }
 func (e *Engine) Stats() Stats { return e.stats }
 
 // AdvanceTo runs windows of at most Lookahead until the engine clock reaches
-// t, exchanging messages at every window barrier. It returns the first
-// synchronization error encountered (and keeps returning it on later calls).
+// t, exchanging messages at every window barrier. An engine with a single
+// process runs one window straight to t: no other process can send it a
+// message, and the barrier still rejects a self-addressed message timed
+// before t. AdvanceTo returns the first synchronization error encountered
+// (and keeps returning it on later calls).
 func (e *Engine) AdvanceTo(t float64) error {
 	if e.err != nil {
 		return e.err
@@ -246,7 +216,10 @@ func (e *Engine) advanceSerial(t float64) {
 	// merge buffer before the next window reuses this one.
 	var msgs []Message
 	for e.now < t && e.err == nil {
-		next := math.Min(e.now+e.opt.Lookahead, t)
+		next := t
+		if len(e.procs) > 1 {
+			next = math.Min(e.now+e.opt.Lookahead, t)
+		}
 		var windowStart, advStart time.Time
 		if e.opt.Metrics != nil {
 			windowStart = time.Now()

@@ -114,52 +114,6 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-func TestExplicitGroupValidation(t *testing.T) {
-	ring := newRing(4, 1)
-	procs := make([]Process, len(ring))
-	for i, p := range ring {
-		procs[i] = p
-	}
-	bad := [][][]int{
-		{{0, 1}, {}},        // empty group
-		{{0, 1}, {2, 4}},    // out of range
-		{{0, 1}, {2, -1}},   // negative index
-		{{0, 1}, {1, 2, 3}}, // duplicate
-		{{0, 1}, {2}},       // uncovered process
-	}
-	for _, groups := range bad {
-		if _, err := New(procs, Options{Lookahead: 1, Groups: groups}); !errors.Is(err, ErrInvalidEngine) {
-			t.Errorf("groups %v should be rejected, got err %v", groups, err)
-		}
-	}
-	eng, err := New(procs, Options{Lookahead: 1, Shards: 3, Groups: [][]int{{0, 2}, {1, 3}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Explicit groups override Shards.
-	if eng.Shards() != 2 {
-		t.Errorf("Shards() = %d with 2 explicit groups", eng.Shards())
-	}
-}
-
-func TestDeterministicAcrossExplicitGroups(t *testing.T) {
-	const n, delay = 9, 0.5
-	base := runRing(t, n, delay, Options{Lookahead: delay, Shards: 1})
-	layouts := [][][]int{
-		{{0, 1, 2, 3, 4, 5, 6, 7, 8}},                 // 1 group
-		{{0, 2, 4, 6, 8}, {1, 3, 5, 7}},               // interleaved
-		{{8, 7, 6}, {5, 4, 3}, {2, 1, 0}},             // reversed blocks
-		{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}}, // one per process
-		{{4}, {0, 8}, {1, 2, 3, 5, 6, 7}},             // lopsided
-	}
-	for _, groups := range layouts {
-		got := runRing(t, n, delay, Options{Lookahead: delay, Groups: groups})
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("explicit groups %v produced different logs than shards=1", groups)
-		}
-	}
-}
-
 func TestDeterministicAcrossShardLayouts(t *testing.T) {
 	const n, delay = 9, 0.5
 	base := runRing(t, n, delay, Options{Lookahead: delay, Shards: 1})
@@ -237,5 +191,93 @@ func TestLimiterBoundsShardConcurrency(t *testing.T) {
 	}
 	if lim.peak > 2 {
 		t.Errorf("observed %d concurrent shards, limiter cap is 2", lim.peak)
+	}
+}
+
+// selfProc is a lone process that records when its inbound messages fire;
+// the test queues its outbound messages directly.
+type selfProc struct {
+	eng    *des.Simulation
+	outbox []Message
+	got    []float64
+}
+
+func (p *selfProc) Advance(t float64) []Message {
+	p.eng.RunUntil(t)
+	out := p.outbox
+	p.outbox = nil
+	return out
+}
+
+func (p *selfProc) Deliver(m Message) {
+	p.eng.Schedule(m.At, func() { p.got = append(p.got, p.eng.Now()) })
+}
+
+// TestSingleProcessOneWindowPerAdvance pins the single-process shortcut: an
+// engine over one process runs each AdvanceTo as exactly one window, however
+// far the target lies beyond the lookahead.
+func TestSingleProcessOneWindowPerAdvance(t *testing.T) {
+	p := &selfProc{eng: des.NewSimulation()}
+	eng, err := New([]Process{p}, Options{Lookahead: 0.5, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, until := range []float64{0.4, 7.31, 55.5, 100} {
+		if err := eng.AdvanceTo(until); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Stats().Windows; got != uint64(i+1) {
+			t.Fatalf("after AdvanceTo(%v): %d windows, want %d", until, got, i+1)
+		}
+		if eng.Now() != until {
+			t.Fatalf("Now = %v after AdvanceTo(%v)", eng.Now(), until)
+		}
+	}
+}
+
+// TestSingleProcessSelfMessages checks that the one-window shortcut keeps the
+// barrier's guarantees: a self-addressed message at or after the target time
+// is delivered and fires at its timestamp, and one timed before the target —
+// inside the window that produced it — is reported as a lookahead violation.
+func TestSingleProcessSelfMessages(t *testing.T) {
+	const target = 4.0
+	for _, tc := range []struct {
+		name    string
+		at      float64
+		wantErr bool
+	}{
+		{"at target", target, false},
+		{"after target", 6, false},
+		{"before target", 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &selfProc{eng: des.NewSimulation()}
+			p.eng.Schedule(1, func() {
+				p.outbox = append(p.outbox, Message{At: tc.at, Src: 0, Dst: 0, Seq: 1})
+			})
+			eng, err := New([]Process{p}, Options{Lookahead: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = eng.AdvanceTo(target)
+			if tc.wantErr {
+				if !errors.Is(err, ErrLookaheadViolated) {
+					t.Fatalf("expected lookahead violation, got %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.AdvanceTo(10); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(p.got, []float64{tc.at}) {
+				t.Errorf("delivered at %v, want [%v]", p.got, tc.at)
+			}
+			if s := eng.Stats(); s.Windows != 2 || s.MergedMessages != 1 {
+				t.Errorf("stats %+v, want 2 windows and 1 merged message", s)
+			}
+		})
 	}
 }

@@ -58,6 +58,35 @@ func measureAllocsPerEvent(t *testing.T, advance func(to float64), processed fun
 	return perRun / eventsPerRun, eventsPerRun
 }
 
+// pinEngine builds the pin workload cfg on New's one-group simulator when
+// shards is 0, and on NewSharded with that many workers otherwise, and starts
+// its cells.
+func pinEngine(t *testing.T, cfg Config, shards int) *Simulator {
+	t.Helper()
+	build := New
+	if shards > 0 {
+		build = func(cfg Config) (*Simulator, error) { return NewSharded(cfg, ShardedOptions{Shards: shards}) }
+	}
+	s, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range s.cells {
+		c.start()
+	}
+	return s
+}
+
+// advanceEngine returns an advance function for measureAllocsPerEvent that
+// drives s's shard engine.
+func advanceEngine(t *testing.T, s *Simulator) func(to float64) {
+	return func(to float64) {
+		if err := s.engine.AdvanceTo(to); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSerialSteadyStateAllocs pins the tentpole contract on the serial
 // engine: after warm-up, the event hot path performs (essentially) zero
 // allocations per event — on the open-loop path and on the TCP path, which
@@ -71,17 +100,12 @@ func TestSerialSteadyStateAllocs(t *testing.T) {
 		tcpPath bool
 	}{{"openloop", false}, {"tcp", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(allocPinConfig(7, tc.tcpPath))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range s.cells {
-				c.start()
-			}
-			s.eng.RunUntil(2000) // reach steady state, grow every pool to its peak
+			s := pinEngine(t, allocPinConfig(7, tc.tcpPath), 0)
+			cal := s.groups[0].eng
+			cal.RunUntil(2000) // reach steady state, grow every pool to its peak
 			perEvent, eventsPerRun := measureAllocsPerEvent(t,
-				func(to float64) { s.eng.RunUntil(to) },
-				s.eng.ProcessedEvents, 2000, 500)
+				func(to float64) { cal.RunUntil(to) },
+				cal.ProcessedEvents, 2000, 500)
 			if eventsPerRun < 1000 {
 				t.Fatalf("only %.0f events per window; the pin would be vacuous", eventsPerRun)
 			}
@@ -99,56 +123,29 @@ func TestSerialSteadyStateAllocs(t *testing.T) {
 // hot path must stay within the same (essentially zero) allocation budget as
 // the unprobed engines. All series buffers are preallocated at arm time, so
 // sampling appends within capacity and the shadow gauge updates are plain
-// field writes. Checked on the serial engine and on the 1-shard sharded
-// engine (the full window/barrier machinery on the calling goroutine, where
-// the budget is exact).
+// field writes. Checked on New's one-group simulator and on NewSharded with
+// one worker, both advanced on the calling goroutine, where the budget is
+// exact.
 func TestProbeArmedSteadyStateAllocs(t *testing.T) {
 	const start, window = 2000.0, 500.0
 	const final = start + 6*window // one warm-up run plus 5 measured runs
-	type engine struct {
-		name     string
-		advance  func(to float64) error
-		events   func() uint64
-		ps       *probeState
-		perCells func() []*cell
-	}
-	build := func(name string, shards int) engine {
-		cfg := allocPinConfig(7, false)
-		cfg.Probe = &probe.Spec{IntervalSec: 25}
-		if shards == 0 {
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return engine{name: name,
-				advance: func(to float64) error { return advanceProbed(s, s.pstate, to) },
-				events:  s.eng.ProcessedEvents, ps: s.pstate,
-				perCells: func() []*cell { return s.cells }}
-		}
-		s, err := NewSharded(cfg, ShardedOptions{Shards: shards})
-		if err != nil {
+	cfg := allocPinConfig(7, false)
+	cfg.Probe = &probe.Spec{IntervalSec: 25}
+	for _, e := range []struct {
+		name string
+		s    *Simulator
+	}{{"serial", pinEngine(t, cfg, 0)}, {"sharded1", pinEngine(t, cfg, 1)}} {
+		if err := e.s.advanceProbed(start); err != nil {
 			t.Fatal(err)
 		}
-		return engine{name: name,
-			advance: func(to float64) error { return advanceProbed(s, s.pstate, to) },
-			events:  s.processedEvents, ps: s.pstate,
-			perCells: func() []*cell { return s.cells }}
-	}
-	for _, e := range []engine{build("serial", 0), build("sharded1", 1)} {
-		for _, c := range e.perCells() {
-			c.start()
-		}
-		if err := e.advance(start); err != nil {
-			t.Fatal(err)
-		}
-		e.ps.arm(start, final)
+		e.s.pstate.arm(start, final)
 		perEvent, eventsPerRun := measureAllocsPerEvent(t,
 			func(to float64) {
-				if err := e.advance(to); err != nil {
+				if err := e.s.advanceProbed(to); err != nil {
 					t.Fatal(err)
 				}
 			},
-			e.events, start, window)
+			e.s.processedEvents, start, window)
 		if eventsPerRun < 1000 {
 			t.Fatalf("%s: only %.0f events per window; the pin would be vacuous", e.name, eventsPerRun)
 		}
@@ -156,7 +153,7 @@ func TestProbeArmedSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s: probe-armed hot path allocates %.5f allocs/event (%.0f events/window), want 0",
 				e.name, perEvent, eventsPerRun)
 		}
-		if got, want := e.ps.series.Windows(), int(final-start)/25; got != want {
+		if got, want := e.s.pstate.series.Windows(), int(final-start)/25; got != want {
 			t.Fatalf("%s: %d windows sampled, want %d", e.name, got, want)
 		}
 	}
@@ -170,45 +167,15 @@ func TestProbeArmedSteadyStateAllocs(t *testing.T) {
 // layouts. The warm-up advance grows each cell's queue backing array and
 // entry pool to its bounded peak (QueueCapacity) before measurement starts.
 func TestQueuedHandoverSteadyStateAllocs(t *testing.T) {
-	queuePolicy := &policy.Config{Kind: policy.QueuedHandovers, QueueCapacity: 4, QueueDeadlineSec: 5}
-	type engine struct {
-		name     string
-		advance  func(to float64)
-		events   func() uint64
-		perCells func() []*cell
-	}
-	build := func(name string, shards int) engine {
-		cfg := allocPinConfig(7, false)
-		cfg.Policy = queuePolicy
-		if shards == 0 {
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return engine{name: name,
-				advance:  func(to float64) { s.eng.RunUntil(to) },
-				events:   s.eng.ProcessedEvents,
-				perCells: func() []*cell { return s.cells }}
-		}
-		s, err := NewSharded(cfg, ShardedOptions{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return engine{name: name,
-			advance: func(to float64) {
-				if err := s.engine.AdvanceTo(to); err != nil {
-					t.Fatal(err)
-				}
-			},
-			events:   s.processedEvents,
-			perCells: func() []*cell { return s.cells }}
-	}
-	for _, e := range []engine{build("serial", 0), build("sharded1", 1), build("sharded4", 4)} {
-		for _, c := range e.perCells() {
-			c.start()
-		}
-		e.advance(2000)
-		perEvent, eventsPerRun := measureAllocsPerEvent(t, e.advance, e.events, 2000, 500)
+	cfg := allocPinConfig(7, false)
+	cfg.Policy = &policy.Config{Kind: policy.QueuedHandovers, QueueCapacity: 4, QueueDeadlineSec: 5}
+	for _, e := range []struct {
+		name string
+		s    *Simulator
+	}{{"serial", pinEngine(t, cfg, 0)}, {"sharded1", pinEngine(t, cfg, 1)}, {"sharded4", pinEngine(t, cfg, 4)}} {
+		advance := advanceEngine(t, e.s)
+		advance(2000)
+		perEvent, eventsPerRun := measureAllocsPerEvent(t, advance, e.s.processedEvents, 2000, 500)
 		if eventsPerRun < 1000 {
 			t.Fatalf("%s: only %.0f events per window; the pin would be vacuous", e.name, eventsPerRun)
 		}
@@ -217,7 +184,7 @@ func TestQueuedHandoverSteadyStateAllocs(t *testing.T) {
 				e.name, perEvent, eventsPerRun)
 		}
 		var queued, served, expired int64
-		for _, c := range e.perCells() {
+		for _, c := range e.s.cells {
 			queued += c.hoQueued
 			served += c.hoQueueServed
 			expired += c.hoQueueExpired
@@ -229,12 +196,13 @@ func TestQueuedHandoverSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedSteadyStateAllocs pins the same contract on the sharded engine.
-// Shards=1 exercises the full sharded machinery — conservative windows,
-// outbox buffering, barrier merge, pooled transit records — on the calling
-// goroutine, where the budget is exact; the 4-shard layout adds the worker
-// fan-out, whose per-AdvanceTo setup (channels, goroutines) is amortized over
-// the thousands of events each advance processes.
+// TestShardedSteadyStateAllocs pins the same contract on NewSharded's
+// simulator, advanced through the shard engine. Shards=1 resolves to one
+// group advanced on the calling goroutine, where the budget is exact; the
+// 4-shard layout adds conservative windows, outbox buffering, barrier merge,
+// pooled cross-group transit records, and the worker fan-out, whose
+// per-AdvanceTo setup (channels, goroutines) is amortized over the thousands
+// of events each advance processes.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -242,23 +210,10 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	}{{"openloop", false}, {"tcp", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, shards := range []int{1, 4} {
-				s, err := NewSharded(allocPinConfig(7, tc.tcpPath), ShardedOptions{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, c := range s.cells {
-					c.start()
-				}
-				if err := s.engine.AdvanceTo(2000); err != nil {
-					t.Fatal(err)
-				}
-				perEvent, eventsPerRun := measureAllocsPerEvent(t,
-					func(to float64) {
-						if err := s.engine.AdvanceTo(to); err != nil {
-							t.Fatal(err)
-						}
-					},
-					s.processedEvents, 2000, 500)
+				s := pinEngine(t, allocPinConfig(7, tc.tcpPath), shards)
+				advance := advanceEngine(t, s)
+				advance(2000)
+				perEvent, eventsPerRun := measureAllocsPerEvent(t, advance, s.processedEvents, 2000, 500)
 				if eventsPerRun < 1000 {
 					t.Fatalf("%d shards: only %.0f events per window; the pin would be vacuous", shards, eventsPerRun)
 				}

@@ -27,8 +27,8 @@ const expBatch = 64
 // cellStreams groups the per-cell random variate streams. Every cell draws
 // its arrivals, call durations, traffic variates, and handover decisions from
 // its own streams, so a cell's sample path does not depend on how events of
-// other cells interleave with its own — the property that makes the sharded
-// engine bit-identical to the serial one.
+// other cells interleave with its own — the property that makes every
+// partitioning of the cells into calendar groups bit-identical.
 type cellStreams struct {
 	arrival  *des.Stream
 	duration *des.Stream
@@ -53,19 +53,6 @@ func newCellStreams(seed int64, cellID int, kind des.StreamKind) cellStreams {
 	s.arrival.BatchExponentials(expBatch)
 	s.duration.BatchExponentials(expBatch)
 	return s
-}
-
-// cellEnv is the engine-side contract of a cell: the shared configuration and
-// the transport that carries handover messages between cells. The serial
-// engine schedules deliveries directly on its single shared calendar; the
-// sharded engine buffers them as timestamped messages merged deterministically
-// at the next synchronization window barrier.
-type cellEnv interface {
-	conf() *Config
-	radioBlocksPerPacket() int
-	// dispatch sends a handover message from src to cell dst, taking effect
-	// at src.now() + HandoverLatencySec.
-	dispatch(src *cell, dst int, m handoverMsg)
 }
 
 // hoKind discriminates handover message payloads.
@@ -126,10 +113,9 @@ type handoverMsg struct {
 
 // cell is one cell of the cluster: voice-channel occupancy, the BSC FIFO
 // buffer for data packets, the set of active GPRS sessions, the measurement
-// state, and — shard-locally — its own event calendar and random variate
-// streams. In the serial engine all cells share one calendar; in the sharded
-// engine each cell owns one, and cells interact only through handover
-// messages.
+// state, its group's event calendar, and its own random variate streams.
+// Cells of one partition group share that calendar; cells interact only
+// through handover messages.
 //
 // The steady-state event path of a cell is allocation-free: completed voice
 // calls, sessions, and packets are recycled through per-cell freelists
@@ -140,7 +126,7 @@ type handoverMsg struct {
 // of boundaries), not O(events)).
 type cell struct {
 	id      int
-	env     cellEnv
+	sim     *Simulator
 	eng     *des.Simulation
 	streams cellStreams
 
@@ -275,11 +261,12 @@ func (c *cell) putQHO(q *queuedHO) {
 	c.freeQHO = append(c.freeQHO, q)
 }
 
-// newCell constructs cell id on calendar eng under the defaulted
-// configuration cfg. It fails only when a configured delay cannot key a
-// fixed-delay lane.
-func newCell(id int, env cellEnv, eng *des.Simulation, cfg *Config) (*cell, error) {
-	c := &cell{id: id, env: env, eng: eng, streams: newCellStreams(cfg.Seed, id, cfg.Streams)}
+// newCell constructs cell id of simulator s on its group's calendar eng,
+// under s's defaulted configuration. It fails only when a configured delay
+// cannot key a fixed-delay lane.
+func newCell(id int, s *Simulator, eng *des.Simulation) (*cell, error) {
+	cfg := &s.config
+	c := &cell{id: id, sim: s, eng: eng, streams: newCellStreams(cfg.Seed, id, cfg.Streams)}
 	var err error
 	if c.tickLane, err = eng.Lane(blockPeriodSec); err != nil {
 		return nil, err // a positive constant: unreachable
@@ -497,10 +484,10 @@ func (c *cell) start() {
 // constant profile the boundary is +Inf, so the code draws exactly one
 // variate per arrival, reproducing the fixed-rate arrival stream bit for bit.
 // All decisions depend only on the cell's own stream and the (pure) profile,
-// which keeps the serial and sharded engines bit-identical. The scheduled
+// which keeps every partitioning bit-identical. The scheduled
 // actions are the cell's prebound closures, so arming allocates nothing.
 func (c *cell) armArrival(voice bool) {
-	prof := c.env.conf().Rates
+	prof := c.sim.config.Rates
 	now := c.now()
 	rate, dataRate := prof.Rates(c.id, now)
 	rearm, fire := c.armVoiceFn, c.fireVoiceFn
@@ -535,14 +522,14 @@ func (c *cell) armArrival(voice bool) {
 // set receives every scheduled event handle (the dwell timer or a boundary
 // re-arm), so the owner's cancellable handle always tracks the pending
 // event. All decisions depend only on the cell's own stream and the (pure)
-// profile, which keeps the serial and sharded engines bit-identical. fire
+// profile, which keeps every partitioning bit-identical. fire
 // and set are the owning record's prebound closures; the boundary re-arm
 // closure is the one allocation left on this path, costing O(profile
 // boundaries), not O(events) — under constant profiles it never runs.
 func (c *cell) armDwell(base float64, fire func(), set func(des.Handle)) {
 	mean := base
 	bound := math.Inf(1)
-	if prof := c.env.conf().Mobility; prof != nil {
+	if prof := c.sim.config.Mobility; prof != nil {
 		now := c.now()
 		mean = base * prof.Multiplier(c.id, now)
 		bound = prof.NextChange(now)
@@ -568,7 +555,7 @@ func (c *cell) gsmArrival() {
 		return
 	}
 	c.addVoice()
-	duration := c.streams.duration.Exponential(c.env.conf().GSMCallDurationSec)
+	duration := c.streams.duration.Exponential(c.sim.config.GSMCallDurationSec)
 	call := c.getVoice()
 	call.departAt = c.now() + duration
 	call.departEv = c.schedule(duration, call.departFn)
@@ -633,7 +620,7 @@ func (c *cell) receiveVoice(m handoverMsg) {
 // must count as an immediate failure — no policy, a full queue, or a forward
 // that already failed once.
 func (c *cell) refuseVoiceHandover(m handoverMsg) bool {
-	p := c.env.conf().Policy
+	p := c.sim.config.Policy
 	if p == nil {
 		return false
 	}
@@ -716,12 +703,12 @@ func (c *cell) serveQueuedHandover() {
 // next-best neighbour: the neighbour following this cell in the source's
 // deterministic neighbour order. No random draw is consumed, and the forward
 // travels as an ordinary handover message under the same
-// HandoverLatencySec, so the sharded engine's conservative-window lookahead
+// HandoverLatencySec, so the shard engine's conservative-window lookahead
 // covers it unchanged. The forward counts as a handover departure of this
 // cell, keeping the cluster-wide flow ledger (arrivals balance departures)
 // exact.
 func (c *cell) forwardRetry(m handoverMsg) {
-	topo := c.env.conf().Topology
+	topo := c.sim.config.Topology
 	deg := topo.Degree(m.src)
 	idx := 0
 	for i := 0; i < deg; i++ {
@@ -739,7 +726,7 @@ func (c *cell) forwardRetry(m handoverMsg) {
 		c.sessionHandoversOut++
 	}
 	m.retried = true
-	c.env.dispatch(c, target, m)
+	c.sim.dispatch(c, target, m)
 }
 
 // receiveSession admits a GPRS session arriving by handover and resumes its
@@ -748,7 +735,7 @@ func (c *cell) forwardRetry(m handoverMsg) {
 func (c *cell) receiveSession(m handoverMsg) {
 	st := m.sess
 	if !c.canAdmitSession() {
-		if p := c.env.conf().Policy; p != nil && p.Kind == policy.DirectedRetry && !m.retried {
+		if p := c.sim.config.Policy; p != nil && p.Kind == policy.DirectedRetry && !m.retried {
 			c.forwardRetry(m)
 			return
 		}
@@ -781,7 +768,7 @@ func (c *cell) receiveSession(m handoverMsg) {
 // canAdmitVoice reports whether a voice call (fresh or handed over) can be
 // accepted on the cell's free channels.
 func (c *cell) canAdmitVoice() bool {
-	return c.env.conf().Channels.CanAdmitGSMCall(c.voiceCalls)
+	return c.sim.config.Channels.CanAdmitGSMCall(c.voiceCalls)
 }
 
 // canAdmitNewVoice reports whether a fresh GSM call can be accepted. Under
@@ -790,7 +777,7 @@ func (c *cell) canAdmitVoice() bool {
 // arrivals; under every other policy fresh calls and handovers share the
 // channels.
 func (c *cell) canAdmitNewVoice() bool {
-	conf := c.env.conf()
+	conf := &c.sim.config
 	if p := conf.Policy; p != nil && p.Kind == policy.GuardChannels {
 		return c.voiceCalls < conf.Channels.GSMChannels()-p.Guard
 	}
@@ -799,7 +786,7 @@ func (c *cell) canAdmitNewVoice() bool {
 
 // canAdmitSession reports whether a new GPRS session can be accepted.
 func (c *cell) canAdmitSession() bool {
-	return c.sessions < c.env.conf().MaxSessions
+	return c.sessions < c.sim.config.MaxSessions
 }
 
 func (c *cell) addVoice() {
@@ -848,13 +835,13 @@ func (c *cell) queuedPackets() int { return len(c.buffer) - c.deliverPending }
 // is full; the dropped packet is recycled, so callers must not retain it.
 func (c *cell) enqueue(p *packet) bool {
 	c.packetsOffered++
-	if c.queuedPackets() >= c.env.conf().BufferSize {
+	if c.queuedPackets() >= c.sim.config.BufferSize {
 		c.packetsLost++
 		c.putPacket(p)
 		return false
 	}
 	p.enqueuedAt = c.now()
-	p.blocksLeft = c.env.radioBlocksPerPacket()
+	p.blocksLeft = c.sim.bpp
 	c.buffer = append(c.buffer, p)
 	c.queueLen.Update(c.now(), float64(len(c.buffer)))
 	if c.pr != nil {
@@ -913,7 +900,7 @@ func (c *cell) radioTick() {
 		return
 	}
 
-	available := c.env.conf().Channels.AvailablePDCH(c.voiceCalls)
+	available := c.sim.config.Channels.AvailablePDCH(c.voiceCalls)
 	blocks := available
 	used := 0
 	for _, p := range c.buffer {

@@ -72,15 +72,16 @@ type Config struct {
 	// the target cell full is dropped. Policies are pure admission rules and
 	// consume no random draws, so a nil policy reproduces the historic
 	// engines bit for bit (pinned by the golden-digest suite) and every
-	// policy behaves identically in the serial and the sharded engine.
+	// policy behaves identically under every partitioning.
 	Policy *policy.Config
 
 	// HandoverLatencySec is the service interruption of a handover: the time
 	// a user is in transit between the source and the target cell, occupying
 	// resources in neither (default 100 ms, the classic GSM handover
 	// interruption). It doubles as the synchronization lookahead of the
-	// sharded engine: cross-cell handovers are the only inter-cell
-	// interaction, so shards can safely advance in windows of this length.
+	// shard engine: cross-cell handovers are the only inter-cell
+	// interaction, so cell groups can safely advance in windows of this
+	// length.
 	HandoverLatencySec float64
 
 	// EnableTCP selects closed-loop packet calls (each packet call is a TCP
@@ -119,14 +120,14 @@ type Config struct {
 	// variance-reduction mode of the replication runner sets this field.
 	Streams des.StreamKind
 
-	// Partition selects how the sharded engine groups cells into shard
-	// calendars (see internal/partition): each group shares one event
-	// calendar and only cross-group handovers travel as window-barrier
-	// messages. A nil value means the locality-aware partitioner with one
-	// group per worker. Like the shard layout itself, the partitioning never
-	// affects results — every valid assignment is bit-identical to the
-	// serial engine (pinned by the partition-equivalence suite) — it only
-	// shifts load balance and barrier traffic. The serial engine ignores it.
+	// Partition selects how NewSharded groups cells into group calendars
+	// (see internal/partition): each group shares one event calendar and
+	// only cross-group handovers travel as window-barrier messages. A nil
+	// value means the locality-aware partitioner with one group per worker.
+	// Like the shard layout itself, the partitioning never affects results —
+	// every valid assignment is bit-identical to New's one-group simulator
+	// (pinned by the partition-equivalence suite) — it only shifts load
+	// balance and barrier traffic. New ignores it.
 	Partition *partition.Spec
 
 	// EventQueue selects the event-list implementation of the engine's
@@ -140,7 +141,7 @@ type Config struct {
 	// window boundaries of Probe.IntervalSec across the measurement period.
 	// Arming never changes a single bit of the Results (see the determinism
 	// contract of package probe); the recorded series travels out of band,
-	// via Simulator.Series, Sharded.Series, or RunOnceSeries.
+	// via Simulator.Series or RunOnceSeries.
 	Probe *probe.Spec
 }
 
@@ -231,13 +232,16 @@ func (c Config) Validate() error {
 	if c.GPRSFraction < 0 || c.GPRSFraction > 1 || math.IsNaN(c.GPRSFraction) {
 		return fmt.Errorf("%w: GPRS fraction %v", ErrInvalidConfig, c.GPRSFraction)
 	}
-	for name, v := range map[string]float64{
-		"GSM call duration": c.GSMCallDurationSec,
-		"GSM dwell time":    c.GSMDwellTimeSec,
-		"GPRS dwell time":   c.GPRSDwellTimeSec,
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"GSM call duration", c.GSMCallDurationSec},
+		{"GSM dwell time", c.GSMDwellTimeSec},
+		{"GPRS dwell time", c.GPRSDwellTimeSec},
 	} {
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: %s = %v", ErrInvalidConfig, name, v)
+		if f.v <= 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%w: %s = %v", ErrInvalidConfig, f.name, f.v)
 		}
 	}
 	if c.HandoverLatencySec < 0 || math.IsNaN(c.HandoverLatencySec) || math.IsInf(c.HandoverLatencySec, 0) {

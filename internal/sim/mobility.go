@@ -11,7 +11,7 @@ import (
 // hotspot (multipliers above 1), fast vehicles on a highway corridor
 // (multipliers below 1). The multiplier scales the mean of the exponential
 // dwell of both services in the session's current cell; handover latency and
-// target selection are unaffected, so the sharded engine's conservative
+// target selection are unaffected, so the shard engine's conservative
 // lookahead (HandoverLatencySec) stays valid under every profile.
 //
 // Profiles are piecewise constant in time — the multiplier returned for time
@@ -19,9 +19,9 @@ import (
 // dwell sampler relies on for exactness, exactly like the arrival generator
 // relies on the RateProfile contract. Implementations must be pure functions
 // of (cell, t), strictly positive, and safe for concurrent read-only use:
-// the sharded engine queries one profile from several shard workers at once,
-// and each cell draws its dwell times from its own random variate stream, so
-// the serial and the sharded engine stay bit-identical under every profile.
+// a multi-group simulator queries one profile from several shard workers at
+// once, and each cell draws its dwell times from its own random variate
+// stream, so every partitioning stays bit-identical under every profile.
 //
 // internal/scenario compiles declarative mobility shapes (hotspot, gradient,
 // highway corridors crossed with temporal profiles) into MobilityProfile

@@ -181,7 +181,7 @@ func TestGoldenPartitionedDigests(t *testing.T) {
 // regression test: on the hotspot-19cell workload the locality-aware
 // partitioner must spread the event load strictly better than the
 // contiguous index-range baseline, whose first group hoards the hot centre.
-// The per-group event counts come out through Sharded.GroupEvents and must
+// The per-group event counts come out through Simulator.GroupEvents and must
 // match what the run published to the telemetry registry (probe.Default),
 // which is what the telemetry-smoke CI job scrapes.
 func TestLocalityPartitionBalancesHotspotEvents(t *testing.T) {

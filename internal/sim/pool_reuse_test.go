@@ -235,7 +235,7 @@ func TestSessionLifecycleRecycles(t *testing.T) {
 	sess := c.getSession()
 	sess.scheduleHandover()
 	sess.start()
-	s.eng.RunUntil(1e6)
+	s.groups[0].eng.RunUntil(1e6)
 	if sess.active {
 		t.Fatal("session should have completed")
 	}

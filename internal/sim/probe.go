@@ -24,7 +24,7 @@ type probeGauges struct {
 // probeState drives the sim-time series sampling of one run: window
 // boundaries, per-cell counter baselines, shadow gauges, and the recorded
 // series. It is created at engine construction when Config.Probe is set and
-// armed by collectRun at the end of the warm-up.
+// armed by Simulator.Run at the end of the warm-up.
 type probeState struct {
 	spec   probe.Spec
 	cells  []*cell
@@ -125,27 +125,26 @@ func (ps *probeState) sample(t float64) {
 	}
 }
 
-// advanceProbed advances the engine to time `to`, stopping at every pending
-// probe window boundary on the way to sample the cells there. With a nil
-// probe state this is exactly e.advanceTo(to). The extra intermediate
-// advance targets repartition the engine's work without changing it: the
-// serial calendar pops the same total event order either way, and the
-// sharded engine's conservative windows deliver the same messages in the
-// same deterministically merged order (pinned empirically by the
-// probes-armed column of TestGoldenResultDigests).
-func advanceProbed(e engineCore, ps *probeState, to float64) error {
-	if ps == nil {
-		return e.advanceTo(to)
-	}
-	for {
-		t, ok := ps.nextBoundary()
-		if !ok || t > to {
-			break
+// advanceProbed advances the simulator to time `to`, stopping at every
+// pending probe window boundary on the way to sample the cells there. With no
+// probe configured this is exactly one engine.AdvanceTo(to). The extra
+// intermediate advance targets repartition the engine's work without
+// changing it: each group calendar pops the same total event order either
+// way, and the conservative windows deliver the same messages in the same
+// deterministically merged order (pinned empirically by the probes-armed
+// column of TestGoldenResultDigests).
+func (s *Simulator) advanceProbed(to float64) error {
+	if ps := s.pstate; ps != nil {
+		for {
+			t, ok := ps.nextBoundary()
+			if !ok || t > to {
+				break
+			}
+			if err := s.engine.AdvanceTo(t); err != nil {
+				return err
+			}
+			ps.sample(t)
 		}
-		if err := e.advanceTo(t); err != nil {
-			return err
-		}
-		ps.sample(t)
 	}
-	return e.advanceTo(to)
+	return s.engine.AdvanceTo(to)
 }

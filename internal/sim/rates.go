@@ -12,11 +12,11 @@ import (
 // the rates returned for time t hold on [t, NextChange(t)).
 //
 // Implementations must be pure functions of (cell, t) and safe for concurrent
-// read-only use — the sharded engine queries the profile from several shard
-// workers at once, and the replication runner shares one profile across all
-// replications. Because each cell draws its arrivals from its own random
-// variate stream and the profile is deterministic, the serial and the sharded
-// engine stay bit-identical under every profile.
+// read-only use — a multi-group simulator queries the profile from several
+// shard workers at once, and the replication runner shares one profile across
+// all replications. Because each cell draws its arrivals from its own random
+// variate stream and the profile is deterministic, every partitioning stays
+// bit-identical under every profile.
 //
 // internal/scenario compiles declarative workload scenarios (named spatial
 // shapes crossed with temporal profiles) into RateProfile values.
@@ -61,9 +61,12 @@ func validateRates(p RateProfile, cells int) error {
 	}
 	for i := 0; i < cells; i++ {
 		v, d := p.Rates(i, 0)
-		for name, r := range map[string]float64{"voice": v, "data": d} {
-			if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-				return fmt.Errorf("%w: %s rate %v in cell %d", ErrInvalidConfig, name, r, i)
+		for _, r := range [...]struct {
+			name string
+			v    float64
+		}{{"voice", v}, {"data", d}} {
+			if r.v < 0 || math.IsNaN(r.v) || math.IsInf(r.v, 0) {
+				return fmt.Errorf("%w: %s rate %v in cell %d", ErrInvalidConfig, r.name, r.v, i)
 			}
 		}
 	}

@@ -47,7 +47,7 @@ func (v *voiceCall) depart() {
 // scaled by the cell's mobility profile (see cell.armDwell).
 func (v *voiceCall) scheduleHandover() {
 	c := v.cell
-	c.armDwell(c.env.conf().GSMDwellTimeSec, v.handoverFn, v.setHandoverEv)
+	c.armDwell(c.sim.config.GSMDwellTimeSec, v.handoverFn, v.setHandoverEv)
 }
 
 // handover moves the call towards a neighbouring cell: the call leaves this
@@ -56,7 +56,7 @@ func (v *voiceCall) scheduleHandover() {
 // serialized voiceState carries everything the target cell needs.
 func (v *voiceCall) handover() {
 	c := v.cell
-	target := c.env.conf().Topology.HandoverTarget(c.id, c.streams.handover.Intn)
+	target := c.sim.config.Topology.HandoverTarget(c.id, c.streams.handover.Intn)
 	if target < 0 {
 		v.scheduleHandover()
 		return
@@ -67,7 +67,7 @@ func (v *voiceCall) handover() {
 	v.departEv.Cancel()
 	departAt := v.departAt
 	c.putVoice(v)
-	c.env.dispatch(c, target, handoverMsg{kind: hoVoice, voice: voiceState{departAt: departAt}, src: c.id})
+	c.sim.dispatch(c, target, handoverMsg{kind: hoVoice, voice: voiceState{departAt: departAt}, src: c.id})
 }
 
 // session is one GPRS packet-service session: an alternating sequence of
@@ -98,7 +98,7 @@ type session struct {
 	setHandoverEv     func(des.Handle)
 }
 
-func (s *session) cfg() *Config { return s.cell.env.conf() }
+func (s *session) cfg() *Config { return &s.cell.sim.config }
 
 // start begins the first packet call.
 func (s *session) start() {
@@ -211,7 +211,7 @@ func (s *session) handover() {
 	c.sessionHandoversOut++
 	st := s.captureState()
 	s.end()
-	c.env.dispatch(c, target, handoverMsg{kind: hoSession, sess: st, src: c.id})
+	c.sim.dispatch(c, target, handoverMsg{kind: hoSession, sess: st, src: c.id})
 }
 
 // captureState serializes the session's activity phase for handover transit.

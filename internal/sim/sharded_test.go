@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/probe"
 )
 
 // shardedQuickConfig returns a short run of the scaled-down cell on the given
@@ -196,5 +197,43 @@ func TestSubstreamSeedingDecouplesCells(t *testing.T) {
 	b := runQuick(t, cfg)
 	if a.Events == b.Events && a.PacketsOffered == b.PacketsOffered {
 		t.Error("adjacent seeds should produce different sample paths")
+	}
+}
+
+// TestOneGroupRunWindows pins that New's one-group simulator never falls back
+// to lookahead-sized windows: the shard engine advances its single calendar
+// in exactly one window per advance target — the warm-up end, each batch end,
+// and, with a probe armed, each probe boundary that is not also a batch end.
+func TestOneGroupRunWindows(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		interval float64
+		want     uint64
+	}{
+		// quickConfig: warm-up 200 s, then 5 batches of 300 s.
+		{"unprobed", 0, 1 + 5},
+		// 38 probe windows (37 of 40 s plus the clamped last one); batch ends
+		// 500 s and 1100 s fall between probe boundaries.
+		{"probed", 40, 1 + 38 + 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickConfig(true)
+			if tc.interval > 0 {
+				cfg.Probe = &probe.Spec{IntervalSec: tc.interval}
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.ShardStats(); got.Windows != tc.want || got.MergedMessages != 0 {
+				t.Errorf("%+v, want %d windows and no merged messages", got, tc.want)
+			}
+			if ser := s.Series(); tc.interval > 0 && ser.Windows() != 38 {
+				t.Errorf("%d probe windows sampled, want 38", ser.Windows())
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -41,21 +42,31 @@ func TestConfigValidation(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	// want, when set, is the field the error must name: with two invalid
+	// fields, validation reports the first in its fixed check order.
 	mutations := []struct {
 		name string
 		mod  func(*Config)
+		want string
 	}{
-		{"channels", func(c *Config) { c.Channels.TotalChannels = 0 }},
-		{"buffer", func(c *Config) { c.BufferSize = 0 }},
-		{"sessions", func(c *Config) { c.MaxSessions = 0 }},
-		{"session params", func(c *Config) { c.Session.PacketsPerCall = 0 }},
-		{"rate", func(c *Config) { c.TotalCallRate = math.NaN() }},
-		{"fraction", func(c *Config) { c.GPRSFraction = 2 }},
-		{"call duration", func(c *Config) { c.GSMCallDurationSec = 0 }},
-		{"dwell", func(c *Config) { c.GSMDwellTimeSec = -1 }},
-		{"gprs dwell", func(c *Config) { c.GPRSDwellTimeSec = 0 }},
-		{"core-network delay", func(c *Config) { c.CoreNetworkDelaySec = math.NaN() }},
-		{"uplink delay", func(c *Config) { c.UplinkDelaySec = math.Inf(1) }},
+		{"channels", func(c *Config) { c.Channels.TotalChannels = 0 }, ""},
+		{"buffer", func(c *Config) { c.BufferSize = 0 }, ""},
+		{"sessions", func(c *Config) { c.MaxSessions = 0 }, ""},
+		{"session params", func(c *Config) { c.Session.PacketsPerCall = 0 }, ""},
+		{"rate", func(c *Config) { c.TotalCallRate = math.NaN() }, ""},
+		{"fraction", func(c *Config) { c.GPRSFraction = 2 }, ""},
+		{"call duration", func(c *Config) { c.GSMCallDurationSec = 0 }, ""},
+		{"dwell", func(c *Config) { c.GSMDwellTimeSec = -1 }, ""},
+		{"gprs dwell", func(c *Config) { c.GPRSDwellTimeSec = 0 }, ""},
+		{"core-network delay", func(c *Config) { c.CoreNetworkDelaySec = math.NaN() }, ""},
+		{"uplink delay", func(c *Config) { c.UplinkDelaySec = math.Inf(1) }, ""},
+		{"call duration and gprs dwell", func(c *Config) {
+			c.GSMCallDurationSec = 0
+			c.GPRSDwellTimeSec = -1
+		}, "GSM call duration"},
+		{"voice and data rates", func(c *Config) {
+			c.Rates = uniformRates{voice: math.NaN(), data: -1}
+		}, "voice rate"},
 	}
 	for _, m := range mutations {
 		cfg := quickConfig(true)
@@ -65,6 +76,12 @@ func TestConfigValidation(t *testing.T) {
 		}
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: New should reject the configuration", m.name)
+		}
+		for i := 0; i < 20 && m.want != ""; i++ {
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), m.want) {
+				t.Errorf("%s: error %v does not name %q", m.name, err, m.want)
+				break
+			}
 		}
 	}
 }
