@@ -155,43 +155,12 @@ func run(args []string) error {
 	if *full {
 		opts.Fidelity = experiments.Full
 	}
-	switch {
-	case *scnFile != "":
-		spec, err := scenario.Load(*scnFile)
-		if err != nil {
-			return err
-		}
-		opts.Scenario = &spec
-	case *scnName != "":
-		spec, err := scenario.Preset(*scnName)
-		if err != nil {
-			return err
-		}
-		opts.Scenario = &spec
-	}
-	if *trcFile != "" {
-		// -trace replaces the temporal profile of whatever scenario the other
-		// flags selected (the uniform baseline when they selected none), so a
-		// measured arrival series can modulate any spatial shape.
-		rows, err := scenario.LoadTraceCSV(*trcFile)
-		if err != nil {
-			return err
-		}
-		spec := scenario.Spec{Name: "trace"}
-		if opts.Scenario != nil {
-			spec = *opts.Scenario
-		}
-		spec.Temporal = scenario.Temporal{Kind: scenario.Trace, Rows: rows}
-		if err := spec.Validate(); err != nil {
-			return err
-		}
-		opts.Scenario = &spec
-	}
-	pol, err := resolvePolicyFlags(*polName, *guard, *hoQueue, *hoDead)
-	if err != nil {
+	if opts.Scenario, err = scenario.Resolve(*scnName, *scnFile, *trcFile); err != nil {
 		return err
 	}
-	opts.Policy = pol
+	if opts.Policy, err = policy.FromFlags(*polName, *guard, *hoQueue, *hoDead); err != nil {
+		return err
+	}
 	switch {
 	case *quiet:
 		// No progress stream at all.
@@ -227,31 +196,6 @@ func run(args []string) error {
 	}
 	fmt.Printf("wrote %d CSV files to %s in %.1fs\n", len(paths), *outDir, time.Since(start).Seconds())
 	return nil
-}
-
-// resolvePolicyFlags turns the -policy flag family into the policy override
-// of experiments.Options. An empty -policy returns nil (the scenario's
-// declaration, if any, stands) but rejects orphaned policy parameters;
-// "none" returns a None-kind configuration, which the experiments layer
-// treats as an explicit reset to the paper's default admission rule. The
-// guard reservation is bounded against the channel plan per run
-// (sim.Config.Validate), not here, where no plan exists yet.
-func resolvePolicyFlags(name string, guard, queueCap int, deadline float64) (*policy.Config, error) {
-	if name == "" {
-		if guard != 0 || queueCap != 0 || deadline != 0 {
-			return nil, fmt.Errorf("-guard/-ho-queue/-ho-deadline need -policy (known: %s)", strings.Join(policy.Names(), ", "))
-		}
-		return nil, nil
-	}
-	kind, err := policy.Parse(name)
-	if err != nil {
-		return nil, err
-	}
-	p := policy.Config{Kind: kind, Guard: guard, QueueCapacity: queueCap, QueueDeadlineSec: deadline}
-	if err := p.Validate(0); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }
 
 // progressLine is one JSON-lines record of -progress-json: the structured

@@ -177,17 +177,26 @@ func run(args []string) error {
 	}
 
 	scenarioLabel := "uniform (paper baseline)"
-	if spec, ok, err := resolveScenario(*scnName, *scnFile, *trcFile); err != nil {
+	if spec, err := scenario.Resolve(*scnName, *scnFile, *trcFile); err != nil {
 		return err
-	} else if ok {
-		prof, err := scenario.Apply(&cfg, spec)
+	} else if spec != nil {
+		prof, err := scenario.Apply(&cfg, *spec)
 		if err != nil {
 			return err
 		}
-		scenarioLabel = describeProfile(spec, prof, cfg.Mobility)
+		scenarioLabel = describeProfile(*spec, prof, cfg.Mobility)
 	}
-	if err := applyPolicyFlags(&cfg, *polName, *guard, *hoQueue, *hoDead); err != nil {
+	// An explicit -policy overrides the scenario's; "none" removes it.
+	if pol, err := policy.FromFlags(*polName, *guard, *hoQueue, *hoDead); err != nil {
 		return err
+	} else if pol != nil {
+		if err := pol.Validate(cfg.Channels.GSMChannels()); err != nil {
+			return err
+		}
+		cfg.Policy = nil
+		if pol.Kind != policy.None {
+			cfg.Policy = pol
+		}
 	}
 	policyLabel := "default admission (paper)"
 	if cfg.Policy != nil {
@@ -305,33 +314,6 @@ func writeMergedSeries(path string, s *runner.SeriesSummary) error {
 	return err
 }
 
-// applyPolicyFlags installs the -policy flag family on the configuration. An
-// empty -policy leaves whatever the scenario installed (or the paper's
-// default) untouched, but rejects orphaned policy parameters; "none"
-// explicitly restores the default admission rule. Parameter-mixing errors
-// (a -guard with -policy queue, say) surface here, before the run starts.
-func applyPolicyFlags(cfg *sim.Config, name string, guard, queueCap int, deadline float64) error {
-	if name == "" {
-		if guard != 0 || queueCap != 0 || deadline != 0 {
-			return fmt.Errorf("-guard/-ho-queue/-ho-deadline need -policy (known: %s)", strings.Join(policy.Names(), ", "))
-		}
-		return nil
-	}
-	kind, err := policy.Parse(name)
-	if err != nil {
-		return err
-	}
-	p := policy.Config{Kind: kind, Guard: guard, QueueCapacity: queueCap, QueueDeadlineSec: deadline}
-	if err := p.Validate(cfg.Channels.GSMChannels()); err != nil {
-		return err
-	}
-	cfg.Policy = nil
-	if kind != policy.None {
-		cfg.Policy = &p
-	}
-	return nil
-}
-
 // describePolicy labels the installed policy for the run header.
 func describePolicy(p *policy.Config) string {
 	switch p.Kind {
@@ -344,39 +326,6 @@ func describePolicy(p *policy.Config) string {
 	default:
 		return p.Kind.String()
 	}
-}
-
-// resolveScenario turns the -scenario/-scenario-file/-trace flags into a
-// scenario spec; ok is false when none is set. A -trace CSV replaces the
-// temporal profile of whatever scenario the other flags selected (or rides on
-// the uniform spatial baseline when it is the only flag), so a measured
-// arrival series can modulate any spatial shape.
-func resolveScenario(name, file, trace string) (spec scenario.Spec, ok bool, err error) {
-	switch {
-	case file != "":
-		spec, err = scenario.Load(file)
-	case name != "":
-		spec, err = scenario.Preset(name)
-	case trace == "":
-		return scenario.Spec{}, false, nil
-	}
-	if err != nil {
-		return spec, false, err
-	}
-	if trace != "" {
-		rows, err := scenario.LoadTraceCSV(trace)
-		if err != nil {
-			return spec, false, err
-		}
-		if spec.Name == "" {
-			spec.Name = "trace"
-		}
-		spec.Temporal = scenario.Temporal{Kind: scenario.Trace, Rows: rows}
-		if err := spec.Validate(); err != nil {
-			return spec, false, err
-		}
-	}
-	return spec, true, nil
 }
 
 // describeProfile labels a compiled scenario for the run header, including

@@ -3,12 +3,53 @@ package probe
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"repro/internal/traffic"
 )
+
+// column is one per-cell field of a series window that both exports carry:
+// an integer (i) or a float (f) value.
+type column struct {
+	name string
+	i    func(c *CellSeries, k int) int64
+	f    func(c *CellSeries, k int) float64
+}
+
+// cellColumns lists the per-cell columns of both exports in order: the
+// sampled counters, with the delay sum after the packet counters, then the
+// occupancy gauges and the cumulative means.
+var cellColumns = func() []column {
+	var cols []column
+	for n := range NumCounters {
+		if n.Sampled() {
+			cols = append(cols, column{name: Counters[n].Column, i: func(c *CellSeries, k int) int64 { return c.Counts[n][k] }})
+		}
+		if n == PacketsDelivered {
+			cols = append(cols, column{name: "delay_sum_cum_sec", f: func(c *CellSeries, k int) float64 { return c.DelaySumSec[k] }})
+		}
+	}
+	return append(cols,
+		column{name: "queue_len", i: func(c *CellSeries, k int) int64 { return int64(c.QueueLen[k]) }},
+		column{name: "voice_calls", i: func(c *CellSeries, k int) int64 { return int64(c.VoiceCalls[k]) }},
+		column{name: "sessions", i: func(c *CellSeries, k int) int64 { return int64(c.Sessions[k]) }},
+		column{name: "carried_data_cum", f: func(c *CellSeries, k int) float64 { return c.CarriedData[k] }},
+		column{name: "mean_queue_cum", f: func(c *CellSeries, k int) float64 { return c.MeanQueueLen[k] }},
+		column{name: "carried_voice_cum", f: func(c *CellSeries, k int) float64 { return c.CarriedVoice[k] }},
+		column{name: "avg_sessions_cum", f: func(c *CellSeries, k int) float64 { return c.AvgSessions[k] }},
+	)
+}()
+
+// appendValue appends the value of column col for cell c at window k,
+// rendering a float with appendFloat.
+func (col column) appendValue(b []byte, c *CellSeries, k int, appendFloat func([]byte, float64) []byte) []byte {
+	if col.i != nil {
+		return strconv.AppendInt(b, col.i(c, k), 10)
+	}
+	return appendFloat(b, col.f(c, k))
+}
 
 // CSVHeader is the column layout of WriteCSV: one row per (window, cell).
 // Columns named *_cum are cumulative since the measurement start (counters
@@ -17,30 +58,31 @@ import (
 // aggregates). Columns named window_* are per-window: deltas of the
 // cumulative counters, the packet loss fraction of the window, and the
 // delivered bit rate over the window length.
-const CSVHeader = "time_sec,cell," +
-	"offered_cum,lost_cum,delivered_cum,delay_sum_cum_sec," +
-	"gsm_arrivals_cum,gsm_blocked_cum,gprs_arrivals_cum,gprs_blocked_cum," +
-	"ho_in_cum,ho_out_cum,ho_arrivals_cum,ho_failures_cum," +
-	"ho_guard_blocked_cum,ho_queued_cum,ho_queue_served_cum,ho_queue_expired_cum,ho_retries_cum,ho_transit_ends_cum," +
-	"queue_len,voice_calls,sessions," +
-	"carried_data_cum,mean_queue_cum,carried_voice_cum,avg_sessions_cum," +
-	"window_offered,window_lost,window_delivered,window_plp,window_throughput_bits"
+var CSVHeader = func() string {
+	names := []string{"time_sec", "cell"}
+	for _, col := range cellColumns {
+		names = append(names, col.name)
+	}
+	names = append(names, "window_offered", "window_lost", "window_delivered", "window_plp", "window_throughput_bits")
+	return strings.Join(names, ",")
+}()
 
-// fmtFloat renders a float through its shortest representation that parses
-// back to exactly the same bits, so CSV round-trips are lossless.
-func fmtFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// appendCSVFloat renders a float through its shortest representation that
+// parses back to exactly the same bits, so CSV round-trips are lossless.
+func appendCSVFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// windowRates derives the per-window packet loss fraction and delivered bit
-// rate of cell c at window k from the cumulative counters.
-func windowRates(s *Series, c *CellSeries, k int) (offered, lost, delivered int64, plp, throughput float64) {
-	offered, lost, delivered = c.PacketsOffered[k], c.PacketsLost[k], c.PacketsDelivered[k]
+// WindowRates derives the per-window packet counts, packet loss fraction and
+// delivered bit rate of cell c at window k of s from the cumulative counters.
+func WindowRates(s *Series, c *CellSeries, k int) (offered, lost, delivered int64, plp, throughput float64) {
+	off, los, del := c.Counts[PacketsOffered], c.Counts[PacketsLost], c.Counts[PacketsDelivered]
+	offered, lost, delivered = off[k], los[k], del[k]
 	start := s.StartSec
 	if k > 0 {
-		offered -= c.PacketsOffered[k-1]
-		lost -= c.PacketsLost[k-1]
-		delivered -= c.PacketsDelivered[k-1]
+		offered -= off[k-1]
+		lost -= los[k-1]
+		delivered -= del[k-1]
 		start = s.Times[k-1]
 	}
 	if offered > 0 {
@@ -56,110 +98,66 @@ func windowRates(s *Series, c *CellSeries, k int) (offered, lost, delivered int6
 // (window, cell), windows outermost.
 func WriteCSV(w io.Writer, s *Series) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, CSVHeader)
+	bw.WriteString(CSVHeader + "\n")
+	var row []byte
 	for k := range s.Times {
 		for i := range s.Cells {
 			c := &s.Cells[i]
-			wOff, wLost, wDel, plp, tput := windowRates(s, c, k)
-			fmt.Fprintf(bw, "%s,%d,%d,%d,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%d,%d,%d,%s,%s\n",
-				fmtFloat(s.Times[k]), c.Cell,
-				c.PacketsOffered[k], c.PacketsLost[k], c.PacketsDelivered[k], fmtFloat(c.DelaySumSec[k]),
-				c.GSMArrivals[k], c.GSMBlocked[k], c.GPRSArrivals[k], c.GPRSBlocked[k],
-				c.HandoversIn[k], c.HandoversOut[k], c.HandoverArrivals[k], c.HandoverFailures[k],
-				c.GuardBlocked[k], c.Queued[k], c.QueueServed[k], c.QueueExpired[k], c.Retries[k], c.TransitEnds[k],
-				c.QueueLen[k], c.VoiceCalls[k], c.Sessions[k],
-				fmtFloat(c.CarriedData[k]), fmtFloat(c.MeanQueueLen[k]),
-				fmtFloat(c.CarriedVoice[k]), fmtFloat(c.AvgSessions[k]),
-				wOff, wLost, wDel, fmtFloat(plp), fmtFloat(tput))
+			wOff, wLost, wDel, plp, tput := WindowRates(s, c, k)
+			row = appendCSVFloat(row[:0], s.Times[k])
+			row = strconv.AppendInt(append(row, ','), int64(c.Cell), 10)
+			for _, col := range cellColumns {
+				row = col.appendValue(append(row, ','), c, k, appendCSVFloat)
+			}
+			for _, v := range [...]int64{wOff, wLost, wDel} {
+				row = strconv.AppendInt(append(row, ','), v, 10)
+			}
+			row = appendCSVFloat(append(row, ','), plp)
+			row = appendCSVFloat(append(row, ','), tput)
+			bw.Write(append(row, '\n'))
 		}
 	}
 	return bw.Flush()
 }
 
-// jsonCell is the per-cell payload of one WriteJSONL record.
-type jsonCell struct {
-	Cell             int     `json:"cell"`
-	Offered          int64   `json:"offered_cum"`
-	Lost             int64   `json:"lost_cum"`
-	Delivered        int64   `json:"delivered_cum"`
-	DelaySumSec      float64 `json:"delay_sum_cum_sec"`
-	GSMArrivals      int64   `json:"gsm_arrivals_cum"`
-	GSMBlocked       int64   `json:"gsm_blocked_cum"`
-	GPRSArrivals     int64   `json:"gprs_arrivals_cum"`
-	GPRSBlocked      int64   `json:"gprs_blocked_cum"`
-	HandoversIn      int64   `json:"ho_in_cum"`
-	HandoversOut     int64   `json:"ho_out_cum"`
-	HandoverArrivals int64   `json:"ho_arrivals_cum"`
-	HandoverFailures int64   `json:"ho_failures_cum"`
-	GuardBlocked     int64   `json:"ho_guard_blocked_cum"`
-	Queued           int64   `json:"ho_queued_cum"`
-	QueueServed      int64   `json:"ho_queue_served_cum"`
-	QueueExpired     int64   `json:"ho_queue_expired_cum"`
-	Retries          int64   `json:"ho_retries_cum"`
-	TransitEnds      int64   `json:"ho_transit_ends_cum"`
-	QueueLen         int     `json:"queue_len"`
-	VoiceCalls       int     `json:"voice_calls"`
-	Sessions         int     `json:"sessions"`
-	CarriedData      float64 `json:"carried_data_cum"`
-	MeanQueueLen     float64 `json:"mean_queue_cum"`
-	CarriedVoice     float64 `json:"carried_voice_cum"`
-	AvgSessions      float64 `json:"avg_sessions_cum"`
-	WindowPLP        float64 `json:"window_plp"`
-	WindowThroughput float64 `json:"window_throughput_bits"`
-}
-
-// jsonWindow is one WriteJSONL record: a window-end timestamp plus every
-// cell's sample.
-type jsonWindow struct {
-	TimeSec float64    `json:"time_sec"`
-	Cells   []jsonCell `json:"cells"`
-}
-
 // WriteJSONL renders the series as JSON Lines: one object per window
 // carrying every cell's sample, with the same cumulative/window semantics as
-// the CSV columns.
+// the CSV columns:
+//
+//	{"time_sec":T,"cells":[{"cell":0,"offered_cum":N,...,"window_plp":P,"window_throughput_bits":B},...]}
+//
+// Floats are rendered exactly as encoding/json renders them.
 func WriteJSONL(w io.Writer, s *Series) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	cells := make([]jsonCell, len(s.Cells))
+	var err error
+	num := func(b []byte, v float64) []byte {
+		enc, e := json.Marshal(v)
+		if err == nil {
+			err = e
+		}
+		return append(b, enc...)
+	}
+	var line []byte
 	for k := range s.Times {
+		line = num(append(line[:0], `{"time_sec":`...), s.Times[k])
+		line = append(line, `,"cells":[`...)
 		for i := range s.Cells {
 			c := &s.Cells[i]
-			_, _, _, plp, tput := windowRates(s, c, k)
-			cells[i] = jsonCell{
-				Cell:             c.Cell,
-				Offered:          c.PacketsOffered[k],
-				Lost:             c.PacketsLost[k],
-				Delivered:        c.PacketsDelivered[k],
-				DelaySumSec:      c.DelaySumSec[k],
-				GSMArrivals:      c.GSMArrivals[k],
-				GSMBlocked:       c.GSMBlocked[k],
-				GPRSArrivals:     c.GPRSArrivals[k],
-				GPRSBlocked:      c.GPRSBlocked[k],
-				HandoversIn:      c.HandoversIn[k],
-				HandoversOut:     c.HandoversOut[k],
-				HandoverArrivals: c.HandoverArrivals[k],
-				HandoverFailures: c.HandoverFailures[k],
-				GuardBlocked:     c.GuardBlocked[k],
-				Queued:           c.Queued[k],
-				QueueServed:      c.QueueServed[k],
-				QueueExpired:     c.QueueExpired[k],
-				Retries:          c.Retries[k],
-				TransitEnds:      c.TransitEnds[k],
-				QueueLen:         c.QueueLen[k],
-				VoiceCalls:       c.VoiceCalls[k],
-				Sessions:         c.Sessions[k],
-				CarriedData:      c.CarriedData[k],
-				MeanQueueLen:     c.MeanQueueLen[k],
-				CarriedVoice:     c.CarriedVoice[k],
-				AvgSessions:      c.AvgSessions[k],
-				WindowPLP:        plp,
-				WindowThroughput: tput,
+			if i > 0 {
+				line = append(line, ',')
 			}
+			line = strconv.AppendInt(append(line, `{"cell":`...), int64(c.Cell), 10)
+			for _, col := range cellColumns {
+				line = col.appendValue(append(append(append(line, `,"`...), col.name...), `":`...), c, k, num)
+			}
+			_, _, _, plp, tput := WindowRates(s, c, k)
+			line = num(append(line, `,"window_plp":`...), plp)
+			line = append(num(append(line, `,"window_throughput_bits":`...), tput), '}')
 		}
-		if err := enc.Encode(jsonWindow{TimeSec: s.Times[k], Cells: cells}); err != nil {
+		if err != nil {
 			return err
 		}
+		bw.Write(append(line, "]}\n"...))
 	}
 	return bw.Flush()
 }

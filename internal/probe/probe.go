@@ -1,8 +1,20 @@
 // Package probe is the in-run instrumentation layer of the repository: it
+// declares the simulator's per-cell event counters once (Counter, Counters),
 // defines the deterministic sim-time series the engines can record while a
 // run is in flight (Spec, Series), the wall-clock runtime metrics every
 // layer publishes through atomic counters (Runtime), and the live telemetry
 // endpoint serving net/http/pprof and expvar snapshots (ServeTelemetry).
+//
+// # Counters
+//
+// Each row of Counters names one per-cell counter and, when the series
+// samples it, its column in both exports. The simulator keeps the counters
+// of a cell in one array indexed by Counter, and every consumer — snapshots
+// and deltas in internal/sim, the series buffers, CSV header and rows, and
+// JSON lines here, the replication merge in internal/runner — loops over the
+// table. A new counter is one row plus its increment site; only a counter
+// reported per cell also needs a sim.CellMeasures field and its case in
+// CellMeasures.Counter.
 //
 // # Determinism contract
 //
@@ -105,32 +117,21 @@ type Series struct {
 // Windows returns the number of recorded windows.
 func (s *Series) Windows() int { return len(s.Times) }
 
-// CellSeries is the per-cell slice of a Series: every field is indexed like
-// Series.Times. Counter fields are cumulative since the measurement start;
-// QueueLen, VoiceCalls and Sessions are instantaneous values at the window
-// end; the four mean gauges are cumulative time-weighted averages over
+// CellSeries is the per-cell slice of a Series: every slice is indexed like
+// Series.Times. Counts and DelaySumSec are cumulative since the measurement
+// start; QueueLen, VoiceCalls and Sessions are instantaneous values at the
+// window end; the four mean gauges are cumulative time-weighted averages over
 // [Series.StartSec, window end].
 type CellSeries struct {
 	// Cell is the cell id.
 	Cell int
 
-	// PacketsOffered, PacketsLost and PacketsDelivered are the cumulative
-	// BSC buffer counters.
-	PacketsOffered, PacketsLost, PacketsDelivered []int64
+	// Counts holds the cumulative value of every sampled counter (see
+	// Counter.Sampled), indexed by Counter; the slices of the other counters
+	// are nil.
+	Counts [NumCounters][]int64
 	// DelaySumSec is the cumulative queueing delay of delivered packets.
 	DelaySumSec []float64
-	// GSMArrivals, GSMBlocked, GPRSArrivals and GPRSBlocked are the
-	// cumulative fresh-arrival and blocking counters.
-	GSMArrivals, GSMBlocked, GPRSArrivals, GPRSBlocked []int64
-	// HandoversIn, HandoversOut, HandoverArrivals and HandoverFailures are
-	// the cumulative handover-flow counters.
-	HandoversIn, HandoversOut, HandoverArrivals, HandoverFailures []int64
-	// GuardBlocked, Queued, QueueServed, QueueExpired, Retries and
-	// TransitEnds are the cumulative admission-policy counters (see
-	// sim.CellMeasures: GuardBlockedCalls, HandoversQueued,
-	// HandoverQueueServed, HandoverQueueExpired, HandoverRetries,
-	// HandoverTransitEnds).
-	GuardBlocked, Queued, QueueServed, QueueExpired, Retries, TransitEnds []int64
 
 	// QueueLen, VoiceCalls and Sessions are instantaneous occupancy gauges
 	// at the window end.
@@ -154,24 +155,12 @@ func NewSeries(cells int, intervalSec, startSec float64, capacity int) *Series {
 	for i := range s.Cells {
 		c := &s.Cells[i]
 		c.Cell = i
-		c.PacketsOffered = make([]int64, 0, capacity)
-		c.PacketsLost = make([]int64, 0, capacity)
-		c.PacketsDelivered = make([]int64, 0, capacity)
+		for k := range NumCounters {
+			if k.Sampled() {
+				c.Counts[k] = make([]int64, 0, capacity)
+			}
+		}
 		c.DelaySumSec = make([]float64, 0, capacity)
-		c.GSMArrivals = make([]int64, 0, capacity)
-		c.GSMBlocked = make([]int64, 0, capacity)
-		c.GPRSArrivals = make([]int64, 0, capacity)
-		c.GPRSBlocked = make([]int64, 0, capacity)
-		c.HandoversIn = make([]int64, 0, capacity)
-		c.HandoversOut = make([]int64, 0, capacity)
-		c.HandoverArrivals = make([]int64, 0, capacity)
-		c.HandoverFailures = make([]int64, 0, capacity)
-		c.GuardBlocked = make([]int64, 0, capacity)
-		c.Queued = make([]int64, 0, capacity)
-		c.QueueServed = make([]int64, 0, capacity)
-		c.QueueExpired = make([]int64, 0, capacity)
-		c.Retries = make([]int64, 0, capacity)
-		c.TransitEnds = make([]int64, 0, capacity)
 		c.QueueLen = make([]int, 0, capacity)
 		c.VoiceCalls = make([]int, 0, capacity)
 		c.Sessions = make([]int, 0, capacity)

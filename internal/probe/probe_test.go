@@ -56,9 +56,36 @@ func TestNewSeriesPreallocation(t *testing.T) {
 		if c.Cell != i {
 			t.Errorf("cell %d mislabeled as %d", i, c.Cell)
 		}
-		if cap(c.PacketsOffered) != capacity || cap(c.AvgSessions) != capacity || cap(c.QueueLen) != capacity {
+		if cap(c.AvgSessions) != capacity || cap(c.QueueLen) != capacity {
 			t.Errorf("cell %d: buffers not preallocated to %d", i, capacity)
 		}
+		for k := range NumCounters {
+			want := 0
+			if k.Sampled() {
+				want = capacity
+			}
+			if cap(c.Counts[k]) != want {
+				t.Errorf("cell %d: counter %d has capacity %d, want %d", i, k, cap(c.Counts[k]), want)
+			}
+		}
+	}
+}
+
+// TestCounterTable checks that every counter is documented and that no two
+// sampled counters share a column.
+func TestCounterTable(t *testing.T) {
+	seen := map[string]Counter{}
+	for k, def := range Counters {
+		if def.Doc == "" {
+			t.Errorf("counter %d has no doc", k)
+		}
+		if def.Column == "" {
+			continue
+		}
+		if prev, dup := seen[def.Column]; dup {
+			t.Errorf("counters %d and %d share column %q", prev, k, def.Column)
+		}
+		seen[def.Column] = Counter(k)
 	}
 }
 
@@ -99,24 +126,16 @@ func sampleSeries() *Series {
 	s := NewSeries(1, 10, 100, 4)
 	s.Times = append(s.Times, 110, 120)
 	c := &s.Cells[0]
-	c.PacketsOffered = append(c.PacketsOffered, 4, 10)
-	c.PacketsLost = append(c.PacketsLost, 0, 3)
-	c.PacketsDelivered = append(c.PacketsDelivered, 2, 6)
+	for k, v := range map[Counter][2]int64{
+		PacketsOffered: {4, 10}, PacketsLost: {0, 3}, PacketsDelivered: {2, 6},
+		GSMArrivals: {1, 2}, GSMBlocked: {0, 1}, GPRSArrivals: {1, 1}, GPRSBlocked: {0, 0},
+		HandoversIn: {0, 2}, HandoversOut: {1, 1}, HandoverArrivals: {0, 2}, HandoverFailures: {0, 0},
+		GuardBlockedCalls: {0, 1}, HandoversQueued: {0, 2}, HandoverQueueServed: {0, 1},
+		HandoverQueueExpired: {0, 1}, HandoverRetries: {0, 1}, HandoverTransitEnds: {0, 1},
+	} {
+		c.Counts[k] = append(c.Counts[k], v[0], v[1])
+	}
 	c.DelaySumSec = append(c.DelaySumSec, 0.5, 1.25)
-	c.GSMArrivals = append(c.GSMArrivals, 1, 2)
-	c.GSMBlocked = append(c.GSMBlocked, 0, 1)
-	c.GPRSArrivals = append(c.GPRSArrivals, 1, 1)
-	c.GPRSBlocked = append(c.GPRSBlocked, 0, 0)
-	c.HandoversIn = append(c.HandoversIn, 0, 2)
-	c.HandoversOut = append(c.HandoversOut, 1, 1)
-	c.HandoverArrivals = append(c.HandoverArrivals, 0, 2)
-	c.HandoverFailures = append(c.HandoverFailures, 0, 0)
-	c.GuardBlocked = append(c.GuardBlocked, 0, 1)
-	c.Queued = append(c.Queued, 0, 2)
-	c.QueueServed = append(c.QueueServed, 0, 1)
-	c.QueueExpired = append(c.QueueExpired, 0, 1)
-	c.Retries = append(c.Retries, 0, 1)
-	c.TransitEnds = append(c.TransitEnds, 0, 1)
 	c.QueueLen = append(c.QueueLen, 3, 0)
 	c.VoiceCalls = append(c.VoiceCalls, 5, 4)
 	c.Sessions = append(c.Sessions, 1, 2)
@@ -175,10 +194,25 @@ func TestWriteJSONLWindowDerivation(t *testing.T) {
 	if err := WriteJSONL(&buf, sampleSeries()); err != nil {
 		t.Fatal(err)
 	}
+	type cell struct {
+		Offered      int64   `json:"offered_cum"`
+		GuardBlocked int64   `json:"ho_guard_blocked_cum"`
+		Queued       int64   `json:"ho_queued_cum"`
+		QueueServed  int64   `json:"ho_queue_served_cum"`
+		QueueExpired int64   `json:"ho_queue_expired_cum"`
+		Retries      int64   `json:"ho_retries_cum"`
+		TransitEnds  int64   `json:"ho_transit_ends_cum"`
+		WindowPLP    float64 `json:"window_plp"`
+		Throughput   float64 `json:"window_throughput_bits"`
+	}
+	type window struct {
+		TimeSec float64 `json:"time_sec"`
+		Cells   []cell  `json:"cells"`
+	}
 	dec := json.NewDecoder(&buf)
-	var records []jsonWindow
+	var records []window
 	for {
-		var w jsonWindow
+		var w window
 		if err := dec.Decode(&w); err == io.EOF {
 			break
 		} else if err != nil {
@@ -200,8 +234,42 @@ func TestWriteJSONLWindowDerivation(t *testing.T) {
 	if c.GuardBlocked != 1 || c.Queued != 2 || c.QueueServed != 1 || c.QueueExpired != 1 || c.Retries != 1 || c.TransitEnds != 1 {
 		t.Errorf("policy counter fields wrong: %+v", c)
 	}
-	if want := 4 * float64(traffic.PacketSizeBits) / 10; c.WindowThroughput != want {
-		t.Errorf("window throughput %v, want %v", c.WindowThroughput, want)
+	if want := 4 * float64(traffic.PacketSizeBits) / 10; c.Throughput != want {
+		t.Errorf("window throughput %v, want %v", c.Throughput, want)
+	}
+}
+
+func TestSeriesFormatPinned(t *testing.T) {
+	const (
+		header = "time_sec,cell,offered_cum,lost_cum,delivered_cum,delay_sum_cum_sec," +
+			"gsm_arrivals_cum,gsm_blocked_cum,gprs_arrivals_cum,gprs_blocked_cum," +
+			"ho_in_cum,ho_out_cum,ho_arrivals_cum,ho_failures_cum," +
+			"ho_guard_blocked_cum,ho_queued_cum,ho_queue_served_cum,ho_queue_expired_cum,ho_retries_cum,ho_transit_ends_cum," +
+			"queue_len,voice_calls,sessions,carried_data_cum,mean_queue_cum,carried_voice_cum,avg_sessions_cum," +
+			"window_offered,window_lost,window_delivered,window_plp,window_throughput_bits"
+		row  = "120,0,10,3,6,1.25,2,1,1,0,2,1,2,0,1,2,1,1,1,1,0,4,2,0.625,2.25,5.125,1.5,6,3,4,0.5,1536"
+		line = `{"time_sec":120,"cells":[{"cell":0,"offered_cum":10,"lost_cum":3,"delivered_cum":6,` +
+			`"delay_sum_cum_sec":1.25,"gsm_arrivals_cum":2,"gsm_blocked_cum":1,"gprs_arrivals_cum":1,` +
+			`"gprs_blocked_cum":0,"ho_in_cum":2,"ho_out_cum":1,"ho_arrivals_cum":2,"ho_failures_cum":0,` +
+			`"ho_guard_blocked_cum":1,"ho_queued_cum":2,"ho_queue_served_cum":1,"ho_queue_expired_cum":1,` +
+			`"ho_retries_cum":1,"ho_transit_ends_cum":1,"queue_len":0,"voice_calls":4,"sessions":2,` +
+			`"carried_data_cum":0.625,"mean_queue_cum":2.25,"carried_voice_cum":5.125,"avg_sessions_cum":1.5,` +
+			`"window_plp":0.5,"window_throughput_bits":1536}]}`
+	)
+	var csvBuf, jsonBuf bytes.Buffer
+	if err := WriteCSV(&csvBuf, sampleSeries()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSONL(&jsonBuf, sampleSeries()); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(csvBuf.String(), "\n")
+	if len(rows) != 4 || rows[0] != header || rows[2] != row || rows[3] != "" {
+		t.Errorf("CSV export drifted:\n%s", csvBuf.String())
+	}
+	lines := strings.Split(jsonBuf.String(), "\n")
+	if len(lines) != 3 || lines[1] != line || lines[2] != "" {
+		t.Errorf("JSONL export drifted:\n%s", jsonBuf.String())
 	}
 }
 

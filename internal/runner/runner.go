@@ -317,16 +317,9 @@ func mergeVR(results []sim.Results, level float64, vr VarianceReduction, ci cont
 		}
 		*def.get(&s.Merged) = SampleInterval(effectiveSamples(raw, vr, ci), level, vr)
 	}
-	s.Merged.PacketsOffered = 0
-	s.Merged.PacketsLost = 0
-	s.Merged.PacketsDelivered = 0
-	s.Merged.HandoversIn = 0
-	s.Merged.HandoversOut = 0
-	s.Merged.TCPTimeouts = 0
-	s.Merged.TCPFastRecovers = 0
-	s.Merged.SimulatedSec = 0
-	s.Merged.Events = 0
-	for i := range results {
+	// Merged starts as a copy of results[0], so its totals already hold
+	// the first replication's.
+	for i := 1; i < len(results); i++ {
 		r := &results[i]
 		s.Merged.PacketsOffered += r.PacketsOffered
 		s.Merged.PacketsLost += r.PacketsLost
@@ -361,7 +354,7 @@ func mergePerCell(results []sim.Results) []sim.CellMeasures {
 	for i := range merged {
 		m := sim.CellMeasures{Cell: results[0].PerCell[i].Cell}
 		for _, r := range results {
-			c := r.PerCell[i]
+			c := &r.PerCell[i]
 			m.CarriedDataTraffic += c.CarriedDataTraffic * inv
 			m.MeanQueueLength += c.MeanQueueLength * inv
 			m.CarriedVoiceTraffic += c.CarriedVoiceTraffic * inv
@@ -371,21 +364,11 @@ func mergePerCell(results []sim.Results) []sim.CellMeasures {
 			m.ThroughputBits += c.ThroughputBits * inv
 			m.GSMBlocking += c.GSMBlocking * inv
 			m.GPRSBlocking += c.GPRSBlocking * inv
-			m.PacketsOffered += c.PacketsOffered
-			m.PacketsLost += c.PacketsLost
-			m.PacketsDelivered += c.PacketsDelivered
-			m.HandoversIn += c.HandoversIn
-			m.HandoversOut += c.HandoversOut
-			m.VoiceHandoversOut += c.VoiceHandoversOut
-			m.SessionHandoversOut += c.SessionHandoversOut
-			m.HandoverArrivals += c.HandoverArrivals
-			m.HandoverFailures += c.HandoverFailures
-			m.GuardBlockedCalls += c.GuardBlockedCalls
-			m.HandoversQueued += c.HandoversQueued
-			m.HandoverQueueServed += c.HandoverQueueServed
-			m.HandoverQueueExpired += c.HandoverQueueExpired
-			m.HandoverRetries += c.HandoverRetries
-			m.HandoverTransitEnds += c.HandoverTransitEnds
+			for k := range probe.NumCounters {
+				if f := m.Counter(k); f != nil {
+					*f += *c.Counter(k)
+				}
+			}
 		}
 		merged[i] = m
 	}

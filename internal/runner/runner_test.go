@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -340,6 +341,37 @@ func TestMergePerCell(t *testing.T) {
 	short := sim.Results{PerCell: a.PerCell[:1]}
 	if got := Merge([]sim.Results{a, short}, 0.95).Merged.PerCell; got != nil {
 		t.Errorf("mismatched cell counts should drop the merged per-cell report, got %+v", got)
+	}
+
+	// Every int64 field of CellMeasures is a counter: reachable through
+	// Counter, and summed across replications.
+	var one sim.CellMeasures
+	ov := reflect.ValueOf(&one).Elem()
+	for i := 0; i < ov.NumField(); i++ {
+		if ov.Field(i).Kind() == reflect.Int64 {
+			ov.Field(i).SetInt(int64(i + 1))
+		}
+	}
+	reached := map[*int64]bool{}
+	for k := range probe.NumCounters {
+		if f := one.Counter(k); f != nil {
+			reached[f] = true
+		}
+	}
+	rep := sim.Results{PerCell: []sim.CellMeasures{one}}
+	sum := reflect.ValueOf(Merge([]sim.Results{rep, rep}, 0.95).Merged.PerCell[0])
+	for i := 0; i < ov.NumField(); i++ {
+		f := ov.Field(i)
+		if f.Kind() != reflect.Int64 {
+			continue
+		}
+		name := ov.Type().Field(i).Name
+		if !reached[f.Addr().Interface().(*int64)] {
+			t.Errorf("CellMeasures.%s is not reachable through Counter", name)
+		}
+		if got, want := sum.Field(i).Int(), 2*f.Int(); got != want {
+			t.Errorf("merged CellMeasures.%s = %d, want the sum %d", name, got, want)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/probe"
 	"repro/internal/stats"
-	"repro/internal/traffic"
 )
 
 // SeriesSummary is the cross-replication merge of per-replication sim-time
@@ -70,34 +69,17 @@ var seriesDefs = []struct {
 	{windowThroughput, func(ci *CellSeriesCI) *[]stats.Interval { return &ci.WindowThroughputBits }},
 }
 
-// windowPLP is the per-window packet loss fraction of cell c at window k,
-// derived from the cumulative counters.
-func windowPLP(_ *probe.Series, c *probe.CellSeries, k int) float64 {
-	offered, lost := c.PacketsOffered[k], c.PacketsLost[k]
-	if k > 0 {
-		offered -= c.PacketsOffered[k-1]
-		lost -= c.PacketsLost[k-1]
-	}
-	if offered <= 0 {
-		return 0
-	}
-	return float64(lost) / float64(offered)
+// windowPLP is the per-window packet loss fraction of cell c at window k.
+func windowPLP(s *probe.Series, c *probe.CellSeries, k int) float64 {
+	_, _, _, plp, _ := probe.WindowRates(s, c, k)
+	return plp
 }
 
 // windowThroughput is the per-window delivered bit rate of cell c at window
-// k, derived from the cumulative counters.
+// k.
 func windowThroughput(s *probe.Series, c *probe.CellSeries, k int) float64 {
-	delivered := c.PacketsDelivered[k]
-	start := s.StartSec
-	if k > 0 {
-		delivered -= c.PacketsDelivered[k-1]
-		start = s.Times[k-1]
-	}
-	dt := s.Times[k] - start
-	if dt <= 0 {
-		return 0
-	}
-	return float64(delivered) * float64(traffic.PacketSizeBits) / dt
+	_, _, _, _, throughput := probe.WindowRates(s, c, k)
+	return throughput
 }
 
 // MergeSeries folds per-replication series into per-window confidence

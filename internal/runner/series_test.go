@@ -17,18 +17,14 @@ func syntheticSeries(q0, q1 int) *probe.Series {
 	s := probe.NewSeries(1, 10, 100, 4)
 	s.Times = append(s.Times, 110, 120)
 	c := &s.Cells[0]
-	c.PacketsOffered = append(c.PacketsOffered, 4, 10)
-	c.PacketsLost = append(c.PacketsLost, 0, 3)
-	c.PacketsDelivered = append(c.PacketsDelivered, 2, 6)
+	for k, v := range map[probe.Counter][2]int64{
+		probe.PacketsOffered: {4, 10}, probe.PacketsLost: {0, 3}, probe.PacketsDelivered: {2, 6},
+		probe.GSMArrivals: {1, 2}, probe.GSMBlocked: {0, 1}, probe.GPRSArrivals: {1, 1}, probe.GPRSBlocked: {0, 0},
+		probe.HandoversIn: {0, 2}, probe.HandoversOut: {1, 1}, probe.HandoverArrivals: {0, 2}, probe.HandoverFailures: {0, 0},
+	} {
+		c.Counts[k] = append(c.Counts[k], v[0], v[1])
+	}
 	c.DelaySumSec = append(c.DelaySumSec, 0.5, 1.25)
-	c.GSMArrivals = append(c.GSMArrivals, 1, 2)
-	c.GSMBlocked = append(c.GSMBlocked, 0, 1)
-	c.GPRSArrivals = append(c.GPRSArrivals, 1, 1)
-	c.GPRSBlocked = append(c.GPRSBlocked, 0, 0)
-	c.HandoversIn = append(c.HandoversIn, 0, 2)
-	c.HandoversOut = append(c.HandoversOut, 1, 1)
-	c.HandoverArrivals = append(c.HandoverArrivals, 0, 2)
-	c.HandoverFailures = append(c.HandoverFailures, 0, 0)
 	c.QueueLen = append(c.QueueLen, q0, q1)
 	c.VoiceCalls = append(c.VoiceCalls, 5, 4)
 	c.Sessions = append(c.Sessions, 1, 2)
@@ -179,5 +175,23 @@ func TestWriteSeriesExports(t *testing.T) {
 	}
 	if rec.Cells[0].QueueLen != 4 {
 		t.Errorf("JSONL queue mean %v, want 4", rec.Cells[0].QueueLen)
+	}
+}
+
+// TestWriteSeriesJSONLPinned pins the exact bytes of one merged JSON line,
+// so a renamed, reordered, or reformatted field fails here rather than in a
+// downstream consumer.
+func TestWriteSeriesJSONLPinned(t *testing.T) {
+	const line = `{"time_sec":110,"replications":2,"level":0.95,"cells":[{"cell":0,` +
+		`"queue_len_mean":4,"queue_len_hw":25.41240947234934,"voice_calls_mean":5,"voice_calls_hw":0,` +
+		`"sessions_mean":1,"sessions_hw":0,"carried_data_mean":0.5,"carried_data_hw":0,` +
+		`"window_plp_mean":0,"window_plp_hw":0,"window_throughput_mean":768,"window_throughput_hw":0}]}`
+	sum := MergeSeries([]*probe.Series{syntheticSeries(2, 3), syntheticSeries(6, 3)}, 0.95, VRNone)
+	var buf bytes.Buffer
+	if err := WriteSeriesJSONL(&buf, sum); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.SplitN(buf.String(), "\n", 2)[0]; got != line {
+		t.Errorf("merged JSONL line drifted:\n got %s\nwant %s", got, line)
 	}
 }

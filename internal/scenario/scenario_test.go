@@ -490,3 +490,41 @@ func TestPolicyPresetsCompile(t *testing.T) {
 		}
 	}
 }
+
+// TestResolve pins the command-line scenario rules: nothing set resolves to
+// nil, a file wins over a preset name, and a trace replaces the temporal
+// profile of the selected scenario, naming an unnamed one "trace".
+func TestResolve(t *testing.T) {
+	if spec, err := Resolve("", "", ""); spec != nil || err != nil {
+		t.Errorf("no flags: got %+v, %v; want nil, nil", spec, err)
+	}
+	file := t.TempDir() + "/unnamed.json"
+	if err := os.WriteFile(file, []byte(`{"spatial": {"kind": "gradient", "low": 1, "high": 2}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, file, trace string
+		wantName          string
+		wantSpatial       string
+		wantTrace         bool
+	}{
+		{"hotspot", "", "", "hotspot", Hotspot, false},
+		{"hotspot", file, "", "", Gradient, false},
+		{"hotspot", "", "testdata/trace.csv", "hotspot", Hotspot, true},
+		{"", file, "testdata/trace.csv", "trace", Gradient, true},
+		{"", "", "testdata/trace.csv", "trace", "", true},
+	}
+	for _, c := range cases {
+		spec, err := Resolve(c.name, c.file, c.trace)
+		if err != nil {
+			t.Fatalf("Resolve(%q, %q, %q): %v", c.name, c.file, c.trace, err)
+		}
+		if spec.Name != c.wantName || spec.Spatial.Kind != c.wantSpatial || (spec.Temporal.Kind == Trace) != c.wantTrace {
+			t.Errorf("Resolve(%q, %q, %q) = name %q, spatial %q, temporal %q",
+				c.name, c.file, c.trace, spec.Name, spec.Spatial.Kind, spec.Temporal.Kind)
+		}
+	}
+	if _, err := Resolve("nosuch", "", ""); err == nil {
+		t.Error("an unknown preset resolved")
+	}
+}

@@ -185,9 +185,9 @@ func TestQueuedHandoverSteadyStateAllocs(t *testing.T) {
 		}
 		var queued, served, expired int64
 		for _, c := range e.s.cells {
-			queued += c.hoQueued
-			served += c.hoQueueServed
-			expired += c.hoQueueExpired
+			queued += c.n[probe.HandoversQueued]
+			served += c.n[probe.HandoverQueueServed]
+			expired += c.n[probe.HandoverQueueExpired]
 		}
 		if queued == 0 || served == 0 || expired == 0 {
 			t.Errorf("%s: queue path idle during the pin (queued %d, served %d, expired %d); the pin would be vacuous",

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/policy"
+	"repro/internal/probe"
 	"repro/internal/radio"
 	"repro/internal/stats"
 	"repro/internal/traffic"
@@ -158,18 +159,18 @@ type cell struct {
 	// Freelists recycling the model records of this cell. Records carry
 	// their own prebound action closures, created once when the record is
 	// first allocated and kept across reuses.
-	freeVoice []*voiceCall
-	freeSess  []*session
-	freePkt   []*packet
-	freeConn  []*connection
-	freeCT    []*connTransit
+	freeVoice freelist[voiceCall]
+	freeSess  freelist[session]
+	freePkt   freelist[packet]
+	freeConn  freelist[connection]
+	freeCT    freelist[connTransit]
 
 	// hoQueue is the bounded FIFO of voice handovers parked by the
 	// queued-handovers policy (head at index 0), allocated lazily on the
 	// first refusal; freeQHO recycles its entries, reset on reuse, so the
 	// queue discipline stays on the allocation-free hot path.
 	hoQueue []*queuedHO
-	freeQHO []*queuedHO
+	freeQHO freelist[queuedHO]
 
 	// Mid-cell measurement state (allocated for every cell, but only the mid
 	// cell's numbers are reported).
@@ -184,47 +185,28 @@ type cell struct {
 	// touching the model accumulators (see probeGauges).
 	pr *probeGauges
 
-	packetsOffered   int64
-	packetsLost      int64
-	packetsDelivered int64
-	delaySum         float64
+	// counters holds the cell's event counters (see probe.Counters) and the
+	// summed queueing delay of its delivered packets, cumulative since time 0.
+	counters
+}
 
-	gsmArrivals  int64
-	gsmBlocked   int64
-	gprsArrivals int64
-	gprsBlocked  int64
-	handoversIn  int64
-	handoversOut int64
+// counters is the cumulative measurement state of one cell: every per-cell
+// event counter, indexed by probe.Counter, plus the summed queueing delay of
+// delivered packets. A copy taken by assignment is a snapshot; snapshots at
+// the warm-up end, at batch boundaries, and at probe arming are differenced
+// with minus.
+type counters struct {
+	n        [probe.NumCounters]int64
+	delaySum float64
+}
 
-	// Handover-flow detail: outbound departures split by service, plus the
-	// receiving-side ledger — every handover message reaching this cell
-	// counts as an arrival, whether it is admitted (handoversIn), dropped
-	// for lack of capacity (handoverFailures), or found its voice call
-	// already completed in transit. Summed over all cells, arrivals balance
-	// departures exactly (wrap-around flow conservation) up to messages in
-	// flight across the measurement boundaries.
-	voiceHandoversOut   int64
-	sessionHandoversOut int64
-	handoverArrivals    int64
-	handoverFailures    int64
-
-	// Admission-policy detail (see internal/policy). guardBlockedCalls counts
-	// fresh calls blocked by the guard reservation alone (a free channel
-	// existed but was reserved for handovers); hoQueued/hoQueueServed/
-	// hoQueueExpired are the queued-handovers ledger (queued = served +
-	// expired on a drained run); hoRetries counts directed-retry forwards
-	// issued by this cell; hoTransitEnds counts voice handovers whose call
-	// completed during the handover interruption (no admission attempted —
-	// this fires under a nil policy too, it was just never counted before).
-	guardBlockedCalls int64
-	hoQueued          int64
-	hoQueueServed     int64
-	hoQueueExpired    int64
-	hoRetries         int64
-	hoTransitEnds     int64
-
-	tcpTimeouts     int64
-	tcpFastRecovers int64
+// minus returns the counts accumulated between snapshot prev and c.
+func (c counters) minus(prev counters) counters {
+	for k := range c.n {
+		c.n[k] -= prev.n[k]
+	}
+	c.delaySum -= prev.delaySum
+	return c
 }
 
 // queuedHO is one voice handover parked in the cell's bounded handover queue:
@@ -242,10 +224,7 @@ type queuedHO struct {
 // getQHO takes a queue entry off the cell's freelist, or allocates one with
 // its expiry closure bound. Entries come back from putQHO fully reset.
 func (c *cell) getQHO() *queuedHO {
-	if n := len(c.freeQHO); n > 0 {
-		q := c.freeQHO[n-1]
-		c.freeQHO[n-1] = nil
-		c.freeQHO = c.freeQHO[:n-1]
+	if q := c.freeQHO.get(); q != nil {
 		return q
 	}
 	q := &queuedHO{cell: c}
@@ -258,7 +237,7 @@ func (c *cell) getQHO() *queuedHO {
 func (c *cell) putQHO(q *queuedHO) {
 	q.departAt = 0
 	q.expireEv = des.Handle{}
-	c.freeQHO = append(c.freeQHO, q)
+	c.freeQHO.put(q)
 }
 
 // newCell constructs cell id of simulator s on its group's calendar eng,
@@ -289,10 +268,7 @@ func newCell(id int, s *Simulator, eng *des.Simulation) (*cell, error) {
 // one with its action closures bound. Records come back from putVoice fully
 // reset.
 func (c *cell) getVoice() *voiceCall {
-	if n := len(c.freeVoice); n > 0 {
-		v := c.freeVoice[n-1]
-		c.freeVoice[n-1] = nil
-		c.freeVoice = c.freeVoice[:n-1]
+	if v := c.freeVoice.get(); v != nil {
 		return v
 	}
 	v := &voiceCall{cell: c}
@@ -308,17 +284,14 @@ func (c *cell) putVoice(v *voiceCall) {
 	v.departAt = 0
 	v.departEv = des.Handle{}
 	v.handoverEv = des.Handle{}
-	c.freeVoice = append(c.freeVoice, v)
+	c.freeVoice.put(v)
 }
 
 // getSession takes a session record off the cell's freelist, or allocates
 // one with its action closures bound. Records come back from putSession
 // fully reset.
 func (c *cell) getSession() *session {
-	if n := len(c.freeSess); n > 0 {
-		s := c.freeSess[n-1]
-		c.freeSess[n-1] = nil
-		c.freeSess = c.freeSess[:n-1]
+	if s := c.freeSess.get(); s != nil {
 		return s
 	}
 	s := &session{cell: c}
@@ -339,16 +312,13 @@ func (c *cell) putSession(s *session) {
 	s.packetsLeftInCall = 0
 	s.genEv = des.Handle{}
 	s.handoverEv = des.Handle{}
-	c.freeSess = append(c.freeSess, s)
+	c.freeSess.put(s)
 }
 
 // getPacket takes a packet record off the cell's freelist, or allocates one.
 // Records come back from putPacket fully reset.
 func (c *cell) getPacket() *packet {
-	if n := len(c.freePkt); n > 0 {
-		p := c.freePkt[n-1]
-		c.freePkt[n-1] = nil
-		c.freePkt = c.freePkt[:n-1]
+	if p := c.freePkt.get(); p != nil {
 		return p
 	}
 	return &packet{}
@@ -361,7 +331,7 @@ func (c *cell) putPacket(p *packet) {
 	p.seq = 0
 	p.enqueuedAt = 0
 	p.blocksLeft = 0
-	c.freePkt = append(c.freePkt, p)
+	c.freePkt.put(p)
 }
 
 // getConn takes a connection record off the cell's freelist, or allocates a
@@ -369,10 +339,7 @@ func (c *cell) putPacket(p *packet) {
 // the transfer state). The record's generation counter survives recycling —
 // it is the pool's ABA guard, advanced at every acquisition.
 func (c *cell) getConn() *connection {
-	if n := len(c.freeConn); n > 0 {
-		cc := c.freeConn[n-1]
-		c.freeConn[n-1] = nil
-		c.freeConn = c.freeConn[:n-1]
+	if cc := c.freeConn.get(); cc != nil {
 		return cc
 	}
 	cc := &connection{cell: c}
@@ -385,7 +352,7 @@ func (c *cell) getConn() *connection {
 func (c *cell) putConn(cc *connection) {
 	cc.sess = nil
 	cc.rtoEv = des.Handle{}
-	c.freeConn = append(c.freeConn, cc)
+	c.freeConn.put(cc)
 }
 
 // connTransit kind discriminators: a data segment crossing the core network
@@ -414,17 +381,14 @@ type connTransit struct {
 // getCT takes a transit record off the cell's freelist, or allocates one with
 // its dispatch closure bound.
 func (c *cell) getCT() *connTransit {
-	if n := len(c.freeCT); n > 0 {
-		t := c.freeCT[n-1]
-		c.freeCT[n-1] = nil
-		c.freeCT = c.freeCT[:n-1]
+	if t := c.freeCT.get(); t != nil {
 		return t
 	}
 	t := &connTransit{cell: c}
 	t.fn = func() {
 		conn, gen, kind, seq, ack := t.conn, t.gen, t.kind, t.seq, t.ack
 		t.conn = nil
-		t.cell.freeCT = append(t.cell.freeCT, t)
+		t.cell.freeCT.put(t)
 		if conn.done || conn.gen != gen {
 			return
 		}
@@ -544,13 +508,13 @@ func (c *cell) armDwell(base float64, fire func(), set func(des.Handle)) {
 
 // gsmArrival handles a fresh GSM voice call.
 func (c *cell) gsmArrival() {
-	c.gsmArrivals++
+	c.n[probe.GSMArrivals]++
 	if !c.canAdmitNewVoice() {
-		c.gsmBlocked++
+		c.n[probe.GSMBlocked]++
 		if c.canAdmitVoice() {
 			// A channel was free but reserved for handovers: the block is
 			// attributable to the guard policy alone.
-			c.guardBlockedCalls++
+			c.n[probe.GuardBlockedCalls]++
 		}
 		return
 	}
@@ -564,9 +528,9 @@ func (c *cell) gsmArrival() {
 
 // gprsArrival handles a fresh GPRS session request.
 func (c *cell) gprsArrival() {
-	c.gprsArrivals++
+	c.n[probe.GPRSArrivals]++
 	if !c.canAdmitSession() {
-		c.gprsBlocked++
+		c.n[probe.GPRSBlocked]++
 		return
 	}
 	c.addSession()
@@ -580,7 +544,7 @@ func (c *cell) gprsArrival() {
 // the source-cell-resident model. Every message counts as a handover arrival
 // regardless of the outcome, so flow-conservation accounting balances.
 func (c *cell) receive(m handoverMsg) {
-	c.handoverArrivals++
+	c.n[probe.HandoverArrivals]++
 	switch m.kind {
 	case hoVoice:
 		c.receiveVoice(m)
@@ -596,18 +560,18 @@ func (c *cell) receive(m handoverMsg) {
 func (c *cell) receiveVoice(m handoverMsg) {
 	st := m.voice
 	if st.departAt <= c.now() {
-		c.hoTransitEnds++
+		c.n[probe.HandoverTransitEnds]++
 		return // the call ended during the handover interruption
 	}
 	if !c.canAdmitVoice() {
 		if c.refuseVoiceHandover(m) {
 			return
 		}
-		c.handoverFailures++
+		c.n[probe.HandoverFailures]++
 		return // handover failure: the call is dropped
 	}
 	c.addVoice()
-	c.handoversIn++
+	c.n[probe.HandoversIn]++
 	call := c.getVoice()
 	call.departAt = st.departAt
 	call.departEv = c.schedule(st.departAt-c.now(), call.departFn)
@@ -642,7 +606,7 @@ func (c *cell) refuseVoiceHandover(m handoverMsg) bool {
 		}
 		q.expireEv = c.schedule(wait, q.expireFn)
 		c.hoQueue = append(c.hoQueue, q)
-		c.hoQueued++
+		c.n[probe.HandoversQueued]++
 		return true
 	case policy.DirectedRetry:
 		if m.retried {
@@ -665,8 +629,8 @@ func (c *cell) expireQueued(q *queuedHO) {
 			break
 		}
 	}
-	c.hoQueueExpired++
-	c.handoverFailures++
+	c.n[probe.HandoverQueueExpired]++
+	c.n[probe.HandoverFailures]++
 	c.putQHO(q)
 }
 
@@ -686,13 +650,13 @@ func (c *cell) serveQueuedHandover() {
 	departAt := q.departAt
 	c.putQHO(q)
 	if departAt <= c.now() {
-		c.hoQueueExpired++
-		c.handoverFailures++
+		c.n[probe.HandoverQueueExpired]++
+		c.n[probe.HandoverFailures]++
 		return
 	}
-	c.hoQueueServed++
+	c.n[probe.HandoverQueueServed]++
 	c.addVoice()
-	c.handoversIn++
+	c.n[probe.HandoversIn]++
 	call := c.getVoice()
 	call.departAt = departAt
 	call.departEv = c.schedule(departAt-c.now(), call.departFn)
@@ -718,12 +682,12 @@ func (c *cell) forwardRetry(m handoverMsg) {
 		}
 	}
 	target := topo.NeighborAt(m.src, (idx+1)%deg)
-	c.hoRetries++
-	c.handoversOut++
+	c.n[probe.HandoverRetries]++
+	c.n[probe.HandoversOut]++
 	if m.kind == hoVoice {
-		c.voiceHandoversOut++
+		c.n[probe.VoiceHandoversOut]++
 	} else {
-		c.sessionHandoversOut++
+		c.n[probe.SessionHandoversOut]++
 	}
 	m.retried = true
 	c.sim.dispatch(c, target, m)
@@ -739,11 +703,11 @@ func (c *cell) receiveSession(m handoverMsg) {
 			c.forwardRetry(m)
 			return
 		}
-		c.handoverFailures++
+		c.n[probe.HandoverFailures]++
 		return // handover failure: the session is forced to terminate
 	}
 	c.addSession()
-	c.handoversIn++
+	c.n[probe.HandoversIn]++
 	s := c.getSession()
 	s.active = true
 	s.packetCallsLeft = st.packetCallsLeft
@@ -834,9 +798,9 @@ func (c *cell) queuedPackets() int { return len(c.buffer) - c.deliverPending }
 // enqueue offers a packet to the BSC buffer. It returns false when the buffer
 // is full; the dropped packet is recycled, so callers must not retain it.
 func (c *cell) enqueue(p *packet) bool {
-	c.packetsOffered++
+	c.n[probe.PacketsOffered]++
 	if c.queuedPackets() >= c.sim.config.BufferSize {
-		c.packetsLost++
+		c.n[probe.PacketsLost]++
 		c.putPacket(p)
 		return false
 	}
@@ -941,7 +905,7 @@ func (c *cell) radioTick() {
 // generation check keeps a packet from waking a connection record that was
 // recycled (and re-acquired) while the packet drained through the buffer.
 func (c *cell) deliver(p *packet) {
-	c.packetsDelivered++
+	c.n[probe.PacketsDelivered]++
 	c.delaySum += c.now() - p.enqueuedAt
 	if p.conn != nil && p.conn.gen == p.connGen {
 		p.conn.onDelivered(p.seq)
@@ -953,70 +917,12 @@ func (c *cell) deliver(p *packet) {
 // end of the warm-up: batch boundaries difference the running integrals
 // (finishBatch) instead of restarting the gauges, so every gauge measures the
 // whole window uninterrupted.
-func (c *cell) resetBatchWindow(now float64) cellSnapshot {
-	snap := c.snapshot()
+func (c *cell) resetBatchWindow(now float64) counters {
 	c.pdchUsage.Start(now, c.pdchUsage.Current())
 	c.queueLen.Start(now, float64(len(c.buffer)))
 	c.voiceOcc.Start(now, float64(c.voiceCalls))
 	c.sessOcc.Start(now, float64(c.sessions))
-	return snap
-}
-
-// cellSnapshot is a copy of the cumulative mid-cell counters at a batch
-// boundary.
-type cellSnapshot struct {
-	offered   int64
-	lost      int64
-	delivered int64
-	delaySum  float64
-
-	gsmArrivals  int64
-	gsmBlocked   int64
-	gprsArrivals int64
-	gprsBlocked  int64
-}
-
-// hoSnapshot is a copy of the cumulative handover-flow counters of one cell,
-// taken at the measurement-window start so the per-cell report covers the
-// measured period only.
-type hoSnapshot struct {
-	in, out            int64
-	voiceOut, sessOut  int64
-	arrivals, failures int64
-
-	guardBlocked            int64
-	queued, served, expired int64
-	retries, transitEnds    int64
-}
-
-func (c *cell) handoverSnapshot() hoSnapshot {
-	return hoSnapshot{
-		in:           c.handoversIn,
-		out:          c.handoversOut,
-		voiceOut:     c.voiceHandoversOut,
-		sessOut:      c.sessionHandoversOut,
-		arrivals:     c.handoverArrivals,
-		failures:     c.handoverFailures,
-		guardBlocked: c.guardBlockedCalls,
-		queued:       c.hoQueued,
-		served:       c.hoQueueServed,
-		expired:      c.hoQueueExpired,
-		retries:      c.hoRetries,
-		transitEnds:  c.hoTransitEnds,
-	}
-}
-
-func (c *cell) snapshot() cellSnapshot {
-	return cellSnapshot{
-		offered:      c.packetsOffered,
-		lost:         c.packetsLost,
-		delivered:    c.packetsDelivered,
-		delaySum:     c.delaySum,
-		gsmArrivals:  c.gsmArrivals,
-		gsmBlocked:   c.gsmBlocked,
-		gprsArrivals: c.gprsArrivals,
-		gprsBlocked:  c.gprsBlocked,
-	}
+	return c.counters
 }
 
 // gaugeIntegrals is a snapshot of the four time-weighted accumulators'
@@ -1043,8 +949,8 @@ func (c *cell) gaugeIntegralsAt(t float64) gaugeIntegrals {
 // the terminal gauge means — and the armed probe's shadow copies of them —
 // are exact window averages, bit-identical between the per-cell report and
 // the probe series.
-func (c *cell) finishBatch(acc *batchAccumulator, prev cellSnapshot, prevInt gaugeIntegrals, now, batchDur float64) gaugeIntegrals {
-	cur := c.snapshot()
+func (c *cell) finishBatch(acc *batchAccumulator, prev counters, prevInt gaugeIntegrals, now, batchDur float64) gaugeIntegrals {
+	d := c.counters.minus(prev)
 	curInt := c.gaugeIntegralsAt(now)
 
 	acc.cdt.AddBatchMean((curInt.pdch - prevInt.pdch) / batchDur)
@@ -1053,21 +959,9 @@ func (c *cell) finishBatch(acc *batchAccumulator, prev cellSnapshot, prevInt gau
 	acc.ags.AddBatchMean(ags)
 	acc.cvt.AddBatchMean((curInt.voice - prevInt.voice) / batchDur)
 
-	offered := cur.offered - prev.offered
-	lost := cur.lost - prev.lost
-	delivered := cur.delivered - prev.delivered
-	delay := cur.delaySum - prev.delaySum
-
-	if offered > 0 {
-		acc.plp.AddBatchMean(float64(lost) / float64(offered))
-	} else {
-		acc.plp.AddBatchMean(0)
-	}
-	if delivered > 0 {
-		acc.qd.AddBatchMean(delay / float64(delivered))
-	} else {
-		acc.qd.AddBatchMean(0)
-	}
+	delivered := d.n[probe.PacketsDelivered]
+	acc.plp.AddBatchMean(ratio(float64(d.n[probe.PacketsLost]), d.n[probe.PacketsOffered]))
+	acc.qd.AddBatchMean(ratio(d.delaySum, delivered))
 	throughput := float64(delivered) * float64(traffic.PacketSizeBits) / batchDur
 	acc.throughput.AddBatchMean(throughput)
 	if ags > 0 {
@@ -1075,18 +969,16 @@ func (c *cell) finishBatch(acc *batchAccumulator, prev cellSnapshot, prevInt gau
 	} else {
 		acc.atu.AddBatchMean(0)
 	}
-
-	gsmArr := cur.gsmArrivals - prev.gsmArrivals
-	if gsmArr > 0 {
-		acc.gsmBlock.AddBatchMean(float64(cur.gsmBlocked-prev.gsmBlocked) / float64(gsmArr))
-	} else {
-		acc.gsmBlock.AddBatchMean(0)
-	}
-	gprsArr := cur.gprsArrivals - prev.gprsArrivals
-	if gprsArr > 0 {
-		acc.gprsBlock.AddBatchMean(float64(cur.gprsBlocked-prev.gprsBlocked) / float64(gprsArr))
-	} else {
-		acc.gprsBlock.AddBatchMean(0)
-	}
+	acc.gsmBlock.AddBatchMean(ratio(float64(d.n[probe.GSMBlocked]), d.n[probe.GSMArrivals]))
+	acc.gprsBlock.AddBatchMean(ratio(float64(d.n[probe.GPRSBlocked]), d.n[probe.GPRSArrivals]))
 	return curInt
+}
+
+// ratio returns num/den, or 0 when den is not positive (a batch or a
+// measurement period in which the denominator's event never happened).
+func ratio(num float64, den int64) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return num / float64(den)
 }

@@ -240,7 +240,7 @@ func TestSessionLifecycleRecycles(t *testing.T) {
 		t.Fatal("session should have completed")
 	}
 	found := false
-	for _, f := range c.freeSess {
+	for _, f := range c.freeSess.free {
 		if f == sess {
 			found = true
 		}

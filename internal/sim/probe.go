@@ -31,8 +31,7 @@ type probeState struct {
 	series *probe.Series
 
 	gauges []probeGauges
-	counts []cellSnapshot
-	hos    []hoSnapshot
+	base   []counters
 
 	startT, finalT float64
 	armed, done    bool
@@ -53,8 +52,7 @@ func (ps *probeState) arm(start, final float64) {
 	capacity := ps.spec.Windows(final - start)
 	ps.series = probe.NewSeries(len(ps.cells), ps.spec.IntervalSec, start, capacity)
 	ps.gauges = make([]probeGauges, len(ps.cells))
-	ps.counts = make([]cellSnapshot, len(ps.cells))
-	ps.hos = make([]hoSnapshot, len(ps.cells))
+	ps.base = make([]counters, len(ps.cells))
 	for i, c := range ps.cells {
 		g := &ps.gauges[i]
 		g.pdch.Start(start, c.pdchUsage.Current())
@@ -62,8 +60,7 @@ func (ps *probeState) arm(start, final float64) {
 		g.voice.Start(start, float64(c.voiceCalls))
 		g.sess.Start(start, float64(c.sessions))
 		c.pr = g
-		ps.counts[i] = c.snapshot()
-		ps.hos[i] = c.handoverSnapshot()
+		ps.base[i] = c.counters
 	}
 	ps.armed = true
 }
@@ -91,26 +88,13 @@ func (ps *probeState) sample(t float64) {
 	for i, c := range ps.cells {
 		cs := &s.Cells[i]
 		g := &ps.gauges[i]
-		base := &ps.counts[i]
-		hbase := &ps.hos[i]
-		cs.PacketsOffered = append(cs.PacketsOffered, c.packetsOffered-base.offered)
-		cs.PacketsLost = append(cs.PacketsLost, c.packetsLost-base.lost)
-		cs.PacketsDelivered = append(cs.PacketsDelivered, c.packetsDelivered-base.delivered)
-		cs.DelaySumSec = append(cs.DelaySumSec, c.delaySum-base.delaySum)
-		cs.GSMArrivals = append(cs.GSMArrivals, c.gsmArrivals-base.gsmArrivals)
-		cs.GSMBlocked = append(cs.GSMBlocked, c.gsmBlocked-base.gsmBlocked)
-		cs.GPRSArrivals = append(cs.GPRSArrivals, c.gprsArrivals-base.gprsArrivals)
-		cs.GPRSBlocked = append(cs.GPRSBlocked, c.gprsBlocked-base.gprsBlocked)
-		cs.HandoversIn = append(cs.HandoversIn, c.handoversIn-hbase.in)
-		cs.HandoversOut = append(cs.HandoversOut, c.handoversOut-hbase.out)
-		cs.HandoverArrivals = append(cs.HandoverArrivals, c.handoverArrivals-hbase.arrivals)
-		cs.HandoverFailures = append(cs.HandoverFailures, c.handoverFailures-hbase.failures)
-		cs.GuardBlocked = append(cs.GuardBlocked, c.guardBlockedCalls-hbase.guardBlocked)
-		cs.Queued = append(cs.Queued, c.hoQueued-hbase.queued)
-		cs.QueueServed = append(cs.QueueServed, c.hoQueueServed-hbase.served)
-		cs.QueueExpired = append(cs.QueueExpired, c.hoQueueExpired-hbase.expired)
-		cs.Retries = append(cs.Retries, c.hoRetries-hbase.retries)
-		cs.TransitEnds = append(cs.TransitEnds, c.hoTransitEnds-hbase.transitEnds)
+		d := c.counters.minus(ps.base[i])
+		for k := range probe.NumCounters {
+			if k.Sampled() {
+				cs.Counts[k] = append(cs.Counts[k], d.n[k])
+			}
+		}
+		cs.DelaySumSec = append(cs.DelaySumSec, d.delaySum)
 		cs.QueueLen = append(cs.QueueLen, c.queuedPackets())
 		cs.VoiceCalls = append(cs.VoiceCalls, c.voiceCalls)
 		cs.Sessions = append(cs.Sessions, c.sessions)

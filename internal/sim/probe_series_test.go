@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/partition"
+	"repro/internal/policy"
 	"repro/internal/probe"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -92,10 +93,25 @@ func TestGoldenResultDigestsProbesArmed(t *testing.T) {
 // window boundary. The recorded series itself must be bit-identical across
 // engines.
 func TestSeriesMatchesPerCellAggregates(t *testing.T) {
-	cfg := scenarioQuickConfig(t, 7)
-	// 70 s does not divide the 600 s measurement: the final window is clamped
-	// short, the hardest case of the aggregation.
-	cfg.Probe = &probe.Spec{IntervalSec: 70}
+	// The queue policy drives the admission-policy counters off zero, so
+	// their final windows are checked against non-trivial totals too.
+	for _, pol := range []*policy.Config{nil, {Kind: policy.QueuedHandovers, QueueCapacity: 2, QueueDeadlineSec: 5}} {
+		name := "default"
+		if pol != nil {
+			name = pol.Kind.String()
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := scenarioQuickConfig(t, 7)
+			cfg.Policy = pol
+			// 70 s does not divide the 600 s measurement: the final window is
+			// clamped short, the hardest case of the aggregation.
+			cfg.Probe = &probe.Spec{IntervalSec: 70}
+			checkSeriesMatchesPerCell(t, cfg)
+		})
+	}
+}
+
+func checkSeriesMatchesPerCell(t *testing.T, cfg sim.Config) {
 	res, ser := mustRunSeries(t, cfg, 1)
 
 	_, serSharded := mustRunSeries(t, cfg, 4)
@@ -107,41 +123,37 @@ func TestSeriesMatchesPerCellAggregates(t *testing.T) {
 	if k < 1 || ser.Times[k] != cfg.WarmupSec+cfg.MeasurementSec {
 		t.Fatalf("degenerate series: %d windows, last at %v", ser.Windows(), ser.Times[k])
 	}
+	var queued int64
 	for i, m := range res.PerCell {
 		cs := &ser.Cells[i]
-		ints := []struct {
-			name      string
-			got, want int64
-		}{
-			{"offered", cs.PacketsOffered[k], m.PacketsOffered},
-			{"lost", cs.PacketsLost[k], m.PacketsLost},
-			{"delivered", cs.PacketsDelivered[k], m.PacketsDelivered},
-			{"ho in", cs.HandoversIn[k], m.HandoversIn},
-			{"ho out", cs.HandoversOut[k], m.HandoversOut},
-			{"ho arrivals", cs.HandoverArrivals[k], m.HandoverArrivals},
-			{"ho failures", cs.HandoverFailures[k], m.HandoverFailures},
-		}
-		for _, c := range ints {
-			if c.got != c.want {
-				t.Errorf("cell %d: final cumulative %s %d, want terminal total %d", i, c.name, c.got, c.want)
+		queued += m.HandoversQueued
+		// Every counter that is both sampled and reported per cell.
+		for n := range probe.NumCounters {
+			want := m.Counter(n)
+			if !n.Sampled() || want == nil {
+				continue
+			}
+			if got := cs.Counts[n][k]; got != *want {
+				t.Errorf("cell %d: final cumulative %s %d, want terminal total %d", i, probe.Counters[n].Column, got, *want)
 			}
 		}
+		offered, lost, delivered := cs.Counts[probe.PacketsOffered], cs.Counts[probe.PacketsLost], cs.Counts[probe.PacketsDelivered]
 		// Derived ratios: same operands, same expressions as perCellMeasures.
-		if cs.PacketsOffered[k] > 0 {
-			if plp := float64(cs.PacketsLost[k]) / float64(cs.PacketsOffered[k]); plp != m.PacketLossProbability {
+		if offered[k] > 0 {
+			if plp := float64(lost[k]) / float64(offered[k]); plp != m.PacketLossProbability {
 				t.Errorf("cell %d: series PLP %v, want %v", i, plp, m.PacketLossProbability)
 			}
 		}
-		if cs.PacketsDelivered[k] > 0 {
-			if d := cs.DelaySumSec[k] / float64(cs.PacketsDelivered[k]); d != m.QueueingDelaySec {
+		if delivered[k] > 0 {
+			if d := cs.DelaySumSec[k] / float64(delivered[k]); d != m.QueueingDelaySec {
 				t.Errorf("cell %d: series delay %v, want %v", i, d, m.QueueingDelaySec)
 			}
 		}
-		if tput := float64(cs.PacketsDelivered[k]) * float64(traffic.PacketSizeBits) / cfg.MeasurementSec; tput != m.ThroughputBits {
+		if tput := float64(delivered[k]) * float64(traffic.PacketSizeBits) / cfg.MeasurementSec; tput != m.ThroughputBits {
 			t.Errorf("cell %d: series throughput %v, want %v", i, tput, m.ThroughputBits)
 		}
-		if cs.GSMArrivals[k] > 0 {
-			if b := float64(cs.GSMBlocked[k]) / float64(cs.GSMArrivals[k]); b != m.GSMBlocking {
+		if arr := cs.Counts[probe.GSMArrivals][k]; arr > 0 {
+			if b := float64(cs.Counts[probe.GSMBlocked][k]) / float64(arr); b != m.GSMBlocking {
 				t.Errorf("cell %d: series GSM blocking %v, want %v", i, b, m.GSMBlocking)
 			}
 		}
@@ -165,10 +177,15 @@ func TestSeriesMatchesPerCellAggregates(t *testing.T) {
 		}
 		// Cumulative counters never decrease across windows.
 		for w := 1; w <= k; w++ {
-			if cs.PacketsOffered[w] < cs.PacketsOffered[w-1] || cs.HandoversOut[w] < cs.HandoversOut[w-1] {
-				t.Fatalf("cell %d: cumulative counters decreased at window %d", i, w)
+			for n := range probe.NumCounters {
+				if c := cs.Counts[n]; c != nil && c[w] < c[w-1] {
+					t.Fatalf("cell %d: cumulative %s decreased at window %d", i, probe.Counters[n].Column, w)
+				}
 			}
 		}
+	}
+	if cfg.Policy != nil && queued == 0 {
+		t.Error("no handover was queued: the policy counters were checked only at zero")
 	}
 
 	checkSeriesCSVRoundTrip(t, ser, res, cfg.MeasurementSec)

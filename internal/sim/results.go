@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/probe"
 	"repro/internal/stats"
 )
 
@@ -40,16 +41,22 @@ type Results struct {
 	// MeanQueueLength is the time-average BSC buffer occupancy in packets.
 	MeanQueueLength stats.Interval
 
-	// Totals over the whole measurement period (mid cell).
+	// Mid-cell counter totals over the measurement period.
 	PacketsOffered   int64
 	PacketsLost      int64
 	PacketsDelivered int64
 	HandoversIn      int64
 	HandoversOut     int64
-	TCPTimeouts      int64
-	TCPFastRecovers  int64
-	SimulatedSec     float64
-	Events           uint64
+	// TCPTimeouts and TCPFastRecovers are summed over every cell since time
+	// 0, warm-up included. Each transfer credits its congestion events to
+	// its cell when it completes or aborts.
+	TCPTimeouts     int64
+	TCPFastRecovers int64
+	// SimulatedSec is the length of the measurement period in simulated
+	// seconds.
+	SimulatedSec float64
+	// Events counts every event the run processed, warm-up included.
+	Events uint64
 
 	// PerCell reports every cell of the cluster over the measurement period,
 	// indexed by cell id. Under the paper's symmetric load all cells are
@@ -134,6 +141,47 @@ type CellMeasures struct {
 	HandoverQueueExpired int64
 	HandoverRetries      int64
 	HandoverTransitEnds  int64
+}
+
+// Counter returns the field of m that reports counter k over the
+// measurement period, or nil when k is not reported per cell: the
+// fresh-arrival and blocking counts enter only as the GSMBlocking and
+// GPRSBlocking ratios, and the TCP counters only as the cluster totals of
+// Results.
+func (m *CellMeasures) Counter(k probe.Counter) *int64 {
+	switch k {
+	case probe.PacketsOffered:
+		return &m.PacketsOffered
+	case probe.PacketsLost:
+		return &m.PacketsLost
+	case probe.PacketsDelivered:
+		return &m.PacketsDelivered
+	case probe.HandoversIn:
+		return &m.HandoversIn
+	case probe.HandoversOut:
+		return &m.HandoversOut
+	case probe.VoiceHandoversOut:
+		return &m.VoiceHandoversOut
+	case probe.SessionHandoversOut:
+		return &m.SessionHandoversOut
+	case probe.HandoverArrivals:
+		return &m.HandoverArrivals
+	case probe.HandoverFailures:
+		return &m.HandoverFailures
+	case probe.GuardBlockedCalls:
+		return &m.GuardBlockedCalls
+	case probe.HandoversQueued:
+		return &m.HandoversQueued
+	case probe.HandoverQueueServed:
+		return &m.HandoverQueueServed
+	case probe.HandoverQueueExpired:
+		return &m.HandoverQueueExpired
+	case probe.HandoverRetries:
+		return &m.HandoverRetries
+	case probe.HandoverTransitEnds:
+		return &m.HandoverTransitEnds
+	}
+	return nil
 }
 
 // CellIntervals carries cross-replication confidence intervals for the

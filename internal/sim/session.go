@@ -2,6 +2,7 @@ package sim
 
 import (
 	"repro/internal/des"
+	"repro/internal/probe"
 	"repro/internal/tcp"
 )
 
@@ -61,8 +62,8 @@ func (v *voiceCall) handover() {
 		v.scheduleHandover()
 		return
 	}
-	c.handoversOut++
-	c.voiceHandoversOut++
+	c.n[probe.HandoversOut]++
+	c.n[probe.VoiceHandoversOut]++
 	c.removeVoice()
 	v.departEv.Cancel()
 	departAt := v.departAt
@@ -207,8 +208,8 @@ func (s *session) handover() {
 		s.scheduleHandover()
 		return
 	}
-	c.handoversOut++
-	c.sessionHandoversOut++
+	c.n[probe.HandoversOut]++
+	c.n[probe.SessionHandoversOut]++
 	st := s.captureState()
 	s.end()
 	c.sim.dispatch(c, target, handoverMsg{kind: hoSession, sess: st, src: c.id})
@@ -458,8 +459,8 @@ func (c *connection) complete() {
 	}
 	c.done = true
 	c.rtoEv.Cancel()
-	c.cell.tcpTimeouts += int64(c.sender.Timeouts())
-	c.cell.tcpFastRecovers += int64(c.sender.FastRecoveries())
+	c.cell.n[probe.TCPTimeouts] += int64(c.sender.Timeouts())
+	c.cell.n[probe.TCPFastRecovers] += int64(c.sender.FastRecoveries())
 	sess := c.sess
 	c.cell.putConn(c)
 	sess.packetCallComplete()
@@ -475,7 +476,7 @@ func (c *connection) abort() {
 	}
 	c.done = true
 	c.rtoEv.Cancel()
-	c.cell.tcpTimeouts += int64(c.sender.Timeouts())
-	c.cell.tcpFastRecovers += int64(c.sender.FastRecoveries())
+	c.cell.n[probe.TCPTimeouts] += int64(c.sender.Timeouts())
+	c.cell.n[probe.TCPFastRecovers] += int64(c.sender.FastRecoveries())
 	c.cell.putConn(c)
 }

@@ -72,7 +72,7 @@ type groupProc struct {
 	// by the goroutine currently advancing its group (or by the barrier), so
 	// no locking is needed. Intra-group handovers acquire and release on the
 	// same pool.
-	free []*groupTransit
+	free freelist[groupTransit]
 }
 
 // groupTransit is one handover message in flight between cells. It rides as
@@ -87,10 +87,7 @@ type groupTransit struct {
 }
 
 func (p *groupProc) getTransit() *groupTransit {
-	if n := len(p.free); n > 0 {
-		t := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if t := p.free.get(); t != nil {
 		return t
 	}
 	t := &groupTransit{}
@@ -100,7 +97,7 @@ func (p *groupProc) getTransit() *groupTransit {
 		t.msg = handoverMsg{}
 		t.cell = nil
 		t.grp = nil
-		g.free = append(g.free, t)
+		g.free.put(t)
 	}
 	return t
 }
@@ -349,14 +346,11 @@ func (s *Simulator) Run() (Results, error) {
 	// be reported over the measurement period. Resetting touches only the
 	// time-weighted statistics, never the event flow, so mid-cell results are
 	// unaffected by the extra bookkeeping.
-	perStart := make([]cellSnapshot, len(cells))
-	hoStart := make([]hoSnapshot, len(cells))
+	start := make([]counters, len(cells))
 	for i, c := range cells {
-		perStart[i] = c.resetBatchWindow(warmupEnd)
-		hoStart[i] = c.handoverSnapshot()
+		start[i] = c.resetBatchWindow(warmupEnd)
 	}
-	snap := perStart[cluster.MidCell]
-	warmStart := snap
+	snap := start[cluster.MidCell]
 
 	batchDur := cfg.MeasurementSec / float64(cfg.Batches)
 	// Arm the probe (when configured) over the exact measurement span the
@@ -378,26 +372,23 @@ func (s *Simulator) Run() (Results, error) {
 			return Results{}, err
 		}
 		snapInt = mid.finishBatch(acc, snap, snapInt, end, batchDur)
-		snap = mid.snapshot()
+		snap = mid.counters
 		cur := s.processedEvents()
 		probe.Default.EventsProcessed.Add(cur - lastEvents)
 		lastEvents = cur
 	}
 
 	res := acc.results()
-	final := mid.snapshot()
-	res.PacketsOffered = final.offered - warmStart.offered
-	res.PacketsLost = final.lost - warmStart.lost
-	res.PacketsDelivered = final.delivered - warmStart.delivered
-	res.HandoversIn = mid.handoversIn - hoStart[cluster.MidCell].in
-	res.HandoversOut = mid.handoversOut - hoStart[cluster.MidCell].out
+	res.PerCell = perCellMeasures(cells, start, end, cfg.MeasurementSec)
+	m := &res.PerCell[cluster.MidCell]
+	res.PacketsOffered, res.PacketsLost, res.PacketsDelivered = m.PacketsOffered, m.PacketsLost, m.PacketsDelivered
+	res.HandoversIn, res.HandoversOut = m.HandoversIn, m.HandoversOut
 	for _, c := range cells {
-		res.TCPTimeouts += c.tcpTimeouts
-		res.TCPFastRecovers += c.tcpFastRecovers
+		res.TCPTimeouts += c.n[probe.TCPTimeouts]
+		res.TCPFastRecovers += c.n[probe.TCPFastRecovers]
 	}
 	res.SimulatedSec = cfg.MeasurementSec
 	res.Events = s.processedEvents()
-	res.PerCell = perCellMeasures(cells, perStart, hoStart, end, cfg.MeasurementSec)
 
 	hits, misses, free := s.poolStats()
 	probe.Default.PoolHits.Add(hits)
@@ -408,53 +399,34 @@ func (s *Simulator) Run() (Results, error) {
 	return res, nil
 }
 
-// perCellMeasures assembles the per-cell report at the end of a run. Every
-// cell — the mid cell included — reports its time-weighted statistics
-// directly over the measurement window: windows are reset once, at the end of
-// the warm-up, and batch boundaries only read running integrals. The armed
-// probe's shadow gauges receive the identical update sequence from the
-// identical start, so the final probe window reproduces these gauge values
-// bit for bit (pinned by TestSeriesMatchesPerCellAggregates).
-func perCellMeasures(cells []*cell, perStart []cellSnapshot,
-	hoStart []hoSnapshot, end, measurementSec float64) []CellMeasures {
+// perCellMeasures assembles the per-cell report at the end of a run from
+// each cell's counters since its snapshot in start. Every cell — the mid
+// cell included — reports its time-weighted statistics directly over the
+// measurement window: windows are reset once, at the end of the warm-up, and
+// batch boundaries only read running integrals. The armed probe's shadow
+// gauges receive the identical update sequence from the identical start, so
+// the final probe window reproduces these gauge values bit for bit (pinned by
+// TestSeriesMatchesPerCellAggregates).
+func perCellMeasures(cells []*cell, start []counters, end, measurementSec float64) []CellMeasures {
 	out := make([]CellMeasures, len(cells))
 	for i, c := range cells {
-		cur := c.snapshot()
-		m := CellMeasures{Cell: i}
+		d := c.counters.minus(start[i])
+		m := &out[i]
+		m.Cell = i
+		for k := range probe.NumCounters {
+			if f := m.Counter(k); f != nil {
+				*f = d.n[k]
+			}
+		}
 		m.CarriedDataTraffic = c.pdchUsage.Mean(end)
 		m.MeanQueueLength = c.queueLen.Mean(end)
 		m.CarriedVoiceTraffic = c.voiceOcc.Mean(end)
 		m.AverageSessions = c.sessOcc.Mean(end)
-		m.PacketsOffered = cur.offered - perStart[i].offered
-		m.PacketsLost = cur.lost - perStart[i].lost
-		m.PacketsDelivered = cur.delivered - perStart[i].delivered
-		ho := c.handoverSnapshot()
-		m.HandoversIn = ho.in - hoStart[i].in
-		m.HandoversOut = ho.out - hoStart[i].out
-		m.VoiceHandoversOut = ho.voiceOut - hoStart[i].voiceOut
-		m.SessionHandoversOut = ho.sessOut - hoStart[i].sessOut
-		m.HandoverArrivals = ho.arrivals - hoStart[i].arrivals
-		m.HandoverFailures = ho.failures - hoStart[i].failures
-		m.GuardBlockedCalls = ho.guardBlocked - hoStart[i].guardBlocked
-		m.HandoversQueued = ho.queued - hoStart[i].queued
-		m.HandoverQueueServed = ho.served - hoStart[i].served
-		m.HandoverQueueExpired = ho.expired - hoStart[i].expired
-		m.HandoverRetries = ho.retries - hoStart[i].retries
-		m.HandoverTransitEnds = ho.transitEnds - hoStart[i].transitEnds
-		if m.PacketsOffered > 0 {
-			m.PacketLossProbability = float64(m.PacketsLost) / float64(m.PacketsOffered)
-		}
-		if m.PacketsDelivered > 0 {
-			m.QueueingDelaySec = (cur.delaySum - perStart[i].delaySum) / float64(m.PacketsDelivered)
-		}
+		m.PacketLossProbability = ratio(float64(m.PacketsLost), m.PacketsOffered)
+		m.QueueingDelaySec = ratio(d.delaySum, m.PacketsDelivered)
 		m.ThroughputBits = float64(m.PacketsDelivered) * float64(traffic.PacketSizeBits) / measurementSec
-		if gsmArr := cur.gsmArrivals - perStart[i].gsmArrivals; gsmArr > 0 {
-			m.GSMBlocking = float64(cur.gsmBlocked-perStart[i].gsmBlocked) / float64(gsmArr)
-		}
-		if gprsArr := cur.gprsArrivals - perStart[i].gprsArrivals; gprsArr > 0 {
-			m.GPRSBlocking = float64(cur.gprsBlocked-perStart[i].gprsBlocked) / float64(gprsArr)
-		}
-		out[i] = m
+		m.GSMBlocking = ratio(float64(d.n[probe.GSMBlocked]), d.n[probe.GSMArrivals])
+		m.GPRSBlocking = ratio(float64(d.n[probe.GPRSBlocked]), d.n[probe.GPRSArrivals])
 	}
 	return out
 }
