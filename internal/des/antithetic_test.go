@@ -111,9 +111,6 @@ func TestInversionVariatesStayInRange(t *testing.T) {
 			if k := s.Intn(9); k < 0 || k >= 9 {
 				t.Fatalf("kind %v: Intn out of [0,9): %d", kind, k)
 			}
-			if k := s.Pick(9, 4); k == 4 || k < 0 || k >= 9 {
-				t.Fatalf("kind %v: Pick returned %d", kind, k)
-			}
 		}
 	}
 }

@@ -3,8 +3,8 @@ package des
 import "math"
 
 // calQueue is a Brown calendar queue: events hash into buckets by their
-// "year" floor(Time/width), bucket index year mod Nb, each bucket kept
-// sorted by (Time, seq). Dequeue scans bucket slots in year order starting
+// "year" floor(t/width), bucket index year mod Nb, each bucket kept
+// sorted by (t, seq). Dequeue scans bucket slots in year order starting
 // from the year of the last dequeued event; a whole fruitless year falls
 // back to a direct search (sparse queue). Under smooth event-time
 // distributions enqueue and dequeue are O(1) on average. The bucket count
@@ -15,12 +15,11 @@ import "math"
 //
 // The scan matches buckets by exact year equality (years are integral
 // float64 values, compared exactly) rather than by accumulated float
-// thresholds, so the pop order is exactly the (Time, seq) total order: a
+// thresholds, so the pop order is exactly the (t, seq) total order: a
 // calendar-backed Simulation is bit-identical to a heap-backed one, pinned
-// by the differential tests in this package and the engine-equivalence
-// tests in internal/sim.
+// by the differential tests and FuzzEventOrder in this package.
 type calQueue struct {
-	buckets [][]*Event
+	buckets [][]entry
 	width   float64
 	count   int
 
@@ -32,7 +31,7 @@ type calQueue struct {
 }
 
 func newCalQueue() *calQueue {
-	return &calQueue{buckets: make([][]*Event, 2), width: 1}
+	return &calQueue{buckets: make([][]entry, 2), width: 1}
 }
 
 func (q *calQueue) size() int { return q.count }
@@ -51,42 +50,42 @@ func (q *calQueue) bucketOf(y float64) int {
 	return i
 }
 
-func (q *calQueue) push(ev *Event) {
-	y := q.yearOf(ev.Time)
+func (q *calQueue) push(e entry) {
+	y := q.yearOf(e.t)
 	if y < q.lastYear {
 		// The event lands behind the dequeue cursor; rewind the cursor so
 		// the scan cannot miss it.
 		q.lastYear = y
 	}
 	i := q.bucketOf(y)
-	q.buckets[i] = insertSorted(q.buckets[i], ev)
+	q.buckets[i] = insertSorted(q.buckets[i], e)
 	q.count++
 	if q.count > 2*len(q.buckets) {
 		q.resize(2 * len(q.buckets))
 	}
 }
 
-func (q *calQueue) peek() *Event {
+func (q *calQueue) front() (entry, bool) {
 	i, _, ok := q.findMin()
 	if !ok {
-		return nil
+		return entry{}, false
 	}
-	return q.buckets[i][0]
+	return q.buckets[i][0], true
 }
 
-func (q *calQueue) pop() *Event {
-	i, year, ok := q.findMin()
-	if !ok {
-		return nil
-	}
+func (q *calQueue) pop() {
+	i, year, _ := q.findMin()
 	b := q.buckets[i]
-	ev := b[0]
 	copy(b, b[1:])
-	b[len(b)-1] = nil
+	b[len(b)-1] = entry{}
 	q.buckets[i] = b[:len(b)-1]
 	q.count--
 	q.lastYear = year
-	return ev
+}
+
+func (q *calQueue) refile(e entry) {
+	q.pop()
+	q.push(e)
 }
 
 // findMin locates the earliest event and returns its bucket index and year.
@@ -102,7 +101,7 @@ func (q *calQueue) findMin() (int, float64, bool) {
 	n := len(q.buckets)
 	i := q.bucketOf(q.lastYear)
 	for k := 0; k < n; k++ {
-		if b := q.buckets[i]; len(b) > 0 && q.yearOf(b[0].Time) == q.lastYear+float64(k) {
+		if b := q.buckets[i]; len(b) > 0 && q.yearOf(b[0].t) == q.lastYear+float64(k) {
 			return i, q.lastYear + float64(k), true
 		}
 		i++
@@ -115,11 +114,11 @@ func (q *calQueue) findMin() (int, float64, bool) {
 		if len(b) == 0 {
 			continue
 		}
-		if min < 0 || eventBefore(b[0], q.buckets[min][0]) {
+		if min < 0 || b[0].before(q.buckets[min][0].key) {
 			min = j
 		}
 	}
-	year := q.yearOf(q.buckets[min][0].Time)
+	year := q.yearOf(q.buckets[min][0].t)
 	q.lastYear = year
 	return min, year, true
 }
@@ -129,12 +128,12 @@ func (q *calQueue) findMin() (int, float64, bool) {
 func (q *calQueue) purge() {
 	for i, b := range q.buckets {
 		kept := b[:0]
-		for _, ev := range b {
-			if ev.canceled {
-				ev.sim.release(ev)
+		for _, e := range b {
+			if e.ev.gen&1 != 0 {
+				e.ev.sim.release(e.ev)
 				continue
 			}
-			kept = append(kept, ev)
+			kept = append(kept, e)
 		}
 		clear(b[len(kept):])
 		q.count -= len(b) - len(kept)
@@ -148,9 +147,9 @@ func (q *calQueue) purge() {
 func (q *calQueue) resize(nb int) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, b := range q.buckets {
-		for _, ev := range b {
-			lo = math.Min(lo, ev.Time)
-			hi = math.Max(hi, ev.Time)
+		for _, e := range b {
+			lo = math.Min(lo, e.t)
+			hi = math.Max(hi, e.t)
 		}
 	}
 	width := 1.0
@@ -160,12 +159,12 @@ func (q *calQueue) resize(nb int) {
 		width = 3 * (hi - lo) / float64(q.count-1)
 	}
 	old := q.buckets
-	q.buckets = make([][]*Event, nb)
+	q.buckets = make([][]entry, nb)
 	q.width = width
 	for _, b := range old {
-		for _, ev := range b {
-			i := q.bucketOf(q.yearOf(ev.Time))
-			q.buckets[i] = insertSorted(q.buckets[i], ev)
+		for _, e := range b {
+			i := q.bucketOf(q.yearOf(e.t))
+			q.buckets[i] = insertSorted(q.buckets[i], e)
 		}
 	}
 	if q.count > 0 {
@@ -175,19 +174,19 @@ func (q *calQueue) resize(nb int) {
 	}
 }
 
-// insertSorted inserts ev into the (Time, seq)-sorted slice b.
-func insertSorted(b []*Event, ev *Event) []*Event {
+// insertSorted inserts e into the (t, seq)-sorted slice b.
+func insertSorted(b []entry, e entry) []entry {
 	lo, hi := 0, len(b)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if eventBefore(b[mid], ev) {
+		if b[mid].before(e.key) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	b = append(b, nil)
+	b = append(b, entry{})
 	copy(b[lo+1:], b[lo:])
-	b[lo] = ev
+	b[lo] = e
 	return b
 }

@@ -5,133 +5,194 @@
 //
 // The kernel is event-oriented rather than process-oriented: model code
 // schedules callbacks at future simulation times. Determinism is guaranteed
-// for a fixed seed because ties in event time are broken by scheduling order.
+// for a fixed seed because ties in event time are broken by scheduling order:
+// every event is keyed by (time, sequence number), sequence numbers are
+// unique within a Simulation, and events fire in ascending key order.
 //
-// # Allocation discipline
+// # Event records and handles
 //
-// The steady-state event path is allocation-free: fired and collected events
-// are recycled through a per-Simulation freelist, shared by the event list
-// and the lanes, so a long run allocates only while the pending set grows
-// towards its peak size. Because event records are recycled, Schedule hands
-// out value-type Handles carrying a generation number instead of raw event
-// pointers: a Handle of an event that already fired or was collected (and
-// whose record may since have been reused for an unrelated event) turns
-// Cancel into a no-op instead of cancelling a stranger.
+// An event that can be cancelled gets a record (Event): Schedule files one
+// in the event list and returns a value-type Handle to it. Records are
+// recycled through a per-Simulation freelist once their event fires or their
+// cancellation is collected, so the steady-state event path is
+// allocation-free. A Handle carries the generation number of the record's
+// life it refers to: once the event fires, is cancelled or is re-armed, the
+// record's generation moves on, and Cancel on the old Handle is a no-op
+// instead of cancelling a stranger.
 //
-// # Event list selection
+// # Event list
 //
 // Two event-list implementations sit behind one scheduler interface: a binary
 // heap (the reference, and the default) and a Brown calendar queue
-// (NewSimulationQueue(CalendarQueue)). Both order events by (time, sequence
-// number) — a strict total order, because sequence numbers are unique within
-// a Simulation — so the pop order, and therefore every simulation result, is
-// bit-identical between the two. The heap remains the default: profiles of
-// the GPRS workloads show the calendar's O(1) average enqueue does not beat
-// the heap's cache-friendly sift at the calendar sizes the model produces
-// (hundreds to a few thousand pending events); the calendar queue is kept
-// selectable for larger topologies where it may win.
+// (NewSimulationQueue(CalendarQueue)). Each slot of either list holds the key
+// its record is filed under beside the record, so sifts, bucket scans and
+// next-event selection compare plain values and never dereference a record.
+// Both pop in (time, seq) order, so the fired order, and therefore every
+// simulation result, is bit-identical between the two. The heap is the one
+// the simulator uses: it is never slower than the calendar at the pending
+// sizes measured, up to 200k events.
+//
+// # Re-arming in place
+//
+// RescheduleAfter is Cancel followed by ScheduleAfter, without the cancelled
+// record. When the event is pending and its new time is no earlier than the
+// key its record is filed under, the record keeps its slot and only its true
+// key (Time and a fresh sequence number) moves. A slot's filing key is thus a
+// lower bound of its record's true key. When a slot whose two keys differ
+// reaches the front, its record is filed again at its true key, which is not
+// counted as an event; since every other slot's key is a lower bound of its
+// own event, the front slot whose keys agree is the earliest event. A TCP
+// retransmission timer, re-armed on nearly every ACK, therefore costs one
+// re-filing per timeout period instead of a cancel and a push per ACK.
+//
+// # Lanes
 //
 // Beside the event list, a Simulation keeps one FIFO lane per fixed delay
-// (Simulation.Lane): Lane.Schedule appends an event at now + delay in O(1),
-// without a sift. A FIFO needs no ordering work because it is already
-// sorted by (time, sequence number): the clock never goes back, float64
-// addition of a fixed delay is monotone in the clock, and sequence numbers
-// only grow. Step pops the earliest of the event list's top and the lane
-// heads under the same total order, so moving an event onto a lane changes
-// neither the pop order nor any result.
+// (Simulation.Lane): Lane.Schedule appends (time, seq, action) at
+// now + delay in O(1), without a sift and without a record. A FIFO needs no
+// ordering work because it is already sorted by (time, seq): the clock never
+// goes back, float64 addition of a fixed delay is monotone in the clock, and
+// sequence numbers only grow. Lane events cannot be cancelled. The
+// next-event routine shared by Step and RunUntil fires the earliest of the
+// event list's front and the lane heads, so moving an event onto a lane
+// changes neither the fired order nor any result.
 //
 // # Batch collection of cancelled events
 //
-// Cancel marks an event; its record stays in the event list or lane until it
-// is collected. The Simulation counts the cancelled records it still holds;
-// once they are more than half of Pending and more than a floor of 64, one
-// O(n) pass removes and recycles them all (a heapify for the heap, an
-// in-place filter of each calendar bucket and each lane). Until then a
-// cancelled record is collected when it reaches the front. Pending therefore
-// stays at most twice the live count plus the floor under cancel-and-re-arm
-// churn such as a TCP retransmission timer restarted on every ACK, and dead
-// records no longer cost a sift each.
+// Cancel marks a record; it stays in the event list until it is collected.
+// The Simulation counts the cancelled records the list still holds; once
+// they are more than half of the list and more than a floor of 64, one O(n)
+// pass removes and recycles them all (a heapify for the heap, an in-place
+// filter of each calendar bucket). Until then a cancelled record is
+// collected when it reaches the front. Pending therefore stays at most twice
+// the live count plus the floor under cancel-and-schedule churn, and dead
+// records do not cost a sift each.
 package des
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrInvalidTime is returned when an event is scheduled in the past or at a
 // non-finite time.
 var ErrInvalidTime = errors.New("des: invalid event time")
 
-// Event is a scheduled callback record. Model code never holds an Event
-// directly — Schedule returns a Handle — because records are recycled through
-// the simulation's freelist once they fire or their cancellation is
-// collected.
+// Event is the record of a cancellable scheduled callback. Model code never
+// holds an Event directly — Schedule returns a Handle — because records are
+// recycled through the simulation's freelist once they fire or their
+// cancellation is collected.
 type Event struct {
-	// Time is the simulation time at which the event fires.
+	// Time is the simulation time at which the event fires. With seq it is
+	// the event's true key, which RescheduleAfter may move past the key the
+	// record is filed under.
 	Time float64
 	// Action is invoked when the event fires.
 	Action func()
 
-	seq      uint64
-	gen      uint64
-	canceled bool
-	sim      *Simulation // owner, whose count of uncollected cancellations Cancel bumps
+	seq uint64
+	// fileT is the time of the key the record is filed under in the event
+	// list, at most Time.
+	fileT float64
+	// gen counts the record's lives in steps of two; its low bit marks the
+	// current life's event as cancelled.
+	gen uint64
+	sim *Simulation // owner, whose count of uncollected cancellations Cancel bumps
 }
 
 // Handle is a cancellable reference to a scheduled event, from
-// Simulation.Schedule or Lane.Schedule. The zero Handle is valid and refers
-// to no event (Cancel is a no-op). A Handle expires when its event fires or
-// its cancellation is collected — one at a time when the record reaches the
-// front, or in a batch purge — at which point the record is recycled for a
-// future event and the generation number the Handle carries stops matching,
-// so Cancel and Canceled on an expired Handle are safe no-ops.
+// Simulation.Schedule or Simulation.RescheduleAfter. The zero Handle is
+// valid and refers to no event (Cancel is a no-op). A Handle expires when its
+// event fires, is re-armed, or has its cancellation collected — one at a time
+// when the record reaches the front, or in a batch purge — at which point the
+// generation number the Handle carries stops matching the record's, so
+// Cancel and Canceled on an expired Handle are safe no-ops.
 type Handle struct {
 	ev  *Event
-	gen uint64
+	gen uint64 // even: the record's generation while the event is pending
 }
 
 // Cancel prevents the event from firing. Cancelling the zero Handle, an
 // already fired, or an already cancelled event is a no-op.
 func (h Handle) Cancel() {
-	if ev := h.ev; ev != nil && ev.gen == h.gen && !ev.canceled {
-		ev.canceled = true
+	if ev := h.ev; ev != nil && ev.gen == h.gen {
+		ev.gen |= 1
 		ev.sim.noteCancel()
 	}
 }
 
 // Canceled reports whether the event has been cancelled and its record not
 // yet collected. It reports false for the zero Handle and for expired
-// Handles (the event fired or its cancellation was collected).
+// Handles (the event fired, was re-armed, or its cancellation was collected).
 func (h Handle) Canceled() bool {
-	return h.ev != nil && h.ev.gen == h.gen && h.ev.canceled
+	return h.ev != nil && h.ev.gen == h.gen|1
 }
 
 // Pending reports whether the event is still scheduled (not yet fired,
-// cancelled or collected).
+// re-armed, cancelled or collected).
 func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled
+	return h.ev != nil && h.ev.gen == h.gen
 }
 
-// Time returns the absolute fire time of a pending event, or NaN for the
-// zero Handle and for expired Handles.
+// Time returns the absolute fire time of a pending or cancelled event, or
+// NaN for the zero Handle and for expired Handles.
 func (h Handle) Time() float64 {
-	if h.ev == nil || h.ev.gen != h.gen {
+	if h.ev == nil || h.ev.gen&^1 != h.gen {
 		return math.NaN()
 	}
 	return h.ev.Time
 }
 
+// key is an event's place in the scheduling order shared by the event lists
+// and the lanes: earlier time first, scheduling order (seq) breaking ties.
+type key struct {
+	t   float64
+	seq uint64
+}
+
+// before reports whether a fires before b.
+func (a key) before(b key) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.seq < b.seq
+}
+
+// earlier is before as 1 or 0, computed without a branch, for the heap's
+// choice between two children, whose outcome is a coin flip a branch
+// predictor cannot learn. It subtracts the keys as 128-bit integers, time
+// bits high and seq low, and returns the borrow. Event times are never
+// negative, and the bits of a non-negative float64 order as its value does
+// once the sign of -0 is cleared.
+func (a key) earlier(b key) uint64 {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(math.Float64bits(a.t)&^sign, math.Float64bits(b.t)&^sign, borrow)
+	return borrow
+}
+
+// entry is one slot of an event list: the key its record is filed under,
+// beside the record, so ordering never dereferences a record.
+type entry struct {
+	key
+	ev *Event
+}
+
 // eventList is the scheduler interface both event-list implementations
-// (binary heap and calendar queue) satisfy. Implementations order events by
-// (Time, seq) ascending; seq is unique per Simulation, so the order is a
+// (binary heap and calendar queue) satisfy. Implementations order entries by
+// (t, seq) ascending; seq is unique per Simulation, so the order is a
 // strict total order and pop sequences are implementation-independent.
 type eventList interface {
-	push(*Event)
-	// pop removes and returns the earliest event, or nil when empty.
-	pop() *Event
-	// peek returns the earliest event without removing it, or nil when empty.
-	peek() *Event
+	push(entry)
+	// front returns the earliest entry; ok is false when the list is empty.
+	front() (e entry, ok bool)
+	// pop removes the earliest entry; the list must not be empty.
+	pop()
+	// refile replaces the earliest entry by e, which files the same record
+	// at a later key; the list must not be empty.
+	refile(e entry)
 	size() int
 	// purge releases every cancelled record and keeps the rest in order.
 	purge()
@@ -150,62 +211,52 @@ const (
 	CalendarQueue
 )
 
-// eventBefore is the scheduling order shared by every event list: earlier
-// time first, scheduling order (seq) breaking ties.
-func eventBefore(a, b *Event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	return a.seq < b.seq
-}
-
-// binHeap is a hand-rolled binary heap over (Time, seq). It avoids the
+// binHeap is a hand-rolled binary heap over (t, seq). It avoids the
 // interface boxing and indirect calls of container/heap on the hottest loop
 // of the simulator.
 type binHeap struct {
-	a []*Event
+	a []entry
 }
 
 func (h *binHeap) size() int { return len(h.a) }
 
-func (h *binHeap) peek() *Event {
+func (h *binHeap) front() (entry, bool) {
 	if len(h.a) == 0 {
-		return nil
+		return entry{}, false
 	}
-	return h.a[0]
+	return h.a[0], true
 }
 
-func (h *binHeap) push(ev *Event) {
-	h.a = append(h.a, ev)
+func (h *binHeap) push(e entry) {
+	h.a = append(h.a, e)
 	h.siftUp(len(h.a) - 1)
 }
 
-func (h *binHeap) pop() *Event {
-	n := len(h.a)
-	if n == 0 {
-		return nil
-	}
-	root := h.a[0]
-	last := h.a[n-1]
-	h.a[n-1] = nil
-	h.a = h.a[:n-1]
+func (h *binHeap) pop() {
+	n := len(h.a) - 1
+	h.a[0] = h.a[n]
+	h.a[n] = entry{}
+	h.a = h.a[:n]
 	if n > 1 {
-		h.a[0] = last
 		h.siftDown(0)
 	}
-	return root
+}
+
+func (h *binHeap) refile(e entry) {
+	h.a[0] = e
+	h.siftDown(0)
 }
 
 // purge releases every cancelled record and rebuilds the heap over the
 // survivors in one O(n) pass (Floyd's heapify).
 func (h *binHeap) purge() {
 	kept := h.a[:0]
-	for _, ev := range h.a {
-		if ev.canceled {
-			ev.sim.release(ev)
+	for _, e := range h.a {
+		if e.ev.gen&1 != 0 {
+			e.ev.sim.release(e.ev)
 			continue
 		}
-		kept = append(kept, ev)
+		kept = append(kept, e)
 	}
 	clear(h.a[len(kept):])
 	h.a = kept
@@ -215,40 +266,40 @@ func (h *binHeap) purge() {
 }
 
 func (h *binHeap) siftUp(i int) {
-	ev := h.a[i]
+	e := h.a[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventBefore(ev, h.a[parent]) {
+		if !e.before(h.a[parent].key) {
 			break
 		}
 		h.a[i] = h.a[parent]
 		i = parent
 	}
-	h.a[i] = ev
+	h.a[i] = e
 }
 
 func (h *binHeap) siftDown(i int) {
 	n := len(h.a)
-	ev := h.a[i]
+	e := h.a[i]
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && eventBefore(h.a[r], h.a[child]) {
-			child = r
+		if r := child + 1; r < n {
+			child += int(h.a[r].earlier(h.a[child].key))
 		}
-		if !eventBefore(h.a[child], ev) {
+		if !h.a[child].before(e.key) {
 			break
 		}
 		h.a[i] = h.a[child]
 		i = child
 	}
-	h.a[i] = ev
+	h.a[i] = e
 }
 
 // purgeFloor is the number of uncollected cancelled records below which a
-// Simulation never purges, however small its pending set: a purge is an O(n)
+// Simulation never purges, however small its event list: a purge is an O(n)
 // pass, so it waits until it frees at least this many records.
 const purgeFloor = 64
 
@@ -262,9 +313,9 @@ type Simulation struct {
 	seq    uint64
 	events uint64
 
-	// canceled counts cancelled records still held by the list or a lane:
-	// they are collected one by one when they reach the front, or all at
-	// once by purge.
+	// canceled counts cancelled records still held by the event list: they
+	// are collected one by one when they reach the front, or all at once by
+	// purge.
 	canceled int
 
 	// free is the event-record freelist: fired and collected events are
@@ -303,7 +354,7 @@ func (s *Simulation) Now() float64 { return s.now }
 // ProcessedEvents returns the number of events executed so far.
 func (s *Simulation) ProcessedEvents() uint64 { return s.events }
 
-// Pending returns the number of event records held by the event list and the
+// Pending returns the number of events held by the event list and the
 // lanes: the scheduled events plus the cancelled ones not yet collected.
 // Batch collection keeps it at most twice the scheduled count plus a small
 // constant floor.
@@ -319,51 +370,27 @@ func (s *Simulation) Pending() int {
 // records awaiting reuse). It exists for allocation-budget tests.
 func (s *Simulation) FreeEvents() int { return len(s.free) }
 
-// acquire takes an event record off the freelist, or allocates one, and
-// stamps it with the next time and sequence number.
-func (s *Simulation) acquire(t float64, action func()) *Event {
-	var ev *Event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		s.poolHits++
-	} else {
-		s.poolMisses++
-		ev = &Event{sim: s}
-	}
-	ev.Time = t
-	ev.Action = action
-	ev.seq = s.seq
-	s.seq++
-	return ev
-}
-
 // PoolStats returns the event-record freelist's reuse counters: hits are
 // Schedule calls served from recycled records, misses are fresh allocations.
 func (s *Simulation) PoolStats() (hits, misses uint64) {
 	return s.poolHits, s.poolMisses
 }
 
-// release recycles an event record. Bumping the generation expires every
+// release recycles an event record. Advancing the generation expires every
 // Handle pointing at the record; dropping the Action lets the closure (and
 // whatever it captures) go as soon as the model does.
 func (s *Simulation) release(ev *Event) {
-	ev.gen++
+	ev.gen = ev.gen&^1 + 2
 	ev.Action = nil
-	ev.canceled = false
 	s.free = append(s.free, ev)
 }
 
 // noteCancel counts a fresh cancellation and purges once the uncollected
-// cancelled records exceed both purgeFloor and half of the pending records.
+// cancelled records exceed both purgeFloor and half of the event list.
 func (s *Simulation) noteCancel() {
 	s.canceled++
-	if s.canceled > purgeFloor && 2*s.canceled > s.Pending() {
+	if s.canceled > purgeFloor && 2*s.canceled > s.list.size() {
 		s.list.purge()
-		for _, l := range s.lanes {
-			l.purge()
-		}
 		s.canceled = 0
 	}
 }
@@ -377,8 +404,19 @@ func (s *Simulation) Schedule(t float64, action func()) (Handle, error) {
 	if action == nil {
 		return Handle{}, fmt.Errorf("%w: nil action", ErrInvalidTime)
 	}
-	ev := s.acquire(t, action)
-	s.list.push(ev)
+	var ev *Event
+	if n := len(s.free); n > 0 {
+		ev = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		s.poolHits++
+	} else {
+		s.poolMisses++
+		ev = &Event{sim: s}
+	}
+	ev.Time, ev.fileT, ev.seq, ev.Action = t, t, s.seq, action
+	s.seq++
+	s.list.push(entry{key{t, ev.seq}, ev})
 	return Handle{ev: ev, gen: ev.gen}, nil
 }
 
@@ -388,16 +426,29 @@ func (s *Simulation) ScheduleAfter(delay float64, action func()) (Handle, error)
 	return s.Schedule(s.now+delay, action)
 }
 
+// RescheduleAfter re-arms the event of h to run action delay seconds after
+// the current simulation time and returns the new handle; h expires. It is
+// equivalent to h.Cancel() followed by ScheduleAfter(delay, action), in the
+// event order it produces and in the one sequence number it takes. When h is
+// pending and the new time is no earlier than the key its record is filed
+// under, the record is re-armed in place: no cancelled record is left behind
+// and nothing is pushed (see the package comment).
+func (s *Simulation) RescheduleAfter(h Handle, delay float64, action func()) (Handle, error) {
+	t := s.now + delay
+	if ev := h.ev; ev != nil && ev.gen == h.gen && t >= ev.fileT && !math.IsInf(t, 1) && action != nil {
+		ev.Time, ev.seq, ev.Action = t, s.seq, action
+		s.seq++
+		ev.gen += 2
+		return Handle{ev: ev, gen: ev.gen}, nil
+	}
+	h.Cancel()
+	return s.ScheduleAfter(delay, action)
+}
+
 // Step executes the next pending event. It returns false when the calendar is
 // empty.
 func (s *Simulation) Step() bool {
-	ev, from := s.peek()
-	if ev == nil {
-		return false
-	}
-	s.remove(from)
-	s.run(ev)
-	return true
+	return s.fireNext(math.Inf(1))
 }
 
 // RunUntil executes events until the simulation clock reaches endTime or the
@@ -405,13 +456,7 @@ func (s *Simulation) Step() bool {
 // It returns the number of events executed.
 func (s *Simulation) RunUntil(endTime float64) uint64 {
 	var executed uint64
-	for {
-		ev, from := s.peek()
-		if ev == nil || ev.Time > endTime {
-			break
-		}
-		s.remove(from)
-		s.run(ev)
+	for s.fireNext(endTime) {
 		executed++
 	}
 	if s.now < endTime {
@@ -424,56 +469,60 @@ func (s *Simulation) RunUntil(endTime float64) uint64 {
 // events executed.
 func (s *Simulation) Run() uint64 {
 	var executed uint64
-	for s.Step() {
+	for s.fireNext(math.Inf(1)) {
 		executed++
 	}
 	return executed
 }
 
-// peek returns the earliest live event and the lane holding it (nil for the
-// event list), collecting the cancelled records it meets at the front, or
-// nil when nothing is pending. The earliest of the list's top and the lane
-// heads under eventBefore is the earliest pending event, because every lane
-// is sorted by (Time, seq).
-func (s *Simulation) peek() (*Event, *Lane) {
+// fireNext is the one next-event routine: it fires the earliest pending event
+// if its time is at most end, and reports whether it fired one. The earliest
+// of the event list's front and the lane heads in key order is the earliest
+// filed key, because every lane is sorted by (time, seq). A list slot there
+// whose record was cancelled is collected, and one whose record was re-armed
+// is filed again at its true key; either way the search starts over.
+func (s *Simulation) fireNext(end float64) bool {
 	for {
-		ev := s.list.peek()
-		var from *Lane
+		e, ok := s.list.front()
+		var lane *Lane
 		for _, l := range s.lanes {
-			if l.n > 0 {
-				if h := l.ring[l.head]; ev == nil || eventBefore(h, ev) {
-					ev, from = h, l
-				}
+			if l.n == 0 {
+				continue
+			}
+			if h := l.ring[l.head].key; !ok || h.before(e.key) {
+				e, ok, lane = entry{key: h}, true, l
 			}
 		}
-		if ev == nil || !ev.canceled {
-			return ev, from
+		if !ok || e.t > end {
+			return false
 		}
-		s.remove(from)
-		s.canceled--
-		s.release(ev)
+		var action func()
+		if lane != nil {
+			action = lane.pop()
+		} else {
+			ev := e.ev
+			switch {
+			case ev.gen&1 != 0:
+				s.list.pop()
+				s.canceled--
+				s.release(ev)
+				continue
+			case ev.seq != e.seq:
+				ev.fileT = ev.Time
+				s.list.refile(entry{key{ev.Time, ev.seq}, ev})
+				continue
+			}
+			s.list.pop()
+			action = ev.Action
+			// Release before firing: the handle of a firing event expires
+			// the moment it leaves the calendar, so a Cancel from within its
+			// own action (or any later stale Cancel) cannot touch the
+			// recycled record.
+			s.release(ev)
+		}
+		s.now = e.t
+		s.events++
+		action()
+		return true
 	}
-}
-
-// remove drops the front record of the lane from, or of the event list when
-// from is nil.
-func (s *Simulation) remove(from *Lane) {
-	if from != nil {
-		from.pop()
-	} else {
-		s.list.pop()
-	}
-}
-
-// run advances the clock to ev, just removed from the front, and runs its
-// action.
-func (s *Simulation) run(ev *Event) {
-	s.now = ev.Time
-	s.events++
-	action := ev.Action
-	// Release before firing: the handle of a firing event expires the moment
-	// it leaves the calendar, so a Cancel from within its own action (or any
-	// later stale Cancel) cannot touch the recycled record.
-	s.release(ev)
-	action()
 }

@@ -210,17 +210,17 @@ func TestStreamUniformAndBernoulli(t *testing.T) {
 	var sum float64
 	trueCount := 0
 	for i := 0; i < n; i++ {
-		u := s.UniformRange(2, 4)
-		if u < 2 || u >= 4 {
-			t.Fatalf("UniformRange out of range: %v", u)
+		u := s.Uniform()
+		if u < 0 || u >= 1 {
+			t.Fatalf("Uniform out of range: %v", u)
 		}
 		sum += u
 		if s.Bernoulli(0.3) {
 			trueCount++
 		}
 	}
-	if math.Abs(sum/n-3) > 0.02 {
-		t.Errorf("uniform mean = %v, want 3", sum/n)
+	if math.Abs(sum/n-0.5) > 0.01 {
+		t.Errorf("uniform mean = %v, want 0.5", sum/n)
 	}
 	frac := float64(trueCount) / n
 	if math.Abs(frac-0.3) > 0.01 {
@@ -249,7 +249,7 @@ func TestStreamReproducible(t *testing.T) {
 	}
 }
 
-func TestStreamIntnAndPick(t *testing.T) {
+func TestStreamIntn(t *testing.T) {
 	s := NewStream(7)
 	if s.Intn(0) != 0 || s.Intn(-3) != 0 {
 		t.Error("Intn with n <= 0 should return 0")
@@ -260,26 +260,23 @@ func TestStreamIntnAndPick(t *testing.T) {
 			t.Fatalf("Intn out of range: %d", v)
 		}
 	}
-	// Pick excludes the skipped index.
-	counts := make(map[int]int)
-	for i := 0; i < 6000; i++ {
-		v := s.Pick(7, 3)
-		if v == 3 || v < 0 || v >= 7 {
-			t.Fatalf("Pick returned invalid index %d", v)
+}
+
+// TestEarlierMatchesBefore checks the branch-free key comparison against
+// before on non-negative times with exact ties, adjacent floats, and both
+// zeros, which must compare equal.
+func TestEarlierMatchesBefore(t *testing.T) {
+	times := []float64{math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 0.02, math.Nextafter(0.02, 1), 1, 1e300}
+	for _, at := range times {
+		for _, bt := range times {
+			for _, seqs := range [][2]uint64{{0, 1}, {1, 0}, {5, 5}, {0, math.MaxUint64}} {
+				a, b := key{at, seqs[0]}, key{bt, seqs[1]}
+				want := a.before(b)
+				if got := a.earlier(b) == 1; got != want {
+					t.Errorf("earlier(%v, %d, %v, %d) = %v, before says %v", at, seqs[0], bt, seqs[1], got, want)
+				}
+			}
 		}
-		counts[v]++
-	}
-	if len(counts) != 6 {
-		t.Errorf("Pick should cover all 6 other indices, got %v", counts)
-	}
-	if s.Pick(1, 0) != -1 {
-		t.Error("Pick with a single excluded element should return -1")
-	}
-	if s.Pick(0, 0) != -1 {
-		t.Error("Pick on empty range should return -1")
-	}
-	if v := s.Pick(5, 9); v < 0 || v >= 5 {
-		t.Error("Pick with out-of-range skip behaves like Intn")
 	}
 }
 

@@ -6,19 +6,24 @@ import (
 )
 
 // Lane is a Simulation's FIFO of events scheduled at one fixed delay after
-// the clock. Its events are in (Time, seq) order by construction (see the
+// the clock. Its events are in (time, seq) order by construction (see the
 // package comment), so scheduling onto a lane is an O(1) append and the
-// Simulation pops its head only when it is the earliest pending event. Lane
-// records come from the Simulation's freelist and cancel like any other
-// event.
+// Simulation fires its head only when it is the earliest pending event. Lane
+// events take no record from the freelist and cannot be cancelled.
 type Lane struct {
 	sim   *Simulation
 	delay float64
 
 	// ring is a circular buffer of power-of-two length holding n events from
 	// index head on; it only grows, so steady state stays off the allocator.
-	ring    []*Event
+	ring    []laneEvent
 	head, n int
+}
+
+// laneEvent is one lane slot: the event's key and its action.
+type laneEvent struct {
+	key
+	action func()
 }
 
 // Lane returns the simulation's lane for the given delay, creating it on
@@ -39,58 +44,42 @@ func (s *Simulation) Lane(delay float64) (*Lane, error) {
 }
 
 // Schedule registers action to run the lane's delay after the current
-// simulation time and returns a handle that can be used to cancel it. It is
-// equivalent to ScheduleAfter with the lane's delay, in event order too.
-func (l *Lane) Schedule(action func()) (Handle, error) {
+// simulation time. It is equivalent to ScheduleAfter with the lane's delay,
+// in event order too, except that the event cannot be cancelled.
+func (l *Lane) Schedule(action func()) error {
 	s := l.sim
 	t := s.now + l.delay
 	if math.IsInf(t, 0) {
-		return Handle{}, fmt.Errorf("%w: t = %v (now %v)", ErrInvalidTime, t, s.now)
+		return fmt.Errorf("%w: t = %v (now %v)", ErrInvalidTime, t, s.now)
 	}
 	if action == nil {
-		return Handle{}, fmt.Errorf("%w: nil action", ErrInvalidTime)
+		return fmt.Errorf("%w: nil action", ErrInvalidTime)
 	}
-	ev := s.acquire(t, action)
 	if l.n == len(l.ring) {
 		l.grow()
 	}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = ev
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = laneEvent{key{t, s.seq}, action}
+	s.seq++
 	l.n++
-	return Handle{ev: ev, gen: ev.gen}, nil
+	return nil
 }
 
 // grow doubles the ring, unrolling its events to the front.
 func (l *Lane) grow() {
-	next := make([]*Event, max(8, 2*len(l.ring)))
+	next := make([]laneEvent, max(8, 2*len(l.ring)))
 	for i := 0; i < l.n; i++ {
 		next[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
 	}
 	l.ring, l.head = next, 0
 }
 
-// pop drops the head event; the lane must not be empty.
-func (l *Lane) pop() {
-	l.ring[l.head] = nil
+// pop drops the head event and returns its action; the lane must not be
+// empty.
+func (l *Lane) pop() func() {
+	h := &l.ring[l.head]
+	action := h.action
+	h.action = nil
 	l.head = (l.head + 1) & (len(l.ring) - 1)
 	l.n--
-}
-
-// purge releases every cancelled record and closes the gaps in place,
-// keeping the survivors in order.
-func (l *Lane) purge() {
-	mask := len(l.ring) - 1
-	kept := 0
-	for i := 0; i < l.n; i++ {
-		ev := l.ring[(l.head+i)&mask]
-		if ev.canceled {
-			l.sim.release(ev)
-			continue
-		}
-		l.ring[(l.head+kept)&mask] = ev
-		kept++
-	}
-	for i := kept; i < l.n; i++ {
-		l.ring[(l.head+i)&mask] = nil
-	}
-	l.n = kept
+	return action
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestEventPoolRecycling pins the freelist contract: a fired event's record
@@ -62,6 +63,15 @@ func TestEventPoolRecycling(t *testing.T) {
 	h3.Cancel() // stale: must be a no-op
 	if h4.Canceled() {
 		t.Error("stale cancel after recycling reached the new event")
+	}
+}
+
+// TestEventRecordSize pins the event record at 48 bytes, the allocator size
+// class it has always had: the true key, filing time, generation and
+// cancellation bit share it without growing it.
+func TestEventRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 48 {
+		t.Errorf("Event is %d bytes, want 48", n)
 	}
 }
 
@@ -191,21 +201,23 @@ func TestCalendarResizeKeepsOrder(t *testing.T) {
 	ref := &binHeap{}
 	seq := uint64(0)
 	push := func(at float64) {
-		a := &Event{Time: at, seq: seq}
-		b := &Event{Time: at, seq: seq}
+		cal.push(entry{key: key{at, seq}})
+		ref.push(entry{key: key{at, seq}})
 		seq++
-		cal.push(a)
-		ref.push(b)
 	}
 	popBoth := func() {
-		a, b := cal.pop(), ref.pop()
+		a, aok := cal.front()
+		b, bok := ref.front()
 		switch {
-		case a == nil && b == nil:
-		case a == nil || b == nil:
-			t.Fatalf("size mismatch: cal %v, heap %v", a, b)
-		case a.Time != b.Time || a.seq != b.seq:
-			t.Fatalf("order mismatch: cal (%v,%d), heap (%v,%d)", a.Time, a.seq, b.Time, b.seq)
+		case !aok && !bok:
+			return
+		case aok != bok:
+			t.Fatalf("size mismatch: cal %v, heap %v", aok, bok)
+		case a != b:
+			t.Fatalf("order mismatch: cal (%v,%d), heap (%v,%d)", a.t, a.seq, b.t, b.seq)
 		}
+		cal.pop()
+		ref.pop()
 	}
 	// Grow to a few hundred events, drain to near-empty, regrow, drain fully.
 	for i := 0; i < 500; i++ {

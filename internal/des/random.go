@@ -108,11 +108,6 @@ func (s *Stream) Uniform() float64 {
 	return u
 }
 
-// UniformRange returns a variate uniformly distributed on [lo, hi).
-func (s *Stream) UniformRange(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Uniform()
-}
-
 // BatchExponentials pre-draws unit exponential variates in blocks of n
 // (clamped to at least 2), amortizing the per-variate generator dispatch on
 // exponential-only streams. Because the mean is applied at consumption time,
@@ -230,21 +225,4 @@ func (s *Stream) Intn(n int) int {
 		i = n - 1
 	}
 	return i
-}
-
-// Pick returns a uniformly chosen element index of a slice of length n,
-// excluding the index skip (useful for choosing a handover target other than
-// the current cell). It returns -1 if no valid choice exists.
-func (s *Stream) Pick(n, skip int) int {
-	if n <= 0 || (n == 1 && skip == 0) {
-		return -1
-	}
-	if skip < 0 || skip >= n {
-		return s.Intn(n)
-	}
-	idx := s.Intn(n - 1)
-	if idx >= skip {
-		idx++
-	}
-	return idx
 }

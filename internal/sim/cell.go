@@ -422,14 +422,27 @@ func (c *cell) schedule(delay float64, action func()) des.Handle {
 	return ev
 }
 
-// scheduleOn appends an action to one of the cell's fixed-delay lanes, which
-// fires it exactly as schedule(lane delay, action) would.
-func scheduleOn(l *des.Lane, action func()) des.Handle {
-	ev, err := l.Schedule(action)
+// reschedule re-arms the event of h after the given delay, exactly as
+// h.Cancel() followed by schedule(delay, action) would, and returns its new
+// handle.
+func (c *cell) reschedule(h des.Handle, delay float64, action func()) des.Handle {
+	if delay < 0 {
+		delay = 0
+	}
+	ev, err := c.eng.RescheduleAfter(h, delay, action)
 	if err != nil {
 		return des.Handle{}
 	}
 	return ev
+}
+
+// scheduleOn appends an action to one of the cell's fixed-delay lanes, which
+// fires it exactly as schedule(lane delay, action) would. Lane delays are
+// finite and actions non-nil, so scheduling cannot fail.
+func scheduleOn(l *des.Lane, action func()) {
+	if err := l.Schedule(action); err != nil {
+		panic(err)
+	}
 }
 
 // start arms the fresh-arrival Poisson processes of the cell under its rate

@@ -130,12 +130,6 @@ type Config struct {
 	// balance and barrier traffic. New ignores it.
 	Partition *partition.Spec
 
-	// EventQueue selects the event-list implementation of the engine's
-	// calendars. The zero value (des.HeapQueue) is the binary-heap reference;
-	// des.CalendarQueue selects the Brown calendar queue. Every kind produces
-	// bit-identical results — the choice affects performance only.
-	EventQueue des.QueueKind
-
 	// Probe, when non-nil, arms the deterministic sim-time series probe: the
 	// run records every cell's counters and time-averaged gauges at fixed
 	// window boundaries of Probe.IntervalSec across the measurement period.
@@ -257,9 +251,6 @@ func (c Config) Validate() error {
 	}
 	if c.Streams < des.StreamDefault || c.Streams > des.StreamAntithetic {
 		return fmt.Errorf("%w: stream kind %d", ErrInvalidConfig, c.Streams)
-	}
-	if c.EventQueue < des.HeapQueue || c.EventQueue > des.CalendarQueue {
-		return fmt.Errorf("%w: event queue kind %d", ErrInvalidConfig, c.EventQueue)
 	}
 	if c.EnableTCP {
 		if err := c.TCP.Validate(); err != nil {

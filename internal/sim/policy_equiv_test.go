@@ -1,7 +1,7 @@
 // Golden digests and cross-engine equivalence of the admission-policy layer:
 // every policy must produce bit-identical results on the serial and the
-// sharded engine and on both event-list implementations, pinned by canonical
-// digests over the seed-era fields plus the policy counters. The nil-policy
+// sharded engine, pinned by canonical digests over the seed-era fields plus
+// the policy counters. The nil-policy
 // column is goldenDigests itself (scenario_equiv_test.go): a run without
 // Config.Policy must keep reproducing the pre-policy engine bit for bit.
 package sim_test
@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -44,39 +43,30 @@ var policyGoldenDigests = []struct {
 }
 
 // TestPolicyGoldenDigests pins every policy's exact sample path bit for bit
-// across the full engine matrix: serial vs 4-shard, binary heap vs calendar
-// queue. All four paths must reproduce the same pinned digest, which is the
-// cross-engine bit-identity headline of the policy layer — directed-retry
-// forwards travel as ordinary handover messages under the same conservative
-// lookahead windows, and guard/queue decisions depend only on cell-local
-// state. -short restricts the table to the seven-cell cluster on the heap
-// queue.
+// on the serial and the 4-shard engine. Both paths must reproduce the same
+// pinned digest, which is the cross-engine bit-identity headline of the
+// policy layer — directed-retry forwards travel as ordinary handover
+// messages under the same conservative lookahead windows, and guard/queue
+// decisions depend only on cell-local state. -short restricts the table to
+// the seven-cell cluster.
 func TestPolicyGoldenDigests(t *testing.T) {
-	queues := []des.QueueKind{des.HeapQueue, des.CalendarQueue}
-	if testing.Short() {
-		queues = queues[:1]
-	}
 	for _, g := range policyGoldenDigests {
 		if g.cells != 7 && testing.Short() {
 			continue
 		}
 		t.Run(fmt.Sprintf("%s/%dcells", g.policy, g.cells), func(t *testing.T) {
-			for _, queue := range queues {
-				var serial sim.Results
-				for _, shards := range []int{1, 4} {
-					cfg := scenarioQuickConfig(t, g.cells)
-					cfg.Policy = policyConfigs()[g.policy]
-					cfg.EventQueue = queue
-					res := mustRun(t, cfg, shards)
-					if got := policyDigest(res); got != g.want {
-						t.Errorf("queue %d, %d shard(s): digest %s, want pinned digest %s",
-							queue, shards, got, g.want)
-					}
-					if shards == 1 {
-						serial = res
-					} else if !reflect.DeepEqual(res, serial) {
-						t.Errorf("queue %d: sharded (%d shards) differs from serial engine", queue, shards)
-					}
+			var serial sim.Results
+			for _, shards := range []int{1, 4} {
+				cfg := scenarioQuickConfig(t, g.cells)
+				cfg.Policy = policyConfigs()[g.policy]
+				res := mustRun(t, cfg, shards)
+				if got := policyDigest(res); got != g.want {
+					t.Errorf("%d shard(s): digest %s, want pinned digest %s", shards, got, g.want)
+				}
+				if shards == 1 {
+					serial = res
+				} else if !reflect.DeepEqual(res, serial) {
+					t.Errorf("sharded (%d shards) differs from serial engine", shards)
 				}
 			}
 		})

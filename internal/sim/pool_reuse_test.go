@@ -158,9 +158,8 @@ func TestConnectionPoolResetOnReuse(t *testing.T) {
 	gen1 := c1.gen
 	// Dirty every field a live transfer mutates.
 	c1.sender.OnSend()
-	c1.delivered[2] = true
-	c1.sent[1] = true
-	c1.retrans[1] = true
+	c1.flags[2] = segDelivered
+	c1.flags[1] = segSent | segRetrans
 	c1.sendTime[1] = 3.5
 	c1.recvNext = 2
 	c1.rtoEv = c.schedule(1, func() {})
@@ -180,12 +179,11 @@ func TestConnectionPoolResetOnReuse(t *testing.T) {
 		t.Errorf("recycled connection carries stale transfer state: done=%v recvNext=%d total=%d",
 			c2.done, c2.recvNext, c2.total)
 	}
-	if len(c2.delivered) != 3 || len(c2.sent) != 3 || len(c2.retrans) != 3 || len(c2.sendTime) != 3 {
-		t.Fatalf("per-segment slices not resized: %d/%d/%d/%d",
-			len(c2.delivered), len(c2.sent), len(c2.retrans), len(c2.sendTime))
+	if len(c2.flags) != 3 || len(c2.sendTime) != 3 {
+		t.Fatalf("per-segment slices not resized: %d/%d", len(c2.flags), len(c2.sendTime))
 	}
 	for i := 0; i < 3; i++ {
-		if c2.delivered[i] || c2.sent[i] || c2.retrans[i] || c2.sendTime[i] != 0 {
+		if c2.flags[i] != 0 || c2.sendTime[i] != 0 {
 			t.Errorf("per-segment slot %d carries stale state", i)
 		}
 	}

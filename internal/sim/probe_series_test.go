@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/des"
 	"repro/internal/partition"
 	"repro/internal/policy"
 	"repro/internal/probe"
@@ -40,42 +39,33 @@ func mustRunSeries(t *testing.T, cfg sim.Config, shards int) (sim.Results, *prob
 // TestGoldenResultDigestsProbesArmed is the probes-enabled column of the
 // golden digest table: with Config.Probe set — and its windows deliberately
 // misaligned with the batch boundaries, so the measurement loop's advance
-// targets are repartitioned — every preset on both engines and both event
-// queues must still reproduce the exact seed digests of the probes-off runs.
-// This pins the probe determinism contract (no model events, no extra draws,
-// shadow-only accumulators) bit for bit. -short restricts the table to the
-// seven-cell cluster on the default heap queue, mirroring the probes-off
-// test.
+// targets are repartitioned — every preset on both engines must still
+// reproduce the exact seed digests of the probes-off runs. This pins the
+// probe determinism contract (no model events, no extra draws, shadow-only
+// accumulators) bit for bit. -short restricts the table to the seven-cell
+// cluster, mirroring the probes-off test.
 func TestGoldenResultDigestsProbesArmed(t *testing.T) {
-	queues := []des.QueueKind{des.HeapQueue, des.CalendarQueue}
-	if testing.Short() {
-		queues = queues[:1]
-	}
 	for _, g := range goldenDigests {
 		if g.cells != 7 && testing.Short() {
 			continue
 		}
 		t.Run(fmt.Sprintf("%s/%dcells", g.name, g.cells), func(t *testing.T) {
-			for _, queue := range queues {
-				for _, shards := range []int{1, 4} {
-					cfg := goldenConfig(t, g.name, g.cells)
-					cfg.EventQueue = queue
-					// 37.5 s does not divide the 120 s batch length: probe
-					// boundaries interleave with batch ends.
-					cfg.Probe = &probe.Spec{IntervalSec: 37.5}
-					res, ser := mustRunSeries(t, cfg, shards)
-					if got := seedDigest(res); got != g.want {
-						t.Errorf("queue %d, %d shard(s): probes-armed digest %s, want seed digest %s",
-							queue, shards, got, g.want)
-					}
-					if ser.Windows() != 16 {
-						t.Errorf("queue %d, %d shard(s): %d windows recorded, want 16",
-							queue, shards, ser.Windows())
-					}
-					if last := ser.Times[ser.Windows()-1]; last != cfg.WarmupSec+cfg.MeasurementSec {
-						t.Errorf("queue %d, %d shard(s): last window at %v, want %v",
-							queue, shards, last, cfg.WarmupSec+cfg.MeasurementSec)
-					}
+			for _, shards := range []int{1, 4} {
+				cfg := goldenConfig(t, g.name, g.cells)
+				// 37.5 s does not divide the 120 s batch length: probe
+				// boundaries interleave with batch ends.
+				cfg.Probe = &probe.Spec{IntervalSec: 37.5}
+				res, ser := mustRunSeries(t, cfg, shards)
+				if got := seedDigest(res); got != g.want {
+					t.Errorf("%d shard(s): probes-armed digest %s, want seed digest %s",
+						shards, got, g.want)
+				}
+				if ser.Windows() != 16 {
+					t.Errorf("%d shard(s): %d windows recorded, want 16", shards, ser.Windows())
+				}
+				if last := ser.Times[ser.Windows()-1]; last != cfg.WarmupSec+cfg.MeasurementSec {
+					t.Errorf("%d shard(s): last window at %v, want %v",
+						shards, last, cfg.WarmupSec+cfg.MeasurementSec)
 				}
 			}
 		})

@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -232,29 +231,19 @@ func goldenConfig(t *testing.T, name string, cells int) sim.Config {
 // TestGoldenResultDigests pins the exact seed results bit for bit: any
 // refactor that changes a single draw, merge order, or accumulation anywhere
 // in the engine stack fails this test. Every scenario preset (plus the
-// profile-less baseline) runs on both the serial and the 4-shard engine and
-// on both event-list implementations (binary heap and calendar queue) — all
-// four paths must reproduce the same golden digest. -short restricts the
-// table to the seven-cell cluster and drops the calendar-queue leg.
+// profile-less baseline) runs on both the serial and the 4-shard engine —
+// both paths must reproduce the same golden digest. -short restricts the
+// table to the seven-cell cluster.
 func TestGoldenResultDigests(t *testing.T) {
-	queues := []des.QueueKind{des.HeapQueue, des.CalendarQueue}
-	if testing.Short() {
-		queues = queues[:1]
-	}
 	for _, g := range goldenDigests {
 		if g.cells != 7 && testing.Short() {
 			continue
 		}
 		t.Run(fmt.Sprintf("%s/%dcells", g.name, g.cells), func(t *testing.T) {
-			for _, queue := range queues {
-				for _, shards := range []int{1, 4} {
-					cfg := goldenConfig(t, g.name, g.cells)
-					cfg.EventQueue = queue
-					res := mustRun(t, cfg, shards)
-					if got := seedDigest(res); got != g.want {
-						t.Errorf("queue %d, %d shard(s): digest %s, want seed digest %s",
-							queue, shards, got, g.want)
-					}
+			for _, shards := range []int{1, 4} {
+				res := mustRun(t, goldenConfig(t, g.name, g.cells), shards)
+				if got := seedDigest(res); got != g.want {
+					t.Errorf("%d shard(s): digest %s, want seed digest %s", shards, got, g.want)
 				}
 			}
 		})

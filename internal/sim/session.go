@@ -263,16 +263,15 @@ type connection struct {
 
 	total    int
 	recvNext int
-	// Per-segment bookkeeping, indexed by sequence number: delivered marks
-	// segments received by the mobile, sent/retrans and sendTime drive
-	// Karn-sampled RTT measurements. The slices start at total entries but
-	// extend on demand (ensureSeq): a fast retransmit issued after a timeout
-	// resent everything can carry a sequence one past the document, which the
-	// receiver acknowledges like any other segment.
-	delivered []bool
-	sent      []bool
-	retrans   []bool
-	sendTime  []float64
+	// Per-segment bookkeeping, indexed by sequence number: flags marks
+	// segments received by the mobile (segDelivered), and segSent,
+	// segRetrans and sendTime drive Karn-sampled RTT measurements. The
+	// slices start at total entries but extend on demand (ensureSeq): a fast
+	// retransmit issued after a timeout resent everything can carry a
+	// sequence one past the document, which the receiver acknowledges like
+	// any other segment.
+	flags    []uint8
+	sendTime []float64
 
 	rtoEv des.Handle
 	done  bool
@@ -302,55 +301,40 @@ func newConnection(s *session, totalSegments int) (*connection, error) {
 	c.done = false
 	c.total = totalSegments
 	c.recvNext = 0
-	c.delivered = growBools(c.delivered, totalSegments)
-	c.sent = growBools(c.sent, totalSegments)
-	c.retrans = growBools(c.retrans, totalSegments)
-	c.sendTime = growFloats(c.sendTime, totalSegments)
+	c.flags = growCleared(c.flags, totalSegments)
+	c.sendTime = growCleared(c.sendTime, totalSegments)
 	return c, nil
 }
 
-// growBools returns b resized to n cleared entries, reusing its backing array
-// when it is large enough and rounding growth to powers of two so a record's
-// slices stop allocating once it has seen its largest transfer.
-func growBools(b []bool, n int) []bool {
+// Per-segment flags of connection.flags.
+const (
+	segDelivered uint8 = 1 << iota // received by the mobile
+	segSent                        // sent at least once
+	segRetrans                     // sent more than once
+)
+
+// growCleared returns b resized to n zeroed entries, reusing its backing
+// array when it is large enough and rounding growth to powers of two so a
+// record's slices stop allocating once it has seen its largest transfer.
+func growCleared[T uint8 | float64](b []T, n int) []T {
 	if cap(b) < n {
 		c := 1
 		for c < n {
 			c <<= 1
 		}
-		return make([]bool, n, c)
+		return make([]T, n, c)
 	}
 	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
+	clear(b)
 	return b
-}
-
-// growFloats is the float64 counterpart of growBools.
-func growFloats(f []float64, n int) []float64 {
-	if cap(f) < n {
-		c := 1
-		for c < n {
-			c <<= 1
-		}
-		return make([]float64, n, c)
-	}
-	f = f[:n]
-	for i := range f {
-		f[i] = 0
-	}
-	return f
 }
 
 // ensureSeq extends the per-segment bookkeeping to cover sequence seq,
 // zero-filling the new tail. Growth past total happens only in the rare
 // phantom-retransmit case, so amortized this never allocates at steady state.
 func (c *connection) ensureSeq(seq int) {
-	for len(c.delivered) <= seq {
-		c.delivered = append(c.delivered, false)
-		c.sent = append(c.sent, false)
-		c.retrans = append(c.retrans, false)
+	for len(c.flags) <= seq {
+		c.flags = append(c.flags, 0)
 		c.sendTime = append(c.sendTime, 0)
 	}
 }
@@ -369,10 +353,10 @@ func (c *connection) send(seq int) {
 		return
 	}
 	c.ensureSeq(seq)
-	if c.sent[seq] {
-		c.retrans[seq] = true
+	if c.flags[seq]&segSent != 0 {
+		c.flags[seq] |= segRetrans
 	}
-	c.sent[seq] = true
+	c.flags[seq] |= segSent
 	c.sendTime[seq] = c.cell.now()
 	t := c.cell.getCT()
 	t.conn = c
@@ -390,9 +374,9 @@ func (c *connection) onDelivered(seq int) {
 		return
 	}
 	c.ensureSeq(seq)
-	if !c.delivered[seq] {
-		c.delivered[seq] = true
-		for c.recvNext < len(c.delivered) && c.delivered[c.recvNext] {
+	if c.flags[seq]&segDelivered == 0 {
+		c.flags[seq] |= segDelivered
+		for c.recvNext < len(c.flags) && c.flags[c.recvNext]&segDelivered != 0 {
 			c.recvNext++
 		}
 	}
@@ -411,7 +395,7 @@ func (c *connection) onAck(ackVal, sampleSeq int) {
 		return
 	}
 	var sample float64
-	if c.sent[sampleSeq] && !c.retrans[sampleSeq] {
+	if c.flags[sampleSeq]&(segSent|segRetrans) == segSent {
 		sample = c.cell.now() - c.sendTime[sampleSeq]
 	}
 	res := c.sender.OnAck(ackVal, sample)
@@ -442,10 +426,10 @@ func (c *connection) onTimeout() {
 	c.pump()
 }
 
-// restartRTO re-arms the retransmission timer.
+// restartRTO re-arms the retransmission timer. It runs on nearly every ACK,
+// so the timer is re-armed in place rather than cancelled and scheduled anew.
 func (c *connection) restartRTO() {
-	c.rtoEv.Cancel()
-	c.rtoEv = c.cell.schedule(c.sender.RTO(), c.onTimeoutFn)
+	c.rtoEv = c.cell.reschedule(c.rtoEv, c.sender.RTO(), c.onTimeoutFn)
 }
 
 // complete finishes the transfer, recycles the record, and hands control back

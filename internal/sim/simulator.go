@@ -207,7 +207,7 @@ func build(cfg Config, opt ShardedOptions, partitionOf func(*Config) (*partition
 	s.groups = make([]*groupProc, s.part.NumGroups())
 	procs := make([]shard.Process, len(s.groups))
 	for g := range s.groups {
-		s.groups[g] = &groupProc{id: g, eng: des.NewSimulationQueue(s.config.EventQueue)}
+		s.groups[g] = &groupProc{id: g, eng: des.NewSimulation()}
 		procs[g] = s.groups[g]
 	}
 	s.cells = make([]*cell, s.config.Topology.NumCells())
