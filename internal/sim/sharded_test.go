@@ -67,25 +67,19 @@ func TestShardedMatchesSerialEngine(t *testing.T) {
 	if !reflect.DeepEqual(got, serial) {
 		t.Errorf("sharded engine differs from serial engine:\n%+v\nvs\n%+v", got, serial)
 	}
-
-	if testing.Short() {
-		return
-	}
-	cfg19 := shardedQuickConfig(t, 19)
-	serial19 := runQuick(t, cfg19)
-	got19 := runSharded(t, cfg19, ShardedOptions{Shards: 4})
-	if !reflect.DeepEqual(got19, serial19) {
-		t.Error("sharded engine differs from serial engine on the 19-cell cluster")
-	}
+	// TestShardedLargeTopologies repeats this check on 19, 37 and 169 cells.
 }
 
 func TestShardedLargeTopologies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-cluster simulations skipped in -short mode")
 	}
-	for _, cells := range []int{19, 37} {
+	// The 169-cell row is the city-scale cluster on eight workers, each
+	// advancing one default (locality) cell group.
+	for _, row := range []struct{ cells, shards int }{{19, 4}, {37, 4}, {169, 8}} {
+		cells := row.cells
 		cfg := shardedQuickConfig(t, cells)
-		res := runSharded(t, cfg, ShardedOptions{Shards: 4})
+		res := runSharded(t, cfg, ShardedOptions{Shards: row.shards})
 		if res.Events == 0 || res.PacketsDelivered == 0 {
 			t.Fatalf("%d cells: no traffic simulated: %+v", cells, res)
 		}
@@ -100,6 +94,9 @@ func TestShardedLargeTopologies(t *testing.T) {
 		}
 		if res.CarriedVoiceTraffic.Mean <= 0 || res.AverageSessions.Mean <= 0 {
 			t.Errorf("%d cells: implausible occupancies: %+v", cells, res)
+		}
+		if serial := runQuick(t, cfg); !reflect.DeepEqual(res, serial) {
+			t.Errorf("%d cells on %d workers: sharded engine differs from serial engine", cells, row.shards)
 		}
 	}
 }
