@@ -63,6 +63,7 @@ import (
 	"repro/internal/probe"
 	"repro/internal/runner"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -86,7 +87,7 @@ func run(args []string) error {
 		minReps = fs.Int("min-reps", 0, "adaptive mode: replications in the first batch (0 = 4)")
 		maxReps = fs.Int("max-reps", 0, "adaptive mode: replication cap (0 = 64)")
 		vrName  = fs.String("vr", "none", "variance reduction for simulator points: none, antithetic, control")
-		target  = fs.String("target", "throughput", "measure watched by -precision: "+strings.Join(runner.MeasureNames(), ", "))
+		target  = fs.String("target", "throughput", "measure watched by -precision: "+strings.Join(sim.MeasureNames(), ", "))
 		seed    = fs.Int64("seed", 1, "base seed of the simulator replications")
 		cells   = fs.Int("cells", 0, "simulated cluster size: 0/7 (paper) or a wrap-around hex-ring preset (cluster.PresetSizes)")
 		shards  = fs.Int("shards", 1, "cell groups advanced in parallel per simulator replication (1 = one group on the calling goroutine)")
@@ -116,7 +117,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	targetMeasure, err := runner.ParseMeasure(*target)
+	targetMeasure, err := sim.ParseMeasure(*target)
 	if err != nil {
 		return err
 	}

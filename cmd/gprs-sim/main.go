@@ -128,7 +128,7 @@ func run(args []string) error {
 		minReps = fs.Int("min-reps", 0, "adaptive mode: replications in the first batch (0 = 4)")
 		maxReps = fs.Int("max-reps", 0, "adaptive mode: replication cap (0 = 64)")
 		vrName  = fs.String("vr", "none", "variance reduction: none, antithetic, control")
-		target  = fs.String("target", "throughput", "measure watched by -precision: "+strings.Join(runner.MeasureNames(), ", "))
+		target  = fs.String("target", "throughput", "measure watched by -precision: "+strings.Join(sim.MeasureNames(), ", "))
 		series  = fs.String("series", "", "write per-window per-cell time series to this file (.jsonl = JSON lines, otherwise CSV)")
 		serieDT = fs.Float64("series-dt", 10, "probe window width of -series in simulated seconds")
 		telem   = fs.String("telemetry", "", "serve live pprof/expvar telemetry on this address (e.g. :6060) for the duration of the run")
@@ -147,7 +147,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	targetMeasure, err := runner.ParseMeasure(*target)
+	targetMeasure, err := sim.ParseMeasure(*target)
 	if err != nil {
 		return err
 	}

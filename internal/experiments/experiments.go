@@ -130,7 +130,7 @@ type Options struct {
 	Precision float64
 	// Target is the measure the stopping rule watches (default: the GPRS
 	// throughput). Ignored when Precision is 0.
-	Target runner.Measure
+	Target sim.Measure
 	// MinReplications and MaxReplications bound the adaptive replication
 	// count; zero values use the runner defaults (4 and 64).
 	MinReplications int

@@ -378,7 +378,7 @@ func TestSimulateSweepAdaptivePrecision(t *testing.T) {
 	o := testOptions()
 	o.SimMeasurementSec = 300
 	o.Precision = 0.05
-	o.Target = runner.MeasureCVT
+	o.Target = sim.MeasureCVT
 	o.MinReplications = 4
 	o.MaxReplications = 12
 	rates := []float64{0.3, 0.6}

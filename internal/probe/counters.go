@@ -37,18 +37,18 @@ const (
 	NumCounters
 )
 
-// CounterDef describes one Counter.
-type CounterDef struct {
-	// Column is the series column (CSV header and JSON key) of the
-	// counter's cumulative value, or "" when the series does not sample the
-	// counter.
+// ColumnDef describes one row of the Counters or Gauges table.
+type ColumnDef struct {
+	// Column is the series column (CSV header and JSON key) of the counter's
+	// cumulative value or the gauge's cumulative time average; "" for a
+	// counter the series does not sample.
 	Column string
-	// Doc says what the counter counts.
+	// Doc says what the counter counts or the gauge measures.
 	Doc string
 }
 
 // Counters describes every Counter, indexed by Counter.
-var Counters = [NumCounters]CounterDef{
+var Counters = [NumCounters]ColumnDef{
 	PacketsOffered:       {"offered_cum", "packets offered to the BSC buffer"},
 	PacketsLost:          {"lost_cum", "packets dropped because the BSC buffer was full"},
 	PacketsDelivered:     {"delivered_cum", "packets delivered to the mobile station"},
@@ -75,3 +75,30 @@ var Counters = [NumCounters]CounterDef{
 // Sampled reports whether the series records counter k (its Counters row
 // has a column).
 func (k Counter) Sampled() bool { return Counters[k].Column != "" }
+
+// Gauge names one time-weighted per-cell gauge of the simulator: a
+// piecewise-constant occupancy whose time average the simulator reports.
+// Every gauge is declared once, here: the simulator keeps one array of
+// accumulators per cell (and one of shadow copies while a probe is armed)
+// indexed by Gauge, and the batch windows, the per-cell report, the sampled
+// series and both series exports loop over this table.
+type Gauge uint8
+
+// The per-cell gauges, in series column order.
+const (
+	CarriedData Gauge = iota
+	BufferOccupancy
+	CarriedVoice
+	ActiveSessions
+
+	// NumGauges is the number of per-cell gauges.
+	NumGauges
+)
+
+// Gauges describes every Gauge, indexed by Gauge.
+var Gauges = [NumGauges]ColumnDef{
+	CarriedData:     {"carried_data_cum", "PDCHs transmitting data"},
+	BufferOccupancy: {"mean_queue_cum", "packets in the BSC buffer"},
+	CarriedVoice:    {"carried_voice_cum", "busy voice channels"},
+	ActiveSessions:  {"avg_sessions_cum", "active GPRS sessions"},
+}

@@ -20,7 +20,7 @@ type column struct {
 
 // cellColumns lists the per-cell columns of both exports in order: the
 // sampled counters, with the delay sum after the packet counters, then the
-// occupancy gauges and the cumulative means.
+// instantaneous occupancies and the cumulative gauge means.
 var cellColumns = func() []column {
 	var cols []column
 	for n := range NumCounters {
@@ -31,15 +31,15 @@ var cellColumns = func() []column {
 			cols = append(cols, column{name: "delay_sum_cum_sec", f: func(c *CellSeries, k int) float64 { return c.DelaySumSec[k] }})
 		}
 	}
-	return append(cols,
+	cols = append(cols,
 		column{name: "queue_len", i: func(c *CellSeries, k int) int64 { return int64(c.QueueLen[k]) }},
 		column{name: "voice_calls", i: func(c *CellSeries, k int) int64 { return int64(c.VoiceCalls[k]) }},
 		column{name: "sessions", i: func(c *CellSeries, k int) int64 { return int64(c.Sessions[k]) }},
-		column{name: "carried_data_cum", f: func(c *CellSeries, k int) float64 { return c.CarriedData[k] }},
-		column{name: "mean_queue_cum", f: func(c *CellSeries, k int) float64 { return c.MeanQueueLen[k] }},
-		column{name: "carried_voice_cum", f: func(c *CellSeries, k int) float64 { return c.CarriedVoice[k] }},
-		column{name: "avg_sessions_cum", f: func(c *CellSeries, k int) float64 { return c.AvgSessions[k] }},
 	)
+	for g := range NumGauges {
+		cols = append(cols, column{name: Gauges[g].Column, f: func(c *CellSeries, k int) float64 { return c.Means[g][k] }})
+	}
+	return cols
 }()
 
 // appendValue appends the value of column col for cell c at window k,

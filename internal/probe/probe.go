@@ -1,9 +1,10 @@
 // Package probe is the in-run instrumentation layer of the repository: it
-// declares the simulator's per-cell event counters once (Counter, Counters),
-// defines the deterministic sim-time series the engines can record while a
-// run is in flight (Spec, Series), the wall-clock runtime metrics every
-// layer publishes through atomic counters (Runtime), and the live telemetry
-// endpoint serving net/http/pprof and expvar snapshots (ServeTelemetry).
+// declares the simulator's per-cell event counters and time-weighted gauges
+// once (Counters, Gauges), defines the deterministic sim-time series the
+// engines can record while a run is in flight (Spec, Series), the wall-clock
+// runtime metrics every layer publishes through atomic counters (Runtime),
+// and the live telemetry endpoint serving net/http/pprof and expvar
+// snapshots (ServeTelemetry).
 //
 // # Counters
 //
@@ -15,6 +16,19 @@
 // table. A new counter is one row plus its increment site; only a counter
 // reported per cell also needs a sim.CellMeasures field and its case in
 // CellMeasures.Counter.
+//
+// # Gauges
+//
+// Each row of Gauges names one per-cell time-weighted gauge (PDCHs in use,
+// buffer occupancy, busy voice channels, active sessions) and the series
+// column of its cumulative time average. The simulator keeps the
+// accumulators of a cell in one array indexed by Gauge, updated through one
+// helper that also feeds the armed probe's shadow copy, and the batch
+// windows, the shadows, the per-cell report, the series buffers
+// (CellSeries.Means) and both exports loop over the table. A new gauge is
+// one row plus its update sites in internal/sim, and a sim.CellMeasures and
+// a sim.CellIntervals field with their row in the per-cell measure table,
+// whose first NumGauges rows are the gauges in Gauge order.
 //
 // # Determinism contract
 //
@@ -40,8 +54,8 @@
 //
 //   - Out-of-band results: the recorded Series travels next to sim.Results,
 //     never inside it, so golden result digests are bit-identical with
-//     probes armed or disarmed. TestGoldenResultDigests pins this for every
-//     scenario preset x engine x event-queue x shard-count combination.
+//     probes armed or disarmed. TestGoldenResultDigestsProbesArmed pins
+//     this for every scenario preset at one and at four shards.
 //
 // The armed sampler path is allocation-free: every series buffer is
 // preallocated to its full window capacity when the probe is armed (once per
@@ -120,7 +134,7 @@ func (s *Series) Windows() int { return len(s.Times) }
 // CellSeries is the per-cell slice of a Series: every slice is indexed like
 // Series.Times. Counts and DelaySumSec are cumulative since the measurement
 // start; QueueLen, VoiceCalls and Sessions are instantaneous values at the
-// window end; the four mean gauges are cumulative time-weighted averages over
+// window end; Means holds cumulative time-weighted averages over
 // [Series.StartSec, window end].
 type CellSeries struct {
 	// Cell is the cell id.
@@ -137,10 +151,9 @@ type CellSeries struct {
 	// at the window end.
 	QueueLen, VoiceCalls, Sessions []int
 
-	// CarriedData, MeanQueueLen, CarriedVoice and AvgSessions are the
-	// cumulative time-weighted means of PDCH usage, buffer occupancy, busy
-	// voice channels and active sessions.
-	CarriedData, MeanQueueLen, CarriedVoice, AvgSessions []float64
+	// Means holds the cumulative time-weighted mean of every gauge, indexed
+	// by Gauge.
+	Means [NumGauges][]float64
 }
 
 // NewSeries allocates a series for the given cell count with every buffer
@@ -164,10 +177,9 @@ func NewSeries(cells int, intervalSec, startSec float64, capacity int) *Series {
 		c.QueueLen = make([]int, 0, capacity)
 		c.VoiceCalls = make([]int, 0, capacity)
 		c.Sessions = make([]int, 0, capacity)
-		c.CarriedData = make([]float64, 0, capacity)
-		c.MeanQueueLen = make([]float64, 0, capacity)
-		c.CarriedVoice = make([]float64, 0, capacity)
-		c.AvgSessions = make([]float64, 0, capacity)
+		for g := range c.Means {
+			c.Means[g] = make([]float64, 0, capacity)
+		}
 	}
 	return s
 }

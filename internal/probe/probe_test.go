@@ -56,7 +56,7 @@ func TestNewSeriesPreallocation(t *testing.T) {
 		if c.Cell != i {
 			t.Errorf("cell %d mislabeled as %d", i, c.Cell)
 		}
-		if cap(c.AvgSessions) != capacity || cap(c.QueueLen) != capacity {
+		if cap(c.Means[ActiveSessions]) != capacity || cap(c.QueueLen) != capacity {
 			t.Errorf("cell %d: buffers not preallocated to %d", i, capacity)
 		}
 		for k := range NumCounters {
@@ -86,6 +86,23 @@ func TestCounterTable(t *testing.T) {
 			t.Errorf("counters %d and %d share column %q", prev, k, def.Column)
 		}
 		seen[def.Column] = Counter(k)
+	}
+}
+
+// TestGaugeTable checks that every gauge is documented and has a column of
+// its own, distinct from every other series column.
+func TestGaugeTable(t *testing.T) {
+	seen := map[string]int{}
+	for _, col := range cellColumns {
+		seen[col.name]++
+	}
+	for g, def := range Gauges {
+		if def.Doc == "" {
+			t.Errorf("gauge %d has no doc", g)
+		}
+		if def.Column == "" || seen[def.Column] != 1 {
+			t.Errorf("gauge %d: column %q is empty or not unique among the series columns", g, def.Column)
+		}
 	}
 }
 
@@ -139,10 +156,11 @@ func sampleSeries() *Series {
 	c.QueueLen = append(c.QueueLen, 3, 0)
 	c.VoiceCalls = append(c.VoiceCalls, 5, 4)
 	c.Sessions = append(c.Sessions, 1, 2)
-	c.CarriedData = append(c.CarriedData, 0.5, 0.625)
-	c.MeanQueueLen = append(c.MeanQueueLen, 2.5, 2.25)
-	c.CarriedVoice = append(c.CarriedVoice, 5.5, 5.125)
-	c.AvgSessions = append(c.AvgSessions, 1, 1.5)
+	for g, v := range [NumGauges][2]float64{
+		CarriedData: {0.5, 0.625}, BufferOccupancy: {2.5, 2.25}, CarriedVoice: {5.5, 5.125}, ActiveSessions: {1, 1.5},
+	} {
+		c.Means[g] = append(c.Means[g], v[0], v[1])
+	}
 	return s
 }
 

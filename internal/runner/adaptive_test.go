@@ -11,28 +11,9 @@ import (
 	"repro/internal/stats"
 )
 
-func TestParseMeasureAndVR(t *testing.T) {
-	for _, name := range MeasureNames() {
-		m, err := ParseMeasure(name)
-		if err != nil {
-			t.Fatalf("ParseMeasure(%q): %v", name, err)
-		}
-		if m.String() != name {
-			t.Errorf("ParseMeasure(%q).String() = %q", name, m.String())
-		}
-	}
-	if _, err := ParseMeasure("bogus"); err == nil {
-		t.Error("ParseMeasure should reject unknown names")
-	}
-	if m, _ := ParseMeasure("THROUGHPUT"); m != MeasureThroughput {
-		t.Error("ParseMeasure should be case-insensitive")
-	}
-	var r sim.Results
-	r.ThroughputBits = stats.Interval{Mean: 5}
-	if iv := MeasureThroughput.Interval(r); iv.Mean != 5 {
-		t.Errorf("Measure.Interval accessor broken: %+v", iv)
-	}
-
+// TestParseVR checks the variance-reduction flag parser; the measure parser
+// lives in package sim (TestParseMeasure).
+func TestParseVR(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want VarianceReduction
@@ -44,6 +25,25 @@ func TestParseMeasureAndVR(t *testing.T) {
 	}
 	if _, err := ParseVR("bogus"); err == nil {
 		t.Error("ParseVR should reject unknown names")
+	}
+}
+
+// TestRunRejectsUnknownTargetAndVR checks that an out-of-range stopping
+// target or variance-reduction mode is an error before any replication runs,
+// rather than a zero interval the stopping rule would report as met.
+func TestRunRejectsUnknownTargetAndVR(t *testing.T) {
+	cfg := testConfig()
+	for _, o := range []Options{
+		{Precision: 1e-9, Target: sim.Measure(42), MinReplications: 2, MaxReplications: 4, Workers: 1},
+		{Precision: 1e-9, Target: -1, MinReplications: 2, MaxReplications: 4, Workers: 1},
+		{Replications: 2, Target: sim.NumMeasures, Workers: 1},
+		{Replications: 2, VR: VarianceReduction(7), Workers: 1},
+		{Replications: 2, VR: -1, Workers: 1},
+	} {
+		if sum, err := Run(cfg, o); err == nil {
+			t.Errorf("Run(target %v, vr %v) = %d reps converged=%v, want an error",
+				o.Target, o.VR, sum.Replications, sum.Converged)
+		}
 	}
 }
 
@@ -172,7 +172,7 @@ func TestAdaptiveStopsEarlierAtFivePercent(t *testing.T) {
 	// batch quantization (see growBatch) would otherwise move the stopping
 	// boundaries with the machine's core count.
 	sum, err := Run(testConfig(), Options{
-		Precision: 0.05, Target: MeasureThroughput, Workers: 1,
+		Precision: 0.05, Target: sim.MeasureThroughput, Workers: 1,
 		MinReplications: 4, MaxReplications: fixedR, BaseSeed: 1,
 	})
 	if err != nil {
@@ -187,7 +187,7 @@ func TestAdaptiveStopsEarlierAtFivePercent(t *testing.T) {
 	if sum.RelativeHalfWidth > 0.05 {
 		t.Errorf("converged above the target: rel hw %v", sum.RelativeHalfWidth)
 	}
-	if sum.Target != MeasureThroughput {
+	if sum.Target != sim.MeasureThroughput {
 		t.Errorf("summary target = %v", sum.Target)
 	}
 }
@@ -344,8 +344,8 @@ func TestControlVariateReducesVariance(t *testing.T) {
 		}
 		return w.Variance()
 	}
-	for m := Measure(0); m < numMeasures; m++ {
-		get := func(r sim.Results) float64 { return m.Interval(r).Mean }
+	for m := range sim.NumMeasures {
+		get := func(r sim.Results) float64 { return r.Interval(m).Mean }
 		raw := sampleVar(plain.EffectiveSamples(get))
 		adj := sampleVar(cv.EffectiveSamples(get))
 		if adj > raw*(1+1e-9) {

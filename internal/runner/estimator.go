@@ -10,101 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Measure identifies one interval-valued performance measure of sim.Results.
-// The adaptive stopping rule watches one measure (Options.Target); the zero
-// value is MeasureThroughput, the GPRS throughput the paper's dimensioning
-// questions revolve around.
-type Measure int
-
-// The measures, in the order of the sim.Results fields.
-const (
-	// MeasureThroughput is the delivered data rate in bit/s (the default
-	// stopping target).
-	MeasureThroughput Measure = iota
-	// MeasureCDT is the carried data traffic in PDCHs.
-	MeasureCDT
-	// MeasurePLP is the packet loss probability.
-	MeasurePLP
-	// MeasureQD is the queueing delay in seconds.
-	MeasureQD
-	// MeasureATU is the throughput per user in bit/s.
-	MeasureATU
-	// MeasureAGS is the average number of active GPRS sessions.
-	MeasureAGS
-	// MeasureCVT is the carried voice traffic in channels.
-	MeasureCVT
-	// MeasureGSMBlocking is the fresh GSM call blocking probability.
-	MeasureGSMBlocking
-	// MeasureGPRSBlocking is the fresh GPRS session blocking probability.
-	MeasureGPRSBlocking
-	// MeasureQueueLength is the time-average BSC buffer occupancy.
-	MeasureQueueLength
-
-	numMeasures // number of measures; keep last
-)
-
-// measureDef couples a measure's CLI name with the accessor of its
-// sim.Results field, so the merge, the stopping rule, and flag parsing all
-// share one table.
-type measureDef struct {
-	name string
-	get  func(*sim.Results) *stats.Interval
-}
-
-// measureDefs enumerates the interval-valued fields of sim.Results once,
-// indexed by Measure, so the merge does not hand-copy ten fields.
-var measureDefs = [numMeasures]measureDef{
-	MeasureThroughput:   {"throughput", func(r *sim.Results) *stats.Interval { return &r.ThroughputBits }},
-	MeasureCDT:          {"cdt", func(r *sim.Results) *stats.Interval { return &r.CarriedDataTraffic }},
-	MeasurePLP:          {"plp", func(r *sim.Results) *stats.Interval { return &r.PacketLossProbability }},
-	MeasureQD:           {"qd", func(r *sim.Results) *stats.Interval { return &r.QueueingDelay }},
-	MeasureATU:          {"atu", func(r *sim.Results) *stats.Interval { return &r.ThroughputPerUserBits }},
-	MeasureAGS:          {"ags", func(r *sim.Results) *stats.Interval { return &r.AverageSessions }},
-	MeasureCVT:          {"cvt", func(r *sim.Results) *stats.Interval { return &r.CarriedVoiceTraffic }},
-	MeasureGSMBlocking:  {"gsm-blocking", func(r *sim.Results) *stats.Interval { return &r.GSMBlockingProbability }},
-	MeasureGPRSBlocking: {"gprs-blocking", func(r *sim.Results) *stats.Interval { return &r.GPRSBlockingProbability }},
-	MeasureQueueLength:  {"queue", func(r *sim.Results) *stats.Interval { return &r.MeanQueueLength }},
-}
-
-// Valid reports whether m names a known measure.
-func (m Measure) Valid() bool { return m >= 0 && m < numMeasures }
-
-// String returns the measure's flag name (e.g. "throughput", "plp").
-func (m Measure) String() string {
-	if !m.Valid() {
-		return fmt.Sprintf("measure(%d)", int(m))
-	}
-	return measureDefs[m].name
-}
-
-// Interval returns the measure's interval from a results value.
-func (m Measure) Interval(r sim.Results) stats.Interval {
-	if !m.Valid() {
-		return stats.Interval{}
-	}
-	return *measureDefs[m].get(&r)
-}
-
-// MeasureNames lists the flag names of every measure, in table order.
-func MeasureNames() []string {
-	names := make([]string, numMeasures)
-	for m := Measure(0); m < numMeasures; m++ {
-		names[m] = m.String()
-	}
-	return names
-}
-
-// ParseMeasure resolves a flag name (case-insensitive) to its Measure.
-func ParseMeasure(s string) (Measure, error) {
-	want := strings.ToLower(strings.TrimSpace(s))
-	for m := Measure(0); m < numMeasures; m++ {
-		if measureDefs[m].name == want {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("runner: unknown measure %q (known: %s)", s, strings.Join(MeasureNames(), ", "))
-}
-
 // VarianceReduction selects how per-replication observations are turned into
 // the i.i.d. samples the merged confidence intervals are computed over.
 type VarianceReduction int
@@ -293,33 +198,6 @@ func relHalfWidth(iv stats.Interval) float64 {
 	return math.Abs(iv.HalfWidth / iv.Mean)
 }
 
-// cellIntervalDefs pairs every point-estimate field of sim.CellMeasures with
-// the interval field of sim.CellIntervals it feeds, so the per-cell interval
-// merge iterates one table instead of hand-copying nine fields.
-var cellIntervalDefs = []struct {
-	get func(*sim.CellMeasures) float64
-	set func(*sim.CellIntervals) *stats.Interval
-}{
-	{func(m *sim.CellMeasures) float64 { return m.CarriedDataTraffic },
-		func(iv *sim.CellIntervals) *stats.Interval { return &iv.CarriedDataTraffic }},
-	{func(m *sim.CellMeasures) float64 { return m.MeanQueueLength },
-		func(iv *sim.CellIntervals) *stats.Interval { return &iv.MeanQueueLength }},
-	{func(m *sim.CellMeasures) float64 { return m.CarriedVoiceTraffic },
-		func(iv *sim.CellIntervals) *stats.Interval { return &iv.CarriedVoiceTraffic }},
-	{func(m *sim.CellMeasures) float64 { return m.AverageSessions },
-		func(iv *sim.CellIntervals) *stats.Interval { return &iv.AverageSessions }},
-	{func(m *sim.CellMeasures) float64 { return m.PacketLossProbability },
-		func(iv *sim.CellIntervals) *stats.Interval { return &iv.PacketLossProbability }},
-	{func(m *sim.CellMeasures) float64 { return m.QueueingDelaySec },
-		func(iv *sim.CellIntervals) *stats.Interval { return &iv.QueueingDelaySec }},
-	{func(m *sim.CellMeasures) float64 { return m.ThroughputBits },
-		func(iv *sim.CellIntervals) *stats.Interval { return &iv.ThroughputBits }},
-	{func(m *sim.CellMeasures) float64 { return m.GSMBlocking },
-		func(iv *sim.CellIntervals) *stats.Interval { return &iv.GSMBlocking }},
-	{func(m *sim.CellMeasures) float64 { return m.GPRSBlocking },
-		func(iv *sim.CellIntervals) *stats.Interval { return &iv.GPRSBlocking }},
-}
-
 // perCellIntervals computes cross-replication confidence intervals for every
 // per-cell measure, under the same variance-reduction treatment as the
 // mid-cell measures. Replications with mismatched cell counts yield nil,
@@ -338,11 +216,11 @@ func perCellIntervals(results []sim.Results, level float64, vr VarianceReduction
 	raw := make([]float64, len(results))
 	for cell := range out {
 		out[cell].Cell = results[0].PerCell[cell].Cell
-		for _, def := range cellIntervalDefs {
+		for k := range sim.NumCellMeasures {
 			for i := range results {
-				raw[i] = def.get(&results[i].PerCell[cell])
+				raw[i] = *results[i].PerCell[cell].Measure(k)
 			}
-			*def.set(&out[cell]) = SampleInterval(effectiveSamples(raw, vr, ci), level, vr)
+			*out[cell].Interval(k) = SampleInterval(effectiveSamples(raw, vr, ci), level, vr)
 		}
 	}
 	return out

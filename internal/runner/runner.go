@@ -149,8 +149,9 @@ type Options struct {
 	// the fixed-R behaviour.
 	Precision float64
 	// Target is the measure the stopping rule watches; the zero value is
-	// MeasureThroughput. Ignored when Precision is 0.
-	Target Measure
+	// sim.MeasureThroughput. Only an adaptive run consults it, but Run
+	// rejects an unknown measure either way.
+	Target sim.Measure
 	// MinReplications is the replication count of the first adaptive batch;
 	// the zero value means 4 (two antithetic pairs). It is floored at 2:
 	// the stopping rule compares cross-replication intervals, and a single
@@ -162,7 +163,7 @@ type Options struct {
 	MaxReplications int
 	// VR selects a variance-reduction scheme for the merged estimators (see
 	// VarianceReduction); the zero value is VRNone. It applies to fixed-R
-	// and adaptive runs alike.
+	// and adaptive runs alike; Run rejects an unknown mode.
 	VR VarianceReduction
 }
 
@@ -225,7 +226,7 @@ type Summary struct {
 	Converged bool
 	// Target is the measure the stopping rule watched (meaningful for
 	// adaptive runs).
-	Target Measure
+	Target sim.Measure
 	// RelativeHalfWidth is the realized relative confidence half-width of
 	// the target measure in the merged results.
 	RelativeHalfWidth float64
@@ -311,11 +312,11 @@ func mergeVR(results []sim.Results, level float64, vr VarianceReduction, ci cont
 		return s
 	}
 	raw := make([]float64, len(results))
-	for _, def := range measureDefs {
+	for m := range sim.NumMeasures {
 		for i := range results {
-			raw[i] = def.get(&results[i]).Mean
+			raw[i] = results[i].Interval(m).Mean
 		}
-		*def.get(&s.Merged) = SampleInterval(effectiveSamples(raw, vr, ci), level, vr)
+		*s.Merged.Interval(m) = SampleInterval(effectiveSamples(raw, vr, ci), level, vr)
 	}
 	// Merged starts as a copy of results[0], so its totals already hold
 	// the first replication's.
@@ -355,15 +356,9 @@ func mergePerCell(results []sim.Results) []sim.CellMeasures {
 		m := sim.CellMeasures{Cell: results[0].PerCell[i].Cell}
 		for _, r := range results {
 			c := &r.PerCell[i]
-			m.CarriedDataTraffic += c.CarriedDataTraffic * inv
-			m.MeanQueueLength += c.MeanQueueLength * inv
-			m.CarriedVoiceTraffic += c.CarriedVoiceTraffic * inv
-			m.AverageSessions += c.AverageSessions * inv
-			m.PacketLossProbability += c.PacketLossProbability * inv
-			m.QueueingDelaySec += c.QueueingDelaySec * inv
-			m.ThroughputBits += c.ThroughputBits * inv
-			m.GSMBlocking += c.GSMBlocking * inv
-			m.GPRSBlocking += c.GPRSBlocking * inv
+			for k := range sim.NumCellMeasures {
+				*m.Measure(k) += *c.Measure(k) * inv
+			}
 			for k := range probe.NumCounters {
 				if f := m.Counter(k); f != nil {
 					*f += *c.Counter(k)
@@ -390,6 +385,9 @@ func mergePerCell(results []sim.Results) []sim.CellMeasures {
 // across machines (scheduling within a given pool width never changes any
 // result).
 func Run(cfg sim.Config, o Options) (Summary, error) {
+	if !o.Target.Valid() || o.VR < VRNone || o.VR > VRControl {
+		return Summary{}, fmt.Errorf("runner: unknown target %v or variance reduction %v", o.Target, o.VR)
+	}
 	o = o.withDefaults()
 	lim := o.Limiter
 	if lim == nil {
@@ -487,7 +485,7 @@ func Run(cfg sim.Config, o Options) (Summary, error) {
 	finish := func(sum Summary) Summary {
 		sum.BaseSeed = o.BaseSeed
 		sum.Target = o.Target
-		sum.RelativeHalfWidth = relHalfWidth(o.Target.Interval(sum.Merged))
+		sum.RelativeHalfWidth = relHalfWidth(*sum.Merged.Interval(o.Target))
 		if seriesByRep != nil {
 			sum.Series = MergeSeries(seriesByRep[:sum.Replications], level, o.VR)
 		}

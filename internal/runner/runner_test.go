@@ -239,6 +239,41 @@ func TestMergeAgainstManualWelford(t *testing.T) {
 	}
 }
 
+// summaryGolden is the text report of the Summary built in
+// TestSummaryStringPinned, byte for byte: the stdout format of a replicated
+// gprs-sim run.
+const summaryGolden = `8 replication(s), base seed 7, variance reduction antithetic, adaptive target plp (met at 0.0432 relative half-width)
+mid-cell results over 3200 s (1542071 events)
+  CDT (PDCHs)          0 ± 0
+  PLP                  0.0125 ± 0.00054
+  QD (s)               0 ± 0
+  throughput (bit/s)   0 ± 0
+  ATU (bit/s)          0 ± 0
+  AGS (sessions)       0 ± 0
+  CVT (channels)       0 ± 0
+  GSM blocking         0 ± 0
+  GPRS blocking        0 ± 0
+  mean queue length    0 ± 0
+  offered=20024 lost=250 delivered=0 handovers in/out=0/0 tcp timeouts=0 fast recoveries=0
+`
+
+// TestSummaryStringPinned pins the summary report of an adaptive run under
+// variance reduction byte for byte.
+func TestSummaryStringPinned(t *testing.T) {
+	s := Summary{
+		Merged: sim.Results{
+			PacketLossProbability: stats.Interval{Mean: 0.0125, HalfWidth: 0.00054},
+			PacketsOffered:        20024, PacketsLost: 250,
+			SimulatedSec: 3200, Events: 1542071,
+		},
+		Replications: 8, BaseSeed: 7, VR: VRAntithetic,
+		Adaptive: true, Converged: true, Target: sim.MeasurePLP, RelativeHalfWidth: 0.0432,
+	}
+	if got := s.String(); got != summaryGolden {
+		t.Errorf("summary report changed:\n%s\nwant:\n%s", got, summaryGolden)
+	}
+}
+
 // TestMergeCoversEveryResultsField guards the hand-maintained field lists in
 // Merge: every stats.Interval field of sim.Results must appear in the
 // measures accessor table, and every numeric total must be summed. Adding a
@@ -247,8 +282,8 @@ func TestMergeAgainstManualWelford(t *testing.T) {
 func TestMergeCoversEveryResultsField(t *testing.T) {
 	var r sim.Results
 	covered := make(map[uintptr]bool)
-	for _, def := range measureDefs {
-		covered[reflect.ValueOf(def.get(&r)).Pointer()] = true
+	for m := range sim.NumMeasures {
+		covered[reflect.ValueOf(r.Interval(m)).Pointer()] = true
 	}
 
 	one := sim.Results{}

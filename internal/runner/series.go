@@ -63,7 +63,7 @@ var seriesDefs = []struct {
 		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.VoiceCalls }},
 	{func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return float64(c.Sessions[k]) },
 		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.Sessions }},
-	{func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return c.CarriedData[k] },
+	{func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return c.Means[probe.CarriedData][k] },
 		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.CarriedData }},
 	{windowPLP, func(ci *CellSeriesCI) *[]stats.Interval { return &ci.WindowPLP }},
 	{windowThroughput, func(ci *CellSeriesCI) *[]stats.Interval { return &ci.WindowThroughputBits }},

@@ -28,10 +28,12 @@ func syntheticSeries(q0, q1 int) *probe.Series {
 	c.QueueLen = append(c.QueueLen, q0, q1)
 	c.VoiceCalls = append(c.VoiceCalls, 5, 4)
 	c.Sessions = append(c.Sessions, 1, 2)
-	c.CarriedData = append(c.CarriedData, 0.5, 0.625)
-	c.MeanQueueLen = append(c.MeanQueueLen, 2.5, 2.25)
-	c.CarriedVoice = append(c.CarriedVoice, 5.5, 5.125)
-	c.AvgSessions = append(c.AvgSessions, 1, 1.5)
+	for g, v := range [probe.NumGauges][2]float64{
+		probe.CarriedData: {0.5, 0.625}, probe.BufferOccupancy: {2.5, 2.25},
+		probe.CarriedVoice: {5.5, 5.125}, probe.ActiveSessions: {1, 1.5},
+	} {
+		c.Means[g] = append(c.Means[g], v[0], v[1])
+	}
 	return s
 }
 

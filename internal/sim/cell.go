@@ -172,18 +172,13 @@ type cell struct {
 	hoQueue []*queuedHO
 	freeQHO freelist[queuedHO]
 
-	// Mid-cell measurement state (allocated for every cell, but only the mid
-	// cell's numbers are reported).
-	pdchUsage stats.TimeWeighted
-	queueLen  stats.TimeWeighted
-	voiceOcc  stats.TimeWeighted
-	sessOcc   stats.TimeWeighted
+	// gauges holds the cell's time-weighted statistics (see probe.Gauges).
+	gauges [probe.NumGauges]stats.TimeWeighted
 
-	// pr, when non-nil, is the armed probe's shadow gauge set for this cell:
-	// every time-weighted update below is mirrored into it with the same
-	// (time, value) pair, so the probe can read windowed means without ever
-	// touching the model accumulators (see probeGauges).
-	pr *probeGauges
+	// pr, when non-nil, is the armed probe's shadow copy of gauges, which
+	// setGauge keeps in step so the probe never reads the model accumulators
+	// (see probeState).
+	pr *[probe.NumGauges]stats.TimeWeighted
 
 	// counters holds the cell's event counters (see probe.Counters) and the
 	// summed queueing delay of its delivered packets, cumulative since time 0.
@@ -766,20 +761,24 @@ func (c *cell) canAdmitSession() bool {
 	return c.sessions < c.sim.config.MaxSessions
 }
 
+// setGauge records that gauge g of the cell holds value v from now on, in
+// the model accumulator and, while a probe is armed, in its shadow copy.
+func (c *cell) setGauge(g probe.Gauge, v float64) {
+	now := c.now()
+	c.gauges[g].Update(now, v)
+	if c.pr != nil {
+		c.pr[g].Update(now, v)
+	}
+}
+
 func (c *cell) addVoice() {
 	c.voiceCalls++
-	c.voiceOcc.Update(c.now(), float64(c.voiceCalls))
-	if c.pr != nil {
-		c.pr.voice.Update(c.now(), float64(c.voiceCalls))
-	}
+	c.setGauge(probe.CarriedVoice, float64(c.voiceCalls))
 }
 
 func (c *cell) removeVoice() {
 	c.voiceCalls--
-	c.voiceOcc.Update(c.now(), float64(c.voiceCalls))
-	if c.pr != nil {
-		c.pr.voice.Update(c.now(), float64(c.voiceCalls))
-	}
+	c.setGauge(probe.CarriedVoice, float64(c.voiceCalls))
 	if len(c.hoQueue) > 0 {
 		// The freed channel goes to the longest-waiting queued handover.
 		c.serveQueuedHandover()
@@ -788,18 +787,12 @@ func (c *cell) removeVoice() {
 
 func (c *cell) addSession() {
 	c.sessions++
-	c.sessOcc.Update(c.now(), float64(c.sessions))
-	if c.pr != nil {
-		c.pr.sess.Update(c.now(), float64(c.sessions))
-	}
+	c.setGauge(probe.ActiveSessions, float64(c.sessions))
 }
 
 func (c *cell) removeSession() {
 	c.sessions--
-	c.sessOcc.Update(c.now(), float64(c.sessions))
-	if c.pr != nil {
-		c.pr.sess.Update(c.now(), float64(c.sessions))
-	}
+	c.setGauge(probe.ActiveSessions, float64(c.sessions))
 }
 
 // queuedPackets is the number of packets awaiting (or under) transmission:
@@ -820,10 +813,7 @@ func (c *cell) enqueue(p *packet) bool {
 	p.enqueuedAt = c.now()
 	p.blocksLeft = c.sim.bpp
 	c.buffer = append(c.buffer, p)
-	c.queueLen.Update(c.now(), float64(len(c.buffer)))
-	if c.pr != nil {
-		c.pr.queue.Update(c.now(), float64(len(c.buffer)))
-	}
+	c.setGauge(probe.BufferOccupancy, float64(len(c.buffer)))
 	c.ensureTick()
 	return true
 }
@@ -848,7 +838,6 @@ func (c *cell) ensureTick() {
 // the engine clock, which is what makes window-boundary sampling exact.
 func (c *cell) radioTick() {
 	c.tickScheduled = false
-	now := c.now()
 
 	// Deliver the head-of-line packets that finished transmitting during the
 	// block period that just ended.
@@ -863,17 +852,11 @@ func (c *cell) radioTick() {
 		}
 		c.buffer = c.buffer[:n]
 		c.deliverPending = 0
-		c.queueLen.Update(now, float64(len(c.buffer)))
-		if c.pr != nil {
-			c.pr.queue.Update(now, float64(len(c.buffer)))
-		}
+		c.setGauge(probe.BufferOccupancy, float64(len(c.buffer)))
 	}
 
 	if len(c.buffer) == 0 {
-		c.pdchUsage.Update(now, 0)
-		if c.pr != nil {
-			c.pr.pdch.Update(now, 0)
-		}
+		c.setGauge(probe.CarriedData, 0)
 		return
 	}
 
@@ -895,10 +878,7 @@ func (c *cell) radioTick() {
 		blocks -= alloc
 		used += alloc
 	}
-	c.pdchUsage.Update(now, float64(used))
-	if c.pr != nil {
-		c.pr.pdch.Update(now, float64(used))
-	}
+	c.setGauge(probe.CarriedData, float64(used))
 
 	// Packets whose last block was allocated above form a prefix of the
 	// buffer (head-of-line service); they deliver at the next tick.
@@ -925,33 +905,26 @@ func (c *cell) deliver(p *packet) {
 	}
 }
 
-// resetBatchWindow restarts the time-weighted statistics and returns a
-// snapshot of the cumulative counters. It runs exactly once per cell, at the
-// end of the warm-up: batch boundaries difference the running integrals
-// (finishBatch) instead of restarting the gauges, so every gauge measures the
-// whole window uninterrupted.
+// resetBatchWindow restarts the time-weighted statistics at their current
+// values and returns a snapshot of the cumulative counters. It runs exactly
+// once per cell, at the end of the warm-up: batch boundaries difference the
+// running integrals (finishBatch) instead of restarting the gauges, so every
+// gauge measures the whole window uninterrupted.
 func (c *cell) resetBatchWindow(now float64) counters {
-	c.pdchUsage.Start(now, c.pdchUsage.Current())
-	c.queueLen.Start(now, float64(len(c.buffer)))
-	c.voiceOcc.Start(now, float64(c.voiceCalls))
-	c.sessOcc.Start(now, float64(c.sessions))
+	for g := range c.gauges {
+		c.gauges[g].Start(now, c.gauges[g].Current())
+	}
 	return c.counters
 }
 
-// gaugeIntegrals is a snapshot of the four time-weighted accumulators'
-// integrals at a batch boundary, read with the non-mutating
-// stats.TimeWeighted.IntegralAt so taking it never perturbs the accumulators.
-type gaugeIntegrals struct {
-	pdch, queue, voice, sess float64
-}
-
-func (c *cell) gaugeIntegralsAt(t float64) gaugeIntegrals {
-	return gaugeIntegrals{
-		pdch:  c.pdchUsage.IntegralAt(t),
-		queue: c.queueLen.IntegralAt(t),
-		voice: c.voiceOcc.IntegralAt(t),
-		sess:  c.sessOcc.IntegralAt(t),
+// gaugeIntegralsAt snapshots the integral of every gauge at a batch
+// boundary, read with the non-mutating stats.TimeWeighted.IntegralAt so
+// taking it never perturbs the accumulators.
+func (c *cell) gaugeIntegralsAt(t float64) (in [probe.NumGauges]float64) {
+	for g := range c.gauges {
+		in[g] = c.gauges[g].IntegralAt(t)
 	}
+	return in
 }
 
 // finishBatch computes the per-batch observations between the previous
@@ -962,28 +935,27 @@ func (c *cell) gaugeIntegralsAt(t float64) gaugeIntegrals {
 // the terminal gauge means — and the armed probe's shadow copies of them —
 // are exact window averages, bit-identical between the per-cell report and
 // the probe series.
-func (c *cell) finishBatch(acc *batchAccumulator, prev counters, prevInt gaugeIntegrals, now, batchDur float64) gaugeIntegrals {
+func (c *cell) finishBatch(acc *batchAccumulator, prev counters, prevInt [probe.NumGauges]float64, now, batchDur float64) [probe.NumGauges]float64 {
 	d := c.counters.minus(prev)
 	curInt := c.gaugeIntegralsAt(now)
-
-	acc.cdt.AddBatchMean((curInt.pdch - prevInt.pdch) / batchDur)
-	acc.queueLen.AddBatchMean((curInt.queue - prevInt.queue) / batchDur)
-	ags := (curInt.sess - prevInt.sess) / batchDur
-	acc.ags.AddBatchMean(ags)
-	acc.cvt.AddBatchMean((curInt.voice - prevInt.voice) / batchDur)
+	var obs [NumMeasures]float64
+	obs[MeasureCDT] = (curInt[probe.CarriedData] - prevInt[probe.CarriedData]) / batchDur
+	obs[MeasureQueueLength] = (curInt[probe.BufferOccupancy] - prevInt[probe.BufferOccupancy]) / batchDur
+	obs[MeasureAGS] = (curInt[probe.ActiveSessions] - prevInt[probe.ActiveSessions]) / batchDur
+	obs[MeasureCVT] = (curInt[probe.CarriedVoice] - prevInt[probe.CarriedVoice]) / batchDur
 
 	delivered := d.n[probe.PacketsDelivered]
-	acc.plp.AddBatchMean(ratio(float64(d.n[probe.PacketsLost]), d.n[probe.PacketsOffered]))
-	acc.qd.AddBatchMean(ratio(d.delaySum, delivered))
-	throughput := float64(delivered) * float64(traffic.PacketSizeBits) / batchDur
-	acc.throughput.AddBatchMean(throughput)
-	if ags > 0 {
-		acc.atu.AddBatchMean(throughput / ags)
-	} else {
-		acc.atu.AddBatchMean(0)
+	obs[MeasurePLP] = ratio(float64(d.n[probe.PacketsLost]), d.n[probe.PacketsOffered])
+	obs[MeasureQD] = ratio(d.delaySum, delivered)
+	obs[MeasureThroughput] = float64(delivered) * float64(traffic.PacketSizeBits) / batchDur
+	if ags := obs[MeasureAGS]; ags > 0 {
+		obs[MeasureATU] = obs[MeasureThroughput] / ags
 	}
-	acc.gsmBlock.AddBatchMean(ratio(float64(d.n[probe.GSMBlocked]), d.n[probe.GSMArrivals]))
-	acc.gprsBlock.AddBatchMean(ratio(float64(d.n[probe.GPRSBlocked]), d.n[probe.GPRSArrivals]))
+	obs[MeasureGSMBlocking] = ratio(float64(d.n[probe.GSMBlocked]), d.n[probe.GSMArrivals])
+	obs[MeasureGPRSBlocking] = ratio(float64(d.n[probe.GPRSBlocked]), d.n[probe.GPRSArrivals])
+	for m, v := range obs {
+		acc.bm[m].AddBatchMean(v)
+	}
 	return curInt
 }
 

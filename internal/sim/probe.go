@@ -5,32 +5,28 @@ import (
 	"repro/internal/stats"
 )
 
-// probeGauges is the shadow measurement state of one cell while a probe is
-// armed: private copies of the four time-weighted statistics, updated
-// alongside the model's own accumulators at the same (time, value) points.
-// The probe samples these shadows with the non-mutating stats.MeanAt, never
-// the model accumulators — reading those mid-run would advance their
-// internal integrals and perturb the terminal aggregates by ulps, breaking
-// the bit-identity contract (see the determinism contract of package probe).
-// Because the shadows receive exactly the model's update sequence and are
-// started with the model's measurement-window values, their final MeanAt at
-// the measurement end reproduces every cell's terminal PerCell gauges bit
-// for bit — the mid cell included, since batch boundaries difference running
-// integrals instead of restarting its gauges.
-type probeGauges struct {
-	pdch, queue, voice, sess stats.TimeWeighted
-}
-
 // probeState drives the sim-time series sampling of one run: window
 // boundaries, per-cell counter baselines, shadow gauges, and the recorded
 // series. It is created at engine construction when Config.Probe is set and
 // armed by Simulator.Run at the end of the warm-up.
+//
+// The shadow gauges are private copies of every cell's time-weighted
+// statistics, updated alongside the model's own accumulators at the same
+// (time, value) points (cell.setGauge). The probe samples these shadows with
+// the non-mutating stats.MeanAt, never the model accumulators — reading those
+// mid-run would advance their internal integrals and perturb the terminal
+// aggregates by ulps, breaking the bit-identity contract (see the determinism
+// contract of package probe). Because the shadows receive exactly the model's
+// update sequence from the model's measurement-window start, their final
+// MeanAt at the measurement end reproduces every cell's terminal PerCell
+// gauges bit for bit — the mid cell included, since batch boundaries
+// difference running integrals instead of restarting its gauges.
 type probeState struct {
 	spec   probe.Spec
 	cells  []*cell
 	series *probe.Series
 
-	gauges []probeGauges
+	gauges [][probe.NumGauges]stats.TimeWeighted
 	base   []counters
 
 	startT, finalT float64
@@ -43,23 +39,19 @@ func newProbeState(spec probe.Spec, cells []*cell) *probeState {
 }
 
 // arm begins recording at the measurement start: it snapshots every cell's
-// cumulative counters as baselines, starts the shadow gauges with the same
-// (time, value) origins the model's resetBatchWindow just used, and
+// cumulative counters as baselines, starts the shadow gauges as copies of
+// the model accumulators resetBatchWindow just restarted at start, and
 // preallocates the full series so sampling never allocates. start and final
 // must be the measurement-loop's exact warm-up end and final batch end.
 func (ps *probeState) arm(start, final float64) {
 	ps.startT, ps.finalT = start, final
 	capacity := ps.spec.Windows(final - start)
 	ps.series = probe.NewSeries(len(ps.cells), ps.spec.IntervalSec, start, capacity)
-	ps.gauges = make([]probeGauges, len(ps.cells))
+	ps.gauges = make([][probe.NumGauges]stats.TimeWeighted, len(ps.cells))
 	ps.base = make([]counters, len(ps.cells))
 	for i, c := range ps.cells {
-		g := &ps.gauges[i]
-		g.pdch.Start(start, c.pdchUsage.Current())
-		g.queue.Start(start, float64(len(c.buffer)))
-		g.voice.Start(start, float64(c.voiceCalls))
-		g.sess.Start(start, float64(c.sessions))
-		c.pr = g
+		ps.gauges[i] = c.gauges
+		c.pr = &ps.gauges[i]
 		ps.base[i] = c.counters
 	}
 	ps.armed = true
@@ -87,7 +79,6 @@ func (ps *probeState) sample(t float64) {
 	s.Times = append(s.Times, t)
 	for i, c := range ps.cells {
 		cs := &s.Cells[i]
-		g := &ps.gauges[i]
 		d := c.counters.minus(ps.base[i])
 		for k := range probe.NumCounters {
 			if k.Sampled() {
@@ -98,10 +89,9 @@ func (ps *probeState) sample(t float64) {
 		cs.QueueLen = append(cs.QueueLen, c.queuedPackets())
 		cs.VoiceCalls = append(cs.VoiceCalls, c.voiceCalls)
 		cs.Sessions = append(cs.Sessions, c.sessions)
-		cs.CarriedData = append(cs.CarriedData, g.pdch.MeanAt(t))
-		cs.MeanQueueLen = append(cs.MeanQueueLen, g.queue.MeanAt(t))
-		cs.CarriedVoice = append(cs.CarriedVoice, g.voice.MeanAt(t))
-		cs.AvgSessions = append(cs.AvgSessions, g.sess.MeanAt(t))
+		for g := range cs.Means {
+			cs.Means[g] = append(cs.Means[g], ps.gauges[i][g].MeanAt(t))
+		}
 	}
 	ps.sampled++
 	if t == ps.finalT {

@@ -151,10 +151,10 @@ func checkSeriesMatchesPerCell(t *testing.T, cfg sim.Config) {
 			name      string
 			got, want float64
 		}{
-			{"CDT", cs.CarriedData[k], m.CarriedDataTraffic},
-			{"queue", cs.MeanQueueLen[k], m.MeanQueueLength},
-			{"CVT", cs.CarriedVoice[k], m.CarriedVoiceTraffic},
-			{"AGS", cs.AvgSessions[k], m.AverageSessions},
+			{"CDT", cs.Means[probe.CarriedData][k], m.CarriedDataTraffic},
+			{"queue", cs.Means[probe.BufferOccupancy][k], m.MeanQueueLength},
+			{"CVT", cs.Means[probe.CarriedVoice][k], m.CarriedVoiceTraffic},
+			{"AGS", cs.Means[probe.ActiveSessions][k], m.AverageSessions},
 		}
 		// Every cell keeps one gauge window for the whole measurement (batch
 		// boundaries only read running integrals), so shadow and model
@@ -228,7 +228,7 @@ func checkSeriesCSVRoundTrip(t *testing.T, ser *probe.Series, res sim.Results, m
 		if got := mustInt(row, "ho_arrivals_cum"); got != m.HandoverArrivals {
 			t.Errorf("cell %d: CSV ho_arrivals_cum %d, want %d", i, got, m.HandoverArrivals)
 		}
-		if got := mustFloat(row, "carried_voice_cum"); got != ser.Cells[i].CarriedVoice[ser.Windows()-1] {
+		if got := mustFloat(row, "carried_voice_cum"); got != ser.Cells[i].Means[probe.CarriedVoice][ser.Windows()-1] {
 			t.Errorf("cell %d: CSV carried_voice_cum did not round-trip: %v", i, got)
 		}
 		wantTput := float64(m.PacketsDelivered) * float64(traffic.PacketSizeBits) / measurementSec

@@ -218,27 +218,18 @@ type CellIntervals struct {
 	GPRSBlocking stats.Interval
 }
 
-// String renders the results as a small table.
+// String renders the results as a small table, one row per Measure. The
+// rows keep the report's historic order, which lists throughput (the first
+// Measure, as the default stopping target) after QD.
 func (r Results) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mid-cell results over %.0f s (%d events)\n", r.SimulatedSec, r.Events)
-	rows := []struct {
-		name string
-		iv   stats.Interval
-	}{
-		{"CDT (PDCHs)", r.CarriedDataTraffic},
-		{"PLP", r.PacketLossProbability},
-		{"QD (s)", r.QueueingDelay},
-		{"throughput (bit/s)", r.ThroughputBits},
-		{"ATU (bit/s)", r.ThroughputPerUserBits},
-		{"AGS (sessions)", r.AverageSessions},
-		{"CVT (channels)", r.CarriedVoiceTraffic},
-		{"GSM blocking", r.GSMBlockingProbability},
-		{"GPRS blocking", r.GPRSBlockingProbability},
-		{"mean queue length", r.MeanQueueLength},
-	}
-	for _, row := range rows {
-		fmt.Fprintf(&b, "  %-20s %s\n", row.name, row.iv.String())
+	row := func(m Measure) { fmt.Fprintf(&b, "  %-20s %s\n", measures[m].label, r.Interval(m).String()) }
+	for m := MeasureCDT; m < NumMeasures; m++ {
+		row(m)
+		if m == MeasureQD {
+			row(MeasureThroughput)
+		}
 	}
 	fmt.Fprintf(&b, "  offered=%d lost=%d delivered=%d handovers in/out=%d/%d tcp timeouts=%d fast recoveries=%d\n",
 		r.PacketsOffered, r.PacketsLost, r.PacketsDelivered, r.HandoversIn, r.HandoversOut,
@@ -246,51 +237,18 @@ func (r Results) String() string {
 	return b.String()
 }
 
-// batchAccumulator collects the per-batch observations of the mid cell and
-// produces the batch-means intervals.
+// batchAccumulator collects the per-batch observations of the mid cell in
+// one batch-means estimator per Measure (fed whole batch means only, so the
+// zero value serves) and produces the batch-means intervals.
 type batchAccumulator struct {
 	level float64
-
-	cdt        *stats.BatchMeans
-	plp        *stats.BatchMeans
-	qd         *stats.BatchMeans
-	throughput *stats.BatchMeans
-	atu        *stats.BatchMeans
-	ags        *stats.BatchMeans
-	cvt        *stats.BatchMeans
-	gsmBlock   *stats.BatchMeans
-	gprsBlock  *stats.BatchMeans
-	queueLen   *stats.BatchMeans
-}
-
-func newBatchAccumulator(level float64) *batchAccumulator {
-	mk := func() *stats.BatchMeans { return stats.NewBatchMeans(1) }
-	return &batchAccumulator{
-		level:      level,
-		cdt:        mk(),
-		plp:        mk(),
-		qd:         mk(),
-		throughput: mk(),
-		atu:        mk(),
-		ags:        mk(),
-		cvt:        mk(),
-		gsmBlock:   mk(),
-		gprsBlock:  mk(),
-		queueLen:   mk(),
-	}
+	bm    [NumMeasures]stats.BatchMeans
 }
 
 func (a *batchAccumulator) results() Results {
-	return Results{
-		CarriedDataTraffic:      a.cdt.ConfidenceInterval(a.level),
-		PacketLossProbability:   a.plp.ConfidenceInterval(a.level),
-		QueueingDelay:           a.qd.ConfidenceInterval(a.level),
-		ThroughputBits:          a.throughput.ConfidenceInterval(a.level),
-		ThroughputPerUserBits:   a.atu.ConfidenceInterval(a.level),
-		AverageSessions:         a.ags.ConfidenceInterval(a.level),
-		CarriedVoiceTraffic:     a.cvt.ConfidenceInterval(a.level),
-		GSMBlockingProbability:  a.gsmBlock.ConfidenceInterval(a.level),
-		GPRSBlockingProbability: a.gprsBlock.ConfidenceInterval(a.level),
-		MeanQueueLength:         a.queueLen.ConfidenceInterval(a.level),
+	var r Results
+	for m := range NumMeasures {
+		*r.Interval(m) = a.bm[m].ConfidenceInterval(a.level)
 	}
+	return r
 }

@@ -174,8 +174,8 @@ func policyDigest(r sim.Results) string {
 // for bit. The digests were re-baselined when packet delivery moved onto its
 // own drain tick (every busy period gained one radio-tick event, so Events —
 // a digested field — shifted everywhere); within that baseline they are
-// identical across engines, shard counts, event-queue kinds, and probe
-// arming, which is the invariant the suites below enforce. The busyhour ramp
+// identical across shard counts and probe arming, which is the invariant the
+// suites below enforce. The busyhour ramp
 // steps after the quick config's horizon and the uniform scenario is the
 // identity, so their digests legitimately equal the baseline's — the table
 // keeps them as separate rows so a future config change that moves the

@@ -339,7 +339,7 @@ func (s *Simulator) Run() (Results, error) {
 	}
 
 	mid := cells[cluster.MidCell]
-	acc := newBatchAccumulator(cfg.ConfidenceLevel)
+	acc := &batchAccumulator{level: cfg.ConfidenceLevel}
 
 	// Reset every cell's measurement window at the end of the warm-up and
 	// keep its counter snapshot, so each cell — not only the mid cell — can
@@ -418,10 +418,9 @@ func perCellMeasures(cells []*cell, start []counters, end, measurementSec float6
 				*f = d.n[k]
 			}
 		}
-		m.CarriedDataTraffic = c.pdchUsage.Mean(end)
-		m.MeanQueueLength = c.queueLen.Mean(end)
-		m.CarriedVoiceTraffic = c.voiceOcc.Mean(end)
-		m.AverageSessions = c.sessOcc.Mean(end)
+		for g := range c.gauges {
+			*m.Measure(CellMeasure(g)) = c.gauges[g].Mean(end)
+		}
 		m.PacketLossProbability = ratio(float64(m.PacketsLost), m.PacketsOffered)
 		m.QueueingDelaySec = ratio(d.delaySum, m.PacketsDelivered)
 		m.ThroughputBits = float64(m.PacketsDelivered) * float64(traffic.PacketSizeBits) / measurementSec

@@ -42,9 +42,6 @@ func (b *BatchMeans) AddBatchMean(mean float64) {
 	b.batches = append(b.batches, mean)
 }
 
-// NumBatches returns the number of completed batches.
-func (b *BatchMeans) NumBatches() int { return len(b.batches) }
-
 // Mean returns the grand mean over all completed batches.
 func (b *BatchMeans) Mean() float64 {
 	if len(b.batches) == 0 {

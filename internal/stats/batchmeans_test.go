@@ -66,8 +66,8 @@ func TestBatchMeansMean(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		bm.Add(float64(i % 10))
 	}
-	if bm.NumBatches() != 10 {
-		t.Fatalf("batches = %d, want 10", bm.NumBatches())
+	if len(bm.batches) != 10 {
+		t.Fatalf("batches = %d, want 10", len(bm.batches))
 	}
 	if !almostEqual(bm.Mean(), 4.5, 1e-12) {
 		t.Errorf("mean = %v, want 4.5", bm.Mean())
@@ -115,8 +115,8 @@ func TestBatchMeansAddBatchMean(t *testing.T) {
 	bm.AddBatchMean(1)
 	bm.AddBatchMean(3)
 	bm.AddBatchMean(5)
-	if bm.NumBatches() != 3 {
-		t.Fatalf("batches = %d, want 3", bm.NumBatches())
+	if len(bm.batches) != 3 {
+		t.Fatalf("batches = %d, want 3", len(bm.batches))
 	}
 	if !almostEqual(bm.Mean(), 3, 1e-12) {
 		t.Errorf("mean = %v, want 3", bm.Mean())
@@ -143,7 +143,7 @@ func TestIntervalBoundsAndString(t *testing.T) {
 func TestBatchMeansInvalidBatchSize(t *testing.T) {
 	bm := NewBatchMeans(0)
 	bm.Add(2)
-	if bm.NumBatches() != 1 {
-		t.Errorf("batch size clamped to 1: batches = %d, want 1", bm.NumBatches())
+	if len(bm.batches) != 1 {
+		t.Errorf("batch size clamped to 1: batches = %d, want 1", len(bm.batches))
 	}
 }

@@ -13,13 +13,12 @@ type TimeWeighted struct {
 	lastT    float64
 	lastV    float64
 	integral float64
-	maxV     float64
 }
 
 // Start begins the measurement interval at time t with current value v,
 // discarding anything accumulated so far.
 func (tw *TimeWeighted) Start(t, v float64) {
-	*tw = TimeWeighted{started: true, startT: t, lastT: t, lastV: v, maxV: v}
+	*tw = TimeWeighted{started: true, startT: t, lastT: t, lastV: v}
 }
 
 // Update advances the clock to time t and records that the variable now holds
@@ -34,9 +33,6 @@ func (tw *TimeWeighted) Update(t, v float64) {
 		tw.lastT = t
 	}
 	tw.lastV = v
-	if v > tw.maxV {
-		tw.maxV = v
-	}
 }
 
 // Mean returns the time average of the variable over [start, t], advancing the
@@ -100,6 +96,3 @@ func (tw *TimeWeighted) IntegralAt(t float64) float64 {
 
 // Current returns the value recorded by the most recent update.
 func (tw *TimeWeighted) Current() float64 { return tw.lastV }
-
-// Max returns the largest value observed since Start.
-func (tw *TimeWeighted) Max() float64 { return tw.maxV }

@@ -17,24 +17,11 @@ type Welford struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min = x
-		w.max = x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
@@ -58,15 +45,6 @@ func (w *Welford) Variance() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// Min returns the smallest recorded observation (0 if none).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest recorded observation (0 if none).
-func (w *Welford) Max() float64 { return w.max }
-
-// Sum returns the sum of all observations.
-func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
-
 // Merge combines the statistics of other into w, as if all observations of
 // other had been added to w directly (Chan et al. parallel variance formula).
 func (w *Welford) Merge(other *Welford) {
@@ -81,12 +59,6 @@ func (w *Welford) Merge(other *Welford) {
 	delta := other.mean - w.mean
 	mean := w.mean + delta*float64(other.n)/float64(n)
 	m2 := w.m2 + other.m2 + delta*delta*float64(w.n)*float64(other.n)/float64(n)
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
 	w.n = n
 	w.mean = mean
 	w.m2 = m2
