@@ -246,9 +246,12 @@ type SolverInfo struct {
 // with their MMPP phase evolve independently of the buffer and of each
 // other, so their joint marginal is Erlang(n) × Erlang(m) ×
 // Binomial(r | m, p_off); imposing it leaves the sweeps only the buffer
-// distribution within each block to resolve. At tolerance 1e-6 the twelve
-// Quick Fig. 6 configurations then take 2,770 Gauss–Seidel sweeps in total,
-// against 38,790 for plain sweeps from a product-form starting guess.
+// distribution within each block to resolve. Each block is one line of
+// consecutive states (see StateSpace), which a Gauss–Seidel sweep solves
+// exactly. At tolerance 1e-6 the twelve Quick Fig. 6 configurations then
+// take 630 sweeps in total, against 2,770 for point sweeps under the same
+// aggregation and 38,790 for plain sweeps from a product-form starting
+// guess.
 func (m *Model) Solve(opts ctmc.SolveOptions) (*Result, error) {
 	gen, err := m.BuildGenerator()
 	if err != nil {
@@ -282,8 +285,8 @@ func (m *Model) Solve(opts ctmc.SolveOptions) (*Result, error) {
 // productFormAggregation returns the exact stationary marginal of the
 // (n, m, r) blocks: each block collects the K+1 states that differ only in
 // the buffer occupancy k. With the index layout of StateSpace (n outermost,
-// then k, then the triangular (m, r) index t), state i lies in block
-// n·tri + t = (i / ((K+1)·tri))·tri + i mod tri.
+// then the triangular (m, r) index t, then k), state i lies in block
+// n·tri + t = i / (K+1), and every block is one run of consecutive states.
 func (m *Model) productFormAggregation() (*ctmc.Aggregation, error) {
 	gsmDist, err := m.gsmBalance.System.Distribution()
 	if err != nil {
@@ -293,23 +296,21 @@ func (m *Model) productFormAggregation() (*ctmc.Aggregation, error) {
 	if err != nil {
 		return nil, err
 	}
-	tri := m.space.triSize
-	block := make([]int32, 0, m.space.NumStates())
-	for n := 0; n <= m.space.GSMChannels(); n++ {
-		for k := 0; k <= m.space.BufferSize(); k++ {
-			for t := 0; t < tri; t++ {
-				block = append(block, int32(n*tri+t))
-			}
+	lineLen := m.space.BufferSize() + 1
+	block := make([]int32, m.space.NumStates())
+	for b := range len(block) / lineLen {
+		for k := range lineLen {
+			block[b*lineLen+k] = int32(b)
 		}
 	}
-	mass := make([]float64, (m.space.GSMChannels()+1)*tri)
+	mass := make([]float64, len(block)/lineLen)
 	pOff := m.rates.IPP.OffProbability()
 	for mm := 0; mm <= m.space.MaxSessions(); mm++ {
 		phase := binomialPMF(mm, pOff)
 		for r := 0; r <= mm; r++ {
-			t := m.space.Index(State{Sessions: mm, OffSessions: r})
 			for n, pn := range gsmDist {
-				mass[n*tri+t] = pn * gprsDist[mm] * phase[r]
+				b := m.space.Index(State{GSMCalls: n, Sessions: mm, OffSessions: r}) / lineLen
+				mass[b] = pn * gprsDist[mm] * phase[r]
 			}
 		}
 	}

@@ -508,3 +508,100 @@ func TestHigherLoadIncreasesVoiceBlocking(t *testing.T) {
 			resHigh.Measures.CarriedVoiceTraffic, resLow.Measures.CarriedVoiceTraffic)
 	}
 }
+
+func TestInBlockTransitionsJoinConsecutiveStates(t *testing.T) {
+	// The aggregation's blocks are the runs of K+1 states of one (n, m, r),
+	// and the only transitions inside a block are the buffer's k±1 steps, so
+	// each block is a line of the Gauss–Seidel sweeps.
+	for _, dims := range [][3]int{{5, 8, 3}, {3, 4, 6}, {8, 1, 2}} {
+		cfg := smallConfig()
+		cfg.Channels.TotalChannels, cfg.BufferSize, cfg.MaxSessions = dims[0], dims[1], dims[2]
+		model, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		block := model.aggregation.Block
+		for i, b := range block {
+			if want := i / (cfg.BufferSize + 1); int(b) != want {
+				t.Fatalf("config %v: state %d in block %d, want %d", dims, i, b, want)
+			}
+		}
+		tf := model.Transitions()
+		for i := range block {
+			tf(i, func(to int, rate float64) {
+				if block[to] == block[i] && to != i-1 && to != i+1 {
+					t.Errorf("config %v: in-block transition %d -> %d", dims, i, to)
+				}
+			})
+		}
+	}
+}
+
+// quickFig6Config is the model configuration of one Quick Fig. 6 point: a
+// scaled-down traffic-model-3 cell with 10 channels, a 30-packet buffer and
+// at most 10 sessions.
+func quickFig6Config(fraction, rate float64) Config {
+	cfg := BaseConfig(traffic.Model3, rate)
+	cfg.Channels.TotalChannels = 10
+	cfg.BufferSize = 30
+	cfg.MaxSessions = min(cfg.MaxSessions, 10)
+	cfg.GPRSFraction = fraction
+	return cfg
+}
+
+func TestQuickFig6LineSolveMatchesPlainSolve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plain solves to 1e-12 take seconds")
+	}
+	for _, point := range [][2]float64{{0.02, 0.1}, {0.10, 1.0}} {
+		model, err := New(quickFig6Config(point[0], point[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, plain := solvePlain(t, model)
+		for _, m := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"CDT", res.Measures.CarriedDataTraffic, plain.CarriedDataTraffic},
+			{"ATU", res.Measures.ThroughputPerUserBits, plain.ThroughputPerUserBits},
+			{"PLP", res.Measures.PacketLossProbability, plain.PacketLossProbability},
+			{"QD", res.Measures.QueueingDelay, plain.QueueingDelay},
+		} {
+			if math.Abs(m.got-m.want) > 1e-6*math.Abs(m.want) {
+				t.Errorf("point %v: %s %v at tolerance 1e-6, plain solve %v", point, m.name, m.got, m.want)
+			}
+		}
+	}
+}
+
+func TestQuickFig6SweepBudget(t *testing.T) {
+	// Line sweeps solve each (n, m, r) block's buffer distribution exactly,
+	// so the twelve Quick Fig. 6 solutions take 630 sweeps in all (point
+	// Gauss–Seidel under the same aggregation took 2,770).
+	const budget = 700
+	total := 0
+	for _, fraction := range []float64{0.02, 0.05, 0.10} {
+		for _, rate := range []float64{0.1, 0.3, 0.6, 1.0} {
+			model, err := New(quickFig6Config(fraction, rate))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Solver.Converged {
+				t.Fatalf("(%v, %v) did not converge in %d sweeps", fraction, rate, res.Solver.Iterations)
+			}
+			total += res.Solver.Iterations
+		}
+	}
+	if total > budget {
+		t.Errorf("Quick Fig. 6 took %d sweeps, budget %d", total, budget)
+	}
+}

@@ -25,9 +25,10 @@ func (s State) String() string {
 }
 
 // StateSpace maps between State tuples and dense integer indices. The layout
-// iterates n (outermost), then k, then the triangular (m, r) block, so that
-// states that differ only in the queue length or MMPP phase are close
-// together, which benefits the locality of the Gauss–Seidel sweeps.
+// iterates n (outermost), then the triangular (m, r) index t, then the
+// buffer level k (innermost): Index = (n·tri + t)·(K+1) + k. Every (n, m, r)
+// block is thus one run of K+1 consecutive states in k order, which the
+// line Gauss–Seidel sweeps of package ctmc solve as one tridiagonal line.
 type StateSpace struct {
 	gsmChannels int // N_GSM
 	bufferSize  int // K
@@ -72,16 +73,16 @@ func (sp StateSpace) Contains(s State) bool {
 // Index returns the dense index of a state. The caller must pass a state for
 // which Contains is true; out-of-range states yield an undefined index.
 func (sp StateSpace) Index(s State) int {
-	tri := s.Sessions*(s.Sessions+1)/2 + s.OffSessions
-	return (s.GSMCalls*(sp.bufferSize+1)+s.Packets)*sp.triSize + tri
+	t := s.Sessions*(s.Sessions+1)/2 + s.OffSessions
+	return (s.GSMCalls*sp.triSize+t)*(sp.bufferSize+1) + s.Packets
 }
 
 // State returns the state tuple for a dense index.
 func (sp StateSpace) State(index int) State {
-	tri := index % sp.triSize
-	rest := index / sp.triSize
-	k := rest % (sp.bufferSize + 1)
-	n := rest / (sp.bufferSize + 1)
+	k := index % (sp.bufferSize + 1)
+	rest := index / (sp.bufferSize + 1)
+	tri := rest % sp.triSize
+	n := rest / sp.triSize
 	// Invert the triangular index: find the largest m with m(m+1)/2 <= tri.
 	m := triangularRow(tri)
 	r := tri - m*(m+1)/2

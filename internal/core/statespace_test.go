@@ -102,3 +102,26 @@ func TestStateSpaceRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestStateSpaceBlocksAreLines(t *testing.T) {
+	// Every (n, m, r) block is one run of K+1 consecutive indices in k
+	// order, starting at (K+1) times the block index n·tri + m(m+1)/2 + r.
+	for _, dims := range [][3]int{{0, 0, 0}, {2, 1, 3}, {3, 4, 5}, {5, 7, 2}} {
+		sp := NewStateSpace(dims[0], dims[1], dims[2])
+		tri := (dims[2] + 1) * (dims[2] + 2) / 2
+		for n := 0; n <= dims[0]; n++ {
+			for m := 0; m <= dims[2]; m++ {
+				for r := 0; r <= m; r++ {
+					s := State{GSMCalls: n, Sessions: m, OffSessions: r}
+					start := (n*tri + m*(m+1)/2 + r) * (dims[1] + 1)
+					for k := 0; k <= dims[1]; k++ {
+						s.Packets = k
+						if got := sp.Index(s); got != start+k {
+							t.Fatalf("%v in space %v: index %d, want %d", s, dims, got, start+k)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -117,14 +117,11 @@ func TestGeneratorCountsAndRates(t *testing.T) {
 	if g.NumTransitions() != 2 {
 		t.Errorf("NumTransitions = %d", g.NumTransitions())
 	}
-	if g.OutRate(0) != 2 || g.OutRate(1) != 5 {
-		t.Errorf("out rates = %v, %v", g.OutRate(0), g.OutRate(1))
+	if len(g.outRate) != 2 || g.outRate[0] != 2 || g.outRate[1] != 5 {
+		t.Errorf("out rates = %v, want [2 5]", g.outRate)
 	}
-	if g.OutRate(-1) != 0 || g.OutRate(2) != 0 {
-		t.Error("out-of-range OutRate should be 0")
-	}
-	if g.MaxOutRate() != 5 {
-		t.Errorf("MaxOutRate = %v, want 5", g.MaxOutRate())
+	if g.maxOutRate != 5 {
+		t.Errorf("maxOutRate = %v, want 5", g.maxOutRate)
 	}
 }
 
@@ -171,8 +168,8 @@ func TestGeneratorIgnoresSelfLoopsAndZeroRates(t *testing.T) {
 	if g.NumTransitions() != 2 {
 		t.Errorf("NumTransitions = %d, want 2", g.NumTransitions())
 	}
-	if g.OutRate(0) != 1 {
-		t.Errorf("self loops must not contribute to the outflow rate, got %v", g.OutRate(0))
+	if g.outRate[0] != 1 {
+		t.Errorf("self loops must not contribute to the outflow rate, got %v", g.outRate[0])
 	}
 }
 
@@ -237,7 +234,7 @@ func TestParallelPowerMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestResidualAndInflow(t *testing.T) {
+func TestResidual(t *testing.T) {
 	g := twoStateChain(t, 0.3, 0.7)
 	pi := []float64{0.7, 0.3}
 	res, err := g.Residual(pi)
@@ -247,26 +244,8 @@ func TestResidualAndInflow(t *testing.T) {
 	if res > 1e-12 {
 		t.Errorf("residual of exact solution = %v", res)
 	}
-	dst := make([]float64, 2)
-	if err := g.Inflow(pi, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(dst[0], 0.3*0.7, 1e-12) || !almostEqual(dst[1], 0.7*0.3, 1e-12) {
-		t.Errorf("inflow = %v", dst)
-	}
 	if _, err := g.Residual([]float64{1}); !errors.Is(err, ErrInvalidArgument) {
 		t.Error("wrong-length residual vector should be rejected")
-	}
-	if err := g.Inflow([]float64{1}, dst); !errors.Is(err, ErrInvalidArgument) {
-		t.Error("wrong-length inflow vector should be rejected")
-	}
-}
-
-func TestExpectation(t *testing.T) {
-	pi := []float64{0.25, 0.25, 0.5, 0}
-	got := Expectation(pi, func(s int) float64 { return float64(s) })
-	if !almostEqual(got, 1.25, 1e-12) {
-		t.Errorf("expectation = %v, want 1.25", got)
 	}
 }
 
@@ -467,7 +446,6 @@ func TestAggregationMatchesPlainSolveInFewerSweeps(t *testing.T) {
 	}
 	for name, opts := range map[string]SolveOptions{
 		"gauss-seidel": {Method: GaussSeidel},
-		"sor":          {Method: GaussSeidel, Relaxation: 1.3},
 		"jacobi":       {Method: Jacobi},
 	} {
 		opts.Tolerance, opts.MaxIterations = 1e-12, 1000000
@@ -493,4 +471,160 @@ func TestAggregationMatchesPlainSolveInFewerSweeps(t *testing.T) {
 		}
 		t.Logf("%s: %d sweeps plain, %d aggregated", name, plain.Iterations, aggregated.Iterations)
 	}
+}
+
+func TestClosedLineSolvesToClosedForm(t *testing.T) {
+	// A birth–death chain given as one block of mass 1 is one closed line:
+	// nothing leaves it, so its last pivot is 0. The sweep keeps the last
+	// state's value, solves the rest from it, and the rescale sets the mass.
+	const lambda, mu, c, capacity = 2.5, 1.0, 3, 15
+	g, err := NewGenerator(capacity+1, mmckTransitions(lambda, mu, c, capacity))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := &Aggregation{Block: make([]int32, g.NumStates()), Mass: []float64{1}}
+	sol, err := g.SteadyState(SolveOptions{Tolerance: 1e-13, Aggregation: agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.Converged {
+		t.Fatalf("did not converge in %d sweeps", sol.Iterations)
+	}
+	for s, want := range mmckExact(lambda, mu, c, capacity) {
+		if math.IsNaN(sol.Pi[s]) || !almostEqual(sol.Pi[s], want, 1e-12) {
+			t.Errorf("pi[%d] = %v, want %v", s, sol.Pi[s], want)
+		}
+	}
+}
+
+// fuzzChain decodes fuzz bytes into a small irreducible chain and a split of
+// its states into contiguous blocks, meeting the two premises of a line
+// solve under an Aggregation that the GPRS model meets: inside a block,
+// transitions join neighbouring states only, so each block is one
+// birth–death line; and the chain is lumpable across blocks, as every state
+// of a block sends the same total rate into each other block.
+//
+// The first byte sets the number of states n (2..40). The next n-1 say, by
+// their low bit, whether a new block starts at states 1..n-1. The next 2n
+// give the rates from each state one step up and one step down in its
+// block, where there is such a step; the next one per block, the rate from
+// each of its states to the next block. Every following triple
+// (from, to, rate) adds a transition: inside a block, one step from from
+// towards to; into another block, from every state of from's block. Missing
+// bytes read as 0, and every rate lies in [1/16, 16].
+func fuzzChain(data []byte) (int, TransitionFunc, []int32) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	rate := func(b byte) float64 { return (1 + float64(b)) / 16 }
+	n := 2 + int(next()%39)
+	block := make([]int32, n)
+	starts := []int{0}
+	for i := 1; i < n; i++ {
+		block[i] = block[i-1]
+		if next()&1 == 1 {
+			block[i]++
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, n)
+	// step returns the neighbour of i in its block towards to, or the other
+	// neighbour at the block's edge (i itself in a one-state block).
+	step := func(i, to int) int {
+		lo, hi := starts[block[i]], starts[block[i]+1]-1
+		switch {
+		case lo == hi:
+			return i
+		case i == hi || (to < i && i > lo):
+			return i - 1
+		default:
+			return i + 1
+		}
+	}
+	// shift returns the state d places after i within i's block, cyclically.
+	shift := func(i, d int) int {
+		lo, size := starts[block[i]], starts[block[i]+1]-starts[block[i]]
+		return lo + ((i-lo+d)%size+size)%size
+	}
+	type edge struct {
+		to   int
+		rate float64
+	}
+	out := make([][]edge, n)
+	for i := range out {
+		up, down := rate(next()), rate(next())
+		if i+1 < starts[block[i]+1] {
+			out[i] = append(out[i], edge{i + 1, up})
+		}
+		if i > starts[block[i]] {
+			out[i] = append(out[i], edge{i - 1, down})
+		}
+	}
+	blocks := len(starts) - 1
+	for b := 0; b < blocks; b++ {
+		r, first := rate(next()), starts[(b+1)%blocks]
+		for i := starts[b]; i < starts[b+1]; i++ {
+			out[i] = append(out[i], edge{shift(first, i-starts[b]), r})
+		}
+	}
+	for len(data) >= 3 {
+		from, to, r := int(next())%n, int(next())%n, rate(next())
+		if block[from] == block[to] {
+			out[from] = append(out[from], edge{step(from, to), r})
+			continue
+		}
+		for i := starts[block[from]]; i < starts[block[from]+1]; i++ {
+			out[i] = append(out[i], edge{shift(to, i-from), r})
+		}
+	}
+	return n, func(s int, emit func(int, float64)) {
+		for _, e := range out[s] {
+			emit(e.to, e.rate)
+		}
+	}, block
+}
+
+// FuzzLineSweep checks line Gauss–Seidel on random chains and random
+// contiguous blocks: given the exact block masses, taken from a plain solve,
+// it must converge to the plain solve's distribution.
+func FuzzLineSweep(f *testing.F) {
+	// One block holding every state: a closed birth–death line.
+	f.Add([]byte{10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		1, 20, 2, 30, 3, 40, 4, 50, 5, 60, 6, 70, 7, 80, 8, 90, 9, 100, 10, 110, 11, 120, 12, 130,
+		0, 3, 7, 40, 9, 2, 200})
+	// Every state its own block: point Gauss–Seidel.
+	f.Add([]byte{6, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		200, 3, 50, 7, 90, 1, 4, 2, 5, 30, 6, 0, 9, 100})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, tf, block := fuzzChain(data)
+		g, err := NewGenerator(n, tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := g.SteadyState(SolveOptions{Tolerance: 1e-13, MaxIterations: 1000000})
+		if err != nil || !plain.Converged {
+			t.Fatalf("plain solve: %v, converged %v", err, plain != nil && plain.Converged)
+		}
+		mass := make([]float64, block[n-1]+1)
+		for i, p := range plain.Pi {
+			mass[block[i]] += p
+		}
+		lines, err := g.SteadyState(SolveOptions{Tolerance: 1e-13, MaxIterations: 1000000, Aggregation: &Aggregation{Block: block, Mass: mass}})
+		if err != nil {
+			t.Fatalf("line solve: %v", err)
+		}
+		if !lines.Converged {
+			t.Fatalf("line solve did not converge in %d sweeps", lines.Iterations)
+		}
+		for i := range plain.Pi {
+			if !almostEqual(lines.Pi[i], plain.Pi[i], 1e-8) {
+				t.Fatalf("pi[%d]: line solve %v, plain %v", i, lines.Pi[i], plain.Pi[i])
+			}
+		}
+	})
 }

@@ -12,7 +12,10 @@
 // Koury–McAllister–Stewart, with the aggregate solve replaced by the closed
 // form). The sweeps then only have to resolve the distribution within each
 // block, which removes the slow modes of the block process from the
-// iteration.
+// iteration. Gauss–Seidel does that within-block work as the block
+// Gauss–Seidel half of the scheme: each maximal run of consecutive states in
+// one block is a line whose balance equations a sweep solves exactly (see
+// SolveOptions.Aggregation).
 //
 // The generator is stored column-oriented (incoming transitions per state)
 // because every provided solver needs, for a state j, the inflow
@@ -88,15 +91,15 @@ func NewGenerator(numStates int, transitions TransitionFunc) (*Generator, error)
 		outRate: make([]float64, numStates),
 	}
 
-	// Pass 1: count incoming transitions per target state and accumulate
-	// outgoing rates. The emit callbacks of both passes are bound once and
-	// read the current source state from the shared loop variable, so
-	// building the generator allocates nothing per state.
+	// Pass 1: count incoming transitions per target state into
+	// inPtr[to+1] and accumulate outgoing rates. The emit callbacks of both
+	// passes are bound once and read the current source state from the
+	// shared loop variable, so building the generator allocates nothing per
+	// state.
 	var (
 		emitErr error
 		state   int
 	)
-	counts := make([]int64, numStates)
 	count := func(to int, rate float64) {
 		if emitErr != nil {
 			return
@@ -112,7 +115,7 @@ func NewGenerator(numStates int, transitions TransitionFunc) (*Generator, error)
 		if rate == 0 || to == state {
 			return
 		}
-		counts[to]++
+		g.inPtr[to+1]++
 		g.outRate[state] += rate
 	}
 	for state = 0; state < numStates; state++ {
@@ -131,29 +134,29 @@ func NewGenerator(numStates int, transitions TransitionFunc) (*Generator, error)
 		}
 	}
 
-	// Prefix sums give the column pointers.
+	// Exclusive prefix sums turn the counts into column starts, shifted by
+	// one: inPtr[j+1] is where column j begins.
 	var total int64
-	for j := 0; j < numStates; j++ {
+	for j := 1; j <= numStates; j++ {
+		count := g.inPtr[j]
 		g.inPtr[j] = total
-		total += counts[j]
+		total += count
 	}
-	g.inPtr[numStates] = total
 	g.nnz = total
 	g.inSrc = make([]int32, total)
 	g.inRate = make([]float64, total)
 
-	// Pass 2: fill. Reuse counts as per-column fill cursors.
-	for j := range counts {
-		counts[j] = 0
-	}
+	// Pass 2: fill, with inPtr[to+1] as the fill cursor of column to. Once
+	// the column is full it holds the column's end, which is where the
+	// next column begins.
 	fill := func(to int, rate float64) {
 		if to < 0 || to >= numStates || rate <= 0 || to == state {
 			return
 		}
-		pos := g.inPtr[to] + counts[to]
+		pos := g.inPtr[to+1]
 		g.inSrc[pos] = int32(state)
 		g.inRate[pos] = rate
-		counts[to]++
+		g.inPtr[to+1]++
 	}
 	for state = 0; state < numStates; state++ {
 		transitions(state, fill)
@@ -167,38 +170,6 @@ func (g *Generator) NumStates() int { return g.n }
 // NumTransitions returns the number of stored (off-diagonal, positive-rate)
 // transitions.
 func (g *Generator) NumTransitions() int64 { return g.nnz }
-
-// OutRate returns the total outgoing rate of a state (the negated diagonal of
-// the generator matrix). It returns 0 for out-of-range states.
-func (g *Generator) OutRate(state int) float64 {
-	if state < 0 || state >= g.n {
-		return 0
-	}
-	return g.outRate[state]
-}
-
-// MaxOutRate returns the largest total outgoing rate over all states; it is
-// the uniformization constant used by the power-iteration solver.
-func (g *Generator) MaxOutRate() float64 { return g.maxOutRate }
-
-// Inflow computes, for every state j, the total probability inflow
-// sum_i pi_i q_ij of the probability vector pi, writing the result into dst
-// (which must have length NumStates). It is exported for residual
-// computations and tests.
-func (g *Generator) Inflow(pi, dst []float64) error {
-	if len(pi) != g.n || len(dst) != g.n {
-		return fmt.Errorf("%w: vector length %d/%d, want %d", ErrInvalidArgument, len(pi), len(dst), g.n)
-	}
-	for j := 0; j < g.n; j++ {
-		start, end := g.inPtr[j], g.inPtr[j+1]
-		var sum float64
-		for p := start; p < end; p++ {
-			sum += pi[g.inSrc[p]] * g.inRate[p]
-		}
-		dst[j] = sum
-	}
-	return nil
-}
 
 // Residual returns the infinity norm of pi*Q, i.e. max_j |inflow_j - pi_j d_j|.
 // A steady-state vector has residual 0.

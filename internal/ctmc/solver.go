@@ -11,9 +11,10 @@ import (
 type Method int
 
 const (
-	// GaussSeidel updates states in place using the newest available values.
-	// It is the default because it typically converges in far fewer sweeps
-	// than the other methods on the quasi-birth-death structure of the GPRS
+	// GaussSeidel updates states in place using the newest available values,
+	// one line of an aggregation block at a time (see SolveOptions). It is
+	// the default because it typically converges in far fewer sweeps than
+	// the other methods on the quasi-birth-death structure of the GPRS
 	// model.
 	GaussSeidel Method = iota + 1
 	// Jacobi updates all states from the previous iterate with a damping
@@ -52,11 +53,6 @@ type SolveOptions struct {
 	// CheckEvery is the number of sweeps between convergence checks; the zero
 	// value means 10.
 	CheckEvery int
-	// Relaxation is the successive over-relaxation factor applied to the
-	// Gauss–Seidel update (pi_j <- (1-w) pi_j + w inflow_j/d_j). The zero
-	// value means 1 (plain Gauss–Seidel); values in (1, 2) accelerate
-	// convergence on the stiff GPRS chain, values above 2 are rejected.
-	Relaxation float64
 	// Parallel enables multi-goroutine sweeps for the Jacobi and Power
 	// methods (Gauss–Seidel is inherently sequential). The zero value uses a
 	// single goroutine.
@@ -73,7 +69,12 @@ type SolveOptions struct {
 	// are rescaled block by block to those masses, in place of the plain
 	// normalization. It applies to every method; uniformized power
 	// iteration already preserves the marginal of a lumpable partition and
-	// gains nothing from it. If nil, no aggregation is used.
+	// gains nothing from it. Under Gauss–Seidel, each maximal run of
+	// consecutive states in one block is a line, solved exactly per sweep
+	// given the newest inflow from outside it; the solve is exact when a
+	// line's states are joined inside it only to their neighbours, and a
+	// one-state line is the point update. If nil, no aggregation is used and
+	// every line is one state.
 	Aggregation *Aggregation
 }
 
@@ -179,9 +180,6 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.Relaxation == 0 {
-		o.Relaxation = 1
-	}
 	return o
 }
 
@@ -210,12 +208,14 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	// norm restores the invariants of an iterate after every sweep: a
 	// probability vector, and with an aggregation, the exact block masses.
 	norm := normalize
+	var block []int32
 	if agg := o.Aggregation; agg != nil {
 		if err := agg.validate(g.n); err != nil {
 			return nil, err
 		}
 		factor := make([]float64, len(agg.Mass))
 		norm = func(v []float64) error { return agg.rescale(v, factor) }
+		block = agg.Block
 	}
 	if g.n == 1 {
 		return &Solution{Pi: []float64{1}, Converged: true, Method: o.Method}, nil
@@ -236,89 +236,147 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 		return nil, err
 	}
 
-	if o.Relaxation < 0 || o.Relaxation >= 2 {
-		return nil, fmt.Errorf("%w: relaxation factor %v outside (0, 2)", ErrInvalidArgument, o.Relaxation)
-	}
-
-	var (
-		sol *Solution
-		err error
-	)
+	// step maps an iterate to the next one, before norm.
+	var step func(pi []float64) []float64
 	switch o.Method {
 	case GaussSeidel:
-		sol, err = g.solveGaussSeidel(pi, o, norm)
-	case Jacobi:
-		sol, err = g.solveJacobiOrPower(pi, o, norm, false)
-	case Power:
-		sol, err = g.solveJacobiOrPower(pi, o, norm, true)
+		step = g.gaussSeidelStep(block)
+	case Jacobi, Power:
+		step = g.jacobiOrPowerStep(o, o.Method == Power)
 	default:
 		return nil, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, o.Method)
 	}
-	if err != nil {
-		return nil, err
-	}
-	sol.Method = o.Method
-	sol.Residual, _ = g.Residual(sol.Pi)
-	return sol, nil
-}
-
-// solveGaussSeidel iterates pi_j <- (1-w) pi_j + w inflow_j / d_j in place
-// (plain Gauss–Seidel for w = 1, SOR otherwise), restoring the iterate's
-// invariants with norm after every sweep.
-func (g *Generator) solveGaussSeidel(pi []float64, o SolveOptions, norm func([]float64) error) (*Solution, error) {
 	prev := make([]float64, g.n)
-	sol := &Solution{Pi: pi}
-	w := o.Relaxation
+	sol := &Solution{Method: o.Method}
 	for iter := 1; iter <= o.MaxIterations; iter++ {
-		if w == 1 {
-			for j := 0; j < g.n; j++ {
-				start, end := g.inPtr[j], g.inPtr[j+1]
-				var sum float64
-				for p := start; p < end; p++ {
-					sum += pi[g.inSrc[p]] * g.inRate[p]
-				}
-				pi[j] = sum / g.outRate[j]
-			}
-		} else {
-			for j := 0; j < g.n; j++ {
-				start, end := g.inPtr[j], g.inPtr[j+1]
-				var sum float64
-				for p := start; p < end; p++ {
-					sum += pi[g.inSrc[p]] * g.inRate[p]
-				}
-				v := (1-w)*pi[j] + w*sum/g.outRate[j]
-				if v < 0 {
-					v = 0
-				}
-				pi[j] = v
-			}
-		}
+		pi = step(pi)
 		if err := norm(pi); err != nil {
 			return nil, err
 		}
 		sol.Iterations = iter
 		if iter%o.CheckEvery == 0 || iter == o.MaxIterations {
-			delta := relativeL1Change(prev, pi)
-			sol.Delta = delta
+			sol.Delta = relativeL1Change(prev, pi)
 			copy(prev, pi)
-			if delta <= o.Tolerance && iter > o.CheckEvery {
+			if sol.Delta <= o.Tolerance && iter > o.CheckEvery {
 				sol.Converged = true
-				return sol, nil
+				break
 			}
 		}
 	}
+	sol.Pi = pi
+	sol.Residual, _ = g.Residual(pi)
 	return sol, nil
 }
 
-// solveJacobiOrPower iterates with a separate old/new vector. With power=true
-// the update is the uniformized power step
-// pi_j <- pi_j + (inflow_j - pi_j d_j)/Lambda; otherwise the Jacobi step
-// pi_j <- inflow_j / d_j is used. norm restores the iterate's invariants
-// after every sweep.
-func (g *Generator) solveJacobiOrPower(pi []float64, o SolveOptions, norm func([]float64) error, power bool) (*Solution, error) {
+// closedLine is the share of a state's outflow below which the part not to
+// its line neighbours counts as 0, so a closed line ends on a pivot of 0.
+const closedLine = 1e-12
+
+// lineEnd returns the end of the line that starts at state s: a maximal run
+// of consecutive states in one block, or one state without an aggregation.
+func lineEnd(block []int32, s, n int) int {
+	e := s + 1
+	for block != nil && e < n && block[e] == block[s] {
+		e++
+	}
+	return e
+}
+
+// lineInflow scans the incoming transitions of state j, which lies in the
+// line [s, e). It returns the inflow sum_i pi_i q_ij over every source i
+// except j's neighbours in the line, and the rates lo = q_{j-1,j} and
+// hi = q_{j+1,j} from those neighbours (0 for a neighbour outside the line).
+func (g *Generator) lineInflow(pi []float64, j, s, e int) (sum, lo, hi float64) {
+	for p := g.inPtr[j]; p < g.inPtr[j+1]; p++ {
+		src, rate := int(g.inSrc[p]), g.inRate[p]
+		switch {
+		case src == j-1 && j > s:
+			lo += rate
+		case src == j+1 && j+1 < e:
+			hi += rate
+		default:
+			sum += pi[src] * rate
+		}
+	}
+	return sum, lo, hi
+}
+
+// gaussSeidelStep returns the line Gauss–Seidel sweep over the lines of
+// block, which updates the iterate in place. It visits the lines in index
+// order and solves the balance equations of each exactly, given the newest
+// inflow from outside the line: d_q x_q - lo_q x_{q-1} - hi_q x_{q+1} =
+// rhs_q, by a Thomas pass over the pivots of linePivots. A one-state line is
+// the point update pi_j <- inflow_j / d_j. A closed line, which sends
+// nothing out of itself, ends on a pivot of 0: its last state keeps its
+// value, the rest are solved from it, and norm sets the line's mass.
+func (g *Generator) gaussSeidelStep(block []int32) func([]float64) []float64 {
+	invPivot, longest := g.linePivots(block)
+	rhs, upper := make([]float64, longest), make([]float64, longest)
+	return func(pi []float64) []float64 {
+		for s := 0; s < g.n; {
+			e := lineEnd(block, s, g.n)
+			var r float64
+			for j := s; j < e; j++ {
+				sum, lo, hi := g.lineInflow(pi, j, s, e)
+				r = (sum + lo*r) * invPivot[j]
+				rhs[j-s], upper[j-s] = r, hi*invPivot[j]
+			}
+			x := pi[e-1]
+			for j := e - 1; j >= s; j-- {
+				if invPivot[j] != 0 {
+					x = rhs[j-s] + upper[j-s]*x
+				}
+				pi[j] = x
+			}
+			s = e
+		}
+		return pi
+	}
+}
+
+// linePivots returns the inverse modified pivot of every state (0 for a
+// pivot of 0) and the longest line's length. With up_q and down_q the rates
+// from q to q+1 and q-1 in its line and e_q = d_q - up_q - down_q, the pivot
+// b_q = d_q - down_q up_{q-1} / b_{q-1} is summed as up_q + a_q with
+// a_q = e_q + down_q a_{q-1} / b_{q-1}, as the difference loses a factor
+// down/up of accuracy per state on a line with a strong drift.
+func (g *Generator) linePivots(block []int32) ([]float64, int) {
+	invPivot, longest := make([]float64, g.n), 0
+	for s := 0; s < g.n; {
+		e := lineEnd(block, s, g.n)
+		longest = max(longest, e-s)
+		// The scan of column q+1 yields up_q and down_{q+2}; its inflow sum
+		// is unused, so any vector serves as the iterate.
+		_, _, downNext := g.lineInflow(g.outRate, s, s, e)
+		var down, a, inv float64
+		for q := s; q < e; q++ {
+			var up, downAfter float64
+			if q+1 < e {
+				_, up, downAfter = g.lineInflow(g.outRate, q+1, s, e)
+			}
+			rest := g.outRate[q] - up - down
+			if rest < closedLine*g.outRate[q] {
+				rest = 0
+			}
+			a = rest + down*a*inv
+			inv = 0
+			if pivot := up + a; pivot > 0 {
+				inv = 1 / pivot
+			}
+			invPivot[q] = inv
+			down, downNext = downNext, downAfter
+		}
+		s = e
+	}
+	return invPivot, longest
+}
+
+// jacobiOrPowerStep returns a sweep into a second vector, which it returns,
+// swapping the vectors' roles. With power=true the update is the uniformized
+// power step pi_j <- pi_j + (inflow_j - pi_j d_j)/Lambda; otherwise the
+// Jacobi step pi_j <- inflow_j / d_j is used.
+func (g *Generator) jacobiOrPowerStep(o SolveOptions, power bool) func([]float64) []float64 {
 	next := make([]float64, g.n)
-	prev := make([]float64, g.n)
-	sol := &Solution{}
 	// Uniformization constant slightly above the maximum outflow rate keeps
 	// the DTMC aperiodic.
 	lambda := g.maxOutRate * 1.02
@@ -345,24 +403,17 @@ func (g *Generator) solveJacobiOrPower(pi []float64, o SolveOptions, norm func([
 
 	workers := 1
 	if o.Parallel && o.Workers > 1 {
-		workers = o.Workers
-		if workers > g.n {
-			workers = g.n
-		}
+		workers = min(o.Workers, g.n)
 	}
 
-	for iter := 1; iter <= o.MaxIterations; iter++ {
+	return func(pi []float64) []float64 {
 		if workers == 1 {
 			sweep(0, g.n, pi, next)
 		} else {
 			var wg sync.WaitGroup
 			chunk := (g.n + workers - 1) / workers
 			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				hi := lo + chunk
-				if hi > g.n {
-					hi = g.n
-				}
+				lo, hi := w*chunk, min((w+1)*chunk, g.n)
 				if lo >= hi {
 					break
 				}
@@ -374,23 +425,9 @@ func (g *Generator) solveJacobiOrPower(pi []float64, o SolveOptions, norm func([
 			}
 			wg.Wait()
 		}
-		if err := norm(next); err != nil {
-			return nil, err
-		}
 		pi, next = next, pi
-		sol.Iterations = iter
-		if iter%o.CheckEvery == 0 || iter == o.MaxIterations {
-			delta := relativeL1Change(prev, pi)
-			sol.Delta = delta
-			copy(prev, pi)
-			if delta <= o.Tolerance && iter > o.CheckEvery {
-				sol.Converged = true
-				break
-			}
-		}
+		return pi
 	}
-	sol.Pi = pi
-	return sol, nil
 }
 
 // normalize scales the vector to sum to 1 and clamps tiny negative rounding
@@ -428,17 +465,4 @@ func relativeL1Change(old, cur []float64) float64 {
 		return math.Inf(1)
 	}
 	return diff / norm
-}
-
-// Expectation returns sum_s pi[s] * value(s), a convenience for computing
-// performance measures from a steady-state vector.
-func Expectation(pi []float64, value func(state int) float64) float64 {
-	var sum float64
-	for s, p := range pi {
-		if p == 0 {
-			continue
-		}
-		sum += p * value(s)
-	}
-	return sum
 }
