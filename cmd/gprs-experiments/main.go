@@ -4,10 +4,10 @@
 // -workers bound; simulator series carry cross-replication confidence
 // intervals from -replications independent runs seeded from -seed. Overlapping
 // model solutions are memoized across figures. -cells selects the simulated
-// cluster size (7 is the paper's cluster; 19 and 37 are generated wrap-around
-// hex rings) and -shards > 1 runs each simulator replication on the sharded
-// multi-cell engine without changing the results. Progress is reported on
-// stderr.
+// cluster size (7 is the paper's cluster; 19, 37, ... 331 are generated
+// wrap-around hex rings) and -shards > 1 runs each simulator replication on
+// the sharded multi-cell engine without changing the results. Progress is
+// reported on stderr.
 //
 // -scenario/-scenario-file install a heterogeneous-load workload scenario
 // (internal/scenario) on every simulator run; `-figure hotspot` regenerates

@@ -2,10 +2,9 @@
 // simulator: a cluster of seven hexagonal cells (one mid cell surrounded by
 // six neighbours). Handovers move users between neighbouring cells; the
 // performance measures are collected in the mid cell (Section 5.2). Beyond
-// the paper's cluster the package generates city-scale wrap-around lattices —
-// hexagonal balls of arbitrary radius (NewHexRing, up to 331 cells through
-// Preset) and rectangular city grids (NewCityGrid) — all closed toroidally so
-// handover flows stay balanced in every cell.
+// the paper's cluster the package generates city-scale wrap-around hexagonal
+// balls of arbitrary radius (NewHexRing, up to 331 cells through Preset),
+// closed toroidally so handover flows stay balanced in every cell.
 package cluster
 
 import (
@@ -154,44 +153,6 @@ func abs(v int) int {
 	return v
 }
 
-// NewCityGrid returns a rectangular wrap-around city lattice of width x
-// height hexagonal cells: the cells tile a parallelogram-shaped patch of the
-// triangular lattice (axial coordinates q in [0, width), r in [0, height)),
-// closed toroidally along both axial directions so every cell has exactly six
-// neighbours and the topology is vertex-transitive — the metro-scale
-// counterpart of the wrap-around hex rings, shaped for street-grid scenarios
-// rather than radial ones. Cell 0 sits at the origin and doubles as the mid
-// cell; indices advance row-major (index = r*width + q). Both dimensions must
-// be at least 3 so the six wrap-around neighbours stay distinct.
-func NewCityGrid(width, height int) (*Topology, error) {
-	if width < 3 || height < 3 {
-		return nil, fmt.Errorf("%w: city grid needs width and height of at least 3, got %dx%d",
-			ErrInvalidTopology, width, height)
-	}
-	n := width * height
-	coords := make([]axial, 0, n)
-	for r := 0; r < height; r++ {
-		for q := 0; q < width; q++ {
-			coords = append(coords, axial{q, r})
-		}
-	}
-	mod := func(v, m int) int { return ((v % m) + m) % m }
-	directions := []axial{{1, 0}, {1, -1}, {0, -1}, {-1, 0}, {-1, 1}, {0, 1}}
-	neighbors := make([][]int, n)
-	for i, c := range coords {
-		for _, d := range directions {
-			q := mod(c.q+d.q, width)
-			r := mod(c.r+d.r, height)
-			neighbors[i] = append(neighbors[i], r*width+q)
-		}
-	}
-	t := &Topology{numCells: n, neighbors: neighbors, coords: coords}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // maxPresetRing bounds the hex-ring sizes Preset enumerates: rings 1..10
 // cover 7 through 331 cells. NewHexRing itself accepts arbitrary radii; the
 // preset list exists so CLIs and tests can name city-scale sizes by cell
@@ -214,8 +175,8 @@ func PresetSizes() []int {
 // Preset returns the topology for a supported cluster size: 7 is the paper's
 // seven-cell hexagonal cluster, every other size of PresetSizes is the
 // generated wrap-around hex-ring cluster of the matching radius (19, 37, 61,
-// ... 331 cells for NewHexRing with 2..10 rings). For lattice shapes the size
-// list cannot name, call NewHexRing or NewCityGrid directly.
+// ... 331 cells for NewHexRing with 2..10 rings). For ring radii the size
+// list cannot name, call NewHexRing directly.
 func Preset(cells int) (*Topology, error) {
 	if cells == 7 {
 		return NewHexCluster(), nil
@@ -245,23 +206,12 @@ func NewRing(n int) (*Topology, error) {
 // NumCells returns the number of cells in the cluster.
 func (t *Topology) NumCells() int { return t.numCells }
 
-// Neighbors returns a copy of the neighbour list of a cell. It returns nil
-// for out-of-range cells.
-func (t *Topology) Neighbors(cell int) []int {
-	if cell < 0 || cell >= t.numCells {
-		return nil
-	}
-	out := make([]int, len(t.neighbors[cell]))
-	copy(out, t.neighbors[cell])
-	return out
-}
-
 // NeighborAt returns the i-th neighbour of a cell without copying the
 // neighbour list — the allocation-free accessor the simulator's hot path
-// uses (Neighbors returns a fresh slice per call). It returns -1 for
-// out-of-range cells or indices. Together with Degree it exposes the
-// deterministic neighbour order HandoverTarget picks from, which the
-// directed-retry handover policy relies on for its "next neighbour" rule.
+// uses. It returns -1 for out-of-range cells or indices. Together with
+// Degree it exposes the deterministic neighbour order HandoverTarget picks
+// from, which the directed-retry handover policy relies on for its "next
+// neighbour" rule.
 func (t *Topology) NeighborAt(cell, i int) int {
 	if cell < 0 || cell >= t.numCells || i < 0 || i >= len(t.neighbors[cell]) {
 		return -1
@@ -334,16 +284,6 @@ func (t *Topology) Distances(from int) []int {
 		}
 	}
 	return dist
-}
-
-// Distance returns the hop distance between two cells, or -1 when either
-// cell is out of range or no path connects them.
-func (t *Topology) Distance(a, b int) int {
-	d := t.Distances(a)
-	if d == nil || b < 0 || b >= t.numCells {
-		return -1
-	}
-	return d[b]
 }
 
 // Eccentricity returns the largest hop distance from the given cell to any

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/traffic"
 )
@@ -130,64 +129,4 @@ func (m *Model) MeasuresFrom(pi []float64) (Measures, error) {
 		GSMHandoverRate:         m.gsmBalance.HandoverRate,
 		GPRSHandoverRate:        m.gprsBalance.HandoverRate,
 	}, nil
-}
-
-// MarginalGSM returns the marginal distribution of the number of active GSM
-// calls computed from a steady-state vector; it should coincide with the
-// Erlang closed form (Eq. 2) and is used for validation.
-func (m *Model) MarginalGSM(pi []float64) []float64 {
-	dist := make([]float64, m.space.GSMChannels()+1)
-	for idx, p := range pi {
-		if p == 0 {
-			continue
-		}
-		dist[m.space.State(idx).GSMCalls] += p
-	}
-	return dist
-}
-
-// MarginalSessions returns the marginal distribution of the number of active
-// GPRS sessions computed from a steady-state vector; it should coincide with
-// the Erlang closed form (Eq. 3).
-func (m *Model) MarginalSessions(pi []float64) []float64 {
-	dist := make([]float64, m.space.MaxSessions()+1)
-	for idx, p := range pi {
-		if p == 0 {
-			continue
-		}
-		dist[m.space.State(idx).Sessions] += p
-	}
-	return dist
-}
-
-// MarginalQueue returns the marginal distribution of the BSC buffer
-// occupancy.
-func (m *Model) MarginalQueue(pi []float64) []float64 {
-	dist := make([]float64, m.space.BufferSize()+1)
-	for idx, p := range pi {
-		if p == 0 {
-			continue
-		}
-		dist[m.space.State(idx).Packets] += p
-	}
-	return dist
-}
-
-// ValidateDistribution checks that a vector is a probability distribution
-// over the state space (non-negative, sums to 1 within tolerance).
-func (m *Model) ValidateDistribution(pi []float64, tol float64) error {
-	if len(pi) != m.space.NumStates() {
-		return fmt.Errorf("%w: length %d, want %d", ErrInvalidConfig, len(pi), m.space.NumStates())
-	}
-	var sum float64
-	for i, p := range pi {
-		if p < -tol || math.IsNaN(p) {
-			return fmt.Errorf("%w: probability %v at state %d", ErrInvalidConfig, p, i)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > tol {
-		return fmt.Errorf("%w: probability mass %v", ErrInvalidConfig, sum)
-	}
-	return nil
 }

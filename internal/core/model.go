@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ctmc"
 	"repro/internal/erlang"
+	"repro/internal/traffic"
 )
 
 // Model is the GPRS Markov model of one cell, ready to be solved. A Model is
@@ -81,9 +82,6 @@ func New(cfg Config) (*Model, error) {
 	}
 	return m, nil
 }
-
-// Config returns the configuration the model was built from.
-func (m *Model) Config() Config { return m.cfg }
 
 // Rates returns the primitive rates derived from the configuration.
 func (m *Model) Rates() Rates { return m.rates }
@@ -304,9 +302,8 @@ func (m *Model) productFormAggregation() (*ctmc.Aggregation, error) {
 		}
 	}
 	mass := make([]float64, len(block)/lineLen)
-	pOff := m.rates.IPP.OffProbability()
 	for mm := 0; mm <= m.space.MaxSessions(); mm++ {
-		phase := binomialPMF(mm, pOff)
+		phase := traffic.AggregateMMPP{Source: m.rates.IPP, M: mm}.StationaryDistribution()
 		for r := 0; r <= mm; r++ {
 			for n, pn := range gsmDist {
 				b := m.space.Index(State{GSMCalls: n, Sessions: mm, OffSessions: r}) / lineLen
@@ -315,21 +312,4 @@ func (m *Model) productFormAggregation() (*ctmc.Aggregation, error) {
 		}
 	}
 	return &ctmc.Aggregation{Block: block, Mass: mass}, nil
-}
-
-// binomialPMF returns the probabilities of 0..n successes with success
-// probability p.
-func binomialPMF(n int, p float64) []float64 {
-	pmf := make([]float64, n+1)
-	pmf[0] = 1
-	for i := 0; i < n; i++ {
-		// Multiply the distribution by one more Bernoulli trial.
-		next := make([]float64, n+1)
-		for k := 0; k <= i; k++ {
-			next[k] += pmf[k] * (1 - p)
-			next[k+1] += pmf[k] * p
-		}
-		copy(pmf, next)
-	}
-	return pmf
 }

@@ -61,14 +61,35 @@ func solvePlain(t *testing.T, model *Model) ([]float64, Measures) {
 	return sol.Pi, meas
 }
 
+// marginal returns the marginal distribution of one state coordinate, read by
+// of, under the steady-state vector pi.
+func marginal(sp StateSpace, pi []float64, of func(State) int) []float64 {
+	var dist []float64
+	for idx, p := range pi {
+		v := of(sp.State(idx))
+		for len(dist) <= v {
+			dist = append(dist, 0)
+		}
+		dist[v] += p
+	}
+	return dist
+}
+
 func TestModelSolveSmallConfig(t *testing.T) {
 	model, res := solveSmall(t, smallConfig())
-	if err := model.ValidateDistribution(res.Pi, 1e-9); err != nil {
-		t.Fatalf("invalid steady-state vector: %v", err)
+	var sum float64
+	for i, p := range res.Pi {
+		if p < 0 || math.IsNaN(p) {
+			t.Fatalf("probability %v at state %d", p, i)
+		}
+		sum += p
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("probability mass %v", sum)
 	}
 	meas := res.Measures
 
-	if meas.CarriedDataTraffic < 0 || meas.CarriedDataTraffic > float64(model.Config().Channels.TotalChannels) {
+	if meas.CarriedDataTraffic < 0 || meas.CarriedDataTraffic > float64(model.cfg.Channels.TotalChannels) {
 		t.Errorf("CDT = %v out of range", meas.CarriedDataTraffic)
 	}
 	if meas.PacketLossProbability < 0 || meas.PacketLossProbability > 1 {
@@ -77,13 +98,13 @@ func TestModelSolveSmallConfig(t *testing.T) {
 	if meas.QueueingDelay < 0 {
 		t.Errorf("QD = %v negative", meas.QueueingDelay)
 	}
-	if meas.MeanQueueLength < 0 || meas.MeanQueueLength > float64(model.Config().BufferSize) {
+	if meas.MeanQueueLength < 0 || meas.MeanQueueLength > float64(model.cfg.BufferSize) {
 		t.Errorf("MQL = %v out of range", meas.MeanQueueLength)
 	}
-	if meas.AverageSessions <= 0 || meas.AverageSessions > float64(model.Config().MaxSessions) {
+	if meas.AverageSessions <= 0 || meas.AverageSessions > float64(model.cfg.MaxSessions) {
 		t.Errorf("AGS = %v out of range", meas.AverageSessions)
 	}
-	if meas.CarriedVoiceTraffic <= 0 || meas.CarriedVoiceTraffic > float64(model.Config().Channels.GSMChannels()) {
+	if meas.CarriedVoiceTraffic <= 0 || meas.CarriedVoiceTraffic > float64(model.cfg.Channels.GSMChannels()) {
 		t.Errorf("CVT = %v out of range", meas.CarriedVoiceTraffic)
 	}
 	if meas.GSMBlockingProbability < 0 || meas.GSMBlockingProbability > 1 {
@@ -114,7 +135,7 @@ func TestGSMMarginalMatchesErlang(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := model.MarginalGSM(pi)
+	got := marginal(model.space, pi, func(s State) int { return s.GSMCalls })
 	for n := range want {
 		if math.Abs(got[n]-want[n]) > 1e-6 {
 			t.Errorf("GSM marginal p[%d] = %v, want %v", n, got[n], want[n])
@@ -135,7 +156,7 @@ func TestSessionMarginalMatchesErlang(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := model.MarginalSessions(pi)
+	got := marginal(model.space, pi, func(s State) int { return s.Sessions })
 	for mm := range want {
 		if math.Abs(got[mm]-want[mm]) > 1e-6 {
 			t.Errorf("session marginal p[%d] = %v, want %v", mm, got[mm], want[mm])
@@ -227,7 +248,7 @@ func TestSolveConcurrentUse(t *testing.T) {
 
 func TestQueueMarginalSumsToOne(t *testing.T) {
 	model, res := solveSmall(t, smallConfig())
-	dist := model.MarginalQueue(res.Pi)
+	dist := marginal(model.space, res.Pi, func(s State) int { return s.Packets })
 	var sum float64
 	for _, p := range dist {
 		sum += p
@@ -471,22 +492,6 @@ func TestMeasuresFromRejectsWrongLength(t *testing.T) {
 	}
 	if _, err := model.MeasuresFrom([]float64{1}); err == nil {
 		t.Error("expected error for wrong-length vector")
-	}
-	if err := model.ValidateDistribution([]float64{1}, 1e-9); err == nil {
-		t.Error("expected error for wrong-length distribution")
-	}
-}
-
-func TestBinomialPMF(t *testing.T) {
-	pmf := binomialPMF(4, 0.5)
-	want := []float64{1.0 / 16, 4.0 / 16, 6.0 / 16, 4.0 / 16, 1.0 / 16}
-	for i := range want {
-		if math.Abs(pmf[i]-want[i]) > 1e-12 {
-			t.Errorf("pmf[%d] = %v, want %v", i, pmf[i], want[i])
-		}
-	}
-	if pmf := binomialPMF(0, 0.3); len(pmf) != 1 || pmf[0] != 1 {
-		t.Errorf("binomialPMF(0, .) = %v", pmf)
 	}
 }
 

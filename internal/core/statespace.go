@@ -62,16 +62,8 @@ func (sp StateSpace) BufferSize() int { return sp.bufferSize }
 // MaxSessions returns M.
 func (sp StateSpace) MaxSessions() int { return sp.maxSessions }
 
-// Contains reports whether the state lies inside the state space.
-func (sp StateSpace) Contains(s State) bool {
-	return s.GSMCalls >= 0 && s.GSMCalls <= sp.gsmChannels &&
-		s.Packets >= 0 && s.Packets <= sp.bufferSize &&
-		s.Sessions >= 0 && s.Sessions <= sp.maxSessions &&
-		s.OffSessions >= 0 && s.OffSessions <= s.Sessions
-}
-
-// Index returns the dense index of a state. The caller must pass a state for
-// which Contains is true; out-of-range states yield an undefined index.
+// Index returns the dense index of a state. The caller must pass a state
+// inside the state space; out-of-range states yield an undefined index.
 func (sp StateSpace) Index(s State) int {
 	t := s.Sessions*(s.Sessions+1)/2 + s.OffSessions
 	return (s.GSMCalls*sp.triSize+t)*(sp.bufferSize+1) + s.Packets

@@ -27,9 +27,6 @@ func TestStateSpaceRoundTripExhaustive(t *testing.T) {
 			for m := 0; m <= 5; m++ {
 				for r := 0; r <= m; r++ {
 					s := State{GSMCalls: n, Packets: k, Sessions: m, OffSessions: r}
-					if !sp.Contains(s) {
-						t.Fatalf("state %v should be contained", s)
-					}
 					idx := sp.Index(s)
 					if idx < 0 || idx >= sp.NumStates() {
 						t.Fatalf("index %d out of range for %v", idx, s)
@@ -49,24 +46,6 @@ func TestStateSpaceRoundTripExhaustive(t *testing.T) {
 	}
 	if count != sp.NumStates() {
 		t.Errorf("enumerated %d states, space reports %d", count, sp.NumStates())
-	}
-}
-
-func TestStateSpaceContainsRejectsInvalid(t *testing.T) {
-	sp := NewStateSpace(2, 2, 2)
-	invalid := []State{
-		{GSMCalls: -1},
-		{GSMCalls: 3},
-		{Packets: -1},
-		{Packets: 3},
-		{Sessions: 3},
-		{Sessions: 1, OffSessions: 2}, // r > m
-		{OffSessions: -1},
-	}
-	for _, s := range invalid {
-		if sp.Contains(s) {
-			t.Errorf("state %v should not be contained", s)
-		}
 	}
 }
 
@@ -93,7 +72,8 @@ func TestStateSpaceRoundTripProperty(t *testing.T) {
 		sp := NewStateSpace(int(nSeed%6)+1, int(kSeed%10)+1, int(mSeed%8)+1)
 		idx := int(pick) % sp.NumStates()
 		s := sp.State(idx)
-		if !sp.Contains(s) {
+		if s.GSMCalls < 0 || s.GSMCalls > sp.gsmChannels || s.Packets < 0 || s.Packets > sp.bufferSize ||
+			s.OffSessions < 0 || s.OffSessions > s.Sessions || s.Sessions > sp.maxSessions {
 			return false
 		}
 		return sp.Index(s) == idx

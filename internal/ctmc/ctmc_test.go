@@ -187,18 +187,8 @@ func TestSingleStateChain(t *testing.T) {
 	}
 }
 
-func TestInitialVectorAndValidation(t *testing.T) {
+func TestUnknownMethodRejected(t *testing.T) {
 	g := twoStateChain(t, 1, 1)
-	sol, err := g.SteadyState(SolveOptions{Initial: []float64{0.9, 0.1}, Tolerance: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(sol.Pi[0], 0.5, 1e-8) {
-		t.Errorf("pi[0] = %v, want 0.5", sol.Pi[0])
-	}
-	if _, err := g.SteadyState(SolveOptions{Initial: []float64{1}}); !errors.Is(err, ErrInvalidArgument) {
-		t.Error("wrong-length initial vector should be rejected")
-	}
 	if _, err := g.SteadyState(SolveOptions{Method: Method(42)}); !errors.Is(err, ErrInvalidArgument) {
 		t.Error("unknown method should be rejected")
 	}
@@ -223,7 +213,7 @@ func TestParallelPowerMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := g.SteadyState(SolveOptions{Method: Power, Tolerance: 1e-12, MaxIterations: 500000, Parallel: true, Workers: 8})
+	par, err := g.SteadyState(SolveOptions{Method: Power, Tolerance: 1e-12, MaxIterations: 500000, Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,6 +483,65 @@ func TestClosedLineSolvesToClosedForm(t *testing.T) {
 	for s, want := range mmckExact(lambda, mu, c, capacity) {
 		if math.IsNaN(sol.Pi[s]) || !almostEqual(sol.Pi[s], want, 1e-12) {
 			t.Errorf("pi[%d] = %v, want %v", s, sol.Pi[s], want)
+		}
+	}
+}
+
+// TestStalledSolveIsNotConverged pins a chain on which line Gauss–Seidel
+// stalls: the chain is not lumpable into the given blocks, and the rescaled
+// line sweeps settle on a wrong vector. The iterate stops changing (Delta
+// 1e-10 after ~1,170 sweeps) while pi*Q is still far from 0. Such a solve
+// must not report Converged, while Jacobi and Power reach the plain solve's
+// distribution on the same input.
+func TestStalledSolveIsNotConverged(t *testing.T) {
+	edges := []struct {
+		from, to int
+		rate     float64
+	}{
+		{0, 1, 7}, {1, 2, 9}, {2, 3, 1}, {2, 5, 9}, {3, 4, 9}, {4, 5, 4}, {4, 9, 17},
+		{5, 6, 1}, {6, 2, 5}, {6, 7, 3}, {7, 8, 5}, {8, 9, 1}, {9, 0, 7}, {9, 7, 6},
+	}
+	g, err := NewGenerator(10, func(s int, emit func(int, float64)) {
+		for _, e := range edges {
+			if e.from == s {
+				emit(e.to, e.rate)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := g.SteadyState(SolveOptions{Tolerance: 1e-13, MaxIterations: 1000000})
+	if err != nil || !plain.Converged {
+		t.Fatalf("plain solve: %v", err)
+	}
+	block := []int32{0, 0, 1, 1, 1, 1, 2, 2, 3, 4}
+	mass := make([]float64, 5)
+	for i, p := range plain.Pi {
+		mass[block[i]] += p
+	}
+	agg := &Aggregation{Block: block, Mass: mass}
+
+	stalled, err := g.SteadyState(SolveOptions{Aggregation: agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stalled.Converged {
+		t.Errorf("Gauss–Seidel reports convergence after %d sweeps with Delta %v but residual %v",
+			stalled.Iterations, stalled.Delta, stalled.Residual)
+	}
+	for _, method := range []Method{Jacobi, Power} {
+		sol, err := g.SteadyState(SolveOptions{Method: method, Aggregation: agg, MaxIterations: 1000000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Converged {
+			t.Errorf("%v: not converged after %d sweeps, residual %v", method, sol.Iterations, sol.Residual)
+		}
+		for i := range plain.Pi {
+			if !almostEqual(sol.Pi[i], plain.Pi[i], 1e-6) {
+				t.Errorf("%v: pi[%d] = %v, plain %v", method, i, sol.Pi[i], plain.Pi[i])
+			}
 		}
 	}
 }

@@ -50,29 +50,19 @@ type SolveOptions struct {
 	Tolerance float64
 	// MaxIterations bounds the number of sweeps; the zero value means 20000.
 	MaxIterations int
-	// CheckEvery is the number of sweeps between convergence checks; the zero
-	// value means 10.
-	CheckEvery int
 	// Parallel enables multi-goroutine sweeps for the Jacobi and Power
-	// methods (Gauss–Seidel is inherently sequential). The zero value uses a
-	// single goroutine.
+	// methods (Gauss–Seidel is inherently sequential), one goroutine per
+	// CPU. The zero value uses a single goroutine.
 	Parallel bool
-	// Workers is the number of goroutines used when Parallel is set; the zero
-	// value means runtime.NumCPU().
-	Workers int
-	// Initial optionally provides a starting distribution of length
-	// NumStates; it does not need to be normalized. If nil, the uniform
-	// distribution is used.
-	Initial []float64
 	// Aggregation optionally provides the exact stationary mass of a
-	// partition of the states. The starting vector and every sweep's iterate
-	// are rescaled block by block to those masses, in place of the plain
-	// normalization. It applies to every method; uniformized power
-	// iteration already preserves the marginal of a lumpable partition and
-	// gains nothing from it. Under Gauss–Seidel, each maximal run of
-	// consecutive states in one block is a line, solved exactly per sweep
-	// given the newest inflow from outside it; the solve is exact when a
-	// line's states are joined inside it only to their neighbours, and a
+	// partition of the states. The uniform starting vector and every
+	// sweep's iterate are rescaled block by block to those masses, in place
+	// of the plain normalization. It applies to every method; uniformized
+	// power iteration already preserves the marginal of a lumpable
+	// partition and gains nothing from it. Under Gauss–Seidel, each maximal
+	// run of consecutive states in one block is a line, solved exactly per
+	// sweep given the newest inflow from outside it; the solve is exact when
+	// a line's states are joined inside it only to their neighbours, and a
 	// one-state line is the point update. If nil, no aggregation is used and
 	// every line is one state.
 	Aggregation *Aggregation
@@ -174,14 +164,11 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 20000
 	}
-	if o.CheckEvery <= 0 {
-		o.CheckEvery = 10
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
-	}
 	return o
 }
+
+// checkEvery is the number of sweeps between convergence checks.
+const checkEvery = 10
 
 // Solution holds the result of a steady-state computation.
 type Solution struct {
@@ -195,7 +182,9 @@ type Solution struct {
 	// Residual is the infinity norm of pi*Q for the returned vector.
 	Residual float64
 	// Converged reports whether Delta fell below the tolerance before
-	// MaxIterations was reached.
+	// MaxIterations was reached and Residual is at most the tolerance times
+	// the largest total outflow rate of a state. A small Delta alone can
+	// mean a stalled iteration, not a solution.
 	Converged bool
 	// Method is the iteration scheme that produced the solution.
 	Method Method
@@ -222,15 +211,8 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	}
 
 	pi := make([]float64, g.n)
-	if o.Initial != nil {
-		if len(o.Initial) != g.n {
-			return nil, fmt.Errorf("%w: initial vector length %d, want %d", ErrInvalidArgument, len(o.Initial), g.n)
-		}
-		copy(pi, o.Initial)
-	} else {
-		for i := range pi {
-			pi[i] = 1 / float64(g.n)
-		}
+	for i := range pi {
+		pi[i] = 1 / float64(g.n)
 	}
 	if err := norm(pi); err != nil {
 		return nil, err
@@ -254,10 +236,10 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 			return nil, err
 		}
 		sol.Iterations = iter
-		if iter%o.CheckEvery == 0 || iter == o.MaxIterations {
+		if iter%checkEvery == 0 || iter == o.MaxIterations {
 			sol.Delta = relativeL1Change(prev, pi)
 			copy(prev, pi)
-			if sol.Delta <= o.Tolerance && iter > o.CheckEvery {
+			if sol.Delta <= o.Tolerance && iter > checkEvery {
 				sol.Converged = true
 				break
 			}
@@ -265,6 +247,7 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	}
 	sol.Pi = pi
 	sol.Residual, _ = g.Residual(pi)
+	sol.Converged = sol.Converged && sol.Residual <= o.Tolerance*g.maxOutRate
 	return sol, nil
 }
 
@@ -402,8 +385,8 @@ func (g *Generator) jacobiOrPowerStep(o SolveOptions, power bool) func([]float64
 	}
 
 	workers := 1
-	if o.Parallel && o.Workers > 1 {
-		workers = min(o.Workers, g.n)
+	if o.Parallel {
+		workers = min(runtime.NumCPU(), g.n)
 	}
 
 	return func(pi []float64) []float64 {

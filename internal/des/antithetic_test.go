@@ -43,8 +43,8 @@ func TestAntitheticPairComplementsEveryDraw(t *testing.T) {
 	// consumes exactly one underlying draw.
 	p := NewStreamKind(7, StreamPaired)
 	a := NewStreamKind(7, StreamAntithetic)
-	if p.Kind() != StreamPaired || a.Kind() != StreamAntithetic {
-		t.Fatalf("Kind() = %v, %v", p.Kind(), a.Kind())
+	if p.kind != StreamPaired || a.kind != StreamAntithetic {
+		t.Fatalf("kinds = %v, %v", p.kind, a.kind)
 	}
 	for i := 0; i < 2000; i++ {
 		switch i % 4 {

@@ -64,7 +64,7 @@
 // they are more than half of the list and more than a floor of 64, one O(n)
 // pass removes and recycles them all (a heapify for the heap, an in-place
 // filter of each calendar bucket). Until then a cancelled record is
-// collected when it reaches the front. Pending therefore stays at most twice
+// collected when it reaches the front. The list therefore holds at most twice
 // the live count plus the floor under cancel-and-schedule churn, and dead
 // records do not cost a sift each.
 package des
@@ -108,7 +108,7 @@ type Event struct {
 // event fires, is re-armed, or has its cancellation collected — one at a time
 // when the record reaches the front, or in a batch purge — at which point the
 // generation number the Handle carries stops matching the record's, so
-// Cancel and Canceled on an expired Handle are safe no-ops.
+// Cancel on an expired Handle is a safe no-op.
 type Handle struct {
 	ev  *Event
 	gen uint64 // even: the record's generation while the event is pending
@@ -121,19 +121,6 @@ func (h Handle) Cancel() {
 		ev.gen |= 1
 		ev.sim.noteCancel()
 	}
-}
-
-// Canceled reports whether the event has been cancelled and its record not
-// yet collected. It reports false for the zero Handle and for expired
-// Handles (the event fired, was re-armed, or its cancellation was collected).
-func (h Handle) Canceled() bool {
-	return h.ev != nil && h.ev.gen == h.gen|1
-}
-
-// Pending reports whether the event is still scheduled (not yet fired,
-// re-armed, cancelled or collected).
-func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen
 }
 
 // Time returns the absolute fire time of a pending or cancelled event, or
@@ -354,18 +341,6 @@ func (s *Simulation) Now() float64 { return s.now }
 // ProcessedEvents returns the number of events executed so far.
 func (s *Simulation) ProcessedEvents() uint64 { return s.events }
 
-// Pending returns the number of events held by the event list and the
-// lanes: the scheduled events plus the cancelled ones not yet collected.
-// Batch collection keeps it at most twice the scheduled count plus a small
-// constant floor.
-func (s *Simulation) Pending() int {
-	n := s.list.size()
-	for _, l := range s.lanes {
-		n += l.n
-	}
-	return n
-}
-
 // FreeEvents returns the current size of the event freelist (recycled
 // records awaiting reuse). It exists for allocation-budget tests.
 func (s *Simulation) FreeEvents() int { return len(s.free) }
@@ -461,16 +436,6 @@ func (s *Simulation) RunUntil(endTime float64) uint64 {
 	}
 	if s.now < endTime {
 		s.now = endTime
-	}
-	return executed
-}
-
-// Run executes events until the calendar is empty and returns the number of
-// events executed.
-func (s *Simulation) Run() uint64 {
-	var executed uint64
-	for s.fireNext(math.Inf(1)) {
-		executed++
 	}
 	return executed
 }

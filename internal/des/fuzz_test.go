@@ -103,11 +103,11 @@ func runFuzzOps(t *testing.T, kind QueueKind, ops []byte) {
 		}
 	}
 	horizon = math.Inf(1)
-	sim.Run()
+	run(sim)
 	if ref := c.reference(); !slices.Equal(c.fired, ref) {
 		t.Fatalf("kind %d: fired %v, want (time, seq) order %v", kind, c.fired, ref)
 	}
-	if sim.Pending() != 0 {
-		t.Fatalf("kind %d: %d records left after Run", kind, sim.Pending())
+	if pending(sim) != 0 {
+		t.Fatalf("kind %d: %d records left after Run", kind, pending(sim))
 	}
 }

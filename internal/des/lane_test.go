@@ -56,7 +56,7 @@ func (c *churn) fire(tag int) {
 
 // cancel cancels event tag, as the reference sees it.
 func (c *churn) cancel(tag int) {
-	if h := c.handles[tag]; h.Pending() {
+	if h := c.handles[tag]; scheduled(h) {
 		c.canceled[tag] = true
 		h.Cancel()
 	}
@@ -68,7 +68,7 @@ func (c *churn) cancel(tag int) {
 func (c *churn) reschedule(t testing.TB, tag int, delay float64) (int, bool) {
 	t.Helper()
 	h := c.handles[tag]
-	if h.Pending() {
+	if scheduled(h) {
 		c.canceled[tag] = true
 	}
 	at, seq, next := c.sim.Now()+delay, c.sim.seq, len(c.scheduled)
@@ -76,7 +76,7 @@ func (c *churn) reschedule(t testing.TB, tag int, delay float64) (int, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Pending() {
+	if scheduled(h) {
 		t.Fatal("the re-armed handle is still pending")
 	}
 	if c.sim.seq != seq+1 || nh.Time() != at {
@@ -139,10 +139,10 @@ func runLaneChurn(t *testing.T, kind QueueKind, seed int64) (fired, ref []firedE
 	}
 	rearm := func(tag int) int {
 		h := c.handles[tag]
-		pending, filed := h.Pending(), math.NaN()
+		pending, filed := scheduled(h), math.NaN()
 		if pending {
 			filed = h.ev.fileT
-		} else if !h.Canceled() {
+		} else if !canceled(h) {
 			st.expired++
 		}
 		d := delay()
@@ -224,9 +224,9 @@ func runLaneChurn(t *testing.T, kind QueueKind, seed int64) (fired, ref []firedE
 	for i := 0; i < 200; i++ {
 		schedule()
 	}
-	sim.Run()
-	if sim.Pending() != 0 {
-		t.Fatalf("%d records left after Run", sim.Pending())
+	run(sim)
+	if pending(sim) != 0 {
+		t.Fatalf("%d records left after Run", pending(sim))
 	}
 	return c.fired, c.reference(), st
 }
@@ -285,7 +285,7 @@ func TestCanceledUntilCollected(t *testing.T) {
 			h.Cancel()
 		}
 		for i, h := range old[:purgeFloor] {
-			if !h.Canceled() || h.Pending() {
+			if !canceled(h) || scheduled(h) {
 				t.Fatalf("kind %d: handle %d not reported cancelled before collection", kind, i)
 			}
 		}
@@ -301,16 +301,16 @@ func TestCanceledUntilCollected(t *testing.T) {
 		}
 		collected := 0
 		for _, h := range old {
-			if !h.Canceled() {
+			if !canceled(h) {
 				collected++
 				if !math.IsNaN(h.Time()) {
 					t.Fatalf("kind %d: a collected handle still reports a time", kind)
 				}
 			}
 		}
-		if collected != sim.FreeEvents() || sim.Pending() != 2*len(old)-collected {
+		if collected != sim.FreeEvents() || pending(sim) != 2*len(old)-collected {
 			t.Fatalf("kind %d: %d of %d handles expired, but %d records freed and %d pending",
-				kind, collected, len(old), sim.FreeEvents(), sim.Pending())
+				kind, collected, len(old), sim.FreeEvents(), pending(sim))
 		}
 		// Reuse every freed record, then replay every stale Cancel.
 		fired := 0
@@ -323,16 +323,16 @@ func TestCanceledUntilCollected(t *testing.T) {
 			fresh = append(fresh, h)
 		}
 		for _, h := range old {
-			if !h.Canceled() {
+			if !canceled(h) {
 				h.Cancel()
 			}
 		}
 		for _, h := range fresh {
-			if !h.Pending() {
+			if !scheduled(h) {
 				t.Fatalf("kind %d: a stale Cancel reached a reused record", kind)
 			}
 		}
-		sim.Run()
+		run(sim)
 		if fired != collected {
 			t.Fatalf("kind %d: %d of %d reused events fired", kind, fired, collected)
 		}
@@ -390,7 +390,7 @@ func TestPendingBoundUnderChurn(t *testing.T) {
 				sim.Step()
 				live := 1 // the tick
 				for _, h := range rto {
-					if h.Pending() {
+					if scheduled(h) {
 						live++
 					}
 				}
@@ -402,7 +402,7 @@ func TestPendingBoundUnderChurn(t *testing.T) {
 							kind, n, sim.canceled)
 					}
 				}
-				if p := sim.Pending(); p > bound {
+				if p := pending(sim); p > bound {
 					t.Fatalf("kind %d, re-arm %v, step %d: %d pending records for %d live events",
 						kind, rearm, n, p, live)
 				}
@@ -468,14 +468,14 @@ func TestRunUntilDrainsLanes(t *testing.T) {
 	if n := sim.RunUntil(3); n != 3 || sim.Now() != 3 {
 		t.Fatalf("RunUntil(3) fired %d events, clock %v; want 3 events at 3", n, sim.Now())
 	}
-	if n := sim.Run(); n != 7 || sim.Pending() != 0 {
-		t.Fatalf("Run fired %d events, %d pending; want 7 and 0", n, sim.Pending())
+	if n := run(sim); n != 7 || pending(sim) != 0 {
+		t.Fatalf("run fired %d events, %d pending; want 7 and 0", n, pending(sim))
 	}
 	if err := lane.Schedule(chain); err != nil {
 		t.Fatal(err)
 	}
-	if n := sim.RunUntil(math.Inf(1)); n != 1 || sim.Pending() != 0 {
-		t.Fatalf("RunUntil(+Inf) fired %d events, %d pending; want 1 and 0", n, sim.Pending())
+	if n := sim.RunUntil(math.Inf(1)); n != 1 || pending(sim) != 0 {
+		t.Fatalf("RunUntil(+Inf) fired %d events, %d pending; want 1 and 0", n, pending(sim))
 	}
 }
 

@@ -22,7 +22,7 @@ func TestEventPoolRecycling(t *testing.T) {
 	if sim.FreeEvents() != 1 {
 		t.Fatalf("free events = %d, want 1 (fired record recycled)", sim.FreeEvents())
 	}
-	if h1.Pending() || h1.Canceled() {
+	if scheduled(h1) || canceled(h1) {
 		t.Error("handle of a fired event must be expired")
 	}
 	if !math.IsNaN(h1.Time()) {
@@ -40,10 +40,10 @@ func TestEventPoolRecycling(t *testing.T) {
 	}
 	// The stale handle must not be able to cancel the reused record.
 	h1.Cancel()
-	if h2.Canceled() {
+	if canceled(h2) {
 		t.Fatal("stale handle cancelled an unrelated reused event")
 	}
-	sim.Run()
+	run(sim)
 	if !fired {
 		t.Fatal("reused event did not fire")
 	}
@@ -52,16 +52,16 @@ func TestEventPoolRecycling(t *testing.T) {
 	// starts uncancelled.
 	h3, _ := sim.Schedule(3, func() {})
 	h3.Cancel()
-	sim.Run()
+	run(sim)
 	h4, _ := sim.Schedule(4, func() {})
-	if h4.Canceled() {
+	if canceled(h4) {
 		t.Error("recycled record carried a stale cancellation")
 	}
-	if !h4.Pending() {
+	if !scheduled(h4) {
 		t.Error("fresh event should be pending")
 	}
 	h3.Cancel() // stale: must be a no-op
-	if h4.Canceled() {
+	if canceled(h4) {
 		t.Error("stale cancel after recycling reached the new event")
 	}
 }
@@ -88,7 +88,7 @@ func TestSelfCancelDuringAction(t *testing.T) {
 			t.Errorf("nested schedule: %v", err)
 		}
 	})
-	sim.Run()
+	run(sim)
 	if !nestedFired {
 		t.Fatal("self-cancel leaked into the recycled record of the nested event")
 	}
@@ -176,7 +176,7 @@ func TestCalendarHeapDifferential(t *testing.T) {
 				h.Cancel()
 			}
 		}
-		sim.Run()
+		run(sim)
 		return got
 	}
 	for seed := int64(1); seed <= 10; seed++ {

@@ -78,9 +78,6 @@ func NewStreamKind(seed int64, kind StreamKind) *Stream {
 	return &Stream{rng: rand.New(rand.NewSource(seed)), kind: kind}
 }
 
-// Kind returns the stream's draw behaviour.
-func (s *Stream) Kind() StreamKind { return s.kind }
-
 // u01 returns the next underlying uniform draw: u on [0,1) for default and
 // paired streams, the complement 1-u on (0,1] for antithetic streams.
 func (s *Stream) u01() float64 {

@@ -108,32 +108,3 @@ func HandoverBalancingAblation(model traffic.Model, rate float64) (HandoverAblat
 		Iterations:           balance.Iterations,
 	}, nil
 }
-
-// AggregationCheck verifies the MMPP aggregation of Section 4.1 numerically:
-// the average aggregate packet arrival rate of the (m+1)-state MMPP weighted
-// by its binomial stationary distribution must equal m times the per-session
-// IPP mean rate. It returns the maximum relative error over m = 1..limit.
-func AggregationCheck(model traffic.Model, limit int) float64 {
-	ipp := model.Spec().Session.IPP()
-	var worst float64
-	for m := 1; m <= limit; m++ {
-		agg := traffic.AggregateMMPP{Source: ipp, M: m}
-		dist := agg.StationaryDistribution()
-		var mean float64
-		for r, p := range dist {
-			mean += p * agg.ArrivalRate(r)
-		}
-		want := agg.MeanAggregateRate()
-		if want == 0 {
-			continue
-		}
-		rel := mean/want - 1
-		if rel < 0 {
-			rel = -rel
-		}
-		if rel > worst {
-			worst = rel
-		}
-	}
-	return worst
-}

@@ -55,7 +55,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/cluster"
@@ -141,8 +140,9 @@ type Options struct {
 	// with Scenario is an error).
 	VR runner.VarianceReduction
 	// Cells selects the simulated cluster size of the validation figures:
-	// 0 or 7 is the paper's seven-cell cluster; 19 and 37 select the
-	// generated wrap-around hex-ring clusters (cluster.Preset).
+	// 0 or 7 is the paper's seven-cell cluster; the other preset sizes (19,
+	// 37, ... 331 cells, cluster.PresetSizes) select the generated
+	// wrap-around hex-ring clusters (cluster.Preset).
 	Cells int
 	// Shards, when > 1, splits every simulator replication into that many
 	// cell groups advanced in parallel, still bounded — together with all
@@ -365,9 +365,10 @@ func simConfig(o Options, model traffic.Model, rate float64) sim.Config {
 }
 
 // solvePoint builds and solves the analytical model for one configuration,
-// memoizing (configuration, tolerance) pairs in the run's shared cache so
-// figures sweeping overlapping parameter grids — and the second panel of
-// every two-panel figure — reuse solutions instead of re-solving.
+// failing when the solve did not converge, so no unconverged point reaches a
+// figure. It memoizes (configuration, tolerance) pairs in the run's shared
+// cache so figures sweeping overlapping parameter grids — and the second
+// panel of every two-panel figure — reuse solutions instead of re-solving.
 func solvePoint(cfg core.Config, o Options) (core.Measures, error) {
 	key := solveKey{cfg: cfg, tolerance: o.Tolerance, maxIterations: o.MaxIterations}
 	return o.cache.solve(key, func() (core.Measures, error) {
@@ -381,6 +382,9 @@ func solvePoint(cfg core.Config, o Options) (core.Measures, error) {
 		})
 		if err != nil {
 			return core.Measures{}, err
+		}
+		if !res.Solver.Converged {
+			return core.Measures{}, fmt.Errorf("model solve did not converge: %d sweeps, residual %g", res.Solver.Iterations, res.Solver.Residual)
 		}
 		return res.Measures, nil
 	})
@@ -517,11 +521,4 @@ func newSeries(label string, x []float64) Series {
 		X:     append([]float64(nil), x...),
 		Y:     make([]float64, len(x)),
 	}
-}
-
-// sortSeries orders the series of a figure by label for deterministic output.
-func sortSeries(fig *Figure) {
-	sort.SliceStable(fig.Series, func(i, j int) bool {
-		return fig.Series[i].Label < fig.Series[j].Label
-	})
 }

@@ -636,11 +636,3 @@ func TestHandoverBalancingAblation(t *testing.T) {
 		t.Error("session counts should be positive")
 	}
 }
-
-func TestAggregationCheck(t *testing.T) {
-	for _, m := range traffic.AllModels() {
-		if err := AggregationCheck(m, 30); err > 1e-9 {
-			t.Errorf("%v: aggregation error %v", m, err)
-		}
-	}
-}

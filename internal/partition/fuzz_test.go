@@ -43,12 +43,12 @@ func FuzzParsePartitionSpec(f *testing.F) {
 			// topology; that is a Build-time error, not a parser bug.
 			return
 		}
-		if a.NumCells() != topo.NumCells() {
-			t.Fatalf("ParseSpec(%q): built assignment covers %d cells, want %d", s, a.NumCells(), topo.NumCells())
+		if len(a.of) != topo.NumCells() {
+			t.Fatalf("ParseSpec(%q): built assignment covers %d cells, want %d", s, len(a.of), topo.NumCells())
 		}
-		seen := make([]bool, a.NumCells())
+		seen := make([]bool, len(a.of))
 		for g := 0; g < a.NumGroups(); g++ {
-			for _, c := range a.Group(g) {
+			for _, c := range a.groups[g] {
 				if c < 0 || c >= len(seen) || seen[c] {
 					t.Fatalf("ParseSpec(%q): invalid assignment %v", s, a)
 				}

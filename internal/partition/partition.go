@@ -79,9 +79,6 @@ func FromGroups(numCells int, groups [][]int) (*Assignment, error) {
 	return &Assignment{groups: out, of: of}, nil
 }
 
-// NumCells returns the number of cells the assignment covers.
-func (a *Assignment) NumCells() int { return len(a.of) }
-
 // NumGroups returns the number of groups.
 func (a *Assignment) NumGroups() int { return len(a.groups) }
 
@@ -91,24 +88,6 @@ func (a *Assignment) Of(cell int) int {
 		return -1
 	}
 	return a.of[cell]
-}
-
-// Group returns a copy of the sorted member list of one group, or nil out of
-// range.
-func (a *Assignment) Group(g int) []int {
-	if g < 0 || g >= len(a.groups) {
-		return nil
-	}
-	return append([]int(nil), a.groups[g]...)
-}
-
-// Groups returns a deep copy of all group member lists.
-func (a *Assignment) Groups() [][]int {
-	out := make([][]int, len(a.groups))
-	for g := range a.groups {
-		out[g] = append([]int(nil), a.groups[g]...)
-	}
-	return out
 }
 
 // String renders the assignment compactly for logs and test failures.
@@ -184,7 +163,7 @@ func normalizeWeights(weights []float64, numCells int) []float64 {
 // given per-cell load weights (the lightest group claims the next frontier
 // cell), then improved by a greedy boundary-refinement pass that moves
 // boundary cells between adjacent groups whenever the move strictly lowers
-// the expected cross-group handover traffic (CutWeight) without unbalancing
+// the expected cross-group handover traffic (cutOf) without unbalancing
 // the groups. The refined index-range baseline is evaluated as a second
 // candidate and the lower-cut layout wins (ties go to the BFS patches), so a
 // locality assignment never cuts more traffic-weighted edges than the
@@ -439,16 +418,11 @@ func refineBoundaries(topo *cluster.Topology, w []float64, of []int, k int) {
 	}
 }
 
-// CutWeight is the expected cross-group handover traffic of an assignment:
-// the sum over cells of the cell's load weight times the fraction of its
-// neighbours living in other groups — the handover target is uniform over the
-// neighbours, so this is proportional to the rate of barrier messages the
-// grouping incurs. weights follows the Locality convention (nil = uniform).
-func CutWeight(topo *cluster.Topology, weights []float64, a *Assignment) float64 {
-	return cutOf(topo, normalizeWeights(weights, topo.NumCells()), a.of)
-}
-
-// cutOf is CutWeight on a raw cell→group slice with pre-normalized weights.
+// cutOf is the expected cross-group handover traffic of a cell→group slice:
+// the sum over cells of the cell's load weight (normalized, as from
+// normalizeWeights) times the fraction of its neighbours living in other
+// groups — the handover target is uniform over the neighbours, so this is
+// proportional to the rate of barrier messages the grouping incurs.
 func cutOf(topo *cluster.Topology, w []float64, of []int) float64 {
 	var cut float64
 	for c := 0; c < topo.NumCells(); c++ {
@@ -467,16 +441,10 @@ func cutOf(topo *cluster.Topology, w []float64, of []int) float64 {
 	return cut
 }
 
-// MaxShare is the load share of the heaviest group: the maximum over groups
-// of the group's summed weight divided by the total weight. 1/NumGroups is a
-// perfect balance; 1 means one group carries everything. weights follows the
-// Locality convention (nil = uniform).
-func MaxShare(weights []float64, a *Assignment) float64 {
-	return maxShareOf(normalizeWeights(weights, a.NumCells()), a.of)
-}
-
-// maxShareOf is MaxShare on a raw cell→group slice with pre-normalized
-// weights.
+// maxShareOf is the load share of the heaviest group of a cell→group slice:
+// the maximum over groups of the group's summed weight divided by the total
+// weight. 1/groups is a perfect balance; 1 means one group carries
+// everything.
 func maxShareOf(w []float64, of []int) float64 {
 	numGroups := 0
 	for _, g := range of {

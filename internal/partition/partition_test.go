@@ -22,15 +22,15 @@ func mustTopo(t *testing.T, cells int) *cluster.Topology {
 // into k non-empty groups.
 func checkValid(t *testing.T, a *Assignment, numCells, k int) {
 	t.Helper()
-	if a.NumCells() != numCells {
-		t.Fatalf("NumCells = %d, want %d", a.NumCells(), numCells)
+	if len(a.of) != numCells {
+		t.Fatalf("NumCells = %d, want %d", len(a.of), numCells)
 	}
 	if a.NumGroups() != k {
 		t.Fatalf("NumGroups = %d, want %d (assignment %v)", a.NumGroups(), k, a)
 	}
 	seen := make([]bool, numCells)
 	for g := 0; g < a.NumGroups(); g++ {
-		members := a.Group(g)
+		members := a.groups[g]
 		if len(members) == 0 {
 			t.Fatalf("group %d empty in %v", g, a)
 		}
@@ -57,7 +57,7 @@ func TestFromGroups(t *testing.T) {
 		t.Fatalf("FromGroups: %v", err)
 	}
 	checkValid(t, a, 7, 3)
-	if got := a.Group(0); got[0] != 0 || got[1] != 1 || got[2] != 6 {
+	if got := a.groups[0]; got[0] != 0 || got[1] != 1 || got[2] != 6 {
 		t.Fatalf("group 0 not sorted: %v", got)
 	}
 	if a.Of(-1) != -1 || a.Of(7) != -1 {
@@ -150,7 +150,7 @@ func TestGrowPatchesAreContiguous(t *testing.T) {
 				t.Fatalf("growPatches(%d,%d) invalid: %v", cells, k, err)
 			}
 			for g := 0; g < a.NumGroups(); g++ {
-				members := a.Group(g)
+				members := a.groups[g]
 				inGroup := make(map[int]bool, len(members))
 				for _, c := range members {
 					inGroup[c] = true
@@ -203,7 +203,8 @@ func TestLocalityBeatsIndexRangeOnCut(t *testing.T) {
 			if err != nil {
 				t.Fatalf("IndexRange: %v", err)
 			}
-			lc, bc := CutWeight(topo, nil, loc), CutWeight(topo, nil, base)
+			w := normalizeWeights(nil, cells)
+			lc, bc := cutOf(topo, w, loc.of), cutOf(topo, w, base.of)
 			if lc > bc {
 				t.Errorf("cells=%d k=%d: locality cut %.4f above index-range cut %.4f",
 					cells, k, lc, bc)
@@ -234,7 +235,8 @@ func TestLocalityBalancesHotspotLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("IndexRange: %v", err)
 	}
-	ls, bs := MaxShare(weights, loc), MaxShare(weights, base)
+	w := normalizeWeights(weights, 19)
+	ls, bs := maxShareOf(w, loc.of), maxShareOf(w, base.of)
 	if ls >= bs {
 		t.Errorf("locality max share %.4f not below index-range %.4f", ls, bs)
 	}
@@ -242,14 +244,15 @@ func TestLocalityBalancesHotspotLoad(t *testing.T) {
 
 func TestCutWeightAndMaxShareEdges(t *testing.T) {
 	topo := mustTopo(t, 7)
+	uniform := normalizeWeights(nil, 7)
 	one, err := IndexRange(7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cw := CutWeight(topo, nil, one); cw != 0 {
+	if cw := cutOf(topo, uniform, one.of); cw != 0 {
 		t.Errorf("1-group cut = %v, want 0", cw)
 	}
-	if ms := MaxShare(nil, one); ms != 1 {
+	if ms := maxShareOf(uniform, one.of); ms != 1 {
 		t.Errorf("1-group max share = %v, want 1", ms)
 	}
 	all, err := IndexRange(7, 7)
@@ -258,7 +261,7 @@ func TestCutWeightAndMaxShareEdges(t *testing.T) {
 	}
 	// Every edge cut; paper cluster has 4 outer cells of degree 4 but the
 	// foreign fraction is 1 for every cell, so cut = sum of weights = 7.
-	if cw := CutWeight(topo, nil, all); cw < 6.999 || cw > 7.001 {
+	if cw := cutOf(topo, uniform, all.of); cw < 6.999 || cw > 7.001 {
 		t.Errorf("n-group cut = %v, want 7", cw)
 	}
 }
@@ -385,25 +388,6 @@ func TestSpecStringRoundTrip(t *testing.T) {
 		if got.String() != spec.String() {
 			t.Errorf("round trip %q -> %q", spec.String(), got.String())
 		}
-	}
-}
-
-func TestCityGridLocality(t *testing.T) {
-	topo, err := cluster.NewCityGrid(8, 6)
-	if err != nil {
-		t.Fatalf("NewCityGrid: %v", err)
-	}
-	for _, k := range []int{1, 3, 6} {
-		a, err := Locality(topo, nil, k)
-		if err != nil {
-			t.Fatalf("Locality(city,%d): %v", k, err)
-		}
-		checkValid(t, a, 48, k)
-	}
-	loc, _ := Locality(topo, nil, 4)
-	base, _ := IndexRange(48, 4)
-	if lc, bc := CutWeight(topo, nil, loc), CutWeight(topo, nil, base); lc > bc {
-		t.Errorf("city grid: locality cut %.4f above index-range cut %.4f", lc, bc)
 	}
 }
 

@@ -87,22 +87,6 @@ func (cs CodingScheme) DataRateBitsPerSec() float64 {
 	}
 }
 
-// CodeRate returns the approximate convolutional code rate of the scheme.
-func (cs CodingScheme) CodeRate() float64 {
-	switch cs {
-	case CS1:
-		return 0.5
-	case CS2:
-		return 2.0 / 3.0
-	case CS3:
-		return 3.0 / 4.0
-	case CS4:
-		return 1.0
-	default:
-		return 0
-	}
-}
-
 // Valid reports whether cs is one of CS-1..CS-4.
 func (cs CodingScheme) Valid() bool { return cs >= CS1 && cs <= CS4 }
 
@@ -111,19 +95,6 @@ func (cs CodingScheme) Valid() bool { return cs >= CS1 && cs <= CS4 }
 // data rate / packet size.
 func (cs CodingScheme) PacketServiceRatePerPDCH() float64 {
 	return cs.DataRateBitsPerSec() / float64(traffic.PacketSizeBits)
-}
-
-// PacketTransmissionTime returns the time to transmit one packet of the given
-// size over nPDCH parallel PDCHs (multislot operation), bounded by the
-// multislot limit.
-func (cs CodingScheme) PacketTransmissionTime(packetBytes, nPDCH int) float64 {
-	if nPDCH < 1 {
-		nPDCH = 1
-	}
-	if nPDCH > MaxSlotsPerMobile {
-		nPDCH = MaxSlotsPerMobile
-	}
-	return float64(packetBytes*8) / (cs.DataRateBitsPerSec() * float64(nPDCH))
 }
 
 // RadioBlocksPerPacket returns the number of RLC radio blocks needed to carry
@@ -195,12 +166,6 @@ func (p ChannelPlan) UsablePDCH(activeGSMCalls, queuedPackets int) int {
 		return byPackets
 	}
 	return avail
-}
-
-// ServiceRatePackets returns the aggregate packet service rate (packets/s)
-// in a state with the given number of active GSM calls and queued packets.
-func (p ChannelPlan) ServiceRatePackets(activeGSMCalls, queuedPackets int) float64 {
-	return float64(p.UsablePDCH(activeGSMCalls, queuedPackets)) * p.Coding.PacketServiceRatePerPDCH()
 }
 
 // CanAdmitGSMCall reports whether an arriving GSM call can be accepted when n

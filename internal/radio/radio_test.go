@@ -16,10 +16,7 @@ func TestCodingSchemeRates(t *testing.T) {
 		CS3.DataRateBitsPerSec() < CS4.DataRateBitsPerSec()) {
 		t.Error("coding scheme rates should be strictly increasing CS-1..CS-4")
 	}
-	if CS1.CodeRate() != 0.5 || CS4.CodeRate() != 1.0 {
-		t.Error("CS-1 is rate 1/2 and CS-4 is uncoded")
-	}
-	if CodingScheme(0).DataRateBitsPerSec() != 0 || CodingScheme(9).CodeRate() != 0 {
+	if CodingScheme(0).DataRateBitsPerSec() != 0 || CodingScheme(9).DataRateBitsPerSec() != 0 {
 		t.Error("invalid schemes should have zero rate")
 	}
 }
@@ -48,26 +45,6 @@ func TestPacketServiceRateCS2(t *testing.T) {
 	want := 13400.0 / 3840.0
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("mu_service = %v, want %v", got, want)
-	}
-}
-
-func TestPacketTransmissionTime(t *testing.T) {
-	// A 480-byte packet on one CS-2 PDCH takes 3840/13400 s.
-	one := CS2.PacketTransmissionTime(480, 1)
-	if math.Abs(one-3840.0/13400.0) > 1e-9 {
-		t.Errorf("single-slot time = %v", one)
-	}
-	// Using 4 PDCHs is four times faster.
-	four := CS2.PacketTransmissionTime(480, 4)
-	if math.Abs(four*4-one) > 1e-9 {
-		t.Errorf("multislot speedup incorrect: %v vs %v", four, one)
-	}
-	// The multislot limit caps at 8 slots and the floor is one slot.
-	if CS2.PacketTransmissionTime(480, 99) != CS2.PacketTransmissionTime(480, 8) {
-		t.Error("multislot limit of 8 not enforced")
-	}
-	if CS2.PacketTransmissionTime(480, 0) != one {
-		t.Error("non-positive slot count should be clamped to 1")
 	}
 }
 
@@ -147,15 +124,6 @@ func TestAvailableAndUsablePDCH(t *testing.T) {
 	}
 	if got := p.UsablePDCH(19, 10); got != 1 {
 		t.Errorf("usable under full voice load = %d, want 1", got)
-	}
-}
-
-func TestServiceRatePackets(t *testing.T) {
-	p := ChannelPlan{TotalChannels: 20, ReservedPDCH: 1, Coding: CS2}
-	got := p.ServiceRatePackets(10, 2)
-	want := 10 * CS2.PacketServiceRatePerPDCH()
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("service rate = %v, want %v", got, want)
 	}
 }
 

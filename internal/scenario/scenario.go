@@ -403,7 +403,6 @@ func (tp Temporal) validateSteps() error {
 // immutable after Compile and safe for concurrent use, and it satisfies the
 // sim.RateProfile contract (piecewise constant, pure).
 type Profile struct {
-	name    string
 	weights []float64
 	voice   float64
 	data    float64
@@ -437,7 +436,7 @@ func (s Spec) Compile(topo *cluster.Topology, voiceRate, dataRate float64) (*Pro
 	if err != nil {
 		return nil, err
 	}
-	return &Profile{name: s.Name, weights: weights, voice: voiceRate, data: dataRate,
+	return &Profile{weights: weights, voice: voiceRate, data: dataRate,
 		sched: sched, payload: payload}, nil
 }
 
@@ -445,7 +444,7 @@ func (s Spec) Compile(topo *cluster.Topology, voiceRate, dataRate float64) (*Pro
 // topology (the paper's seven-cell cluster when nil) and baseline rates — and
 // installs the compiled rate profile as cfg.Rates and, when the spec declares
 // one, the compiled mobility profile as cfg.Mobility. It returns the rate
-// profile for reporting (per-cell weights, scenario name).
+// profile for reporting (per-cell weights).
 func Apply(cfg *sim.Config, s Spec) (*Profile, error) {
 	topo := cfg.Topology
 	if topo == nil {
@@ -544,10 +543,8 @@ func (sp Spatial) weights(topo *cluster.Topology) ([]float64, error) {
 	return w, nil
 }
 
-// Name returns the scenario label the profile was compiled from.
-func (p *Profile) Name() string { return p.name }
-
-// NumCells returns the number of cells the profile was compiled for.
+// NumCells returns the number of cells the profile was compiled for. The
+// simulator rejects a profile whose size differs from its topology's.
 func (p *Profile) NumCells() int { return len(p.weights) }
 
 // Weights returns a copy of the per-cell weight vector.
@@ -684,7 +681,8 @@ func (m Mobility) Compile(topo *cluster.Topology) (*DwellProfile, error) {
 	return &DwellProfile{weights: weights, sched: sched}, nil
 }
 
-// NumCells returns the number of cells the profile was compiled for.
+// NumCells returns the number of cells the profile was compiled for. The
+// simulator rejects a profile whose size differs from its topology's.
 func (p *DwellProfile) NumCells() int { return len(p.weights) }
 
 // Weights returns a copy of the per-cell dwell weight vector.

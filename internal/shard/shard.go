@@ -182,12 +182,6 @@ func New(procs []Process, opt Options) (*Engine, error) {
 	return &Engine{procs: procs, opt: opt, groups: groups}, nil
 }
 
-// Now returns the engine clock: every process has been advanced to this time.
-func (e *Engine) Now() float64 { return e.now }
-
-// Shards returns the number of process groups advanced in parallel.
-func (e *Engine) Shards() int { return len(e.groups) }
-
 // Stats returns the engine's cumulative synchronization counters.
 func (e *Engine) Stats() Stats { return e.stats }
 

@@ -84,8 +84,8 @@ func runRing(t *testing.T, n int, delay float64, opt Options) [][]string {
 		if err := eng.AdvanceTo(until); err != nil {
 			t.Fatal(err)
 		}
-		if eng.Now() != until {
-			t.Fatalf("Now = %v after AdvanceTo(%v)", eng.Now(), until)
+		if eng.now != until {
+			t.Fatalf("Now = %v after AdvanceTo(%v)", eng.now, until)
 		}
 	}
 	logs := make([][]string, n)
@@ -109,8 +109,8 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Shards() != 1 {
-		t.Errorf("shards should be capped at the process count, got %d", eng.Shards())
+	if len(eng.groups) != 1 {
+		t.Errorf("shards should be capped at the process count, got %d", len(eng.groups))
 	}
 }
 
@@ -229,8 +229,8 @@ func TestSingleProcessOneWindowPerAdvance(t *testing.T) {
 		if got := eng.Stats().Windows; got != uint64(i+1) {
 			t.Fatalf("after AdvanceTo(%v): %d windows, want %d", until, got, i+1)
 		}
-		if eng.Now() != until {
-			t.Fatalf("Now = %v after AdvanceTo(%v)", eng.Now(), until)
+		if eng.now != until {
+			t.Fatalf("Now = %v after AdvanceTo(%v)", eng.now, until)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/des"
+	"repro/internal/tcp"
 	"repro/internal/traffic"
 )
 
@@ -190,9 +191,12 @@ func TestConnectionPoolResetOnReuse(t *testing.T) {
 	if c2.rtoEv != (des.Handle{}) {
 		t.Error("recycled connection carries a stale RTO handle")
 	}
-	if !c2.sender.InSlowStart() || c2.sender.InFlight() != 0 || c2.sender.NextSequence() != 0 ||
-		c2.sender.Retransmits() != 0 {
-		t.Error("recycled sender is not back in the initial slow-start state")
+	fresh, err := tcp.NewSender(sess.cfg().TCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *c2.sender != *fresh {
+		t.Errorf("recycled sender %+v differs from a fresh one %+v", *c2.sender, *fresh)
 	}
 
 	// A transit hop stamped with the old generation must stand down.

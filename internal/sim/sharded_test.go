@@ -149,13 +149,10 @@ func TestNewShardedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Shards() != 7 {
-		t.Errorf("shards should be capped at the cell count, got %d", s.Shards())
+	if s.part.NumGroups() != 7 {
+		t.Errorf("shards should be capped at the cell count, got %d", s.part.NumGroups())
 	}
-	if s.MidCell() != cluster.MidCell {
-		t.Error("mid cell index mismatch")
-	}
-	if s.Config().HandoverLatencySec <= 0 {
+	if s.config.HandoverLatencySec <= 0 {
 		t.Error("defaulted configuration should carry a positive handover latency")
 	}
 }

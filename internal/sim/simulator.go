@@ -231,15 +231,6 @@ func build(cfg Config, opt ShardedOptions, partitionOf func(*Config) (*partition
 	return s, nil
 }
 
-// Config returns the (defaulted) configuration of the simulator.
-func (s *Simulator) Config() Config { return s.config }
-
-// MidCell returns the index of the measured cell.
-func (s *Simulator) MidCell() int { return cluster.MidCell }
-
-// Shards returns the number of workers advancing cell groups in parallel.
-func (s *Simulator) Shards() int { return s.engine.Shards() }
-
 // Partition returns the resolved cell→group assignment of this simulator.
 func (s *Simulator) Partition() *partition.Assignment { return s.part }
 

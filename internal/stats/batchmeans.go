@@ -6,33 +6,12 @@ import (
 )
 
 // BatchMeans implements the batch-means method for steady-state simulation
-// output analysis with a fixed batch size: consecutive observations are
-// grouped into batches, the batch averages are treated as (approximately)
-// independent samples, and a Student-t confidence interval is computed over
-// them. The paper's simulator reports 95% confidence intervals computed this
-// way.
+// output analysis: the run is split into batches, the batch averages are
+// treated as (approximately) independent samples, and a Student-t confidence
+// interval is computed over them. The paper's simulator reports 95%
+// confidence intervals computed this way. The zero value is ready to use.
 type BatchMeans struct {
-	batchSize int
-	current   Welford
-	batches   []float64
-}
-
-// NewBatchMeans returns an estimator that groups observations into batches of
-// the given size. A batch size below 1 is treated as 1.
-func NewBatchMeans(batchSize int) *BatchMeans {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	return &BatchMeans{batchSize: batchSize}
-}
-
-// Add records one observation.
-func (b *BatchMeans) Add(x float64) {
-	b.current.Add(x)
-	if b.current.Count() >= int64(b.batchSize) {
-		b.batches = append(b.batches, b.current.Mean())
-		b.current.Reset()
-	}
+	batches []float64
 }
 
 // AddBatchMean records an externally computed batch mean directly. This is

@@ -44,25 +44,3 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the unbiased sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge combines the statistics of other into w, as if all observations of
-// other had been added to w directly (Chan et al. parallel variance formula).
-func (w *Welford) Merge(other *Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *other
-		return
-	}
-	n := w.n + other.n
-	delta := other.mean - w.mean
-	mean := w.mean + delta*float64(other.n)/float64(n)
-	m2 := w.m2 + other.m2 + delta*delta*float64(w.n)*float64(other.n)/float64(n)
-	w.n = n
-	w.mean = mean
-	w.m2 = m2
-}
-
-// Reset discards all recorded observations.
-func (w *Welford) Reset() { *w = Welford{} }

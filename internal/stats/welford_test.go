@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -38,54 +37,6 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 	w.Add(3.5)
 	if w.Mean() != 3.5 || w.Variance() != 0 {
 		t.Errorf("single observation: mean=%v var=%v", w.Mean(), w.Variance())
-	}
-}
-
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var all, a, b Welford
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 10
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count = %d, want %d", a.Count(), all.Count())
-	}
-	if !almostEqual(a.Mean(), all.Mean(), 1e-9) {
-		t.Errorf("merged mean = %v, want %v", a.Mean(), all.Mean())
-	}
-	if !almostEqual(a.Variance(), all.Variance(), 1e-9) {
-		t.Errorf("merged variance = %v, want %v", a.Variance(), all.Variance())
-	}
-}
-
-func TestWelfordMergeIntoEmpty(t *testing.T) {
-	var a, b Welford
-	b.Add(1)
-	b.Add(2)
-	a.Merge(&b)
-	if a.Count() != 2 || !almostEqual(a.Mean(), 1.5, 1e-12) {
-		t.Errorf("merge into empty: count=%d mean=%v", a.Count(), a.Mean())
-	}
-	var empty Welford
-	a.Merge(&empty)
-	if a.Count() != 2 {
-		t.Errorf("merging empty changed count to %d", a.Count())
-	}
-}
-
-func TestWelfordReset(t *testing.T) {
-	var w Welford
-	w.Add(5)
-	w.Reset()
-	if w.Count() != 0 || w.Mean() != 0 {
-		t.Errorf("reset did not clear state")
 	}
 }
 

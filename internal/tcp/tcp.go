@@ -136,28 +136,11 @@ func (s *Sender) Reset() {
 // Window returns the current congestion window in segments (at least 1).
 func (s *Sender) Window() float64 { return math.Max(1, math.Min(s.cwnd, s.cfg.MaxWindow)) }
 
-// SlowStartThreshold returns the current slow-start threshold in segments.
-func (s *Sender) SlowStartThreshold() float64 { return s.ssthresh }
-
-// InSlowStart reports whether the sender is in the slow-start phase.
-func (s *Sender) InSlowStart() bool { return s.cwnd < s.ssthresh && !s.inFastRecovery }
-
-// InFastRecovery reports whether the sender is recovering from a fast
-// retransmit.
-func (s *Sender) InFastRecovery() bool { return s.inFastRecovery }
-
 // InFlight returns the number of unacknowledged segments outstanding.
 func (s *Sender) InFlight() int { return s.inFlight }
 
 // RTO returns the current retransmission timeout in seconds.
 func (s *Sender) RTO() float64 { return s.rto }
-
-// SRTT returns the smoothed round-trip time estimate (0 before the first
-// measurement).
-func (s *Sender) SRTT() float64 { return s.srtt }
-
-// Retransmits returns the total number of retransmitted segments.
-func (s *Sender) Retransmits() int { return s.retransmits }
 
 // Timeouts returns the number of retransmission timeouts taken.
 func (s *Sender) Timeouts() int { return s.timeouts }

@@ -15,15 +15,18 @@ func newTestSender(t *testing.T) *Sender {
 	return s
 }
 
+// inSlowStart reports whether the sender is in the slow-start phase.
+func inSlowStart(s *Sender) bool { return s.cwnd < s.ssthresh && !s.inFastRecovery }
+
 func TestInitialState(t *testing.T) {
 	s := newTestSender(t)
 	if s.Window() != 1 {
 		t.Errorf("initial window = %v, want 1", s.Window())
 	}
-	if !s.InSlowStart() {
+	if !inSlowStart(s) {
 		t.Error("sender should start in slow start")
 	}
-	if s.InFlight() != 0 || s.InFastRecovery() {
+	if s.InFlight() != 0 || s.inFastRecovery {
 		t.Error("unexpected initial state")
 	}
 	if s.RTO() != 3 {
@@ -68,7 +71,7 @@ func TestSlowStartDoublesPerRTT(t *testing.T) {
 	if got := s.Window(); got != 16 {
 		t.Errorf("window after 4 loss-free RTTs = %v, want 16", got)
 	}
-	if !s.InSlowStart() {
+	if !inSlowStart(s) {
 		t.Error("still below ssthresh, should remain in slow start")
 	}
 }
@@ -97,7 +100,7 @@ func TestCongestionAvoidanceGrowsLinearly(t *testing.T) {
 	if w2 <= w1 || w2 > w1+1.5 {
 		t.Errorf("congestion avoidance growth per RTT = %v, want about 1", w2-w1)
 	}
-	if s.InSlowStart() {
+	if inSlowStart(s) {
 		t.Error("should be in congestion avoidance")
 	}
 }
@@ -147,14 +150,14 @@ func TestFastRetransmitOnThreeDupAcks(t *testing.T) {
 	if !triggered {
 		t.Fatal("three duplicate ACKs should trigger fast retransmit")
 	}
-	if !s.InFastRecovery() {
+	if !s.inFastRecovery {
 		t.Error("sender should be in fast recovery")
 	}
 	if s.FastRecoveries() != 1 {
 		t.Errorf("fast recoveries = %d, want 1", s.FastRecoveries())
 	}
-	if s.SlowStartThreshold() >= before {
-		t.Errorf("ssthresh %v should be halved from %v", s.SlowStartThreshold(), before)
+	if s.ssthresh >= before {
+		t.Errorf("ssthresh %v should be halved from %v", s.ssthresh, before)
 	}
 
 	// A full cumulative ACK ends recovery and deflates the window to ssthresh.
@@ -162,11 +165,11 @@ func TestFastRetransmitOnThreeDupAcks(t *testing.T) {
 	if !res.RecoveryComplete {
 		t.Error("full ACK should complete recovery")
 	}
-	if s.InFastRecovery() {
+	if s.inFastRecovery {
 		t.Error("recovery should have ended")
 	}
-	if math.Abs(s.Window()-s.SlowStartThreshold()) > 1e-9 {
-		t.Errorf("window after recovery = %v, want ssthresh %v", s.Window(), s.SlowStartThreshold())
+	if math.Abs(s.Window()-s.ssthresh) > 1e-9 {
+		t.Errorf("window after recovery = %v, want ssthresh %v", s.Window(), s.ssthresh)
 	}
 }
 
@@ -179,7 +182,7 @@ func TestDupAcksBelowThresholdDoNothing(t *testing.T) {
 	if res.FastRetransmit || res.NewlyAcked != 0 {
 		t.Error("single dup ACK should not trigger anything")
 	}
-	if s.InFastRecovery() {
+	if s.inFastRecovery {
 		t.Error("not yet in recovery")
 	}
 }
@@ -198,8 +201,8 @@ func TestTimeoutCollapsesWindowAndBacksOff(t *testing.T) {
 	if s.Window() != 1 {
 		t.Errorf("window after timeout = %v, want 1", s.Window())
 	}
-	if s.SlowStartThreshold() < 2 || s.SlowStartThreshold() > before {
-		t.Errorf("ssthresh after timeout = %v", s.SlowStartThreshold())
+	if s.ssthresh < 2 || s.ssthresh > before {
+		t.Errorf("ssthresh after timeout = %v", s.ssthresh)
 	}
 	if s.RTO() <= rtoBefore {
 		t.Errorf("RTO should back off exponentially: %v -> %v", rtoBefore, s.RTO())
@@ -210,7 +213,7 @@ func TestTimeoutCollapsesWindowAndBacksOff(t *testing.T) {
 	if s.InFlight() != 0 {
 		t.Errorf("in flight after timeout = %d, want 0 (go-back-N)", s.InFlight())
 	}
-	if !s.InSlowStart() {
+	if !inSlowStart(s) {
 		t.Error("after a timeout the sender restarts in slow start")
 	}
 }
@@ -239,14 +242,14 @@ func TestRTTEstimation(t *testing.T) {
 	s := newTestSender(t)
 	s.OnSend()
 	s.OnAck(1, 2.0)
-	if math.Abs(s.SRTT()-2.0) > 1e-9 {
-		t.Errorf("first SRTT = %v, want the sample 2.0", s.SRTT())
+	if math.Abs(s.srtt-2.0) > 1e-9 {
+		t.Errorf("first SRTT = %v, want the sample 2.0", s.srtt)
 	}
 	// Further samples move the estimate smoothly.
 	s.OnSend()
 	s.OnAck(2, 4.0)
-	if s.SRTT() <= 2.0 || s.SRTT() >= 4.0 {
-		t.Errorf("SRTT = %v, want between the samples", s.SRTT())
+	if s.srtt <= 2.0 || s.srtt >= 4.0 {
+		t.Errorf("SRTT = %v, want between the samples", s.srtt)
 	}
 	// RTO = SRTT + 4*RTTVAR is at least the minimum of 1 s.
 	if s.RTO() < 1 {
@@ -261,8 +264,8 @@ func TestOnRetransmitCountsAndReturnsOldest(t *testing.T) {
 	if seq != 0 {
 		t.Errorf("retransmit sequence = %d, want 0", seq)
 	}
-	if s.Retransmits() != 1 {
-		t.Errorf("retransmits = %d, want 1", s.Retransmits())
+	if s.retransmits != 1 {
+		t.Errorf("retransmits = %d, want 1", s.retransmits)
 	}
 }
 

@@ -103,23 +103,6 @@ type IPP struct {
 	Beta float64
 }
 
-// Validate reports whether the IPP parameters are well formed.
-func (ipp IPP) Validate() error {
-	check := func(name string, v float64) error {
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: %s = %v", ErrInvalidParameter, name, v)
-		}
-		return nil
-	}
-	if err := check("Lambda", ipp.Lambda); err != nil {
-		return err
-	}
-	if err := check("Alpha", ipp.Alpha); err != nil {
-		return err
-	}
-	return check("Beta", ipp.Beta)
-}
-
 // OnProbability returns the steady-state probability that the source is in
 // the on state, beta / (alpha + beta). New GPRS sessions are assumed to start
 // in steady state (Section 4.1).
@@ -161,70 +144,20 @@ type AggregateMMPP struct {
 	M      int
 }
 
-// NumStates returns the number of states of the aggregated MMPP (m+1).
-func (a AggregateMMPP) NumStates() int { return a.M + 1 }
-
-// ArrivalRate returns the aggregate packet arrival rate in state r (r sources
-// off): (m - r) * Lambda.
-func (a AggregateMMPP) ArrivalRate(r int) float64 {
-	if r < 0 || r > a.M {
-		return 0
-	}
-	return float64(a.M-r) * a.Source.Lambda
-}
-
-// RateToMoreOff returns the transition rate from state r to state r+1 (one of
-// the m-r on sources switches off): (m - r) * Alpha.
-func (a AggregateMMPP) RateToMoreOff(r int) float64 {
-	if r < 0 || r >= a.M {
-		return 0
-	}
-	return float64(a.M-r) * a.Source.Alpha
-}
-
-// RateToMoreOn returns the transition rate from state r to state r-1 (one of
-// the r off sources switches on): r * Beta.
-func (a AggregateMMPP) RateToMoreOn(r int) float64 {
-	if r <= 0 || r > a.M {
-		return 0
-	}
-	return float64(r) * a.Source.Beta
-}
-
 // StationaryDistribution returns the binomial stationary distribution of the
-// aggregated MMPP: r off sources with probability C(m,r) pOff^r pOn^(m-r).
+// aggregated MMPP: r off sources with probability C(m,r) pOff^r pOn^(m-r),
+// built up one source (one Bernoulli trial) at a time.
 func (a AggregateMMPP) StationaryDistribution() []float64 {
-	pOff := a.Source.OffProbability()
-	pOn := a.Source.OnProbability()
+	p := a.Source.OffProbability()
 	dist := make([]float64, a.M+1)
-	if a.M == 0 {
-		dist[0] = 1
-		return dist
-	}
-	// Compute binomial pmf iteratively for numerical stability.
-	logPOff := math.Log(pOff)
-	logPOn := math.Log(pOn)
-	lg := func(x float64) float64 {
-		v, _ := math.Lgamma(x)
-		return v
-	}
-	for r := 0; r <= a.M; r++ {
-		logC := lg(float64(a.M+1)) - lg(float64(r+1)) - lg(float64(a.M-r+1))
-		dist[r] = math.Exp(logC + float64(r)*logPOff + float64(a.M-r)*logPOn)
-	}
-	// Normalize to protect against rounding.
-	var sum float64
-	for _, p := range dist {
-		sum += p
-	}
-	for i := range dist {
-		dist[i] /= sum
+	dist[0] = 1
+	for i := 0; i < a.M; i++ {
+		next := make([]float64, a.M+1)
+		for k := 0; k <= i; k++ {
+			next[k] += dist[k] * (1 - p)
+			next[k+1] += dist[k] * p
+		}
+		copy(dist, next)
 	}
 	return dist
-}
-
-// MeanAggregateRate returns the long-run aggregate packet rate of the m
-// superposed sources, m * Lambda * P(on).
-func (a AggregateMMPP) MeanAggregateRate() float64 {
-	return float64(a.M) * a.Source.MeanRate()
 }

@@ -86,9 +86,6 @@ func TestIPPDerivation(t *testing.T) {
 	if !almostEqual(1/ipp.Beta, 412, 1e-9) {
 		t.Errorf("mean off time = %v, want 412", 1/ipp.Beta)
 	}
-	if err := ipp.Validate(); err != nil {
-		t.Errorf("valid IPP rejected: %v", err)
-	}
 }
 
 func TestIPPMeanRateConsistency(t *testing.T) {
@@ -134,15 +131,6 @@ func TestValidateRejectsBadParams(t *testing.T) {
 			t.Errorf("case %d: expected ErrInvalidParameter, got %v", i, err)
 		}
 	}
-	if err := (IPP{Lambda: 0, Alpha: 1, Beta: 1}).Validate(); !errors.Is(err, ErrInvalidParameter) {
-		t.Error("IPP with zero lambda should be invalid")
-	}
-	if err := (IPP{Lambda: 1, Alpha: 0, Beta: 1}).Validate(); !errors.Is(err, ErrInvalidParameter) {
-		t.Error("IPP with zero alpha should be invalid")
-	}
-	if err := (IPP{Lambda: 1, Alpha: 1, Beta: 0}).Validate(); !errors.Is(err, ErrInvalidParameter) {
-		t.Error("IPP with zero beta should be invalid")
-	}
 }
 
 func TestAllModelsValid(t *testing.T) {
@@ -170,35 +158,6 @@ func TestAllModelsValid(t *testing.T) {
 	}
 }
 
-func TestAggregateMMPPRates(t *testing.T) {
-	ipp := Model3.Spec().Session.IPP()
-	agg := AggregateMMPP{Source: ipp, M: 4}
-	if agg.NumStates() != 5 {
-		t.Fatalf("NumStates = %d, want 5", agg.NumStates())
-	}
-	if !almostEqual(agg.ArrivalRate(0), 4*ipp.Lambda, 1e-12) {
-		t.Errorf("all-on arrival rate = %v, want %v", agg.ArrivalRate(0), 4*ipp.Lambda)
-	}
-	if agg.ArrivalRate(4) != 0 {
-		t.Errorf("all-off arrival rate = %v, want 0", agg.ArrivalRate(4))
-	}
-	if agg.ArrivalRate(-1) != 0 || agg.ArrivalRate(5) != 0 {
-		t.Error("out-of-range states should have zero arrival rate")
-	}
-	if !almostEqual(agg.RateToMoreOff(1), 3*ipp.Alpha, 1e-12) {
-		t.Errorf("RateToMoreOff(1) = %v, want %v", agg.RateToMoreOff(1), 3*ipp.Alpha)
-	}
-	if agg.RateToMoreOff(4) != 0 {
-		t.Error("cannot go beyond all-off")
-	}
-	if !almostEqual(agg.RateToMoreOn(3), 3*ipp.Beta, 1e-12) {
-		t.Errorf("RateToMoreOn(3) = %v, want %v", agg.RateToMoreOn(3), 3*ipp.Beta)
-	}
-	if agg.RateToMoreOn(0) != 0 {
-		t.Error("cannot go below all-on")
-	}
-}
-
 func TestAggregateMMPPStationaryDistribution(t *testing.T) {
 	ipp := Model3.Spec().Session.IPP() // p(on) = 0.5
 	agg := AggregateMMPP{Source: ipp, M: 10}
@@ -218,10 +177,12 @@ func TestAggregateMMPPStationaryDistribution(t *testing.T) {
 	if !almostEqual(mean, 5, 1e-9) {
 		t.Errorf("mean off sources = %v, want 5", mean)
 	}
-	// Detailed balance of the birth-death MMPP chain.
+	// Detailed balance of the birth-death MMPP chain: one of the m-r on
+	// sources switches off at rate (m-r)·alpha, one of r+1 off sources
+	// switches on at rate (r+1)·beta.
 	for r := 0; r < agg.M; r++ {
-		lhs := dist[r] * agg.RateToMoreOff(r)
-		rhs := dist[r+1] * agg.RateToMoreOn(r+1)
+		lhs := dist[r] * float64(agg.M-r) * ipp.Alpha
+		rhs := dist[r+1] * float64(r+1) * ipp.Beta
 		if math.Abs(lhs-rhs) > 1e-12 {
 			t.Errorf("detailed balance violated at r=%d: %v vs %v", r, lhs, rhs)
 		}
@@ -234,30 +195,39 @@ func TestAggregateMMPPZeroSessions(t *testing.T) {
 	if len(dist) != 1 || dist[0] != 1 {
 		t.Errorf("M=0 distribution = %v, want [1]", dist)
 	}
-	if agg.MeanAggregateRate() != 0 {
-		t.Error("M=0 should have zero aggregate rate")
-	}
 }
 
 // Property: for any m and any valid IPP, the binomial stationary distribution
 // satisfies detailed balance and its mean aggregate arrival rate weighted by
 // the distribution equals m * lambda * P(on).
 func TestAggregateMMPPRateProperty(t *testing.T) {
+	// The rate averaged over the binomial stationary distribution must be m
+	// times the per-session IPP mean rate (the MMPP aggregation of Section
+	// 4.1).
+	holds := func(ipp IPP, m int) bool {
+		// In state r the m-r on sources each send at rate lambda.
+		var weighted float64
+		for r, p := range (AggregateMMPP{Source: ipp, M: m}).StationaryDistribution() {
+			weighted += p * float64(m-r) * ipp.Lambda
+		}
+		want := float64(m) * ipp.MeanRate()
+		return math.Abs(weighted-want) <= 1e-9*(1+want)
+	}
+	// The session IPPs of the paper's three traffic models.
+	for _, model := range AllModels() {
+		ipp := model.Spec().Session.IPP()
+		for m := 1; m <= 30; m++ {
+			if !holds(ipp, m) {
+				t.Errorf("%v, m = %d: aggregate rate differs from m times the IPP mean", model, m)
+			}
+		}
+	}
 	prop := func(mSeed uint8, lamSeed, aSeed, bSeed uint16) bool {
-		m := int(mSeed%30) + 1
-		ipp := IPP{
+		return holds(IPP{
 			Lambda: 0.01 + float64(lamSeed%1000)/100,
 			Alpha:  0.01 + float64(aSeed%1000)/100,
 			Beta:   0.01 + float64(bSeed%1000)/100,
-		}
-		agg := AggregateMMPP{Source: ipp, M: m}
-		dist := agg.StationaryDistribution()
-		var weighted float64
-		for r, p := range dist {
-			weighted += p * agg.ArrivalRate(r)
-		}
-		want := agg.MeanAggregateRate()
-		return math.Abs(weighted-want) <= 1e-9*(1+want)
+		}, int(mSeed%30)+1)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -1,16 +1,30 @@
-// Command doccheck enforces the repository's doc-comment convention, in the
-// spirit of the (deprecated) golint exported-comment check: every exported
-// identifier in non-test files — functions, types, constants, variables, and
-// methods on exported receiver types — must carry a doc comment, and every
-// package must carry a package comment — library packages a godoc package
-// comment, main packages (the commands of cmd/ and the programs of
-// examples/) a command comment describing what the program does. CI runs it
-// over internal/, cmd/, and examples/; it exits non-zero listing the
-// offenders.
+// Command doccheck runs the repository's two API lint checks and exits
+// non-zero listing the offenders of either.
+//
+// The doc-comment check, in the spirit of the (deprecated) golint
+// exported-comment check, parses internal/, cmd/ and examples/: every
+// exported identifier in non-test files — functions, types, constants,
+// variables, and methods on exported receiver types — must carry a doc
+// comment, and every package must carry a package comment — library packages
+// a godoc package comment, main packages (the commands of cmd/ and the
+// programs of examples/) a command comment describing what the program does.
+//
+// The unused-export check type-checks every non-test package of the module,
+// perfbench/ and examples/ included, and reports each exported function or
+// method of a library package that no non-test file uses. Uses are matched
+// by object, not by name, so an Add method is not kept alive by another
+// type's Add. A method named like a method of an interface written in the
+// repository, named or literal, or of a standard-library interface the code
+// relies on counts as used. The names on the short allowlist in unused.go
+// are exempt, each with its reason, and an entry that names no unused
+// export is reported as stale.
+//
+// Both checks read paths relative to the working directory, so run it from
+// the repository root.
 //
 // Usage:
 //
-//	go run ./tools/doccheck [dir ...]   (default: ./internal ./cmd ./examples)
+//	go run ./tools/doccheck
 package main
 
 import (
@@ -26,13 +40,9 @@ import (
 )
 
 func main() {
-	dirs := os.Args[1:]
-	if len(dirs) == 0 {
-		dirs = []string{"./internal", "./cmd", "./examples"}
-	}
 	var problems []string
 	pkgs := map[string]*pkgDoc{} // directory -> package-comment state
-	for _, root := range dirs {
+	for _, root := range []string{"internal", "cmd", "examples"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -70,6 +80,12 @@ func main() {
 		}
 		problems = append(problems, fmt.Sprintf("%s: %s lacks a package comment", dir, kind))
 	}
+	unused, err := unusedExports(".", allowlist)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doccheck:", err)
+		os.Exit(2)
+	}
+	problems = append(problems, unused...)
 	for _, p := range problems {
 		fmt.Println(p)
 	}
