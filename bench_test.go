@@ -188,19 +188,6 @@ func BenchmarkFig15GPRSPopulation(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverAblation compares Gauss-Seidel, Jacobi, and power iteration
-// on the same model (the solver design choice called out in DESIGN.md).
-func BenchmarkSolverAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		got, err := experiments.SolverAblation(experiments.Options{Tolerance: 1e-6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(got[0].Iterations), "gs-iters")
-		b.ReportMetric(float64(got[2].Iterations), "power-iters")
-	}
-}
-
 // BenchmarkHandoverBalancing measures the handover-flow fixed point iteration
 // (Eqs. 4-5) in isolation.
 func BenchmarkHandoverBalancing(b *testing.B) {

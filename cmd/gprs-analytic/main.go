@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -25,7 +26,7 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gprs-analytic", flag.ContinueOnError)
 	var (
 		modelID  = fs.Int("model", 3, "traffic model (1, 2, or 3; Table 3 of the paper)")
@@ -77,7 +78,7 @@ func run(args []string, out *os.File) error {
 	fmt.Fprintf(w, "GPRS blocking probability\t%.6g\n", meas.GPRSBlockingProbability)
 	fmt.Fprintf(w, "balanced GSM handover rate\t%.6g 1/s\n", meas.GSMHandoverRate)
 	fmt.Fprintf(w, "balanced GPRS handover rate\t%.6g 1/s\n", meas.GPRSHandoverRate)
-	fmt.Fprintf(w, "solver\t%v, %d iterations, residual %.3g, converged %v\n",
-		res.Solver.Method, res.Solver.Iterations, res.Solver.Residual, res.Solver.Converged)
+	fmt.Fprintf(w, "solver\tline Gauss–Seidel, %d iterations, residual %.3g\n",
+		res.Solver.Iterations, res.Solver.Residual)
 	return w.Flush()
 }

@@ -39,6 +39,5 @@ func main() {
 	fmt.Printf("carried voice traffic:    %.2f channels\n", m.CarriedVoiceTraffic)
 	fmt.Printf("GSM / GPRS blocking:      %.4g / %.4g\n",
 		m.GSMBlockingProbability, m.GPRSBlockingProbability)
-	fmt.Printf("solver: %v, %d iterations, converged=%v\n",
-		res.Solver.Method, res.Solver.Iterations, res.Solver.Converged)
+	fmt.Printf("solver: line Gauss–Seidel, %d iterations\n", res.Solver.Iterations)
 }

@@ -1,10 +1,10 @@
 // Package ctmc provides infrastructure for finite continuous-time Markov
 // chains: sparse infinitesimal generator matrices built from a transition
-// enumeration callback, and iterative steady-state solvers (Gauss–Seidel,
-// Jacobi, and uniformized power iteration). The GPRS Markov model of the
-// paper is solved through this package.
+// enumeration callback, and an iterative steady-state solver, line
+// Gauss–Seidel. The GPRS Markov model of the paper is solved through this
+// package.
 //
-// A solver can optionally be given an exact aggregate: a partition of the
+// The solver can optionally be given an exact aggregate: a partition of the
 // states into blocks together with the stationary probability of each
 // block, known in closed form when the block process is lumpable. After
 // every sweep the iterate is rescaled so that each block carries its exact
@@ -18,9 +18,8 @@
 // SolveOptions.Aggregation).
 //
 // The generator is stored column-oriented (incoming transitions per state)
-// because every provided solver needs, for a state j, the inflow
-// sum_i pi_i * q_ij and the total outflow rate d_j. This single representation
-// supports all three iteration schemes without duplicating the matrix.
+// because the solver needs, for a state j, the inflow sum_i pi_i * q_ij and
+// the total outflow rate d_j.
 package ctmc
 
 import (

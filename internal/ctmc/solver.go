@@ -3,68 +3,23 @@ package ctmc
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
-
-// Method selects the steady-state iteration scheme.
-type Method int
-
-const (
-	// GaussSeidel updates states in place using the newest available values,
-	// one line of an aggregation block at a time (see SolveOptions). It is
-	// the default because it typically converges in far fewer sweeps than
-	// the other methods on the quasi-birth-death structure of the GPRS
-	// model.
-	GaussSeidel Method = iota + 1
-	// Jacobi updates all states from the previous iterate with a damping
-	// factor of 1/2 (undamped Jacobi oscillates with period two on
-	// birth-death structures); it is provided as a reference method and for
-	// the solver ablation benchmark.
-	Jacobi
-	// Power applies uniformized power iteration pi <- pi (I + Q/Lambda).
-	// It is embarrassingly parallel and used for very large state spaces.
-	Power
-)
-
-// String returns the solver name.
-func (m Method) String() string {
-	switch m {
-	case GaussSeidel:
-		return "gauss-seidel"
-	case Jacobi:
-		return "jacobi"
-	case Power:
-		return "power"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
-	}
-}
 
 // SolveOptions controls the steady-state computation.
 type SolveOptions struct {
-	// Method selects the iteration scheme; the zero value means GaussSeidel.
-	Method Method
 	// Tolerance is the convergence threshold on the relative L1 change of the
 	// iterate between convergence checks; the zero value means 1e-10.
 	Tolerance float64
 	// MaxIterations bounds the number of sweeps; the zero value means 20000.
 	MaxIterations int
-	// Parallel enables multi-goroutine sweeps for the Jacobi and Power
-	// methods (Gauss–Seidel is inherently sequential), one goroutine per
-	// CPU. The zero value uses a single goroutine.
-	Parallel bool
 	// Aggregation optionally provides the exact stationary mass of a
 	// partition of the states. The uniform starting vector and every
 	// sweep's iterate are rescaled block by block to those masses, in place
-	// of the plain normalization. It applies to every method; uniformized
-	// power iteration already preserves the marginal of a lumpable
-	// partition and gains nothing from it. Under Gauss–Seidel, each maximal
-	// run of consecutive states in one block is a line, solved exactly per
-	// sweep given the newest inflow from outside it; the solve is exact when
-	// a line's states are joined inside it only to their neighbours, and a
-	// one-state line is the point update. If nil, no aggregation is used and
-	// every line is one state.
+	// of the plain normalization. Each maximal run of consecutive states in
+	// one block is a line, solved exactly per sweep given the newest inflow
+	// from outside it; the solve is exact when a line's states are joined
+	// inside it only to their neighbours, and a one-state line is the point
+	// update. If nil, no aggregation is used and every line is one state.
 	Aggregation *Aggregation
 }
 
@@ -155,9 +110,6 @@ func (a *Aggregation) rescale(v, factor []float64) error {
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
-	if o.Method == 0 {
-		o.Method = GaussSeidel
-	}
 	if o.Tolerance <= 0 {
 		o.Tolerance = 1e-10
 	}
@@ -186,8 +138,6 @@ type Solution struct {
 	// the largest total outflow rate of a state. A small Delta alone can
 	// mean a stalled iteration, not a solution.
 	Converged bool
-	// Method is the iteration scheme that produced the solution.
-	Method Method
 }
 
 // SteadyState computes the stationary distribution pi of the chain, i.e. the
@@ -207,7 +157,7 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 		block = agg.Block
 	}
 	if g.n == 1 {
-		return &Solution{Pi: []float64{1}, Converged: true, Method: o.Method}, nil
+		return &Solution{Pi: []float64{1}, Converged: true}, nil
 	}
 
 	pi := make([]float64, g.n)
@@ -218,20 +168,12 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 		return nil, err
 	}
 
-	// step maps an iterate to the next one, before norm.
-	var step func(pi []float64) []float64
-	switch o.Method {
-	case GaussSeidel:
-		step = g.gaussSeidelStep(block)
-	case Jacobi, Power:
-		step = g.jacobiOrPowerStep(o, o.Method == Power)
-	default:
-		return nil, fmt.Errorf("%w: unknown method %v", ErrInvalidArgument, o.Method)
-	}
+	invPivot, longest := g.linePivots(block)
+	rhs, upper := make([]float64, longest), make([]float64, longest)
 	prev := make([]float64, g.n)
-	sol := &Solution{Method: o.Method}
+	sol := &Solution{}
 	for iter := 1; iter <= o.MaxIterations; iter++ {
-		pi = step(pi)
+		g.lineSweep(pi, block, invPivot, rhs, upper)
 		if err := norm(pi); err != nil {
 			return nil, err
 		}
@@ -284,36 +226,32 @@ func (g *Generator) lineInflow(pi []float64, j, s, e int) (sum, lo, hi float64) 
 	return sum, lo, hi
 }
 
-// gaussSeidelStep returns the line Gauss–Seidel sweep over the lines of
-// block, which updates the iterate in place. It visits the lines in index
-// order and solves the balance equations of each exactly, given the newest
-// inflow from outside the line: d_q x_q - lo_q x_{q-1} - hi_q x_{q+1} =
-// rhs_q, by a Thomas pass over the pivots of linePivots. A one-state line is
-// the point update pi_j <- inflow_j / d_j. A closed line, which sends
-// nothing out of itself, ends on a pivot of 0: its last state keeps its
-// value, the rest are solved from it, and norm sets the line's mass.
-func (g *Generator) gaussSeidelStep(block []int32) func([]float64) []float64 {
-	invPivot, longest := g.linePivots(block)
-	rhs, upper := make([]float64, longest), make([]float64, longest)
-	return func(pi []float64) []float64 {
-		for s := 0; s < g.n; {
-			e := lineEnd(block, s, g.n)
-			var r float64
-			for j := s; j < e; j++ {
-				sum, lo, hi := g.lineInflow(pi, j, s, e)
-				r = (sum + lo*r) * invPivot[j]
-				rhs[j-s], upper[j-s] = r, hi*invPivot[j]
-			}
-			x := pi[e-1]
-			for j := e - 1; j >= s; j-- {
-				if invPivot[j] != 0 {
-					x = rhs[j-s] + upper[j-s]*x
-				}
-				pi[j] = x
-			}
-			s = e
+// lineSweep runs one line Gauss–Seidel sweep over the lines of block,
+// updating pi in place. It visits the lines in index order and solves the
+// balance equations of each exactly, given the newest inflow from outside
+// the line: d_q x_q - lo_q x_{q-1} - hi_q x_{q+1} = rhs_q, by a Thomas pass
+// over the pivots invPivot of linePivots; rhs and upper are scratch of the
+// longest line's length. A one-state line is the point update
+// pi_j <- inflow_j / d_j. A closed line, which sends nothing out of itself,
+// ends on a pivot of 0: its last state keeps its value, the rest are solved
+// from it, and SteadyState's rescale sets the line's mass.
+func (g *Generator) lineSweep(pi []float64, block []int32, invPivot, rhs, upper []float64) {
+	for s := 0; s < g.n; {
+		e := lineEnd(block, s, g.n)
+		var r float64
+		for j := s; j < e; j++ {
+			sum, lo, hi := g.lineInflow(pi, j, s, e)
+			r = (sum + lo*r) * invPivot[j]
+			rhs[j-s], upper[j-s] = r, hi*invPivot[j]
 		}
-		return pi
+		x := pi[e-1]
+		for j := e - 1; j >= s; j-- {
+			if invPivot[j] != 0 {
+				x = rhs[j-s] + upper[j-s]*x
+			}
+			pi[j] = x
+		}
+		s = e
 	}
 }
 
@@ -352,65 +290,6 @@ func (g *Generator) linePivots(block []int32) ([]float64, int) {
 		s = e
 	}
 	return invPivot, longest
-}
-
-// jacobiOrPowerStep returns a sweep into a second vector, which it returns,
-// swapping the vectors' roles. With power=true the update is the uniformized
-// power step pi_j <- pi_j + (inflow_j - pi_j d_j)/Lambda; otherwise the
-// Jacobi step pi_j <- inflow_j / d_j is used.
-func (g *Generator) jacobiOrPowerStep(o SolveOptions, power bool) func([]float64) []float64 {
-	next := make([]float64, g.n)
-	// Uniformization constant slightly above the maximum outflow rate keeps
-	// the DTMC aperiodic.
-	lambda := g.maxOutRate * 1.02
-	if lambda <= 0 {
-		lambda = 1
-	}
-
-	sweep := func(lo, hi int, src, dst []float64) {
-		for j := lo; j < hi; j++ {
-			start, end := g.inPtr[j], g.inPtr[j+1]
-			var sum float64
-			for p := start; p < end; p++ {
-				sum += src[g.inSrc[p]] * g.inRate[p]
-			}
-			if power {
-				dst[j] = src[j] + (sum-src[j]*g.outRate[j])/lambda
-			} else {
-				// Damped Jacobi: average the fixed-point update with the
-				// previous iterate to suppress period-2 oscillation.
-				dst[j] = 0.5*src[j] + 0.5*sum/g.outRate[j]
-			}
-		}
-	}
-
-	workers := 1
-	if o.Parallel {
-		workers = min(runtime.NumCPU(), g.n)
-	}
-
-	return func(pi []float64) []float64 {
-		if workers == 1 {
-			sweep(0, g.n, pi, next)
-		} else {
-			var wg sync.WaitGroup
-			chunk := (g.n + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo, hi := w*chunk, min((w+1)*chunk, g.n)
-				if lo >= hi {
-					break
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					sweep(lo, hi, pi, next)
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
-		pi, next = next, pi
-		return pi
-	}
 }
 
 // normalize scales the vector to sum to 1 and clamps tiny negative rounding

@@ -1,65 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
-	"repro/internal/ctmc"
 	"repro/internal/traffic"
 )
-
-// SolverComparison is the result of solving the same model with one iteration
-// scheme (the solver ablation of DESIGN.md).
-type SolverComparison struct {
-	Method     ctmc.Method
-	Iterations int
-	Residual   float64
-	Converged  bool
-	CDT        float64
-	PLP        float64
-}
-
-// SolverAblation solves a quick-fidelity traffic-model-3 configuration with
-// every available steady-state method and reports iteration counts and the
-// resulting headline measures. All methods must agree on the measures; the
-// iteration counts quantify why Gauss–Seidel is the default. Every method
-// runs with the product-form aggregation that core.Model.Solve installs: at
-// tolerance 1e-6, Gauss–Seidel (line sweeps over each (n, m, r) block),
-// Jacobi and power iteration take 60, 730 and 2810 sweeps; point
-// Gauss–Seidel sweeps under the same aggregation took 200. Plain sweeps from
-// a product-form starting guess took 3020, 10560 and 3160; power iteration
-// already preserves the exact (n, m, r) marginal, so the rescale does little
-// for it.
-func SolverAblation(o Options) ([]SolverComparison, error) {
-	o = o.withDefaults()
-	cfg := baseConfig(Quick, traffic.Model3, 0.6)
-	model, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	methods := []ctmc.Method{ctmc.GaussSeidel, ctmc.Jacobi, ctmc.Power}
-	out := make([]SolverComparison, 0, len(methods))
-	for _, method := range methods {
-		res, err := model.Solve(ctmc.SolveOptions{
-			Method:        method,
-			Tolerance:     o.Tolerance,
-			MaxIterations: 200000,
-			Parallel:      method != ctmc.GaussSeidel,
-		})
-		if err != nil {
-			return out, fmt.Errorf("%v: %w", method, err)
-		}
-		out = append(out, SolverComparison{
-			Method:     method,
-			Iterations: res.Solver.Iterations,
-			Residual:   res.Solver.Residual,
-			Converged:  res.Solver.Converged,
-			CDT:        res.Measures.CarriedDataTraffic,
-			PLP:        res.Measures.PacketLossProbability,
-		})
-	}
-	return out, nil
-}
 
 // HandoverAblation compares the balanced handover fixed point (Eqs. 4-5)
 // against the naive initialization (incoming handover rate = fresh arrival

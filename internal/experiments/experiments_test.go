@@ -589,35 +589,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestSolverAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("solver comparison too slow for -short mode")
-	}
-	got, err := SolverAblation(Options{Tolerance: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("want 3 methods, got %d", len(got))
-	}
-	for _, c := range got {
-		if !c.Converged {
-			t.Errorf("%v did not converge", c.Method)
-		}
-	}
-	// All methods agree on the measures; Gauss–Seidel needs the fewest
-	// sweeps.
-	for _, c := range got[1:] {
-		if math.Abs(c.CDT-got[0].CDT) > 1e-3 {
-			t.Errorf("%v CDT %v differs from Gauss-Seidel %v", c.Method, c.CDT, got[0].CDT)
-		}
-		if c.Iterations < got[0].Iterations {
-			t.Errorf("%v used fewer iterations (%d) than Gauss-Seidel (%d)",
-				c.Method, c.Iterations, got[0].Iterations)
-		}
-	}
-}
-
 func TestHandoverBalancingAblation(t *testing.T) {
 	res, err := HandoverBalancingAblation(traffic.Model1, 0.5)
 	if err != nil {

@@ -21,7 +21,6 @@ import (
 var allowlist = map[string]string{
 	"erlang.BalanceGuardHandover":           "analytic oracle of the guard-channel policy tests",
 	"cluster.NewRing":                       "non-hex topology fixture of the sim and scenario tests",
-	"experiments.SolverAblation":            "driven by the root bench_test.go benchmarks",
 	"experiments.HandoverBalancingAblation": "driven by the root bench_test.go benchmarks",
 }
 
