@@ -52,115 +52,56 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/partition"
-	"repro/internal/policy"
-	"repro/internal/probe"
-	"repro/internal/runner"
-	"repro/internal/scenario"
-	"repro/internal/sim"
+	"repro/internal/simflags"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gprs-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gprs-experiments", flag.ContinueOnError)
+	shared := simflags.Bind(fs)
 	var (
-		full    = fs.Bool("full", false, "run the paper-resolution parameter setting (slow)")
-		figure  = fs.String("figure", "all", "figure to regenerate: all, tables, fig5 ... fig15")
-		outDir  = fs.String("out", "results", "directory for CSV output")
-		workers = fs.Int("workers", 0, "concurrent model solutions and simulator runs (0 = NumCPU); also sizes adaptive growth batches — pin it to reproduce -precision runs across machines")
-		noSim   = fs.Bool("no-sim", false, "skip the detailed-simulator series of figs 5 and 6")
-		tol     = fs.Float64("tol", 0, "steady-state solver tolerance (0 = default)")
-		reps    = fs.Int("replications", 0, "independent simulator replications per point (0 = fidelity default; ignored with -precision)")
-		prec    = fs.Float64("precision", 0, "adaptive stopping: relative CI half-width target for -target (0 = fixed -replications)")
-		minReps = fs.Int("min-reps", 0, "adaptive mode: replications in the first batch (0 = 4)")
-		maxReps = fs.Int("max-reps", 0, "adaptive mode: replication cap (0 = 64)")
-		vrName  = fs.String("vr", "none", "variance reduction for simulator points: none, antithetic, control")
-		target  = fs.String("target", "throughput", "measure watched by -precision: "+strings.Join(sim.MeasureNames(), ", "))
-		seed    = fs.Int64("seed", 1, "base seed of the simulator replications")
-		cells   = fs.Int("cells", 0, "simulated cluster size: 0/7 (paper) or a wrap-around hex-ring preset (cluster.PresetSizes)")
-		shards  = fs.Int("shards", 1, "cell groups advanced in parallel per simulator replication (1 = one group on the calling goroutine)")
-		partFlg = fs.String("partition", "", "cell→group partitioning of -shards > 1 runs: kind[:groups] with kinds "+strings.Join(partition.Kinds(), ", ")+", or explicit JSON (default: locality); never affects results")
-		scnName = fs.String("scenario", "", "built-in workload scenario for all simulator runs: "+strings.Join(scenario.Names(), ", "))
-		scnFile = fs.String("scenario-file", "", "JSON workload-scenario file (overrides -scenario)")
-		trcFile = fs.String("trace", "", "replay a measured arrival trace from this CSV file (header time_sec,{rate_per_s|arrivals}[,payload_bytes]); replaces the scenario's temporal profile")
-		polName = fs.String("policy", "", "handover admission policy for all simulator runs (overrides the scenario's): "+strings.Join(policy.Names(), ", "))
-		guard   = fs.Int("guard", 0, "voice channels reserved for handovers (-policy guard)")
-		hoQueue = fs.Int("ho-queue", 0, "per-cell handover queue capacity (-policy queue)")
-		hoDead  = fs.Float64("ho-deadline", 0, "queued-handover deadline in seconds (-policy queue)")
-		quiet   = fs.Bool("quiet", false, "suppress progress output on stderr")
-		pjson   = fs.Bool("progress-json", false, "emit structured JSON-lines progress events on stderr instead of human-readable lines")
-		telem   = fs.String("telemetry", "", "serve live pprof/expvar telemetry on this address (e.g. :6060) for the duration of the run")
+		full   = fs.Bool("full", false, "run the paper-resolution parameter setting (slow)")
+		figure = fs.String("figure", "all", "figure to regenerate: all, tables, fig5 ... fig15")
+		outDir = fs.String("out", "results", "directory for CSV output")
+		noSim  = fs.Bool("no-sim", false, "skip the detailed-simulator series of figs 5 and 6")
+		tol    = fs.Float64("tol", 0, "steady-state solver tolerance (0 = default)")
+		quiet  = fs.Bool("quiet", false, "suppress progress output on stderr")
+		pjson  = fs.Bool("progress-json", false, "emit structured JSON-lines progress events on stderr instead of human-readable lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *telem != "" {
-		addr, err := probe.ServeTelemetry(*telem)
-		if err != nil {
-			return fmt.Errorf("telemetry: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s/debug/pprof/ and /debug/vars\n", addr)
-	}
-	vr, err := runner.ParseVR(*vrName)
+	// Resolved up front: figures solve their full analytical sweeps before
+	// the simulator runs, so a bad simulator flag must not surface only
+	// after minutes of wasted model solutions.
+	ro, setup, err := shared.Resolve()
 	if err != nil {
 		return err
-	}
-	targetMeasure, err := sim.ParseMeasure(*target)
-	if err != nil {
-		return err
-	}
-	if *cells != 0 {
-		// Validate up front: figures solve their full analytical sweeps
-		// before the simulator runs, so a bad cluster size must not surface
-		// only after minutes of wasted model solutions.
-		if _, err := cluster.Preset(*cells); err != nil {
-			return err
-		}
 	}
 
 	start := time.Now()
 	opts := experiments.Options{
-		Fidelity:        experiments.Quick,
-		Workers:         *workers,
-		WithSimulation:  !*noSim,
-		Tolerance:       *tol,
-		Replications:    *reps,
-		Precision:       *prec,
-		Target:          targetMeasure,
-		MinReplications: *minReps,
-		MaxReplications: *maxReps,
-		VR:              vr,
-		SimSeed:         *seed,
-		Cells:           *cells,
-		Shards:          *shards,
-	}
-	if *partFlg != "" {
-		spec, err := partition.ParseSpec(*partFlg)
-		if err != nil {
-			return fmt.Errorf("-partition: %w", err)
-		}
-		opts.Partition = spec
+		Fidelity:       experiments.Quick,
+		Workers:        ro.Workers,
+		WithSimulation: !*noSim,
+		Tolerance:      *tol,
+		Sim:            ro,
+		Setup:          setup,
 	}
 	if *full {
 		opts.Fidelity = experiments.Full
-	}
-	if opts.Scenario, err = scenario.Resolve(*scnName, *scnFile, *trcFile); err != nil {
-		return err
-	}
-	if opts.Policy, err = policy.FromFlags(*polName, *guard, *hoQueue, *hoDead); err != nil {
-		return err
 	}
 	switch {
 	case *quiet:
@@ -174,10 +115,10 @@ func run(args []string) error {
 	}
 
 	if *figure == "tables" || *figure == "all" {
-		fmt.Print(experiments.TableBaseParameters().String())
-		fmt.Println()
-		fmt.Print(experiments.TableTrafficModels().String())
-		fmt.Println()
+		fmt.Fprint(stdout, experiments.TableBaseParameters().String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, experiments.TableTrafficModels().String())
+		fmt.Fprintln(stdout)
 		if *figure == "tables" {
 			return nil
 		}
@@ -188,14 +129,14 @@ func run(args []string) error {
 		return err
 	}
 	for _, fig := range figs {
-		fmt.Print(experiments.FormatFigure(fig))
-		fmt.Println()
+		fmt.Fprint(stdout, experiments.FormatFigure(fig))
+		fmt.Fprintln(stdout)
 	}
 	paths, err := experiments.WriteAllCSV(figs, *outDir)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d CSV files to %s in %.1fs\n", len(paths), *outDir, time.Since(start).Seconds())
+	fmt.Fprintf(stdout, "wrote %d CSV files to %s in %.1fs\n", len(paths), *outDir, time.Since(start).Seconds())
 	return nil
 }
 

@@ -9,9 +9,9 @@
 // 331 — are generated wrap-around hex rings) and -shards > 1 advances cell
 // groups of each replication in parallel conservative time windows — again
 // without changing the results. -partition pins the cell→group assignment
-// (kind[:groups] — locality, index-range — or an explicit JSON spec); the
-// default is the locality-aware grouping of internal/partition, and no
-// partitioning ever changes the results.
+// of such runs (kind[:groups] — locality, index-range — or an explicit JSON
+// spec; it needs -shards > 1); the default is the locality-aware grouping of
+// internal/partition, and no partitioning ever changes the results.
 //
 // -scenario installs a built-in heterogeneous-load workload scenario
 // (hotspot cells, load gradients, busy-hour ramps, highway corridors) and
@@ -77,30 +77,30 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 
-	"repro/internal/cluster"
-	"repro/internal/partition"
 	"repro/internal/policy"
 	"repro/internal/probe"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/simflags"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gprs-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gprs-sim", flag.ContinueOnError)
+	shared := simflags.Bind(fs)
 	var (
 		modelID = fs.Int("model", 3, "traffic model (1, 2, or 3)")
 		rate    = fs.Float64("rate", 0.5, "total GSM+GPRS call arrival rate per cell (calls/s)")
@@ -110,204 +110,116 @@ func run(args []string) error {
 		warmup  = fs.Float64("warmup", 2000, "warm-up time discarded before measuring (s)")
 		measure = fs.Float64("measure", 20000, "measured simulation time (s)")
 		batches = fs.Int("batches", 10, "number of batch-means batches")
-		seed    = fs.Int64("seed", 1, "base random seed")
-		reps    = fs.Int("replications", 1, "independent replications to run and merge")
-		workers = fs.Int("workers", 0, "concurrent replications (0 = NumCPU); also sizes adaptive growth batches — pin it to reproduce -precision runs across machines")
-		cells   = fs.Int("cells", 7, "cluster size, one of "+intsLabel(cluster.PresetSizes())+" (7 is the paper's cluster, larger sizes are wrap-around hex rings)")
-		shards  = fs.Int("shards", 1, "cell groups advanced in parallel per replication (1 = one group on the calling goroutine)")
-		partFlg = fs.String("partition", "", "cell→group partitioning of -shards > 1 runs: kind[:groups] with kinds "+strings.Join(partition.Kinds(), ", ")+", or explicit JSON (default: locality, one group per shard); never affects results")
-		scnName = fs.String("scenario", "", "built-in workload scenario: "+strings.Join(scenario.Names(), ", "))
-		scnFile = fs.String("scenario-file", "", "JSON workload-scenario file (overrides -scenario)")
-		trcFile = fs.String("trace", "", "replay a measured arrival trace from this CSV file (header time_sec,{rate_per_s|arrivals}[,payload_bytes]); replaces the scenario's temporal profile")
-		polName = fs.String("policy", "", "handover admission policy (overrides the scenario's): "+strings.Join(policy.Names(), ", "))
-		guard   = fs.Int("guard", 0, "voice channels reserved for handovers (-policy guard)")
-		hoQueue = fs.Int("ho-queue", 0, "per-cell handover queue capacity (-policy queue)")
-		hoDead  = fs.Float64("ho-deadline", 0, "maximum wait of a queued handover in seconds (-policy queue)")
 		perCell = fs.Bool("percell", false, "print the per-cell report after the mid-cell measures")
-		prec    = fs.Float64("precision", 0, "adaptive stopping: relative CI half-width target for -target (0 = fixed -replications)")
-		minReps = fs.Int("min-reps", 0, "adaptive mode: replications in the first batch (0 = 4)")
-		maxReps = fs.Int("max-reps", 0, "adaptive mode: replication cap (0 = 64)")
-		vrName  = fs.String("vr", "none", "variance reduction: none, antithetic, control")
-		target  = fs.String("target", "throughput", "measure watched by -precision: "+strings.Join(sim.MeasureNames(), ", "))
 		series  = fs.String("series", "", "write per-window per-cell time series to this file (.jsonl = JSON lines, otherwise CSV)")
 		serieDT = fs.Float64("series-dt", 10, "probe window width of -series in simulated seconds")
-		telem   = fs.String("telemetry", "", "serve live pprof/expvar telemetry on this address (e.g. :6060) for the duration of the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *telem != "" {
-		addr, err := probe.ServeTelemetry(*telem)
-		if err != nil {
-			return fmt.Errorf("telemetry: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s/debug/pprof/ and /debug/vars\n", addr)
-	}
-	vr, err := runner.ParseVR(*vrName)
-	if err != nil {
-		return err
-	}
-	targetMeasure, err := sim.ParseMeasure(*target)
+	ro, setup, err := shared.Resolve()
 	if err != nil {
 		return err
 	}
 
-	topo, err := cluster.Preset(*cells)
-	if err != nil {
-		return err
-	}
 	cfg := sim.DefaultConfig(traffic.Model(*modelID), *rate)
-	cfg.Topology = topo
 	cfg.Channels.ReservedPDCH = *pdch
 	cfg.GPRSFraction = *gprsPct
 	cfg.EnableTCP = !*tcpOff
 	cfg.WarmupSec = *warmup
 	cfg.MeasurementSec = *measure
 	cfg.Batches = *batches
-	cfg.Seed = *seed
+	cfg.Seed = ro.BaseSeed
 	if *series != "" {
 		cfg.Probe = &probe.Spec{IntervalSec: *serieDT}
 	}
-	if *partFlg != "" {
-		spec, err := partition.ParseSpec(*partFlg)
-		if err != nil {
-			return fmt.Errorf("-partition: %w", err)
-		}
-		cfg.Partition = spec
+	prof, err := setup.Apply(&cfg)
+	if err != nil {
+		return err
 	}
-
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	scenarioLabel := "uniform (paper baseline)"
-	if spec, err := scenario.Resolve(*scnName, *scnFile, *trcFile); err != nil {
-		return err
-	} else if spec != nil {
-		prof, err := scenario.Apply(&cfg, *spec)
-		if err != nil {
-			return err
-		}
-		scenarioLabel = describeProfile(*spec, prof, cfg.Mobility)
-	}
-	// An explicit -policy overrides the scenario's; "none" removes it.
-	if pol, err := policy.FromFlags(*polName, *guard, *hoQueue, *hoDead); err != nil {
-		return err
-	} else if pol != nil {
-		if err := pol.Validate(cfg.Channels.GSMChannels()); err != nil {
-			return err
-		}
-		cfg.Policy = nil
-		if pol.Kind != policy.None {
-			cfg.Policy = pol
-		}
+	if prof != nil {
+		scenarioLabel = describeProfile(*setup.Scenario, prof, cfg.Mobility)
 	}
 	policyLabel := "default admission (paper)"
 	if cfg.Policy != nil {
 		policyLabel = describePolicy(cfg.Policy)
 	}
 
-	if *reps < 1 {
-		*reps = 1
+	if ro.Replications < 1 {
+		ro.Replications = 1
 	}
-	repsLabel := fmt.Sprintf("%d replication(s)", *reps)
-	if *prec > 0 {
-		repsLabel = fmt.Sprintf("adaptive replications (%.3g relative half-width on %s)", *prec, targetMeasure)
+	repsLabel := fmt.Sprintf("%d replication(s)", ro.Replications)
+	if ro.Precision > 0 {
+		repsLabel = fmt.Sprintf("adaptive replications (%.3g relative half-width on %s)", ro.Precision, ro.Target)
 	}
-	fmt.Printf("simulating %s, rate %.3g calls/s per cell, %d cells, %d reserved PDCHs, TCP %v, %s, scenario %s, policy %s...\n",
-		traffic.Model(*modelID), *rate, *cells, *pdch, cfg.EnableTCP, repsLabel, scenarioLabel, policyLabel)
+	fmt.Fprintf(stdout, "simulating %s, rate %.3g calls/s per cell, %d cells, %d reserved PDCHs, TCP %v, %s, scenario %s, policy %s...\n",
+		traffic.Model(*modelID), *rate, cfg.Topology.NumCells(), *pdch, cfg.EnableTCP, repsLabel, scenarioLabel, policyLabel)
 
-	if *reps <= 1 && *prec <= 0 && vr == runner.VRNone {
+	if ro.Replications <= 1 && ro.Precision <= 0 && ro.VR == runner.VRNone {
 		// A single run bypasses runner.Run deliberately: it uses cfg.Seed
 		// directly (not the SeedFor substream of a base seed) and reports
 		// batch-means intervals, matching the pre-replication-engine
 		// behaviour of this command.
-		res, ser, err := sim.RunOnceSeries(cfg, sim.ShardedOptions{Shards: *shards})
+		res, ser, err := sim.RunOnceSeries(cfg, sim.ShardedOptions{Shards: ro.Shards})
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
+		fmt.Fprint(stdout, res.String())
 		if *perCell {
-			printPerCell(res.PerCell, nil)
+			printPerCell(stdout, res.PerCell, nil)
 		}
 		if *series != "" {
-			if err := writeRunSeries(*series, ser); err != nil {
+			write := func(w io.Writer) error { return probe.WriteCSV(w, ser) }
+			if strings.HasSuffix(*series, ".jsonl") {
+				write = func(w io.Writer) error { return probe.WriteJSONL(w, ser) }
+			}
+			if err := writeFile(*series, write); err != nil {
 				return err
 			}
-			fmt.Printf("series written to %s (%d windows of %gs)\n", *series, ser.Windows(), ser.IntervalSec)
+			fmt.Fprintf(stdout, "series written to %s (%d windows of %gs)\n", *series, ser.Windows(), ser.IntervalSec)
 		}
 		return nil
 	}
 
-	sum, err := runner.Run(cfg, runner.Options{
-		Replications:    *reps,
-		Workers:         *workers,
-		BaseSeed:        *seed,
-		Shards:          *shards,
-		Precision:       *prec,
-		Target:          targetMeasure,
-		MinReplications: *minReps,
-		MaxReplications: *maxReps,
-		VR:              vr,
-		Progress: func(done, total int) {
-			fmt.Fprintf(os.Stderr, "replication %d/%d done\n", done, total)
-		},
-	})
+	ro.Progress = func(done, total int) {
+		fmt.Fprintf(os.Stderr, "replication %d/%d done\n", done, total)
+	}
+	sum, err := runner.Run(cfg, ro)
 	if err != nil {
 		return err
 	}
-	fmt.Print(sum.String())
+	fmt.Fprint(stdout, sum.String())
 	if *perCell {
-		printPerCell(sum.Merged.PerCell, sum.Merged.PerCellCI)
+		printPerCell(stdout, sum.Merged.PerCell, sum.Merged.PerCellCI)
 	}
 	if *series != "" {
 		if sum.Series == nil {
 			return fmt.Errorf("series: replications produced no mergeable time series")
 		}
-		if err := writeMergedSeries(*series, sum.Series); err != nil {
+		write := func(w io.Writer) error { return runner.WriteSeriesCSV(w, sum.Series) }
+		if strings.HasSuffix(*series, ".jsonl") {
+			write = func(w io.Writer) error { return runner.WriteSeriesJSONL(w, sum.Series) }
+		}
+		if err := writeFile(*series, write); err != nil {
 			return err
 		}
-		fmt.Printf("merged series written to %s (%d windows of %gs, %d replications)\n",
+		fmt.Fprintf(stdout, "merged series written to %s (%d windows of %gs, %d replications)\n",
 			*series, len(sum.Series.Times), sum.Series.IntervalSec, sum.Series.Replications)
 	}
 	return nil
 }
 
-// intsLabel joins integer preset sizes into a "7, 19, 37, ..." flag label.
-func intsLabel(ns []int) string {
-	parts := make([]string, len(ns))
-	for i, n := range ns {
-		parts[i] = strconv.Itoa(n)
-	}
-	return strings.Join(parts, ", ")
-}
-
-// writeRunSeries writes a single-run probe series to path: JSON lines when
-// the path ends in .jsonl, CSV otherwise.
-func writeRunSeries(path string, s *probe.Series) error {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = probe.WriteJSONL(f, s)
-	} else {
-		err = probe.WriteCSV(f, s)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeMergedSeries writes the cross-replication series merge to path: JSON
-// lines when the path ends in .jsonl, CSV otherwise.
-func writeMergedSeries(path string, s *runner.SeriesSummary) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = runner.WriteSeriesJSONL(f, s)
-	} else {
-		err = runner.WriteSeriesCSV(f, s)
-	}
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -362,7 +274,7 @@ func weightRange(weights []float64) (lo, hi float64) {
 // cross-replication intervals are available (replicated runs; see
 // sim.Results.PerCellCI), every point estimate carries its confidence
 // half-width; a single run prints bare point estimates.
-func printPerCell(cells []sim.CellMeasures, cis []sim.CellIntervals) {
+func printPerCell(w io.Writer, cells []sim.CellMeasures, cis []sim.CellIntervals) {
 	// policyActive gates the six admission-policy columns: under the paper's
 	// default policy they are identically zero and would only widen the table.
 	policyActive := false
@@ -384,26 +296,26 @@ func printPerCell(cells []sim.CellMeasures, cis []sim.CellIntervals) {
 		}
 	}
 	if len(cis) != len(cells) {
-		fmt.Printf("per-cell measures:\n")
-		fmt.Printf("  %4s %8s %8s %8s %8s %10s %12s %8s %8s %8s%s\n",
+		fmt.Fprintf(w, "per-cell measures:\n")
+		fmt.Fprintf(w, "  %4s %8s %8s %8s %8s %10s %12s %8s %8s %8s%s\n",
 			"cell", "CVT", "AGS", "CDT", "queue", "GSM block", "tput (bit/s)", "HO in", "HO out", "HO fail", policyHeader)
 		for _, m := range cells {
-			fmt.Printf("  %4d %8.3f %8.3f %8.3f %8.3f %10.4f %12.0f %8d %8d %8d%s\n",
+			fmt.Fprintf(w, "  %4d %8.3f %8.3f %8.3f %8.3f %10.4f %12.0f %8d %8d %8d%s\n",
 				m.Cell, m.CarriedVoiceTraffic, m.AverageSessions, m.CarriedDataTraffic,
 				m.MeanQueueLength, m.GSMBlocking, m.ThroughputBits,
 				m.HandoversIn, m.HandoversOut, m.HandoverFailures, policyRow(m))
 		}
 		return
 	}
-	fmt.Printf("per-cell measures (± cross-replication CI half-width):\n")
-	fmt.Printf("  %4s %16s %16s %16s %16s %18s %20s %8s %8s %8s%s\n",
+	fmt.Fprintf(w, "per-cell measures (± cross-replication CI half-width):\n")
+	fmt.Fprintf(w, "  %4s %16s %16s %16s %16s %18s %20s %8s %8s %8s%s\n",
 		"cell", "CVT", "AGS", "CDT", "queue", "GSM block", "tput (bit/s)", "HO in", "HO out", "HO fail", policyHeader)
 	pm := func(v float64, iv stats.Interval) string {
 		return fmt.Sprintf("%.3f ±%.3f", v, iv.HalfWidth)
 	}
 	for i, m := range cells {
 		iv := cis[i]
-		fmt.Printf("  %4d %16s %16s %16s %16s %18s %20s %8d %8d %8d%s\n",
+		fmt.Fprintf(w, "  %4d %16s %16s %16s %16s %18s %20s %8d %8d %8d%s\n",
 			m.Cell,
 			pm(m.CarriedVoiceTraffic, iv.CarriedVoiceTraffic),
 			pm(m.AverageSessions, iv.AverageSessions),

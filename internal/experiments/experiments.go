@@ -6,11 +6,12 @@
 //
 // All levels of the reproduction parallelize under one worker bound: figures
 // run concurrently inside AllFigures, the model solutions of each figure's
-// sweep run concurrently, and every simulator point runs Options.Replications
-// independent replications concurrently through the runner package. A shared
-// runner.Limiter keeps the total number of in-flight CPU-bound tasks at
-// Options.Workers, and every fan-out writes results into pre-indexed slots,
-// so the produced figures are identical regardless of the worker count.
+// sweep run concurrently, and every simulator point runs
+// Options.Sim.Replications independent replications concurrently through the
+// runner package. A shared runner.Limiter keeps the total number of in-flight
+// CPU-bound tasks at Options.Workers, and every fan-out writes results into
+// pre-indexed slots, so the produced figures are identical regardless of the
+// worker count.
 //
 // Two fidelity levels are supported. Full reproduces the paper's parameter
 // setting (Table 2: 20 channels, K = 100, the Table 3 session limits) and is
@@ -35,11 +36,11 @@
 //     same solution the solver would have produced.
 //
 //   - Simulator series: every sweep point calls runner.Run, whose summary is
-//     bit-identical for a given (SimSeed, replication options) regardless of
-//     how work is scheduled onto the pool. Adaptive precision mode
-//     (Options.Precision) preserves this per pool width: the stopping
-//     decision is a pure function of the merged results after each batch,
-//     and the batch boundaries are quantized to the worker bound (the
+//     bit-identical for a given (Sim.BaseSeed, replication options)
+//     regardless of how work is scheduled onto the pool. Adaptive precision
+//     mode (Options.Sim.Precision) preserves this per pool width: the
+//     stopping decision is a pure function of the merged results after each
+//     batch, and the batch boundaries are quantized to the worker bound (the
 //     runner's pool-sized growth), so the realized replication count of
 //     every point — and with it every plotted value and error bar — is
 //     reproducible for a given (options, Workers) pair; pin Workers
@@ -57,11 +58,8 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ctmc"
-	"repro/internal/partition"
-	"repro/internal/policy"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -110,63 +108,25 @@ type Options struct {
 	// (Fig. 5 and Fig. 6). It is implied for those figures; setting it false
 	// skips the simulator to keep benchmark runs fast.
 	WithSimulation bool
-	// SimSeed is the base seed of the simulator replications; replication i
-	// of every point runs with runner.SeedFor(SimSeed, i).
-	SimSeed int64
 	// SimMeasurementSec overrides the simulated measurement time per point;
 	// the zero value means 4000 s for Quick and 20000 s for Full.
 	SimMeasurementSec float64
-	// Replications is the number of independent simulator replications per
-	// validation point; the confidence half-widths of simulator series come
-	// from across the replications. The zero value means 3 for Quick and 5
-	// for Full. Ignored when Precision > 0.
-	Replications int
-	// Precision, when > 0, replaces the fixed replication count with the
-	// runner's adaptive stopping rule: every simulator point replicates
-	// until the relative confidence half-width of Target reaches Precision,
-	// within [MinReplications, MaxReplications]. Cheap sweep points then
-	// stop early while saturated ones keep refining.
-	Precision float64
-	// Target is the measure the stopping rule watches (default: the GPRS
-	// throughput). Ignored when Precision is 0.
-	Target sim.Measure
-	// MinReplications and MaxReplications bound the adaptive replication
-	// count; zero values use the runner defaults (4 and 64).
-	MinReplications int
-	MaxReplications int
-	// VR selects a variance-reduction scheme for every simulator point:
-	// antithetic replication pairs or the Erlang-B control-variate
-	// estimator (which requires the uniform baseline load — combining it
-	// with Scenario is an error).
-	VR runner.VarianceReduction
-	// Cells selects the simulated cluster size of the validation figures:
-	// 0 or 7 is the paper's seven-cell cluster; the other preset sizes (19,
-	// 37, ... 331 cells, cluster.PresetSizes) select the generated
-	// wrap-around hex-ring clusters (cluster.Preset).
-	Cells int
-	// Shards, when > 1, splits every simulator replication into that many
-	// cell groups advanced in parallel, still bounded — together with all
-	// other work — by the shared limiter. Results are identical to the
-	// one-group run.
-	Shards int
-	// Partition, when non-nil, pins the cell→group assignment of Shards > 1
-	// runs (internal/partition) on every simulator run; nil keeps the
-	// default locality-aware grouping with one group per worker. Like Shards
-	// it never affects results, only how the run is scheduled.
-	Partition *partition.Spec
-	// Scenario, when non-nil, installs the heterogeneous-load workload
-	// scenario (hotspot cells, load gradients, busy-hour ramps — see
-	// internal/scenario) on every simulator run. The analytical model knows
-	// only the symmetric load, so under a non-uniform scenario the simulator
-	// series are the reference and the model series keep their symmetric
-	// meaning. Nil means the uniform load of the paper.
-	Scenario *scenario.Spec
-	// Policy, when non-nil, installs the handover admission policy (guard
-	// channels, queued handovers, directed retry — see internal/policy) on
-	// every simulator run, overriding any policy the Scenario declares. Nil
-	// keeps the scenario's policy, or the paper's default admission rule
-	// when the scenario declares none.
-	Policy *policy.Config
+	// Sim holds the replication options of every simulator point: the
+	// replication count (the zero value means 3 for Quick and 5 for Full),
+	// base seed (replication i of every point runs with
+	// runner.SeedFor(Sim.BaseSeed, i)), adaptive stopping, variance
+	// reduction and shard count. Its Workers, Limiter, Admission and
+	// ConfidenceLevel are ignored: every point draws from the run's shared
+	// pools, sized by Workers above, at the simulator configuration's
+	// confidence level. Combining VRControl with a Setup.Scenario is an
+	// error.
+	Sim runner.Options
+	// Setup selects the simulated cluster (0 cells is the paper's
+	// seven-cell cluster), partitioning, workload scenario and admission
+	// policy of every simulator run. The analytical model knows only the
+	// symmetric load, so under a non-uniform scenario the simulator series
+	// are the reference and the model series keep their symmetric meaning.
+	Setup scenario.Setup
 	// Progress, when non-nil, receives one human-readable line per completed
 	// unit of work (a finished figure, a simulated point). Calls are
 	// serialized but may arrive in any order.
@@ -182,10 +142,10 @@ type Options struct {
 	// parallelism (figures, points, replications). withDefaults installs one
 	// sized Workers; AllFigures hands the same limiter to all figures.
 	limiter *runner.Limiter
-	// admission bounds how many simulators are live at once when Shards > 1
-	// (the CPU bound then moves to the shard workers, which draw from
-	// limiter; see runner.Options.Admission). Installed by withDefaults and
-	// shared across all figures and sweep points of one run.
+	// admission bounds how many simulators are live at once when
+	// Sim.Shards > 1 (the CPU bound then moves to the shard workers, which
+	// draw from limiter; see runner.Options.Admission). Installed by
+	// withDefaults and shared across all figures and sweep points of one run.
 	admission *runner.Limiter
 	// cache memoizes steady-state solutions across all figures sharing this
 	// Options value; installed by withDefaults, shared by AllFigures.
@@ -211,9 +171,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 20000
 	}
-	if o.SimSeed == 0 {
-		o.SimSeed = 1
-	}
 	if o.SimMeasurementSec <= 0 {
 		if o.Fidelity == Full {
 			o.SimMeasurementSec = 20000
@@ -221,17 +178,17 @@ func (o Options) withDefaults() Options {
 			o.SimMeasurementSec = 4000
 		}
 	}
-	if o.Replications <= 0 {
+	if o.Sim.Replications <= 0 {
 		if o.Fidelity == Full {
-			o.Replications = 5
+			o.Sim.Replications = 5
 		} else {
-			o.Replications = 3
+			o.Sim.Replications = 3
 		}
 	}
 	if o.limiter == nil {
 		o.limiter = runner.NewLimiter(o.Workers)
 	}
-	if o.admission == nil && o.Shards > 1 {
+	if o.admission == nil && o.Sim.Shards > 1 {
 		o.admission = runner.NewLimiter(o.Workers)
 	}
 	if o.cache == nil {
@@ -360,7 +317,6 @@ func simConfig(o Options, model traffic.Model, rate float64) sim.Config {
 		cfg.Batches = 5
 	}
 	cfg.MeasurementSec = o.SimMeasurementSec
-	cfg.Seed = o.SimSeed
 	return cfg
 }
 
@@ -417,55 +373,27 @@ func sweep(jobs []sweepJob, o Options, extract func(core.Measures) float64, seri
 // point's replications run concurrently, all bounded by the shared limiter;
 // the outer fan-outs hold no limiter tokens themselves, so nesting cannot
 // deadlock. mutate, when non-nil, adjusts the per-point configuration (e.g.
-// the GPRS fraction). The summaries are bit-identical for a given (SimSeed,
-// Replications) regardless of the worker count.
+// the GPRS fraction). The summaries are bit-identical for a given Sim
+// regardless of the worker count.
 func simulateSweep(o Options, figID string, model traffic.Model, rates []float64, mutate func(*sim.Config)) ([]runner.Summary, error) {
-	var topo *cluster.Topology
-	if o.Cells != 0 {
-		var err error
-		if topo, err = cluster.Preset(o.Cells); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-		}
-	}
 	sums := make([]runner.Summary, len(rates))
 	var mu sync.Mutex
 	done := 0
 	err := runner.ForEach(nil, len(rates), func(i int) error {
 		cfg := simConfig(o, model, rates[i])
-		cfg.Topology = topo
-		cfg.Partition = o.Partition
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		if o.Scenario != nil {
-			// Compiled after mutate so the profile picks up per-figure rate
-			// splits (e.g. a mutated GPRS fraction) through BaseRates.
-			if _, err := scenario.Apply(&cfg, *o.Scenario); err != nil {
-				return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-			}
+		// Applied after mutate so the scenario picks up per-figure rate
+		// splits (e.g. a mutated GPRS fraction) through BaseRates.
+		if _, err := o.Setup.Apply(&cfg); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 		}
-		if o.Policy != nil {
-			// Installed after the scenario so an explicit policy option
-			// overrides the spec's declaration; the None kind explicitly
-			// restores the paper's default admission rule.
-			cfg.Policy = nil
-			if o.Policy.Kind != policy.None {
-				cfg.Policy = o.Policy
-			}
-		}
-		sum, err := runner.Run(cfg, runner.Options{
-			Replications:    o.Replications,
-			BaseSeed:        o.SimSeed,
-			ConfidenceLevel: cfg.ConfidenceLevel,
-			Limiter:         o.limiter,
-			Shards:          o.Shards,
-			Admission:       o.admission,
-			Precision:       o.Precision,
-			Target:          o.Target,
-			MinReplications: o.MinReplications,
-			MaxReplications: o.MaxReplications,
-			VR:              o.VR,
-		})
+		ro := o.Sim
+		ro.Limiter = o.limiter
+		ro.Admission = o.admission
+		ro.ConfidenceLevel = cfg.ConfidenceLevel
+		sum, err := runner.Run(cfg, ro)
 		if err != nil {
 			return fmt.Errorf("simulation at rate %g: %w", rates[i], err)
 		}

@@ -53,11 +53,11 @@ func TestFidelityAndOptionDefaults(t *testing.T) {
 	if o.Fidelity != Quick || o.Workers <= 0 || o.Tolerance <= 0 {
 		t.Errorf("defaults not applied: %+v", o)
 	}
-	if o.Replications != 3 || o.limiter == nil {
+	if o.Sim.Replications != 3 || o.limiter == nil {
 		t.Errorf("replication defaults not applied: %+v", o)
 	}
-	if full := (Options{Fidelity: Full}).withDefaults(); full.Replications != 5 {
-		t.Errorf("full fidelity should default to 5 replications, got %d", full.Replications)
+	if full := (Options{Fidelity: Full}).withDefaults(); full.Sim.Replications != 5 {
+		t.Errorf("full fidelity should default to 5 replications, got %d", full.Sim.Replications)
 	}
 	if Quick.String() != "quick" || Full.String() != "full" {
 		t.Error("fidelity names wrong")
@@ -320,7 +320,7 @@ func TestSimulateSweepReplicatedAndDeterministic(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
-	o.Replications = 2
+	o.Sim.Replications = 2
 	o.SimMeasurementSec = 300
 	rates := []float64{0.3, 0.6}
 
@@ -377,10 +377,10 @@ func TestSimulateSweepAdaptivePrecision(t *testing.T) {
 	}
 	o := testOptions()
 	o.SimMeasurementSec = 300
-	o.Precision = 0.05
-	o.Target = sim.MeasureCVT
-	o.MinReplications = 4
-	o.MaxReplications = 12
+	o.Sim.Precision = 0.05
+	o.Sim.Target = sim.MeasureCVT
+	o.Sim.MinReplications = 4
+	o.Sim.MaxReplications = 12
 	rates := []float64{0.3, 0.6}
 
 	run := func(workers int) []runner.Summary {
@@ -399,9 +399,9 @@ func TestSimulateSweepAdaptivePrecision(t *testing.T) {
 		if !sum.Adaptive {
 			t.Fatalf("point %d: sweep did not run adaptively", i)
 		}
-		if !sum.Converged || sum.Replications >= o.MaxReplications {
+		if !sum.Converged || sum.Replications >= o.Sim.MaxReplications {
 			t.Errorf("point %d: %d replications (converged=%v, rel hw %v) — expected convergence below the cap of %d",
-				i, sum.Replications, sum.Converged, sum.RelativeHalfWidth, o.MaxReplications)
+				i, sum.Replications, sum.Converged, sum.RelativeHalfWidth, o.Sim.MaxReplications)
 		}
 	}
 	if again := run(1); !reflect.DeepEqual(again, one) {
@@ -413,22 +413,22 @@ func TestSimulateSweepAdaptivePrecision(t *testing.T) {
 	// every point must still converge at or below the cap.
 	four := run(4)
 	for i, sum := range four {
-		if !sum.Converged || sum.Replications > o.MaxReplications {
+		if !sum.Converged || sum.Replications > o.Sim.MaxReplications {
 			t.Errorf("point %d (workers=4): %d replications (converged=%v)", i, sum.Replications, sum.Converged)
 		}
-		if one[i].Replications == o.MinReplications && !reflect.DeepEqual(four[i], one[i]) {
+		if one[i].Replications == o.Sim.MinReplications && !reflect.DeepEqual(four[i], one[i]) {
 			t.Errorf("point %d: first-batch convergence must not depend on the pool width", i)
 		}
 	}
 
 	// Clamped bounds == fixed-R: the stopping rule disabled by construction.
 	clamped := o
-	clamped.MinReplications = 2
-	clamped.MaxReplications = 2
+	clamped.Sim.MinReplications = 2
+	clamped.Sim.MaxReplications = 2
 	clamped = clamped.withDefaults()
 	fixed := o
-	fixed.Precision = 0
-	fixed.Replications = 2
+	fixed.Sim.Precision = 0
+	fixed.Sim.Replications = 2
 	fixed = fixed.withDefaults()
 	cs, err := simulateSweep(clamped, "clamped", traffic.Model3, rates, nil)
 	if err != nil {
@@ -501,7 +501,7 @@ func TestSolveCacheSingleFlight(t *testing.T) {
 
 func TestSimulateSweepRejectsUnsupportedCells(t *testing.T) {
 	o := testOptions()
-	o.Cells = 12
+	o.Setup.Cells = 12
 	o = o.withDefaults()
 	if _, err := simulateSweep(o, "test", traffic.Model3, []float64{0.1}, nil); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("unsupported cluster size should fail with ErrInvalidOptions, got %v", err)
@@ -513,9 +513,9 @@ func TestSimulateSweepLargeClusterSharded(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
-	o.Cells = 19
-	o.Shards = 2
-	o.Replications = 2
+	o.Setup.Cells = 19
+	o.Sim.Shards = 2
+	o.Sim.Replications = 2
 	o.SimMeasurementSec = 300
 	o = o.withDefaults()
 	sums, err := simulateSweep(o, "test", traffic.Model3, []float64{0.3}, nil)

@@ -28,15 +28,15 @@ type hotspotMeasure struct {
 // mobility scenarios: dwell-time multipliers skew it independently of the
 // carried load. This is the first workload the analytical model cannot
 // express — the simulator series are the reference, so no model curves
-// appear. Options.Scenario selects the scenario (default: the built-in
-// hotspot preset) and Options.Cells the cluster (default: the 19-cell hex
-// ring, the smallest cluster with three distinct distance groups).
+// appear. Options.Setup.Scenario selects the scenario (default: the built-in
+// hotspot preset) and Options.Setup.Cells the cluster (default: the 19-cell
+// hex ring, the smallest cluster with three distinct distance groups).
 func HotspotFigures(o Options) ([]Figure, error) {
 	o = o.withDefaults()
-	if o.Cells == 0 {
-		o.Cells = 19
+	if o.Setup.Cells == 0 {
+		o.Setup.Cells = 19
 	}
-	spec := o.Scenario
+	spec := o.Setup.Scenario
 	if spec == nil {
 		s, err := scenario.Preset(scenario.Hotspot)
 		if err != nil {
@@ -44,9 +44,9 @@ func HotspotFigures(o Options) ([]Figure, error) {
 		}
 		spec = &s
 	}
-	o.Scenario = spec
+	o.Setup.Scenario = spec
 
-	topo, err := cluster.Preset(o.Cells)
+	topo, err := cluster.Preset(o.Setup.Cells)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 	}
@@ -68,7 +68,7 @@ func HotspotFigures(o Options) ([]Figure, error) {
 		dist = topo.AxisDistances(center, spec.Spatial.Axis)
 	}
 	if dist == nil {
-		return nil, fmt.Errorf("%w: scenario center %d outside the %d-cell cluster", ErrInvalidOptions, center, o.Cells)
+		return nil, fmt.Errorf("%w: scenario center %d outside the %d-cell cluster", ErrInvalidOptions, center, o.Setup.Cells)
 	}
 	groups := make(map[int][]int) // hex distance -> cell ids
 	maxDist := 0
@@ -127,7 +127,7 @@ func HotspotFigures(o Options) ([]Figure, error) {
 	for _, hm := range measures {
 		fig := Figure{
 			ID:     hm.id,
-			Title:  fmt.Sprintf(hm.title, name, o.Cells),
+			Title:  fmt.Sprintf(hm.title, name, o.Setup.Cells),
 			XLabel: xlabel,
 			YLabel: hm.ylabel,
 		}

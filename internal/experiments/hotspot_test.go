@@ -17,8 +17,8 @@ func TestHotspotFiguresShape(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
-	o.Cells = 7
-	o.Replications = 2
+	o.Setup.Cells = 7
+	o.Sim.Replications = 2
 	o.SimMeasurementSec = 600
 	figs, err := HotspotFigures(o)
 	if err != nil {
@@ -78,14 +78,14 @@ func TestHotspotFiguresHighwayGroupsByAxis(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
-	o.Cells = 7
-	o.Replications = 2
+	o.Setup.Cells = 7
+	o.Sim.Replications = 2
 	o.SimMeasurementSec = 600
 	spec, err := scenario.Preset("highway")
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Scenario = &spec
+	o.Setup.Scenario = &spec
 	figs, err := HotspotFigures(o)
 	if err != nil {
 		t.Fatal(err)
@@ -119,14 +119,14 @@ func TestHotspotFiguresHonorScenarioOption(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
-	o.Cells = 7
-	o.Replications = 1
+	o.Setup.Cells = 7
+	o.Sim.Replications = 1
 	o.SimMeasurementSec = 300
 	spec, err := scenario.Preset(scenario.Gradient)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Scenario = &spec
+	o.Setup.Scenario = &spec
 	figs, err := HotspotFigures(o)
 	if err != nil {
 		t.Fatal(err)

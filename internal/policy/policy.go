@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // ErrInvalidPolicy is returned for malformed policy configurations.
@@ -89,30 +88,6 @@ func Parse(name string) (Kind, error) {
 		}
 	}
 	return None, fmt.Errorf("%w: unknown policy name %q (known: %v)", ErrInvalidPolicy, name, Names())
-}
-
-// FromFlags builds the policy that the -policy, -guard, -ho-queue and
-// -ho-deadline command-line flags select. An empty name returns nil, so a
-// scenario's own policy stands, but then every parameter must be zero;
-// "none" returns a None configuration, an explicit reset to the paper's
-// default admission rule. The guard reservation is checked against no
-// channel plan here: callers that know one validate the result again.
-func FromFlags(name string, guard, queueCap int, deadline float64) (*Config, error) {
-	if name == "" {
-		if guard != 0 || queueCap != 0 || deadline != 0 {
-			return nil, fmt.Errorf("-guard/-ho-queue/-ho-deadline need -policy (known: %s)", strings.Join(Names(), ", "))
-		}
-		return nil, nil
-	}
-	kind, err := Parse(name)
-	if err != nil {
-		return nil, err
-	}
-	p := Config{Kind: kind, Guard: guard, QueueCapacity: queueCap, QueueDeadlineSec: deadline}
-	if err := p.Validate(0); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }
 
 // Config parameterizes the admission/handover policy of a run. The zero

@@ -105,39 +105,3 @@ func TestParseRoundTrip(t *testing.T) {
 		t.Errorf("Names() lists %d policies, want 4", got)
 	}
 }
-
-// TestFromFlags pins the command-line policy rules: no -policy keeps the
-// scenario's (nil) but refuses orphan parameters, "none" is an explicit
-// reset, and a named policy is validated without a channel plan.
-func TestFromFlags(t *testing.T) {
-	cases := []struct {
-		name            string
-		guard, queueCap int
-		deadline        float64
-		want            *Config
-		wantErr         string
-	}{
-		{"", 0, 0, 0, nil, ""},
-		{"", 2, 0, 0, nil, "need -policy"},
-		{"none", 0, 0, 0, &Config{}, ""},
-		{"guard", 25, 0, 0, &Config{Kind: GuardChannels, Guard: 25}, ""},
-		{"queue", 0, 4, 5, &Config{Kind: QueuedHandovers, QueueCapacity: 4, QueueDeadlineSec: 5}, ""},
-		{"queue", 0, 4, 0, nil, "queue deadline"},
-		{"retry", 1, 0, 0, nil, "guard channels 1 set"},
-		{"roundrobin", 0, 0, 0, nil, "unknown policy name"},
-	}
-	for _, c := range cases {
-		got, err := FromFlags(c.name, c.guard, c.queueCap, c.deadline)
-		if c.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("FromFlags(%q, %d, %d, %v) error %v, want one containing %q",
-					c.name, c.guard, c.queueCap, c.deadline, err, c.wantErr)
-			}
-			continue
-		}
-		if err != nil || (got == nil) != (c.want == nil) || (got != nil && *got != *c.want) {
-			t.Errorf("FromFlags(%q, %d, %d, %v) = %+v, %v; want %+v",
-				c.name, c.guard, c.queueCap, c.deadline, got, err, c.want)
-		}
-	}
-}

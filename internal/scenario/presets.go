@@ -115,40 +115,3 @@ func Preset(name string) (Spec, error) {
 	}
 	return Spec{}, fmt.Errorf("%w: unknown preset %q (built in: %v)", ErrInvalidScenario, name, Names())
 }
-
-// Resolve builds the scenario that the -scenario (preset name),
-// -scenario-file and -trace command-line flags select, or returns nil when
-// none is set. A file wins over a preset name. A trace CSV replaces the
-// temporal profile of whatever scenario the other two select, or rides on
-// the uniform spatial baseline when it is the only one set, so a measured
-// arrival series can modulate any spatial shape; a traced scenario without a
-// name is named "trace".
-func Resolve(name, file, trace string) (*Spec, error) {
-	var spec Spec
-	var err error
-	switch {
-	case file != "":
-		spec, err = Load(file)
-	case name != "":
-		spec, err = Preset(name)
-	case trace == "":
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if trace != "" {
-		rows, err := LoadTraceCSV(trace)
-		if err != nil {
-			return nil, err
-		}
-		if spec.Name == "" {
-			spec.Name = "trace"
-		}
-		spec.Temporal = Temporal{Kind: Trace, Rows: rows}
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return &spec, nil
-}

@@ -69,6 +69,7 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/partition"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
@@ -479,6 +480,54 @@ func Apply(cfg *sim.Config, s Spec) (*Profile, error) {
 	}
 	cfg.Rates = p
 	return p, nil
+}
+
+// Setup is the cluster, partitioning, workload and admission policy a
+// simulator run installs on top of its base configuration — what the shared
+// command-line simulator flags select.
+type Setup struct {
+	// Cells selects the cluster preset (cluster.Preset); 0 is the paper's
+	// seven-cell cluster.
+	Cells int
+	// Partition, when non-nil, pins the cell→group assignment of sharded
+	// runs; nil keeps the locality-aware default.
+	Partition *partition.Spec
+	// Scenario, when non-nil, is the workload scenario; nil is the paper's
+	// uniform load.
+	Scenario *Spec
+	// Policy, when non-nil, overrides the scenario's admission policy; its
+	// None kind restores the paper's default rule. Nil keeps the scenario's.
+	Policy *policy.Config
+}
+
+// Apply installs the setup on cfg: the topology and the partition, then the
+// scenario compiled against cfg's rates as they stand (so callers make their
+// own changes to cfg first), then the policy override. It returns the
+// compiled rate profile, or nil without a scenario.
+func (s Setup) Apply(cfg *sim.Config) (*Profile, error) {
+	cfg.Topology = cluster.NewHexCluster()
+	if s.Cells != 0 {
+		topo, err := cluster.Preset(s.Cells)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Topology = topo
+	}
+	cfg.Partition = s.Partition
+	var prof *Profile
+	if s.Scenario != nil {
+		var err error
+		if prof, err = Apply(cfg, *s.Scenario); err != nil {
+			return nil, err
+		}
+	}
+	if s.Policy != nil {
+		cfg.Policy = nil
+		if s.Policy.Kind != policy.None {
+			cfg.Policy = s.Policy
+		}
+	}
+	return prof, nil
 }
 
 // weights computes the per-cell weight vector of a spatial shape.

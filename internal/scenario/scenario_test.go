@@ -491,40 +491,42 @@ func TestPolicyPresetsCompile(t *testing.T) {
 	}
 }
 
-// TestResolve pins the command-line scenario rules: nothing set resolves to
-// nil, a file wins over a preset name, and a trace replaces the temporal
-// profile of the selected scenario, naming an unnamed one "trace".
-func TestResolve(t *testing.T) {
-	if spec, err := Resolve("", "", ""); spec != nil || err != nil {
-		t.Errorf("no flags: got %+v, %v; want nil, nil", spec, err)
-	}
-	file := t.TempDir() + "/unnamed.json"
-	if err := os.WriteFile(file, []byte(`{"spatial": {"kind": "gradient", "low": 1, "high": 2}}`), 0o644); err != nil {
+// TestSetupApply pins the order Setup.Apply installs its parts in: the
+// topology (0 cells is the paper's cluster), then the scenario with its own
+// policy, then the policy override, whose None kind clears the scenario's.
+func TestSetupApply(t *testing.T) {
+	spec, err := Preset("hotspot-guard")
+	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name, file, trace string
-		wantName          string
-		wantSpatial       string
-		wantTrace         bool
+	queue := &policy.Config{Kind: policy.QueuedHandovers, QueueCapacity: 4, QueueDeadlineSec: 5}
+	for _, c := range []struct {
+		setup      Setup
+		wantCells  int
+		wantPolicy policy.Kind // None: no policy installed
 	}{
-		{"hotspot", "", "", "hotspot", Hotspot, false},
-		{"hotspot", file, "", "", Gradient, false},
-		{"hotspot", "", "testdata/trace.csv", "hotspot", Hotspot, true},
-		{"", file, "testdata/trace.csv", "trace", Gradient, true},
-		{"", "", "testdata/trace.csv", "trace", "", true},
-	}
-	for _, c := range cases {
-		spec, err := Resolve(c.name, c.file, c.trace)
+		{Setup{}, 7, policy.None},
+		{Setup{Cells: 19, Scenario: &spec}, 19, policy.GuardChannels},
+		{Setup{Scenario: &spec, Policy: queue}, 7, policy.QueuedHandovers},
+		{Setup{Scenario: &spec, Policy: &policy.Config{}}, 7, policy.None},
+	} {
+		cfg := sim.DefaultConfig(traffic.Model3, 0.5)
+		prof, err := c.setup.Apply(&cfg)
 		if err != nil {
-			t.Fatalf("Resolve(%q, %q, %q): %v", c.name, c.file, c.trace, err)
+			t.Fatal(err)
 		}
-		if spec.Name != c.wantName || spec.Spatial.Kind != c.wantSpatial || (spec.Temporal.Kind == Trace) != c.wantTrace {
-			t.Errorf("Resolve(%q, %q, %q) = name %q, spatial %q, temporal %q",
-				c.name, c.file, c.trace, spec.Name, spec.Spatial.Kind, spec.Temporal.Kind)
+		if got := cfg.Topology.NumCells(); got != c.wantCells {
+			t.Errorf("%+v: %d cells, want %d", c.setup, got, c.wantCells)
+		}
+		if (prof == nil) != (c.setup.Scenario == nil) || (cfg.Rates == nil) != (prof == nil) {
+			t.Errorf("%+v: profile %v, rates %v", c.setup, prof, cfg.Rates)
+		}
+		if (cfg.Policy == nil) != (c.wantPolicy == policy.None) || (cfg.Policy != nil && cfg.Policy.Kind != c.wantPolicy) {
+			t.Errorf("%+v: policy %+v, want kind %v", c.setup, cfg.Policy, c.wantPolicy)
 		}
 	}
-	if _, err := Resolve("nosuch", "", ""); err == nil {
-		t.Error("an unknown preset resolved")
+	cfg := sim.DefaultConfig(traffic.Model3, 0.5)
+	if _, err := (Setup{Cells: 8}).Apply(&cfg); err == nil {
+		t.Error("an unsupported cluster size applied")
 	}
 }
