@@ -224,8 +224,9 @@ func BenchmarkModelSolveSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneratorConstruction measures building the sparse generator of
-// the quick-fidelity state space.
+// BenchmarkGeneratorConstruction measures building the generator of the
+// quick-fidelity state space: per-state rates along each (n, m, r) buffer
+// line and per-line rates from its neighbour lines.
 func BenchmarkGeneratorConstruction(b *testing.B) {
 	cfg := core.BaseConfig(traffic.Model3, 0.5)
 	cfg.Channels.TotalChannels = 10

@@ -2,8 +2,8 @@
 // "Performance analysis of the general packet radio service": a
 // continuous-time Markov chain model of the radio interface of an integrated
 // GSM/GPRS cell, the substrates it relies on (Erlang loss systems, the 3GPP
-// packet-session traffic model, the radio interface abstraction, a sparse
-// CTMC solver), the detailed network-level discrete-event simulator with
+// packet-session traffic model, the radio interface abstraction, a
+// matrix-free CTMC solver), the detailed network-level discrete-event simulator with
 // TCP flow control used to validate the model, and a parallel replication
 // engine (internal/runner) that merges independent simulator runs into
 // cross-replication confidence intervals.

@@ -61,14 +61,23 @@ func (m *Model) MeasuresFrom(pi []float64) (Measures, error) {
 		offered  float64 // average offered packet arrival rate
 		queueLen float64 // mean queue length
 	)
-	for idx, p := range pi {
-		if p == 0 {
-			continue
+	// Walk the states in index order (see StateSpace), not inverting indices.
+	sp, idx := m.space, 0
+	for n := 0; n <= sp.GSMChannels(); n++ {
+		for mm := 0; mm <= sp.MaxSessions(); mm++ {
+			for r := 0; r <= mm; r++ {
+				for k := 0; k <= sp.BufferSize(); k, idx = k+1, idx+1 {
+					p := pi[idx]
+					if p == 0 {
+						continue
+					}
+					s := State{GSMCalls: n, Packets: k, Sessions: mm, OffSessions: r}
+					cdt += p * float64(m.UsablePDCH(s))
+					offered += p * m.OfferedPacketRate(s)
+					queueLen += p * float64(k)
+				}
+			}
 		}
-		s := m.space.State(idx)
-		cdt += p * float64(m.UsablePDCH(s))
-		offered += p * m.OfferedPacketRate(s)
-		queueLen += p * float64(s.Packets)
 	}
 
 	throughputPackets := cdt * m.rates.PacketServiceRate

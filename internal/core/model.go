@@ -32,7 +32,7 @@ type Model struct {
 	flowControlLimit float64
 
 	// aggregation is the exact product-form marginal of the (n, m, r)
-	// blocks, installed by Solve unless the caller provides one.
+	// lines, installed by Solve unless the caller provides one.
 	aggregation *ctmc.Aggregation
 }
 
@@ -210,9 +210,10 @@ func (m *Model) Transitions() ctmc.TransitionFunc {
 	}
 }
 
-// BuildGenerator constructs the sparse infinitesimal generator of the model.
+// BuildGenerator constructs the infinitesimal generator of the model, with
+// every (n, m, r) block of K+1 buffer states as one line (see StateSpace).
 func (m *Model) BuildGenerator() (*ctmc.Generator, error) {
-	return ctmc.NewGenerator(m.space.NumStates(), m.Transitions())
+	return ctmc.NewGenerator(m.space.NumStates(), m.space.BufferSize()+1, m.Transitions())
 }
 
 // Result bundles the steady-state solution of the model with the derived
@@ -240,21 +241,21 @@ type SolverInfo struct {
 // not converge within the given options.
 var ErrNotConverged = errors.New("core: model solve did not converge")
 
-// Solve builds the generator matrix, computes the steady-state distribution
-// with line Gauss–Seidel under the given solver options (zero value:
-// defaults) and derives all performance measures. It returns an error
-// wrapping ErrNotConverged when the solve did not converge. A nil
-// opts.Aggregation is filled in with the exact product-form marginal of the
-// (n, m, r) blocks, to which the starting vector and every sweep are
-// rescaled. GSM calls and GPRS sessions with their MMPP phase evolve
-// independently of the buffer and of each other, so their joint marginal is
-// Erlang(n) × Erlang(m) × Binomial(r | m, p_off); imposing it leaves the
-// sweeps only the buffer distribution within each block to resolve. Each
-// block is one line of consecutive states (see StateSpace), which a
-// Gauss–Seidel sweep solves exactly. At tolerance 1e-6 the twelve Quick Fig. 6 configurations then
-// take 630 sweeps in total, against 2,770 for point sweeps under the same
-// aggregation and 38,790 for plain sweeps from a product-form starting
-// guess.
+// Solve builds the generator, computes the steady-state distribution with
+// line Gauss–Seidel under the given solver options (zero value: defaults)
+// and derives all performance measures. It returns an error wrapping
+// ErrNotConverged when the solve did not converge. Every Table 1 transition
+// but packet arrival (v) and service (vi) keeps the buffer level k, at a rate
+// independent of k, so each (n, m, r) block of K+1 buffer states is a line
+// fed by at most eight neighbour lines. A nil opts.Aggregation is filled in
+// with the exact product-form marginal of the lines: GSM calls and GPRS
+// sessions with their MMPP phase evolve independently of the buffer and of
+// each other, so their joint marginal is Erlang(n) × Erlang(m) ×
+// Binomial(r | m, p_off). Rescaled to it, the sweeps only resolve the buffer
+// distribution within each line, which each solves exactly: the twelve
+// Quick Fig. 6 configurations take 630 sweeps in total at tolerance 1e-6,
+// against 2,770 for point sweeps under the same aggregation and 38,790 for
+// plain sweeps from a product-form starting guess.
 func (m *Model) Solve(opts ctmc.SolveOptions) (*Result, error) {
 	gen, err := m.BuildGenerator()
 	if err != nil {
@@ -288,10 +289,8 @@ func (m *Model) Solve(opts ctmc.SolveOptions) (*Result, error) {
 }
 
 // productFormAggregation returns the exact stationary marginal of the
-// (n, m, r) blocks: each block collects the K+1 states that differ only in
-// the buffer occupancy k. With the index layout of StateSpace (n outermost,
-// then the triangular (m, r) index t, then k), state i lies in block
-// n·tri + t = i / (K+1), and every block is one run of consecutive states.
+// (n, m, r) lines. With the index layout of StateSpace (n outermost, then
+// the triangular (m, r) index t, then k), block (n, m, r) is line n·tri + t.
 func (m *Model) productFormAggregation() (*ctmc.Aggregation, error) {
 	gsmDist, err := m.gsmBalance.System.Distribution()
 	if err != nil {
@@ -302,21 +301,15 @@ func (m *Model) productFormAggregation() (*ctmc.Aggregation, error) {
 		return nil, err
 	}
 	lineLen := m.space.BufferSize() + 1
-	block := make([]int32, m.space.NumStates())
-	for b := range len(block) / lineLen {
-		for k := range lineLen {
-			block[b*lineLen+k] = int32(b)
-		}
-	}
-	mass := make([]float64, len(block)/lineLen)
+	mass := make([]float64, m.space.NumStates()/lineLen)
 	for mm := 0; mm <= m.space.MaxSessions(); mm++ {
 		phase := traffic.AggregateMMPP{Source: m.rates.IPP, M: mm}.StationaryDistribution()
 		for r := 0; r <= mm; r++ {
 			for n, pn := range gsmDist {
-				b := m.space.Index(State{GSMCalls: n, Sessions: mm, OffSessions: r}) / lineLen
-				mass[b] = pn * gprsDist[mm] * phase[r]
+				l := m.space.Index(State{GSMCalls: n, Sessions: mm, OffSessions: r}) / lineLen
+				mass[l] = pn * gprsDist[mm] * phase[r]
 			}
 		}
 	}
-	return &ctmc.Aggregation{Block: block, Mass: mass}, nil
+	return &ctmc.Aggregation{Mass: mass}, nil
 }

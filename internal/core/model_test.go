@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -39,16 +41,23 @@ func solveSmall(t *testing.T, cfg Config) (*Model, *Result) {
 	return model, res
 }
 
-// solvePlain solves the model by plain Gauss–Seidel from the uniform
+// pointGenerator builds the model's generator with one state per line, so
+// its solve is point Gauss–Seidel.
+func pointGenerator(t *testing.T, model *Model) *ctmc.Generator {
+	t.Helper()
+	gen, err := ctmc.NewGenerator(model.space.NumStates(), 1, model.Transitions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
+}
+
+// solvePlain solves the model by plain point Gauss–Seidel from the uniform
 // distribution, without the product-form aggregation Solve installs, so the
 // result does not presuppose the closed-form marginals.
 func solvePlain(t *testing.T, model *Model) ([]float64, Measures) {
 	t.Helper()
-	gen, err := model.BuildGenerator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := gen.SteadyState(ctmc.SolveOptions{Tolerance: 1e-12, MaxIterations: 200000})
+	sol, err := pointGenerator(t, model).SteadyState(ctmc.SolveOptions{Tolerance: 1e-12, MaxIterations: 200000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +202,11 @@ func TestProductFormMatchesPlainSolve(t *testing.T) {
 			pi, _ := solvePlain(t, model)
 			got := make([]float64, len(agg.Mass))
 			for i, p := range pi {
-				got[agg.Block[i]] += p
+				got[i/(cfg.BufferSize+1)] += p
 			}
-			for b, want := range agg.Mass {
-				if math.Abs(got[b]-want) > 1e-9 {
-					t.Errorf("block %d: plain-solve mass %v, product form %v", b, got[b], want)
+			for l, want := range agg.Mass {
+				if math.Abs(got[l]-want) > 1e-9 {
+					t.Errorf("line %d: plain-solve mass %v, product form %v", l, got[l], want)
 				}
 			}
 		})
@@ -483,6 +492,37 @@ func TestMeasuresFromRejectsWrongLength(t *testing.T) {
 	}
 }
 
+func TestMeasuresFromWalkMatchesIndexLoop(t *testing.T) {
+	// MeasuresFrom walks the states in index order; summed in the same
+	// order, its sums must equal bit for bit those of a loop that inverts
+	// every index.
+	for name, cfg := range map[string]Config{"small": smallConfig(), "Quick Fig. 6": quickFig6Config(0.05, 0.6)} {
+		model, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cdt, offered, queueLen float64
+		for idx, p := range res.Pi {
+			if p == 0 {
+				continue
+			}
+			s := model.space.State(idx)
+			cdt += p * float64(model.UsablePDCH(s))
+			offered += p * model.OfferedPacketRate(s)
+			queueLen += p * float64(s.Packets)
+		}
+		got := res.Measures
+		if got.CarriedDataTraffic != cdt || got.OfferedPacketRate != offered || got.MeanQueueLength != queueLen {
+			t.Errorf("%s: CDT, offered rate, queue length %v, %v, %v; index loop %v, %v, %v", name,
+				got.CarriedDataTraffic, got.OfferedPacketRate, got.MeanQueueLength, cdt, offered, queueLen)
+		}
+	}
+}
+
 func TestHigherLoadIncreasesVoiceBlocking(t *testing.T) {
 	low := smallConfig()
 	low.TotalCallRate = 0.05
@@ -502,31 +542,76 @@ func TestHigherLoadIncreasesVoiceBlocking(t *testing.T) {
 	}
 }
 
-func TestInBlockTransitionsJoinConsecutiveStates(t *testing.T) {
-	// The aggregation's blocks are the runs of K+1 states of one (n, m, r),
-	// and the only transitions inside a block are the buffer's k±1 steps, so
-	// each block is a line of the Gauss–Seidel sweeps.
+// lineConfigs are the configurations on which the line generator is
+// checked against the point generator: three state-space shapes, every
+// Quick Fig. 6 point, and edge cases of Table 1.
+func lineConfigs() map[string]Config {
+	cfgs := map[string]Config{}
 	for _, dims := range [][3]int{{5, 8, 3}, {3, 4, 6}, {8, 1, 2}} {
 		cfg := smallConfig()
 		cfg.Channels.TotalChannels, cfg.BufferSize, cfg.MaxSessions = dims[0], dims[1], dims[2]
+		cfgs[fmt.Sprintf("dims %v", dims)] = cfg
+	}
+	for _, p := range quickFig6Points() {
+		cfgs[fmt.Sprintf("Quick Fig. 6 %v", p)] = quickFig6Config(p[0], p[1])
+	}
+	noGPRS := smallConfig()
+	noGPRS.GPRSFraction = 0
+	cfgs["no GPRS"] = noGPRS
+	noReserved := smallConfig()
+	noReserved.Channels.ReservedPDCH = 0
+	cfgs["no reserved PDCH"] = noReserved
+	reserved := smallConfig()
+	reserved.Channels.ReservedPDCH = 3
+	cfgs["3 reserved PDCHs"] = reserved
+	capped := smallConfig()
+	capped.TotalCallRate, capped.GPRSFraction, capped.FlowControlThreshold = 2, 0.5, 0.25
+	cfgs["arrival cap binds"] = capped
+	return cfgs
+}
+
+func TestLineGeneratorMatchesPointGenerator(t *testing.T) {
+	// NewGenerator accepts the model with each (n, m, r) block as a line
+	// only if Table 1 has the line structure, and the line generator must
+	// then be the point generator's matrix: the same transitions, and the
+	// same pi*Q for any pi.
+	capBinds := false
+	for name, cfg := range lineConfigs() {
 		model, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		block := model.aggregation.Block
-		for i, b := range block {
-			if want := i / (cfg.BufferSize + 1); int(b) != want {
-				t.Fatalf("config %v: state %d in block %d, want %d", dims, i, b, want)
-			}
+		if name == "arrival cap binds" {
+			s := State{GSMCalls: model.space.GSMChannels(), Packets: cfg.BufferSize, Sessions: cfg.MaxSessions}
+			capBinds = model.OfferedPacketRate(s) < float64(cfg.MaxSessions)*model.rates.IPP.Lambda
 		}
-		tf := model.Transitions()
-		for i := range block {
-			tf(i, func(to int, rate float64) {
-				if block[to] == block[i] && to != i-1 && to != i+1 {
-					t.Errorf("config %v: in-block transition %d -> %d", dims, i, to)
-				}
-			})
+		lines, err := model.BuildGenerator()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		points := pointGenerator(t, model)
+		if lines.NumTransitions() != points.NumTransitions() {
+			t.Errorf("%s: %d transitions in lines, %d in points", name, lines.NumTransitions(), points.NumTransitions())
+		}
+		rng := rand.New(rand.NewSource(1))
+		pi := make([]float64, model.space.NumStates())
+		for i := range pi {
+			pi[i] = 0.1 + rng.Float64()
+		}
+		got, err := lines.Residual(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := points.Residual(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-15*want {
+			t.Errorf("%s: residual %v with lines, %v with points", name, got, want)
+		}
+	}
+	if !capBinds {
+		t.Error("the arrival cap does not bind in the capped configuration")
 	}
 }
 
@@ -572,27 +657,40 @@ func TestQuickFig6LineSolveMatchesPlainSolve(t *testing.T) {
 	}
 }
 
+// quickFig6Points are the (GPRS fraction, call rate) points of Quick Fig. 6.
+func quickFig6Points() [][2]float64 {
+	var pts [][2]float64
+	for _, fraction := range []float64{0.02, 0.05, 0.10} {
+		for _, rate := range []float64{0.1, 0.3, 0.6, 1.0} {
+			pts = append(pts, [2]float64{fraction, rate})
+		}
+	}
+	return pts
+}
+
 func TestQuickFig6SweepBudget(t *testing.T) {
 	// Line sweeps solve each (n, m, r) block's buffer distribution exactly,
 	// so the twelve Quick Fig. 6 solutions take 630 sweeps in all (point
-	// Gauss–Seidel under the same aggregation took 2,770).
-	const budget = 700
+	// Gauss–Seidel under the same aggregation took 2,770). Each point has
+	// 175,428 transitions.
+	const budget, transitions = 700, 175428
 	total := 0
-	for _, fraction := range []float64{0.02, 0.05, 0.10} {
-		for _, rate := range []float64{0.1, 0.3, 0.6, 1.0} {
-			model, err := New(quickFig6Config(fraction, rate))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-6})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Solver.Converged {
-				t.Fatalf("(%v, %v) did not converge in %d sweeps", fraction, rate, res.Solver.Iterations)
-			}
-			total += res.Solver.Iterations
+	for _, p := range quickFig6Points() {
+		model, err := New(quickFig6Config(p[0], p[1]))
+		if err != nil {
+			t.Fatal(err)
 		}
+		res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Solver.Converged {
+			t.Fatalf("%v did not converge in %d sweeps", p, res.Solver.Iterations)
+		}
+		if res.Solver.Transitions != transitions {
+			t.Errorf("%v has %d transitions, want %d", p, res.Solver.Transitions, transitions)
+		}
+		total += res.Solver.Iterations
 	}
 	if total > budget {
 		t.Errorf("Quick Fig. 6 took %d sweeps, budget %d", total, budget)

@@ -13,7 +13,7 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // a (0->1) and b (1->0); its stationary distribution is (b, a)/(a+b).
 func twoStateChain(t *testing.T, a, b float64) *Generator {
 	t.Helper()
-	g, err := NewGenerator(2, func(s int, emit func(int, float64)) {
+	g, err := NewGenerator(2, 1, func(s int, emit func(int, float64)) {
 		if s == 0 {
 			emit(1, a)
 		} else {
@@ -89,7 +89,7 @@ func TestMMcKMatchesClosedForm(t *testing.T) {
 		c        = 3
 		capacity = 15
 	)
-	g, err := NewGenerator(capacity+1, mmckTransitions(lambda, mu, c, capacity))
+	g, err := NewGenerator(capacity+1, 1, mmckTransitions(lambda, mu, c, capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestGeneratorCountsAndRates(t *testing.T) {
 	if g.NumTransitions() != 2 {
 		t.Errorf("NumTransitions = %d", g.NumTransitions())
 	}
-	if len(g.outRate) != 2 || g.outRate[0] != 2 || g.outRate[1] != 5 {
-		t.Errorf("out rates = %v, want [2 5]", g.outRate)
+	if len(g.out) != 2 || g.out[0] != 2 || g.out[1] != 5 {
+		t.Errorf("out rates = %v, want [2 5]", g.out)
 	}
 	if g.maxOutRate != 5 {
 		t.Errorf("maxOutRate = %v, want 5", g.maxOutRate)
@@ -122,27 +122,32 @@ func TestGeneratorCountsAndRates(t *testing.T) {
 }
 
 func TestGeneratorRejectsInvalidInput(t *testing.T) {
-	if _, err := NewGenerator(0, func(int, func(int, float64)) {}); !errors.Is(err, ErrInvalidArgument) {
+	if _, err := NewGenerator(0, 1, func(int, func(int, float64)) {}); !errors.Is(err, ErrInvalidArgument) {
 		t.Error("zero states should be rejected")
 	}
-	if _, err := NewGenerator(2, nil); !errors.Is(err, ErrInvalidArgument) {
+	if _, err := NewGenerator(2, 1, nil); !errors.Is(err, ErrInvalidArgument) {
 		t.Error("nil transition function should be rejected")
 	}
-	_, err := NewGenerator(2, func(s int, emit func(int, float64)) { emit(5, 1) })
+	for _, width := range []int{0, -1, 3} {
+		if _, err := NewGenerator(4, width, func(s int, emit func(int, float64)) { emit(3-s, 1) }); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("line width %d for 4 states: got %v, want ErrInvalidArgument", width, err)
+		}
+	}
+	_, err := NewGenerator(2, 1, func(s int, emit func(int, float64)) { emit(5, 1) })
 	if !errors.Is(err, ErrInvalidTransition) {
 		t.Errorf("out-of-range target: got %v", err)
 	}
-	_, err = NewGenerator(2, func(s int, emit func(int, float64)) { emit(1-s, -1) })
+	_, err = NewGenerator(2, 1, func(s int, emit func(int, float64)) { emit(1-s, -1) })
 	if !errors.Is(err, ErrInvalidTransition) {
 		t.Errorf("negative rate: got %v", err)
 	}
-	_, err = NewGenerator(2, func(s int, emit func(int, float64)) { emit(1-s, math.NaN()) })
+	_, err = NewGenerator(2, 1, func(s int, emit func(int, float64)) { emit(1-s, math.NaN()) })
 	if !errors.Is(err, ErrInvalidTransition) {
 		t.Errorf("NaN rate: got %v", err)
 	}
 	// A state with no outgoing transitions cannot belong to an irreducible
 	// chain.
-	_, err = NewGenerator(2, func(s int, emit func(int, float64)) {
+	_, err = NewGenerator(2, 1, func(s int, emit func(int, float64)) {
 		if s == 0 {
 			emit(1, 1)
 		}
@@ -152,8 +157,68 @@ func TestGeneratorRejectsInvalidInput(t *testing.T) {
 	}
 }
 
+func TestNewGeneratorRejectsBrokenLines(t *testing.T) {
+	// Two lines of three states each, 0-1-2 and 3-4-5: a birth–death chain
+	// inside each, and every state sends rate 1 to the same position in the
+	// other line. broken adds one transition to that valid chain.
+	valid := func(s int, emit func(int, float64)) {
+		if s%3 < 2 {
+			emit(s+1, 2)
+		}
+		if s%3 > 0 {
+			emit(s-1, 3)
+		}
+		emit((s+3)%6, 1)
+	}
+	if _, err := NewGenerator(6, 3, valid); err != nil {
+		t.Fatalf("valid chain: %v", err)
+	}
+	for _, tc := range []struct {
+		name       string
+		from, to   int
+		rate       float64
+		everyState bool
+	}{
+		{"jump of two steps inside a line", 0, 2, 1, false},
+		{"jump of two steps inside a line, downwards", 5, 3, 1, false},
+		{"change of position between lines", 1, 5, 1, false},
+		{"cross-line transition from one state of a line only", 1, 4, 1, false},
+		{"cross-line transition from the first state only", 0, 3, 1, false},
+		{"cross-line rate that differs along a line", -1, 0, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewGenerator(6, 3, func(s int, emit func(int, float64)) {
+				valid(s, emit)
+				switch {
+				case tc.everyState:
+					emit((s+3)%6, 1+float64(s%3))
+				case s == tc.from:
+					emit(tc.to, tc.rate)
+				}
+			})
+			if !errors.Is(err, ErrInvalidTransition) {
+				t.Errorf("got %v, want ErrInvalidTransition", err)
+			}
+		})
+	}
+	// A cross-line target that differs along a line: four lines of two
+	// states, each state sending to the next line, but state 1 to the line
+	// after it.
+	_, err := NewGenerator(8, 2, func(s int, emit func(int, float64)) {
+		emit(s^1, 1)
+		next := (s + 2) % 8
+		if s == 1 {
+			next = (s + 4) % 8
+		}
+		emit(next, 1)
+	})
+	if !errors.Is(err, ErrInvalidTransition) {
+		t.Errorf("cross-line target that differs along a line: got %v, want ErrInvalidTransition", err)
+	}
+}
+
 func TestGeneratorIgnoresSelfLoopsAndZeroRates(t *testing.T) {
-	g, err := NewGenerator(2, func(s int, emit func(int, float64)) {
+	g, err := NewGenerator(2, 1, func(s int, emit func(int, float64)) {
 		emit(s, 100) // self loop must be ignored
 		emit(1-s, 0) // zero rate must be ignored
 		emit(1-s, 1) // the real transition
@@ -164,13 +229,13 @@ func TestGeneratorIgnoresSelfLoopsAndZeroRates(t *testing.T) {
 	if g.NumTransitions() != 2 {
 		t.Errorf("NumTransitions = %d, want 2", g.NumTransitions())
 	}
-	if g.outRate[0] != 1 {
-		t.Errorf("self loops must not contribute to the outflow rate, got %v", g.outRate[0])
+	if g.out[0] != 1 {
+		t.Errorf("self loops must not contribute to the outflow rate, got %v", g.out[0])
 	}
 }
 
 func TestSingleStateChain(t *testing.T) {
-	g, err := NewGenerator(1, func(int, func(int, float64)) {})
+	g, err := NewGenerator(1, 1, func(int, func(int, float64)) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +279,7 @@ func TestBirthDeathDetailedBalanceProperty(t *testing.T) {
 				emit(s-1, death*float64(s))
 			}
 		}
-		g, err := NewGenerator(n, tf)
+		g, err := NewGenerator(n, 1, tf)
 		if err != nil {
 			return false
 		}
@@ -237,7 +302,7 @@ func TestBirthDeathDetailedBalanceProperty(t *testing.T) {
 }
 
 func TestSolutionProbabilityVectorProperties(t *testing.T) {
-	g, err := NewGenerator(50, mmckTransitions(3, 0.5, 4, 49))
+	g, err := NewGenerator(50, 1, mmckTransitions(3, 0.5, 4, 49))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +323,12 @@ func TestSolutionProbabilityVectorProperties(t *testing.T) {
 }
 
 func TestNewGeneratorAllocationsIndependentOfStates(t *testing.T) {
-	// The emit callbacks are bound once per pass, so the allocation count
-	// of a build does not grow with the number of states.
+	// The emit callback is bound once, so the allocation count of a build
+	// does not grow with the number of states. Width 1 is the worst case:
+	// every transition is between lines.
 	tf := mmckTransitions(3, 0.5, 4, 999)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := NewGenerator(1000, tf); err != nil {
+		if _, err := NewGenerator(1000, 1, tf); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -275,22 +341,21 @@ func TestAggregationValidation(t *testing.T) {
 	g := twoStateChain(t, 1, 2)
 	tests := []struct {
 		name string
-		agg  Aggregation
+		mass []float64
 	}{
-		{"short block map", Aggregation{Block: []int32{0}, Mass: []float64{1}}},
-		{"long block map", Aggregation{Block: []int32{0, 0, 0}, Mass: []float64{1}}},
-		{"negative block", Aggregation{Block: []int32{0, -1}, Mass: []float64{0.5, 0.5}}},
-		{"block past the masses", Aggregation{Block: []int32{0, 2}, Mass: []float64{0.5, 0.5}}},
-		{"no masses", Aggregation{Block: []int32{0, 0}}},
-		{"negative mass", Aggregation{Block: []int32{0, 1}, Mass: []float64{1.5, -0.5}}},
-		{"NaN mass", Aggregation{Block: []int32{0, 1}, Mass: []float64{math.NaN(), 1}}},
-		{"infinite mass", Aggregation{Block: []int32{0, 1}, Mass: []float64{math.Inf(1), 0}}},
-		{"masses sum below 1", Aggregation{Block: []int32{0, 1}, Mass: []float64{0.25, 0.25}}},
-		{"masses sum above 1", Aggregation{Block: []int32{0, 1}, Mass: []float64{0.75, 0.75}}},
+		{"too few masses", []float64{1}},
+		{"too many masses", []float64{0.5, 0.25, 0.25}},
+		{"no masses", nil},
+		{"negative mass", []float64{1.5, -0.5}},
+		{"NaN mass", []float64{math.NaN(), 1}},
+		{"infinite mass", []float64{math.Inf(1), 0}},
+		{"masses sum below 1", []float64{0.25, 0.25}},
+		{"masses sum above 1", []float64{0.75, 0.75}},
+		{"masses sum off 1 by 1e-8", []float64{0.5, 0.5 + 1e-8}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := g.SteadyState(SolveOptions{Aggregation: &tc.agg})
+			_, err := g.SteadyState(SolveOptions{Aggregation: &Aggregation{Mass: tc.mass}})
 			if !errors.Is(err, ErrInvalidArgument) {
 				t.Errorf("got %v, want ErrInvalidArgument", err)
 			}
@@ -299,14 +364,13 @@ func TestAggregationValidation(t *testing.T) {
 }
 
 func TestAggregationRescale(t *testing.T) {
-	agg := &Aggregation{Block: []int32{0, 0, 1, 1, 2}, Mass: []float64{0.6, 0.4, 0}}
-	factor := make([]float64, len(agg.Mass))
+	agg := &Aggregation{Mass: []float64{0.6, 0.4, 0}}
 
-	v := []float64{1, 3, 2, 2, 7}
-	if err := agg.rescale(v, factor); err != nil {
+	v := []float64{1, 3, 2, 2, 7, 1}
+	if err := agg.rescale(v, 2); err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{0.15, 0.45, 0.2, 0.2, 0}
+	want := []float64{0.15, 0.45, 0.2, 0.2, 0, 0}
 	for i := range want {
 		if !almostEqual(v[i], want[i], 1e-15) {
 			t.Errorf("rescaled v = %v, want %v", v, want)
@@ -314,13 +378,13 @@ func TestAggregationRescale(t *testing.T) {
 		}
 	}
 
-	// Block 1 holds no mass yet: it is left at zero rather than divided by
+	// Line 1 holds no mass yet: it is left at zero rather than divided by
 	// zero, and the vector is renormalized.
-	v = []float64{1, 3, 0, 0, 7}
-	if err := agg.rescale(v, factor); err != nil {
+	v = []float64{1, 3, 0, 0, 7, 1}
+	if err := agg.rescale(v, 2); err != nil {
 		t.Fatal(err)
 	}
-	want = []float64{0.25, 0.75, 0, 0, 0}
+	want = []float64{0.25, 0.75, 0, 0, 0, 0}
 	for i := range want {
 		if !almostEqual(v[i], want[i], 1e-15) || math.IsNaN(v[i]) {
 			t.Errorf("rescaled v = %v, want %v", v, want)
@@ -328,19 +392,20 @@ func TestAggregationRescale(t *testing.T) {
 		}
 	}
 
-	if err := agg.rescale([]float64{0, 0, 0, 0, 0}, factor); !errors.Is(err, ErrNotIrreducible) {
+	if err := agg.rescale(make([]float64, 6), 2); !errors.Is(err, ErrNotIrreducible) {
 		t.Errorf("zero vector: got %v, want ErrNotIrreducible", err)
 	}
-	if err := agg.rescale([]float64{1, -1, 0, 0, 0}, factor); !errors.Is(err, ErrNotIrreducible) {
+	if err := agg.rescale([]float64{1, -1, 0, 0, 0, 0}, 2); !errors.Is(err, ErrNotIrreducible) {
 		t.Errorf("negative entry: got %v, want ErrNotIrreducible", err)
 	}
 }
 
 // slowFastChain is a chain on (s, f) in {0..slow} × {0..fast}, indexed
-// s·(fast+1)+f. The slow coordinate s is an autonomous birth–death process
-// with rates far below those of the fast coordinate f, whose rates depend on
-// s. It returns the transition function and the exact marginal of s, which
-// is the aggregate of the blocks s.
+// s·(fast+1)+f, so each line of width fast+1 holds one s. The slow
+// coordinate s is an autonomous birth–death process with rates far below
+// those of the fast coordinate f, whose rates depend on s. It returns the
+// transition function and the exact marginal of s, which is the line
+// process's stationary distribution.
 func slowFastChain(slow, fast int) (TransitionFunc, []float64) {
 	const birth, death = 0.02, 0.01
 	tf := func(state int, emit func(int, float64)) {
@@ -374,21 +439,21 @@ func slowFastChain(slow, fast int) (TransitionFunc, []float64) {
 func TestAggregationMatchesPlainSolveInFewerSweeps(t *testing.T) {
 	const slow, fast = 8, 12
 	tf, mass := slowFastChain(slow, fast)
-	g, err := NewGenerator((slow+1)*(fast+1), tf)
+	points, err := NewGenerator((slow+1)*(fast+1), 1, tf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := &Aggregation{Block: make([]int32, g.NumStates()), Mass: mass}
-	for i := range agg.Block {
-		agg.Block[i] = int32(i / (fast + 1))
+	lines, err := NewGenerator((slow+1)*(fast+1), fast+1, tf)
+	if err != nil {
+		t.Fatal(err)
 	}
 	opts := SolveOptions{Tolerance: 1e-12, MaxIterations: 1000000}
-	plain, err := g.SteadyState(opts)
+	plain, err := points.SteadyState(opts)
 	if err != nil {
 		t.Fatalf("plain: %v", err)
 	}
-	opts.Aggregation = agg
-	aggregated, err := g.SteadyState(opts)
+	opts.Aggregation = &Aggregation{Mass: mass}
+	aggregated, err := lines.SteadyState(opts)
 	if err != nil {
 		t.Fatalf("aggregated: %v", err)
 	}
@@ -407,16 +472,15 @@ func TestAggregationMatchesPlainSolveInFewerSweeps(t *testing.T) {
 }
 
 func TestClosedLineSolvesToClosedForm(t *testing.T) {
-	// A birth–death chain given as one block of mass 1 is one closed line:
+	// A birth–death chain given as one line of mass 1 is one closed line:
 	// nothing leaves it, so its last pivot is 0. The sweep keeps the last
 	// state's value, solves the rest from it, and the rescale sets the mass.
 	const lambda, mu, c, capacity = 2.5, 1.0, 3, 15
-	g, err := NewGenerator(capacity+1, mmckTransitions(lambda, mu, c, capacity))
+	g, err := NewGenerator(capacity+1, capacity+1, mmckTransitions(lambda, mu, c, capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := &Aggregation{Block: make([]int32, g.NumStates()), Mass: []float64{1}}
-	sol, err := g.SteadyState(SolveOptions{Tolerance: 1e-13, Aggregation: agg})
+	sol, err := g.SteadyState(SolveOptions{Tolerance: 1e-13, Aggregation: &Aggregation{Mass: []float64{1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,67 +494,53 @@ func TestClosedLineSolvesToClosedForm(t *testing.T) {
 	}
 }
 
-// TestStalledSolveIsNotConverged pins a chain on which line Gauss–Seidel
-// stalls: the chain is not lumpable into the given blocks, and the rescaled
-// line sweeps settle on a wrong vector. The iterate stops changing (Delta
-// 1e-10 after ~1,170 sweeps) while pi*Q is still far from 0, although the
-// block masses are exact and the plain solve of the same chain converges.
-// Such a solve must not report Converged.
+// TestStalledSolveIsNotConverged gives the line solve valid line masses
+// that are not the line process's stationary distribution: the slow–fast
+// chain's lines get the uniform mass instead of its birth–death marginal.
+// Each sweep solves the lines exactly and the rescale restores the wrong
+// masses, so the iterate settles (Delta falls below the tolerance) on a
+// vector whose pi*Q is far from 0. Such a solve must not report Converged.
 func TestStalledSolveIsNotConverged(t *testing.T) {
-	edges := []struct {
-		from, to int
-		rate     float64
-	}{
-		{0, 1, 7}, {1, 2, 9}, {2, 3, 1}, {2, 5, 9}, {3, 4, 9}, {4, 5, 4}, {4, 9, 17},
-		{5, 6, 1}, {6, 2, 5}, {6, 7, 3}, {7, 8, 5}, {8, 9, 1}, {9, 0, 7}, {9, 7, 6},
-	}
-	g, err := NewGenerator(10, func(s int, emit func(int, float64)) {
-		for _, e := range edges {
-			if e.from == s {
-				emit(e.to, e.rate)
-			}
-		}
-	})
+	const slow, fast = 8, 12
+	tf, _ := slowFastChain(slow, fast)
+	g, err := NewGenerator((slow+1)*(fast+1), fast+1, tf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := g.SteadyState(SolveOptions{Tolerance: 1e-13, MaxIterations: 1000000})
-	if err != nil || !plain.Converged {
-		t.Fatalf("plain solve: %v", err)
+	uniform := make([]float64, slow+1)
+	for l := range uniform {
+		uniform[l] = 1 / float64(slow+1)
 	}
-	block := []int32{0, 0, 1, 1, 1, 1, 2, 2, 3, 4}
-	mass := make([]float64, 5)
-	for i, p := range plain.Pi {
-		mass[block[i]] += p
-	}
-	agg := &Aggregation{Block: block, Mass: mass}
-
-	stalled, err := g.SteadyState(SolveOptions{Aggregation: agg})
+	const tol = 1e-10
+	stalled, err := g.SteadyState(SolveOptions{Tolerance: tol, Aggregation: &Aggregation{Mass: uniform}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stalled.Delta > tol {
+		t.Fatalf("the iterate did not settle: Delta %v after %d sweeps", stalled.Delta, stalled.Iterations)
 	}
 	if stalled.Converged {
-		t.Errorf("Gauss–Seidel reports convergence after %d sweeps with Delta %v but residual %v",
+		t.Errorf("line Gauss–Seidel reports convergence after %d sweeps with Delta %v but residual %v",
 			stalled.Iterations, stalled.Delta, stalled.Residual)
 	}
+	t.Logf("settled after %d sweeps, Delta %v, residual %v", stalled.Iterations, stalled.Delta, stalled.Residual)
 }
 
-// fuzzChain decodes fuzz bytes into a small irreducible chain and a split of
-// its states into contiguous blocks, meeting the two premises of a line
-// solve under an Aggregation that the GPRS model meets: inside a block,
-// transitions join neighbouring states only, so each block is one
-// birth–death line; and the chain is lumpable across blocks, as every state
-// of a block sends the same total rate into each other block.
+// fuzzChain decodes fuzz bytes into a small irreducible chain with the line
+// structure: lines of equal width, each a birth–death chain with random
+// rates, joined by random transitions that keep the position, at one rate
+// for every state of the source line. It returns the number of states, the
+// line width and the transition function.
 //
-// The first byte sets the number of states n (2..40). The next n-1 say, by
-// their low bit, whether a new block starts at states 1..n-1. The next 2n
-// give the rates from each state one step up and one step down in its
-// block, where there is such a step; the next one per block, the rate from
-// each of its states to the next block. Every following triple
-// (from, to, rate) adds a transition: inside a block, one step from from
-// towards to; into another block, from every state of from's block. Missing
-// bytes read as 0, and every rate lies in [1/16, 16].
-func fuzzChain(data []byte) (int, TransitionFunc, []int32) {
+// The first byte sets the line width W (1..8), the second the number of
+// lines L (1..8). The next 2·W·L give the rates from each state one step up
+// and one step down its line, where there is such a step; the next L, the
+// rate from every state of each line to the same position in the next line,
+// cyclically (none for L = 1). Every following triple (from, to, rate) adds
+// a transition: inside a line, one step from from towards to; into another
+// line, from every state of from's line to the same position in to's line.
+// Missing bytes read as 0, and every rate lies in [1/16, 16].
+func fuzzChain(data []byte) (int, int, TransitionFunc) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -500,35 +550,9 @@ func fuzzChain(data []byte) (int, TransitionFunc, []int32) {
 		return b
 	}
 	rate := func(b byte) float64 { return (1 + float64(b)) / 16 }
-	n := 2 + int(next()%39)
-	block := make([]int32, n)
-	starts := []int{0}
-	for i := 1; i < n; i++ {
-		block[i] = block[i-1]
-		if next()&1 == 1 {
-			block[i]++
-			starts = append(starts, i)
-		}
-	}
-	starts = append(starts, n)
-	// step returns the neighbour of i in its block towards to, or the other
-	// neighbour at the block's edge (i itself in a one-state block).
-	step := func(i, to int) int {
-		lo, hi := starts[block[i]], starts[block[i]+1]-1
-		switch {
-		case lo == hi:
-			return i
-		case i == hi || (to < i && i > lo):
-			return i - 1
-		default:
-			return i + 1
-		}
-	}
-	// shift returns the state d places after i within i's block, cyclically.
-	shift := func(i, d int) int {
-		lo, size := starts[block[i]], starts[block[i]+1]-starts[block[i]]
-		return lo + ((i-lo+d)%size+size)%size
-	}
+	w := 1 + int(next()%8)
+	lines := 1 + int(next()%8)
+	n := w * lines
 	type edge struct {
 		to   int
 		rate float64
@@ -536,72 +560,89 @@ func fuzzChain(data []byte) (int, TransitionFunc, []int32) {
 	out := make([][]edge, n)
 	for i := range out {
 		up, down := rate(next()), rate(next())
-		if i+1 < starts[block[i]+1] {
+		if i%w+1 < w {
 			out[i] = append(out[i], edge{i + 1, up})
 		}
-		if i > starts[block[i]] {
+		if i%w > 0 {
 			out[i] = append(out[i], edge{i - 1, down})
 		}
 	}
-	blocks := len(starts) - 1
-	for b := 0; b < blocks; b++ {
-		r, first := rate(next()), starts[(b+1)%blocks]
-		for i := starts[b]; i < starts[b+1]; i++ {
-			out[i] = append(out[i], edge{shift(first, i-starts[b]), r})
+	// cross adds the transitions from every state of line from to the same
+	// position in line to.
+	cross := func(from, to int, r float64) {
+		for q := range w {
+			out[from*w+q] = append(out[from*w+q], edge{to*w + q, r})
+		}
+	}
+	for l := 0; l < lines; l++ {
+		if r := rate(next()); lines > 1 {
+			cross(l, (l+1)%lines, r)
 		}
 	}
 	for len(data) >= 3 {
 		from, to, r := int(next())%n, int(next())%n, rate(next())
-		if block[from] == block[to] {
-			out[from] = append(out[from], edge{step(from, to), r})
-			continue
-		}
-		for i := starts[block[from]]; i < starts[block[from]+1]; i++ {
-			out[i] = append(out[i], edge{shift(to, i-from), r})
+		switch {
+		case from/w != to/w:
+			cross(from/w, to/w, r)
+		case to < from:
+			out[from] = append(out[from], edge{from - 1, r})
+		case from%w+1 < w:
+			out[from] = append(out[from], edge{from + 1, r})
+		case from%w > 0:
+			out[from] = append(out[from], edge{from - 1, r})
 		}
 	}
-	return n, func(s int, emit func(int, float64)) {
+	return n, w, func(s int, emit func(int, float64)) {
 		for _, e := range out[s] {
 			emit(e.to, e.rate)
 		}
-	}, block
+	}
 }
 
-// FuzzLineSweep checks line Gauss–Seidel on random chains and random
-// contiguous blocks: given the exact block masses, taken from a plain solve,
-// it must converge to the plain solve's distribution.
+// FuzzLineSweep checks line Gauss–Seidel on random chains with the line
+// structure. The reference is the same transition function built with one
+// state per line and solved plainly: built with lines, it must count the
+// same transitions, and given the exact line masses, taken from the plain
+// solve, the line solve must converge to the plain solve's distribution.
 func FuzzLineSweep(f *testing.F) {
-	// One block holding every state: a closed birth–death line.
-	f.Add([]byte{10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-		1, 20, 2, 30, 3, 40, 4, 50, 5, 60, 6, 70, 7, 80, 8, 90, 9, 100, 10, 110, 11, 120, 12, 130,
-		0, 3, 7, 40, 9, 2, 200})
-	// Every state its own block: point Gauss–Seidel.
-	f.Add([]byte{6, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-		200, 3, 50, 7, 90, 1, 4, 2, 5, 30, 6, 0, 9, 100})
+	// One line holding every state: a closed birth–death line.
+	f.Add([]byte{7, 0, 1, 20, 2, 30, 3, 40, 4, 50, 5, 60, 6, 70, 7, 80, 9,
+		0, 3, 7, 5, 2, 200})
+	// Every state its own line: point Gauss–Seidel.
+	f.Add([]byte{0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 200, 3, 50, 7, 90, 1,
+		4, 2, 5, 30, 6, 0, 9, 100})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, tf, block := fuzzChain(data)
-		g, err := NewGenerator(n, tf)
+		n, width, tf := fuzzChain(data)
+		points, err := NewGenerator(n, 1, tf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := g.SteadyState(SolveOptions{Tolerance: 1e-13, MaxIterations: 1000000})
+		lines, err := NewGenerator(n, width, tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines.NumTransitions() != points.NumTransitions() {
+			t.Fatalf("%d transitions with lines of %d, %d with one state per line",
+				lines.NumTransitions(), width, points.NumTransitions())
+		}
+		plain, err := points.SteadyState(SolveOptions{Tolerance: 1e-13, MaxIterations: 1000000})
 		if err != nil || !plain.Converged {
 			t.Fatalf("plain solve: %v, converged %v", err, plain != nil && plain.Converged)
 		}
-		mass := make([]float64, block[n-1]+1)
+		mass := make([]float64, n/width)
 		for i, p := range plain.Pi {
-			mass[block[i]] += p
+			mass[i/width] += p
 		}
-		lines, err := g.SteadyState(SolveOptions{Tolerance: 1e-13, MaxIterations: 1000000, Aggregation: &Aggregation{Block: block, Mass: mass}})
+		sol, err := lines.SteadyState(SolveOptions{Tolerance: 1e-13, MaxIterations: 1000000, Aggregation: &Aggregation{Mass: mass}})
 		if err != nil {
 			t.Fatalf("line solve: %v", err)
 		}
-		if !lines.Converged {
-			t.Fatalf("line solve did not converge in %d sweeps", lines.Iterations)
+		if !sol.Converged {
+			t.Fatalf("line solve did not converge in %d sweeps", sol.Iterations)
 		}
 		for i := range plain.Pi {
-			if !almostEqual(lines.Pi[i], plain.Pi[i], 1e-8) {
-				t.Fatalf("pi[%d]: line solve %v, plain %v", i, lines.Pi[i], plain.Pi[i])
+			if !almostEqual(sol.Pi[i], plain.Pi[i], 1e-8) {
+				t.Fatalf("pi[%d]: line solve %v, plain %v", i, sol.Pi[i], plain.Pi[i])
 			}
 		}
 	})

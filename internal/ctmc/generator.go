@@ -1,37 +1,40 @@
 // Package ctmc provides infrastructure for finite continuous-time Markov
-// chains: sparse infinitesimal generator matrices built from a transition
-// enumeration callback, and an iterative steady-state solver, line
-// Gauss–Seidel. The GPRS Markov model of the paper is solved through this
-// package.
+// chains whose states fall into lines of equal width: an infinitesimal
+// generator built from a transition enumeration callback, and an iterative
+// steady-state solver, line Gauss–Seidel. The GPRS Markov model of the paper
+// is solved through this package.
 //
-// The solver can optionally be given an exact aggregate: a partition of the
-// states into blocks together with the stationary probability of each
-// block, known in closed form when the block process is lumpable. After
-// every sweep the iterate is rescaled so that each block carries its exact
-// mass (aggregation–disaggregation in the sense of Takahashi and
-// Koury–McAllister–Stewart, with the aggregate solve replaced by the closed
-// form). The sweeps then only have to resolve the distribution within each
-// block, which removes the slow modes of the block process from the
-// iteration. Gauss–Seidel does that within-block work as the block
-// Gauss–Seidel half of the scheme: each maximal run of consecutive states in
-// one block is a line whose balance equations a sweep solves exactly (see
-// SolveOptions.Aggregation).
+// With line width W, line l holds the states [l·W, (l+1)·W). Inside a line a
+// transition goes one step up or down, so each line is a birth–death chain.
+// Between lines a transition keeps the position (the index mod W), and every
+// state of a line sends the same transitions to the same lines at the same
+// rates. So no matrix is stored: per state, the rates one step up and down
+// its line and the total outflow; per line, the (source line, rate) pairs of
+// its inflow from other lines. With W = 1 every state is its own line, any
+// chain has this structure, and the line solve is point Gauss–Seidel.
 //
-// The generator is stored column-oriented (incoming transitions per state)
-// because the solver needs, for a state j, the inflow sum_i pi_i * q_ij and
-// the total outflow rate d_j.
+// The line index is then itself a Markov chain, and the solver can be given
+// its stationary distribution, the exact mass of every line, when it is
+// known in closed form. After every sweep the iterate is rescaled so that
+// each line carries its exact mass (aggregation–disaggregation in the sense
+// of Takahashi and Koury–McAllister–Stewart, with the aggregate solve
+// replaced by the closed form), and the sweeps, which solve each line's
+// balance equations exactly, only resolve the distribution within each line
+// (see SolveOptions.Aggregation).
 package ctmc
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Common errors returned by the package.
 var (
 	// ErrInvalidTransition is returned when a transition callback emits an
-	// out-of-range target state or a non-finite or negative rate.
+	// out-of-range target state, a non-finite or negative rate, or a
+	// transition that breaks the line structure.
 	ErrInvalidTransition = errors.New("ctmc: invalid transition")
 	// ErrNotIrreducible is returned when the chain has a state with no
 	// outgoing transitions (and therefore cannot be irreducible) or when a
@@ -44,121 +47,157 @@ var (
 
 // TransitionFunc enumerates the outgoing transitions of a state. The
 // implementation must call emit(to, rate) once per outgoing transition with a
-// strictly positive rate; self-loops (to == state) are ignored. The function
-// must be deterministic: it is called twice per state while building the
-// generator (a counting pass and a fill pass).
+// strictly positive rate; self-loops (to == state) are ignored.
 type TransitionFunc func(state int, emit func(to int, rate float64))
 
-// Generator is the sparse infinitesimal generator matrix Q of a finite CTMC,
-// stored as incoming transitions per state plus the diagonal (total outflow
-// rate per state).
+// Generator is the infinitesimal generator Q of a finite CTMC with the line
+// structure of the package comment.
 type Generator struct {
-	n int
+	n, width int
 
-	// Incoming transitions in compressed sparse column layout: for state j,
-	// the sources are inSrc[inPtr[j]:inPtr[j+1]] with rates inRate[...].
-	inPtr  []int64
-	inSrc  []int32
-	inRate []float64
+	// up[i] and down[i] are the rates from state i one step up and one step
+	// down its line; out[i] is its total outflow rate, the negated diagonal
+	// entry of Q.
+	up, down, out []float64
 
-	// outRate[i] is the total outgoing rate of state i (the negated diagonal
-	// entry of Q).
-	outRate []float64
+	// from[fromStart[l]:fromStart[l+1]] are the jumps into line l.
+	fromStart []int32
+	from      []jump
 
 	maxOutRate float64
 	nnz        int64
 }
 
-// NewGenerator builds the generator matrix of a CTMC with numStates states
-// from the transition enumeration callback. It returns an error if a
-// transition is invalid or if some state has no outgoing transition (which
-// would make the chain reducible).
-func NewGenerator(numStates int, transitions TransitionFunc) (*Generator, error) {
+// jump is a transition from every state of line from to the same position
+// in line to.
+type jump struct {
+	from, to int32
+	rate     float64
+}
+
+// builder holds what NewGenerator knows while it visits the states. Its emit
+// method is bound once, so a build allocates nothing per state.
+type builder struct {
+	g                *Generator
+	state, line, pos int
+	// jumps are the line-to-line transitions, in the order the first state
+	// of each line emits them; first is where the current line's jumps
+	// begin, and seen counts the current state's.
+	jumps       []jump
+	first, seen int
+	err         error
+}
+
+func (b *builder) emit(to int, rate float64) {
+	g := b.g
+	if b.err == nil && (to < 0 || to >= g.n || rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0)) {
+		b.err = fmt.Errorf("%w: state %d -> %d of %d at rate %v", ErrInvalidTransition, b.state, to, g.n, rate)
+	}
+	if b.err != nil || rate == 0 || to == b.state {
+		return
+	}
+	g.nnz++
+	g.out[b.state] += rate
+	// Only the first state of a line divides to find a jump's target line:
+	// the others compare their jumps with its.
+	start := b.state - b.pos
+	switch {
+	case to == b.state+1 && to < start+g.width:
+		g.up[b.state] += rate
+	case to == b.state-1 && to >= start:
+		g.down[b.state] += rate
+	case to >= start && to < start+g.width:
+		b.err = fmt.Errorf("%w: state %d -> %d jumps more than one step inside its line", ErrInvalidTransition, b.state, to)
+	default:
+		if b.pos > 0 {
+			k := b.first + b.seen
+			b.seen++
+			if k < len(b.jumps) && to == int(b.jumps[k].to)*g.width+b.pos && rate == b.jumps[k].rate {
+				return
+			}
+		}
+		switch line, pos := to/g.width, to%g.width; {
+		case pos != b.pos:
+			b.err = fmt.Errorf("%w: state %d -> %d moves from position %d to %d in another line", ErrInvalidTransition, b.state, to, b.pos, pos)
+		case b.pos > 0:
+			b.err = fmt.Errorf("%w: state %d -> %d at rate %v differs from the first state of line %d", ErrInvalidTransition, b.state, to, rate, b.line)
+		default:
+			b.jumps = append(b.jumps, jump{int32(b.line), int32(line), rate})
+		}
+	}
+}
+
+// NewGenerator builds the generator of a CTMC with numStates states in lines
+// of lineWidth states from the transition enumeration callback, which it
+// calls once per state. It returns an error wrapping ErrInvalidTransition if
+// a transition is invalid or breaks the line structure: if it jumps more than
+// one step inside a line, lands at another position in another line, or is
+// not emitted alike, in the same order, by every state of its line. It
+// returns an error wrapping ErrNotIrreducible if some state has no outgoing
+// transition.
+func NewGenerator(numStates, lineWidth int, transitions TransitionFunc) (*Generator, error) {
 	if numStates <= 0 {
 		return nil, fmt.Errorf("%w: numStates = %d", ErrInvalidArgument, numStates)
 	}
 	if numStates > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: numStates = %d exceeds int32 indexing", ErrInvalidArgument, numStates)
 	}
+	if lineWidth <= 0 || numStates%lineWidth != 0 {
+		return nil, fmt.Errorf("%w: line width %d does not divide %d states", ErrInvalidArgument, lineWidth, numStates)
+	}
 	if transitions == nil {
 		return nil, fmt.Errorf("%w: nil transition function", ErrInvalidArgument)
 	}
 
 	g := &Generator{
-		n:       numStates,
-		inPtr:   make([]int64, numStates+1),
-		outRate: make([]float64, numStates),
+		n:     numStates,
+		width: lineWidth,
+		up:    make([]float64, numStates),
+		down:  make([]float64, numStates),
+		out:   make([]float64, numStates),
 	}
-
-	// Pass 1: count incoming transitions per target state into
-	// inPtr[to+1] and accumulate outgoing rates. The emit callbacks of both
-	// passes are bound once and read the current source state from the
-	// shared loop variable, so building the generator allocates nothing per
-	// state.
-	var (
-		emitErr error
-		state   int
-	)
-	count := func(to int, rate float64) {
-		if emitErr != nil {
-			return
+	lines := numStates / lineWidth
+	// The first state moves the builder from position W-1 of line -1 to the
+	// start of line 0. The jumps have room for eight per line before they
+	// grow.
+	b := &builder{g: g, line: -1, pos: lineWidth - 1, jumps: make([]jump, 0, 8*lines)}
+	emit := b.emit
+	for b.state = 0; b.state < numStates; b.state++ {
+		if b.pos++; b.pos == lineWidth {
+			b.line, b.pos, b.first = b.line+1, 0, len(b.jumps)
 		}
-		if to < 0 || to >= numStates {
-			emitErr = fmt.Errorf("%w: state %d -> %d out of range", ErrInvalidTransition, state, to)
-			return
+		b.seen = 0
+		transitions(b.state, emit)
+		if b.err == nil && b.pos > 0 && b.first+b.seen != len(b.jumps) {
+			b.err = fmt.Errorf("%w: state %d leaves line %d by %d transitions, the line's first state by %d",
+				ErrInvalidTransition, b.state, b.line, b.seen, len(b.jumps)-b.first)
 		}
-		if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-			emitErr = fmt.Errorf("%w: state %d -> %d rate %v", ErrInvalidTransition, state, to, rate)
-			return
-		}
-		if rate == 0 || to == state {
-			return
-		}
-		g.inPtr[to+1]++
-		g.outRate[state] += rate
-	}
-	for state = 0; state < numStates; state++ {
-		transitions(state, count)
-		if emitErr != nil {
-			return nil, emitErr
+		if b.err != nil {
+			return nil, b.err
 		}
 	}
 
-	for s := 0; s < numStates; s++ {
-		if g.outRate[s] <= 0 && numStates > 1 {
+	for s, rate := range g.out {
+		if rate <= 0 && numStates > 1 {
 			return nil, fmt.Errorf("%w: state %d has no outgoing transitions", ErrNotIrreducible, s)
 		}
-		if g.outRate[s] > g.maxOutRate {
-			g.maxOutRate = g.outRate[s]
-		}
+		g.maxOutRate = max(g.maxOutRate, rate)
 	}
 
-	// Exclusive prefix sums turn the counts into column starts, shifted by
-	// one: inPtr[j+1] is where column j begins.
-	var total int64
-	for j := 1; j <= numStates; j++ {
-		count := g.inPtr[j]
-		g.inPtr[j] = total
-		total += count
+	// Sort the jumps stably by target line: count them per line, sum the
+	// counts up to each line's end, and fill each line backwards from its
+	// end, which leaves fromStart at its start.
+	g.fromStart = make([]int32, lines+1)
+	for _, j := range b.jumps {
+		g.fromStart[j.to]++
 	}
-	g.nnz = total
-	g.inSrc = make([]int32, total)
-	g.inRate = make([]float64, total)
-
-	// Pass 2: fill, with inPtr[to+1] as the fill cursor of column to. Once
-	// the column is full it holds the column's end, which is where the
-	// next column begins.
-	fill := func(to int, rate float64) {
-		if to < 0 || to >= numStates || rate <= 0 || to == state {
-			return
-		}
-		pos := g.inPtr[to+1]
-		g.inSrc[pos] = int32(state)
-		g.inRate[pos] = rate
-		g.inPtr[to+1]++
+	for l := range lines {
+		g.fromStart[l+1] += g.fromStart[l]
 	}
-	for state = 0; state < numStates; state++ {
-		transitions(state, fill)
+	g.from = make([]jump, len(b.jumps))
+	for _, j := range slices.Backward(b.jumps) {
+		g.fromStart[j.to]--
+		g.from[g.fromStart[j.to]] = j
 	}
 	return g, nil
 }
@@ -166,9 +205,32 @@ func NewGenerator(numStates int, transitions TransitionFunc) (*Generator, error)
 // NumStates returns the number of states of the chain.
 func (g *Generator) NumStates() int { return g.n }
 
-// NumTransitions returns the number of stored (off-diagonal, positive-rate)
-// transitions.
+// NumTransitions returns the number of off-diagonal, positive-rate
+// transitions, as emitted.
 func (g *Generator) NumTransitions() int64 { return g.nnz }
+
+// inflow sets x, of the line width, to the inflow of line l from the other
+// lines under pi.
+func (g *Generator) inflow(pi []float64, l int, x []float64) {
+	from := g.from[g.fromStart[l]:g.fromStart[l+1]]
+	if len(from)%2 == 0 {
+		clear(x)
+	} else {
+		a, ra := pi[int(from[0].from)*len(x):][:len(x)], from[0].rate
+		for q := range x {
+			x[q] = ra * a[q]
+		}
+		from = from[1:]
+	}
+	// Two source lines per pass halve the loads and stores of x.
+	for ; len(from) >= 2; from = from[2:] {
+		a, ra := pi[int(from[0].from)*len(x):][:len(x)], from[0].rate
+		b, rb := pi[int(from[1].from)*len(x):][:len(x)], from[1].rate
+		for q := range x {
+			x[q] += ra*a[q] + rb*b[q]
+		}
+	}
+}
 
 // Residual returns the infinity norm of pi*Q, i.e. max_j |inflow_j - pi_j d_j|.
 // A steady-state vector has residual 0.
@@ -176,16 +238,21 @@ func (g *Generator) Residual(pi []float64) (float64, error) {
 	if len(pi) != g.n {
 		return 0, fmt.Errorf("%w: vector length %d, want %d", ErrInvalidArgument, len(pi), g.n)
 	}
+	x := make([]float64, g.width)
 	var worst float64
-	for j := 0; j < g.n; j++ {
-		start, end := g.inPtr[j], g.inPtr[j+1]
-		var sum float64
-		for p := start; p < end; p++ {
-			sum += pi[g.inSrc[p]] * g.inRate[p]
-		}
-		r := math.Abs(sum - pi[j]*g.outRate[j])
-		if r > worst {
-			worst = r
+	for l, s := 0, 0; s < g.n; l, s = l+1, s+g.width {
+		g.inflow(pi, l, x)
+		for q, sum := range x {
+			j := s + q
+			if q > 0 {
+				sum += pi[j-1] * g.up[j-1]
+			}
+			if q+1 < g.width {
+				sum += pi[j+1] * g.down[j+1]
+			}
+			if r := math.Abs(sum - pi[j]*g.out[j]); r > worst {
+				worst = r
+			}
 		}
 	}
 	return worst, nil

@@ -12,96 +12,83 @@ type SolveOptions struct {
 	Tolerance float64
 	// MaxIterations bounds the number of sweeps; the zero value means 20000.
 	MaxIterations int
-	// Aggregation optionally provides the exact stationary mass of a
-	// partition of the states. The uniform starting vector and every
-	// sweep's iterate are rescaled block by block to those masses, in place
-	// of the plain normalization. Each maximal run of consecutive states in
-	// one block is a line, solved exactly per sweep given the newest inflow
-	// from outside it; the solve is exact when a line's states are joined
-	// inside it only to their neighbours, and a one-state line is the point
-	// update. If nil, no aggregation is used and every line is one state.
+	// Aggregation optionally provides the exact stationary mass of every
+	// line. The uniform starting vector and every sweep's iterate are
+	// rescaled line by line to those masses, in place of the plain
+	// normalization. If nil, the iterate is normalized as a whole.
 	Aggregation *Aggregation
 }
 
-// Aggregation is an exact aggregate of a chain: a partition of the states
-// into blocks and the stationary probability of each block. It is only
-// correct when the blocks form a lumpable (autonomous) process whose
-// stationary distribution is Mass; the solver cannot check that premise.
+// Aggregation is the exact aggregate of a chain: the stationary probability
+// of each of its lines. It is only correct when Mass is the stationary
+// distribution of the line process; the solver cannot check that premise.
 type Aggregation struct {
-	// Block maps every state to its block, an index into Mass.
-	Block []int32
-	// Mass is the stationary probability of each block. The entries must be
-	// non-negative and sum to 1; a block of mass 0 is zeroed by every
-	// rescale.
+	// Mass is the stationary probability of each line, in line order. The
+	// entries must be non-negative and sum to 1; a line of mass 0 is zeroed
+	// by every rescale.
 	Mass []float64
 }
 
-// massSumTolerance is how far the block masses of an Aggregation may sum
+// massSumTolerance is how far the line masses of an Aggregation may sum
 // from 1.
 const massSumTolerance = 1e-9
 
-// validate checks the aggregation against a chain of n states.
-func (a *Aggregation) validate(n int) error {
-	if len(a.Block) != n {
-		return fmt.Errorf("%w: aggregation maps %d states, want %d", ErrInvalidArgument, len(a.Block), n)
+// validate checks the aggregation against a chain of the given number of
+// lines.
+func (a *Aggregation) validate(lines int) error {
+	if len(a.Mass) != lines {
+		return fmt.Errorf("%w: aggregation has %d line masses, want %d", ErrInvalidArgument, len(a.Mass), lines)
 	}
 	var sum float64
-	for b, m := range a.Mass {
+	for l, m := range a.Mass {
 		if m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
-			return fmt.Errorf("%w: block %d has mass %v", ErrInvalidArgument, b, m)
+			return fmt.Errorf("%w: line %d has mass %v", ErrInvalidArgument, l, m)
 		}
 		sum += m
 	}
 	if math.Abs(sum-1) > massSumTolerance {
-		return fmt.Errorf("%w: block masses sum to %v, want 1", ErrInvalidArgument, sum)
-	}
-	for i, b := range a.Block {
-		if b < 0 || int(b) >= len(a.Mass) {
-			return fmt.Errorf("%w: state %d in block %d, want [0, %d)", ErrInvalidArgument, i, b, len(a.Mass))
-		}
+		return fmt.Errorf("%w: line masses sum to %v, want 1", ErrInvalidArgument, sum)
 	}
 	return nil
 }
 
-// rescale scales v in place so that every block sums to its mass, using
-// factor (one entry per block) as scratch. A block of mass 0 is zeroed; a
-// block whose current sum is 0 is left as it is, and the vector is then
-// renormalized to sum to 1. Like normalize, it clamps tiny negative rounding
-// artefacts to zero and returns ErrNotIrreducible for a clearly negative
-// entry or a vector summing to zero.
-func (a *Aggregation) rescale(v, factor []float64) error {
-	for b := range factor {
-		factor[b] = 0
-	}
+// rescale scales v in place so that every line of width w sums to its mass.
+// A line of mass 0 is zeroed; a line whose current sum is 0 is left as it
+// is, and the vector is then renormalized to sum to 1. Like normalize, it
+// clamps tiny negative rounding artefacts to zero and returns
+// ErrNotIrreducible for a clearly negative entry or a vector summing to
+// zero.
+func (a *Aggregation) rescale(v []float64, w int) error {
 	var total float64
-	for i, x := range v {
-		if x < 0 {
-			if x < -1e-12 {
-				return fmt.Errorf("%w: negative probability %v at state %d", ErrNotIrreducible, x, i)
+	unmatched := false
+	for l, mass := range a.Mass {
+		line := v[l*w : (l+1)*w]
+		var sum float64
+		for q, x := range line {
+			if x < 0 {
+				if x < -1e-12 {
+					return fmt.Errorf("%w: negative probability %v at state %d", ErrNotIrreducible, x, l*w+q)
+				}
+				line[q] = 0
+				continue
 			}
-			v[i] = 0
-			continue
+			sum += x
 		}
-		factor[a.Block[i]] += x
-		total += x
+		total += sum
+		switch {
+		case mass == 0:
+			clear(line)
+		case sum == 0:
+			unmatched = true
+		default:
+			f := mass / sum
+			for q := range line {
+				line[q] *= f
+			}
+		}
 	}
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
 		return fmt.Errorf("%w: probability mass %v", ErrNotIrreducible, total)
-	}
-	unmatched := false
-	for b, sum := range factor {
-		switch mass := a.Mass[b]; {
-		case mass == 0:
-			factor[b] = 0
-		case sum == 0:
-			factor[b] = 1
-			unmatched = true
-		default:
-			factor[b] = mass / sum
-		}
-	}
-	for i := range v {
-		v[i] *= factor[a.Block[i]]
 	}
 	if unmatched {
 		return normalize(v)
@@ -145,16 +132,13 @@ type Solution struct {
 func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	o := opts.withDefaults()
 	// norm restores the invariants of an iterate after every sweep: a
-	// probability vector, and with an aggregation, the exact block masses.
+	// probability vector, and with an aggregation, the exact line masses.
 	norm := normalize
-	var block []int32
 	if agg := o.Aggregation; agg != nil {
-		if err := agg.validate(g.n); err != nil {
+		if err := agg.validate(g.n / g.width); err != nil {
 			return nil, err
 		}
-		factor := make([]float64, len(agg.Mass))
-		norm = func(v []float64) error { return agg.rescale(v, factor) }
-		block = agg.Block
+		norm = func(v []float64) error { return agg.rescale(v, g.width) }
 	}
 	if g.n == 1 {
 		return &Solution{Pi: []float64{1}, Converged: true}, nil
@@ -168,12 +152,12 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 		return nil, err
 	}
 
-	invPivot, longest := g.linePivots(block)
-	rhs, upper := make([]float64, longest), make([]float64, longest)
+	invPivot := g.factor()
+	rhs := make([]float64, g.width)
 	prev := make([]float64, g.n)
 	sol := &Solution{}
 	for iter := 1; iter <= o.MaxIterations; iter++ {
-		g.lineSweep(pi, block, invPivot, rhs, upper)
+		g.sweep(pi, invPivot, rhs)
 		if err := norm(pi); err != nil {
 			return nil, err
 		}
@@ -193,128 +177,74 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	return sol, nil
 }
 
-// closedLine is the share of a state's outflow below which the part not to
-// its line neighbours counts as 0, so a closed line ends on a pivot of 0.
+// closedLine is the share of a state's outflow below which the part that
+// leaves its line counts as 0, so a closed line ends on a pivot of 0.
 const closedLine = 1e-12
 
-// lineEnd returns the end of the line that starts at state s: a maximal run
-// of consecutive states in one block, or one state without an aggregation.
-func lineEnd(block []int32, s, n int) int {
-	e := s + 1
-	for block != nil && e < n && block[e] == block[s] {
-		e++
-	}
-	return e
-}
-
-// lineInflow scans the incoming transitions of state j, which lies in the
-// line [s, e). It returns the inflow sum_i pi_i q_ij over every source i
-// except j's neighbours in the line, and the rates lo = q_{j-1,j} and
-// hi = q_{j+1,j} from those neighbours (0 for a neighbour outside the line).
-func (g *Generator) lineInflow(pi []float64, j, s, e int) (sum, lo, hi float64) {
-	for p := g.inPtr[j]; p < g.inPtr[j+1]; p++ {
-		src, rate := int(g.inSrc[p]), g.inRate[p]
-		switch {
-		case src == j-1 && j > s:
-			lo += rate
-		case src == j+1 && j+1 < e:
-			hi += rate
-		default:
-			sum += pi[src] * rate
+// sweep runs one line Gauss–Seidel sweep, updating pi in place. It visits
+// the lines in index order and solves the balance equations of each exactly,
+// given the newest inflow rhs from the other lines:
+// d_q x_q - up_{q-1} x_{q-1} - down_{q+1} x_{q+1} = rhs_q, by a Thomas pass
+// over the pivots of factor; rhs is scratch of the line width. A one-state
+// line is the point update pi_j <- inflow_j / d_j. A closed line, which
+// sends nothing out of itself, ends on a pivot of 0: its last state keeps its
+// value, the rest are solved from it, and SteadyState's rescale sets the
+// line's mass.
+func (g *Generator) sweep(pi, invPivot, rhs []float64) {
+	w := g.width
+	for l, s := 0, 0; s < g.n; l, s = l+1, s+w {
+		g.inflow(pi, l, rhs)
+		inv, down, line := invPivot[s:s+w], g.down[s:s+w], pi[s:s+w]
+		var r, up float64
+		for q := range rhs {
+			r = (rhs[q] + up*r) * inv[q]
+			rhs[q], up = r, g.up[s+q]
 		}
-	}
-	return sum, lo, hi
-}
-
-// lineSweep runs one line Gauss–Seidel sweep over the lines of block,
-// updating pi in place. It visits the lines in index order and solves the
-// balance equations of each exactly, given the newest inflow from outside
-// the line: d_q x_q - lo_q x_{q-1} - hi_q x_{q+1} = rhs_q, by a Thomas pass
-// over the pivots invPivot of linePivots; rhs and upper are scratch of the
-// longest line's length. A one-state line is the point update
-// pi_j <- inflow_j / d_j. A closed line, which sends nothing out of itself,
-// ends on a pivot of 0: its last state keeps its value, the rest are solved
-// from it, and SteadyState's rescale sets the line's mass.
-func (g *Generator) lineSweep(pi []float64, block []int32, invPivot, rhs, upper []float64) {
-	for s := 0; s < g.n; {
-		e := lineEnd(block, s, g.n)
-		var r float64
-		for j := s; j < e; j++ {
-			sum, lo, hi := g.lineInflow(pi, j, s, e)
-			r = (sum + lo*r) * invPivot[j]
-			rhs[j-s], upper[j-s] = r, hi*invPivot[j]
+		x := line[w-1]
+		if inv[w-1] != 0 {
+			x = rhs[w-1]
 		}
-		x := pi[e-1]
-		for j := e - 1; j >= s; j-- {
-			if invPivot[j] != 0 {
-				x = rhs[j-s] + upper[j-s]*x
+		line[w-1] = x
+		for q := w - 2; q >= 0; q-- {
+			if inv[q] != 0 {
+				x = rhs[q] + down[q+1]*inv[q]*x
 			}
-			pi[j] = x
+			line[q] = x
 		}
-		s = e
 	}
 }
 
-// linePivots returns the inverse modified pivot of every state (0 for a
-// pivot of 0) and the longest line's length. With up_q and down_q the rates
-// from q to q+1 and q-1 in its line and e_q = d_q - up_q - down_q, the pivot
-// b_q = d_q - down_q up_{q-1} / b_{q-1} is summed as up_q + a_q with
-// a_q = e_q + down_q a_{q-1} / b_{q-1}, as the difference loses a factor
-// down/up of accuracy per state on a line with a strong drift.
-func (g *Generator) linePivots(block []int32) ([]float64, int) {
-	invPivot, longest := make([]float64, g.n), 0
-	for s := 0; s < g.n; {
-		e := lineEnd(block, s, g.n)
-		longest = max(longest, e-s)
-		// The scan of column q+1 yields up_q and down_{q+2}; its inflow sum
-		// is unused, so any vector serves as the iterate.
-		_, _, downNext := g.lineInflow(g.outRate, s, s, e)
-		var down, a, inv float64
-		for q := s; q < e; q++ {
-			var up, downAfter float64
-			if q+1 < e {
-				_, up, downAfter = g.lineInflow(g.outRate, q+1, s, e)
-			}
-			rest := g.outRate[q] - up - down
-			if rest < closedLine*g.outRate[q] {
-				rest = 0
-			}
-			a = rest + down*a*inv
-			inv = 0
-			if pivot := up + a; pivot > 0 {
-				inv = 1 / pivot
-			}
-			invPivot[q] = inv
-			down, downNext = downNext, downAfter
+// factor returns the inverse modified pivot of every state for the Thomas
+// pass (0 for a pivot of 0). With e_q = d_q - up_q - down_q the rate out of
+// the line, the pivot b_q = d_q - down_q up_{q-1} / b_{q-1} is summed as
+// up_q + a_q with a_q = e_q + down_q a_{q-1} / b_{q-1}, as the difference
+// loses a factor down/up of accuracy per state on a line with a strong
+// drift. down_q is 0 at a line's first state, which restarts the recurrence.
+func (g *Generator) factor() []float64 {
+	invPivot := make([]float64, g.n)
+	var a, inv float64
+	for q, up := range g.up {
+		down, out := g.down[q], g.out[q]
+		rest := out - up - down
+		if rest < closedLine*out {
+			rest = 0
 		}
-		s = e
+		a = rest + down*a*inv
+		inv = 0
+		if pivot := up + a; pivot > 0 {
+			inv = 1 / pivot
+		}
+		invPivot[q] = inv
 	}
-	return invPivot, longest
+	return invPivot
 }
+
+// whole is the aggregate of a chain as one line that holds all its mass.
+var whole = Aggregation{Mass: []float64{1}}
 
 // normalize scales the vector to sum to 1 and clamps tiny negative rounding
 // artefacts to zero. It returns ErrNotIrreducible if the vector sums to zero.
-func normalize(v []float64) error {
-	var sum float64
-	for i, x := range v {
-		if x < 0 {
-			if x < -1e-12 {
-				return fmt.Errorf("%w: negative probability %v at state %d", ErrNotIrreducible, x, i)
-			}
-			v[i] = 0
-			continue
-		}
-		sum += x
-	}
-	if sum <= 0 || math.IsNaN(sum) || math.IsInf(sum, 0) {
-		return fmt.Errorf("%w: probability mass %v", ErrNotIrreducible, sum)
-	}
-	inv := 1 / sum
-	for i := range v {
-		v[i] *= inv
-	}
-	return nil
-}
+func normalize(v []float64) error { return whole.rescale(v, len(v)) }
 
 // relativeL1Change returns |new - old|_1 / |new|_1.
 func relativeL1Change(old, cur []float64) float64 {
