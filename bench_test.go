@@ -202,8 +202,10 @@ func BenchmarkHandoverBalancing(b *testing.B) {
 
 // BenchmarkModelSolveSingle measures one steady-state solution of the
 // quick-fidelity model of traffic model 3 at 0.5 calls/s (the building block
-// of every figure). It reports the solver's sweep count as sweeps/op, so a
-// convergence regression shows separately from the cost per sweep.
+// of every figure). It reports the solver's sweep count as sweeps/op and the
+// elapsed time per line solved as ns/line-sweep (the time over sweeps times
+// (n, m, r) buffer lines, build and measures included), so a convergence
+// regression shows separately from the cost per sweep.
 func BenchmarkModelSolveSingle(b *testing.B) {
 	cfg := core.BaseConfig(traffic.Model3, 0.5)
 	cfg.Channels.TotalChannels = 10
@@ -213,15 +215,19 @@ func BenchmarkModelSolveSingle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	lines := model.StateSpace().NumStates() / (cfg.BufferSize + 1)
 	b.ReportAllocs()
 	b.ResetTimer()
+	sweeps := 0
 	for i := 0; i < b.N; i++ {
 		res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-6})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.Solver.Iterations), "sweeps/op")
+		sweeps += res.Solver.Iterations
 	}
+	b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sweeps*lines), "ns/line-sweep")
 }
 
 // BenchmarkGeneratorConstruction measures building the generator of the

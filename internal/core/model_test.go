@@ -671,8 +671,9 @@ func quickFig6Points() [][2]float64 {
 func TestQuickFig6SweepBudget(t *testing.T) {
 	// Line sweeps solve each (n, m, r) block's buffer distribution exactly,
 	// so the twelve Quick Fig. 6 solutions take 630 sweeps in all (point
-	// Gauss–Seidel under the same aggregation took 2,770). Each point has
-	// 175,428 transitions.
+	// Gauss–Seidel under the same aggregation took 2,770). The colour order
+	// that solves four lines at a time gives the iterates of index order, so
+	// it keeps that count. Each point has 175,428 transitions.
 	const budget, transitions = 700, 175428
 	total := 0
 	for _, p := range quickFig6Points() {
@@ -695,4 +696,5 @@ func TestQuickFig6SweepBudget(t *testing.T) {
 	if total > budget {
 		t.Errorf("Quick Fig. 6 took %d sweeps, budget %d", total, budget)
 	}
+	t.Logf("Quick Fig. 6 took %d sweeps", total)
 }

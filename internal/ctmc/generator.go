@@ -21,6 +21,16 @@
 // replaced by the closed form), and the sweeps, which solve each line's
 // balance equations exactly, only resolve the distribution within each line
 // (see SolveOptions.Aggregation).
+//
+// A sweep solves the lines in index order, each from the newest values of
+// the others, so each line's Thomas pass waits for the one before it. The
+// generator therefore also holds a sweep order: the lines coloured so that
+// two lines joined by a transition have different colours and the lower
+// line has the lower colour, listed colour by colour. The lines of a colour
+// do not feed each other, so a sweep solves four of them at a time with
+// their Thomas passes interleaved, and as every joined pair is still solved
+// in index order, the iterates are those of the index-order sweep, bit for
+// bit.
 package ctmc
 
 import (
@@ -63,6 +73,10 @@ type Generator struct {
 	// from[fromStart[l]:fromStart[l+1]] are the jumps into line l.
 	fromStart []int32
 	from      []jump
+
+	// order lists the lines colour by colour, in index order within a
+	// colour; colour c ends at colourEnd[c] (see colour).
+	order, colourEnd []int32
 
 	maxOutRate float64
 	nnz        int64
@@ -199,7 +213,62 @@ func NewGenerator(numStates, lineWidth int, transitions TransitionFunc) (*Genera
 		g.fromStart[j.to]--
 		g.from[g.fromStart[j.to]] = j
 	}
+	g.colour()
 	return g, nil
+}
+
+// colour derives the sweep order. It colours the lines greedily in index
+// order, each with the colour after the largest colour of the lower lines
+// joined to it by a jump in either direction, and lists them colour by
+// colour, in index order within a colour. No line then feeds another of its
+// colour, so the sweeps may solve a colour's lines together. And of two
+// joined lines, the lower always has the lower colour and is solved first,
+// so every line sees the same newest and previous values as in a sweep in
+// index order: the colour order is line Gauss–Seidel in index order, bit
+// for bit. (The least colour free of the neighbours' would be a colouring
+// with fewer colours, but not index order: it turns a directed ring of four
+// lines into two pairs that trade their values every sweep and never
+// converge.) The colours live in flat arrays: a dense chain can need as
+// many colours as it has lines.
+func (g *Generator) colour() {
+	lines := len(g.fromStart) - 1
+	// Before line l is coloured, colour[l] is the least colour its jumps
+	// into lower lines leave it: colouring a line raises it in every higher
+	// line that jumps into it.
+	colour := make([]int32, lines)
+	var colours int32
+	for l := range lines {
+		from := g.from[g.fromStart[l]:g.fromStart[l+1]]
+		c := colour[l]
+		for _, j := range from {
+			if int(j.from) < l {
+				c = max(c, colour[j.from]+1)
+			}
+		}
+		for _, j := range from {
+			if int(j.from) > l {
+				colour[j.from] = max(colour[j.from], c+1)
+			}
+		}
+		colour[l] = c
+		colours = max(colours, c+1)
+	}
+	g.colourEnd = make([]int32, colours)
+	for _, c := range colour {
+		g.colourEnd[c]++
+	}
+	// Turn the counts of lines per colour into each colour's start, and fill
+	// the colours in index order, which leaves each start at its colour's
+	// end.
+	var start int32
+	for c, count := range g.colourEnd {
+		g.colourEnd[c], start = start, start+count
+	}
+	g.order = make([]int32, lines)
+	for l, c := range colour {
+		g.order[g.colourEnd[c]] = int32(l)
+		g.colourEnd[c]++
+	}
 }
 
 // NumStates returns the number of states of the chain.

@@ -153,7 +153,7 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	}
 
 	invPivot := g.factor()
-	rhs := make([]float64, g.width)
+	rhs := make([]float64, 4*g.width)
 	prev := make([]float64, g.n)
 	sol := &Solution{}
 	for iter := 1; iter <= o.MaxIterations; iter++ {
@@ -181,36 +181,114 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 // leaves its line counts as 0, so a closed line ends on a pivot of 0.
 const closedLine = 1e-12
 
-// sweep runs one line Gauss–Seidel sweep, updating pi in place. It visits
-// the lines in index order and solves the balance equations of each exactly,
-// given the newest inflow rhs from the other lines:
+// sweep runs one line Gauss–Seidel sweep, updating pi in place. It solves
+// the balance equations of each line exactly, given the newest inflow rhs
+// from the other lines:
 // d_q x_q - up_{q-1} x_{q-1} - down_{q+1} x_{q+1} = rhs_q, by a Thomas pass
-// over the pivots of factor; rhs is scratch of the line width. A one-state
-// line is the point update pi_j <- inflow_j / d_j. A closed line, which
-// sends nothing out of itself, ends on a pivot of 0: its last state keeps its
-// value, the rest are solved from it, and SteadyState's rescale sets the
-// line's mass.
+// over the pivots of factor. It visits the lines in the order of colour,
+// which gives the same iterate as index order, four lines of a colour at a
+// time: no line feeds another of its colour, so it gathers the four inflows
+// first and then runs the four Thomas passes interleaved, as four
+// independent chains of dependent multiply-adds that the CPU overlaps. The
+// last one to three lines of a colour are solved one at a time. rhs is
+// scratch of four line widths. A one-state line is the point update
+// pi_j <- inflow_j / d_j. A closed line, which sends nothing out of itself,
+// ends on a pivot of 0: its last state keeps its value, the rest are solved
+// from it, and SteadyState's rescale sets the line's mass.
 func (g *Generator) sweep(pi, invPivot, rhs []float64) {
 	w := g.width
-	for l, s := 0, 0; s < g.n; l, s = l+1, s+w {
-		g.inflow(pi, l, rhs)
-		inv, down, line := invPivot[s:s+w], g.down[s:s+w], pi[s:s+w]
-		var r, up float64
-		for q := range rhs {
-			r = (rhs[q] + up*r) * inv[q]
-			rhs[q], up = r, g.up[s+q]
+	var start int32
+	for _, end := range g.colourEnd {
+		lines := g.order[start:end]
+		start = end
+		for ; len(lines) >= 4; lines = lines[4:] {
+			g.solve4(pi, invPivot, rhs, lines[:4])
 		}
-		x := line[w-1]
-		if inv[w-1] != 0 {
-			x = rhs[w-1]
+		for _, l := range lines {
+			g.solveLine(pi, invPivot, rhs[:w], int(l))
 		}
-		line[w-1] = x
-		for q := w - 2; q >= 0; q-- {
-			if inv[q] != 0 {
-				x = rhs[q] + down[q+1]*inv[q]*x
-			}
-			line[q] = x
+	}
+}
+
+// solveLine solves line l, given pi at the other lines.
+func (g *Generator) solveLine(pi, invPivot, rhs []float64, l int) {
+	w := len(rhs)
+	s := l * w
+	g.inflow(pi, l, rhs)
+	inv, down, line := invPivot[s:s+w], g.down[s:s+w], pi[s:s+w]
+	var r, up float64
+	for q := range rhs {
+		r = (rhs[q] + up*r) * inv[q]
+		rhs[q], up = r, g.up[s+q]
+	}
+	x := line[w-1]
+	if inv[w-1] != 0 {
+		x = rhs[w-1]
+	}
+	line[w-1] = x
+	for q := w - 2; q >= 0; q-- {
+		if inv[q] != 0 {
+			x = rhs[q] + down[q+1]*inv[q]*x
 		}
+		line[q] = x
+	}
+}
+
+// solve4 solves four lines of one colour, given pi at the other lines, with
+// the arithmetic of solveLine for each.
+func (g *Generator) solve4(pi, invPivot, rhs []float64, lines []int32) {
+	w := g.width
+	s0, s1, s2, s3 := int(lines[0])*w, int(lines[1])*w, int(lines[2])*w, int(lines[3])*w
+	x0, x1, x2, x3 := rhs[:w], rhs[w:][:w], rhs[2*w:][:w], rhs[3*w:][:w]
+	g.inflow(pi, int(lines[0]), x0)
+	g.inflow(pi, int(lines[1]), x1)
+	g.inflow(pi, int(lines[2]), x2)
+	g.inflow(pi, int(lines[3]), x3)
+	i0, i1, i2, i3 := invPivot[s0:s0+w], invPivot[s1:s1+w], invPivot[s2:s2+w], invPivot[s3:s3+w]
+
+	u0, u1, u2, u3 := g.up[s0:s0+w], g.up[s1:s1+w], g.up[s2:s2+w], g.up[s3:s3+w]
+	var r0, r1, r2, r3, p0, p1, p2, p3 float64
+	for q := range x0 {
+		r0 = (x0[q] + p0*r0) * i0[q]
+		r1 = (x1[q] + p1*r1) * i1[q]
+		r2 = (x2[q] + p2*r2) * i2[q]
+		r3 = (x3[q] + p3*r3) * i3[q]
+		x0[q], p0 = r0, u0[q]
+		x1[q], p1 = r1, u1[q]
+		x2[q], p2 = r2, u2[q]
+		x3[q], p3 = r3, u3[q]
+	}
+
+	d0, d1, d2, d3 := g.down[s0:s0+w], g.down[s1:s1+w], g.down[s2:s2+w], g.down[s3:s3+w]
+	l0, l1, l2, l3 := pi[s0:s0+w], pi[s1:s1+w], pi[s2:s2+w], pi[s3:s3+w]
+	y0, y1, y2, y3 := l0[w-1], l1[w-1], l2[w-1], l3[w-1]
+	if i0[w-1] != 0 {
+		y0 = x0[w-1]
+	}
+	if i1[w-1] != 0 {
+		y1 = x1[w-1]
+	}
+	if i2[w-1] != 0 {
+		y2 = x2[w-1]
+	}
+	if i3[w-1] != 0 {
+		y3 = x3[w-1]
+	}
+	l0[w-1], l1[w-1], l2[w-1], l3[w-1] = y0, y1, y2, y3
+	for q := w - 2; q >= 0; q-- {
+		if i0[q] != 0 {
+			y0 = x0[q] + d0[q+1]*i0[q]*y0
+		}
+		if i1[q] != 0 {
+			y1 = x1[q] + d1[q+1]*i1[q]*y1
+		}
+		if i2[q] != 0 {
+			y2 = x2[q] + d2[q+1]*i2[q]*y2
+		}
+		if i3[q] != 0 {
+			y3 = x3[q] + d3[q+1]*i3[q]*y3
+		}
+		l0[q], l1[q], l2[q], l3[q] = y0, y1, y2, y3
 	}
 }
 

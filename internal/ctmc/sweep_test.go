@@ -1,0 +1,119 @@
+package ctmc_test
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/ctmc"
+	"repro/internal/traffic"
+)
+
+// quickFig6Model returns the model of one Quick Fig. 6 point: traffic model
+// 3 on a 10-channel cell with a 30-packet buffer and at most 10 sessions.
+func quickFig6Model(t *testing.T, fraction, rate float64) *core.Model {
+	t.Helper()
+	cfg := core.BaseConfig(traffic.Model3, rate)
+	cfg.Channels.TotalChannels = 10
+	cfg.BufferSize = 30
+	cfg.MaxSessions = min(cfg.MaxSessions, 10)
+	cfg.GPRSFraction = fraction
+	model, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model
+}
+
+// denseChain returns a chain of n states in which every state moves to
+// every other, so each state is its own line and, built with width 1, its
+// line graph is complete and needs n colours.
+func denseChain(n int) ctmc.TransitionFunc {
+	return func(s int, emit func(int, float64)) {
+		for to := range n {
+			emit(to, 1+float64((s+2*to)%7))
+		}
+	}
+}
+
+func build(t *testing.T, n, width int, tf ctmc.TransitionFunc) *ctmc.Generator {
+	t.Helper()
+	g, err := ctmc.NewGenerator(n, width, tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSweepOrderIsAColouring checks the sweep order of the Quick Fig. 6
+// generator, built with buffer lines and with one state per line, and of a
+// dense chain whose 70 colours do not fit a 64-bit mask.
+func TestSweepOrderIsAColouring(t *testing.T) {
+	model := quickFig6Model(t, 0.05, 0.6)
+	n, k := model.StateSpace().NumStates(), model.StateSpace().BufferSize()
+	const dense = 70
+	for _, tc := range []struct {
+		name       string
+		n, width   int
+		tf         ctmc.TransitionFunc
+		minColours int
+	}{
+		{"Quick Fig. 6 with buffer lines", n, k + 1, model.Transitions(), 2},
+		{"Quick Fig. 6 with one state per line", n, 1, model.Transitions(), 2},
+		{"dense chain with one state per line", dense, 1, denseChain(dense), dense},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := build(t, tc.n, tc.width, tc.tf)
+			if err := ctmc.SweepOrderError(g, tc.tf); err != nil {
+				t.Fatal(err)
+			}
+			if c := ctmc.Colours(g); c < tc.minColours {
+				t.Errorf("%d colours, want at least %d", c, tc.minColours)
+			}
+			t.Logf("%d lines in %d colours", tc.n/tc.width, ctmc.Colours(g))
+		})
+	}
+}
+
+// TestFourWidePassMatchesOneLineAtATime pins that the colour order and
+// solving four lines of a colour together change no arithmetic: twenty
+// sweeps give the same iterates, bit for bit, as a sweep that solves one
+// line at a time in index order. The Quick Fig. 6 builds have 30 and 60
+// colours of many lines each, so nearly every line goes through the
+// four-wide pass; the dense chain has one line per colour, so every line
+// goes through the one-line tail.
+func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
+	model := quickFig6Model(t, 0.10, 1.0)
+	n, k := model.StateSpace().NumStates(), model.StateSpace().BufferSize()
+	const dense = 70
+	for _, tc := range []struct {
+		name     string
+		n, width int
+		tf       ctmc.TransitionFunc
+	}{
+		{"Quick Fig. 6 with buffer lines", n, k + 1, model.Transitions()},
+		{"Quick Fig. 6 with one state per line", n, 1, model.Transitions()},
+		{"dense chain with one state per line", dense, 1, denseChain(dense)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := build(t, tc.n, tc.width, tc.tf)
+			const sweeps = 20
+			four, err := ctmc.Iterates(g, sweeps, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := ctmc.Iterates(g, sweeps, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for it := range sweeps {
+				for i := range one[it] {
+					if math.Float64bits(four[it][i]) != math.Float64bits(one[it][i]) {
+						t.Fatalf("sweep %d, pi[%d]: %v four lines at a time, %v one at a time",
+							it+1, i, four[it][i], one[it][i])
+					}
+				}
+			}
+		})
+	}
+}
