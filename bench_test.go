@@ -2,8 +2,8 @@
 // section (Section 5). Each benchmark runs the corresponding experiment at
 // quick fidelity (scaled-down cell, coarse arrival-rate sweep) so the whole
 // suite completes in minutes; cmd/gprs-experiments -full reproduces the
-// paper-resolution figures. The reported metrics include the number of model
-// solutions ("solves") per figure.
+// paper-resolution figures. The figure benchmarks report the number of
+// plotted points per figure row.
 package repro_test
 
 import (
@@ -12,31 +12,25 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ctmc"
+	"repro/internal/erlang"
 	"repro/internal/experiments"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
-// benchOptions are the quick-fidelity options used by every figure benchmark.
+// benchOptions are the quick-fidelity options of every figure benchmark:
+// short simulator series for Figs. 5-6 and the hotspot set, on the paper's
+// seven-cell cluster.
 func benchOptions() experiments.Options {
 	return experiments.Options{
 		Fidelity:          experiments.Quick,
 		Tolerance:         1e-6,
-		WithSimulation:    false,
+		WithSimulation:    true,
 		SimMeasurementSec: 600,
+		Setup:             scenario.Setup{Cells: 7},
 	}
-}
-
-func reportSolves(b *testing.B, figs []experiments.Figure) {
-	b.Helper()
-	var solves int
-	for _, f := range figs {
-		for _, s := range f.Series {
-			solves += len(s.X)
-		}
-	}
-	b.ReportMetric(float64(solves), "solves/op")
 }
 
 // BenchmarkTable2BaseParameters regenerates Table 2 (base parameter setting).
@@ -59,140 +53,38 @@ func BenchmarkTable3TrafficModels(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5ThresholdCalibration regenerates Fig. 5 (PLP vs eta, including
-// a short detailed-simulator run with TCP).
-func BenchmarkFig5ThresholdCalibration(b *testing.B) {
-	opts := benchOptions()
-	opts.WithSimulation = true
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig5ThresholdCalibration(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSolves(b, []experiments.Figure{fig})
+// BenchmarkFigures regenerates each figure row of the evaluation section,
+// one sub-benchmark per name, and reports the plotted points per run as
+// points/op.
+func BenchmarkFigures(b *testing.B) {
+	for _, name := range experiments.FigureNames() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				figs, err := experiments.Figures(name, benchOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				var points int
+				for _, f := range figs {
+					for _, s := range f.Series {
+						points += len(s.X)
+					}
+				}
+				b.ReportMetric(float64(points), "points/op")
+			}
+		})
 	}
 }
 
-// BenchmarkFig6Validation regenerates Fig. 6 (model vs simulator, CDT and
-// ATU).
-func BenchmarkFig6Validation(b *testing.B) {
-	opts := benchOptions()
-	opts.WithSimulation = true
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.Fig6Validation(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSolves(b, figs)
-	}
-}
-
-// BenchmarkFig7CDT regenerates Fig. 7 (CDT, traffic models 1 and 2).
-func BenchmarkFig7CDT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.Fig7CDT(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSolves(b, figs)
-	}
-}
-
-// BenchmarkFig8PLP regenerates Fig. 8 (PLP, traffic models 1 and 2).
-func BenchmarkFig8PLP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.Fig8PLP(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSolves(b, figs)
-	}
-}
-
-// BenchmarkFig9QD regenerates Fig. 9 (queueing delay, traffic models 1 and 2).
-func BenchmarkFig9QD(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.Fig9QD(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSolves(b, figs)
-	}
-}
-
-// BenchmarkFig10SessionLimit regenerates Fig. 10 (CDT and GPRS session
-// blocking for different session limits M).
-func BenchmarkFig10SessionLimit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.Fig10SessionLimit(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSolves(b, figs)
-	}
-}
-
-// BenchmarkFig11TwoPercent regenerates Fig. 11 (CDT and ATU, 2% GPRS users).
-func BenchmarkFig11TwoPercent(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.Fig11TwoPercent(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSolves(b, figs)
-	}
-}
-
-// BenchmarkFig12FivePercent regenerates Fig. 12 (CDT and ATU, 5% GPRS users).
-func BenchmarkFig12FivePercent(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.Fig12FivePercent(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSolves(b, figs)
-	}
-}
-
-// BenchmarkFig13TenPercent regenerates Fig. 13 (CDT and ATU, 10% GPRS users).
-func BenchmarkFig13TenPercent(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.Fig13TenPercent(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSolves(b, figs)
-	}
-}
-
-// BenchmarkFig14VoiceImpact regenerates Fig. 14 (CVT and voice blocking).
-func BenchmarkFig14VoiceImpact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.Fig14VoiceImpact(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSolves(b, figs)
-	}
-}
-
-// BenchmarkFig15GPRSPopulation regenerates Fig. 15 (average GPRS users and
-// session blocking).
-func BenchmarkFig15GPRSPopulation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs, err := experiments.Fig15GPRSPopulation(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSolves(b, figs)
-	}
-}
-
-// BenchmarkHandoverBalancing measures the handover-flow fixed point iteration
-// (Eqs. 4-5) in isolation.
+// BenchmarkHandoverBalancing measures the GPRS handover-flow fixed point
+// (Eqs. 4-5) in isolation, for traffic model 1 at 0.5 calls/s with the
+// quick-fidelity session limit and the model's default tolerance.
 func BenchmarkHandoverBalancing(b *testing.B) {
+	cfg := core.BaseConfig(traffic.Model1, 0.5)
+	cfg.MaxSessions = 10
+	r := cfg.DeriveRates()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.HandoverBalancingAblation(traffic.Model1, 0.5)
+		res, err := erlang.BalanceHandover(r.NewGPRSSessionRate, r.GPRSServiceRate, r.GPRSHandoverRate, cfg.MaxSessions, 1e-12, 10000)
 		if err != nil {
 			b.Fatal(err)
 		}

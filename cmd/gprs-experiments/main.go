@@ -50,10 +50,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -73,7 +75,7 @@ func run(args []string, stdout io.Writer) error {
 	shared := simflags.Bind(fs)
 	var (
 		full   = fs.Bool("full", false, "run the paper-resolution parameter setting (slow)")
-		figure = fs.String("figure", "all", "figure to regenerate: all, tables, fig5 ... fig15")
+		figure = fs.String("figure", "all", "figure to regenerate: all, tables, "+strings.Join(experiments.FigureNames(), ", "))
 		outDir = fs.String("out", "results", "directory for CSV output")
 		noSim  = fs.Bool("no-sim", false, "skip the detailed-simulator series of figs 5 and 6")
 		tol    = fs.Float64("tol", 0, "steady-state solver tolerance (0 = default)")
@@ -82,6 +84,10 @@ func run(args []string, stdout io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	name := strings.ToLower(*figure)
+	if name != "all" && name != "tables" && !slices.Contains(experiments.FigureNames(), name) {
+		return fmt.Errorf("unknown figure %q (use all, tables, %s)", name, strings.Join(experiments.FigureNames(), ", "))
 	}
 	// Resolved up front: figures solve their full analytical sweeps before
 	// the simulator runs, so a bad simulator flag must not surface only
@@ -107,24 +113,27 @@ func run(args []string, stdout io.Writer) error {
 	case *quiet:
 		// No progress stream at all.
 	case *pjson:
-		opts.ProgressRecord = jsonProgress(os.Stderr, start)
+		opts.Progress = jsonProgress(os.Stderr, start)
 	default:
-		opts.Progress = func(msg string) {
-			fmt.Fprintf(os.Stderr, "[%7.1fs] %s\n", time.Since(start).Seconds(), msg)
+		opts.Progress = func(ev experiments.ProgressEvent) {
+			fmt.Fprintf(os.Stderr, "[%7.1fs] %s\n", time.Since(start).Seconds(), progressText(ev))
 		}
 	}
 
-	if *figure == "tables" || *figure == "all" {
+	if name == "tables" || name == "all" {
 		fmt.Fprint(stdout, experiments.TableBaseParameters().String())
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, experiments.TableTrafficModels().String())
 		fmt.Fprintln(stdout)
-		if *figure == "tables" {
+		if name == "tables" {
 			return nil
 		}
 	}
 
-	figs, err := selectFigures(*figure, opts)
+	figs, err := experiments.Figures(name, opts)
+	if errors.Is(err, experiments.ErrSimulationOnly) {
+		return fmt.Errorf("-figure %s plots only simulator series; it cannot run with -no-sim", name)
+	}
 	if err != nil {
 		return err
 	}
@@ -152,7 +161,22 @@ type progressLine struct {
 	ETASec float64 `json:"eta_sec,omitempty"`
 }
 
-// jsonProgress returns an experiments.ProgressRecord callback that streams
+// progressText renders one progress event as a human-readable line.
+func progressText(ev experiments.ProgressEvent) string {
+	if ev.Kind == "group" {
+		return fmt.Sprintf("%s done (%d/%d figure groups)", ev.Figure, ev.Done, ev.Total)
+	}
+	note := ""
+	if ev.Adaptive {
+		note = ", hit replication cap"
+		if ev.Converged {
+			note = fmt.Sprintf(", converged at %.2g relative half-width", ev.RelativeHalfWidth)
+		}
+	}
+	return fmt.Sprintf("%s: simulated point %d/%d (%d replications%s)", ev.Figure, ev.Done, ev.Total, ev.Replications, note)
+}
+
+// jsonProgress returns an experiments.Options.Progress callback that streams
 // one JSON line per completion event to w. Calls are serialized by the
 // experiments package, so the encoder needs no extra locking.
 func jsonProgress(w *os.File, start time.Time) func(experiments.ProgressEvent) {
@@ -165,44 +189,5 @@ func jsonProgress(w *os.File, start time.Time) func(experiments.ProgressEvent) {
 		if err := enc.Encode(line); err != nil {
 			fmt.Fprintf(os.Stderr, "progress-json: %v\n", err)
 		}
-	}
-}
-
-func selectFigures(name string, opts experiments.Options) ([]experiments.Figure, error) {
-	single := func(fig experiments.Figure, err error) ([]experiments.Figure, error) {
-		if err != nil {
-			return nil, err
-		}
-		return []experiments.Figure{fig}, nil
-	}
-	switch strings.ToLower(name) {
-	case "all":
-		return experiments.AllFigures(opts)
-	case "fig5":
-		return single(experiments.Fig5ThresholdCalibration(opts))
-	case "fig6":
-		return experiments.Fig6Validation(opts)
-	case "fig7":
-		return experiments.Fig7CDT(opts)
-	case "fig8":
-		return experiments.Fig8PLP(opts)
-	case "fig9":
-		return experiments.Fig9QD(opts)
-	case "fig10":
-		return experiments.Fig10SessionLimit(opts)
-	case "fig11":
-		return experiments.Fig11TwoPercent(opts)
-	case "fig12":
-		return experiments.Fig12FivePercent(opts)
-	case "fig13":
-		return experiments.Fig13TenPercent(opts)
-	case "fig14":
-		return experiments.Fig14VoiceImpact(opts)
-	case "fig15":
-		return experiments.Fig15GPRSPopulation(opts)
-	case "hotspot":
-		return experiments.HotspotFigures(opts)
-	default:
-		return nil, fmt.Errorf("unknown figure %q (use all, tables, fig5 ... fig15, hotspot)", name)
 	}
 }

@@ -29,3 +29,26 @@ func TestRunRejectsBadSharedFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsHotspotWithoutSimulation requires -figure hotspot -no-sim,
+// whose figures plot only simulator series, to fail naming both flags
+// before anything is printed or simulated, and an unknown -figure to fail
+// listing the known names.
+func TestRunRejectsHotspotWithoutSimulation(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-figure", "hotspot", "-no-sim"}, `-figure hotspot plots only simulator series; it cannot run with -no-sim`},
+		{[]string{"-figure", "fig16"}, `unknown figure "fig16" (use all, tables, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, hotspot)`},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-quiet", "-out", t.TempDir()}, c.args...), &out)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("run %v: error %v, want %q", c.args, err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run %v printed before failing:\n%s", c.args, out.String())
+		}
+	}
+}

@@ -25,12 +25,13 @@ type solveEntry struct {
 }
 
 // solveCache memoizes solved (configuration, tolerance) pairs across the
-// figures of one experiment run. The figures sweep heavily overlapping
-// parameter grids — figure 6 shares its (fraction, rate) grid with figures
-// 11-13 and 15, and every two-panel figure used to solve its grid once per
-// panel — so the cache removes roughly half of all model solutions in a full
-// regeneration. Entries are never evicted: a full paper-resolution run is a
-// few thousand solutions, each a few KB of measures.
+// figures of one experiment run. Each figure row solves a grid point once
+// for all its panels, and the rows sweep overlapping parameter grids —
+// figure 6 shares its (fraction, rate) grid with figure 15 and with the
+// 1-PDCH curves of figures 11-13 — so the cache serves those points from the
+// first row that solved them. Entries are never evicted: a full
+// paper-resolution run is a few thousand solutions, each a few KB of
+// measures.
 type solveCache struct {
 	mu      sync.Mutex
 	entries map[solveKey]*solveEntry

@@ -1,11 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 5). Each generator returns one or more Figures — named
-// series of a performance measure versus the GSM/GPRS call arrival rate — by
-// sweeping the analytical model (and, for the validation figures, the
-// detailed simulator) over the paper's parameter grid.
+// evaluation (Section 5). Figures runs one row of the figure table and
+// returns its Figures — named series of a performance measure versus the
+// GSM/GPRS call arrival rate — by sweeping the analytical model (and, for
+// the validation figures, the detailed simulator) over the paper's parameter
+// grid.
 //
-// All levels of the reproduction parallelize under one worker bound: figures
-// run concurrently inside AllFigures, the model solutions of each figure's
+// All levels of the reproduction parallelize under one worker bound: the
+// rows of Figures("all") run concurrently, the model solutions of each row's
 // sweep run concurrently, and every simulator point runs
 // Options.Sim.Replications independent replications concurrently through the
 // runner package. A shared runner.Limiter keeps the total number of in-flight
@@ -20,7 +21,7 @@
 // session limit, fewer sweep points, shorter simulation runs) so that the
 // complete set of figures regenerates in a few minutes inside `go test
 // -bench`; the qualitative shape of every curve (orderings, crossovers,
-// saturation behaviour) is preserved. EXPERIMENTS.md records both.
+// saturation behaviour) is preserved.
 //
 // # Determinism contract
 //
@@ -63,7 +64,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -105,8 +105,9 @@ type Options struct {
 	// MaxIterations bounds the solver sweeps; the zero value means 20000.
 	MaxIterations int
 	// WithSimulation adds detailed-simulator series to the validation figures
-	// (Fig. 5 and Fig. 6). It is implied for those figures; setting it false
-	// skips the simulator to keep benchmark runs fast.
+	// (Fig. 5 and Fig. 6); false skips the simulator to keep runs fast. The
+	// hotspot figures plot only simulator series, so Figures fails for them
+	// with ErrSimulationOnly when it is false.
 	WithSimulation bool
 	// SimMeasurementSec overrides the simulated measurement time per point;
 	// the zero value means 4000 s for Quick and 20000 s for Full.
@@ -127,20 +128,15 @@ type Options struct {
 	// symmetric load, so under a non-uniform scenario the simulator series
 	// are the reference and the model series keep their symmetric meaning.
 	Setup scenario.Setup
-	// Progress, when non-nil, receives one human-readable line per completed
-	// unit of work (a finished figure, a simulated point). Calls are
+	// Progress, when non-nil, receives one event per completed unit of work
+	// (a simulated point, a finished row of Figures("all")). Calls are
 	// serialized but may arrive in any order.
-	Progress func(msg string)
-	// ProgressRecord, when non-nil, receives the same completion events as
-	// Progress in structured form (figure id, point counts, replication
-	// counts, convergence state), for machine-readable progress streams.
-	// Calls are serialized with Progress calls but may arrive in any order.
-	ProgressRecord func(ev ProgressEvent)
+	Progress func(ev ProgressEvent)
 
 	// limiter is the shared semaphore bounding the number of concurrently
 	// active model solutions and simulator runs across every level of
 	// parallelism (figures, points, replications). withDefaults installs one
-	// sized Workers; AllFigures hands the same limiter to all figures.
+	// sized Workers; Figures("all") hands the same limiter to all rows.
 	limiter *runner.Limiter
 	// admission bounds how many simulators are live at once when
 	// Sim.Shards > 1 (the CPU bound then moves to the shard workers, which
@@ -148,10 +144,10 @@ type Options struct {
 	// withDefaults and shared across all figures and sweep points of one run.
 	admission *runner.Limiter
 	// cache memoizes steady-state solutions across all figures sharing this
-	// Options value; installed by withDefaults, shared by AllFigures.
+	// Options value; installed by withDefaults, shared by Figures("all").
 	cache *solveCache
-	// progressMu serializes Progress calls across all levels of parallelism
-	// that share this Options value; installed by withDefaults.
+	// progressMu serializes Progress calls and emit's completion counts
+	// across every fan-out sharing this Options value; set by withDefaults.
 	progressMu *sync.Mutex
 }
 
@@ -200,20 +196,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// progress emits one progress line if a callback is installed. Calls are
-// serialized across every fan-out sharing this Options value.
-func (o Options) progress(format string, args ...any) {
-	if o.Progress == nil {
-		return
-	}
-	msg := fmt.Sprintf(format, args...)
+// emit counts one completed unit of work in *done, sets the event's Done to
+// the new count and delivers the event if a callback is installed. Calls are
+// serialized across every fan-out sharing this Options value, so the counts
+// of one fan-out arrive in increasing order.
+func (o Options) emit(done *int, ev ProgressEvent) {
 	o.progressMu.Lock()
 	defer o.progressMu.Unlock()
-	o.Progress(msg)
+	*done++
+	ev.Done = *done
+	if o.Progress != nil {
+		o.Progress(ev)
+	}
 }
 
-// ProgressEvent is one structured completion event of an experiment run,
-// delivered through Options.ProgressRecord.
+// ProgressEvent is one completion event of an experiment run, delivered
+// through Options.Progress.
 type ProgressEvent struct {
 	// Kind discriminates the event: "point" for a completed sweep point,
 	// "group" for a completed figure group.
@@ -238,17 +236,6 @@ type ProgressEvent struct {
 	// RelativeHalfWidth is the realized relative confidence half-width of
 	// the adaptive target measure at a completed point.
 	RelativeHalfWidth float64 `json:"relative_half_width,omitempty"`
-}
-
-// record emits one structured progress event if a recorder is installed,
-// serialized with the human-readable progress stream.
-func (o Options) record(ev ProgressEvent) {
-	if o.ProgressRecord == nil {
-		return
-	}
-	o.progressMu.Lock()
-	defer o.progressMu.Unlock()
-	o.ProgressRecord(ev)
 }
 
 // Series is one curve of a figure: a performance measure versus the total
@@ -277,6 +264,9 @@ type Figure struct {
 	Series []Series
 }
 
+// rateAxis is the x label of every model figure.
+const rateAxis = "GSM/GPRS call arrival rate (1/s)"
+
 // callRates returns the arrival-rate sweep of the experiments.
 func callRates(f Fidelity) []float64 {
 	if f == Full {
@@ -290,29 +280,25 @@ func callRates(f Fidelity) []float64 {
 // scaled-down cell for Quick.
 func baseConfig(f Fidelity, model traffic.Model, rate float64) core.Config {
 	cfg := core.BaseConfig(model, rate)
-	if f == Full {
-		return cfg
-	}
-	// Quick: half the channels, a smaller BSC buffer and session limit. The
-	// offered load per channel stays comparable, so the curves keep their
-	// shape while the state space shrinks by roughly two orders of magnitude.
-	cfg.Channels.TotalChannels = 10
-	cfg.BufferSize = 30
-	if cfg.MaxSessions > 10 {
-		cfg.MaxSessions = 10
+	if f != Full {
+		quickCell(&cfg.Channels.TotalChannels, &cfg.BufferSize, &cfg.MaxSessions)
 	}
 	return cfg
+}
+
+// quickCell scales a cell to Quick fidelity: half the channels, a smaller
+// BSC buffer and session limit. The offered load per channel stays
+// comparable, so the curves keep their shape while the state space shrinks
+// by roughly two orders of magnitude.
+func quickCell(channels, buffer, sessions *int) {
+	*channels, *buffer, *sessions = 10, 30, min(*sessions, 10)
 }
 
 // simConfig mirrors baseConfig for the detailed simulator.
 func simConfig(o Options, model traffic.Model, rate float64) sim.Config {
 	cfg := sim.DefaultConfig(model, rate)
 	if o.Fidelity != Full {
-		cfg.Channels.TotalChannels = 10
-		cfg.BufferSize = 30
-		if cfg.MaxSessions > 10 {
-			cfg.MaxSessions = 10
-		}
+		quickCell(&cfg.Channels.TotalChannels, &cfg.BufferSize, &cfg.MaxSessions)
 		cfg.WarmupSec = 500
 		cfg.Batches = 5
 	}
@@ -322,9 +308,9 @@ func simConfig(o Options, model traffic.Model, rate float64) sim.Config {
 
 // solvePoint builds and solves the analytical model for one configuration;
 // Model.Solve fails when the solve did not converge, so no unconverged point
-// reaches a figure. It memoizes (configuration, tolerance) pairs in the run's shared
-// cache so figures sweeping overlapping parameter grids — and the second
-// panel of every two-panel figure — reuse solutions instead of re-solving.
+// reaches a figure. It memoizes (configuration, tolerance) pairs in the run's
+// shared cache so figures sweeping overlapping parameter grids reuse
+// solutions instead of re-solving.
 func solvePoint(cfg core.Config, o Options) (core.Measures, error) {
 	key := solveKey{cfg: cfg, tolerance: o.Tolerance, maxIterations: o.MaxIterations}
 	return o.cache.solve(key, func() (core.Measures, error) {
@@ -343,31 +329,6 @@ func solvePoint(cfg core.Config, o Options) (core.Measures, error) {
 	})
 }
 
-// sweepJob is one model solution in a sweep: a configuration plus the slot
-// its result lands in.
-type sweepJob struct {
-	cfg    core.Config
-	series int
-	point  int
-}
-
-// sweep solves a grid of configurations concurrently — bounded by the shared
-// limiter so nested figure-level parallelism cannot oversubscribe the CPU —
-// and fills the target figure series through the extract callback. Each job
-// writes to its own (series, point) slot, so the filled series do not depend
-// on the schedule.
-func sweep(jobs []sweepJob, o Options, extract func(core.Measures) float64, series []Series) error {
-	return runner.ForEach(o.limiter, len(jobs), func(k int) error {
-		job := jobs[k]
-		meas, err := solvePoint(job.cfg, o)
-		if err != nil {
-			return err
-		}
-		series[job.series].Y[job.point] = extract(meas)
-		return nil
-	})
-}
-
 // simulateSweep runs the replicated detailed simulator over the rate grid and
 // returns one merged summary per point. Points run concurrently and each
 // point's replications run concurrently, all bounded by the shared limiter;
@@ -377,7 +338,6 @@ func sweep(jobs []sweepJob, o Options, extract func(core.Measures) float64, seri
 // regardless of the worker count.
 func simulateSweep(o Options, figID string, model traffic.Model, rates []float64, mutate func(*sim.Config)) ([]runner.Summary, error) {
 	sums := make([]runner.Summary, len(rates))
-	var mu sync.Mutex
 	done := 0
 	err := runner.ForEach(nil, len(rates), func(i int) error {
 		cfg := simConfig(o, model, rates[i])
@@ -398,41 +358,28 @@ func simulateSweep(o Options, figID string, model traffic.Model, rates []float64
 			return fmt.Errorf("simulation at rate %g: %w", rates[i], err)
 		}
 		sums[i] = sum
-		note := ""
-		if sum.Adaptive {
-			note = ", hit replication cap"
-			if sum.Converged {
-				note = fmt.Sprintf(", converged at %.2g relative half-width", sum.RelativeHalfWidth)
-			}
-		}
-		mu.Lock()
-		done++
-		o.progress("%s: simulated point %d/%d (%d replications%s)", figID, done, len(rates), sum.Replications, note)
-		o.record(ProgressEvent{
+		o.emit(&done, ProgressEvent{
 			Kind:              "point",
 			Figure:            figID,
-			Done:              done,
 			Total:             len(rates),
 			Replications:      sum.Replications,
 			Adaptive:          sum.Adaptive,
 			Converged:         sum.Converged,
 			RelativeHalfWidth: sum.RelativeHalfWidth,
 		})
-		mu.Unlock()
 		return nil
 	})
 	return sums, err
 }
 
-// seriesFromSummaries builds a simulator series from per-point summaries: the
-// point estimate is the cross-replication mean and YErr its confidence
-// half-width.
-func seriesFromSummaries(label string, rates []float64, sums []runner.Summary,
-	get func(sim.Results) stats.Interval) Series {
+// seriesFromSummaries builds a simulator series of measure m from per-point
+// summaries: the point estimate is the cross-replication mean and YErr its
+// confidence half-width.
+func seriesFromSummaries(label string, rates []float64, sums []runner.Summary, m sim.Measure) Series {
 	s := newSeries(label, rates)
 	s.YErr = make([]float64, len(rates))
-	for i, sum := range sums {
-		iv := get(sum.Merged)
+	for i := range sums {
+		iv := sums[i].Merged.Interval(m)
 		s.Y[i] = iv.Mean
 		s.YErr[i] = iv.HalfWidth
 	}

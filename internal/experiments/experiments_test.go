@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/traffic"
 )
 
@@ -89,10 +88,14 @@ func TestFig5ThresholdCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model sweep too slow for -short mode")
 	}
-	fig, err := Fig5ThresholdCalibration(testOptions())
+	figs, err := Figures("fig5", testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(figs) != 1 {
+		t.Fatalf("want 1 figure, got %d", len(figs))
+	}
+	fig := figs[0]
 	checkFigure(t, fig, 4)
 	// No flow control (eta = 1.0) must not lose fewer packets than eta = 0.5
 	// at the highest load point.
@@ -147,7 +150,7 @@ func TestFig6ValidationWithSimulation(t *testing.T) {
 }
 
 func TestFig7CDTShape(t *testing.T) {
-	figs, err := Fig7CDT(testOptions())
+	figs, err := Figures("fig7", testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +180,11 @@ func TestFig8And9MorePDCHsHelp(t *testing.T) {
 		t.Skip("model sweeps too slow for -short mode")
 	}
 	o := testOptions()
-	plpFigs, err := Fig8PLP(o)
+	plpFigs, err := Figures("fig8", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qdFigs, err := Fig9QD(o)
+	qdFigs, err := Figures("fig9", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +209,7 @@ func TestFig10SessionLimit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model sweeps too slow for -short mode")
 	}
-	figs, err := Fig10SessionLimit(testOptions())
+	figs, err := Figures("fig10", testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +238,11 @@ func TestFigCDTandATUAcrossFractions(t *testing.T) {
 		t.Skip("model sweeps too slow for -short mode")
 	}
 	o := testOptions()
-	figs11, err := Fig11TwoPercent(o)
+	figs11, err := Figures("fig11", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	figs13, err := Fig13TenPercent(o)
+	figs13, err := Figures("fig13", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +272,7 @@ func TestFig14VoiceImpact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model sweeps too slow for -short mode")
 	}
-	figs, err := Fig14VoiceImpact(testOptions())
+	figs, err := Figures("fig14", testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +300,7 @@ func TestFig15GPRSPopulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model sweeps too slow for -short mode")
 	}
-	figs, err := Fig15GPRSPopulation(testOptions())
+	figs, err := Figures("fig15", testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,15 +328,15 @@ func TestSimulateSweepReplicatedAndDeterministic(t *testing.T) {
 	rates := []float64{0.3, 0.6}
 
 	var mu sync.Mutex
-	var progress []string
+	var progress []ProgressEvent
 	run := func(workers int, record bool) []Series {
 		opts := o
 		opts.Workers = workers
 		if record {
-			opts.Progress = func(msg string) {
+			opts.Progress = func(ev ProgressEvent) {
 				mu.Lock()
 				defer mu.Unlock()
-				progress = append(progress, msg)
+				progress = append(progress, ev)
 			}
 		}
 		opts = opts.withDefaults()
@@ -342,10 +345,8 @@ func TestSimulateSweepReplicatedAndDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		series := []Series{
-			seriesFromSummaries("plp", rates, sums,
-				func(r sim.Results) stats.Interval { return r.PacketLossProbability }),
-			seriesFromSummaries("cdt", rates, sums,
-				func(r sim.Results) stats.Interval { return r.CarriedDataTraffic }),
+			seriesFromSummaries("plp", rates, sums, sim.MeasurePLP),
+			seriesFromSummaries("cdt", rates, sums, sim.MeasureCDT),
 		}
 		if got := sums[0].Merged.CarriedDataTraffic.Batches; got != 2 {
 			t.Fatalf("interval should span the 2 replications, got %d", got)
@@ -361,7 +362,7 @@ func TestSimulateSweepReplicatedAndDeterministic(t *testing.T) {
 		}
 	}
 	if len(progress) != len(rates) {
-		t.Errorf("expected one progress line per point, got %v", progress)
+		t.Errorf("expected one progress event per point, got %v", progress)
 	}
 }
 
@@ -447,29 +448,27 @@ func TestSimulateSweepAdaptivePrecision(t *testing.T) {
 
 func TestSolveCacheDeduplicatesOverlappingSweeps(t *testing.T) {
 	o := testOptions().withDefaults()
-	// Fig. 15 sweeps one (fraction, rate) grid for two panels: the second
-	// panel must be served entirely from the cache.
-	figs, err := Fig15GPRSPopulation(o)
+	// Fig. 15 plots one (fraction, rate) grid in two panels: each point is
+	// requested once and fills both panels, so the grid makes only misses.
+	figs, err := Figures("fig15", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkFigure(t, figs[0], 3)
+	checkFigure(t, figs[1], 3)
 	hits, misses := o.cache.stats()
 	grid := int64(3 * len(callRates(o.Fidelity)))
-	if misses != grid {
-		t.Errorf("unique solutions = %d, want %d", misses, grid)
-	}
-	if hits != grid {
-		t.Errorf("cache hits = %d, want %d (one full panel)", hits, grid)
+	if misses != grid || hits != 0 {
+		t.Errorf("cache misses/hits = %d/%d, want %d/0", misses, hits, grid)
 	}
 	// Fig. 6 sweeps the same fractions over the same rates at the same
 	// reserved-PDCH setting, so a shared Options value re-solves nothing.
 	if _, err := Fig6Validation(o); err != nil {
 		t.Fatal(err)
 	}
-	_, misses2 := o.cache.stats()
-	if misses2 != misses {
-		t.Errorf("figure 6 re-solved %d points the cache already held", misses2-misses)
+	hits2, misses2 := o.cache.stats()
+	if misses2 != misses || hits2 != hits+grid {
+		t.Errorf("figure 6 made %d misses and %d hits, want 0 and %d", misses2-misses, hits2-hits, grid)
 	}
 }
 
@@ -586,24 +585,5 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if FormatFigure(fig) == "" {
 		t.Error("FormatFigure should render")
-	}
-}
-
-func TestHandoverBalancingAblation(t *testing.T) {
-	res, err := HandoverBalancingAblation(traffic.Model1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Traffic model 1 sessions live much longer than the dwell time, so the
-	// balanced handover rate greatly exceeds the fresh arrival rate.
-	if res.BalancedHandoverRate <= res.NaiveHandoverRate {
-		t.Errorf("balanced handover rate %v should exceed the fresh rate %v",
-			res.BalancedHandoverRate, res.NaiveHandoverRate)
-	}
-	if res.Iterations <= 1 {
-		t.Errorf("balancing should iterate, got %d iterations", res.Iterations)
-	}
-	if res.BalancedAGS <= 0 || res.NaiveAGS <= 0 {
-		t.Error("session counts should be positive")
 	}
 }

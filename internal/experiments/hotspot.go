@@ -10,29 +10,25 @@ import (
 	"repro/internal/traffic"
 )
 
-// hotspotMeasure is one per-cell measure reported by the hotspot figures.
-type hotspotMeasure struct {
-	id     string
-	title  string
-	ylabel string
-	get    func(sim.CellMeasures) float64
+// cellPanel is one figure of the hotspot row: a per-cell simulator measure
+// by distance from the scenario's center. get reads the measure from one
+// cell's report of a run that measured for sec simulated seconds.
+type cellPanel struct {
+	id, title, ylabel string
+	get               func(m sim.CellMeasures, sec float64) float64
 }
 
-// HotspotFigures sweeps the call arrival rate under a heterogeneous-load
+// hotspotFigures sweeps the call arrival rate under a heterogeneous-load
 // scenario and reports the spatial response of the cluster: one figure per
-// measure, the per-cell values grouped by hex distance from the scenario's
+// panel, the per-cell values grouped by hex distance from the scenario's
 // center cell (cells at equal distance are statistically identical under a
 // radial scenario and are averaged; corridor scenarios group by distance
-// from the corridor axis instead), one series per arrival rate. The set
-// includes the handover-flow figure (hsp05), the signature measure of
-// mobility scenarios: dwell-time multipliers skew it independently of the
-// carried load. This is the first workload the analytical model cannot
-// express — the simulator series are the reference, so no model curves
-// appear. Options.Setup.Scenario selects the scenario (default: the built-in
+// from the corridor axis instead), one series per arrival rate. This is the
+// first workload the analytical model cannot express — the simulator series
+// are the reference, so no model curves appear. Options.Setup.Scenario selects the scenario (default: the built-in
 // hotspot preset) and Options.Setup.Cells the cluster (default: the 19-cell
 // hex ring, the smallest cluster with three distinct distance groups).
-func HotspotFigures(o Options) ([]Figure, error) {
-	o = o.withDefaults()
+func hotspotFigures(o Options, panels []cellPanel) ([]Figure, error) {
 	if o.Setup.Cells == 0 {
 		o.Setup.Cells = 19
 	}
@@ -70,15 +66,14 @@ func HotspotFigures(o Options) ([]Figure, error) {
 	if dist == nil {
 		return nil, fmt.Errorf("%w: scenario center %d outside the %d-cell cluster", ErrInvalidOptions, center, o.Setup.Cells)
 	}
-	groups := make(map[int][]int) // hex distance -> cell ids
-	maxDist := 0
+	var groups [][]int // cell ids by hex distance
 	for cell, d := range dist {
-		groups[d] = append(groups[d], cell)
-		if d > maxDist {
-			maxDist = d
+		for len(groups) <= d {
+			groups = append(groups, nil)
 		}
+		groups[d] = append(groups[d], cell)
 	}
-	distances := make([]float64, maxDist+1)
+	distances := make([]float64, len(groups))
 	for d := range distances {
 		distances[d] = float64(d)
 	}
@@ -93,47 +88,17 @@ func HotspotFigures(o Options) ([]Figure, error) {
 		return nil, err
 	}
 
-	measures := []hotspotMeasure{
-		{"hsp01_cdt_percell", "carried data traffic per cell under the %q scenario (%d cells)",
-			"carried data traffic (PDCHs)", func(m sim.CellMeasures) float64 { return m.CarriedDataTraffic }},
-		{"hsp02_cvt_percell", "carried voice traffic per cell under the %q scenario (%d cells)",
-			"carried voice traffic (channels)", func(m sim.CellMeasures) float64 { return m.CarriedVoiceTraffic }},
-		{"hsp03_gsmblock_percell", "GSM blocking per cell under the %q scenario (%d cells)",
-			"GSM blocking probability", func(m sim.CellMeasures) float64 { return m.GSMBlocking }},
-		{"hsp04_ags_percell", "active GPRS sessions per cell under the %q scenario (%d cells)",
-			"active GPRS sessions", func(m sim.CellMeasures) float64 { return m.AverageSessions }},
-		// The mobility figure: outbound handover intensity per cell. Under a
-		// pure rate scenario this follows the carried load; under a mobility
-		// profile (highway, hotspot-pedestrian) the dwell-time multipliers
-		// skew it independently of the load — the spatial signature the
-		// paper's single dwell time cannot produce.
-		{"hsp05_hoflow_percell", "outbound handover flow per cell under the %q scenario (%d cells)",
-			"outbound handovers (1/s)",
-			func(m sim.CellMeasures) float64 { return float64(m.HandoversOut) / o.SimMeasurementSec }},
-		// The admission-policy figure: how often the configured policy steps
-		// in, per cell — fresh calls turned away by a guard reservation,
-		// handovers parked in the queue, and directed-retry forwards. Under
-		// the paper's default policy the curve is identically zero; under the
-		// policy presets (hotspot-guard, hotspot-hoqueue, highway-retry) it
-		// shows where in the cluster the admission rule actually bites.
-		{"hsp06_policy_percell", "handover-policy interventions per cell under the %q scenario (%d cells)",
-			"policy interventions (1/s)",
-			func(m sim.CellMeasures) float64 {
-				return float64(m.GuardBlockedCalls+m.HandoversQueued+m.HandoverRetries) / o.SimMeasurementSec
-			}},
-	}
-
-	figs := make([]Figure, 0, len(measures))
-	for _, hm := range measures {
+	figs := make([]Figure, 0, len(panels))
+	for _, p := range panels {
 		fig := Figure{
-			ID:     hm.id,
-			Title:  fmt.Sprintf(hm.title, name, o.Setup.Cells),
+			ID:     p.id,
+			Title:  fmt.Sprintf("%s under the %q scenario (%d cells)", p.title, name, o.Setup.Cells),
 			XLabel: xlabel,
-			YLabel: hm.ylabel,
+			YLabel: p.ylabel,
 		}
 		for ri, rate := range rates {
-			fig.Series = append(fig.Series, distanceSeries(
-				fmt.Sprintf("rate %.2g /s", rate), distances, groups, sums[ri], hm.get))
+			fig.Series = append(fig.Series, distanceSeries(fmt.Sprintf("rate %.2g /s", rate), distances, groups, sums[ri],
+				func(m sim.CellMeasures) float64 { return p.get(m, o.SimMeasurementSec) }))
 		}
 		figs = append(figs, fig)
 	}
@@ -148,7 +113,7 @@ func HotspotFigures(o Options) ([]Figure, error) {
 // so antithetic pairs and control-variate adjustment shrink these error bars
 // exactly like the mid-cell ones. With a single replication the half-width
 // is +Inf, mirroring runner.Merge.
-func distanceSeries(label string, distances []float64, groups map[int][]int,
+func distanceSeries(label string, distances []float64, groups [][]int,
 	sum runner.Summary, get func(sim.CellMeasures) float64) Series {
 	s := newSeries(label, distances)
 	s.YErr = make([]float64, len(distances))

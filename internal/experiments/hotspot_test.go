@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -17,10 +18,11 @@ func TestHotspotFiguresShape(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
+	o.WithSimulation = true
 	o.Setup.Cells = 7
 	o.Sim.Replications = 2
 	o.SimMeasurementSec = 600
-	figs, err := HotspotFigures(o)
+	figs, err := Figures("hotspot", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +80,7 @@ func TestHotspotFiguresHighwayGroupsByAxis(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
+	o.WithSimulation = true
 	o.Setup.Cells = 7
 	o.Sim.Replications = 2
 	o.SimMeasurementSec = 600
@@ -86,7 +89,7 @@ func TestHotspotFiguresHighwayGroupsByAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Setup.Scenario = &spec
-	figs, err := HotspotFigures(o)
+	figs, err := Figures("hotspot", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +122,7 @@ func TestHotspotFiguresHonorScenarioOption(t *testing.T) {
 		t.Skip("replicated simulation runs skipped in -short mode")
 	}
 	o := testOptions()
+	o.WithSimulation = true
 	o.Setup.Cells = 7
 	o.Sim.Replications = 1
 	o.SimMeasurementSec = 300
@@ -127,7 +131,7 @@ func TestHotspotFiguresHonorScenarioOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Setup.Scenario = &spec
-	figs, err := HotspotFigures(o)
+	figs, err := Figures("hotspot", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,5 +141,17 @@ func TestHotspotFiguresHonorScenarioOption(t *testing.T) {
 	// edge (weight 1.5): the spatial response must flip.
 	if !(last.Y[0] < last.Y[1]) {
 		t.Errorf("gradient center should carry less voice traffic than the ring: %v", last.Y)
+	}
+}
+
+// TestFiguresRejectsHotspotWithoutSimulation checks that the
+// simulation-only hotspot row refuses to run without the simulator instead
+// of running it anyway, and that an unknown figure name is an options error.
+func TestFiguresRejectsHotspotWithoutSimulation(t *testing.T) {
+	if _, err := Figures("hotspot", testOptions()); !errors.Is(err, ErrSimulationOnly) {
+		t.Errorf("hotspot without simulation: error %v, want ErrSimulationOnly", err)
+	}
+	if _, err := Figures("fig16", testOptions()); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("unknown figure: error %v, want ErrInvalidOptions", err)
 	}
 }

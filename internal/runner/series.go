@@ -3,6 +3,7 @@ package runner
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -31,42 +32,31 @@ type SeriesSummary struct {
 	Cells []CellSeriesCI
 }
 
-// CellSeriesCI is the per-cell slice of a SeriesSummary: every field is
-// indexed like SeriesSummary.Times.
+// CellSeriesCI is the per-cell slice of a SeriesSummary.
 type CellSeriesCI struct {
 	// Cell is the cell id.
 	Cell int
-	// QueueLen, VoiceCalls and Sessions are intervals over the instantaneous
-	// occupancy gauges at each window end.
-	QueueLen, VoiceCalls, Sessions []stats.Interval
-	// CarriedData is the interval over the cumulative time-weighted mean PDCH
-	// usage at each window end.
-	CarriedData []stats.Interval
-	// WindowPLP and WindowThroughputBits are intervals over the per-window
-	// packet loss fraction and delivered bit rate.
-	WindowPLP, WindowThroughputBits []stats.Interval
+	// Measures holds one interval series per seriesColumns entry, in table
+	// order; each is indexed like SeriesSummary.Times.
+	Measures [][]stats.Interval
 }
 
-// seriesSample extracts one windowed observable of one cell at window k from
-// a recorded series.
-type seriesSample func(s *probe.Series, c *probe.CellSeries, k int) float64
-
-// seriesDefs enumerates the merged series measures once, pairing each
-// extractor with the interval slice it feeds.
-var seriesDefs = []struct {
-	get seriesSample
-	set func(*CellSeriesCI) *[]stats.Interval
+// seriesColumns declares every merged series measure once: its column stem
+// in WriteSeriesCSV and WriteSeriesJSONL (suffixed _mean and _hw) and its
+// per-replication sample of one cell at window k. The occupancy gauges are
+// instantaneous values at the window end; carried data is the cumulative
+// time-weighted mean PDCH usage; the window PLP and throughput are the
+// per-window loss fraction and delivered bit rate.
+var seriesColumns = []struct {
+	name   string
+	sample func(s *probe.Series, c *probe.CellSeries, k int) float64
 }{
-	{func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return float64(c.QueueLen[k]) },
-		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.QueueLen }},
-	{func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return float64(c.VoiceCalls[k]) },
-		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.VoiceCalls }},
-	{func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return float64(c.Sessions[k]) },
-		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.Sessions }},
-	{func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return c.Means[probe.CarriedData][k] },
-		func(ci *CellSeriesCI) *[]stats.Interval { return &ci.CarriedData }},
-	{windowPLP, func(ci *CellSeriesCI) *[]stats.Interval { return &ci.WindowPLP }},
-	{windowThroughput, func(ci *CellSeriesCI) *[]stats.Interval { return &ci.WindowThroughputBits }},
+	{"queue_len", func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return float64(c.QueueLen[k]) }},
+	{"voice_calls", func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return float64(c.VoiceCalls[k]) }},
+	{"sessions", func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return float64(c.Sessions[k]) }},
+	{"carried_data", func(_ *probe.Series, c *probe.CellSeries, k int) float64 { return c.Means[probe.CarriedData][k] }},
+	{"window_plp", windowPLP},
+	{"window_throughput", windowThroughput},
 }
 
 // windowPLP is the per-window packet loss fraction of cell c at window k.
@@ -124,15 +114,16 @@ func MergeSeries(series []*probe.Series, level float64, vr VarianceReduction) *S
 	for cell := range out.Cells {
 		ci := &out.Cells[cell]
 		ci.Cell = first.Cells[cell].Cell
-		for _, def := range seriesDefs {
+		ci.Measures = make([][]stats.Interval, len(seriesColumns))
+		for j, col := range seriesColumns {
 			ivs := make([]stats.Interval, windows)
 			for k := 0; k < windows; k++ {
 				for i, s := range kept {
-					raw[i] = def.get(s, &s.Cells[cell], k)
+					raw[i] = col.sample(s, &s.Cells[cell], k)
 				}
 				ivs[k] = SampleInterval(effectiveSamples(raw, vr, controlInfo{}), level, vr)
 			}
-			*def.set(ci) = ivs
+			ci.Measures[j] = ivs
 		}
 	}
 	return out
@@ -140,10 +131,13 @@ func MergeSeries(series []*probe.Series, level float64, vr VarianceReduction) *S
 
 // seriesCSVHeader is the column layout of WriteSeriesCSV: one row per
 // (window, cell), each merged measure as a (mean, half-width) pair.
-const seriesCSVHeader = "time_sec,cell," +
-	"queue_len_mean,queue_len_hw,voice_calls_mean,voice_calls_hw," +
-	"sessions_mean,sessions_hw,carried_data_mean,carried_data_hw," +
-	"window_plp_mean,window_plp_hw,window_throughput_mean,window_throughput_hw"
+var seriesCSVHeader = func() string {
+	h := "time_sec,cell"
+	for _, col := range seriesColumns {
+		h += "," + col.name + "_mean," + col.name + "_hw"
+	}
+	return h
+}()
 
 func fmtSeriesFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
@@ -153,36 +147,38 @@ func WriteSeriesCSV(w io.Writer, s *SeriesSummary) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, seriesCSVHeader)
 	for k := range s.Times {
-		for i := range s.Cells {
-			c := &s.Cells[i]
-			fmt.Fprintf(bw, "%s,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n",
-				fmtSeriesFloat(s.Times[k]), c.Cell,
-				fmtSeriesFloat(c.QueueLen[k].Mean), fmtSeriesFloat(c.QueueLen[k].HalfWidth),
-				fmtSeriesFloat(c.VoiceCalls[k].Mean), fmtSeriesFloat(c.VoiceCalls[k].HalfWidth),
-				fmtSeriesFloat(c.Sessions[k].Mean), fmtSeriesFloat(c.Sessions[k].HalfWidth),
-				fmtSeriesFloat(c.CarriedData[k].Mean), fmtSeriesFloat(c.CarriedData[k].HalfWidth),
-				fmtSeriesFloat(c.WindowPLP[k].Mean), fmtSeriesFloat(c.WindowPLP[k].HalfWidth),
-				fmtSeriesFloat(c.WindowThroughputBits[k].Mean), fmtSeriesFloat(c.WindowThroughputBits[k].HalfWidth))
+		for _, c := range s.Cells {
+			fmt.Fprintf(bw, "%s,%d", fmtSeriesFloat(s.Times[k]), c.Cell)
+			for _, ivs := range c.Measures {
+				fmt.Fprintf(bw, ",%s,%s", fmtSeriesFloat(ivs[k].Mean), fmtSeriesFloat(ivs[k].HalfWidth))
+			}
+			fmt.Fprintln(bw)
 		}
 	}
 	return bw.Flush()
 }
 
-// seriesJSONCell is the per-cell payload of one WriteSeriesJSONL record.
+// seriesJSONCell is one cell's merged measures at window k, encoded as one
+// object: the cell id, then every seriesColumns measure as a (mean,
+// half-width) pair.
 type seriesJSONCell struct {
-	Cell         int     `json:"cell"`
-	QueueLen     float64 `json:"queue_len_mean"`
-	QueueLenHW   float64 `json:"queue_len_hw"`
-	VoiceCalls   float64 `json:"voice_calls_mean"`
-	VoiceCallsHW float64 `json:"voice_calls_hw"`
-	Sessions     float64 `json:"sessions_mean"`
-	SessionsHW   float64 `json:"sessions_hw"`
-	Carried      float64 `json:"carried_data_mean"`
-	CarriedHW    float64 `json:"carried_data_hw"`
-	PLP          float64 `json:"window_plp_mean"`
-	PLPHW        float64 `json:"window_plp_hw"`
-	Throughput   float64 `json:"window_throughput_mean"`
-	ThroughputHW float64 `json:"window_throughput_hw"`
+	c *CellSeriesCI
+	k int
+}
+
+// MarshalJSON encodes the cell's fields in seriesColumns order.
+func (jc seriesJSONCell) MarshalJSON() ([]byte, error) {
+	b := strconv.AppendInt([]byte(`{"cell":`), int64(jc.c.Cell), 10)
+	for j, col := range seriesColumns {
+		iv := jc.c.Measures[j][jc.k]
+		mean, err1 := json.Marshal(iv.Mean)
+		hw, err2 := json.Marshal(iv.HalfWidth)
+		if err := errors.Join(err1, err2); err != nil {
+			return nil, err
+		}
+		b = fmt.Appendf(b, `,"%s_mean":%s,"%s_hw":%s`, col.name, mean, col.name, hw)
+	}
+	return append(b, '}'), nil
 }
 
 // seriesJSONWindow is one WriteSeriesJSONL record.
@@ -201,22 +197,7 @@ func WriteSeriesJSONL(w io.Writer, s *SeriesSummary) error {
 	cells := make([]seriesJSONCell, len(s.Cells))
 	for k := range s.Times {
 		for i := range s.Cells {
-			c := &s.Cells[i]
-			cells[i] = seriesJSONCell{
-				Cell:         c.Cell,
-				QueueLen:     c.QueueLen[k].Mean,
-				QueueLenHW:   c.QueueLen[k].HalfWidth,
-				VoiceCalls:   c.VoiceCalls[k].Mean,
-				VoiceCallsHW: c.VoiceCalls[k].HalfWidth,
-				Sessions:     c.Sessions[k].Mean,
-				SessionsHW:   c.Sessions[k].HalfWidth,
-				Carried:      c.CarriedData[k].Mean,
-				CarriedHW:    c.CarriedData[k].HalfWidth,
-				PLP:          c.WindowPLP[k].Mean,
-				PLPHW:        c.WindowPLP[k].HalfWidth,
-				Throughput:   c.WindowThroughputBits[k].Mean,
-				ThroughputHW: c.WindowThroughputBits[k].HalfWidth,
-			}
+			cells[i] = seriesJSONCell{&s.Cells[i], k}
 		}
 		if err := enc.Encode(seriesJSONWindow{
 			TimeSec: s.Times[k], Replications: s.Replications, Level: s.Level, Cells: cells,

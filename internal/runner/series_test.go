@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/probe"
+	"repro/internal/stats"
 )
 
 // syntheticSeries builds a one-cell, two-window series whose queue gauge is
@@ -37,6 +38,18 @@ func syntheticSeries(q0, q1 int) *probe.Series {
 	return s
 }
 
+// column returns the merged intervals of the named seriesColumns measure.
+func column(t *testing.T, c CellSeriesCI, name string) []stats.Interval {
+	t.Helper()
+	for j, col := range seriesColumns {
+		if col.name == name {
+			return c.Measures[j]
+		}
+	}
+	t.Fatalf("no series column %q", name)
+	return nil
+}
+
 func TestMergeSeriesIntervals(t *testing.T) {
 	// Three replications with queue gauges 2, 4, 6 in the first window: the
 	// merged mean is 4 and the half-width is positive; identical second
@@ -49,7 +62,7 @@ func TestMergeSeriesIntervals(t *testing.T) {
 	if sum.Replications != 3 || sum.Level != 0.95 || len(sum.Times) != 2 || len(sum.Cells) != 1 {
 		t.Fatalf("summary geometry wrong: %+v", sum)
 	}
-	q := sum.Cells[0].QueueLen
+	q := column(t, sum.Cells[0], "queue_len")
 	if q[0].Mean != 4 || q[0].HalfWidth <= 0 {
 		t.Errorf("first window queue interval %+v, want mean 4 with positive half-width", q[0])
 	}
@@ -58,7 +71,7 @@ func TestMergeSeriesIntervals(t *testing.T) {
 	}
 	// Window derivations ride along: PLP of window 2 is 3/6 in every
 	// replication, throughput 4 packets over 10 s.
-	if p := sum.Cells[0].WindowPLP[1]; p.Mean != 0.5 || p.HalfWidth != 0 {
+	if p := column(t, sum.Cells[0], "window_plp")[1]; p.Mean != 0.5 || p.HalfWidth != 0 {
 		t.Errorf("window PLP interval %+v, want exact 0.5", p)
 	}
 
@@ -90,7 +103,7 @@ func TestMergeSeriesVarianceReduction(t *testing.T) {
 	if sum == nil {
 		t.Fatal("antithetic merge returned nil")
 	}
-	if q := sum.Cells[0].QueueLen[0]; q.Mean != 4 || q.HalfWidth != 0 {
+	if q := column(t, sum.Cells[0], "queue_len")[0]; q.Mean != 4 || q.HalfWidth != 0 {
 		t.Errorf("antithetic pair means should collapse to 4 exactly: %+v", q)
 	}
 	// The control-variate scheme is whole-run only: series merges fall back
@@ -168,7 +181,14 @@ func TestWriteSeriesExports(t *testing.T) {
 	if err := WriteSeriesJSONL(&jsonBuf, sum); err != nil {
 		t.Fatal(err)
 	}
-	var rec seriesJSONWindow
+	var rec struct {
+		TimeSec      float64 `json:"time_sec"`
+		Replications int     `json:"replications"`
+		Level        float64 `json:"level"`
+		Cells        []struct {
+			QueueLen float64 `json:"queue_len_mean"`
+		} `json:"cells"`
+	}
 	if err := json.Unmarshal([]byte(strings.SplitN(jsonBuf.String(), "\n", 2)[0]), &rec); err != nil {
 		t.Fatal(err)
 	}

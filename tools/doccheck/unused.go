@@ -19,9 +19,8 @@ import (
 // allowlist names the exported functions and methods that stay without a
 // non-test caller, keyed as the unused-export check reports them.
 var allowlist = map[string]string{
-	"erlang.BalanceGuardHandover":           "analytic oracle of the guard-channel policy tests",
-	"cluster.NewRing":                       "non-hex topology fixture of the sim and scenario tests",
-	"experiments.HandoverBalancingAblation": "driven by the root bench_test.go benchmarks",
+	"erlang.BalanceGuardHandover": "analytic oracle of the guard-channel policy tests",
+	"cluster.NewRing":             "non-hex topology fixture of the sim and scenario tests",
 }
 
 // stdInterfaceMethods are the methods of the standard-library interfaces the
