@@ -107,7 +107,7 @@ func BenchmarkModelSolveSingle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lines := model.StateSpace().NumStates() / (cfg.BufferSize + 1)
+	lines := cfg.NumStates() / (cfg.BufferSize + 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sweeps := 0

@@ -43,7 +43,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	model := traffic.Model(*modelID)
+	model, err := traffic.ParseModel(*modelID)
+	if err != nil {
+		return err
+	}
 	cfg := core.BaseConfig(model, *rate)
 	cfg.Channels.TotalChannels = *channels
 	cfg.Channels.ReservedPDCH = *pdch

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/traffic"
 )
 
 // smallArgs is a 240-state configuration that solves in milliseconds.
@@ -39,5 +40,16 @@ func TestRunFailsWhenNotConverged(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "carried data traffic") {
 		t.Errorf("measures printed for an unconverged solve:\n%s", out.String())
+	}
+}
+
+func TestRunRejectsUnknownModel(t *testing.T) {
+	var out bytes.Buffer
+	err := run(append(smallArgs, "-model", "7"), &out)
+	if !errors.Is(err, traffic.ErrInvalidParameter) || err.Error() != "traffic: invalid parameter: traffic model 7 is outside 1..3" {
+		t.Fatalf("run with -model 7: got %v, want traffic.ErrInvalidParameter naming model 7 and 1..3", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("run with -model 7 printed before failing:\n%s", out.String())
 	}
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -19,13 +20,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gprs-dimension:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gprs-dimension", flag.ContinueOnError)
 	var (
 		modelID     = fs.Int("model", 3, "traffic model (1, 2, or 3)")
@@ -41,8 +42,13 @@ func run(args []string) error {
 	if *degradation <= 0 || *degradation >= 1 {
 		return fmt.Errorf("degradation must lie in (0, 1), got %v", *degradation)
 	}
-
-	model := traffic.Model(*modelID)
+	if *maxPDCH < 0 {
+		return fmt.Errorf("max-pdch must be at least 0, got %d", *maxPDCH)
+	}
+	model, err := traffic.ParseModel(*modelID)
+	if err != nil {
+		return err
+	}
 	solve := func(pdch int, callRate float64) (core.Measures, error) {
 		cfg := core.BaseConfig(model, callRate)
 		cfg.GPRSFraction = *gprsPct
@@ -58,7 +64,7 @@ func run(args []string) error {
 		return res.Measures, nil
 	}
 
-	fmt.Printf("QoS profile: per-user throughput degradation at most %.0f%% at %.3g calls/s, %.0f%% GPRS users, %s\n",
+	fmt.Fprintf(out, "QoS profile: per-user throughput degradation at most %.0f%% at %.3g calls/s, %.0f%% GPRS users, %s\n",
 		*degradation*100, *rate, *gprsPct*100, model)
 
 	for pdch := 0; pdch <= *maxPDCH; pdch++ {
@@ -72,19 +78,19 @@ func run(args []string) error {
 			return err
 		}
 		if ref.ThroughputPerUserBits <= 0 {
-			fmt.Printf("  %d PDCH: no reference throughput (no GPRS traffic?)\n", pdch)
+			fmt.Fprintf(out, "  %d PDCH: no reference throughput (no GPRS traffic?)\n", pdch)
 			continue
 		}
 		drop := 1 - loaded.ThroughputPerUserBits/ref.ThroughputPerUserBits
 		ok := drop <= *degradation
-		fmt.Printf("  %d reserved PDCH: throughput %.0f -> %.0f bit/s per user (degradation %.0f%%) %s\n",
+		fmt.Fprintf(out, "  %d reserved PDCH: throughput %.0f -> %.0f bit/s per user (degradation %.0f%%) %s\n",
 			pdch, ref.ThroughputPerUserBits, loaded.ThroughputPerUserBits, drop*100, verdict(ok))
 		if ok {
-			fmt.Printf("=> reserving %d PDCH(s) meets the QoS profile\n", pdch)
+			fmt.Fprintf(out, "=> reserving %d PDCH(s) meets the QoS profile\n", pdch)
 			return nil
 		}
 	}
-	fmt.Printf("=> the QoS profile cannot be met with up to %d reserved PDCHs; use stricter admission control\n", *maxPDCH)
+	fmt.Fprintf(out, "=> the QoS profile cannot be met with up to %d reserved PDCHs; use stricter admission control\n", *maxPDCH)
 	return nil
 }
 

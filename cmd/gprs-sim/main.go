@@ -117,12 +117,16 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	model, err := traffic.ParseModel(*modelID)
+	if err != nil {
+		return err
+	}
 	ro, setup, err := shared.Resolve()
 	if err != nil {
 		return err
 	}
 
-	cfg := sim.DefaultConfig(traffic.Model(*modelID), *rate)
+	cfg := sim.DefaultConfig(model, *rate)
 	cfg.Channels.ReservedPDCH = *pdch
 	cfg.GPRSFraction = *gprsPct
 	cfg.EnableTCP = !*tcpOff
@@ -157,7 +161,7 @@ func run(args []string, stdout io.Writer) error {
 		repsLabel = fmt.Sprintf("adaptive replications (%.3g relative half-width on %s)", ro.Precision, ro.Target)
 	}
 	fmt.Fprintf(stdout, "simulating %s, rate %.3g calls/s per cell, %d cells, %d reserved PDCHs, TCP %v, %s, scenario %s, policy %s...\n",
-		traffic.Model(*modelID), *rate, cfg.Topology.NumCells(), *pdch, cfg.EnableTCP, repsLabel, scenarioLabel, policyLabel)
+		model, *rate, cfg.Topology.NumCells(), *pdch, cfg.EnableTCP, repsLabel, scenarioLabel, policyLabel)
 
 	if ro.Replications <= 1 && ro.Precision <= 0 && ro.VR == runner.VRNone {
 		// A single run bypasses runner.Run deliberately: it uses cfg.Seed

@@ -18,6 +18,7 @@ func TestRunRejectsBadSharedFlags(t *testing.T) {
 		{[]string{"-cells", "8"}, `cluster: invalid topology: unsupported cluster size 8 (supported: [7 19 37 61 91 127 169 217 271 331])`},
 		{[]string{"-guard", "2"}, `-guard/-ho-queue/-ho-deadline need -policy (known: none, guard, queue, retry)`},
 		{[]string{"-partition", "locality:2"}, `-partition needs -shards > 1 (got -shards 1)`},
+		{[]string{"-model", "7"}, `traffic: invalid parameter: traffic model 7 is outside 1..3`},
 	} {
 		var out bytes.Buffer
 		err := run(append([]string{"-warmup", "10", "-measure", "10", "-batches", "2"}, c.args...), &out)

@@ -40,8 +40,11 @@ type Topology struct {
 // NewHexCluster returns the seven-cell hexagonal cluster used in the paper:
 // cell 0 is the mid cell adjacent to all six outer cells; the outer cells
 // form a ring, each adjacent to the mid cell and to its two ring neighbours.
-// Users leaving an outer cell away from the cluster are wrapped around to the
-// opposite ring cell so that the cluster is closed and flows stay balanced.
+// Users leaving an outer cell away from the cluster wrap around to the
+// opposite ring cell, listed once for the three outward directions: an outer
+// cell has degree 4, HandoverTarget picks each neighbour with probability
+// 1/4, and at uniform occupancy the mid cell receives 6 × 1/4 = 1.5 times its
+// own handover outflow, so flows are not balanced (ROADMAP.md, open item 1).
 func NewHexCluster() *Topology {
 	const n = 7
 	neighbors := make([][]int, n)

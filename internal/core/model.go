@@ -87,15 +87,6 @@ func New(cfg Config) (*Model, error) {
 // Rates returns the primitive rates derived from the configuration.
 func (m *Model) Rates() Rates { return m.rates }
 
-// StateSpace returns the aggregated state space of the model.
-func (m *Model) StateSpace() StateSpace { return m.space }
-
-// GSMHandover returns the balanced GSM handover flow (Eq. 4).
-func (m *Model) GSMHandover() erlang.HandoverBalance { return m.gsmBalance }
-
-// GPRSHandover returns the balanced GPRS handover flow (Eq. 5).
-func (m *Model) GPRSHandover() erlang.HandoverBalance { return m.gprsBalance }
-
 // UsablePDCH returns the number of PDCHs usable for data transfer in the
 // given state, min(N - n, 8k).
 func (m *Model) UsablePDCH(s State) int {

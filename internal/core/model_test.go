@@ -141,7 +141,7 @@ func TestGSMMarginalMatchesErlang(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi, _ := solvePlain(t, model)
-	want, err := model.GSMHandover().System.Distribution()
+	want, err := model.gsmBalance.System.Distribution()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSessionMarginalMatchesErlang(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi, meas := solvePlain(t, model)
-	want, err := model.GPRSHandover().System.Distribution()
+	want, err := model.gprsBalance.System.Distribution()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestTransitionRatesMatchTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := model.StateSpace()
+	sp := model.space
 	rates := model.Rates()
 	tf := model.Transitions()
 
@@ -366,8 +366,8 @@ func TestTransitionRatesMatchTable1(t *testing.T) {
 	// From the empty state, only arrivals can happen.
 	empty := State{}
 	out := collect(empty)
-	gsmArr := rates.NewGSMCallRate + model.GSMHandover().HandoverRate
-	gprsArr := rates.NewGPRSSessionRate + model.GPRSHandover().HandoverRate
+	gsmArr := rates.NewGSMCallRate + model.gsmBalance.HandoverRate
+	gprsArr := rates.NewGPRSSessionRate + model.gprsBalance.HandoverRate
 	pOn := rates.IPP.OnProbability()
 	if got := out[State{GSMCalls: 1}]; math.Abs(got-gsmArr) > 1e-12 {
 		t.Errorf("GSM arrival rate = %v, want %v", got, gsmArr)
@@ -470,8 +470,8 @@ func TestGeneratorResidualSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen.NumStates() != model.StateSpace().NumStates() {
-		t.Errorf("generator states %d != space %d", gen.NumStates(), model.StateSpace().NumStates())
+	if gen.NumStates() != model.space.NumStates() {
+		t.Errorf("generator states %d != space %d", gen.NumStates(), model.space.NumStates())
 	}
 	resid, err := gen.Residual(res.Pi)
 	if err != nil {

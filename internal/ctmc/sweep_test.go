@@ -11,7 +11,7 @@ import (
 
 // quickFig6Model returns the model of one Quick Fig. 6 point: traffic model
 // 3 on a 10-channel cell with a 30-packet buffer and at most 10 sessions.
-func quickFig6Model(t *testing.T, fraction, rate float64) *core.Model {
+func quickFig6Model(t *testing.T, fraction, rate float64) (*core.Model, core.Config) {
 	t.Helper()
 	cfg := core.BaseConfig(traffic.Model3, rate)
 	cfg.Channels.TotalChannels = 10
@@ -22,7 +22,7 @@ func quickFig6Model(t *testing.T, fraction, rate float64) *core.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return model
+	return model, cfg
 }
 
 // denseChain returns a chain of n states in which every state moves to
@@ -49,8 +49,8 @@ func build(t *testing.T, n, width int, tf ctmc.TransitionFunc) *ctmc.Generator {
 // generator, built with buffer lines and with one state per line, and of a
 // dense chain whose 70 colours do not fit a 64-bit mask.
 func TestSweepOrderIsAColouring(t *testing.T) {
-	model := quickFig6Model(t, 0.05, 0.6)
-	n, k := model.StateSpace().NumStates(), model.StateSpace().BufferSize()
+	model, cfg := quickFig6Model(t, 0.05, 0.6)
+	n, k := cfg.NumStates(), cfg.BufferSize
 	const dense = 70
 	for _, tc := range []struct {
 		name       string
@@ -83,8 +83,8 @@ func TestSweepOrderIsAColouring(t *testing.T) {
 // four-wide pass; the dense chain has one line per colour, so every line
 // goes through the one-line tail.
 func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
-	model := quickFig6Model(t, 0.10, 1.0)
-	n, k := model.StateSpace().NumStates(), model.StateSpace().BufferSize()
+	model, cfg := quickFig6Model(t, 0.10, 1.0)
+	n, k := cfg.NumStates(), cfg.BufferSize
 	const dense = 70
 	for _, tc := range []struct {
 		name     string

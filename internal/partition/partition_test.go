@@ -259,7 +259,7 @@ func TestCutWeightAndMaxShareEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every edge cut; paper cluster has 4 outer cells of degree 4 but the
+	// Every edge cut; paper cluster has 6 outer cells of degree 4 but the
 	// foreign fraction is 1 for every cell, so cut = sum of weights = 7.
 	if cw := cutOf(topo, uniform, all.of); cw < 6.999 || cw > 7.001 {
 		t.Errorf("n-group cut = %v, want 7", cw)

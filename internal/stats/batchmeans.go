@@ -41,17 +41,6 @@ type Interval struct {
 	Batches   int
 }
 
-// Lower returns the lower bound of the interval.
-func (iv Interval) Lower() float64 { return iv.Mean - iv.HalfWidth }
-
-// Upper returns the upper bound of the interval.
-func (iv Interval) Upper() float64 { return iv.Mean + iv.HalfWidth }
-
-// Contains reports whether x lies inside the interval.
-func (iv Interval) Contains(x float64) bool {
-	return x >= iv.Lower() && x <= iv.Upper()
-}
-
 // String formats the interval as "mean ± halfwidth".
 func (iv Interval) String() string {
 	return fmt.Sprintf("%.6g ± %.3g", iv.Mean, iv.HalfWidth)

@@ -82,7 +82,7 @@ func TestBatchMeansConfidenceIntervalCoversTrueMean(t *testing.T) {
 			bm.AddBatchMean(sum / 50)
 		}
 		iv := bm.ConfidenceInterval(0.95)
-		if iv.Contains(trueMean) {
+		if trueMean >= iv.Mean-iv.HalfWidth && trueMean <= iv.Mean+iv.HalfWidth {
 			covered++
 		}
 	}
@@ -121,13 +121,10 @@ func TestBatchMeansAddBatchMean(t *testing.T) {
 
 func TestIntervalBoundsAndString(t *testing.T) {
 	iv := Interval{Mean: 10, HalfWidth: 2, Level: 0.95, Batches: 5}
-	if iv.Lower() != 8 || iv.Upper() != 12 {
-		t.Errorf("bounds = [%v, %v], want [8, 12]", iv.Lower(), iv.Upper())
+	if lo, hi := iv.Mean-iv.HalfWidth, iv.Mean+iv.HalfWidth; lo != 8 || hi != 12 {
+		t.Errorf("bounds = [%v, %v], want [8, 12]", lo, hi)
 	}
-	if !iv.Contains(9) || iv.Contains(13) {
-		t.Error("Contains misbehaves")
-	}
-	if iv.String() == "" {
-		t.Error("String should not be empty")
+	if got, want := iv.String(), "10 ± 2"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

@@ -1,5 +1,7 @@
 package traffic
 
+import "fmt"
+
 // Model identifies one of the three traffic models of Table 3 in the paper.
 type Model int
 
@@ -13,6 +15,15 @@ const (
 	// (Table 3, column 3).
 	Model3
 )
+
+// ParseModel returns the traffic model numbered id, or an error wrapping
+// ErrInvalidParameter when id is not one of Table 3's models 1, 2 and 3.
+func ParseModel(id int) (Model, error) {
+	if id < int(Model1) || id > int(Model3) {
+		return 0, fmt.Errorf("%w: traffic model %d is outside 1..3", ErrInvalidParameter, id)
+	}
+	return Model(id), nil
+}
 
 // String returns the name used in the paper for the traffic model.
 func (m Model) String() string {

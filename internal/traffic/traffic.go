@@ -75,12 +75,6 @@ func (p SessionParams) MeanOnRateBitsPerSec() float64 {
 	return PacketSizeBits / p.PacketInterarrivalSec
 }
 
-// PacketsPerSession returns the mean number of data packets generated by one
-// session, N_pc * N_d.
-func (p SessionParams) PacketsPerSession() float64 {
-	return p.NumPacketCalls * p.PacketsPerCall
-}
-
 // IPP returns the interrupted-Poisson-process representation of one GPRS
 // session (Fig. 4): packets are generated at rate Lambda while the source is
 // in the on state; the on state holds for an exponential time with rate Alpha
@@ -113,27 +107,6 @@ func (ipp IPP) OnProbability() float64 {
 // OffProbability returns the steady-state probability of the off state.
 func (ipp IPP) OffProbability() float64 {
 	return ipp.Alpha / (ipp.Alpha + ipp.Beta)
-}
-
-// MeanRate returns the long-run average packet generation rate of the source,
-// Lambda * P(on).
-func (ipp IPP) MeanRate() float64 {
-	return ipp.Lambda * ipp.OnProbability()
-}
-
-// MeanBitRate returns the long-run average bit rate of the source.
-func (ipp IPP) MeanBitRate() float64 {
-	return ipp.MeanRate() * PacketSizeBits
-}
-
-// BurstinessRatio returns the peak-to-mean rate ratio of the source, a common
-// burstiness measure for on/off traffic.
-func (ipp IPP) BurstinessRatio() float64 {
-	on := ipp.OnProbability()
-	if on == 0 {
-		return math.Inf(1)
-	}
-	return 1 / on
 }
 
 // AggregateMMPP describes the superposition of m statistically identical

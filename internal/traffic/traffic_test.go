@@ -94,28 +94,14 @@ func TestIPPMeanRateConsistency(t *testing.T) {
 	for _, m := range AllModels() {
 		p := m.Spec().Session
 		ipp := p.IPP()
-		byIPP := ipp.MeanRate()
-		byCounting := p.PacketsPerSession() / p.MeanSessionDurationSec()
+		byIPP := ipp.Lambda * ipp.OnProbability()
+		byCounting := p.NumPacketCalls * p.PacketsPerCall / p.MeanSessionDurationSec()
 		if math.Abs(byIPP-byCounting)/byCounting > 1e-9 {
 			t.Errorf("%v: IPP mean rate %v != packets/duration %v", m, byIPP, byCounting)
 		}
-		if ipp.MeanBitRate() <= 0 {
+		if byIPP*PacketSizeBits <= 0 {
 			t.Errorf("%v: non-positive mean bit rate", m)
 		}
-	}
-}
-
-func TestBurstinessOrdering(t *testing.T) {
-	// Model 2 has shorter packet calls than model 1 with the same reading
-	// time, so it is burstier; model 3 (50% duty cycle) is the least bursty.
-	b1 := Model1.Spec().Session.IPP().BurstinessRatio()
-	b2 := Model2.Spec().Session.IPP().BurstinessRatio()
-	b3 := Model3.Spec().Session.IPP().BurstinessRatio()
-	if !(b2 > b1 && b1 > b3) {
-		t.Errorf("burstiness ordering violated: b1=%v b2=%v b3=%v", b1, b2, b3)
-	}
-	if !almostEqual(b3, 2, 1e-9) {
-		t.Errorf("model 3 burstiness = %v, want 2", b3)
 	}
 }
 
@@ -210,7 +196,7 @@ func TestAggregateMMPPRateProperty(t *testing.T) {
 		for r, p := range (AggregateMMPP{Source: ipp, M: m}).StationaryDistribution() {
 			weighted += p * float64(m-r) * ipp.Lambda
 		}
-		want := float64(m) * ipp.MeanRate()
+		want := float64(m) * ipp.Lambda * ipp.OnProbability()
 		return math.Abs(weighted-want) <= 1e-9*(1+want)
 	}
 	// The session IPPs of the paper's three traffic models.
@@ -238,5 +224,18 @@ func TestIPPOffProbabilityComplement(t *testing.T) {
 	ipp := Model2.Spec().Session.IPP()
 	if !almostEqual(ipp.OnProbability()+ipp.OffProbability(), 1, 1e-12) {
 		t.Error("on and off probabilities should sum to 1")
+	}
+}
+
+func TestParseModel(t *testing.T) {
+	for _, m := range AllModels() {
+		if got, err := ParseModel(int(m)); err != nil || got != m {
+			t.Errorf("ParseModel(%d) = %v, %v; want %v, nil", int(m), got, err, m)
+		}
+	}
+	for _, id := range []int{-1, 0, 4} {
+		if _, err := ParseModel(id); !errors.Is(err, ErrInvalidParameter) {
+			t.Errorf("ParseModel(%d) error = %v, want ErrInvalidParameter", id, err)
+		}
 	}
 }
