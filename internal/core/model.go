@@ -243,14 +243,15 @@ var ErrNotConverged = errors.New("core: model solve did not converge")
 // sessions with their MMPP phase evolve independently of the buffer and of
 // each other, so their joint marginal is Erlang(n) × Erlang(m) ×
 // Binomial(r | m, p_off). Rescaled to it, the sweeps only resolve the buffer
-// distribution within each line, which each solves exactly: the twelve
-// Quick Fig. 6 configurations take 630 sweeps in total at tolerance 1e-6,
-// against 2,770 for point sweeps under the same aggregation and 38,790 for
-// plain sweeps from a product-form starting guess. Each sweep solves the 660
-// lines of a Quick Fig. 6 point in the generator's colour order (30
-// colours, four lines of a colour at a time), which gives the iterates of a
-// sweep in index order, so the sweep count and every measure are those of
-// index order.
+// distribution within each line, which each solves exactly. Each line
+// starts at the equilibrium of its own buffer birth–death chain: the twelve
+// Quick Fig. 6 configurations take 540 sweeps in total at tolerance 1e-6,
+// against 630 from lines spread evenly, 2,770 for point sweeps under the
+// same aggregation and 38,790 for plain sweeps from a product-form starting
+// guess. Each sweep solves the 660 lines of a Quick Fig. 6 point in the
+// generator's colour order (30 colours, four lines of a colour at a time),
+// which gives the iterates of a sweep in index order, so the sweep count and
+// every measure are those of index order.
 func (m *Model) Solve(opts ctmc.SolveOptions) (*Result, error) {
 	gen, err := m.BuildGenerator()
 	if err != nil {

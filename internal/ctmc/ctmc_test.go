@@ -494,6 +494,113 @@ func TestClosedLineSolvesToClosedForm(t *testing.T) {
 	}
 }
 
+// productFormChain is a chain of lines of width fast+1, one per s in
+// {0..slow}, that are identical birth–death chains (up 1.5, down 1+q at
+// position q) joined by position-preserving jumps of a birth–death process
+// on s (up 0.4, down 0.3·s). Its stationary distribution is the product of
+// the line process's and each line's own, so every line holds its line
+// process mass, spread as its own birth–death chain's equilibrium. If
+// broken >= 0, state broken of line 2 has no step down its line. It returns
+// the transition function and the line process's stationary distribution.
+func productFormChain(slow, fast, broken int) (TransitionFunc, []float64) {
+	const birth, death = 0.4, 0.3
+	w := fast + 1
+	tf := func(state int, emit func(int, float64)) {
+		s, q := state/w, state%w
+		if s < slow {
+			emit(state+w, birth)
+		}
+		if s > 0 {
+			emit(state-w, death*float64(s))
+		}
+		if q < fast {
+			emit(state+1, 1.5)
+		}
+		if q > 0 && !(s == 2 && q == broken) {
+			emit(state-1, 1+float64(q))
+		}
+	}
+	mass := make([]float64, slow+1)
+	mass[0] = 1
+	sum := 1.0
+	for s := 1; s <= slow; s++ {
+		mass[s] = mass[s-1] * birth / (death * float64(s))
+		sum += mass[s]
+	}
+	for s := range mass {
+		mass[s] /= sum
+	}
+	return tf, mass
+}
+
+// TestStartIsEachLineEquilibrium checks the start of a line solve. On a
+// product-form chain each line starts at its own birth–death equilibrium
+// scaled to its mass, which is already the solution. A line whose chain is
+// broken by a down rate of 0 starts with its mass spread evenly, and the
+// solve still finds the plain solve's distribution.
+func TestStartIsEachLineEquilibrium(t *testing.T) {
+	const slow, fast = 5, 9
+	const n, w = (slow + 1) * (fast + 1), fast + 1
+	t.Run("product form", func(t *testing.T) {
+		tf, mass := productFormChain(slow, fast, -1)
+		g, err := NewGenerator(n, w, tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pi, err := Start(g, mass)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := g.Residual(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res > 1e-12*g.maxOutRate {
+			t.Errorf("the start has residual %v, want at most 1e-12 × %v", res, g.maxOutRate)
+		}
+	})
+	t.Run("down rate of 0 mid-line", func(t *testing.T) {
+		const broken = fast / 2
+		tf, _ := productFormChain(slow, fast, broken)
+		points, err := NewGenerator(n, 1, tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, err := NewGenerator(n, w, tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := SolveOptions{Tolerance: 1e-13, MaxIterations: 1000000}
+		plain, err := points.SteadyState(opts)
+		if err != nil || !plain.Converged {
+			t.Fatalf("plain solve: %v, converged %v", err, plain != nil && plain.Converged)
+		}
+		mass := make([]float64, slow+1)
+		for i, p := range plain.Pi {
+			mass[i/w] += p
+		}
+		pi, err := Start(lines, mass)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q, x := range pi[2*w : 3*w] {
+			if !almostEqual(x, mass[2]/w, 1e-15*mass[2]) {
+				t.Errorf("line 2 starts at %v at position %d, want the even spread %v", x, q, mass[2]/w)
+			}
+		}
+		opts.Aggregation = &Aggregation{Mass: mass}
+		sol, err := lines.SteadyState(opts)
+		if err != nil || !sol.Converged {
+			t.Fatalf("line solve: %v, converged %v", err, sol != nil && sol.Converged)
+		}
+		for i := range plain.Pi {
+			if !almostEqual(sol.Pi[i], plain.Pi[i], 1e-8) {
+				t.Fatalf("pi[%d]: line solve %v, plain %v", i, sol.Pi[i], plain.Pi[i])
+			}
+		}
+	})
+}
+
 // TestStalledSolveIsNotConverged gives the line solve valid line masses
 // that are not the line process's stationary distribution: the slow–fast
 // chain's lines get the uniform mass instead of its birth–death marginal.

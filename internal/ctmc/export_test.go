@@ -1,6 +1,10 @@
 package ctmc
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Colours returns the number of colours of the sweep order of g.
 func Colours(g *Generator) int { return len(g.colourEnd) }
@@ -49,25 +53,47 @@ func SweepOrderError(g *Generator, tf TransitionFunc) error {
 	return err
 }
 
-// Iterates runs the given number of sweeps from the uniform vector,
-// normalizing after each, and returns every iterate. The sweeps are sweep's
-// four-wide passes in colour order or, if oneAtATime, sweepOneLineAtATime.
-func Iterates(g *Generator, sweeps int, oneAtATime bool) ([][]float64, error) {
+// Start returns the starting vector of a solve of g, given the line masses
+// or nil: the start that SteadyState writes, restored to the masses or
+// normalized as SteadyState does before the first sweep.
+func Start(g *Generator, mass []float64) ([]float64, error) {
 	pi := make([]float64, g.n)
-	for i := range pi {
-		pi[i] = 1 / float64(g.n)
+	g.start(pi, mass)
+	return pi, restore(g, pi, mass)
+}
+
+// restore rescales v to the line masses, or normalizes it without masses.
+func restore(g *Generator, v, mass []float64) error {
+	if mass == nil {
+		return normalize(v)
+	}
+	return (&Aggregation{Mass: mass}).rescale(v, g.width)
+}
+
+// Iterates runs the given number of sweeps from the start of a solve,
+// given the line masses or nil, and returns every iterate. The sweeps are
+// sweep's four-wide passes in colour order or, if oneAtATime,
+// sweepOneLineAtATime; after a sweep that did not scale every line to its
+// mass, the iterate is restored as in SteadyState.
+func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64) ([][]float64, error) {
+	pi, err := Start(g, mass)
+	if err != nil {
+		return nil, err
 	}
 	invPivot := g.factor()
 	rhs := make([]float64, 4*g.width)
 	var iterates [][]float64
 	for range sweeps {
+		var fitted bool
 		if oneAtATime {
-			sweepOneLineAtATime(g, pi, invPivot, rhs[:g.width])
+			fitted = sweepOneLineAtATime(g, pi, invPivot, rhs[:g.width], mass)
 		} else {
-			g.sweep(pi, invPivot, rhs)
+			fitted = g.sweep(pi, invPivot, rhs, mass)
 		}
-		if err := normalize(pi); err != nil {
-			return nil, err
+		if !fitted {
+			if err := restore(g, pi, mass); err != nil {
+				return nil, err
+			}
 		}
 		iterates = append(iterates, append([]float64(nil), pi...))
 	}
@@ -77,8 +103,12 @@ func Iterates(g *Generator, sweeps int, oneAtATime bool) ([][]float64, error) {
 // sweepOneLineAtATime is the reference for sweep: one line Gauss–Seidel
 // sweep in index order, which the colour order equals, that gathers each
 // line's inflow and runs its Thomas pass before it moves to the next line.
-func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs []float64) {
+// Given the line masses, it scales each line to its mass right after its
+// Thomas pass, summing the line from its last state down, and reports
+// whether it scaled every line.
+func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs, mass []float64) bool {
 	w := g.width
+	fitted := mass != nil
 	for l, s := 0, 0; s < g.n; l, s = l+1, s+w {
 		g.inflow(pi, l, rhs)
 		inv, down, line := invPivot[s:s+w], g.down[s:s+w], pi[s:s+w]
@@ -98,5 +128,18 @@ func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs []float64) {
 			}
 			line[q] = x
 		}
+		if mass == nil {
+			continue
+		}
+		var sum float64
+		var signs uint64
+		for _, x := range slices.Backward(line) {
+			sum += x
+			signs |= math.Float64bits(x)
+		}
+		if !fit(line, mass[l], sum, signs) {
+			fitted = false
+		}
 	}
+	return fitted
 }

@@ -15,12 +15,13 @@
 //
 // The line index is then itself a Markov chain, and the solver can be given
 // its stationary distribution, the exact mass of every line, when it is
-// known in closed form. After every sweep the iterate is rescaled so that
-// each line carries its exact mass (aggregation–disaggregation in the sense
-// of Takahashi and Koury–McAllister–Stewart, with the aggregate solve
-// replaced by the closed form), and the sweeps, which solve each line's
-// balance equations exactly, only resolve the distribution within each line
-// (see SolveOptions.Aggregation).
+// known in closed form. Each line then starts at the stationary
+// distribution of its own birth–death chain, scaled to its mass, and every
+// sweep scales each line to its mass right after solving it, before any line
+// that reads it (aggregation–disaggregation in the sense of Takahashi and
+// Koury–McAllister–Stewart, with the aggregate solve replaced by the closed
+// form). The sweeps, which solve each line's balance equations exactly, only
+// resolve the distribution within each line (see SolveOptions.Aggregation).
 //
 // A sweep solves the lines in index order, each from the newest values of
 // the others, so each line's Thomas pass waits for the one before it. The
@@ -282,24 +283,54 @@ func (g *Generator) NumTransitions() int64 { return g.nnz }
 // lines under pi.
 func (g *Generator) inflow(pi []float64, l int, x []float64) {
 	from := g.from[g.fromStart[l]:g.fromStart[l+1]]
-	if len(from)%2 == 0 {
+	w := len(x)
+	// A one-state line's inflow is one sum over its sources: on it, the
+	// passes below would cost more in slice setup than they save.
+	if w == 1 {
+		var sum float64
+		for _, j := range from {
+			sum += j.rate * pi[j.from]
+		}
+		x[0] = sum
+		return
+	}
+	// The first len(from) % 4 source lines set x, and the rest add to it four
+	// per pass: a line has at most eight sources in the GPRS model, so x is
+	// loaded and stored at most three times, not up to eight.
+	switch len(from) % 4 {
+	case 0:
 		clear(x)
-	} else {
-		a, ra := pi[int(from[0].from)*len(x):][:len(x)], from[0].rate
+	case 1:
+		a := lineOf(pi, from[0].from, w)
+		ra := from[0].rate
 		for q := range x {
 			x[q] = ra * a[q]
 		}
-		from = from[1:]
-	}
-	// Two source lines per pass halve the loads and stores of x.
-	for ; len(from) >= 2; from = from[2:] {
-		a, ra := pi[int(from[0].from)*len(x):][:len(x)], from[0].rate
-		b, rb := pi[int(from[1].from)*len(x):][:len(x)], from[1].rate
+	case 2:
+		a, b := lineOf(pi, from[0].from, w), lineOf(pi, from[1].from, w)
+		ra, rb := from[0].rate, from[1].rate
 		for q := range x {
-			x[q] += ra*a[q] + rb*b[q]
+			x[q] = ra*a[q] + rb*b[q]
+		}
+	case 3:
+		a, b, c := lineOf(pi, from[0].from, w), lineOf(pi, from[1].from, w), lineOf(pi, from[2].from, w)
+		ra, rb, rc := from[0].rate, from[1].rate, from[2].rate
+		for q := range x {
+			x[q] = ra*a[q] + rb*b[q] + rc*c[q]
+		}
+	}
+	for from = from[len(from)%4:]; len(from) >= 4; from = from[4:] {
+		a, b := lineOf(pi, from[0].from, w), lineOf(pi, from[1].from, w)
+		c, d := lineOf(pi, from[2].from, w), lineOf(pi, from[3].from, w)
+		ra, rb, rc, rd := from[0].rate, from[1].rate, from[2].rate, from[3].rate
+		for q := range x {
+			x[q] += ra*a[q] + rb*b[q] + rc*c[q] + rd*d[q]
 		}
 	}
 }
+
+// lineOf returns line l of v, in lines of width w.
+func lineOf(v []float64, l int32, w int) []float64 { return v[int(l)*w:][:w] }
 
 // Residual returns the infinity norm of pi*Q, i.e. max_j |inflow_j - pi_j d_j|.
 // A steady-state vector has residual 0.

@@ -13,9 +13,10 @@ type SolveOptions struct {
 	// MaxIterations bounds the number of sweeps; the zero value means 20000.
 	MaxIterations int
 	// Aggregation optionally provides the exact stationary mass of every
-	// line. The uniform starting vector and every sweep's iterate are
-	// rescaled line by line to those masses, in place of the plain
-	// normalization. If nil, the iterate is normalized as a whole.
+	// line. The solve then starts each line at its mass, and every sweep
+	// scales each line to its mass right after solving it, in place of the
+	// plain normalization. If nil, each line starts at an even share of 1
+	// and the iterate is normalized as a whole after every sweep.
 	Aggregation *Aggregation
 }
 
@@ -131,23 +132,25 @@ type Solution struct {
 // solution of pi*Q = 0 with sum(pi) = 1.
 func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	o := opts.withDefaults()
-	// norm restores the invariants of an iterate after every sweep: a
-	// probability vector, and with an aggregation, the exact line masses.
+	// norm restores the invariants of an iterate: a probability vector, and
+	// with an aggregation, the exact line masses. The sweeps restore the line
+	// masses themselves, so with an aggregation it only runs after a sweep
+	// that could not scale some line.
 	norm := normalize
+	var mass []float64
 	if agg := o.Aggregation; agg != nil {
 		if err := agg.validate(g.n / g.width); err != nil {
 			return nil, err
 		}
 		norm = func(v []float64) error { return agg.rescale(v, g.width) }
+		mass = agg.Mass
 	}
 	if g.n == 1 {
 		return &Solution{Pi: []float64{1}, Converged: true}, nil
 	}
 
 	pi := make([]float64, g.n)
-	for i := range pi {
-		pi[i] = 1 / float64(g.n)
-	}
+	g.start(pi, mass)
 	if err := norm(pi); err != nil {
 		return nil, err
 	}
@@ -157,9 +160,10 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	prev := make([]float64, g.n)
 	sol := &Solution{}
 	for iter := 1; iter <= o.MaxIterations; iter++ {
-		g.sweep(pi, invPivot, rhs)
-		if err := norm(pi); err != nil {
-			return nil, err
+		if !g.sweep(pi, invPivot, rhs, mass) {
+			if err := norm(pi); err != nil {
+				return nil, err
+			}
 		}
 		sol.Iterations = iter
 		if iter%checkEvery == 0 || iter == o.MaxIterations {
@@ -175,6 +179,56 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	sol.Residual, _ = g.Residual(pi)
 	sol.Converged = sol.Converged && sol.Residual <= o.Tolerance*g.maxOutRate
 	return sol, nil
+}
+
+// start writes the starting vector of a solve into pi: every line at the
+// stationary distribution of its own birth–death chain (see equilibrium),
+// scaled to its mass, or without masses to an even share of 1. A line whose
+// chain is broken starts with its mass spread evenly over its states. With
+// width 1 every line is one state, and the start is the even spread.
+func (g *Generator) start(pi, mass []float64) {
+	w := g.width
+	share := float64(w) / float64(g.n)
+	for l, s := 0, 0; s < g.n; l, s = l+1, s+w {
+		m := share
+		if mass != nil {
+			m = mass[l]
+		}
+		line := pi[s : s+w]
+		sum := equilibrium(line, g.up[s:s+w], g.down[s:s+w])
+		if sum == 0 {
+			for q := range line {
+				line[q] = m / float64(w)
+			}
+			continue
+		}
+		f := m / sum
+		for q := range line {
+			line[q] *= f
+		}
+	}
+}
+
+// equilibrium writes into line the stationary distribution of the
+// birth–death chain with rates up one step up and down one step down,
+// x_0 = 1 and x_{q+1} = x_q up_q / down_{q+1}, and returns its sum. It
+// returns 0 if the chain is broken: a down rate of 0, or a product or sum
+// that is not finite or underflows to 0.
+func equilibrium(line, up, down []float64) float64 {
+	x, sum := 1.0, 1.0
+	line[0] = x
+	for q := 1; q < len(line); q++ {
+		next := x * (up[q-1] / down[q])
+		if down[q] == 0 || !(next <= math.MaxFloat64) || next == 0 && x != 0 && up[q-1] != 0 {
+			return 0
+		}
+		x, line[q] = next, next
+		sum += next
+	}
+	if sum > math.MaxFloat64 {
+		return 0
+	}
+	return sum
 }
 
 // closedLine is the share of a state's outflow below which the part that
@@ -194,24 +248,51 @@ const closedLine = 1e-12
 // scratch of four line widths. A one-state line is the point update
 // pi_j <- inflow_j / d_j. A closed line, which sends nothing out of itself,
 // ends on a pivot of 0: its last state keeps its value, the rest are solved
-// from it, and SteadyState's rescale sets the line's mass.
-func (g *Generator) sweep(pi, invPivot, rhs []float64) {
+// from it, and the line's mass is set after the pass.
+//
+// Given the line masses, the sweep scales each line to its mass right after
+// its Thomas pass (see fit), so every line that reads it sees it scaled, in
+// colour order as in index order. It reports whether it scaled every line;
+// without masses, it scales none and reports false.
+func (g *Generator) sweep(pi, invPivot, rhs, mass []float64) bool {
 	w := g.width
+	fitted := mass != nil
 	var start int32
 	for _, end := range g.colourEnd {
 		lines := g.order[start:end]
 		start = end
 		for ; len(lines) >= 4; lines = lines[4:] {
-			g.solve4(pi, invPivot, rhs, lines[:4])
+			if !g.solve4(pi, invPivot, rhs, mass, lines[:4]) {
+				fitted = false
+			}
 		}
 		for _, l := range lines {
-			g.solveLine(pi, invPivot, rhs[:w], int(l))
+			if !g.solveLine(pi, invPivot, rhs[:w], mass, int(l)) {
+				fitted = false
+			}
 		}
 	}
+	return fitted
 }
 
-// solveLine solves line l, given pi at the other lines.
-func (g *Generator) solveLine(pi, invPivot, rhs []float64, l int) {
+// fit scales a line that the Thomas pass left summing to sum to its mass,
+// and reports whether it did. signs is its entries' sign bits, ORed. A line
+// with a negative entry, or whose sum is 0 or not finite, is left as it is
+// for Aggregation.rescale over the whole vector after the sweep.
+func fit(line []float64, mass, sum float64, signs uint64) bool {
+	if signs>>63 != 0 || !(sum > 0 && sum <= math.MaxFloat64) {
+		return false
+	}
+	f := mass / sum
+	for q := range line {
+		line[q] *= f
+	}
+	return true
+}
+
+// solveLine solves line l, given pi at the other lines, and with masses
+// scales it to its mass. It reports whether it scaled the line.
+func (g *Generator) solveLine(pi, invPivot, rhs, mass []float64, l int) bool {
 	w := len(rhs)
 	s := l * w
 	g.inflow(pi, l, rhs)
@@ -226,17 +307,22 @@ func (g *Generator) solveLine(pi, invPivot, rhs []float64, l int) {
 		x = rhs[w-1]
 	}
 	line[w-1] = x
+	sum, signs := x, math.Float64bits(x)
 	for q := w - 2; q >= 0; q-- {
 		if inv[q] != 0 {
 			x = rhs[q] + down[q+1]*inv[q]*x
 		}
 		line[q] = x
+		sum += x
+		signs |= math.Float64bits(x)
 	}
+	return mass != nil && fit(line, mass[l], sum, signs)
 }
 
 // solve4 solves four lines of one colour, given pi at the other lines, with
-// the arithmetic of solveLine for each.
-func (g *Generator) solve4(pi, invPivot, rhs []float64, lines []int32) {
+// the arithmetic of solveLine for each, and reports whether it scaled all
+// four.
+func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32) bool {
 	w := g.width
 	s0, s1, s2, s3 := int(lines[0])*w, int(lines[1])*w, int(lines[2])*w, int(lines[3])*w
 	x0, x1, x2, x3 := rhs[:w], rhs[w:][:w], rhs[2*w:][:w], rhs[3*w:][:w]
@@ -275,6 +361,9 @@ func (g *Generator) solve4(pi, invPivot, rhs []float64, lines []int32) {
 		y3 = x3[w-1]
 	}
 	l0[w-1], l1[w-1], l2[w-1], l3[w-1] = y0, y1, y2, y3
+	// Each line's sum and sign bits are gathered in its own chain.
+	m0, m1, m2, m3 := y0, y1, y2, y3
+	n0, n1, n2, n3 := math.Float64bits(y0), math.Float64bits(y1), math.Float64bits(y2), math.Float64bits(y3)
 	for q := w - 2; q >= 0; q-- {
 		if i0[q] != 0 {
 			y0 = x0[q] + d0[q+1]*i0[q]*y0
@@ -289,7 +378,20 @@ func (g *Generator) solve4(pi, invPivot, rhs []float64, lines []int32) {
 			y3 = x3[q] + d3[q+1]*i3[q]*y3
 		}
 		l0[q], l1[q], l2[q], l3[q] = y0, y1, y2, y3
+		m0, m1, m2, m3 = m0+y0, m1+y1, m2+y2, m3+y3
+		n0 |= math.Float64bits(y0)
+		n1 |= math.Float64bits(y1)
+		n2 |= math.Float64bits(y2)
+		n3 |= math.Float64bits(y3)
 	}
+	if mass == nil {
+		return false
+	}
+	f0 := fit(l0, mass[lines[0]], m0, n0)
+	f1 := fit(l1, mass[lines[1]], m1, n1)
+	f2 := fit(l2, mass[lines[2]], m2, n2)
+	f3 := fit(l3, mass[lines[3]], m3, n3)
+	return f0 && f1 && f2 && f3
 }
 
 // factor returns the inverse modified pivot of every state for the Thomas

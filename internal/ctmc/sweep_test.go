@@ -81,28 +81,42 @@ func TestSweepOrderIsAColouring(t *testing.T) {
 // line at a time in index order. The Quick Fig. 6 builds have 30 and 60
 // colours of many lines each, so nearly every line goes through the
 // four-wide pass; the dense chain has one line per colour, so every line
-// goes through the one-line tail.
+// goes through the one-line tail. With the model's product-form line
+// masses, each line is scaled to its mass right after its Thomas pass, and
+// every line that reads it must see it scaled in both orders.
 func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
 	model, cfg := quickFig6Model(t, 0.10, 1.0)
 	n, k := cfg.NumStates(), cfg.BufferSize
+	// The solve scales every line to its product-form mass, so the line
+	// sums of its solution are those masses.
+	res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	productForm := make([]float64, n/(k+1))
+	for i, p := range res.Pi {
+		productForm[i/(k+1)] += p
+	}
 	const dense = 70
 	for _, tc := range []struct {
 		name     string
 		n, width int
 		tf       ctmc.TransitionFunc
+		mass     []float64
 	}{
-		{"Quick Fig. 6 with buffer lines", n, k + 1, model.Transitions()},
-		{"Quick Fig. 6 with one state per line", n, 1, model.Transitions()},
-		{"dense chain with one state per line", dense, 1, denseChain(dense)},
+		{"Quick Fig. 6 with buffer lines", n, k + 1, model.Transitions(), nil},
+		{"Quick Fig. 6 with buffer lines and product-form masses", n, k + 1, model.Transitions(), productForm},
+		{"Quick Fig. 6 with one state per line", n, 1, model.Transitions(), nil},
+		{"dense chain with one state per line", dense, 1, denseChain(dense), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := build(t, tc.n, tc.width, tc.tf)
 			const sweeps = 20
-			four, err := ctmc.Iterates(g, sweeps, false)
+			four, err := ctmc.Iterates(g, sweeps, false, tc.mass)
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, err := ctmc.Iterates(g, sweeps, true)
+			one, err := ctmc.Iterates(g, sweeps, true, tc.mass)
 			if err != nil {
 				t.Fatal(err)
 			}
