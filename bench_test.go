@@ -122,23 +122,36 @@ func BenchmarkModelSolveSingle(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sweeps*lines), "ns/line-sweep")
 }
 
-// BenchmarkGeneratorConstruction measures building the generator of the
-// quick-fidelity state space: per-state rates along each (n, m, r) buffer
-// line and per-line rates from its neighbour lines.
+// BenchmarkGeneratorConstruction measures building the generator, which
+// describes each (n, m, r) buffer line once by Table 1: its per-state rates
+// up and down the line and its rates to its neighbour lines. It runs on the
+// quick-fidelity state space and on the Table 2 base point of traffic model
+// 3 (466,620 states), and reports the build time per state as ns/state.
 func BenchmarkGeneratorConstruction(b *testing.B) {
-	cfg := core.BaseConfig(traffic.Model3, 0.5)
-	cfg.Channels.TotalChannels = 10
-	cfg.BufferSize = 30
-	cfg.MaxSessions = 10
-	model, err := core.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := model.BuildGenerator(); err != nil {
-			b.Fatal(err)
-		}
+	quick := core.BaseConfig(traffic.Model3, 0.5)
+	quick.Channels.TotalChannels = 10
+	quick.BufferSize = 30
+	quick.MaxSessions = 10
+	for _, bc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"quick", quick},
+		{"table2-model3", core.BaseConfig(traffic.Model3, 0.5)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			model, err := core.New(bc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := model.BuildGenerator(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.cfg.NumStates()), "ns/state")
+		})
 	}
 }
 

@@ -42,6 +42,12 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *maxSess < 0 {
+		return fmt.Errorf("sessions must be at least 0, got %d", *maxSess)
+	}
+	if !(*tol > 0 && *tol < 1) {
+		return fmt.Errorf("tol must lie in (0, 1), got %g", *tol)
+	}
 
 	model, err := traffic.ParseModel(*modelID)
 	if err != nil {

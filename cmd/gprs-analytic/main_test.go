@@ -53,3 +53,27 @@ func TestRunRejectsUnknownModel(t *testing.T) {
 		t.Errorf("run with -model 7 printed before failing:\n%s", out.String())
 	}
 }
+
+// TestRunRejectsBadFlags checks that each bad flag value fails before
+// anything is printed or solved.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-rate", "0"}, "absorbing"},
+		{[]string{"-sessions", "-3"}, "sessions must be at least 0, got -3"},
+		{[]string{"-tol", "-1"}, "tol must lie in (0, 1), got -1"},
+		{[]string{"-tol", "0"}, "tol must lie in (0, 1), got 0"},
+		{[]string{"-tol", "2"}, "tol must lie in (0, 1), got 2"},
+	} {
+		var out bytes.Buffer
+		err := run(append(append([]string(nil), smallArgs...), c.args...), &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run with %v: got %v, want an error containing %q", c.args, err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run with %v printed before failing:\n%s", c.args, out.String())
+		}
+	}
+}

@@ -111,8 +111,8 @@ func (c Config) Validate() error {
 	if err := c.Session.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
-	if c.TotalCallRate < 0 || math.IsNaN(c.TotalCallRate) || math.IsInf(c.TotalCallRate, 0) {
-		return fmt.Errorf("%w: total call rate %v", ErrInvalidConfig, c.TotalCallRate)
+	if !(c.TotalCallRate > 0) || math.IsInf(c.TotalCallRate, 0) {
+		return fmt.Errorf("%w: total call rate %v must be positive and finite (at 0 no call arrives, the empty cell is absorbing and the model has no steady state)", ErrInvalidConfig, c.TotalCallRate)
 	}
 	if c.GPRSFraction < 0 || c.GPRSFraction > 1 || math.IsNaN(c.GPRSFraction) {
 		return fmt.Errorf("%w: GPRS fraction %v", ErrInvalidConfig, c.GPRSFraction)

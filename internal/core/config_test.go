@@ -146,8 +146,10 @@ func TestValidConfigVariants(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("0%% GPRS users should be valid: %v", err)
 	}
+	// With no call arrivals the empty cell is absorbing: there is no
+	// irreducible chain to solve, so the configuration is rejected up front.
 	cfg = BaseConfig(traffic.Model3, 0)
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("zero call arrival rate should be valid: %v", err)
+	if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "absorbing") {
+		t.Errorf("zero call arrival rate: got %v, want ErrInvalidConfig saying the empty cell is absorbing", err)
 	}
 }

@@ -120,91 +120,90 @@ func (m *Model) ServiceRate(s State) float64 {
 	return float64(m.UsablePDCH(s)) * m.rates.PacketServiceRate
 }
 
-// Transitions returns the transition enumeration function of the model
-// (Table 1 of the paper), suitable for ctmc.NewGenerator. It is exported so
-// tests can inspect individual transition rates.
-func (m *Model) Transitions() ctmc.TransitionFunc {
+// lines returns the description of the model's (n, m, r) lines (Table 1 of
+// the paper) for ctmc.NewGenerator. Every transition but packet arrival (v)
+// and service (vi) keeps the buffer level k at a rate independent of k, so
+// it is a jump between lines; (v) and (vi) step up and down the line.
+func (m *Model) lines() ctmc.LineFunc {
 	var (
-		space   = m.space
-		nGSM    = space.GSMChannels()
-		maxK    = space.BufferSize()
-		maxM    = space.MaxSessions()
-		ipp     = m.rates.IPP
-		pOn     = ipp.OnProbability()
-		pOff    = ipp.OffProbability()
-		gsmArr  = m.gsmArrival
-		gsmDep  = m.gsmDeparture
-		gprsArr = m.gprsArrival
-		gprsDep = m.gprsDeparture
+		space = m.space
+		width = space.BufferSize() + 1
+		nGSM  = space.GSMChannels()
+		maxM  = space.MaxSessions()
+		ipp   = m.rates.IPP
+		pOn   = ipp.OnProbability()
+		pOff  = ipp.OffProbability()
 	)
-	return func(index int, emit func(to int, rate float64)) {
-		s := space.State(index)
-		n, k, mm, r := s.GSMCalls, s.Packets, s.Sessions, s.OffSessions
+	return func(l int, up, down []float64, jump func(to int, rate float64)) {
+		s := space.State(l * width)
+		n, mm, r := s.GSMCalls, s.Sessions, s.OffSessions
+		line := func(n, mm, r int) int {
+			return space.Index(State{GSMCalls: n, Sessions: mm, OffSessions: r}) / width
+		}
 
 		// (i) Incoming GSM calls and handovers: admitted while on-demand
 		// channels remain.
-		if n < nGSM && gsmArr > 0 {
-			emit(space.Index(State{n + 1, k, mm, r}), gsmArr)
+		if n < nGSM && m.gsmArrival > 0 {
+			jump(line(n+1, mm, r), m.gsmArrival)
 		}
 
 		// (ii) Incoming GPRS sessions and handovers: admitted below the
 		// session limit M; the new session starts in IPP steady state.
-		if mm < maxM && gprsArr > 0 {
-			emit(space.Index(State{n, k, mm + 1, r}), pOn*gprsArr)
-			emit(space.Index(State{n, k, mm + 1, r + 1}), pOff*gprsArr)
+		if mm < maxM && m.gprsArrival > 0 {
+			jump(line(n, mm+1, r), pOn*m.gprsArrival)
+			jump(line(n, mm+1, r+1), pOff*m.gprsArrival)
 		}
 
 		// (iii) GSM calls leaving the cell (completion or outgoing handover).
 		if n > 0 {
-			emit(space.Index(State{n - 1, k, mm, r}), float64(n)*gsmDep)
+			jump(line(n-1, mm, r), float64(n)*m.gsmDeparture)
 		}
 
 		// (iv) GPRS sessions leaving the cell. The leaving session is in the
 		// off state with probability r/m and in the on state otherwise.
 		if mm > 0 {
-			total := float64(mm) * gprsDep
+			total := float64(mm) * m.gprsDeparture
 			switch {
 			case r == 0:
-				emit(space.Index(State{n, k, mm - 1, 0}), total)
+				jump(line(n, mm-1, 0), total)
 			case r == mm:
-				emit(space.Index(State{n, k, mm - 1, r - 1}), total)
+				jump(line(n, mm-1, r-1), total)
 			default:
 				frac := float64(r) / float64(mm)
-				emit(space.Index(State{n, k, mm - 1, r - 1}), frac*total)
-				emit(space.Index(State{n, k, mm - 1, r}), (1-frac)*total)
+				jump(line(n, mm-1, r-1), frac*total)
+				jump(line(n, mm-1, r), (1-frac)*total)
 			}
 		}
 
-		// (v) Data packet arrivals (only while the buffer is not full; the
+		// (v) Data packet arrivals, while the buffer is not full (the
 		// offered rate in full-buffer states contributes to the loss
-		// probability but causes no state change).
-		if k < maxK {
-			if rate := m.OfferedPacketRate(s); rate > 0 {
-				emit(space.Index(State{n, k + 1, mm, r}), rate)
+		// probability but causes no state change), and (vi) data packet
+		// service over min(N-n, 8k) PDCHs.
+		for k := range width {
+			s.Packets = k
+			if k+1 < width {
+				up[k] = m.OfferedPacketRate(s)
 			}
-		}
-
-		// (vi) Data packet service over min(N-n, 8k) PDCHs.
-		if k > 0 {
-			if rate := m.ServiceRate(s); rate > 0 {
-				emit(space.Index(State{n, k - 1, mm, r}), rate)
+			if k > 0 {
+				down[k] = m.ServiceRate(s)
 			}
 		}
 
 		// (vii) MMPP phase changes of the aggregated arrival process.
 		if r < mm {
-			emit(space.Index(State{n, k, mm, r + 1}), float64(mm-r)*ipp.Alpha)
+			jump(line(n, mm, r+1), float64(mm-r)*ipp.Alpha)
 		}
 		if r > 0 {
-			emit(space.Index(State{n, k, mm, r - 1}), float64(r)*ipp.Beta)
+			jump(line(n, mm, r-1), float64(r)*ipp.Beta)
 		}
 	}
 }
 
 // BuildGenerator constructs the infinitesimal generator of the model, with
-// every (n, m, r) block of K+1 buffer states as one line (see StateSpace).
+// every (n, m, r) block of K+1 buffer states as one line (see StateSpace),
+// described once per line by Table 1.
 func (m *Model) BuildGenerator() (*ctmc.Generator, error) {
-	return ctmc.NewGenerator(m.space.NumStates(), m.space.BufferSize()+1, m.Transitions())
+	return ctmc.NewGenerator(m.space.NumStates(), m.space.BufferSize()+1, m.lines())
 }
 
 // Result bundles the steady-state solution of the model with the derived
@@ -238,7 +237,8 @@ var ErrNotConverged = errors.New("core: model solve did not converge")
 // ErrNotConverged when the solve did not converge. Every Table 1 transition
 // but packet arrival (v) and service (vi) keeps the buffer level k, at a rate
 // independent of k, so each (n, m, r) block of K+1 buffer states is a line
-// fed by at most eight neighbour lines. A nil opts.Aggregation is filled in
+// fed by at most eight neighbour lines, and the build describes Table 1 once
+// per line, not once per state. A nil opts.Aggregation is filled in
 // with the exact product-form marginal of the lines: GSM calls and GPRS
 // sessions with their MMPP phase evolve independently of the buffer and of
 // each other, so their joint marginal is Erlang(n) × Erlang(m) ×

@@ -41,11 +41,83 @@ func solveSmall(t *testing.T, cfg Config) (*Model, *Result) {
 	return model, res
 }
 
-// pointGenerator builds the model's generator with one state per line, so
-// its solve is point Gauss–Seidel.
+// table1Points is the reference encoding of Table 1, independent of the
+// line description BuildGenerator uses: each state, decoded from its index,
+// enumerates its outgoing transitions as jumps of a chain with one state per
+// line.
+func table1Points(m *Model) ctmc.LineFunc {
+	var (
+		space   = m.space
+		nGSM    = space.GSMChannels()
+		maxK    = space.BufferSize()
+		maxM    = space.MaxSessions()
+		ipp     = m.rates.IPP
+		pOn     = ipp.OnProbability()
+		pOff    = ipp.OffProbability()
+		gsmArr  = m.gsmArrival
+		gsmDep  = m.gsmDeparture
+		gprsArr = m.gprsArrival
+		gprsDep = m.gprsDeparture
+	)
+	return func(index int, _, _ []float64, emit func(to int, rate float64)) {
+		s := space.State(index)
+		n, k, mm, r := s.GSMCalls, s.Packets, s.Sessions, s.OffSessions
+
+		// (i) Incoming GSM calls and handovers.
+		if n < nGSM && gsmArr > 0 {
+			emit(space.Index(State{n + 1, k, mm, r}), gsmArr)
+		}
+		// (ii) Incoming GPRS sessions and handovers, in IPP steady state.
+		if mm < maxM && gprsArr > 0 {
+			emit(space.Index(State{n, k, mm + 1, r}), pOn*gprsArr)
+			emit(space.Index(State{n, k, mm + 1, r + 1}), pOff*gprsArr)
+		}
+		// (iii) GSM calls leaving the cell.
+		if n > 0 {
+			emit(space.Index(State{n - 1, k, mm, r}), float64(n)*gsmDep)
+		}
+		// (iv) GPRS sessions leaving the cell, off with probability r/m.
+		if mm > 0 {
+			total := float64(mm) * gprsDep
+			switch {
+			case r == 0:
+				emit(space.Index(State{n, k, mm - 1, 0}), total)
+			case r == mm:
+				emit(space.Index(State{n, k, mm - 1, r - 1}), total)
+			default:
+				frac := float64(r) / float64(mm)
+				emit(space.Index(State{n, k, mm - 1, r - 1}), frac*total)
+				emit(space.Index(State{n, k, mm - 1, r}), (1-frac)*total)
+			}
+		}
+		// (v) Data packet arrivals while the buffer is not full.
+		if k < maxK {
+			if rate := m.OfferedPacketRate(s); rate > 0 {
+				emit(space.Index(State{n, k + 1, mm, r}), rate)
+			}
+		}
+		// (vi) Data packet service over min(N-n, 8k) PDCHs.
+		if k > 0 {
+			if rate := m.ServiceRate(s); rate > 0 {
+				emit(space.Index(State{n, k - 1, mm, r}), rate)
+			}
+		}
+		// (vii) MMPP phase changes.
+		if r < mm {
+			emit(space.Index(State{n, k, mm, r + 1}), float64(mm-r)*ipp.Alpha)
+		}
+		if r > 0 {
+			emit(space.Index(State{n, k, mm, r - 1}), float64(r)*ipp.Beta)
+		}
+	}
+}
+
+// pointGenerator builds the model's generator from the reference encoding
+// table1Points, with one state per line, so its solve is point
+// Gauss–Seidel.
 func pointGenerator(t *testing.T, model *Model) *ctmc.Generator {
 	t.Helper()
-	gen, err := ctmc.NewGenerator(model.space.NumStates(), 1, model.Transitions())
+	gen, err := ctmc.NewGenerator(model.space.NumStates(), 1, table1Points(model))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,11 +425,11 @@ func TestTransitionRatesMatchTable1(t *testing.T) {
 	}
 	sp := model.space
 	rates := model.Rates()
-	tf := model.Transitions()
+	tf := table1Points(model)
 
 	collect := func(s State) map[State]float64 {
 		out := make(map[State]float64)
-		tf(sp.Index(s), func(to int, rate float64) {
+		tf(sp.Index(s), nil, nil, func(to int, rate float64) {
 			out[sp.State(to)] += rate
 		})
 		return out
@@ -544,7 +616,7 @@ func TestHigherLoadIncreasesVoiceBlocking(t *testing.T) {
 
 // lineConfigs are the configurations on which the line generator is
 // checked against the point generator: three state-space shapes, every
-// Quick Fig. 6 point, and edge cases of Table 1.
+// Quick Fig. 6 point, edge cases of Table 1 and unequal MMPP rates.
 func lineConfigs() map[string]Config {
 	cfgs := map[string]Config{}
 	for _, dims := range [][3]int{{5, 8, 3}, {3, 4, 6}, {8, 1, 2}} {
@@ -567,14 +639,19 @@ func lineConfigs() map[string]Config {
 	capped := smallConfig()
 	capped.TotalCallRate, capped.GPRSFraction, capped.FlowControlThreshold = 2, 0.5, 0.25
 	cfgs["arrival cap binds"] = capped
+	// Traffic model 3 has equal on and off rates; model 1 does not, so it
+	// tells the MMPP phase changes (vii) apart.
+	model1 := smallConfig()
+	model1.Session = traffic.Model1.Spec().Session
+	cfgs["traffic model 1"] = model1
 	return cfgs
 }
 
 func TestLineGeneratorMatchesPointGenerator(t *testing.T) {
-	// NewGenerator accepts the model with each (n, m, r) block as a line
-	// only if Table 1 has the line structure, and the line generator must
-	// then be the point generator's matrix: the same transitions, and the
-	// same pi*Q for any pi.
+	// Two separate encodings of Table 1: the line description BuildGenerator
+	// uses and the per-state reference table1Points. The line generator must
+	// be the point generator's matrix: the same transitions, and the same
+	// pi*Q for any pi.
 	capBinds := false
 	for name, cfg := range lineConfigs() {
 		model, err := New(cfg)

@@ -2,6 +2,7 @@ package ctmc
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -13,11 +14,11 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // a (0->1) and b (1->0); its stationary distribution is (b, a)/(a+b).
 func twoStateChain(t *testing.T, a, b float64) *Generator {
 	t.Helper()
-	g, err := NewGenerator(2, 1, func(s int, emit func(int, float64)) {
+	g, err := NewGenerator(2, 1, func(s int, _, _ []float64, jump func(int, float64)) {
 		if s == 0 {
-			emit(1, a)
+			jump(1, a)
 		} else {
-			emit(0, b)
+			jump(0, b)
 		}
 	})
 	if err != nil {
@@ -26,19 +27,17 @@ func twoStateChain(t *testing.T, a, b float64) *Generator {
 	return g
 }
 
-// mmckTransitions returns the transition function of an M/M/c/K queue with
-// arrival rate lambda and service rate mu; state = number in system.
-func mmckTransitions(lambda, mu float64, c, capacity int) TransitionFunc {
-	return func(s int, emit func(int, float64)) {
-		if s < capacity {
-			emit(s+1, lambda)
-		}
-		if s > 0 {
-			busy := s
-			if busy > c {
-				busy = c
+// mmckLine describes an M/M/c/K queue with arrival rate lambda and service
+// rate mu as one line of capacity+1 states; state = number in system.
+func mmckLine(lambda, mu float64, c, capacity int) LineFunc {
+	return func(_ int, up, down []float64, _ func(int, float64)) {
+		for s := range up {
+			if s < capacity {
+				up[s] = lambda
 			}
-			emit(s-1, float64(busy)*mu)
+			if s > 0 {
+				down[s] = float64(min(s, c)) * mu
+			}
 		}
 	}
 }
@@ -89,7 +88,7 @@ func TestMMcKMatchesClosedForm(t *testing.T) {
 		c        = 3
 		capacity = 15
 	)
-	g, err := NewGenerator(capacity+1, 1, mmckTransitions(lambda, mu, c, capacity))
+	g, err := NewGenerator(capacity+1, 1, Points(capacity+1, mmckLine(lambda, mu, c, capacity)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,107 +120,111 @@ func TestGeneratorCountsAndRates(t *testing.T) {
 	}
 }
 
+// TestGeneratorRejectsInvalidInput gives NewGenerator each kind of bad
+// input. The valid base is a ring of three lines of two states: up 2 and
+// down 3 inside each line, and a jump at rate 1 to the next line.
 func TestGeneratorRejectsInvalidInput(t *testing.T) {
-	if _, err := NewGenerator(0, 1, func(int, func(int, float64)) {}); !errors.Is(err, ErrInvalidArgument) {
-		t.Error("zero states should be rejected")
+	ring := func(l int, up, down []float64, jump func(int, float64)) {
+		up[0], down[1] = 2, 3
+		jump((l+1)%3, 1)
 	}
-	if _, err := NewGenerator(2, 1, nil); !errors.Is(err, ErrInvalidArgument) {
-		t.Error("nil transition function should be rejected")
-	}
-	for _, width := range []int{0, -1, 3} {
-		if _, err := NewGenerator(4, width, func(s int, emit func(int, float64)) { emit(3-s, 1) }); !errors.Is(err, ErrInvalidArgument) {
-			t.Errorf("line width %d for 4 states: got %v, want ErrInvalidArgument", width, err)
-		}
-	}
-	_, err := NewGenerator(2, 1, func(s int, emit func(int, float64)) { emit(5, 1) })
-	if !errors.Is(err, ErrInvalidTransition) {
-		t.Errorf("out-of-range target: got %v", err)
-	}
-	_, err = NewGenerator(2, 1, func(s int, emit func(int, float64)) { emit(1-s, -1) })
-	if !errors.Is(err, ErrInvalidTransition) {
-		t.Errorf("negative rate: got %v", err)
-	}
-	_, err = NewGenerator(2, 1, func(s int, emit func(int, float64)) { emit(1-s, math.NaN()) })
-	if !errors.Is(err, ErrInvalidTransition) {
-		t.Errorf("NaN rate: got %v", err)
-	}
-	// A state with no outgoing transitions cannot belong to an irreducible
-	// chain.
-	_, err = NewGenerator(2, 1, func(s int, emit func(int, float64)) {
-		if s == 0 {
-			emit(1, 1)
-		}
-	})
-	if !errors.Is(err, ErrNotIrreducible) {
-		t.Errorf("dangling state: got %v", err)
-	}
-}
-
-func TestNewGeneratorRejectsBrokenLines(t *testing.T) {
-	// Two lines of three states each, 0-1-2 and 3-4-5: a birth–death chain
-	// inside each, and every state sends rate 1 to the same position in the
-	// other line. broken adds one transition to that valid chain.
-	valid := func(s int, emit func(int, float64)) {
-		if s%3 < 2 {
-			emit(s+1, 2)
-		}
-		if s%3 > 0 {
-			emit(s-1, 3)
-		}
-		emit((s+3)%6, 1)
-	}
-	if _, err := NewGenerator(6, 3, valid); err != nil {
+	if _, err := NewGenerator(6, 2, ring); err != nil {
 		t.Fatalf("valid chain: %v", err)
 	}
+	// with returns the ring with line 1 changed by edit.
+	with := func(edit func(up, down []float64, jump func(int, float64))) LineFunc {
+		return func(l int, up, down []float64, jump func(int, float64)) {
+			ring(l, up, down, jump)
+			if l == 1 {
+				edit(up, down, jump)
+			}
+		}
+	}
+	jumpTo := func(to int, rate float64) LineFunc {
+		return with(func(_, _ []float64, jump func(int, float64)) { jump(to, rate) })
+	}
+	setUp := func(q int, rate float64) LineFunc {
+		return with(func(up, _ []float64, _ func(int, float64)) { up[q] = rate })
+	}
+	setDown := func(q int, rate float64) LineFunc {
+		return with(func(_, down []float64, _ func(int, float64)) { down[q] = rate })
+	}
 	for _, tc := range []struct {
-		name       string
-		from, to   int
-		rate       float64
-		everyState bool
+		name     string
+		n, width int
+		line     LineFunc
+		want     error
 	}{
-		{"jump of two steps inside a line", 0, 2, 1, false},
-		{"jump of two steps inside a line, downwards", 5, 3, 1, false},
-		{"change of position between lines", 1, 5, 1, false},
-		{"cross-line transition from one state of a line only", 1, 4, 1, false},
-		{"cross-line transition from the first state only", 0, 3, 1, false},
-		{"cross-line rate that differs along a line", -1, 0, 0, true},
+		{"jump to a line below 0", 6, 2, jumpTo(-1, 1), ErrInvalidTransition},
+		{"jump to a line past the last", 6, 2, jumpTo(3, 1), ErrInvalidTransition},
+		{"negative jump rate", 6, 2, jumpTo(0, -1), ErrInvalidTransition},
+		{"NaN jump rate", 6, 2, jumpTo(0, math.NaN()), ErrInvalidTransition},
+		{"infinite jump rate", 6, 2, jumpTo(0, math.Inf(1)), ErrInvalidTransition},
+		{"negative up rate", 6, 2, setUp(0, -1), ErrInvalidTransition},
+		{"NaN up rate", 6, 2, setUp(0, math.NaN()), ErrInvalidTransition},
+		{"infinite up rate", 6, 2, setUp(0, math.Inf(1)), ErrInvalidTransition},
+		{"negative down rate", 6, 2, setDown(1, -1), ErrInvalidTransition},
+		{"NaN down rate", 6, 2, setDown(1, math.NaN()), ErrInvalidTransition},
+		{"infinite down rate", 6, 2, setDown(1, math.Inf(-1)), ErrInvalidTransition},
+		// Line 2's last state steps nowhere; the others still leave by a jump.
+		{"state with no outflow", 6, 2, func(l int, up, down []float64, jump func(int, float64)) {
+			up[0] = 2
+			if l < 2 {
+				down[1] = 3
+				jump(l+1, 1)
+			}
+		}, ErrNotIrreducible},
+		{"zero states", 0, 1, ring, ErrInvalidArgument},
+		{"states beyond int32 indexing", math.MaxInt32 + 1, 1, ring, ErrInvalidArgument},
+		{"line width 0", 6, 0, ring, ErrInvalidArgument},
+		{"negative line width", 6, -2, ring, ErrInvalidArgument},
+		{"line width that does not divide the states", 6, 4, ring, ErrInvalidArgument},
+		{"nil line function", 6, 2, nil, ErrInvalidArgument},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewGenerator(6, 3, func(s int, emit func(int, float64)) {
-				valid(s, emit)
-				switch {
-				case tc.everyState:
-					emit((s+3)%6, 1+float64(s%3))
-				case s == tc.from:
-					emit(tc.to, tc.rate)
-				}
-			})
-			if !errors.Is(err, ErrInvalidTransition) {
-				t.Errorf("got %v, want ErrInvalidTransition", err)
+			if _, err := NewGenerator(tc.n, tc.width, tc.line); !errors.Is(err, tc.want) {
+				t.Errorf("got %v, want %v", err, tc.want)
 			}
 		})
 	}
-	// A cross-line target that differs along a line: four lines of two
-	// states, each state sending to the next line, but state 1 to the line
-	// after it.
-	_, err := NewGenerator(8, 2, func(s int, emit func(int, float64)) {
-		emit(s^1, 1)
-		next := (s + 2) % 8
-		if s == 1 {
-			next = (s + 4) % 8
+}
+
+// TestNewGeneratorRejectsBrokenLines checks that the one way a line
+// description can leave its line, a step up from its last position or down
+// from its first, is caught on every line of a ring of three lines, and on
+// lines of one state.
+func TestNewGeneratorRejectsBrokenLines(t *testing.T) {
+	for _, width := range []int{1, 3} {
+		for broken := range 3 {
+			for _, end := range []string{"up from its last position", "down from its first position"} {
+				t.Run(fmt.Sprintf("width %d, line %d steps %s", width, broken, end), func(t *testing.T) {
+					_, err := NewGenerator(3*width, width, func(l int, up, down []float64, jump func(int, float64)) {
+						for q := range width - 1 {
+							up[q], down[q+1] = 1, 1
+						}
+						jump((l+1)%3, 1)
+						switch {
+						case l != broken:
+						case end == "up from its last position":
+							up[width-1] = 1
+						default:
+							down[0] = 1
+						}
+					})
+					if !errors.Is(err, ErrInvalidTransition) {
+						t.Errorf("got %v, want ErrInvalidTransition", err)
+					}
+				})
+			}
 		}
-		emit(next, 1)
-	})
-	if !errors.Is(err, ErrInvalidTransition) {
-		t.Errorf("cross-line target that differs along a line: got %v, want ErrInvalidTransition", err)
 	}
 }
 
 func TestGeneratorIgnoresSelfLoopsAndZeroRates(t *testing.T) {
-	g, err := NewGenerator(2, 1, func(s int, emit func(int, float64)) {
-		emit(s, 100) // self loop must be ignored
-		emit(1-s, 0) // zero rate must be ignored
-		emit(1-s, 1) // the real transition
+	g, err := NewGenerator(2, 1, func(s int, _, _ []float64, jump func(int, float64)) {
+		jump(s, 100) // self loop must be ignored
+		jump(1-s, 0) // zero rate must be ignored
+		jump(1-s, 1) // the real transition
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +238,7 @@ func TestGeneratorIgnoresSelfLoopsAndZeroRates(t *testing.T) {
 }
 
 func TestSingleStateChain(t *testing.T) {
-	g, err := NewGenerator(1, 1, func(int, func(int, float64)) {})
+	g, err := NewGenerator(1, 1, func(int, []float64, []float64, func(int, float64)) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,15 +274,17 @@ func TestBirthDeathDetailedBalanceProperty(t *testing.T) {
 		n := int(nSeed%20) + 2
 		birth := 0.1 + float64(birthSeed%100)/20
 		death := 0.1 + float64(deathSeed%100)/20
-		tf := func(s int, emit func(int, float64)) {
-			if s < n-1 {
-				emit(s+1, birth)
-			}
-			if s > 0 {
-				emit(s-1, death*float64(s))
+		line := func(_ int, up, down []float64, _ func(int, float64)) {
+			for s := range n {
+				if s < n-1 {
+					up[s] = birth
+				}
+				if s > 0 {
+					down[s] = death * float64(s)
+				}
 			}
 		}
-		g, err := NewGenerator(n, 1, tf)
+		g, err := NewGenerator(n, 1, Points(n, line))
 		if err != nil {
 			return false
 		}
@@ -302,7 +307,7 @@ func TestBirthDeathDetailedBalanceProperty(t *testing.T) {
 }
 
 func TestSolutionProbabilityVectorProperties(t *testing.T) {
-	g, err := NewGenerator(50, 1, mmckTransitions(3, 0.5, 4, 49))
+	g, err := NewGenerator(50, 1, Points(50, mmckLine(3, 0.5, 4, 49)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,12 +328,12 @@ func TestSolutionProbabilityVectorProperties(t *testing.T) {
 }
 
 func TestNewGeneratorAllocationsIndependentOfStates(t *testing.T) {
-	// The emit callback is bound once, so the allocation count of a build
+	// The jump callback is bound once, so the allocation count of a build
 	// does not grow with the number of states. Width 1 is the worst case:
-	// every transition is between lines.
-	tf := mmckTransitions(3, 0.5, 4, 999)
+	// every transition is a jump between lines.
+	line := Points(1000, mmckLine(3, 0.5, 4, 999))
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := NewGenerator(1000, 1, tf); err != nil {
+		if _, err := NewGenerator(1000, 1, line); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -404,23 +409,24 @@ func TestAggregationRescale(t *testing.T) {
 // s·(fast+1)+f, so each line of width fast+1 holds one s. The slow
 // coordinate s is an autonomous birth–death process with rates far below
 // those of the fast coordinate f, whose rates depend on s. It returns the
-// transition function and the exact marginal of s, which is the line
-// process's stationary distribution.
-func slowFastChain(slow, fast int) (TransitionFunc, []float64) {
+// line description and the exact marginal of s, which is the line process's
+// stationary distribution.
+func slowFastChain(slow, fast int) (LineFunc, []float64) {
 	const birth, death = 0.02, 0.01
-	tf := func(state int, emit func(int, float64)) {
-		s, f := state/(fast+1), state%(fast+1)
+	line := func(s int, up, down []float64, jump func(int, float64)) {
 		if s < slow {
-			emit(state+fast+1, birth)
+			jump(s+1, birth)
 		}
 		if s > 0 {
-			emit(state-fast-1, death*float64(s))
+			jump(s-1, death*float64(s))
 		}
-		if f < fast {
-			emit(state+1, 1+float64(s))
-		}
-		if f > 0 {
-			emit(state-1, 2.5)
+		for f := range up {
+			if f < fast {
+				up[f] = 1 + float64(s)
+			}
+			if f > 0 {
+				down[f] = 2.5
+			}
 		}
 	}
 	mass := make([]float64, slow+1)
@@ -433,17 +439,17 @@ func slowFastChain(slow, fast int) (TransitionFunc, []float64) {
 	for s := range mass {
 		mass[s] /= sum
 	}
-	return tf, mass
+	return line, mass
 }
 
 func TestAggregationMatchesPlainSolveInFewerSweeps(t *testing.T) {
 	const slow, fast = 8, 12
-	tf, mass := slowFastChain(slow, fast)
-	points, err := NewGenerator((slow+1)*(fast+1), 1, tf)
+	line, mass := slowFastChain(slow, fast)
+	points, err := NewGenerator((slow+1)*(fast+1), 1, Points(fast+1, line))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines, err := NewGenerator((slow+1)*(fast+1), fast+1, tf)
+	lines, err := NewGenerator((slow+1)*(fast+1), fast+1, line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +482,7 @@ func TestClosedLineSolvesToClosedForm(t *testing.T) {
 	// nothing leaves it, so its last pivot is 0. The sweep keeps the last
 	// state's value, solves the rest from it, and the rescale sets the mass.
 	const lambda, mu, c, capacity = 2.5, 1.0, 3, 15
-	g, err := NewGenerator(capacity+1, capacity+1, mmckTransitions(lambda, mu, c, capacity))
+	g, err := NewGenerator(capacity+1, capacity+1, mmckLine(lambda, mu, c, capacity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,23 +507,23 @@ func TestClosedLineSolvesToClosedForm(t *testing.T) {
 // the line process's and each line's own, so every line holds its line
 // process mass, spread as its own birth–death chain's equilibrium. If
 // broken >= 0, state broken of line 2 has no step down its line. It returns
-// the transition function and the line process's stationary distribution.
-func productFormChain(slow, fast, broken int) (TransitionFunc, []float64) {
+// the line description and the line process's stationary distribution.
+func productFormChain(slow, fast, broken int) (LineFunc, []float64) {
 	const birth, death = 0.4, 0.3
-	w := fast + 1
-	tf := func(state int, emit func(int, float64)) {
-		s, q := state/w, state%w
+	line := func(s int, up, down []float64, jump func(int, float64)) {
 		if s < slow {
-			emit(state+w, birth)
+			jump(s+1, birth)
 		}
 		if s > 0 {
-			emit(state-w, death*float64(s))
+			jump(s-1, death*float64(s))
 		}
-		if q < fast {
-			emit(state+1, 1.5)
-		}
-		if q > 0 && !(s == 2 && q == broken) {
-			emit(state-1, 1+float64(q))
+		for q := range up {
+			if q < fast {
+				up[q] = 1.5
+			}
+			if q > 0 && !(s == 2 && q == broken) {
+				down[q] = 1 + float64(q)
+			}
 		}
 	}
 	mass := make([]float64, slow+1)
@@ -530,7 +536,7 @@ func productFormChain(slow, fast, broken int) (TransitionFunc, []float64) {
 	for s := range mass {
 		mass[s] /= sum
 	}
-	return tf, mass
+	return line, mass
 }
 
 // TestStartIsEachLineEquilibrium checks the start of a line solve. On a
@@ -542,8 +548,8 @@ func TestStartIsEachLineEquilibrium(t *testing.T) {
 	const slow, fast = 5, 9
 	const n, w = (slow + 1) * (fast + 1), fast + 1
 	t.Run("product form", func(t *testing.T) {
-		tf, mass := productFormChain(slow, fast, -1)
-		g, err := NewGenerator(n, w, tf)
+		line, mass := productFormChain(slow, fast, -1)
+		g, err := NewGenerator(n, w, line)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -561,12 +567,12 @@ func TestStartIsEachLineEquilibrium(t *testing.T) {
 	})
 	t.Run("down rate of 0 mid-line", func(t *testing.T) {
 		const broken = fast / 2
-		tf, _ := productFormChain(slow, fast, broken)
-		points, err := NewGenerator(n, 1, tf)
+		line, _ := productFormChain(slow, fast, broken)
+		points, err := NewGenerator(n, 1, Points(w, line))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines, err := NewGenerator(n, w, tf)
+		lines, err := NewGenerator(n, w, line)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,8 +615,8 @@ func TestStartIsEachLineEquilibrium(t *testing.T) {
 // vector whose pi*Q is far from 0. Such a solve must not report Converged.
 func TestStalledSolveIsNotConverged(t *testing.T) {
 	const slow, fast = 8, 12
-	tf, _ := slowFastChain(slow, fast)
-	g, err := NewGenerator((slow+1)*(fast+1), fast+1, tf)
+	line, _ := slowFastChain(slow, fast)
+	g, err := NewGenerator((slow+1)*(fast+1), fast+1, line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,21 +639,21 @@ func TestStalledSolveIsNotConverged(t *testing.T) {
 	t.Logf("settled after %d sweeps, Delta %v, residual %v", stalled.Iterations, stalled.Delta, stalled.Residual)
 }
 
-// fuzzChain decodes fuzz bytes into a small irreducible chain with the line
-// structure: lines of equal width, each a birth–death chain with random
-// rates, joined by random transitions that keep the position, at one rate
-// for every state of the source line. It returns the number of states, the
-// line width and the transition function.
+// fuzzChain decodes fuzz bytes into a small irreducible chain described
+// line by line: lines of equal width, each a birth–death chain with random
+// rates, joined by random jumps, each from every state of its line to the
+// same position in another line at one rate. It returns the number of
+// states, the line width and the line description.
 //
 // The first byte sets the line width W (1..8), the second the number of
 // lines L (1..8). The next 2·W·L give the rates from each state one step up
 // and one step down its line, where there is such a step; the next L, the
-// rate from every state of each line to the same position in the next line,
-// cyclically (none for L = 1). Every following triple (from, to, rate) adds
-// a transition: inside a line, one step from from towards to; into another
-// line, from every state of from's line to the same position in to's line.
-// Missing bytes read as 0, and every rate lies in [1/16, 16].
-func fuzzChain(data []byte) (int, int, TransitionFunc) {
+// rate of a jump from each line to the next, cyclically (none for L = 1).
+// Every following triple (from, to, rate) of states adds a transition:
+// inside a line, one more step from from towards to, at a rate added to the
+// step's; into another line, a jump from from's line to to's. Missing bytes
+// read as 0, and every rate lies in [1/16, 16].
+func fuzzChain(data []byte) (int, int, LineFunc) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -660,59 +666,55 @@ func fuzzChain(data []byte) (int, int, TransitionFunc) {
 	w := 1 + int(next()%8)
 	lines := 1 + int(next()%8)
 	n := w * lines
-	type edge struct {
+	up, down := make([]float64, n), make([]float64, n)
+	for i := range n {
+		u, d := rate(next()), rate(next())
+		if i%w+1 < w {
+			up[i] = u
+		}
+		if i%w > 0 {
+			down[i] = d
+		}
+	}
+	type jump struct {
 		to   int
 		rate float64
 	}
-	out := make([][]edge, n)
-	for i := range out {
-		up, down := rate(next()), rate(next())
-		if i%w+1 < w {
-			out[i] = append(out[i], edge{i + 1, up})
-		}
-		if i%w > 0 {
-			out[i] = append(out[i], edge{i - 1, down})
-		}
-	}
-	// cross adds the transitions from every state of line from to the same
-	// position in line to.
-	cross := func(from, to int, r float64) {
-		for q := range w {
-			out[from*w+q] = append(out[from*w+q], edge{to*w + q, r})
-		}
-	}
-	for l := 0; l < lines; l++ {
+	jumps := make([][]jump, lines)
+	for l := range lines {
 		if r := rate(next()); lines > 1 {
-			cross(l, (l+1)%lines, r)
+			jumps[l] = append(jumps[l], jump{(l + 1) % lines, r})
 		}
 	}
 	for len(data) >= 3 {
 		from, to, r := int(next())%n, int(next())%n, rate(next())
 		switch {
 		case from/w != to/w:
-			cross(from/w, to/w, r)
+			jumps[from/w] = append(jumps[from/w], jump{to / w, r})
 		case to < from:
-			out[from] = append(out[from], edge{from - 1, r})
+			down[from] += r
 		case from%w+1 < w:
-			out[from] = append(out[from], edge{from + 1, r})
+			up[from] += r
 		case from%w > 0:
-			out[from] = append(out[from], edge{from - 1, r})
+			down[from] += r
 		}
 	}
-	return n, w, func(s int, emit func(int, float64)) {
-		for _, e := range out[s] {
-			emit(e.to, e.rate)
+	return n, w, func(l int, lineUp, lineDown []float64, emit func(int, float64)) {
+		copy(lineUp, up[l*w:])
+		copy(lineDown, down[l*w:])
+		for _, j := range jumps[l] {
+			emit(j.to, j.rate)
 		}
 	}
 }
 
-// FuzzLineSweep checks line Gauss–Seidel on random chains with the line
-// structure. The reference is the same transition function built with one
-// state per line and solved plainly: built with lines, it must count the
-// same transitions, and given the exact line masses, taken from the plain
-// solve, the line solve must converge to the plain solve's distribution.
-// Both builds' sweep orders must be colourings: every line listed once, and
-// no transition between two lines of one colour.
+// FuzzLineSweep checks line Gauss–Seidel on random line-described chains.
+// The reference is the same chain with one state per line (Points), solved
+// plainly: the line build must count the same transitions, and given the
+// exact line masses, taken from the plain solve, the line solve must
+// converge to the plain solve's distribution. Both builds' sweep orders
+// must be colourings: every line listed once, and no jump between two lines
+// of one colour.
 func FuzzLineSweep(f *testing.F) {
 	// One line holding every state: a closed birth–death line.
 	f.Add([]byte{7, 0, 1, 20, 2, 30, 3, 40, 4, 50, 5, 60, 6, 70, 7, 80, 9,
@@ -725,19 +727,20 @@ func FuzzLineSweep(f *testing.F) {
 	// values of two pairs of states every time and never converges.
 	f.Add([]byte{0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, width, tf := fuzzChain(data)
-		points, err := NewGenerator(n, 1, tf)
+		n, width, line := fuzzChain(data)
+		points, err := NewGenerator(n, 1, Points(width, line))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines, err := NewGenerator(n, width, tf)
+		lines, err := NewGenerator(n, width, line)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, g := range []*Generator{points, lines} {
-			if err := SweepOrderError(g, tf); err != nil {
-				t.Fatalf("width %d: %v", g.width, err)
-			}
+		if err := SweepOrderError(points, Points(width, line)); err != nil {
+			t.Fatalf("width 1: %v", err)
+		}
+		if err := SweepOrderError(lines, line); err != nil {
+			t.Fatalf("width %d: %v", width, err)
 		}
 		if lines.NumTransitions() != points.NumTransitions() {
 			t.Fatalf("%d transitions with lines of %d, %d with one state per line",

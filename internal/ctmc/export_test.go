@@ -9,10 +9,11 @@ import (
 // Colours returns the number of colours of the sweep order of g.
 func Colours(g *Generator) int { return len(g.colourEnd) }
 
-// SweepOrderError checks the sweep order of g, built from tf. The order must
-// list every line exactly once, colour by colour and in index order within a
-// colour, and no transition of tf may join two lines of the same colour.
-func SweepOrderError(g *Generator, tf TransitionFunc) error {
+// SweepOrderError checks the sweep order of g, built from the line
+// description line. The order must list every line exactly once, colour by
+// colour and in index order within a colour, and no jump of line may join
+// two lines of the same colour.
+func SweepOrderError(g *Generator, line LineFunc) error {
 	w, lines := g.width, g.n/g.width
 	if len(g.order) != lines {
 		return fmt.Errorf("sweep order lists %d lines, want %d", len(g.order), lines)
@@ -42,15 +43,61 @@ func SweepOrderError(g *Generator, tf TransitionFunc) error {
 	if int(start) != lines {
 		return fmt.Errorf("the colours list %d of %d lines", start, lines)
 	}
+	up, down := make([]float64, w), make([]float64, w)
 	var err error
-	for s := 0; s < g.n && err == nil; s++ {
-		tf(s, func(to int, rate float64) {
-			if err == nil && rate > 0 && to/w != s/w && colour[to/w] == colour[s/w] {
-				err = fmt.Errorf("state %d -> %d joins lines %d and %d of colour %d", s, to, s/w, to/w, colour[s/w])
+	for l := 0; l < lines && err == nil; l++ {
+		clear(up)
+		clear(down)
+		line(l, up, down, func(to int, rate float64) {
+			if err == nil && rate > 0 && to != l && colour[to] == colour[l] {
+				err = fmt.Errorf("line %d -> %d joins two lines of colour %d", l, to, colour[l])
 			}
 		})
 	}
 	return err
+}
+
+// Points returns the description, with one state per line, of the chain
+// that line describes in lines of the given width: state l·width + q steps
+// to its neighbours in line l at the rates line gives position q, and jumps
+// to position q of the lines line jumps to. It calls line once per state
+// into scratch of its own, so a build from it allocates nothing per state,
+// and two builds must not share it at once.
+func Points(width int, line LineFunc) LineFunc {
+	up, down := make([]float64, width), make([]float64, width)
+	var q int
+	var emit func(int, float64)
+	shift := func(to int, rate float64) { emit(to*width+q, rate) }
+	return func(s int, _, _ []float64, jump func(int, float64)) {
+		clear(up)
+		clear(down)
+		q, emit = s%width, jump
+		line(s/width, up, down, shift)
+		if up[q] != 0 {
+			jump(s+1, up[q])
+		}
+		if down[q] != 0 {
+			jump(s-1, down[q])
+		}
+	}
+}
+
+// Lines returns the line description of g, read back from its rates and
+// jumps, so that a chain built with NewGenerator alone, such as a model's,
+// can be rebuilt and checked. Each line emits its jumps in target order.
+func Lines(g *Generator) LineFunc {
+	w := g.width
+	leave := make([][]jump, g.n/w)
+	for _, j := range g.from {
+		leave[j.from] = append(leave[j.from], j)
+	}
+	return func(l int, up, down []float64, emit func(int, float64)) {
+		copy(up, g.up[l*w:])
+		copy(down, g.down[l*w:])
+		for _, j := range leave[l] {
+			emit(int(j.to), j.rate)
+		}
+	}
 }
 
 // Start returns the starting vector of a solve of g, given the line masses

@@ -1,6 +1,6 @@
 // Package ctmc provides infrastructure for finite continuous-time Markov
 // chains whose states fall into lines of equal width: an infinitesimal
-// generator built from a transition enumeration callback, and an iterative
+// generator built from a description of each line, and an iterative
 // steady-state solver, line Gauss–Seidel. The GPRS Markov model of the paper
 // is solved through this package.
 //
@@ -8,10 +8,13 @@
 // transition goes one step up or down, so each line is a birth–death chain.
 // Between lines a transition keeps the position (the index mod W), and every
 // state of a line sends the same transitions to the same lines at the same
-// rates. So no matrix is stored: per state, the rates one step up and down
-// its line and the total outflow; per line, the (source line, rate) pairs of
-// its inflow from other lines. With W = 1 every state is its own line, any
-// chain has this structure, and the line solve is point Gauss–Seidel.
+// rates. A chain is described line by line (see LineFunc): per line, the
+// rates one step up and down from each position, and its jumps, each a
+// (target line, rate) pair, so a description cannot break the structure.
+// No matrix is stored either: per state, the rates one step up and down its
+// line and the total outflow; per line, the (source line, rate) pairs of its
+// inflow from other lines. With W = 1 every state is its own line, any chain
+// has this structure, and the line solve is point Gauss–Seidel.
 //
 // The line index is then itself a Markov chain, and the solver can be given
 // its stationary distribution, the exact mass of every line, when it is
@@ -43,9 +46,9 @@ import (
 
 // Common errors returned by the package.
 var (
-	// ErrInvalidTransition is returned when a transition callback emits an
-	// out-of-range target state, a non-finite or negative rate, or a
-	// transition that breaks the line structure.
+	// ErrInvalidTransition is returned when a line description jumps to a
+	// line out of range, gives a negative or non-finite rate, or steps off
+	// either end of a line.
 	ErrInvalidTransition = errors.New("ctmc: invalid transition")
 	// ErrNotIrreducible is returned when the chain has a state with no
 	// outgoing transitions (and therefore cannot be irreducible) or when a
@@ -56,10 +59,12 @@ var (
 	ErrInvalidArgument = errors.New("ctmc: invalid argument")
 )
 
-// TransitionFunc enumerates the outgoing transitions of a state. The
-// implementation must call emit(to, rate) once per outgoing transition with a
-// strictly positive rate; self-loops (to == state) are ignored.
-type TransitionFunc func(state int, emit func(to int, rate float64))
+// LineFunc describes line l of a chain in lines of width W. It must set
+// up[q] and down[q], of length W and zero on entry, to the rates from
+// position q of the line one step up and one step down it, and call
+// jump(to, rate) once per transition from every state of line l to the same
+// position in line to. A jump at rate 0 or back into line l is ignored.
+type LineFunc func(l int, up, down []float64, jump func(to int, rate float64))
 
 // Generator is the infinitesimal generator Q of a finite CTMC with the line
 // structure of the package comment.
@@ -90,67 +95,36 @@ type jump struct {
 	rate     float64
 }
 
-// builder holds what NewGenerator knows while it visits the states. Its emit
-// method is bound once, so a build allocates nothing per state.
+// builder collects the jumps of the lines as NewGenerator visits them. Its
+// jump method is bound once, so a build allocates nothing per line.
 type builder struct {
-	g                *Generator
-	state, line, pos int
-	// jumps are the line-to-line transitions, in the order the first state
-	// of each line emits them; first is where the current line's jumps
-	// begin, and seen counts the current state's.
-	jumps       []jump
-	first, seen int
-	err         error
+	lines, line int
+	// jumps are the line-to-line transitions, in the order the lines emit
+	// them.
+	jumps []jump
+	err   error
 }
 
-func (b *builder) emit(to int, rate float64) {
-	g := b.g
-	if b.err == nil && (to < 0 || to >= g.n || rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0)) {
-		b.err = fmt.Errorf("%w: state %d -> %d of %d at rate %v", ErrInvalidTransition, b.state, to, g.n, rate)
+func (b *builder) jump(to int, rate float64) {
+	if b.err == nil && (to < 0 || to >= b.lines || !validRate(rate)) {
+		b.err = fmt.Errorf("%w: line %d -> %d of %d at rate %v", ErrInvalidTransition, b.line, to, b.lines, rate)
 	}
-	if b.err != nil || rate == 0 || to == b.state {
+	if b.err != nil || rate == 0 || to == b.line {
 		return
 	}
-	g.nnz++
-	g.out[b.state] += rate
-	// Only the first state of a line divides to find a jump's target line:
-	// the others compare their jumps with its.
-	start := b.state - b.pos
-	switch {
-	case to == b.state+1 && to < start+g.width:
-		g.up[b.state] += rate
-	case to == b.state-1 && to >= start:
-		g.down[b.state] += rate
-	case to >= start && to < start+g.width:
-		b.err = fmt.Errorf("%w: state %d -> %d jumps more than one step inside its line", ErrInvalidTransition, b.state, to)
-	default:
-		if b.pos > 0 {
-			k := b.first + b.seen
-			b.seen++
-			if k < len(b.jumps) && to == int(b.jumps[k].to)*g.width+b.pos && rate == b.jumps[k].rate {
-				return
-			}
-		}
-		switch line, pos := to/g.width, to%g.width; {
-		case pos != b.pos:
-			b.err = fmt.Errorf("%w: state %d -> %d moves from position %d to %d in another line", ErrInvalidTransition, b.state, to, b.pos, pos)
-		case b.pos > 0:
-			b.err = fmt.Errorf("%w: state %d -> %d at rate %v differs from the first state of line %d", ErrInvalidTransition, b.state, to, rate, b.line)
-		default:
-			b.jumps = append(b.jumps, jump{int32(b.line), int32(line), rate})
-		}
-	}
+	b.jumps = append(b.jumps, jump{int32(b.line), int32(to), rate})
 }
 
+// validRate reports whether rate is finite and not negative.
+func validRate(rate float64) bool { return rate >= 0 && rate <= math.MaxFloat64 }
+
 // NewGenerator builds the generator of a CTMC with numStates states in lines
-// of lineWidth states from the transition enumeration callback, which it
-// calls once per state. It returns an error wrapping ErrInvalidTransition if
-// a transition is invalid or breaks the line structure: if it jumps more than
-// one step inside a line, lands at another position in another line, or is
-// not emitted alike, in the same order, by every state of its line. It
-// returns an error wrapping ErrNotIrreducible if some state has no outgoing
-// transition.
-func NewGenerator(numStates, lineWidth int, transitions TransitionFunc) (*Generator, error) {
+// of lineWidth states from the line description, which it calls once per
+// line. It returns an error wrapping ErrInvalidTransition if a jump targets
+// a line out of range, if a rate is negative or not finite, or if a line
+// steps up from its last position or down from its first. It returns an
+// error wrapping ErrNotIrreducible if some state has no outgoing transition.
+func NewGenerator(numStates, lineWidth int, line LineFunc) (*Generator, error) {
 	if numStates <= 0 {
 		return nil, fmt.Errorf("%w: numStates = %d", ErrInvalidArgument, numStates)
 	}
@@ -160,8 +134,8 @@ func NewGenerator(numStates, lineWidth int, transitions TransitionFunc) (*Genera
 	if lineWidth <= 0 || numStates%lineWidth != 0 {
 		return nil, fmt.Errorf("%w: line width %d does not divide %d states", ErrInvalidArgument, lineWidth, numStates)
 	}
-	if transitions == nil {
-		return nil, fmt.Errorf("%w: nil transition function", ErrInvalidArgument)
+	if line == nil {
+		return nil, fmt.Errorf("%w: nil line function", ErrInvalidArgument)
 	}
 
 	g := &Generator{
@@ -172,23 +146,38 @@ func NewGenerator(numStates, lineWidth int, transitions TransitionFunc) (*Genera
 		out:   make([]float64, numStates),
 	}
 	lines := numStates / lineWidth
-	// The first state moves the builder from position W-1 of line -1 to the
-	// start of line 0. The jumps have room for eight per line before they
-	// grow.
-	b := &builder{g: g, line: -1, pos: lineWidth - 1, jumps: make([]jump, 0, 8*lines)}
-	emit := b.emit
-	for b.state = 0; b.state < numStates; b.state++ {
-		if b.pos++; b.pos == lineWidth {
-			b.line, b.pos, b.first = b.line+1, 0, len(b.jumps)
-		}
-		b.seen = 0
-		transitions(b.state, emit)
-		if b.err == nil && b.pos > 0 && b.first+b.seen != len(b.jumps) {
-			b.err = fmt.Errorf("%w: state %d leaves line %d by %d transitions, the line's first state by %d",
-				ErrInvalidTransition, b.state, b.line, b.seen, len(b.jumps)-b.first)
-		}
+	// The jumps have room for eight per line before they grow.
+	b := &builder{lines: lines, jumps: make([]jump, 0, 8*lines)}
+	jumpTo := b.jump
+	for s := 0; b.line < lines; b.line, s = b.line+1, s+lineWidth {
+		first := len(b.jumps)
+		up, down := g.up[s:s+lineWidth], g.down[s:s+lineWidth]
+		line(b.line, up, down, jumpTo)
 		if b.err != nil {
 			return nil, b.err
+		}
+		var leave float64
+		for _, j := range b.jumps[first:] {
+			leave += j.rate
+		}
+		g.nnz += int64(len(b.jumps)-first) * int64(lineWidth)
+		for q, u := range up {
+			d := down[q]
+			switch {
+			case !validRate(u) || !validRate(d):
+				return nil, fmt.Errorf("%w: state %d steps up at rate %v, down at %v", ErrInvalidTransition, s+q, u, d)
+			case q == lineWidth-1 && u != 0:
+				return nil, fmt.Errorf("%w: state %d steps up off the end of line %d", ErrInvalidTransition, s+q, b.line)
+			case q == 0 && d != 0:
+				return nil, fmt.Errorf("%w: state %d steps down off the start of line %d", ErrInvalidTransition, s+q, b.line)
+			}
+			if u != 0 {
+				g.nnz++
+			}
+			if d != 0 {
+				g.nnz++
+			}
+			g.out[s+q] = leave + u + d
 		}
 	}
 
@@ -276,7 +265,8 @@ func (g *Generator) colour() {
 func (g *Generator) NumStates() int { return g.n }
 
 // NumTransitions returns the number of off-diagonal, positive-rate
-// transitions, as emitted.
+// transitions: the non-zero steps up and down the lines, and every jump once
+// per state of its line.
 func (g *Generator) NumTransitions() int64 { return g.nnz }
 
 // inflow sets x, of the line width, to the inflow of line l from the other

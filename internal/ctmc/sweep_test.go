@@ -10,8 +10,9 @@ import (
 )
 
 // quickFig6Model returns the model of one Quick Fig. 6 point: traffic model
-// 3 on a 10-channel cell with a 30-packet buffer and at most 10 sessions.
-func quickFig6Model(t *testing.T, fraction, rate float64) (*core.Model, core.Config) {
+// 3 on a 10-channel cell with a 30-packet buffer and at most 10 sessions,
+// and the description of its buffer lines, read back from its generator.
+func quickFig6Model(t *testing.T, fraction, rate float64) (*core.Model, core.Config, ctmc.LineFunc) {
 	t.Helper()
 	cfg := core.BaseConfig(traffic.Model3, rate)
 	cfg.Channels.TotalChannels = 10
@@ -22,23 +23,27 @@ func quickFig6Model(t *testing.T, fraction, rate float64) (*core.Model, core.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	return model, cfg
+	g, err := model.BuildGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model, cfg, ctmc.Lines(g)
 }
 
 // denseChain returns a chain of n states in which every state moves to
 // every other, so each state is its own line and, built with width 1, its
 // line graph is complete and needs n colours.
-func denseChain(n int) ctmc.TransitionFunc {
-	return func(s int, emit func(int, float64)) {
+func denseChain(n int) ctmc.LineFunc {
+	return func(s int, _, _ []float64, jump func(int, float64)) {
 		for to := range n {
-			emit(to, 1+float64((s+2*to)%7))
+			jump(to, 1+float64((s+2*to)%7))
 		}
 	}
 }
 
-func build(t *testing.T, n, width int, tf ctmc.TransitionFunc) *ctmc.Generator {
+func build(t *testing.T, n, width int, line ctmc.LineFunc) *ctmc.Generator {
 	t.Helper()
-	g, err := ctmc.NewGenerator(n, width, tf)
+	g, err := ctmc.NewGenerator(n, width, line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,22 +54,22 @@ func build(t *testing.T, n, width int, tf ctmc.TransitionFunc) *ctmc.Generator {
 // generator, built with buffer lines and with one state per line, and of a
 // dense chain whose 70 colours do not fit a 64-bit mask.
 func TestSweepOrderIsAColouring(t *testing.T) {
-	model, cfg := quickFig6Model(t, 0.05, 0.6)
+	_, cfg, lines := quickFig6Model(t, 0.05, 0.6)
 	n, k := cfg.NumStates(), cfg.BufferSize
 	const dense = 70
 	for _, tc := range []struct {
 		name       string
 		n, width   int
-		tf         ctmc.TransitionFunc
+		line       ctmc.LineFunc
 		minColours int
 	}{
-		{"Quick Fig. 6 with buffer lines", n, k + 1, model.Transitions(), 2},
-		{"Quick Fig. 6 with one state per line", n, 1, model.Transitions(), 2},
+		{"Quick Fig. 6 with buffer lines", n, k + 1, lines, 2},
+		{"Quick Fig. 6 with one state per line", n, 1, ctmc.Points(k+1, lines), 2},
 		{"dense chain with one state per line", dense, 1, denseChain(dense), dense},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := build(t, tc.n, tc.width, tc.tf)
-			if err := ctmc.SweepOrderError(g, tc.tf); err != nil {
+			g := build(t, tc.n, tc.width, tc.line)
+			if err := ctmc.SweepOrderError(g, tc.line); err != nil {
 				t.Fatal(err)
 			}
 			if c := ctmc.Colours(g); c < tc.minColours {
@@ -85,7 +90,7 @@ func TestSweepOrderIsAColouring(t *testing.T) {
 // masses, each line is scaled to its mass right after its Thomas pass, and
 // every line that reads it must see it scaled in both orders.
 func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
-	model, cfg := quickFig6Model(t, 0.10, 1.0)
+	model, cfg, lines := quickFig6Model(t, 0.10, 1.0)
 	n, k := cfg.NumStates(), cfg.BufferSize
 	// The solve scales every line to its product-form mass, so the line
 	// sums of its solution are those masses.
@@ -101,16 +106,16 @@ func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		n, width int
-		tf       ctmc.TransitionFunc
+		line     ctmc.LineFunc
 		mass     []float64
 	}{
-		{"Quick Fig. 6 with buffer lines", n, k + 1, model.Transitions(), nil},
-		{"Quick Fig. 6 with buffer lines and product-form masses", n, k + 1, model.Transitions(), productForm},
-		{"Quick Fig. 6 with one state per line", n, 1, model.Transitions(), nil},
+		{"Quick Fig. 6 with buffer lines", n, k + 1, lines, nil},
+		{"Quick Fig. 6 with buffer lines and product-form masses", n, k + 1, lines, productForm},
+		{"Quick Fig. 6 with one state per line", n, 1, ctmc.Points(k+1, lines), nil},
 		{"dense chain with one state per line", dense, 1, denseChain(dense), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := build(t, tc.n, tc.width, tc.tf)
+			g := build(t, tc.n, tc.width, tc.line)
 			const sweeps = 20
 			four, err := ctmc.Iterates(g, sweeps, false, tc.mass)
 			if err != nil {
