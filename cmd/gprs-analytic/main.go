@@ -87,7 +87,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(w, "GPRS blocking probability\t%.6g\n", meas.GPRSBlockingProbability)
 	fmt.Fprintf(w, "balanced GSM handover rate\t%.6g 1/s\n", meas.GSMHandoverRate)
 	fmt.Fprintf(w, "balanced GPRS handover rate\t%.6g 1/s\n", meas.GPRSHandoverRate)
-	fmt.Fprintf(w, "solver\tline Gauss–Seidel, %d iterations, residual %.3g\n",
-		res.Solver.Iterations, res.Solver.Residual)
+	fmt.Fprintf(w, "solver\tline Gauss–Seidel, %d iterations, relaxation %.3g, residual %.3g\n",
+		res.Solver.Iterations, res.Solver.Relaxation, res.Solver.Residual)
 	return w.Flush()
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,22 +14,45 @@ import (
 // smallArgs is a 240-state configuration that solves in milliseconds.
 var smallArgs = []string{"-channels", "4", "-buffer", "5", "-sessions", "3"}
 
-func TestRunPrintsSolverLine(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(smallArgs, &out); err != nil {
+// solverLine runs gprs-analytic with args and returns its output, its
+// solver line, and the sweep count and relaxation factor that line reports.
+func solverLine(t *testing.T, args []string) (out, line string, sweeps int, omega float64) {
+	t.Helper()
+	var b bytes.Buffer
+	if err := run(args, &b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "240 states") {
-		t.Errorf("output does not name the 240-state space:\n%s", out.String())
-	}
-	var solver string
-	for _, line := range strings.Split(out.String(), "\n") {
-		if strings.HasPrefix(line, "solver ") {
-			solver = line
+	out = b.String()
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "solver ") {
+			line = l
 		}
 	}
-	if !strings.Contains(solver, "line Gauss–Seidel") || !strings.Contains(solver, "iterations") {
-		t.Errorf("solver line = %q, want the solver named and its sweep count", solver)
+	_, rest, _ := strings.Cut(line, "line Gauss–Seidel, ")
+	if _, err := fmt.Sscanf(rest, "%d iterations, relaxation %g,", &sweeps, &omega); err != nil {
+		t.Fatalf("solver line = %q, want the solver named, its sweep count and its relaxation factor: %v", line, err)
+	}
+	return out, line, sweeps, omega
+}
+
+func TestRunPrintsSolverLine(t *testing.T) {
+	out, line, sweeps, omega := solverLine(t, smallArgs)
+	if !strings.Contains(out, "240 states") {
+		t.Errorf("output does not name the 240-state space:\n%s", out)
+	}
+	if sweeps < 1 || !(omega >= 1 && omega < 2) || !strings.Contains(line, "residual") {
+		t.Errorf("solver line = %q, want a sweep count, a relaxation factor in [1, 2) and the residual", line)
+	}
+}
+
+// TestRunConvergesBefore20Sweeps checks a cell without voice, whose start
+// is all but its solution: the convergence test, made after every sweep
+// from the tenth on, stops it before the 20 sweeps that a test made every
+// tenth sweep, from the second check on, needed.
+func TestRunConvergesBefore20Sweeps(t *testing.T) {
+	_, line, sweeps, _ := solverLine(t, append(append([]string(nil), smallArgs...), "-gprs", "1"))
+	if sweeps >= 20 {
+		t.Errorf("solver line = %q, want fewer than 20 iterations", line)
 	}
 }
 

@@ -219,8 +219,11 @@ type Result struct {
 }
 
 // SolverInfo records diagnostics of the steady-state computation.
+// Relaxation is the relaxation factor ω of the last sweep (see
+// ctmc.Solution).
 type SolverInfo struct {
 	Iterations  int
+	Relaxation  float64
 	Residual    float64
 	Converged   bool
 	NumStates   int
@@ -244,14 +247,16 @@ var ErrNotConverged = errors.New("core: model solve did not converge")
 // each other, so their joint marginal is Erlang(n) × Erlang(m) ×
 // Binomial(r | m, p_off). Rescaled to it, the sweeps only resolve the buffer
 // distribution within each line, which each solves exactly. Each line
-// starts at the equilibrium of its own buffer birth–death chain: the twelve
-// Quick Fig. 6 configurations take 540 sweeps in total at tolerance 1e-6,
-// against 630 from lines spread evenly, 2,770 for point sweeps under the
-// same aggregation and 38,790 for plain sweeps from a product-form starting
-// guess. Each sweep solves the 660 lines of a Quick Fig. 6 point in the
-// generator's colour order (30 colours, four lines of a colour at a time),
-// which gives the iterates of a sweep in index order, so the sweep count and
-// every measure are those of index order.
+// starts at the equilibrium of its own buffer birth–death chain, and the
+// sweeps are relaxed by an ω that each solve reads from its own contraction
+// rate (ω ≈ 1.1–1.3 at Quick size, ≈ 1.45 on the Table 2 base point): the
+// twelve Quick Fig. 6 configurations take 358 sweeps in total at tolerance
+// 1e-6, against 540 unrelaxed, 630 from lines spread evenly, 2,770 for point
+// sweeps under the same aggregation and 38,790 for plain sweeps from a
+// product-form starting guess. Each sweep solves the 660 lines of a Quick
+// Fig. 6 point in the generator's colour order (30 colours, four lines of a
+// colour at a time), which gives the iterates of a sweep in index order, so
+// the sweep count and every measure are those of index order.
 func (m *Model) Solve(opts ctmc.SolveOptions) (*Result, error) {
 	gen, err := m.BuildGenerator()
 	if err != nil {
@@ -276,6 +281,7 @@ func (m *Model) Solve(opts ctmc.SolveOptions) (*Result, error) {
 		Pi:       sol.Pi,
 		Solver: SolverInfo{
 			Iterations:  sol.Iterations,
+			Relaxation:  sol.Relaxation,
 			Residual:    sol.Residual,
 			Converged:   sol.Converged,
 			NumStates:   gen.NumStates(),

@@ -750,10 +750,12 @@ func TestQuickFig6SweepBudget(t *testing.T) {
 	// so the twelve Quick Fig. 6 solutions take 630 sweeps in all from lines
 	// that start evenly spread (point Gauss–Seidel under the same aggregation
 	// took 2,770). Each line starting at its own birth–death equilibrium
-	// takes that to 540. The colour order that solves four lines at a time
-	// gives the iterates of index order, so it keeps that count. Each point
-	// has 175,428 transitions.
-	const budget, transitions = 600, 175428
+	// takes that to 540; the colour order that solves four lines at a time
+	// gives the iterates of index order, so it keeps that count. Relaxing
+	// the sweeps by ω ≈ 1.1–1.3, read from each solve's own contraction
+	// rate, and testing convergence after every sweep take it to 358. Each
+	// point has 175,428 transitions.
+	const budget, transitions = 400, 175428
 	total := 0
 	for _, p := range quickFig6Points() {
 		model, err := New(quickFig6Config(p[0], p[1]))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -372,8 +373,13 @@ func TestAggregationRescale(t *testing.T) {
 	agg := &Aggregation{Mass: []float64{0.6, 0.4, 0}}
 
 	v := []float64{1, 3, 2, 2, 7, 1}
-	if err := agg.rescale(v, 2); err != nil {
+	moved, err := agg.rescale(v, 2)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Lines 0 and 1 shrink from 4 to 0.6 and 0.4, and line 2 loses all 8.
+	if !almostEqual(moved, 3.4+3.6+8, 1e-15) {
+		t.Errorf("rescale moved v by %v, want 15", moved)
 	}
 	want := []float64{0.15, 0.45, 0.2, 0.2, 0, 0}
 	for i := range want {
@@ -386,8 +392,14 @@ func TestAggregationRescale(t *testing.T) {
 	// Line 1 holds no mass yet: it is left at zero rather than divided by
 	// zero, and the vector is renormalized.
 	v = []float64{1, 3, 0, 0, 7, 1}
-	if err := agg.rescale(v, 2); err != nil {
+	moved, err = agg.rescale(v, 2)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Line 0 shrinks by 3.4 and line 2 loses 8; the renormalization then
+	// grows line 0 from 0.6 to 1.
+	if !almostEqual(moved, 3.4+8+0.4, 1e-15) {
+		t.Errorf("rescale moved v by %v, want 11.8", moved)
 	}
 	want = []float64{0.25, 0.75, 0, 0, 0, 0}
 	for i := range want {
@@ -397,10 +409,10 @@ func TestAggregationRescale(t *testing.T) {
 		}
 	}
 
-	if err := agg.rescale(make([]float64, 6), 2); !errors.Is(err, ErrNotIrreducible) {
+	if _, err := agg.rescale(make([]float64, 6), 2); !errors.Is(err, ErrNotIrreducible) {
 		t.Errorf("zero vector: got %v, want ErrNotIrreducible", err)
 	}
-	if err := agg.rescale([]float64{1, -1, 0, 0, 0, 0}, 2); !errors.Is(err, ErrNotIrreducible) {
+	if _, err := agg.rescale([]float64{1, -1, 0, 0, 0, 0}, 2); !errors.Is(err, ErrNotIrreducible) {
 		t.Errorf("negative entry: got %v, want ErrNotIrreducible", err)
 	}
 }
@@ -607,6 +619,40 @@ func TestStartIsEachLineEquilibrium(t *testing.T) {
 	})
 }
 
+// TestSolveConvergesOnRoundingCycle solves the slow–fast chain's lines
+// without masses at tolerances down to 1e-14. Once the iterate is as close
+// as rounding lets it come, it alternates between two vectors 9e-15 apart in
+// L1, so the changes summed over 10 sweeps stay near 1e-13 however long the
+// solve runs. The solve must see the changes repeat and stop there,
+// converged.
+func TestSolveConvergesOnRoundingCycle(t *testing.T) {
+	const slow, fast = 8, 12
+	line, _ := slowFastChain(slow, fast)
+	g, err := NewGenerator((slow+1)*(fast+1), fast+1, line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := g.SteadyState(SolveOptions{Tolerance: 1e-12})
+	if err != nil || !ref.Converged {
+		t.Fatalf("solve at 1e-12: %v, converged %v", err, ref != nil && ref.Converged)
+	}
+	for _, tol := range []float64{1e-13, 1e-14} {
+		sol, err := g.SteadyState(SolveOptions{Tolerance: tol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Converged {
+			t.Fatalf("tolerance %v: not converged after %d sweeps, Delta %v", tol, sol.Iterations, sol.Delta)
+		}
+		for i := range ref.Pi {
+			if !almostEqual(sol.Pi[i], ref.Pi[i], 1e-12) {
+				t.Fatalf("tolerance %v: pi[%d] = %v, %v at 1e-12", tol, i, sol.Pi[i], ref.Pi[i])
+			}
+		}
+		t.Logf("tolerance %v: %d sweeps, Delta %v", tol, sol.Iterations, sol.Delta)
+	}
+}
+
 // TestStalledSolveIsNotConverged gives the line solve valid line masses
 // that are not the line process's stationary distribution: the slow–fast
 // chain's lines get the uniform mass instead of its birth–death marginal.
@@ -637,6 +683,99 @@ func TestStalledSolveIsNotConverged(t *testing.T) {
 			stalled.Iterations, stalled.Delta, stalled.Residual)
 	}
 	t.Logf("settled after %d sweeps, Delta %v, residual %v", stalled.Iterations, stalled.Delta, stalled.Residual)
+}
+
+// TestFitMovesLineTowardsThomasPass checks the relaxed update of one line:
+// it moves from its old values towards the Thomas pass's, scaled to its
+// mass, by ω times the distance, and reports how far it moved; a line that
+// would go negative, a line of mass 0 and a line the pass left negative are
+// each set as the unrelaxed sweep sets them.
+func TestFitMovesLineTowardsThomasPass(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		old, y, mass []float64
+		omega        float64
+		want         []float64
+		fitted       bool
+		change       float64
+	}{
+		// f = 0.5 scales y to (0.25, 0.25); ω = 1.5 moves 1.5 times as far.
+		{"relaxed", []float64{0.1, 0.4}, []float64{0.5, 0.5}, []float64{0.5}, 1.5,
+			[]float64{0.325, 0.175}, true, 0.45},
+		{"unrelaxed", []float64{0.1, 0.4}, []float64{0.5, 0.5}, []float64{0.5}, 1,
+			[]float64{0.25, 0.25}, true, 0.3},
+		{"no masses", []float64{0.1, 0.4}, []float64{0.3, 0.2}, nil, 1.5,
+			[]float64{0.4, 0.1}, true, 0.6},
+		// 0.1 + 1.5·(0 − 0.1) < 0: the line keeps the unrelaxed values.
+		{"would go negative", []float64{0.1, 0.4}, []float64{0, 2}, []float64{0.5}, 1.5,
+			[]float64{0, 0.5}, true, 0.2},
+		{"mass 0", []float64{0.1, 0.4}, []float64{0, 0}, []float64{0}, 1.5,
+			[]float64{0, 0}, true, 0.5},
+		// Left for the rescale over the whole vector: y, unscaled.
+		{"negative pass", []float64{0.1, 0.4}, []float64{-0.5, 1}, []float64{0.5}, 1.5,
+			[]float64{-0.5, 1}, false, 1.2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			line, old := slices.Clone(c.y), slices.Clone(c.old)
+			var sum float64
+			var signs uint64
+			for _, x := range slices.Backward(line) {
+				sum += x
+				signs |= math.Float64bits(x)
+			}
+			fitted, change := fit(line, old, c.mass, 0, sum, signs, c.omega)
+			if fitted != c.fitted || !almostEqual(change, c.change, 1e-15) {
+				t.Errorf("fit reports fitted %v, change %v; want %v, %v", fitted, change, c.fitted, c.change)
+			}
+			for q := range line {
+				if !almostEqual(line[q], c.want[q], 1e-15) {
+					t.Fatalf("line = %v, want %v", line, c.want)
+				}
+			}
+		})
+	}
+}
+
+// TestTooLargeRelaxationFallsBack forces ω = 1.95 on three small chains, on
+// which relaxed sweeps either settle on a vector that is not a solution, or
+// shrink the window so slowly that they run 100,000 sweeps without
+// converging. The solve must fall back to plain sweeps, report Converged and
+// reach the plain solve's distribution.
+func TestTooLargeRelaxationFallsBack(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		data string
+	}{
+		{"slow contraction, 16 states", "W17\xdek\x9e\vp=\xd90\b&\xe9B,P\xe5\v\x81\x15g\xe1\x008\xfd1\xce\xc6"},
+		{"slow contraction, 6 states", "\xe1\x92y\u0379.\x14\x95\x8ds~\xb5\x0e7\x04$uQY\x84d>\xaez .-\xeb\xfd\xac\xf6\x80\x87#\xa5\x15\xfc"},
+		{"wrong fixed point, 15 states", "|B\xf8\xbf\xc9X\xa8\x9a\xeeP\xad\x0eE>k1\xfc<\u05b2f\x05\x885B\xd4\u0437\u0085\x02\v\xa7\x10\xed\xeb\x93{L>\xbc"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n, width, line := fuzzChain([]byte(c.data))
+			g, err := NewGenerator(n, 1, Points(width, line))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := SolveRelaxed(g, SolveOptions{Tolerance: 1e-13}, 1)
+			if err != nil || !plain.Converged {
+				t.Fatalf("plain solve: %v, converged %v", err, plain != nil && plain.Converged)
+			}
+			sol, err := SolveRelaxed(g, SolveOptions{Tolerance: 1e-10, MaxIterations: 100000}, 1.95)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sol.Converged || sol.Relaxation != 1 {
+				t.Fatalf("after %d sweeps: converged %v at ω %v, residual %v; want converged at ω 1",
+					sol.Iterations, sol.Converged, sol.Relaxation, sol.Residual)
+			}
+			for i := range plain.Pi {
+				if math.Abs(sol.Pi[i]-plain.Pi[i]) > 1e-10 {
+					t.Fatalf("pi[%d] = %v, plain solve %v", i, sol.Pi[i], plain.Pi[i])
+				}
+			}
+			t.Logf("%d sweeps, %d plain", sol.Iterations, plain.Iterations)
+		})
+	}
 }
 
 // fuzzChain decodes fuzz bytes into a small irreducible chain described
@@ -708,9 +847,9 @@ func fuzzChain(data []byte) (int, int, LineFunc) {
 	}
 }
 
-// FuzzLineSweep checks line Gauss–Seidel on random line-described chains.
-// The reference is the same chain with one state per line (Points), solved
-// plainly: the line build must count the same transitions, and given the
+// FuzzLineSweep checks relaxed line Gauss–Seidel on random line-described
+// chains. The reference is the same chain with one state per line (Points),
+// solved without masses: the line build must count the same transitions, and given the
 // exact line masses, taken from the plain solve, the line solve must
 // converge to the plain solve's distribution. Both builds' sweep orders
 // must be colourings: every line listed once, and no jump between two lines
@@ -726,6 +865,9 @@ func FuzzLineSweep(f *testing.F) {
 	// its neighbours', it takes two colours, and the sweep then trades the
 	// values of two pairs of states every time and never converges.
 	f.Add([]byte{0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16})
+	// A chain of five states on which sweeps relaxed by ω ≥ 1.5 and
+	// normalized settle on a vector with residual 0.04–0.06.
+	f.Add([]byte("0$0000000000%\xc7Y."))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, width, line := fuzzChain(data)
 		points, err := NewGenerator(n, 1, Points(width, line))

@@ -111,51 +111,73 @@ func Start(g *Generator, mass []float64) ([]float64, error) {
 
 // restore rescales v to the line masses, or normalizes it without masses.
 func restore(g *Generator, v, mass []float64) error {
+	var err error
 	if mass == nil {
-		return normalize(v)
+		_, err = normalize(v)
+	} else {
+		_, err = (&Aggregation{Mass: mass}).rescale(v, g.width)
 	}
-	return (&Aggregation{Mass: mass}).rescale(v, g.width)
+	return err
 }
 
-// Iterates runs the given number of sweeps from the start of a solve,
-// given the line masses or nil, and returns every iterate. The sweeps are
-// sweep's four-wide passes in colour order or, if oneAtATime,
-// sweepOneLineAtATime; after a sweep that did not scale every line to its
-// mass, the iterate is restored as in SteadyState.
-func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64) ([][]float64, error) {
+// SolveRelaxed is SteadyState with ω set to omega after the plain sweeps,
+// whatever their contraction rate.
+func SolveRelaxed(g *Generator, opts SolveOptions, omega float64) (*Solution, error) {
+	return g.steadyState(opts, func(float64) float64 { return omega })
+}
+
+// SweepStats is what one sweep reports.
+type SweepStats struct {
+	// Fitted reports whether the sweep scaled every line to its mass, so
+	// that no rescale over the whole vector followed it.
+	Fitted bool
+	// Change is the L1 distance the sweep moved the iterate.
+	Change float64
+}
+
+// Iterates runs the given number of sweeps at relaxation factor omega from
+// the start of a solve, given the line masses or nil, and returns every
+// iterate and what each sweep reported. The sweeps are sweep's four-wide
+// passes in colour order or, if oneAtATime, sweepOneLineAtATime; after a
+// sweep that did not scale every line to its mass, the iterate is restored
+// as in SteadyState.
+func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64, omega float64) ([][]float64, []SweepStats, error) {
 	pi, err := Start(g, mass)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	invPivot := g.factor()
 	rhs := make([]float64, 4*g.width)
 	var iterates [][]float64
+	var stats []SweepStats
 	for range sweeps {
-		var fitted bool
+		var st SweepStats
 		if oneAtATime {
-			fitted = sweepOneLineAtATime(g, pi, invPivot, rhs[:g.width], mass)
+			st.Fitted, st.Change = sweepOneLineAtATime(g, pi, invPivot, rhs[:g.width], mass, omega)
 		} else {
-			fitted = g.sweep(pi, invPivot, rhs, mass)
+			st.Fitted, st.Change = g.sweep(pi, invPivot, rhs, mass, omega)
 		}
-		if !fitted {
+		if !st.Fitted {
 			if err := restore(g, pi, mass); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		iterates = append(iterates, append([]float64(nil), pi...))
+		stats = append(stats, st)
 	}
-	return iterates, nil
+	return iterates, stats, nil
 }
 
 // sweepOneLineAtATime is the reference for sweep: one line Gauss–Seidel
 // sweep in index order, which the colour order equals, that gathers each
 // line's inflow and runs its Thomas pass before it moves to the next line.
-// Given the line masses, it scales each line to its mass right after its
-// Thomas pass, summing the line from its last state down, and reports
-// whether it scaled every line.
-func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs, mass []float64) bool {
+// Right after its Thomas pass, it keeps the line's old values in rhs, sums
+// the line from its last state down, and moves the line as fit does. It
+// reports whether it scaled every line to its mass, and how far it moved pi.
+func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs, mass []float64, omega float64) (bool, float64) {
 	w := g.width
 	fitted := mass != nil
+	var change float64
 	for l, s := 0, 0; s < g.n; l, s = l+1, s+w {
 		g.inflow(pi, l, rhs)
 		inv, down, line := invPivot[s:s+w], g.down[s:s+w], pi[s:s+w]
@@ -164,6 +186,7 @@ func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs, mass []float64) bool {
 			r = (rhs[q] + up*r) * inv[q]
 			rhs[q], up = r, g.up[s+q]
 		}
+		old := slices.Clone(line)
 		x := line[w-1]
 		if inv[w-1] != 0 {
 			x = rhs[w-1]
@@ -175,18 +198,16 @@ func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs, mass []float64) bool {
 			}
 			line[q] = x
 		}
-		if mass == nil {
-			continue
-		}
+		copy(rhs, old)
 		var sum float64
 		var signs uint64
 		for _, x := range slices.Backward(line) {
 			sum += x
 			signs |= math.Float64bits(x)
 		}
-		if !fit(line, mass[l], sum, signs) {
-			fitted = false
-		}
+		ok, c := fit(line, rhs, mass, l, sum, signs, omega)
+		fitted = fitted && ok
+		change += c
 	}
-	return fitted
+	return fitted, change
 }

@@ -3,12 +3,13 @@ package ctmc
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // SolveOptions controls the steady-state computation.
 type SolveOptions struct {
-	// Tolerance is the convergence threshold on the relative L1 change of the
-	// iterate between convergence checks; the zero value means 1e-10.
+	// Tolerance is the convergence threshold on the L1 change of the
+	// iterate, summed over the last 10 sweeps; the zero value means 1e-10.
 	Tolerance float64
 	// MaxIterations bounds the number of sweeps; the zero value means 20000.
 	MaxIterations int
@@ -53,14 +54,14 @@ func (a *Aggregation) validate(lines int) error {
 	return nil
 }
 
-// rescale scales v in place so that every line of width w sums to its mass.
-// A line of mass 0 is zeroed; a line whose current sum is 0 is left as it
-// is, and the vector is then renormalized to sum to 1. Like normalize, it
-// clamps tiny negative rounding artefacts to zero and returns
-// ErrNotIrreducible for a clearly negative entry or a vector summing to
-// zero.
-func (a *Aggregation) rescale(v []float64, w int) error {
-	var total float64
+// rescale scales v in place so that every line of width w sums to its mass,
+// and returns the L1 distance it moved v. A line of mass 0 is zeroed; a
+// line whose current sum is 0 is left as it is, and the vector is then
+// renormalized to sum to 1. Like normalize, it clamps tiny negative
+// rounding artefacts to zero and returns ErrNotIrreducible for a clearly
+// negative entry or a vector summing to zero.
+func (a *Aggregation) rescale(v []float64, w int) (float64, error) {
+	var total, moved float64
 	unmatched := false
 	for l, mass := range a.Mass {
 		line := v[l*w : (l+1)*w]
@@ -68,9 +69,10 @@ func (a *Aggregation) rescale(v []float64, w int) error {
 		for q, x := range line {
 			if x < 0 {
 				if x < -1e-12 {
-					return fmt.Errorf("%w: negative probability %v at state %d", ErrNotIrreducible, x, l*w+q)
+					return 0, fmt.Errorf("%w: negative probability %v at state %d", ErrNotIrreducible, x, l*w+q)
 				}
 				line[q] = 0
+				moved -= x
 				continue
 			}
 			sum += x
@@ -79,6 +81,7 @@ func (a *Aggregation) rescale(v []float64, w int) error {
 		switch {
 		case mass == 0:
 			clear(line)
+			moved += sum
 		case sum == 0:
 			unmatched = true
 		default:
@@ -86,15 +89,17 @@ func (a *Aggregation) rescale(v []float64, w int) error {
 			for q := range line {
 				line[q] *= f
 			}
+			moved += math.Abs(mass - sum)
 		}
 	}
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
-		return fmt.Errorf("%w: probability mass %v", ErrNotIrreducible, total)
+		return 0, fmt.Errorf("%w: probability mass %v", ErrNotIrreducible, total)
 	}
 	if unmatched {
-		return normalize(v)
+		m, err := normalize(v)
+		return moved + m, err
 	}
-	return nil
+	return moved, nil
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
@@ -107,8 +112,16 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	return o
 }
 
-// checkEvery is the number of sweeps between convergence checks.
-const checkEvery = 10
+// window is the number of sweeps whose changes the convergence test sums.
+const window = 10
+
+// plainSweeps is the number of unrelaxed sweeps a solve runs before it
+// reads its contraction rate from the last two.
+const plainSweeps = 5
+
+// roundoff is the L1 change of a sweep below which the change is rounding
+// noise, too small to read a contraction rate from.
+const roundoff = 1e-12
 
 // Solution holds the result of a steady-state computation.
 type Solution struct {
@@ -116,21 +129,36 @@ type Solution struct {
 	Pi []float64
 	// Iterations is the number of sweeps performed.
 	Iterations int
-	// Delta is the relative L1 change of the iterate at the last convergence
-	// check.
+	// Relaxation is the relaxation factor ω of the last sweep: 1 if the
+	// solve did not relax, or fell back to plain sweeps.
+	Relaxation float64
+	// Delta is the L1 change of the iterate summed over the last 10 sweeps
+	// (fewer if the solve ran fewer), which bounds the iterate's change over
+	// those sweeps.
 	Delta float64
 	// Residual is the infinity norm of pi*Q for the returned vector.
 	Residual float64
-	// Converged reports whether Delta fell below the tolerance before
-	// MaxIterations was reached and Residual is at most the tolerance times
-	// the largest total outflow rate of a state. A small Delta alone can
-	// mean a stalled iteration, not a solution.
+	// Converged reports whether, before MaxIterations was reached, Delta
+	// fell below the tolerance or the changes of the last 10 sweeps
+	// repeated, so the iterate cycled on rounding, and whether Residual is at
+	// most the tolerance times the largest total outflow rate of a state. A
+	// small Delta alone can mean a stalled iteration, not a solution.
 	Converged bool
 }
 
 // SteadyState computes the stationary distribution pi of the chain, i.e. the
 // solution of pi*Q = 0 with sum(pi) = 1.
 func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
+	return g.steadyState(opts, young)
+}
+
+// young returns the relaxation factor for sweeps that contract the error by
+// 0 < rho < 1 each: Young's rule 2/(1+sqrt(1-rho)).
+func young(rho float64) float64 { return 2 / (1 + math.Sqrt(1-rho)) }
+
+// steadyState is SteadyState with the rule that gives ω for the contraction
+// rate of the plain sweeps.
+func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) float64) (*Solution, error) {
 	o := opts.withDefaults()
 	// norm restores the invariants of an iterate: a probability vector, and
 	// with an aggregation, the exact line masses. The sweeps restore the line
@@ -142,43 +170,98 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 		if err := agg.validate(g.n / g.width); err != nil {
 			return nil, err
 		}
-		norm = func(v []float64) error { return agg.rescale(v, g.width) }
+		norm = func(v []float64) (float64, error) { return agg.rescale(v, g.width) }
 		mass = agg.Mass
 	}
 	if g.n == 1 {
-		return &Solution{Pi: []float64{1}, Converged: true}, nil
+		return &Solution{Pi: []float64{1}, Relaxation: 1, Converged: true}, nil
 	}
 
 	pi := make([]float64, g.n)
 	g.start(pi, mass)
-	if err := norm(pi); err != nil {
+	if _, err := norm(pi); err != nil {
 		return nil, err
 	}
 
 	invPivot := g.factor()
 	rhs := make([]float64, 4*g.width)
-	prev := make([]float64, g.n)
+	bound := o.Tolerance * g.maxOutRate
+	// changes holds the changes of the last window sweeps, oldest first,
+	// since the start or since the solve fell back to plain sweeps.
+	var changes [window]float64
 	sol := &Solution{}
+	omega, sweeps, settled := 1.0, 0, false
+	// rho is the contraction rate of the plain sweeps, and last the window
+	// at the last check that the relaxed sweeps contract faster.
+	rho, last := 0.0, math.Inf(1)
 	for iter := 1; iter <= o.MaxIterations; iter++ {
-		if !g.sweep(pi, invPivot, rhs, mass) {
-			if err := norm(pi); err != nil {
+		fitted, change := g.sweep(pi, invPivot, rhs, mass, omega)
+		if !fitted {
+			moved, err := norm(pi)
+			if err != nil {
 				return nil, err
 			}
+			change += moved
 		}
+		prev := changes[window-1]
+		copy(changes[:], changes[1:])
+		changes[window-1] = change
+		sweeps++
 		sol.Iterations = iter
-		if iter%checkEvery == 0 || iter == o.MaxIterations {
-			sol.Delta = relativeL1Change(prev, pi)
-			copy(prev, pi)
-			if sol.Delta <= o.Tolerance && iter > checkEvery {
-				sol.Converged = true
-				break
+		sol.Delta = 0
+		for _, c := range changes {
+			sol.Delta += c
+		}
+		switch {
+		case sweeps >= window && (sol.Delta <= o.Tolerance || cycles(&changes)):
+			sol.Residual, _ = g.Residual(pi)
+			if omega == 1 || sol.Residual <= bound {
+				settled = true
+			} else {
+				// Relaxed sweeps can settle off the fixed point of plain
+				// ones: go on with plain sweeps and a new window.
+				omega, sweeps = 1, 0
+				changes = [window]float64{}
 			}
+		case iter == plainSweeps:
+			// Relax only sweeps that contract, by a rate read above rounding.
+			if rho = change / prev; rho > 0 && rho < 1 && change > roundoff {
+				omega = relaxation(rho)
+			}
+		case omega != 1 && (iter-plainSweeps)%window == 0:
+			// Ten relaxed sweeps that shrink the window less than one
+			// plain sweep shrinks a change mean ω is too large for this
+			// chain.
+			if !(sol.Delta <= rho*last) {
+				omega = 1
+			}
+			last = sol.Delta
+		}
+		if settled {
+			break
 		}
 	}
 	sol.Pi = pi
-	sol.Residual, _ = g.Residual(pi)
-	sol.Converged = sol.Converged && sol.Residual <= o.Tolerance*g.maxOutRate
+	sol.Relaxation = omega
+	if !settled {
+		sol.Residual, _ = g.Residual(pi)
+	}
+	sol.Converged = settled && sol.Residual <= bound
 	return sol, nil
+}
+
+// cycles reports whether the per-sweep changes of a full window repeat
+// with a period of at most half the window. The iterate then cycles through
+// values that differ only by rounding: the sweeps can take it no closer,
+// even if each sweep's rounding, summed over the window, exceeds the
+// tolerance, and the residual decides whether it converged.
+func cycles(changes *[window]float64) bool {
+	for p := 1; p <= window/2; p++ {
+		if slices.Equal(changes[:window-p], changes[p:]) {
+			return true
+		}
+	}
+	return false
 }
 
 // start writes the starting vector of a solve into pi: every line at the
@@ -250,49 +333,81 @@ const closedLine = 1e-12
 // ends on a pivot of 0: its last state keeps its value, the rest are solved
 // from it, and the line's mass is set after the pass.
 //
-// Given the line masses, the sweep scales each line to its mass right after
-// its Thomas pass (see fit), so every line that reads it sees it scaled, in
-// colour order as in index order. It reports whether it scaled every line;
-// without masses, it scales none and reports false.
-func (g *Generator) sweep(pi, invPivot, rhs, mass []float64) bool {
+// Right after its Thomas pass, the sweep moves each line from its old values
+// towards the pass's, scaled to the line's mass if given, by omega times the
+// distance (see fit), so every line that reads it sees its new values, in
+// colour order as in index order. It reports whether it scaled every line
+// to its mass (without masses, it reports false), and the L1 distance it
+// moved pi.
+func (g *Generator) sweep(pi, invPivot, rhs, mass []float64, omega float64) (bool, float64) {
 	w := g.width
 	fitted := mass != nil
+	var change float64
 	var start int32
 	for _, end := range g.colourEnd {
 		lines := g.order[start:end]
 		start = end
 		for ; len(lines) >= 4; lines = lines[4:] {
-			if !g.solve4(pi, invPivot, rhs, mass, lines[:4]) {
-				fitted = false
-			}
+			ok, c := g.solve4(pi, invPivot, rhs, mass, lines[:4], omega)
+			fitted = fitted && ok
+			change += c
 		}
 		for _, l := range lines {
-			if !g.solveLine(pi, invPivot, rhs[:w], mass, int(l)) {
-				fitted = false
-			}
+			ok, c := g.solveLine(pi, invPivot, rhs[:w], mass, int(l), omega)
+			fitted = fitted && ok
+			change += c
 		}
 	}
-	return fitted
+	return fitted, change
 }
 
-// fit scales a line that the Thomas pass left summing to sum to its mass,
-// and reports whether it did. signs is its entries' sign bits, ORed. A line
-// with a negative entry, or whose sum is 0 or not finite, is left as it is
-// for Aggregation.rescale over the whole vector after the sweep.
-func fit(line []float64, mass, sum float64, signs uint64) bool {
-	if signs>>63 != 0 || !(sum > 0 && sum <= math.MaxFloat64) {
-		return false
+// fit writes the new values of line l, given the values y that the Thomas
+// pass left in line, summing to sum with their sign bits ORed in signs, and
+// the line's old values in old, which it overwrites. It returns whether it
+// scaled the line to its mass, and the L1 distance it moved the line. The
+// line moves from old to old + omega·(f·y − old), with f = mass/sum, or 1
+// without masses; if that is negative anywhere, it moves to f·y, so it
+// stays positive and keeps its mass. A line of mass 0 is zeroed. A line
+// with a negative y, or whose sum is 0 or not finite, is set to y for
+// Aggregation.rescale or normalize over the whole vector after the sweep.
+func fit(line, old, mass []float64, l int, sum float64, signs uint64, omega float64) (bool, float64) {
+	f, fitted := 1.0, true
+	switch {
+	case mass != nil && mass[l] == 0:
+		var change float64
+		for _, x := range old {
+			change += math.Abs(x)
+		}
+		clear(line)
+		return true, change
+	case signs>>63 != 0 || !(sum > 0 && sum <= math.MaxFloat64):
+		f, omega, fitted = 1, 1, false
+	case mass != nil:
+		f = mass[l] / sum
 	}
-	f := mass / sum
-	for q := range line {
-		line[q] *= f
+	var change float64
+	var neg uint64
+	for q, y := range line {
+		y *= f
+		d := y - old[q]
+		change += math.Abs(d)
+		if omega != 1 {
+			old[q], y = y, old[q]+omega*d
+			neg |= math.Float64bits(y)
+		}
+		line[q] = y
 	}
-	return true
+	if neg>>63 != 0 {
+		copy(line, old)
+		return fitted, change
+	}
+	return fitted, omega * change
 }
 
-// solveLine solves line l, given pi at the other lines, and with masses
-// scales it to its mass. It reports whether it scaled the line.
-func (g *Generator) solveLine(pi, invPivot, rhs, mass []float64, l int) bool {
+// solveLine solves line l, given pi at the other lines, and moves it as fit
+// does. It reports whether it scaled the line to its mass, and how far it
+// moved it.
+func (g *Generator) solveLine(pi, invPivot, rhs, mass []float64, l int, omega float64) (bool, float64) {
 	w := len(rhs)
 	s := l * w
 	g.inflow(pi, l, rhs)
@@ -302,27 +417,28 @@ func (g *Generator) solveLine(pi, invPivot, rhs, mass []float64, l int) bool {
 		r = (rhs[q] + up*r) * inv[q]
 		rhs[q], up = r, g.up[s+q]
 	}
+	// Each entry of rhs is free once read, and keeps the line's old value.
 	x := line[w-1]
 	if inv[w-1] != 0 {
 		x = rhs[w-1]
 	}
-	line[w-1] = x
+	rhs[w-1], line[w-1] = line[w-1], x
 	sum, signs := x, math.Float64bits(x)
 	for q := w - 2; q >= 0; q-- {
 		if inv[q] != 0 {
 			x = rhs[q] + down[q+1]*inv[q]*x
 		}
-		line[q] = x
+		rhs[q], line[q] = line[q], x
 		sum += x
 		signs |= math.Float64bits(x)
 	}
-	return mass != nil && fit(line, mass[l], sum, signs)
+	return fit(line, rhs, mass, l, sum, signs, omega)
 }
 
 // solve4 solves four lines of one colour, given pi at the other lines, with
-// the arithmetic of solveLine for each, and reports whether it scaled all
-// four.
-func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32) bool {
+// the arithmetic of solveLine for each. It reports whether it scaled all
+// four to their masses, and how far it moved them.
+func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32, omega float64) (bool, float64) {
 	w := g.width
 	s0, s1, s2, s3 := int(lines[0])*w, int(lines[1])*w, int(lines[2])*w, int(lines[3])*w
 	x0, x1, x2, x3 := rhs[:w], rhs[w:][:w], rhs[2*w:][:w], rhs[3*w:][:w]
@@ -360,6 +476,7 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32) boo
 	if i3[w-1] != 0 {
 		y3 = x3[w-1]
 	}
+	x0[w-1], x1[w-1], x2[w-1], x3[w-1] = l0[w-1], l1[w-1], l2[w-1], l3[w-1]
 	l0[w-1], l1[w-1], l2[w-1], l3[w-1] = y0, y1, y2, y3
 	// Each line's sum and sign bits are gathered in its own chain.
 	m0, m1, m2, m3 := y0, y1, y2, y3
@@ -377,6 +494,7 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32) boo
 		if i3[q] != 0 {
 			y3 = x3[q] + d3[q+1]*i3[q]*y3
 		}
+		x0[q], x1[q], x2[q], x3[q] = l0[q], l1[q], l2[q], l3[q]
 		l0[q], l1[q], l2[q], l3[q] = y0, y1, y2, y3
 		m0, m1, m2, m3 = m0+y0, m1+y1, m2+y2, m3+y3
 		n0 |= math.Float64bits(y0)
@@ -384,14 +502,11 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32) boo
 		n2 |= math.Float64bits(y2)
 		n3 |= math.Float64bits(y3)
 	}
-	if mass == nil {
-		return false
-	}
-	f0 := fit(l0, mass[lines[0]], m0, n0)
-	f1 := fit(l1, mass[lines[1]], m1, n1)
-	f2 := fit(l2, mass[lines[2]], m2, n2)
-	f3 := fit(l3, mass[lines[3]], m3, n3)
-	return f0 && f1 && f2 && f3
+	f0, c0 := fit(l0, x0, mass, int(lines[0]), m0, n0, omega)
+	f1, c1 := fit(l1, x1, mass, int(lines[1]), m1, n1, omega)
+	f2, c2 := fit(l2, x2, mass, int(lines[2]), m2, n2, omega)
+	f3, c3 := fit(l3, x3, mass, int(lines[3]), m3, n3, omega)
+	return f0 && f1 && f2 && f3, c0 + c1 + c2 + c3
 }
 
 // factor returns the inverse modified pivot of every state for the Thomas
@@ -422,19 +537,7 @@ func (g *Generator) factor() []float64 {
 // whole is the aggregate of a chain as one line that holds all its mass.
 var whole = Aggregation{Mass: []float64{1}}
 
-// normalize scales the vector to sum to 1 and clamps tiny negative rounding
-// artefacts to zero. It returns ErrNotIrreducible if the vector sums to zero.
-func normalize(v []float64) error { return whole.rescale(v, len(v)) }
-
-// relativeL1Change returns |new - old|_1 / |new|_1.
-func relativeL1Change(old, cur []float64) float64 {
-	var diff, norm float64
-	for i := range cur {
-		diff += math.Abs(cur[i] - old[i])
-		norm += math.Abs(cur[i])
-	}
-	if norm == 0 {
-		return math.Inf(1)
-	}
-	return diff / norm
-}
+// normalize scales the vector to sum to 1, clamps tiny negative rounding
+// artefacts to zero and returns the L1 distance it moved the vector. It
+// returns ErrNotIrreducible if the vector sums to zero.
+func normalize(v []float64) (float64, error) { return whole.rescale(v, len(v)) }

@@ -1,6 +1,7 @@
 package ctmc_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -117,22 +118,77 @@ func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := build(t, tc.n, tc.width, tc.line)
 			const sweeps = 20
-			four, err := ctmc.Iterates(g, sweeps, false, tc.mass)
-			if err != nil {
-				t.Fatal(err)
-			}
-			one, err := ctmc.Iterates(g, sweeps, true, tc.mass)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for it := range sweeps {
-				for i := range one[it] {
-					if math.Float64bits(four[it][i]) != math.Float64bits(one[it][i]) {
-						t.Fatalf("sweep %d, pi[%d]: %v four lines at a time, %v one at a time",
-							it+1, i, four[it][i], one[it][i])
+			for _, omega := range []float64{1, 1.3} {
+				four, _, err := ctmc.Iterates(g, sweeps, false, tc.mass, omega)
+				if err != nil {
+					t.Fatal(err)
+				}
+				one, _, err := ctmc.Iterates(g, sweeps, true, tc.mass, omega)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for it := range sweeps {
+					for i := range one[it] {
+						if math.Float64bits(four[it][i]) != math.Float64bits(one[it][i]) {
+							t.Fatalf("ω %v, sweep %d, pi[%d]: %v four lines at a time, %v one at a time",
+								omega, it+1, i, four[it][i], one[it][i])
+						}
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestZeroMassLinesAreFitted solves Quick Fig. 6 cells that carry only data
+// (GPRS fraction 1, so every line with a GSM call has mass 0) or only voice
+// (fraction 0, so every line with a GPRS session has mass 0). A line of mass
+// 0 is zeroed as it is solved, so every sweep must scale every line to its
+// mass, with no rescale over the whole vector after it, and the solve must
+// reach the distribution of a solve without masses.
+func TestZeroMassLinesAreFitted(t *testing.T) {
+	for _, fraction := range []float64{0, 1} {
+		t.Run(fmt.Sprintf("GPRS fraction %v", fraction), func(t *testing.T) {
+			model, cfg, lines := quickFig6Model(t, fraction, 0.6)
+			n, w := cfg.NumStates(), cfg.BufferSize+1
+			res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mass := make([]float64, n/w)
+			for i, p := range res.Pi {
+				mass[i/w] += p
+			}
+			zero := 0
+			for _, m := range mass {
+				if m == 0 {
+					zero++
+				}
+			}
+			if zero == 0 {
+				t.Fatal("no line has mass 0")
+			}
+			g := build(t, n, w, lines)
+			_, stats, err := ctmc.Iterates(g, 20, false, mass, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range stats {
+				if !st.Fitted {
+					t.Fatalf("sweep %d left a line unfitted (%d of %d lines have mass 0)", i+1, zero, len(mass))
+				}
+			}
+			plain, err := g.SteadyState(ctmc.SolveOptions{Tolerance: 1e-12, MaxIterations: 1000000})
+			if err != nil || !plain.Converged {
+				t.Fatalf("solve without masses: %v, converged %v", err, plain != nil && plain.Converged)
+			}
+			for i := range plain.Pi {
+				if math.Abs(res.Pi[i]-plain.Pi[i]) > 1e-8 {
+					t.Fatalf("pi[%d] = %v, %v without masses", i, res.Pi[i], plain.Pi[i])
+				}
+			}
+			t.Logf("%d of %d lines have mass 0; %d sweeps, %d without masses",
+				zero, len(mass), res.Solver.Iterations, plain.Iterations)
 		})
 	}
 }
