@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -92,12 +93,21 @@ func BenchmarkHandoverBalancing(b *testing.B) {
 	}
 }
 
+// bytesPerState reports the bytes allocated since before, over b.N
+// operations on the given number of states, as B/state.
+func bytesPerState(b *testing.B, before *runtime.MemStats, states int) {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*states), "B/state")
+}
+
 // BenchmarkModelSolveSingle measures one steady-state solution of the
 // quick-fidelity model of traffic model 3 at 0.5 calls/s (the building block
 // of every figure). It reports the solver's sweep count as sweeps/op and the
 // elapsed time per line solved as ns/line-sweep (the time over sweeps times
 // (n, m, r) buffer lines, build and measures included), so a convergence
-// regression shows separately from the cost per sweep.
+// regression shows separately from the cost per sweep, and the bytes a
+// solve allocates per state as B/state.
 func BenchmarkModelSolveSingle(b *testing.B) {
 	cfg := core.BaseConfig(traffic.Model3, 0.5)
 	cfg.Channels.TotalChannels = 10
@@ -109,6 +119,8 @@ func BenchmarkModelSolveSingle(b *testing.B) {
 	}
 	lines := cfg.NumStates() / (cfg.BufferSize + 1)
 	b.ReportAllocs()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	sweeps := 0
 	for i := 0; i < b.N; i++ {
@@ -120,13 +132,16 @@ func BenchmarkModelSolveSingle(b *testing.B) {
 	}
 	b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sweeps*lines), "ns/line-sweep")
+	bytesPerState(b, &before, cfg.NumStates())
 }
 
 // BenchmarkGeneratorConstruction measures building the generator, which
 // describes each (n, m, r) buffer line once by Table 1: its per-state rates
-// up and down the line and its rates to its neighbour lines. It runs on the
-// quick-fidelity state space and on the Table 2 base point of traffic model
-// 3 (466,620 states), and reports the build time per state as ns/state.
+// up and down the line, stored once per distinct row, and its rates to its
+// neighbour lines. It runs on the quick-fidelity state space and on the
+// Table 2 base points of traffic models 3 (466,620 states) and 1 (2,678,520
+// states), and reports the build time per state as ns/state and the bytes
+// a build allocates per state as B/state.
 func BenchmarkGeneratorConstruction(b *testing.B) {
 	quick := core.BaseConfig(traffic.Model3, 0.5)
 	quick.Channels.TotalChannels = 10
@@ -138,12 +153,16 @@ func BenchmarkGeneratorConstruction(b *testing.B) {
 	}{
 		{"quick", quick},
 		{"table2-model3", core.BaseConfig(traffic.Model3, 0.5)},
+		{"table2-model1", core.BaseConfig(traffic.Model1, 0.5)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			model, err := core.New(bc.cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := model.BuildGenerator(); err != nil {
@@ -151,6 +170,7 @@ func BenchmarkGeneratorConstruction(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.cfg.NumStates()), "ns/state")
+			bytesPerState(b, &before, bc.cfg.NumStates())
 		})
 	}
 }

@@ -113,8 +113,8 @@ func TestGeneratorCountsAndRates(t *testing.T) {
 	if g.NumTransitions() != 2 {
 		t.Errorf("NumTransitions = %d", g.NumTransitions())
 	}
-	if len(g.out) != 2 || g.out[0] != 2 || g.out[1] != 5 {
-		t.Errorf("out rates = %v, want [2 5]", g.out)
+	if out := outflows(g); !slices.Equal(out, []float64{2, 5}) {
+		t.Errorf("out rates = %v, want [2 5]", out)
 	}
 	if g.maxOutRate != 5 {
 		t.Errorf("maxOutRate = %v, want 5", g.maxOutRate)
@@ -233,8 +233,8 @@ func TestGeneratorIgnoresSelfLoopsAndZeroRates(t *testing.T) {
 	if g.NumTransitions() != 2 {
 		t.Errorf("NumTransitions = %d, want 2", g.NumTransitions())
 	}
-	if g.out[0] != 1 {
-		t.Errorf("self loops must not contribute to the outflow rate, got %v", g.out[0])
+	if out := outflows(g)[0]; out != 1 {
+		t.Errorf("self loops must not contribute to the outflow rate, got %v", out)
 	}
 }
 
@@ -786,8 +786,13 @@ func TestTooLargeRelaxationFallsBack(t *testing.T) {
 //
 // The first byte sets the line width W (1..8), the second the number of
 // lines L (1..8). The next 2·W·L give the rates from each state one step up
-// and one step down its line, where there is such a step; the next L, the
-// rate of a jump from each line to the next, cyclically (none for L = 1).
+// and one step down its line, where there is such a step. The two bytes of
+// the steps a line lacks, down from its first state and up from its last,
+// draw its rows from the lines up to it: line l takes the up row of line
+// b % (l+1) for the first byte b, and the down row of line b' % (l+1) for
+// the second, so that lines share rows as a model's do. The next L bytes
+// give the rate of a jump from each line to the next, cyclically (none for
+// L = 1).
 // Every following triple (from, to, rate) of states adds a transition:
 // inside a line, one more step from from towards to, at a rate added to the
 // step's; into another line, a jump from from's line to to's. Missing bytes
@@ -806,14 +811,23 @@ func fuzzChain(data []byte) (int, int, LineFunc) {
 	lines := 1 + int(next()%8)
 	n := w * lines
 	up, down := make([]float64, n), make([]float64, n)
-	for i := range n {
-		u, d := rate(next()), rate(next())
-		if i%w+1 < w {
-			up[i] = u
+	for l := range lines {
+		var upFrom, downFrom int
+		for q := range w {
+			u, d := next(), next()
+			if q+1 < w {
+				up[l*w+q] = rate(u)
+			} else {
+				upFrom = int(u) % (l + 1)
+			}
+			if q > 0 {
+				down[l*w+q] = rate(d)
+			} else {
+				downFrom = int(d) % (l + 1)
+			}
 		}
-		if i%w > 0 {
-			down[i] = d
-		}
+		copy(up[l*w:(l+1)*w], up[upFrom*w:])
+		copy(down[l*w:(l+1)*w], down[downFrom*w:])
 	}
 	type jump struct {
 		to   int
@@ -847,13 +861,50 @@ func fuzzChain(data []byte) (int, int, LineFunc) {
 	}
 }
 
+// readBackError checks that Lines(g) reads back the description line that g
+// was built from: every line's rates up and down bit for bit, and its jumps
+// of a positive rate into other lines, ordered stably by target line.
+func readBackError(g *Generator, line LineFunc) error {
+	type jump struct {
+		to   int
+		rate float64
+	}
+	w := g.width
+	up, down, gotUp, gotDown := make([]float64, w), make([]float64, w), make([]float64, w), make([]float64, w)
+	read := Lines(g)
+	for l := range g.n / w {
+		var want, got []jump
+		clear(up)
+		clear(down)
+		line(l, up, down, func(to int, rate float64) {
+			if rate != 0 && to != l {
+				want = append(want, jump{to, rate})
+			}
+		})
+		slices.SortStableFunc(want, func(a, b jump) int { return a.to - b.to })
+		clear(gotUp)
+		clear(gotDown)
+		read(l, gotUp, gotDown, func(to int, rate float64) { got = append(got, jump{to, rate}) })
+		for q := range w {
+			if math.Float64bits(gotUp[q]) != math.Float64bits(up[q]) || math.Float64bits(gotDown[q]) != math.Float64bits(down[q]) {
+				return fmt.Errorf("line %d, position %d: read back up %v, down %v; described %v and %v", l, q, gotUp[q], gotDown[q], up[q], down[q])
+			}
+		}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("line %d: read back jumps %v, described %v", l, got, want)
+		}
+	}
+	return nil
+}
+
 // FuzzLineSweep checks relaxed line Gauss–Seidel on random line-described
 // chains. The reference is the same chain with one state per line (Points),
 // solved without masses: the line build must count the same transitions, and given the
 // exact line masses, taken from the plain solve, the line solve must
 // converge to the plain solve's distribution. Both builds' sweep orders
 // must be colourings: every line listed once, and no jump between two lines
-// of one colour.
+// of one colour. And both builds, which store each distinct row once, must
+// read back their descriptions exactly.
 func FuzzLineSweep(f *testing.F) {
 	// One line holding every state: a closed birth–death line.
 	f.Add([]byte{7, 0, 1, 20, 2, 30, 3, 40, 4, 50, 5, 60, 6, 70, 7, 80, 9,
@@ -882,6 +933,12 @@ func FuzzLineSweep(f *testing.F) {
 			t.Fatalf("width 1: %v", err)
 		}
 		if err := SweepOrderError(lines, line); err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		if err := readBackError(points, Points(width, line)); err != nil {
+			t.Fatalf("width 1: %v", err)
+		}
+		if err := readBackError(lines, line); err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
 		if lines.NumTransitions() != points.NumTransitions() {

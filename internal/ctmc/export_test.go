@@ -86,18 +86,41 @@ func Points(width int, line LineFunc) LineFunc {
 // jumps, so that a chain built with NewGenerator alone, such as a model's,
 // can be rebuilt and checked. Each line emits its jumps in target order.
 func Lines(g *Generator) LineFunc {
-	w := g.width
-	leave := make([][]jump, g.n/w)
+	jumps := make([][]jump, len(g.lines))
 	for _, j := range g.from {
-		leave[j.from] = append(leave[j.from], j)
+		jumps[j.from] = append(jumps[j.from], j)
 	}
 	return func(l int, up, down []float64, emit func(int, float64)) {
-		copy(up, g.up[l*w:])
-		copy(down, g.down[l*w:])
-		for _, j := range leave[l] {
+		u, d, _ := g.rates(l)
+		copy(up, u)
+		copy(down, d)
+		for _, j := range jumps[l] {
 			emit(int(j.to), j.rate)
 		}
 	}
+}
+
+// outflows returns the total outflow rate of every state of g, the negated
+// diagonal of Q.
+func outflows(g *Generator) []float64 {
+	var out []float64
+	for l := range g.lines {
+		up, down, leave := g.rates(l)
+		for q := range up {
+			out = append(out, leave+up[q]+down[q])
+		}
+	}
+	return out
+}
+
+// Rows returns the number of rate rows g stores, and how many of them are
+// some line's up row and some line's down row.
+func Rows(g *Generator) (rows, up, down int) {
+	ups, downs := map[int32]bool{}, map[int32]bool{}
+	for _, r := range g.lines {
+		ups[r.up], downs[r.down] = true, true
+	}
+	return len(g.rows) / g.width, len(ups), len(downs)
 }
 
 // Start returns the starting vector of a solve of g, given the line masses
@@ -138,9 +161,9 @@ type SweepStats struct {
 // Iterates runs the given number of sweeps at relaxation factor omega from
 // the start of a solve, given the line masses or nil, and returns every
 // iterate and what each sweep reported. The sweeps are sweep's four-wide
-// passes in colour order or, if oneAtATime, sweepOneLineAtATime; after a
-// sweep that did not scale every line to its mass, the iterate is restored
-// as in SteadyState.
+// passes in colour order, which leave out the lines of mass 0, or, if
+// oneAtATime, sweepOneLineAtATime; after a sweep that did not scale every
+// line to its mass, the iterate is restored as in SteadyState.
 func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64, omega float64) ([][]float64, []SweepStats, error) {
 	pi, err := Start(g, mass)
 	if err != nil {
@@ -148,6 +171,7 @@ func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64, omega f
 	}
 	invPivot := g.factor()
 	rhs := make([]float64, 4*g.width)
+	order, colourEnd := g.sweepOrder(mass)
 	var iterates [][]float64
 	var stats []SweepStats
 	for range sweeps {
@@ -155,7 +179,7 @@ func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64, omega f
 		if oneAtATime {
 			st.Fitted, st.Change = sweepOneLineAtATime(g, pi, invPivot, rhs[:g.width], mass, omega)
 		} else {
-			st.Fitted, st.Change = g.sweep(pi, invPivot, rhs, mass, omega)
+			st.Fitted, st.Change = g.sweep(pi, invPivot, rhs, mass, order, colourEnd, omega)
 		}
 		if !st.Fitted {
 			if err := restore(g, pi, mass); err != nil {
@@ -171,20 +195,22 @@ func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64, omega f
 // sweepOneLineAtATime is the reference for sweep: one line Gauss–Seidel
 // sweep in index order, which the colour order equals, that gathers each
 // line's inflow and runs its Thomas pass before it moves to the next line.
-// Right after its Thomas pass, it keeps the line's old values in rhs, sums
-// the line from its last state down, and moves the line as fit does. It
-// reports whether it scaled every line to its mass, and how far it moved pi.
+// It solves every line, those of mass 0 too. Right after its Thomas pass,
+// it keeps the line's old values in rhs, sums the line from its last state
+// down, and moves the line as fit does. It reports whether it scaled every
+// line to its mass, and how far it moved pi.
 func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs, mass []float64, omega float64) (bool, float64) {
 	w := g.width
 	fitted := mass != nil
 	var change float64
 	for l, s := 0, 0; s < g.n; l, s = l+1, s+w {
 		g.inflow(pi, l, rhs)
-		inv, down, line := invPivot[s:s+w], g.down[s:s+w], pi[s:s+w]
+		ups, down, _ := g.rates(l)
+		inv, line := invPivot[s:s+w], pi[s:s+w]
 		var r, up float64
 		for q := range rhs {
 			r = (rhs[q] + up*r) * inv[q]
-			rhs[q], up = r, g.up[s+q]
+			rhs[q], up = r, ups[q]
 		}
 		old := slices.Clone(line)
 		x := line[w-1]

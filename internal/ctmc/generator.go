@@ -11,10 +11,16 @@
 // rates. A chain is described line by line (see LineFunc): per line, the
 // rates one step up and down from each position, and its jumps, each a
 // (target line, rate) pair, so a description cannot break the structure.
-// No matrix is stored either: per state, the rates one step up and down its
-// line and the total outflow; per line, the (source line, rate) pairs of its
-// inflow from other lines. With W = 1 every state is its own line, any chain
-// has this structure, and the line solve is point Gauss–Seidel.
+// No matrix is stored either, nor any vector over the states. The rates one
+// step up and one step down a line form two rows of W rates, and many lines
+// share a row (in the GPRS model a row depends only on the GSM calls and the
+// sessions in the on state), so each distinct row is stored once. Per line,
+// the generator holds the index of its up row and its down row, the total
+// rate of its jumps, and the (source line, rate) pairs of its inflow from
+// other lines. A state's total outflow is its line's jump total plus its
+// rates up and down. With W = 1 every state is its own line, any chain has
+// this structure, its one row is 0, and the line solve is point
+// Gauss–Seidel.
 //
 // The line index is then itself a Markov chain, and the solver can be given
 // its stationary distribution, the exact mass of every line, when it is
@@ -88,10 +94,11 @@ type LineFunc func(l int, up, down []float64, jump func(to int, rate float64))
 type Generator struct {
 	n, width int
 
-	// up[i] and down[i] are the rates from state i one step up and one step
-	// down its line; out[i] is its total outflow rate, the negated diagonal
-	// entry of Q.
-	up, down, out []float64
+	// rows holds the distinct rate rows of the lines, width rates each, in
+	// the order the build first met them.
+	rows []float64
+	// lines[l] names the rows of line l and its jump total (see rates).
+	lines []lineRates
 
 	// from[fromStart[l]:fromStart[l+1]] are the jumps into line l.
 	fromStart []int32
@@ -103,6 +110,22 @@ type Generator struct {
 
 	maxOutRate float64
 	nnz        int64
+}
+
+// lineRates is what a generator keeps of a line's rates: the index of the
+// row of its rates one step up from each position, that of its rates one
+// step down, and leave, the sum of its jump rates. A state's total outflow
+// rate, the negated diagonal entry of Q, is leave + up + down.
+type lineRates struct {
+	up, down int32
+	leave    float64
+}
+
+// rates returns the rates one step up and one step down line l from each
+// position, and the line's jump total.
+func (g *Generator) rates(l int) (up, down []float64, leave float64) {
+	r := g.lines[l]
+	return lineOf(g.rows, r.up, g.width), lineOf(g.rows, r.down, g.width), r.leave
 }
 
 // jump is a transition from every state of line from to the same position
@@ -132,6 +155,80 @@ func (b *builder) jump(to int, rate float64) {
 	b.jumps = append(b.jumps, jump{int32(b.line), int32(to), rate})
 }
 
+// rowTable stores each distinct rate row of a build once. rows holds the
+// rows, width rates each, in the order intern first met them. slots is an
+// open-addressed hash index of them: a slot holds 0 if free, or 1 + the
+// index of a row, found from the row's hash by linear probing. rows has
+// room for as many rows as half the slots, and once it is full both
+// double, so the slots stay at least half free and a build allocates for
+// the table a number of times that grows with the log of its rows, not
+// with its lines.
+type rowTable struct {
+	width int
+	rows  []float64
+	slots []int32
+}
+
+func newRowTable(width int) *rowTable {
+	const slots = 16
+	return &rowTable{width: width, rows: make([]float64, 0, slots/2*width), slots: make([]int32, slots)}
+}
+
+// intern returns the index of the row equal to row, bit for bit, adding a
+// copy of row to the table if it holds none.
+func (t *rowTable) intern(row []float64) int32 {
+	count := len(t.rows) / t.width
+	if len(t.rows) == cap(t.rows) {
+		t.rows = append(make([]float64, 0, 2*cap(t.rows)), t.rows...)
+		t.slots = make([]int32, 2*len(t.slots))
+		for r := range int32(count) {
+			t.slots[t.free(lineOf(t.rows, r, t.width))] = r + 1
+		}
+	}
+	mask := len(t.slots) - 1
+	for i := hashRow(row) & mask; ; i = (i + 1) & mask {
+		r := t.slots[i] - 1
+		if r < 0 {
+			t.slots[i] = int32(count) + 1
+			t.rows = append(t.rows, row...)
+			return int32(count)
+		}
+		if equalBits(lineOf(t.rows, r, t.width), row) {
+			return r
+		}
+	}
+}
+
+// free returns the first free slot on the probe sequence of row.
+func (t *rowTable) free(row []float64) int {
+	mask := len(t.slots) - 1
+	i := hashRow(row) & mask
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// hashRow hashes the bits of a row (FNV-1a over 64-bit words, with the high
+// bits folded into the low ones that index the slots).
+func hashRow(row []float64) int {
+	h := uint64(14695981039346656037)
+	for _, x := range row {
+		h = (h ^ math.Float64bits(x)) * 1099511628211
+	}
+	return int(h ^ h>>32)
+}
+
+// equalBits reports whether a and b, of equal length, hold the same bits.
+func equalBits(a, b []float64) bool {
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // validRate reports whether rate is finite and not negative.
 func validRate(rate float64) bool { return rate >= 0 && rate <= math.MaxFloat64 }
 
@@ -155,20 +252,22 @@ func NewGenerator(numStates, lineWidth int, line LineFunc) (*Generator, error) {
 		return nil, fmt.Errorf("%w: nil line function", ErrInvalidArgument)
 	}
 
-	g := &Generator{
-		n:     numStates,
-		width: lineWidth,
-		up:    make([]float64, numStates),
-		down:  make([]float64, numStates),
-		out:   make([]float64, numStates),
-	}
 	lines := numStates / lineWidth
+	g := &Generator{n: numStates, width: lineWidth, lines: make([]lineRates, lines)}
+	rows := newRowTable(lineWidth)
+	scratch := make([]float64, 2*lineWidth)
+	up, down := scratch[:lineWidth], scratch[lineWidth:]
 	// The jumps have room for eight per line before they grow.
 	b := &builder{lines: lines, jumps: make([]jump, 0, 8*lines)}
 	jumpTo := b.jump
+	// dead is the first state with no outgoing transition, reported once
+	// every line has been checked for invalid transitions.
+	dead := -1
+	var nnz int64
+	var maxOut float64
 	for s := 0; b.line < lines; b.line, s = b.line+1, s+lineWidth {
 		first := len(b.jumps)
-		up, down := g.up[s:s+lineWidth], g.down[s:s+lineWidth]
+		clear(scratch)
 		line(b.line, up, down, jumpTo)
 		if b.err != nil {
 			return nil, b.err
@@ -177,7 +276,7 @@ func NewGenerator(numStates, lineWidth int, line LineFunc) (*Generator, error) {
 		for _, j := range b.jumps[first:] {
 			leave += j.rate
 		}
-		g.nnz += int64(len(b.jumps)-first) * int64(lineWidth)
+		nnz += int64(len(b.jumps)-first) * int64(lineWidth)
 		for q, u := range up {
 			d := down[q]
 			switch {
@@ -189,25 +288,28 @@ func NewGenerator(numStates, lineWidth int, line LineFunc) (*Generator, error) {
 				return nil, fmt.Errorf("%w: state %d steps down off the start of line %d", ErrInvalidTransition, s+q, b.line)
 			}
 			if u != 0 {
-				g.nnz++
+				nnz++
 			}
 			if d != 0 {
-				g.nnz++
+				nnz++
 			}
-			g.out[s+q] = leave + u + d
+			out := leave + u + d
+			if out <= 0 && numStates > 1 && dead < 0 {
+				dead = s + q
+			}
+			maxOut = max(maxOut, out)
 		}
+		g.lines[b.line] = lineRates{rows.intern(up), rows.intern(down), leave}
 	}
-
-	for s, rate := range g.out {
-		if rate <= 0 && numStates > 1 {
-			return nil, fmt.Errorf("%w: state %d has no outgoing transitions", ErrNotIrreducible, s)
-		}
-		g.maxOutRate = max(g.maxOutRate, rate)
+	if dead >= 0 {
+		return nil, fmt.Errorf("%w: state %d has no outgoing transitions", ErrNotIrreducible, dead)
 	}
+	g.rows, g.nnz, g.maxOutRate = rows.rows, nnz, maxOut
 
-	// Sort the jumps stably by target line: count them per line, sum the
-	// counts up to each line's end, and fill each line backwards from its
-	// end, which leaves fromStart at its start.
+	// Sort the jumps stably by target line, in place: count them per line,
+	// sum the counts up to each line's end, and place the jumps of each line
+	// backwards from its end, which leaves fromStart at its start. Then move
+	// each jump to its place, one cycle of the permutation at a time.
 	g.fromStart = make([]int32, lines+1)
 	for _, j := range b.jumps {
 		g.fromStart[j.to]++
@@ -215,11 +317,18 @@ func NewGenerator(numStates, lineWidth int, line LineFunc) (*Generator, error) {
 	for l := range lines {
 		g.fromStart[l+1] += g.fromStart[l]
 	}
-	g.from = make([]jump, len(b.jumps))
-	for _, j := range slices.Backward(b.jumps) {
+	place := make([]int32, len(b.jumps))
+	for i, j := range slices.Backward(b.jumps) {
 		g.fromStart[j.to]--
-		g.from[g.fromStart[j.to]] = j
+		place[i] = g.fromStart[j.to]
 	}
+	for i := range place {
+		for p := place[i]; p != int32(i); p = place[i] {
+			b.jumps[i], b.jumps[p] = b.jumps[p], b.jumps[i]
+			place[i], place[p] = place[p], p
+		}
+	}
+	g.from = b.jumps
 	g.colour()
 	return g, nil
 }
@@ -349,15 +458,16 @@ func (g *Generator) Residual(pi []float64) (float64, error) {
 	var worst float64
 	for l, s := 0, 0; s < g.n; l, s = l+1, s+g.width {
 		g.inflow(pi, l, x)
+		up, down, leave := g.rates(l)
 		for q, sum := range x {
 			j := s + q
 			if q > 0 {
-				sum += pi[j-1] * g.up[j-1]
+				sum += pi[j-1] * up[q-1]
 			}
 			if q+1 < g.width {
-				sum += pi[j+1] * g.down[j+1]
+				sum += pi[j+1] * down[q+1]
 			}
-			if r := math.Abs(sum - pi[j]*g.out[j]); r > worst {
+			if r := math.Abs(sum - pi[j]*(leave+up[q]+down[q])); r > worst {
 				worst = r
 			}
 		}

@@ -185,6 +185,7 @@ func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) 
 
 	invPivot := g.factor()
 	rhs := make([]float64, 4*g.width)
+	order, colourEnd := g.sweepOrder(mass)
 	bound := o.Tolerance * g.maxOutRate
 	// changes holds the changes of the last window sweeps, oldest first,
 	// since the start or since the solve fell back to plain sweeps.
@@ -195,7 +196,7 @@ func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) 
 	// at the last check that the relaxed sweeps contract faster.
 	rho, last := 0.0, math.Inf(1)
 	for iter := 1; iter <= o.MaxIterations; iter++ {
-		fitted, change := g.sweep(pi, invPivot, rhs, mass, omega)
+		fitted, change := g.sweep(pi, invPivot, rhs, mass, order, colourEnd, omega)
 		if !fitted {
 			moved, err := norm(pi)
 			if err != nil {
@@ -278,7 +279,8 @@ func (g *Generator) start(pi, mass []float64) {
 			m = mass[l]
 		}
 		line := pi[s : s+w]
-		sum := equilibrium(line, g.up[s:s+w], g.down[s:s+w])
+		up, down, _ := g.rates(l)
+		sum := equilibrium(line, up, down)
 		if sum == 0 {
 			for q := range line {
 				line[q] = m / float64(w)
@@ -328,10 +330,11 @@ const closedLine = 1e-12
 // first and then runs the four Thomas passes interleaved, as four
 // independent chains of dependent multiply-adds that the CPU overlaps. The
 // last one to three lines of a colour are solved one at a time. rhs is
-// scratch of four line widths. A one-state line is the point update
-// pi_j <- inflow_j / d_j. A closed line, which sends nothing out of itself,
-// ends on a pivot of 0: its last state keeps its value, the rest are solved
-// from it, and the line's mass is set after the pass.
+// scratch of four line widths, and order and colourEnd are those of
+// sweepOrder. A one-state line is the point update pi_j <- inflow_j / d_j.
+// A closed line, which sends nothing out of itself, ends on a pivot of 0: its
+// last state keeps its value, the rest are solved from it, and the line's
+// mass is set after the pass.
 //
 // Right after its Thomas pass, the sweep moves each line from its old values
 // towards the pass's, scaled to the line's mass if given, by omega times the
@@ -339,13 +342,13 @@ const closedLine = 1e-12
 // colour order as in index order. It reports whether it scaled every line
 // to its mass (without masses, it reports false), and the L1 distance it
 // moved pi.
-func (g *Generator) sweep(pi, invPivot, rhs, mass []float64, omega float64) (bool, float64) {
+func (g *Generator) sweep(pi, invPivot, rhs, mass []float64, order, colourEnd []int32, omega float64) (bool, float64) {
 	w := g.width
 	fitted := mass != nil
 	var change float64
 	var start int32
-	for _, end := range g.colourEnd {
-		lines := g.order[start:end]
+	for _, end := range colourEnd {
+		lines := order[start:end]
 		start = end
 		for ; len(lines) >= 4; lines = lines[4:] {
 			ok, c := g.solve4(pi, invPivot, rhs, mass, lines[:4], omega)
@@ -359,6 +362,32 @@ func (g *Generator) sweep(pi, invPivot, rhs, mass []float64, omega float64) (boo
 		}
 	}
 	return fitted, change
+}
+
+// sweepOrder returns the order in which the sweeps of a solve, given the
+// line masses or nil, visit the lines: the colour order of the generator,
+// colour c ending at colourEnd[c], without the lines of mass 0. Such a line
+// is 0 from the start of the solve on (start and Aggregation.rescale zero
+// it), and fit would zero it again after its Thomas pass and report a
+// change of 0, so the sweeps leave it as it is. They then group the other
+// lines of a colour four at a time differently, which changes only the order
+// in which the sweep sums the lines' changes.
+func (g *Generator) sweepOrder(mass []float64) (order, colourEnd []int32) {
+	if !slices.Contains(mass, 0) {
+		return g.order, g.colourEnd
+	}
+	order = make([]int32, 0, len(g.order))
+	colourEnd = make([]int32, len(g.colourEnd))
+	var start int32
+	for c, end := range g.colourEnd {
+		for _, l := range g.order[start:end] {
+			if mass[l] != 0 {
+				order = append(order, l)
+			}
+		}
+		colourEnd[c], start = int32(len(order)), end
+	}
+	return order, colourEnd
 }
 
 // fit writes the new values of line l, given the values y that the Thomas
@@ -411,11 +440,12 @@ func (g *Generator) solveLine(pi, invPivot, rhs, mass []float64, l int, omega fl
 	w := len(rhs)
 	s := l * w
 	g.inflow(pi, l, rhs)
-	inv, down, line := invPivot[s:s+w], g.down[s:s+w], pi[s:s+w]
+	ups, down, _ := g.rates(l)
+	inv, line := invPivot[s:s+w], pi[s:s+w]
 	var r, up float64
 	for q := range rhs {
 		r = (rhs[q] + up*r) * inv[q]
-		rhs[q], up = r, g.up[s+q]
+		rhs[q], up = r, ups[q]
 	}
 	// Each entry of rhs is free once read, and keeps the line's old value.
 	x := line[w-1]
@@ -448,7 +478,10 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32, ome
 	g.inflow(pi, int(lines[3]), x3)
 	i0, i1, i2, i3 := invPivot[s0:s0+w], invPivot[s1:s1+w], invPivot[s2:s2+w], invPivot[s3:s3+w]
 
-	u0, u1, u2, u3 := g.up[s0:s0+w], g.up[s1:s1+w], g.up[s2:s2+w], g.up[s3:s3+w]
+	u0, d0, _ := g.rates(int(lines[0]))
+	u1, d1, _ := g.rates(int(lines[1]))
+	u2, d2, _ := g.rates(int(lines[2]))
+	u3, d3, _ := g.rates(int(lines[3]))
 	var r0, r1, r2, r3, p0, p1, p2, p3 float64
 	for q := range x0 {
 		r0 = (x0[q] + p0*r0) * i0[q]
@@ -461,7 +494,6 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32, ome
 		x3[q], p3 = r3, u3[q]
 	}
 
-	d0, d1, d2, d3 := g.down[s0:s0+w], g.down[s1:s1+w], g.down[s2:s2+w], g.down[s3:s3+w]
 	l0, l1, l2, l3 := pi[s0:s0+w], pi[s1:s1+w], pi[s2:s2+w], pi[s3:s3+w]
 	y0, y1, y2, y3 := l0[w-1], l1[w-1], l2[w-1], l3[w-1]
 	if i0[w-1] != 0 {
@@ -510,26 +542,31 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32, ome
 }
 
 // factor returns the inverse modified pivot of every state for the Thomas
-// pass (0 for a pivot of 0). With e_q = d_q - up_q - down_q the rate out of
-// the line, the pivot b_q = d_q - down_q up_{q-1} / b_{q-1} is summed as
+// pass (0 for a pivot of 0). With d_q = leave + up_q + down_q the state's
+// outflow, summed as the build sums it, and e_q = d_q - up_q - down_q the
+// rate out of the line, the pivot b_q = d_q - down_q up_{q-1} / b_{q-1} is summed as
 // up_q + a_q with a_q = e_q + down_q a_{q-1} / b_{q-1}, as the difference
 // loses a factor down/up of accuracy per state on a line with a strong
 // drift. down_q is 0 at a line's first state, which restarts the recurrence.
 func (g *Generator) factor() []float64 {
 	invPivot := make([]float64, g.n)
 	var a, inv float64
-	for q, up := range g.up {
-		down, out := g.down[q], g.out[q]
-		rest := out - up - down
-		if rest < closedLine*out {
-			rest = 0
+	for l := range g.lines {
+		ups, downs, leave := g.rates(l)
+		for q, up := range ups {
+			down := downs[q]
+			out := leave + up + down
+			rest := out - up - down
+			if rest < closedLine*out {
+				rest = 0
+			}
+			a = rest + down*a*inv
+			inv = 0
+			if pivot := up + a; pivot > 0 {
+				inv = 1 / pivot
+			}
+			invPivot[l*g.width+q] = inv
 		}
-		a = rest + down*a*inv
-		inv = 0
-		if pivot := up + a; pivot > 0 {
-			inv = 1 / pivot
-		}
-		invPivot[q] = inv
 	}
 	return invPivot
 }

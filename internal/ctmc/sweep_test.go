@@ -3,6 +3,7 @@ package ctmc_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -29,6 +30,23 @@ func quickFig6Model(t *testing.T, fraction, rate float64) (*core.Model, core.Con
 		t.Fatal(err)
 	}
 	return model, cfg, ctmc.Lines(g)
+}
+
+// lineMasses returns the product-form masses of the buffer lines of model:
+// its solve scales every line to them, so they are the line sums of its
+// solution.
+func lineMasses(t *testing.T, model *core.Model, cfg core.Config, tol float64) ([]float64, *core.Result) {
+	t.Helper()
+	res, err := model.Solve(ctmc.SolveOptions{Tolerance: tol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := cfg.BufferSize + 1
+	mass := make([]float64, cfg.NumStates()/w)
+	for i, p := range res.Pi {
+		mass[i/w] += p
+	}
+	return mass, res
 }
 
 // denseChain returns a chain of n states in which every state moves to
@@ -89,20 +107,16 @@ func TestSweepOrderIsAColouring(t *testing.T) {
 // four-wide pass; the dense chain has one line per colour, so every line
 // goes through the one-line tail. With the model's product-form line
 // masses, each line is scaled to its mass right after its Thomas pass, and
-// every line that reads it must see it scaled in both orders.
+// every line that reads it must see it scaled in both orders. At GPRS
+// fraction 1, 594 of the 660 lines have mass 0: the four-wide sweep leaves
+// them out, and the reference must still solve them and reach the same
+// zeros.
 func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
 	model, cfg, lines := quickFig6Model(t, 0.10, 1.0)
 	n, k := cfg.NumStates(), cfg.BufferSize
-	// The solve scales every line to its product-form mass, so the line
-	// sums of its solution are those masses.
-	res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	productForm := make([]float64, n/(k+1))
-	for i, p := range res.Pi {
-		productForm[i/(k+1)] += p
-	}
+	productForm, _ := lineMasses(t, model, cfg, 1e-6)
+	dataModel, dataCfg, dataLines := quickFig6Model(t, 1, 1.0)
+	dataMasses, _ := lineMasses(t, dataModel, dataCfg, 1e-6)
 	const dense = 70
 	for _, tc := range []struct {
 		name     string
@@ -112,6 +126,7 @@ func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
 	}{
 		{"Quick Fig. 6 with buffer lines", n, k + 1, lines, nil},
 		{"Quick Fig. 6 with buffer lines and product-form masses", n, k + 1, lines, productForm},
+		{"Quick Fig. 6 at GPRS fraction 1 with product-form masses", n, k + 1, dataLines, dataMasses},
 		{"Quick Fig. 6 with one state per line", n, 1, ctmc.Points(k+1, lines), nil},
 		{"dense chain with one state per line", dense, 1, denseChain(dense), nil},
 	} {
@@ -151,14 +166,7 @@ func TestZeroMassLinesAreFitted(t *testing.T) {
 		t.Run(fmt.Sprintf("GPRS fraction %v", fraction), func(t *testing.T) {
 			model, cfg, lines := quickFig6Model(t, fraction, 0.6)
 			n, w := cfg.NumStates(), cfg.BufferSize+1
-			res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mass := make([]float64, n/w)
-			for i, p := range res.Pi {
-				mass[i/w] += p
-			}
+			mass, res := lineMasses(t, model, cfg, 1e-10)
 			zero := 0
 			for _, m := range mass {
 				if m == 0 {
@@ -191,4 +199,71 @@ func TestZeroMassLinesAreFitted(t *testing.T) {
 				zero, len(mass), res.Solver.Iterations, plain.Iterations)
 		})
 	}
+}
+
+// TestLinesShareRows checks the rate rows of the Quick Fig. 6 generator. A
+// line's rates up and down its buffer depend only on its GSM calls and its
+// sessions in the on state, so the 660 lines share 86 up rows and 10 down
+// rows, and every line must read back, bit for bit, the rates that core's
+// description of it writes: Table 1's offered packet rate one step up from
+// each buffer level below K, and its service rate one step down from each
+// level above 0. Built with one state per line, every row is 0, so the
+// generator stores a single row.
+func TestLinesShareRows(t *testing.T) {
+	model, cfg, lines := quickFig6Model(t, 0.05, 0.6)
+	n, w := cfg.NumStates(), cfg.BufferSize+1
+	g, err := model.BuildGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, up, down := ctmc.Rows(g); rows != 96 || up != 86 || down != 10 {
+		t.Errorf("%d rows, %d of them up rows and %d down rows; want 96, 86 and 10", rows, up, down)
+	}
+	space := core.NewStateSpace(cfg.Channels.GSMChannels(), cfg.BufferSize, cfg.MaxSessions)
+	up, down := make([]float64, w), make([]float64, w)
+	read := ctmc.Lines(g)
+	for l := range n / w {
+		clear(up)
+		clear(down)
+		read(l, up, down, func(int, float64) {})
+		for k := range w {
+			s := space.State(l*w + k)
+			var wantUp, wantDown float64
+			if k+1 < w {
+				wantUp = model.OfferedPacketRate(s)
+			}
+			if k > 0 {
+				wantDown = model.ServiceRate(s)
+			}
+			if math.Float64bits(up[k]) != math.Float64bits(wantUp) || math.Float64bits(down[k]) != math.Float64bits(wantDown) {
+				t.Fatalf("line %d, level %d: up %v, down %v; core writes %v and %v", l, k, up[k], down[k], wantUp, wantDown)
+			}
+		}
+	}
+	if rows, _, _ := ctmc.Rows(build(t, n, 1, ctmc.Points(w, lines))); rows != 1 {
+		t.Errorf("the build with one state per line stores %d rows, want 1", rows)
+	}
+}
+
+// TestNewGeneratorBytesPerState bounds what a build of a Quick Fig. 6
+// generator allocates per state: the lines' jumps, their rows and the sweep
+// order come to about 11 B. A vector over the states, at 8 B a state, would
+// break the bound. The least of three builds is taken, so that what the
+// runtime allocates meanwhile does not count.
+func TestNewGeneratorBytesPerState(t *testing.T) {
+	model, cfg, _ := quickFig6Model(t, 0.05, 0.6)
+	least := math.Inf(1)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		if _, err := model.BuildGenerator(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/float64(cfg.NumStates()))
+	}
+	if least > 12 {
+		t.Errorf("a build allocates %.2f B per state, want at most 12", least)
+	}
+	t.Logf("%.2f B per state", least)
 }
