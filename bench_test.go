@@ -249,8 +249,13 @@ func BenchmarkShardedSimulator(b *testing.B) {
 }
 
 // BenchmarkDetailedSimulator measures a short detailed-simulator run with TCP
-// at the quick-fidelity cell size.
+// at the quick-fidelity cell size, and reports the bytes the runs allocate
+// per processed event (construction included) as B/event.
 func BenchmarkDetailedSimulator(b *testing.B) {
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var events uint64
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig(traffic.Model3, 0.5)
 		cfg.Channels.TotalChannels = 10
@@ -269,5 +274,8 @@ func BenchmarkDetailedSimulator(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.Events)/float64(res.SimulatedSec), "events/simulated-s")
+		events += res.Events
 	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(events), "B/event")
 }

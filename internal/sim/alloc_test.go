@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -223,5 +224,32 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplicationRunBytesPerEvent pins the bytes one DefaultConfig(Model3,
+// 0.5) replication's Run allocates per processed event: perfbench's
+// sim.bytes_per_event, which counts the Run calls alone. Run allocates only
+// while the cells' record pools and per-connection flags grow towards their
+// peak population; packets live in rings allocated by New, and each segment
+// carries its own send time. That layout measures 0.028 B/event; a
+// per-connection send-time table and a buffer of pooled packet pointers
+// measured 0.081, which the bound rejects.
+func TestReplicationRunBytesPerEvent(t *testing.T) {
+	s, err := New(DefaultConfig(traffic.Model3, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := s.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Events)
+	if perEvent > 0.05 {
+		t.Errorf("Run allocates %.4f B/event over %d events, want <= 0.05", perEvent, res.Events)
 	}
 }

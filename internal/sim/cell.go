@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/des"
 	"repro/internal/policy"
@@ -119,9 +120,10 @@ type handoverMsg struct {
 // through handover messages.
 //
 // The steady-state event path of a cell is allocation-free: completed voice
-// calls, sessions, and packets are recycled through per-cell freelists
-// (reset on reuse), and every closure the hot path schedules is bound once —
-// at cell construction or at record first-allocation — never per event.
+// calls, sessions, and TCP connections are recycled through per-cell
+// freelists (reset on reuse), packets are values in a buffer ring sized at
+// construction, and every closure the hot path schedules is bound once — at
+// cell construction or at record first-allocation — never per event.
 // Allocation happens only while a freelist grows towards the cell's peak
 // concurrent population, and at rate/mobility profile boundaries (O(number
 // of boundaries), not O(events)).
@@ -133,7 +135,14 @@ type cell struct {
 
 	voiceCalls int
 	sessions   int
-	buffer     []*packet
+
+	// buf is the BSC buffer: a ring of packet values in arrival order, the
+	// oldest at buf[head] and count of them in all. Its power-of-two length
+	// is fixed in newCell at the buffer's admission bound (see newCell), so
+	// enqueue never grows it and delivery never moves a packet.
+	buf   []packet
+	head  int
+	count int
 
 	// deliverPending is the number of leading buffer packets whose last radio
 	// block was allocated by the previous tick: their transmission completes —
@@ -161,7 +170,6 @@ type cell struct {
 	// first allocated and kept across reuses.
 	freeVoice freelist[voiceCall]
 	freeSess  freelist[session]
-	freePkt   freelist[packet]
 	freeConn  freelist[connection]
 	freeCT    freelist[connTransit]
 
@@ -238,9 +246,15 @@ func (c *cell) putQHO(q *queuedHO) {
 // newCell constructs cell id of simulator s on its group's calendar eng,
 // under s's defaulted configuration. It fails only when a configured delay
 // cannot key a fixed-delay lane.
+//
+// The buffer ring holds BufferSize + TotalChannels packets, rounded up to a
+// power of two: enqueue admits a packet only while fewer than BufferSize are
+// queued besides the deliverPending ones, and each of those took at least
+// one of the at most TotalChannels radio blocks of the last tick.
 func newCell(id int, s *Simulator, eng *des.Simulation) (*cell, error) {
 	cfg := &s.config
 	c := &cell{id: id, sim: s, eng: eng, streams: newCellStreams(cfg.Seed, id, cfg.Streams)}
+	c.buf = make([]packet, nextPow2(cfg.BufferSize+cfg.Channels.TotalChannels))
 	var err error
 	if c.tickLane, err = eng.Lane(blockPeriodSec); err != nil {
 		return nil, err // a positive constant: unreachable
@@ -258,6 +272,9 @@ func newCell(id int, s *Simulator, eng *des.Simulation) (*cell, error) {
 	c.fireDataFn = func() { c.gprsArrival(); c.armArrival(false) }
 	return c, nil
 }
+
+// nextPow2 returns the smallest power of two that is at least n ≥ 1.
+func nextPow2(n int) int { return 1 << bits.Len(uint(n-1)) }
 
 // getVoice takes a voice-call record off the cell's freelist, or allocates
 // one with its action closures bound. Records come back from putVoice fully
@@ -310,25 +327,6 @@ func (c *cell) putSession(s *session) {
 	c.freeSess.put(s)
 }
 
-// getPacket takes a packet record off the cell's freelist, or allocates one.
-// Records come back from putPacket fully reset.
-func (c *cell) getPacket() *packet {
-	if p := c.freePkt.get(); p != nil {
-		return p
-	}
-	return &packet{}
-}
-
-// putPacket resets a delivered or dropped packet record and recycles it.
-func (c *cell) putPacket(p *packet) {
-	p.conn = nil
-	p.connGen = 0
-	p.seq = 0
-	p.enqueuedAt = 0
-	p.blocksLeft = 0
-	c.freePkt.put(p)
-}
-
 // getConn takes a connection record off the cell's freelist, or allocates a
 // bare one (newConnection binds the sender and the timeout closure and resets
 // the transfer state). The record's generation counter survives recycling —
@@ -364,13 +362,14 @@ const (
 // the generation check drops hops whose connection ended — or was recycled
 // into a new transfer — while they travelled.
 type connTransit struct {
-	cell *cell
-	conn *connection
-	gen  uint64
-	kind int
-	seq  int
-	ack  int
-	fn   func()
+	cell   *cell
+	conn   *connection
+	gen    uint64
+	kind   int
+	seq    int
+	sentAt float64 // send time of this copy of segment seq (see onAck)
+	ack    int
+	fn     func()
 }
 
 // getCT takes a transit record off the cell's freelist, or allocates one with
@@ -381,21 +380,17 @@ func (c *cell) getCT() *connTransit {
 	}
 	t := &connTransit{cell: c}
 	t.fn = func() {
-		conn, gen, kind, seq, ack := t.conn, t.gen, t.kind, t.seq, t.ack
+		conn, gen, kind, seq, sentAt, ack := t.conn, t.gen, t.kind, t.seq, t.sentAt, t.ack
 		t.conn = nil
 		t.cell.freeCT.put(t)
 		if conn.done || conn.gen != gen {
 			return
 		}
 		if kind == ctSegment {
-			p := conn.cell.getPacket()
-			p.conn = conn
-			p.connGen = gen
-			p.seq = seq
-			conn.cell.enqueue(p)
+			conn.cell.enqueue(packet{conn: conn, connGen: gen, seq: seq, sentAt: sentAt})
 			return
 		}
-		conn.onAck(ack, seq)
+		conn.onAck(ack, seq, sentAt)
 	}
 	return t
 }
@@ -799,21 +794,24 @@ func (c *cell) removeSession() {
 // the buffer contents minus the packets already fully transmitted and merely
 // waiting for their delivery tick. Admission and instantaneous queue-length
 // reads use this count, matching the paper's finite BSC buffer.
-func (c *cell) queuedPackets() int { return len(c.buffer) - c.deliverPending }
+func (c *cell) queuedPackets() int { return c.count - c.deliverPending }
 
-// enqueue offers a packet to the BSC buffer. It returns false when the buffer
-// is full; the dropped packet is recycled, so callers must not retain it.
-func (c *cell) enqueue(p *packet) bool {
+// at returns the i-th oldest packet of the buffer ring.
+func (c *cell) at(i int) *packet { return &c.buf[(c.head+i)&(len(c.buf)-1)] }
+
+// enqueue offers a packet to the BSC buffer, stamping its arrival time and
+// radio blocks. It returns false, and counts a loss, when the buffer is full.
+func (c *cell) enqueue(p packet) bool {
 	c.n[probe.PacketsOffered]++
 	if c.queuedPackets() >= c.sim.config.BufferSize {
 		c.n[probe.PacketsLost]++
-		c.putPacket(p)
 		return false
 	}
 	p.enqueuedAt = c.now()
 	p.blocksLeft = c.sim.bpp
-	c.buffer = append(c.buffer, p)
-	c.setGauge(probe.BufferOccupancy, float64(len(c.buffer)))
+	*c.at(c.count) = p
+	c.count++
+	c.setGauge(probe.BufferOccupancy, float64(c.count))
 	c.ensureTick()
 	return true
 }
@@ -821,7 +819,7 @@ func (c *cell) enqueue(p *packet) bool {
 // ensureTick schedules the next radio-block tick if transmissions are pending
 // and no tick is scheduled yet.
 func (c *cell) ensureTick() {
-	if c.tickScheduled || len(c.buffer) == 0 {
+	if c.tickScheduled || c.count == 0 {
 		return
 	}
 	c.tickScheduled = true
@@ -842,20 +840,16 @@ func (c *cell) radioTick() {
 	// Deliver the head-of-line packets that finished transmitting during the
 	// block period that just ended.
 	if c.deliverPending > 0 {
-		for _, p := range c.buffer[:c.deliverPending] {
-			c.deliver(p)
-			c.putPacket(p)
+		for i := 0; i < c.deliverPending; i++ {
+			c.deliver(c.at(i))
 		}
-		n := copy(c.buffer, c.buffer[c.deliverPending:])
-		for i := n; i < len(c.buffer); i++ {
-			c.buffer[i] = nil
-		}
-		c.buffer = c.buffer[:n]
+		c.head = (c.head + c.deliverPending) & (len(c.buf) - 1)
+		c.count -= c.deliverPending
 		c.deliverPending = 0
-		c.setGauge(probe.BufferOccupancy, float64(len(c.buffer)))
+		c.setGauge(probe.BufferOccupancy, float64(c.count))
 	}
 
-	if len(c.buffer) == 0 {
+	if c.count == 0 {
 		c.setGauge(probe.CarriedData, 0)
 		return
 	}
@@ -863,10 +857,8 @@ func (c *cell) radioTick() {
 	available := c.sim.config.Channels.AvailablePDCH(c.voiceCalls)
 	blocks := available
 	used := 0
-	for _, p := range c.buffer {
-		if blocks == 0 {
-			break
-		}
+	for i := 0; i < c.count && blocks > 0; i++ {
+		p := c.at(i)
 		alloc := p.blocksLeft
 		if alloc > radio.MaxSlotsPerMobile {
 			alloc = radio.MaxSlotsPerMobile
@@ -882,10 +874,7 @@ func (c *cell) radioTick() {
 
 	// Packets whose last block was allocated above form a prefix of the
 	// buffer (head-of-line service); they deliver at the next tick.
-	for _, p := range c.buffer {
-		if p.blocksLeft > 0 {
-			break
-		}
+	for c.deliverPending < c.count && c.at(c.deliverPending).blocksLeft == 0 {
 		c.deliverPending++
 	}
 
@@ -894,14 +883,15 @@ func (c *cell) radioTick() {
 }
 
 // deliver records the delivery of a packet to the mobile station and notifies
-// the owning TCP connection, if any. The caller recycles the packet. The
-// generation check keeps a packet from waking a connection record that was
-// recycled (and re-acquired) while the packet drained through the buffer.
+// the owning TCP connection, if any. The caller then releases the packet's
+// ring slot. The generation check keeps a packet from waking a connection
+// record that was recycled (and re-acquired) while the packet drained through
+// the buffer.
 func (c *cell) deliver(p *packet) {
 	c.n[probe.PacketsDelivered]++
 	c.delaySum += c.now() - p.enqueuedAt
 	if p.conn != nil && p.conn.gen == p.connGen {
-		p.conn.onDelivered(p.seq)
+		p.conn.onDelivered(p.seq, p.sentAt)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/des"
+	"repro/internal/probe"
 	"repro/internal/tcp"
 	"repro/internal/traffic"
 )
@@ -122,29 +123,9 @@ func TestQueuedHandoverPoolResetOnReuse(t *testing.T) {
 	}
 }
 
-// TestPacketPoolResetOnReuse is the packet counterpart: delivered and dropped
-// packets return reset.
-func TestPacketPoolResetOnReuse(t *testing.T) {
-	c := poolTestCell(t)
-	p1 := c.getPacket()
-	p1.conn = &connection{}
-	p1.seq = 7
-	p1.enqueuedAt = 3.25
-	p1.blocksLeft = 5
-	c.putPacket(p1)
-
-	p2 := c.getPacket()
-	if p2 != p1 {
-		t.Fatal("freelist should recycle the same record")
-	}
-	if p2.conn != nil || p2.seq != 0 || p2.enqueuedAt != 0 || p2.blocksLeft != 0 {
-		t.Errorf("recycled packet carries stale state: %+v", p2)
-	}
-}
-
 // TestConnectionPoolResetOnReuse proves a recycled connection record starts
 // its next transfer exactly as a fresh one would: the sender back in slow
-// start, the per-segment bookkeeping cleared, the RTO handle zeroed — and the
+// start, the per-segment flags cleared, the RTO handle zeroed — and the
 // generation advanced, so packets and transit hops stamped with the old
 // generation stand down instead of waking the new occupant.
 func TestConnectionPoolResetOnReuse(t *testing.T) {
@@ -161,7 +142,6 @@ func TestConnectionPoolResetOnReuse(t *testing.T) {
 	c1.sender.OnSend()
 	c1.flags[2] = segDelivered
 	c1.flags[1] = segSent | segRetrans
-	c1.sendTime[1] = 3.5
 	c1.recvNext = 2
 	c1.rtoEv = c.schedule(1, func() {})
 	c1.abort()
@@ -180,11 +160,11 @@ func TestConnectionPoolResetOnReuse(t *testing.T) {
 		t.Errorf("recycled connection carries stale transfer state: done=%v recvNext=%d total=%d",
 			c2.done, c2.recvNext, c2.total)
 	}
-	if len(c2.flags) != 3 || len(c2.sendTime) != 3 {
-		t.Fatalf("per-segment slices not resized: %d/%d", len(c2.flags), len(c2.sendTime))
+	if len(c2.flags) != 3 {
+		t.Fatalf("per-segment flags not resized: %d", len(c2.flags))
 	}
 	for i := 0; i < 3; i++ {
-		if c2.flags[i] != 0 || c2.sendTime[i] != 0 {
+		if c2.flags[i] != 0 {
 			t.Errorf("per-segment slot %d carries stale state", i)
 		}
 	}
@@ -249,5 +229,89 @@ func TestSessionLifecycleRecycles(t *testing.T) {
 	}
 	if !found {
 		t.Error("completed session did not return to the freelist")
+	}
+}
+
+// TestBufferRingBound drives the BSC buffer ring to the capacity bound newCell
+// sizes it for: BufferSize packets queued, every available PDCH finishing a
+// head-of-line packet in one tick, and more arrivals before those packets'
+// delivery tick. The pending packets no longer count against admission, so
+// the buffer then holds BufferSize + TotalChannels packets, in FIFO order
+// across the ring's wrap point, and the next arrival is dropped.
+func TestBufferRingBound(t *testing.T) {
+	c := poolTestCell(t)
+	size, channels := c.sim.config.BufferSize, c.sim.config.Channels.TotalChannels
+	ring := len(c.buf)
+	if ring < size+channels || ring&(ring-1) != 0 {
+		t.Fatalf("ring of %d packets: want a power of two >= %d", ring, size+channels)
+	}
+	c.head = ring - 7 // the queue wraps after its seventh packet
+	seq := 0
+	for ; seq < size; seq++ {
+		if !c.enqueue(packet{seq: seq}) {
+			t.Fatalf("packet %d dropped below the buffer size", seq)
+		}
+	}
+	if c.enqueue(packet{seq: -1}) {
+		t.Fatal("a full buffer admitted a packet")
+	}
+	for i := 0; i < channels; i++ {
+		c.at(i).blocksLeft = 1 // one block left: every PDCH finishes a packet
+	}
+	c.eng.RunUntil(0) // the first tick allocates the last blocks
+	if c.deliverPending != channels {
+		t.Fatalf("%d packets pending delivery, want %d", c.deliverPending, channels)
+	}
+	for i := 0; i < channels+5; i++ {
+		if ok := c.enqueue(packet{seq: seq}); ok {
+			seq++
+		}
+	}
+	if c.count != size+channels {
+		t.Fatalf("buffer holds %d packets, want the bound %d", c.count, size+channels)
+	}
+	if got := c.n[probe.PacketsLost]; got != 6 {
+		t.Errorf("%d packets dropped, want 6", got)
+	}
+	for i := 0; i < c.count; i++ {
+		if got := c.at(i).seq; got != i {
+			t.Fatalf("buffer position %d holds packet %d: FIFO order broken", i, got)
+		}
+	}
+
+	c.eng.RunUntil(blockPeriodSec) // the delivery tick
+	if got := c.n[probe.PacketsDelivered]; got != int64(channels) {
+		t.Errorf("%d packets delivered, want %d", got, channels)
+	}
+	if c.count != size || c.at(0).seq != channels {
+		t.Errorf("after delivery: %d packets from %d, want %d from %d", c.count, c.at(0).seq, size, channels)
+	}
+	if len(c.buf) != ring {
+		t.Errorf("ring resized from %d to %d", ring, len(c.buf))
+	}
+}
+
+// TestBufferRingFixedOverRun checks that no cell's buffer ring is ever
+// reallocated over a full DefaultConfig run: enqueue has no grow path, so
+// each ring keeps the backing array newCell gave it.
+func TestBufferRingFixedOverRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full DefaultConfig run")
+	}
+	s, err := New(DefaultConfig(traffic.Model3, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rings := make([]*packet, len(s.cells))
+	for i, c := range s.cells {
+		rings[i] = &c.buf[0]
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range s.cells {
+		if &c.buf[0] != rings[i] || len(c.buf) != cap(c.buf) {
+			t.Errorf("cell %d: buffer ring reallocated during the run", i)
+		}
 	}
 }

@@ -7,15 +7,18 @@ import (
 )
 
 // packet is one 480-byte network-layer data packet travelling through the BSC
-// buffer of a cell. Packets are recycled through the cell's freelist when they
-// are delivered or dropped. connGen snapshots the owning connection record's
-// generation at enqueue time: connection records are pooled too, so a packet
-// still draining after its transfer ended must not wake the record's next
-// occupant (cell.deliver checks the generation).
+// buffer of a cell. Packets are values in the cell's buffer ring (cell.buf),
+// written on enqueue and overwritten after delivery, so they need no pool.
+// connGen snapshots the owning connection record's generation at enqueue
+// time: connection records are pooled, so a packet still draining after its
+// transfer ended must not wake the record's next occupant (cell.deliver
+// checks the generation). sentAt is the time the sender shipped this copy of
+// segment seq; the ACK carries it back as the start of a Karn RTT sample.
 type packet struct {
 	conn       *connection
 	connGen    uint64
 	seq        int
+	sentAt     float64
 	enqueuedAt float64
 	blocksLeft int
 }
@@ -149,7 +152,7 @@ func (s *session) generatePacket() {
 	if !s.active {
 		return
 	}
-	s.cell.enqueue(s.cell.getPacket())
+	s.cell.enqueue(packet{})
 	s.packetsLeftInCall--
 	if s.packetsLeftInCall > 0 {
 		s.scheduleNextGeneration()
@@ -248,13 +251,15 @@ func (s *session) scheduleHandover() {
 // events stay on the calendar of the cell that opened it.
 //
 // Connection records are pooled on the cell's freelist like every other model
-// record, so the TCP path honours the allocation-free contract too: the
-// per-segment bookkeeping lives in grow-only slices cleared on reuse, the
+// record, so the TCP path honours the allocation-free contract too: the only
+// per-segment state is one grow-only byte slice cleared on reuse, the
 // segment/ACK transit hops are pooled connTransit records with closures bound
 // once, and the tcp.Sender is allocated once per record and Reset on reuse.
-// gen increments at every acquisition and is never reset, so packets and
-// transit records stamped with an old generation can recognise that the
-// record has moved on to a new transfer (the ABA guard of the pool).
+// Send times are not tabled: each copy of a segment carries its own (see
+// send and onAck). gen increments at every acquisition and is never reset,
+// so packets and transit records stamped with an old generation can
+// recognise that the record has moved on to a new transfer (the ABA guard of
+// the pool).
 type connection struct {
 	sess   *session
 	cell   *cell
@@ -264,14 +269,12 @@ type connection struct {
 	total    int
 	recvNext int
 	// Per-segment bookkeeping, indexed by sequence number: flags marks
-	// segments received by the mobile (segDelivered), and segSent,
-	// segRetrans and sendTime drive Karn-sampled RTT measurements. The
-	// slices start at total entries but extend on demand (ensureSeq): a fast
-	// retransmit issued after a timeout resent everything can carry a
-	// sequence one past the document, which the receiver acknowledges like
-	// any other segment.
-	flags    []uint8
-	sendTime []float64
+	// segments received by the mobile (segDelivered), and segSent and
+	// segRetrans gate Karn-sampled RTT measurements. The slice starts at
+	// total entries but extends on demand (ensureSeq): a fast retransmit
+	// issued after a timeout resent everything can carry a sequence one past
+	// the document, which the receiver acknowledges like any other segment.
+	flags []uint8
 
 	rtoEv des.Handle
 	done  bool
@@ -281,7 +284,7 @@ type connection struct {
 
 // newConnection acquires a pooled connection record of the session's cell for
 // a transfer of totalSegments segments. The record returns fully reset: a
-// recycled sender restarts in slow start, the per-segment slices are cleared
+// recycled sender restarts in slow start, the per-segment flags are cleared
 // (growing only when this transfer exceeds the record's historical maximum),
 // and the generation advances so stale packets and transits stand down.
 func newConnection(s *session, totalSegments int) (*connection, error) {
@@ -302,7 +305,6 @@ func newConnection(s *session, totalSegments int) (*connection, error) {
 	c.total = totalSegments
 	c.recvNext = 0
 	c.flags = growCleared(c.flags, totalSegments)
-	c.sendTime = growCleared(c.sendTime, totalSegments)
 	return c, nil
 }
 
@@ -315,14 +317,10 @@ const (
 
 // growCleared returns b resized to n zeroed entries, reusing its backing
 // array when it is large enough and rounding growth to powers of two so a
-// record's slices stop allocating once it has seen its largest transfer.
-func growCleared[T uint8 | float64](b []T, n int) []T {
+// record's flags stop allocating once it has seen its largest transfer.
+func growCleared(b []uint8, n int) []uint8 {
 	if cap(b) < n {
-		c := 1
-		for c < n {
-			c <<= 1
-		}
-		return make([]T, n, c)
+		return make([]uint8, n, nextPow2(n))
 	}
 	b = b[:n]
 	clear(b)
@@ -335,7 +333,6 @@ func growCleared[T uint8 | float64](b []T, n int) []T {
 func (c *connection) ensureSeq(seq int) {
 	for len(c.flags) <= seq {
 		c.flags = append(c.flags, 0)
-		c.sendTime = append(c.sendTime, 0)
 	}
 }
 
@@ -347,7 +344,8 @@ func (c *connection) pump() {
 	}
 }
 
-// send ships one segment towards the BSC after the core-network delay.
+// send ships one segment towards the BSC after the core-network delay. The
+// transit, and the packet it becomes, carry the send time for onAck.
 func (c *connection) send(seq int) {
 	if c.done {
 		return
@@ -357,19 +355,20 @@ func (c *connection) send(seq int) {
 		c.flags[seq] |= segRetrans
 	}
 	c.flags[seq] |= segSent
-	c.sendTime[seq] = c.cell.now()
 	t := c.cell.getCT()
 	t.conn = c
 	t.gen = c.gen
 	t.kind = ctSegment
 	t.seq = seq
+	t.sentAt = c.cell.now()
 	scheduleOn(c.cell.coreLane, t.fn)
 	c.restartRTO()
 }
 
-// onDelivered is called when a segment reaches the mobile station; the
-// receiver advances its cumulative ACK and returns it over the uplink.
-func (c *connection) onDelivered(seq int) {
+// onDelivered is called when the copy of segment seq sent at sentAt reaches
+// the mobile station; the receiver advances its cumulative ACK and returns it
+// over the uplink, echoing seq and sentAt for the sender's RTT sample.
+func (c *connection) onDelivered(seq int, sentAt float64) {
 	if c.done {
 		return
 	}
@@ -385,18 +384,24 @@ func (c *connection) onDelivered(seq int) {
 	t.gen = c.gen
 	t.kind = ctAck
 	t.seq = seq
+	t.sentAt = sentAt
 	t.ack = c.recvNext
 	scheduleOn(c.cell.ackLane, t.fn)
 }
 
-// onAck processes a cumulative acknowledgement arriving at the sender.
-func (c *connection) onAck(ackVal, sampleSeq int) {
+// onAck processes a cumulative acknowledgement arriving at the sender,
+// triggered by the delivery of the copy of segment sampleSeq sent at sentAt.
+// Karn's rule: the round trip is sampled only when sampleSeq was sent exactly
+// once in this transfer. The generation checks on the packet and on both
+// transit hops guarantee the copy came from this transfer, so it is that one
+// send and sentAt is its time.
+func (c *connection) onAck(ackVal, sampleSeq int, sentAt float64) {
 	if c.done {
 		return
 	}
 	var sample float64
 	if c.flags[sampleSeq]&(segSent|segRetrans) == segSent {
-		sample = c.cell.now() - c.sendTime[sampleSeq]
+		sample = c.cell.now() - sentAt
 	}
 	res := c.sender.OnAck(ackVal, sample)
 	if res.FastRetransmit {
