@@ -90,6 +90,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-tol", "-1"}, "tol must lie in (0, 1), got -1"},
 		{[]string{"-tol", "0"}, "tol must lie in (0, 1), got 0"},
 		{[]string{"-tol", "2"}, "tol must lie in (0, 1), got 2"},
+		{[]string{"-eta", "NaN"}, "flow control threshold NaN"},
 	} {
 		var out bytes.Buffer
 		err := run(append(append([]string(nil), smallArgs...), c.args...), &out)

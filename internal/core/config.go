@@ -61,12 +61,13 @@ type Config struct {
 
 	// FlowControlThreshold is the TCP flow-control threshold eta: when the
 	// BSC queue exceeds eta*K packets, the packet arrival rate is limited to
-	// the current service rate (Section 3). The calibrated value is 0.7;
-	// 1.0 disables flow control.
+	// the current service rate (Section 3). It must lie in (0, 1]. The
+	// calibrated value is 0.7; 1.0 disables flow control.
 	FlowControlThreshold float64
 
 	// HandoverTolerance is the convergence tolerance of the handover-flow
-	// balancing fixed point; the zero value means 1e-12.
+	// balancing fixed point; a value of at most 0 means 1e-12, and a NaN or
+	// infinite one is invalid.
 	HandoverTolerance float64
 
 	// HandoverMaxIterations bounds the balancing iteration; the zero value
@@ -117,6 +118,9 @@ func (c Config) Validate() error {
 	if c.GPRSFraction < 0 || c.GPRSFraction > 1 || math.IsNaN(c.GPRSFraction) {
 		return fmt.Errorf("%w: GPRS fraction %v", ErrInvalidConfig, c.GPRSFraction)
 	}
+	if c.GPRSFraction == 0 && c.Channels.GSMChannels() == 0 {
+		return fmt.Errorf("%w: with GPRS fraction 0 and all %d channels reserved for GPRS no call is admitted (the empty cell is absorbing and the model has no steady state)", ErrInvalidConfig, c.Channels.TotalChannels)
+	}
 	for _, f := range [...]struct {
 		name string
 		v    float64
@@ -129,8 +133,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%w: %s = %v", ErrInvalidConfig, f.name, f.v)
 		}
 	}
-	if c.FlowControlThreshold <= 0 || c.FlowControlThreshold > 1 {
+	if !(c.FlowControlThreshold > 0 && c.FlowControlThreshold <= 1) {
 		return fmt.Errorf("%w: flow control threshold %v", ErrInvalidConfig, c.FlowControlThreshold)
+	}
+	if math.IsNaN(c.HandoverTolerance) || math.IsInf(c.HandoverTolerance, 0) {
+		return fmt.Errorf("%w: handover tolerance %v", ErrInvalidConfig, c.HandoverTolerance)
 	}
 	return nil
 }

@@ -110,6 +110,14 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"bad gprs dwell", func(c *Config) { c.GPRSDwellTimeSec = math.Inf(1) }, ""},
 		{"bad threshold", func(c *Config) { c.FlowControlThreshold = 0 }, ""},
 		{"threshold above one", func(c *Config) { c.FlowControlThreshold = 1.2 }, ""},
+		{"no call admitted", func(c *Config) {
+			c.Channels.ReservedPDCH = c.Channels.TotalChannels
+			c.GPRSFraction = 0
+		}, "absorbing"},
+		{"NaN threshold", func(c *Config) { c.FlowControlThreshold = math.NaN() }, "flow control threshold"},
+		{"NaN handover tolerance", func(c *Config) { c.HandoverTolerance = math.NaN() }, "handover tolerance"},
+		{"infinite handover tolerance", func(c *Config) { c.HandoverTolerance = math.Inf(1) }, "handover tolerance"},
+		{"negative infinite handover tolerance", func(c *Config) { c.HandoverTolerance = math.Inf(-1) }, "handover tolerance"},
 		{"call duration and gprs dwell", func(c *Config) {
 			c.GSMCallDurationSec = 0
 			c.GPRSDwellTimeSec = -1

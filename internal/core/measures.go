@@ -80,6 +80,13 @@ func (m *Model) MeasuresFrom(pi []float64) (Measures, error) {
 		}
 	}
 
+	// Where no state of positive probability offers a packet (no GPRS
+	// traffic), none is carried or queued. What cdt and queueLen then sum is
+	// what the solve's iterate keeps of its start in states the chain never
+	// enters, and their ratio, the queueing delay, would be noise.
+	if offered == 0 {
+		cdt, queueLen = 0, 0
+	}
 	throughputPackets := cdt * m.rates.PacketServiceRate
 
 	var plp float64

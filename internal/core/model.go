@@ -32,7 +32,8 @@ type Model struct {
 	flowControlLimit float64
 
 	// aggregation is the exact product-form marginal of the (n, m, r)
-	// lines, installed by Solve unless the caller provides one.
+	// lines, the line masses Solve gives the solver unless the caller
+	// provides its own.
 	aggregation *ctmc.Aggregation
 }
 
@@ -247,19 +248,18 @@ var ErrNotConverged = errors.New("core: model solve did not converge")
 // but packet arrival (v) and service (vi) keeps the buffer level k, at a rate
 // independent of k, so each (n, m, r) block of K+1 buffer states is a line
 // fed by at most eight neighbour lines, and the build describes Table 1 once
-// per line, not once per state. A nil opts.Aggregation is filled in
-// with the exact product-form marginal of the lines: GSM calls and GPRS
-// sessions with their MMPP phase evolve independently of the buffer and of
-// each other, so their joint marginal is Erlang(n) × Erlang(m) ×
-// Binomial(r | m, p_off). Rescaled to it, the sweeps only resolve the buffer
-// distribution within each line, which each solves exactly. Each line
-// starts at the equilibrium of its own buffer birth–death chain, and the
-// sweeps are relaxed by an ω that each solve reads from its own contraction
-// rate (ω ≈ 1.1–1.3 at Quick size, ≈ 1.45 on the Table 2 base point): the
-// twelve Quick Fig. 6 configurations take 358 sweeps in total at tolerance
-// 1e-6, against 540 unrelaxed, 630 from lines spread evenly, 2,770 for point
-// sweeps under the same aggregation and 38,790 for plain sweeps from a
-// product-form starting guess. Each sweep solves the 660 lines of a Quick
+// per line, not once per state. The line solve requires the exact mass of
+// every line, and a nil opts.Aggregation is filled in with the exact
+// product-form marginal of the lines: GSM calls and GPRS sessions with their
+// MMPP phase evolve independently of the buffer and of each other, so their
+// joint marginal is Erlang(n) × Erlang(m) × Binomial(r | m, p_off). Held at
+// it, the sweeps only resolve the buffer distribution within each line,
+// which each solves exactly. Each line starts at the equilibrium of its own
+// buffer birth–death chain, and the sweeps are relaxed by an ω that each
+// solve reads from its own contraction rate (ω ≈ 1.1–1.3 at Quick size,
+// ≈ 1.45 on the Table 2 base point): the twelve Quick Fig. 6 configurations
+// take 358 sweeps in total at tolerance 1e-6, against 540 unrelaxed and 630
+// from lines spread evenly. Each sweep solves the 660 lines of a Quick
 // Fig. 6 point in the generator's colour order (30 colours, four lines of a
 // colour at a time), which gives the iterates of a sweep in index order, so
 // the sweep count and every measure are those of index order; it leaves out

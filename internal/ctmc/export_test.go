@@ -100,6 +100,11 @@ func Lines(g *Generator) LineFunc {
 	}
 }
 
+// GTHLineMasses returns the exact mass of every line of the chain of n
+// states that line describes in lines of the given width (see
+// gthLineMasses).
+func GTHLineMasses(n, width int, line LineFunc) []float64 { return gthLineMasses(n, width, line) }
+
 // outflows returns the total outflow rate of every state of g, the negated
 // diagonal of Q.
 func outflows(g *Generator) []float64 {
@@ -123,23 +128,18 @@ func Rows(g *Generator) (rows, up, down int) {
 	return len(g.rows) / g.width, len(ups), len(downs)
 }
 
-// Start returns the starting vector of a solve of g, given the line masses
-// or nil: the start that SteadyState writes, restored to the masses or
-// normalized as SteadyState does before the first sweep.
+// Start returns the starting vector of a solve of g, given the line masses:
+// the start that SteadyState writes, rescaled to the masses as SteadyState
+// does before the first sweep.
 func Start(g *Generator, mass []float64) ([]float64, error) {
 	pi := make([]float64, g.n)
 	g.start(pi, mass)
 	return pi, restore(g, pi, mass)
 }
 
-// restore rescales v to the line masses, or normalizes it without masses.
+// restore rescales v to the line masses.
 func restore(g *Generator, v, mass []float64) error {
-	var err error
-	if mass == nil {
-		_, err = normalize(v)
-	} else {
-		_, err = (&Aggregation{Mass: mass}).rescale(v, g.width)
-	}
+	_, err := (&Aggregation{Mass: mass}).rescale(v, g.width)
 	return err
 }
 
@@ -159,11 +159,11 @@ type SweepStats struct {
 }
 
 // Iterates runs the given number of sweeps at relaxation factor omega from
-// the start of a solve, given the line masses or nil, and returns every
+// the start of a solve, given the line masses, and returns every
 // iterate and what each sweep reported. The sweeps are sweep's four-wide
 // passes in colour order, which leave out the lines of mass 0, or, if
 // oneAtATime, sweepOneLineAtATime; after a sweep that did not scale every
-// line to its mass, the iterate is restored as in SteadyState.
+// line to its mass, the iterate is rescaled as in SteadyState.
 func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64, omega float64) ([][]float64, []SweepStats, error) {
 	pi, err := Start(g, mass)
 	if err != nil {
@@ -201,7 +201,7 @@ func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64, omega f
 // line to its mass, and how far it moved pi.
 func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs, mass []float64, omega float64) (bool, float64) {
 	w := g.width
-	fitted := mass != nil
+	fitted := true
 	var change float64
 	for l, s := 0, 0; s < g.n; l, s = l+1, s+w {
 		g.inflow(pi, l, rhs)

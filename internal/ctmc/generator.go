@@ -18,19 +18,18 @@
 // the generator holds the index of its up row and its down row, the total
 // rate of its jumps, and the (source line, rate) pairs of its inflow from
 // other lines. A state's total outflow is its line's jump total plus its
-// rates up and down. With W = 1 every state is its own line, any chain has
-// this structure, its one row is 0, and the line solve is point
-// Gauss–Seidel.
+// rates up and down. With W = 1 every state is its own line, and any chain
+// has this structure, but its line masses are then its whole solution.
 //
-// The line index is then itself a Markov chain, and the solver can be given
-// its stationary distribution, the exact mass of every line, when it is
-// known in closed form. Each line then starts at the stationary
-// distribution of its own birth–death chain, scaled to its mass, and every
-// sweep scales each line to its mass right after solving it, before any line
-// that reads it (aggregation–disaggregation in the sense of Takahashi and
-// Koury–McAllister–Stewart, with the aggregate solve replaced by the closed
-// form). The sweeps, which solve each line's balance equations exactly, only
-// resolve the distribution within each line (see SolveOptions.Aggregation).
+// The line index is then itself a Markov chain, and a solve requires its
+// stationary distribution, the exact mass of every line (see
+// SolveOptions.Aggregation). Each line starts at the stationary distribution
+// of its own birth–death chain, scaled to its mass, and every sweep scales
+// each line to its mass right after solving it, before any line that reads
+// it (aggregation–disaggregation in the sense of Takahashi and
+// Koury–McAllister–Stewart, with the aggregate solve replaced by the exact
+// masses). The sweeps, which solve each line's balance equations exactly,
+// only resolve the distribution within each line.
 //
 // A sweep solves the lines in index order, each from the newest values of
 // the others, so each line's Thomas pass waits for the one before it. The
@@ -52,12 +51,11 @@
 // Introduction to the Numerical Solution of Markov Chains, 1994, ch. 3),
 // where 0 < ρ < 1 and the distances lie above rounding. From the tenth
 // sweep on, it tests after every sweep whether the distances of the last
-// ten sum to at most the tolerance, or repeat, as the iterate cycles on
-// rounding. Three guards keep a relaxed solve from ending worse than a plain
-// one: a line whose relaxed values would go negative takes its plain values
-// for that sweep; ten relaxed sweeps that shrink that sum less than one
-// plain sweep shrinks a distance set ω back to 1; and a relaxed solve that
-// settles where the residual test fails goes on with plain sweeps.
+// ten sum to at most the tolerance. Two guards keep a relaxed solve from
+// ending worse than a plain one: a line whose relaxed values would go
+// negative takes its plain values for that sweep, and ten relaxed sweeps
+// that shrink that sum less than one plain sweep shrinks a distance set ω
+// back to 1.
 package ctmc
 
 import (
@@ -400,16 +398,6 @@ func (g *Generator) NumTransitions() int64 { return g.nnz }
 func (g *Generator) inflow(pi []float64, l int, x []float64) {
 	from := g.from[g.fromStart[l]:g.fromStart[l+1]]
 	w := len(x)
-	// A one-state line's inflow is one sum over its sources: on it, the
-	// passes below would cost more in slice setup than they save.
-	if w == 1 {
-		var sum float64
-		for _, j := range from {
-			sum += j.rate * pi[j.from]
-		}
-		x[0] = sum
-		return
-	}
 	// The first len(from) % 4 source lines set x, and the rest add to it four
 	// per pass: a line has at most eight sources in the GPRS model, so x is
 	// loaded and stored at most three times, not up to eight.

@@ -13,11 +13,10 @@ type SolveOptions struct {
 	Tolerance float64
 	// MaxIterations bounds the number of sweeps; the zero value means 20000.
 	MaxIterations int
-	// Aggregation optionally provides the exact stationary mass of every
-	// line. The solve then starts each line at its mass, and every sweep
-	// scales each line to its mass right after solving it, in place of the
-	// plain normalization. If nil, each line starts at an even share of 1
-	// and the iterate is normalized as a whole after every sweep.
+	// Aggregation provides the exact stationary mass of every line, which a
+	// solve requires. The solve starts each line at its mass, and every
+	// sweep scales each line to its mass right after solving it. A chain
+	// that is one line has the aggregation Mass: []float64{1}.
 	Aggregation *Aggregation
 }
 
@@ -57,9 +56,9 @@ func (a *Aggregation) validate(lines int) error {
 // rescale scales v in place so that every line of width w sums to its mass,
 // and returns the L1 distance it moved v. A line of mass 0 is zeroed; a
 // line whose current sum is 0 is left as it is, and the vector is then
-// renormalized to sum to 1. Like normalize, it clamps tiny negative
-// rounding artefacts to zero and returns ErrNotIrreducible for a clearly
-// negative entry or a vector summing to zero.
+// renormalized to sum to 1. It clamps tiny negative rounding artefacts to
+// zero and returns ErrNotIrreducible for a clearly negative entry or a
+// vector summing to zero.
 func (a *Aggregation) rescale(v []float64, w int) (float64, error) {
 	var total, moved float64
 	unmatched := false
@@ -96,8 +95,18 @@ func (a *Aggregation) rescale(v []float64, w int) (float64, error) {
 		return 0, fmt.Errorf("%w: probability mass %v", ErrNotIrreducible, total)
 	}
 	if unmatched {
-		m, err := normalize(v)
-		return moved + m, err
+		var sum float64
+		for _, x := range v {
+			sum += x
+		}
+		if sum <= 0 {
+			return 0, fmt.Errorf("%w: probability mass %v", ErrNotIrreducible, sum)
+		}
+		f := 1 / sum
+		for i := range v {
+			v[i] *= f
+		}
+		moved += math.Abs(1 - sum)
 	}
 	return moved, nil
 }
@@ -138,16 +147,18 @@ type Solution struct {
 	Delta float64
 	// Residual is the infinity norm of pi*Q for the returned vector.
 	Residual float64
-	// Converged reports whether, before MaxIterations was reached, Delta
-	// fell below the tolerance or the changes of the last 10 sweeps
-	// repeated, so the iterate cycled on rounding, and whether Residual is at
-	// most the tolerance times the largest total outflow rate of a state. A
-	// small Delta alone can mean a stalled iteration, not a solution.
+	// Converged reports whether Delta fell to the tolerance before
+	// MaxIterations was reached, and Residual is at most the tolerance times
+	// the largest total outflow rate of a state. A small Delta alone can mean
+	// a stalled iteration, as with line masses that are not the line
+	// process's stationary distribution, not a solution.
 	Converged bool
 }
 
 // SteadyState computes the stationary distribution pi of the chain, i.e. the
-// solution of pi*Q = 0 with sum(pi) = 1.
+// solution of pi*Q = 0 with sum(pi) = 1, given the exact line masses in
+// opts.Aggregation. It returns an error wrapping ErrInvalidArgument if the
+// aggregation is missing or does not fit the chain.
 func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	return g.steadyState(opts, young)
 }
@@ -160,45 +171,39 @@ func young(rho float64) float64 { return 2 / (1 + math.Sqrt(1-rho)) }
 // rate of the plain sweeps.
 func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) float64) (*Solution, error) {
 	o := opts.withDefaults()
-	// norm restores the invariants of an iterate: a probability vector, and
-	// with an aggregation, the exact line masses. The sweeps restore the line
-	// masses themselves, so with an aggregation it only runs after a sweep
-	// that could not scale some line.
-	norm := normalize
-	var mass []float64
-	if agg := o.Aggregation; agg != nil {
-		if err := agg.validate(g.n / g.width); err != nil {
-			return nil, err
-		}
-		norm = func(v []float64) (float64, error) { return agg.rescale(v, g.width) }
-		mass = agg.Mass
+	agg := o.Aggregation
+	if agg == nil {
+		return nil, fmt.Errorf("%w: no line masses", ErrInvalidArgument)
+	}
+	if err := agg.validate(g.n / g.width); err != nil {
+		return nil, err
 	}
 	if g.n == 1 {
 		return &Solution{Pi: []float64{1}, Relaxation: 1, Converged: true}, nil
 	}
 
+	mass := agg.Mass
 	pi := make([]float64, g.n)
 	g.start(pi, mass)
-	if _, err := norm(pi); err != nil {
+	if _, err := agg.rescale(pi, g.width); err != nil {
 		return nil, err
 	}
 
 	invPivot := g.factor()
 	rhs := make([]float64, 4*g.width)
 	order, colourEnd := g.sweepOrder(mass)
-	bound := o.Tolerance * g.maxOutRate
-	// changes holds the changes of the last window sweeps, oldest first,
-	// since the start or since the solve fell back to plain sweeps.
+	// changes holds the changes of the last window sweeps, oldest first.
 	var changes [window]float64
 	sol := &Solution{}
-	omega, sweeps, settled := 1.0, 0, false
+	omega, settled := 1.0, false
 	// rho is the contraction rate of the plain sweeps, and last the window
 	// at the last check that the relaxed sweeps contract faster.
 	rho, last := 0.0, math.Inf(1)
 	for iter := 1; iter <= o.MaxIterations; iter++ {
 		fitted, change := g.sweep(pi, invPivot, rhs, mass, order, colourEnd, omega)
 		if !fitted {
-			moved, err := norm(pi)
+			// Some line could not be scaled to its mass as it was solved.
+			moved, err := agg.rescale(pi, g.width)
 			if err != nil {
 				return nil, err
 			}
@@ -207,23 +212,16 @@ func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) 
 		prev := changes[window-1]
 		copy(changes[:], changes[1:])
 		changes[window-1] = change
-		sweeps++
 		sol.Iterations = iter
 		sol.Delta = 0
 		for _, c := range changes {
 			sol.Delta += c
 		}
+		if iter >= window && sol.Delta <= o.Tolerance {
+			settled = true
+			break
+		}
 		switch {
-		case sweeps >= window && (sol.Delta <= o.Tolerance || cycles(&changes)):
-			sol.Residual, _ = g.Residual(pi)
-			if omega == 1 || sol.Residual <= bound {
-				settled = true
-			} else {
-				// Relaxed sweeps can settle off the fixed point of plain
-				// ones: go on with plain sweeps and a new window.
-				omega, sweeps = 1, 0
-				changes = [window]float64{}
-			}
 		case iter == plainSweeps:
 			// Relax only sweeps that contract, by a rate read above rounding.
 			if rho = change / prev; rho > 0 && rho < 1 && change > roundoff {
@@ -238,46 +236,22 @@ func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) 
 			}
 			last = sol.Delta
 		}
-		if settled {
-			break
-		}
 	}
 	sol.Pi = pi
 	sol.Relaxation = omega
-	if !settled {
-		sol.Residual, _ = g.Residual(pi)
-	}
-	sol.Converged = settled && sol.Residual <= bound
+	sol.Residual, _ = g.Residual(pi)
+	sol.Converged = settled && sol.Residual <= o.Tolerance*g.maxOutRate
 	return sol, nil
-}
-
-// cycles reports whether the per-sweep changes of a full window repeat
-// with a period of at most half the window. The iterate then cycles through
-// values that differ only by rounding: the sweeps can take it no closer,
-// even if each sweep's rounding, summed over the window, exceeds the
-// tolerance, and the residual decides whether it converged.
-func cycles(changes *[window]float64) bool {
-	for p := 1; p <= window/2; p++ {
-		if slices.Equal(changes[:window-p], changes[p:]) {
-			return true
-		}
-	}
-	return false
 }
 
 // start writes the starting vector of a solve into pi: every line at the
 // stationary distribution of its own birth–death chain (see equilibrium),
-// scaled to its mass, or without masses to an even share of 1. A line whose
-// chain is broken starts with its mass spread evenly over its states. With
-// width 1 every line is one state, and the start is the even spread.
+// scaled to its mass. A line whose chain is broken starts with its mass
+// spread evenly over its states.
 func (g *Generator) start(pi, mass []float64) {
 	w := g.width
-	share := float64(w) / float64(g.n)
 	for l, s := 0, 0; s < g.n; l, s = l+1, s+w {
-		m := share
-		if mass != nil {
-			m = mass[l]
-		}
+		m := mass[l]
 		line := pi[s : s+w]
 		up, down, _ := g.rates(l)
 		sum := equilibrium(line, up, down)
@@ -340,11 +314,10 @@ const closedLine = 1e-12
 // towards the pass's, scaled to the line's mass if given, by omega times the
 // distance (see fit), so every line that reads it sees its new values, in
 // colour order as in index order. It reports whether it scaled every line
-// to its mass (without masses, it reports false), and the L1 distance it
-// moved pi.
+// to its mass, and the L1 distance it moved pi.
 func (g *Generator) sweep(pi, invPivot, rhs, mass []float64, order, colourEnd []int32, omega float64) (bool, float64) {
 	w := g.width
-	fitted := mass != nil
+	fitted := true
 	var change float64
 	var start int32
 	for _, end := range colourEnd {
@@ -365,7 +338,7 @@ func (g *Generator) sweep(pi, invPivot, rhs, mass []float64, order, colourEnd []
 }
 
 // sweepOrder returns the order in which the sweeps of a solve, given the
-// line masses or nil, visit the lines: the colour order of the generator,
+// line masses, visit the lines: the colour order of the generator,
 // colour c ending at colourEnd[c], without the lines of mass 0. Such a line
 // is 0 from the start of the solve on (start and Aggregation.rescale zero
 // it), and fit would zero it again after its Thomas pass and report a
@@ -394,15 +367,15 @@ func (g *Generator) sweepOrder(mass []float64) (order, colourEnd []int32) {
 // pass left in line, summing to sum with their sign bits ORed in signs, and
 // the line's old values in old, which it overwrites. It returns whether it
 // scaled the line to its mass, and the L1 distance it moved the line. The
-// line moves from old to old + omega·(f·y − old), with f = mass/sum, or 1
-// without masses; if that is negative anywhere, it moves to f·y, so it
-// stays positive and keeps its mass. A line of mass 0 is zeroed. A line
-// with a negative y, or whose sum is 0 or not finite, is set to y for
-// Aggregation.rescale or normalize over the whole vector after the sweep.
+// line moves from old to old + omega·(f·y − old), with f = mass/sum; if
+// that is negative anywhere, it moves to f·y, so it stays positive and keeps
+// its mass. A line of mass 0 is zeroed. A line with a negative y, or whose
+// sum is 0 or not finite, is set to y for Aggregation.rescale over the whole
+// vector after the sweep.
 func fit(line, old, mass []float64, l int, sum float64, signs uint64, omega float64) (bool, float64) {
 	f, fitted := 1.0, true
 	switch {
-	case mass != nil && mass[l] == 0:
+	case mass[l] == 0:
 		var change float64
 		for _, x := range old {
 			change += math.Abs(x)
@@ -411,7 +384,7 @@ func fit(line, old, mass []float64, l int, sum float64, signs uint64, omega floa
 		return true, change
 	case signs>>63 != 0 || !(sum > 0 && sum <= math.MaxFloat64):
 		f, omega, fitted = 1, 1, false
-	case mass != nil:
+	default:
 		f = mass[l] / sum
 	}
 	var change float64
@@ -570,11 +543,3 @@ func (g *Generator) factor() []float64 {
 	}
 	return invPivot
 }
-
-// whole is the aggregate of a chain as one line that holds all its mass.
-var whole = Aggregation{Mass: []float64{1}}
-
-// normalize scales the vector to sum to 1, clamps tiny negative rounding
-// artefacts to zero and returns the L1 distance it moved the vector. It
-// returns ErrNotIrreducible if the vector sums to zero.
-func normalize(v []float64) (float64, error) { return whole.rescale(v, len(v)) }

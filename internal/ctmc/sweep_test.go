@@ -49,13 +49,16 @@ func lineMasses(t *testing.T, model *core.Model, cfg core.Config, tol float64) (
 	return mass, res
 }
 
-// denseChain returns a chain of n states in which every state moves to
-// every other, so each state is its own line and, built with width 1, its
-// line graph is complete and needs n colours.
-func denseChain(n int) ctmc.LineFunc {
-	return func(s int, _, _ []float64, jump func(int, float64)) {
+// denseChain returns a chain of n lines in which every line jumps to every
+// other, so its line graph is complete and needs n colours. Each line of
+// width w steps up and down at rates that vary with the line.
+func denseChain(n, w int) ctmc.LineFunc {
+	return func(l int, up, down []float64, jump func(int, float64)) {
 		for to := range n {
-			jump(to, 1+float64((s+2*to)%7))
+			jump(to, 1+float64((l+2*to)%7))
+		}
+		for q := 1; q < w; q++ {
+			up[q-1], down[q] = 1+float64((l+q)%3), 0.5+float64((l*q)%4)
 		}
 	}
 }
@@ -84,7 +87,7 @@ func TestSweepOrderIsAColouring(t *testing.T) {
 	}{
 		{"Quick Fig. 6 with buffer lines", n, k + 1, lines, 2},
 		{"Quick Fig. 6 with one state per line", n, 1, ctmc.Points(k+1, lines), 2},
-		{"dense chain with one state per line", dense, 1, denseChain(dense), dense},
+		{"dense chain with one state per line", dense, 1, denseChain(dense, 1), dense},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := build(t, tc.n, tc.width, tc.line)
@@ -102,33 +105,36 @@ func TestSweepOrderIsAColouring(t *testing.T) {
 // TestFourWidePassMatchesOneLineAtATime pins that the colour order and
 // solving four lines of a colour together change no arithmetic: twenty
 // sweeps give the same iterates, bit for bit, as a sweep that solves one
-// line at a time in index order. The Quick Fig. 6 builds have 30 and 60
-// colours of many lines each, so nearly every line goes through the
-// four-wide pass; the dense chain has one line per colour, so every line
-// goes through the one-line tail. With the model's product-form line
-// masses, each line is scaled to its mass right after its Thomas pass, and
-// every line that reads it must see it scaled in both orders. At GPRS
-// fraction 1, 594 of the 660 lines have mass 0: the four-wide sweep leaves
-// them out, and the reference must still solve them and reach the same
-// zeros.
+// line at a time in index order. The Quick Fig. 6 builds, with the
+// product-form line masses at GPRS fraction 0.05 and 0.6 calls/s and at
+// 0.10 and 1.0 calls/s, have 30 colours of many lines each, so nearly every
+// line goes through the four-wide pass; the dense chain has one line per
+// colour, so every line goes through the one-line tail. Each line is scaled
+// to its mass right after its Thomas pass, and every line that reads it
+// must see it scaled in both orders; after every sweep, every line must hold
+// its mass to rounding. At GPRS fraction 1, 594 of the 660 lines have mass
+// 0: the four-wide sweep leaves them out, and the reference must still
+// solve them and reach the same zeros.
 func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
 	model, cfg, lines := quickFig6Model(t, 0.10, 1.0)
 	n, k := cfg.NumStates(), cfg.BufferSize
 	productForm, _ := lineMasses(t, model, cfg, 1e-6)
+	lowModel, lowCfg, lowLines := quickFig6Model(t, 0.05, 0.6)
+	lowMasses, _ := lineMasses(t, lowModel, lowCfg, 1e-6)
 	dataModel, dataCfg, dataLines := quickFig6Model(t, 1, 1.0)
 	dataMasses, _ := lineMasses(t, dataModel, dataCfg, 1e-6)
-	const dense = 70
+	const dense, denseWidth = 70, 3
 	for _, tc := range []struct {
 		name     string
 		n, width int
 		line     ctmc.LineFunc
 		mass     []float64
 	}{
-		{"Quick Fig. 6 with buffer lines", n, k + 1, lines, nil},
+		{"Quick Fig. 6 with buffer lines", n, k + 1, lowLines, lowMasses},
 		{"Quick Fig. 6 with buffer lines and product-form masses", n, k + 1, lines, productForm},
 		{"Quick Fig. 6 at GPRS fraction 1 with product-form masses", n, k + 1, dataLines, dataMasses},
-		{"Quick Fig. 6 with one state per line", n, 1, ctmc.Points(k+1, lines), nil},
-		{"dense chain with one state per line", dense, 1, denseChain(dense), nil},
+		{"dense chain in lines of 3", dense * denseWidth, denseWidth, denseChain(dense, denseWidth),
+			ctmc.GTHLineMasses(dense*denseWidth, denseWidth, denseChain(dense, denseWidth))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := build(t, tc.n, tc.width, tc.line)
@@ -149,6 +155,15 @@ func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
 								omega, it+1, i, four[it][i], one[it][i])
 						}
 					}
+					for l, m := range tc.mass {
+						var sum float64
+						for _, x := range four[it][l*tc.width:][:tc.width] {
+							sum += x
+						}
+						if math.Abs(sum-m) > 1e-13*m {
+							t.Fatalf("ω %v, sweep %d: line %d holds %v, mass %v", omega, it+1, l, sum, m)
+						}
+					}
 				}
 			}
 		})
@@ -159,14 +174,16 @@ func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
 // (GPRS fraction 1, so every line with a GSM call has mass 0) or only voice
 // (fraction 0, so every line with a GPRS session has mass 0). A line of mass
 // 0 is zeroed as it is solved, so every sweep must scale every line to its
-// mass, with no rescale over the whole vector after it, and the solve must
-// reach the distribution of a solve without masses.
+// mass, with no rescale over the whole vector after it. The solve to 1e-12
+// must converge, which bounds pi*Q by 1e-12 times the largest outflow in
+// every state (in a state of a line of mass 0, its inflow from the other
+// lines), and leave every line at its mass, those of mass 0 at exactly 0.
 func TestZeroMassLinesAreFitted(t *testing.T) {
 	for _, fraction := range []float64{0, 1} {
 		t.Run(fmt.Sprintf("GPRS fraction %v", fraction), func(t *testing.T) {
 			model, cfg, lines := quickFig6Model(t, fraction, 0.6)
 			n, w := cfg.NumStates(), cfg.BufferSize+1
-			mass, res := lineMasses(t, model, cfg, 1e-10)
+			mass, _ := lineMasses(t, model, cfg, 1e-10)
 			zero := 0
 			for _, m := range mass {
 				if m == 0 {
@@ -186,17 +203,20 @@ func TestZeroMassLinesAreFitted(t *testing.T) {
 					t.Fatalf("sweep %d left a line unfitted (%d of %d lines have mass 0)", i+1, zero, len(mass))
 				}
 			}
-			plain, err := g.SteadyState(ctmc.SolveOptions{Tolerance: 1e-12, MaxIterations: 1000000})
-			if err != nil || !plain.Converged {
-				t.Fatalf("solve without masses: %v, converged %v", err, plain != nil && plain.Converged)
+			sol, err := g.SteadyState(ctmc.SolveOptions{Tolerance: 1e-12, Aggregation: &ctmc.Aggregation{Mass: mass}})
+			if err != nil || !sol.Converged {
+				t.Fatalf("solve to 1e-12: %v, converged %v", err, sol != nil && sol.Converged)
 			}
-			for i := range plain.Pi {
-				if math.Abs(res.Pi[i]-plain.Pi[i]) > 1e-8 {
-					t.Fatalf("pi[%d] = %v, %v without masses", i, res.Pi[i], plain.Pi[i])
+			got := make([]float64, len(mass))
+			for i, p := range sol.Pi {
+				got[i/w] += p
+			}
+			for l, m := range mass {
+				if m == 0 && got[l] != 0 || math.Abs(got[l]-m) > 1e-15 {
+					t.Fatalf("line %d holds %v, mass %v", l, got[l], m)
 				}
 			}
-			t.Logf("%d of %d lines have mass 0; %d sweeps, %d without masses",
-				zero, len(mass), res.Solver.Iterations, plain.Iterations)
+			t.Logf("%d of %d lines have mass 0; %d sweeps", zero, len(mass), sol.Iterations)
 		})
 	}
 }
