@@ -734,6 +734,50 @@ func TestTooLargeRelaxationFallsBack(t *testing.T) {
 	}
 }
 
+// TestOvershootingSecondReadingFallsBack solves an 18-state chain, given
+// its exact line masses, on which the second reading of ω overshoots: 1.44
+// from the plain sweeps, then 1.78 from the relaxed ones, where a fixed 1.78
+// takes more sweeps than a fixed 1.44. Guard 2 must set ω back to 1, and the
+// solve must converge to the GTH solution.
+func TestOvershootingSecondReadingFallsBack(t *testing.T) {
+	const data = "\r*\x18\x06\xe7ρ\xc3\xe50\xb7˷LJ逤\x022I\x05\xd9<\a' v\rm\x12\x9a0){\x89I-ǣ\xd9V"
+	n, width, line := fuzzChain([]byte(data))
+	g, err := NewGenerator(n, width, line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SolveOptions{Tolerance: 1e-10, MaxIterations: 100000, Aggregation: &Aggregation{Mass: gthLineMasses(n, width, line)}}
+	sol, omegas, err := SolveReadings(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(omegas) != 2 || omegas[1] <= omegas[0] {
+		t.Fatalf("read ω %v, want a second reading above the first", omegas)
+	}
+	var sweeps [2]int
+	for i, omega := range omegas {
+		fixed, err := SolveRelaxed(g, opts, omega)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweeps[i] = fixed.Iterations
+	}
+	if sweeps[1] <= sweeps[0] {
+		t.Errorf("fixed ω %v takes %d sweeps, %v takes %d: the second reading does not overshoot",
+			omegas[1], sweeps[1], omegas[0], sweeps[0])
+	}
+	if !sol.Converged || sol.Relaxation != 1 {
+		t.Fatalf("after %d sweeps: converged %v at ω %v, residual %v; want converged at ω 1",
+			sol.Iterations, sol.Converged, sol.Relaxation, sol.Residual)
+	}
+	for i, want := range gthSolve(n, Points(width, line)) {
+		if math.Abs(sol.Pi[i]-want) > 1e-10 {
+			t.Fatalf("pi[%d] = %v, GTH %v", i, sol.Pi[i], want)
+		}
+	}
+	t.Logf("read ω %v; %d sweeps, fixed at each reading %v", omegas, sol.Iterations, sweeps)
+}
+
 // fuzzChain decodes fuzz bytes into a small irreducible chain described
 // line by line: lines of equal width, each a birth–death chain with random
 // rates, joined by random jumps, each from every state of its line to the

@@ -237,3 +237,15 @@ func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs, mass []float64, omega 
 	}
 	return fitted, change
 }
+
+// SolveReadings is SteadyState that also returns each ω the solve read
+// from its contraction rates, in the order it read them.
+func SolveReadings(g *Generator, opts SolveOptions) (*Solution, []float64, error) {
+	var omegas []float64
+	sol, err := g.steadyState(opts, func(rho float64) float64 {
+		omega := young(rho)
+		omegas = append(omegas, omega)
+		return omega
+	})
+	return sol, omegas, err
+}

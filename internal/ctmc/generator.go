@@ -49,7 +49,11 @@
 // contraction rate ρ of the error from the last two distances, and relaxes
 // every later sweep by Young's ω = 2/(1+√(1−ρ)) (W. J. Stewart,
 // Introduction to the Numerical Solution of Markov Chains, 1994, ch. 3),
-// where 0 < ρ < 1 and the distances lie above rounding. From the tenth
+// where 0 < ρ < 1 and the distances lie above rounding. The plain rate is
+// often still climbing at sweep 5, so three relaxed sweeps later the solve
+// reads ρ once more, from the relaxed rate λ of the last two distances by
+// Young's relation (λ+ω−1)² = λω²ρ, and relaxes by the ω of that ρ under
+// the same conditions. From the tenth
 // sweep on, it tests after every sweep whether the distances of the last
 // ten sum to at most the tolerance. Two guards keep a relaxed solve from
 // ending worse than a plain one: a line whose relaxed values would go

@@ -128,6 +128,11 @@ const window = 10
 // reads its contraction rate from the last two.
 const plainSweeps = 5
 
+// relaxedSweeps is the number of relaxed sweeps a solve runs before it
+// reads the contraction rate of the plain sweeps a second time, from the
+// last two relaxed ones.
+const relaxedSweeps = 3
+
 // roundoff is the L1 change of a sweep below which the change is rounding
 // noise, too small to read a contraction rate from.
 const roundoff = 1e-12
@@ -138,8 +143,9 @@ type Solution struct {
 	Pi []float64
 	// Iterations is the number of sweeps performed.
 	Iterations int
-	// Relaxation is the relaxation factor ω of the last sweep: 1 if the
-	// solve did not relax, or fell back to plain sweeps.
+	// Relaxation is the relaxation factor ω of the last sweep: the one read
+	// from the relaxed sweeps if the solve read it twice, and 1 if the solve
+	// did not relax, or fell back to plain sweeps.
 	Relaxation float64
 	// Delta is the L1 change of the iterate summed over the last 10 sweeps
 	// (fewer if the solve ran fewer), which bounds the iterate's change over
@@ -163,12 +169,20 @@ func (g *Generator) SteadyState(opts SolveOptions) (*Solution, error) {
 	return g.steadyState(opts, young)
 }
 
-// young returns the relaxation factor for sweeps that contract the error by
-// 0 < rho < 1 each: Young's rule 2/(1+sqrt(1-rho)).
+// young returns the relaxation factor for plain sweeps that contract the
+// error by 0 < rho < 1 each: Young's rule 2/(1+sqrt(1-rho)). A solve gives
+// it rho twice: read from plain sweeps 4 and 5, and then from the rate
+// lambda of relaxed sweeps 7 and 8 by Young's relation
+// (lambda+ω-1)² = lambda·ω²·rho.
 func young(rho float64) float64 { return 2 / (1 + math.Sqrt(1-rho)) }
 
 // steadyState is SteadyState with the rule that gives ω for the contraction
-// rate of the plain sweeps.
+// rate of the plain sweeps, which it reads twice: after sweep plainSweeps,
+// from the plain sweeps, and relaxedSweeps sweeps later, once only, from the
+// relaxed ones. Each reading sets ω only when the rate lies in (0, 1) and
+// the last change above roundoff. Every window relaxed sweeps, guard 2
+// sets ω back to 1 unless the window is at most rho times the one at its
+// last check, rho the rate of the plain sweeps.
 func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) float64) (*Solution, error) {
 	o := opts.withDefaults()
 	agg := o.Aggregation
@@ -226,6 +240,14 @@ func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) 
 			// Relax only sweeps that contract, by a rate read above rounding.
 			if rho = change / prev; rho > 0 && rho < 1 && change > roundoff {
 				omega = relaxation(rho)
+			}
+		case iter == plainSweeps+relaxedSweeps && omega != 1:
+			// The plain rate climbs for a while after sweep 5, so read it
+			// again from the relaxed rate lambda, by Young's relation
+			// (lambda+ω-1)² = lambda·ω²·rho2 between them.
+			lambda := change / prev
+			if rho2 := (lambda + omega - 1) * (lambda + omega - 1) / (lambda * omega * omega); rho2 > 0 && rho2 < 1 && change > roundoff {
+				omega = relaxation(rho2)
 			}
 		case omega != 1 && (iter-plainSweeps)%window == 0:
 			// Ten relaxed sweeps that shrink the window less than one

@@ -72,6 +72,42 @@ func build(t *testing.T, n, width int, line ctmc.LineFunc) *ctmc.Generator {
 	return g
 }
 
+// TestSecondReadingNearsBestFixedOmega solves Quick Fig. 6 point
+// (0.05, 0.6) to 1e-12. The solve reads ω twice: from plain sweeps 4 and 5,
+// and again three relaxed sweeps later. The second reading must lie within
+// 0.05 of the fixed ω that takes the fewest sweeps on a grid of
+// SolveRelaxed solves, 1.00 to 1.70 in steps of 0.02, and nearer to it than
+// the first, which the plain rate, still climbing at sweep 5, puts 0.10
+// below it.
+func TestSecondReadingNearsBestFixedOmega(t *testing.T) {
+	model, cfg, line := quickFig6Model(t, 0.05, 0.6)
+	mass, _ := lineMasses(t, model, cfg, 1e-12)
+	g := build(t, cfg.NumStates(), cfg.BufferSize+1, line)
+	opts := ctmc.SolveOptions{Tolerance: 1e-12, Aggregation: &ctmc.Aggregation{Mass: mass}}
+	sol, omegas, err := ctmc.SolveReadings(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(omegas) != 2 || !sol.Converged || sol.Relaxation != omegas[1] {
+		t.Fatalf("read ω %v; converged %v at ω %v; want two readings, the second kept", omegas, sol.Converged, sol.Relaxation)
+	}
+	best, fewest := 0.0, math.MaxInt
+	for i := range 36 {
+		omega := 1 + 0.02*float64(i)
+		fixed, err := ctmc.SolveRelaxed(g, opts, omega)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fixed.Iterations < fewest {
+			best, fewest = omega, fixed.Iterations
+		}
+	}
+	if d := math.Abs(omegas[1] - best); d > 0.05 || d >= math.Abs(omegas[0]-best) {
+		t.Errorf("read ω %v; the best fixed ω on the grid is %.2f", omegas, best)
+	}
+	t.Logf("read ω %v, %d sweeps; best fixed ω %.2f, %d sweeps", omegas, sol.Iterations, best, fewest)
+}
+
 // TestSweepOrderIsAColouring checks the sweep order of the Quick Fig. 6
 // generator, built with buffer lines and with one state per line, and of a
 // dense chain whose 70 colours do not fit a 64-bit mask.

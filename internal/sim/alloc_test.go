@@ -230,11 +230,12 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 // TestReplicationRunBytesPerEvent pins the bytes one DefaultConfig(Model3,
 // 0.5) replication's Run allocates per processed event: perfbench's
 // sim.bytes_per_event, which counts the Run calls alone. Run allocates only
-// while the cells' record pools and per-connection flags grow towards their
-// peak population; packets live in rings allocated by New, and each segment
-// carries its own send time. That layout measures 0.028 B/event; a
-// per-connection send-time table and a buffer of pooled packet pointers
-// measured 0.081, which the bound rejects.
+// while the cells' record pools grow towards their peak population, each
+// connection record with its fixed ring of segment flags; packets live in
+// rings allocated by New, and each segment carries its own send time. That
+// layout measures 0.026 B/event (0.028 with flags that regrew to each
+// record's longest transfer); a per-connection send-time table and a buffer
+// of pooled packet pointers measured 0.081, which the bound rejects.
 func TestReplicationRunBytesPerEvent(t *testing.T) {
 	s, err := New(DefaultConfig(traffic.Model3, 0.5))
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/probe"
 	"repro/internal/tcp"
+	"repro/internal/traffic"
 )
 
 // karnTransfer opens a one-segment TCP transfer on an otherwise idle cell at
@@ -121,4 +122,39 @@ func TestKarnSampleFromCarriedSendTime(t *testing.T) {
 			t.Errorf("sender %+v, want %+v after an ACK without a sample", *conn.sender, want)
 		}
 	})
+}
+
+// TestFlagRingHoldsEveryLiveSegment runs TCP transfers through small BSC
+// buffers, whose overflow drives timeouts, go-back-N resends and fast
+// retransmits, at maximum windows down to four segments, so that the flag
+// ring of four windows (16 segments at the smallest) wraps within most
+// transfers of 25 segments on average. A read of flags that a segment a lap
+// ahead has replaced panics (see connection.flag), so runs that end show
+// that every segment whose flags are read is within the ring. A ring of one
+// window fails here.
+func TestFlagRingHoldsEveryLiveSegment(t *testing.T) {
+	for _, window := range []float64{4, 6.5, 64} {
+		for _, buffer := range []int{2, 6} {
+			cfg := DefaultConfig(traffic.Model3, 1)
+			cfg.GPRSFraction = 0.2
+			cfg.BufferSize = buffer
+			cfg.TCP.MaxWindow = window
+			cfg.WarmupSec, cfg.MeasurementSec, cfg.Batches = 10, 3000, 2
+			cfg.Seed = 5
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.TCPTimeouts == 0 || r.TCPFastRecovers == 0 {
+				t.Errorf("window %v, buffer %d: %d timeouts and %d fast recoveries, want some of each",
+					window, buffer, r.TCPTimeouts, r.TCPFastRecovers)
+			}
+			t.Logf("window %v, buffer %d: %d packets delivered, %d timeouts, %d fast recoveries",
+				window, buffer, r.PacketsDelivered, r.TCPTimeouts, r.TCPFastRecovers)
+		}
+	}
 }

@@ -140,8 +140,8 @@ func TestConnectionPoolResetOnReuse(t *testing.T) {
 	gen1 := c1.gen
 	// Dirty every field a live transfer mutates.
 	c1.sender.OnSend()
-	c1.flags[2] = segDelivered
-	c1.flags[1] = segSent | segRetrans
+	c1.setFlags(2, segDelivered)
+	c1.setFlags(1, segSent|segRetrans)
 	c1.recvNext = 2
 	c1.rtoEv = c.schedule(1, func() {})
 	c1.abort()
@@ -160,11 +160,12 @@ func TestConnectionPoolResetOnReuse(t *testing.T) {
 		t.Errorf("recycled connection carries stale transfer state: done=%v recvNext=%d total=%d",
 			c2.done, c2.recvNext, c2.total)
 	}
-	if len(c2.flags) != 3 {
-		t.Fatalf("per-segment flags not resized: %d", len(c2.flags))
+	// Four default windows of 64 segments.
+	if len(c2.flags) != 256 {
+		t.Fatalf("per-segment flag ring holds %d segments, want 256", len(c2.flags))
 	}
-	for i := 0; i < 3; i++ {
-		if c2.flags[i] != 0 {
+	for i := range c2.flags {
+		if c2.flag(i) != 0 {
 			t.Errorf("per-segment slot %d carries stale state", i)
 		}
 	}

@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+
 	"repro/internal/des"
 	"repro/internal/probe"
 	"repro/internal/tcp"
@@ -252,9 +256,10 @@ func (s *session) scheduleHandover() {
 //
 // Connection records are pooled on the cell's freelist like every other model
 // record, so the TCP path honours the allocation-free contract too: the only
-// per-segment state is one grow-only byte slice cleared on reuse, the
-// segment/ACK transit hops are pooled connTransit records with closures bound
-// once, and the tcp.Sender is allocated once per record and Reset on reuse.
+// per-segment state is a ring of flag bytes allocated with the record and
+// cleared on reuse, the segment/ACK transit hops are pooled connTransit
+// records with closures bound once, and the tcp.Sender is allocated once per
+// record and Reset on reuse.
 // Send times are not tabled: each copy of a segment carries its own (see
 // send and onAck). gen increments at every acquisition and is never reset,
 // so packets and transit records stamped with an old generation can
@@ -268,13 +273,13 @@ type connection struct {
 
 	total    int
 	recvNext int
-	// Per-segment bookkeeping, indexed by sequence number: flags marks
-	// segments received by the mobile (segDelivered), and segSent and
-	// segRetrans gate Karn-sampled RTT measurements. The slice starts at
-	// total entries but extends on demand (ensureSeq): a fast retransmit
-	// issued after a timeout resent everything can carry a sequence one past
-	// the document, which the receiver acknowledges like any other segment.
-	flags []uint8
+	// Per-segment bookkeeping (see flag): flags marks segments received by
+	// the mobile (segDelivered), and segSent and segRetrans gate
+	// Karn-sampled RTT measurements. Segment seq keeps its flags in slot
+	// seq mod len(flags), which is four maximum windows rounded up to a
+	// power of two, 1<<lapShift.
+	flags    []uint8
+	lapShift uint
 
 	rtoEv des.Handle
 	done  bool
@@ -284,8 +289,7 @@ type connection struct {
 
 // newConnection acquires a pooled connection record of the session's cell for
 // a transfer of totalSegments segments. The record returns fully reset: a
-// recycled sender restarts in slow start, the per-segment flags are cleared
-// (growing only when this transfer exceeds the record's historical maximum),
+// recycled sender restarts in slow start, the per-segment flags are cleared,
 // and the generation advances so stale packets and transits stand down.
 func newConnection(s *session, totalSegments int) (*connection, error) {
 	c := s.cell.getConn()
@@ -296,15 +300,17 @@ func newConnection(s *session, totalSegments int) (*connection, error) {
 			return nil, err
 		}
 		c.sender = sender
+		ring := nextPow2(4 * int(math.Ceil(sender.MaxWindow())))
+		c.flags, c.lapShift = make([]uint8, ring), uint(bits.TrailingZeros(uint(ring)))
 	} else {
 		c.sender.Reset()
+		clear(c.flags)
 	}
 	c.gen++
 	c.sess = s
 	c.done = false
 	c.total = totalSegments
 	c.recvNext = 0
-	c.flags = growCleared(c.flags, totalSegments)
 	return c, nil
 }
 
@@ -315,25 +321,41 @@ const (
 	segRetrans                     // sent more than once
 )
 
-// growCleared returns b resized to n zeroed entries, reusing its backing
-// array when it is large enough and rounding growth to powers of two so a
-// record's flags stop allocating once it has seen its largest transfer.
-func growCleared(b []uint8, n int) []uint8 {
-	if cap(b) < n {
-		return make([]uint8, n, nextPow2(n))
+// flagBits is the number of low bits of a flag slot that hold the flags. The
+// other five hold the lap of the segment they belong to, seq>>lapShift mod
+// 32.
+const flagBits = 3
+
+// flag returns the flags of segment seq, 0 while its slot still holds those
+// of an earlier lap. It panics if the slot holds a later lap, which the
+// sender's window rules out: every segment sent lies within a window of the
+// highest cumulative ACK, which is at most the receiver's, and segment copies
+// are delivered and acknowledged in the order they were sent, so no segment
+// more than three windows above a copy in flight is sent before that copy's
+// ACK has been read.
+func (c *connection) flag(seq int) uint8 {
+	slot, lap := c.flags[seq&(len(c.flags)-1)], uint8(seq>>c.lapShift)<<flagBits
+	if f := slot ^ lap; f < 1<<flagBits {
+		return f
 	}
-	b = b[:n]
-	clear(b)
-	return b
+	// The slot's lap less seq's, mod 32, in the five high bits.
+	if slot-lap < 16<<flagBits {
+		panic(staleFlags(seq))
+	}
+	return 0
 }
 
-// ensureSeq extends the per-segment bookkeeping to cover sequence seq,
-// zero-filling the new tail. Growth past total happens only in the rare
-// phantom-retransmit case, so amortized this never allocates at steady state.
-func (c *connection) ensureSeq(seq int) {
-	for len(c.flags) <= seq {
-		c.flags = append(c.flags, 0)
-	}
+// staleFlags is the panic of a flag read of a segment whose slot a later lap
+// has taken.
+type staleFlags int
+
+func (s staleFlags) Error() string {
+	return fmt.Sprintf("sim: flags of segment %d read after a segment a lap ahead replaced them", int(s))
+}
+
+// setFlags sets the flags of segment seq to f.
+func (c *connection) setFlags(seq int, f uint8) {
+	c.flags[seq&(len(c.flags)-1)] = uint8(seq>>c.lapShift)<<flagBits | f
 }
 
 // pump transmits new segments while the congestion window allows it.
@@ -350,11 +372,11 @@ func (c *connection) send(seq int) {
 	if c.done {
 		return
 	}
-	c.ensureSeq(seq)
-	if c.flags[seq]&segSent != 0 {
-		c.flags[seq] |= segRetrans
+	f := c.flag(seq)
+	if f&segSent != 0 {
+		f |= segRetrans
 	}
-	c.flags[seq] |= segSent
+	c.setFlags(seq, f|segSent)
 	t := c.cell.getCT()
 	t.conn = c
 	t.gen = c.gen
@@ -372,11 +394,13 @@ func (c *connection) onDelivered(seq int, sentAt float64) {
 	if c.done {
 		return
 	}
-	c.ensureSeq(seq)
-	if c.flags[seq]&segDelivered == 0 {
-		c.flags[seq] |= segDelivered
-		for c.recvNext < len(c.flags) && c.flags[c.recvNext]&segDelivered != 0 {
-			c.recvNext++
+	// A segment below recvNext has been delivered before.
+	if seq >= c.recvNext {
+		if f := c.flag(seq); f&segDelivered == 0 {
+			c.setFlags(seq, f|segDelivered)
+			for c.flag(c.recvNext)&segDelivered != 0 {
+				c.recvNext++
+			}
 		}
 	}
 	t := c.cell.getCT()
@@ -400,7 +424,7 @@ func (c *connection) onAck(ackVal, sampleSeq int, sentAt float64) {
 		return
 	}
 	var sample float64
-	if c.flags[sampleSeq]&(segSent|segRetrans) == segSent {
+	if c.flag(sampleSeq)&(segSent|segRetrans) == segSent {
 		sample = c.cell.now() - sentAt
 	}
 	res := c.sender.OnAck(ackVal, sample)

@@ -66,9 +66,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxWindowLimit is the largest MaxWindow a Config may set, in segments.
+const maxWindowLimit = 1 << 16
+
 // Validate reports whether the configuration is consistent.
 func (c Config) Validate() error {
 	d := c.withDefaults()
+	if !(d.MaxWindow <= maxWindowLimit) {
+		return fmt.Errorf("%w: max window %v not at most %d segments", ErrInvalidConfig, d.MaxWindow, maxWindowLimit)
+	}
 	if d.MaxWindow < d.InitialWindow {
 		return fmt.Errorf("%w: max window %v below initial window %v", ErrInvalidConfig, d.MaxWindow, d.InitialWindow)
 	}
@@ -134,7 +140,21 @@ func (s *Sender) Reset() {
 }
 
 // Window returns the current congestion window in segments (at least 1).
-func (s *Sender) Window() float64 { return math.Max(1, math.Min(s.cwnd, s.cfg.MaxWindow)) }
+// Plain comparisons give math.Max(1, math.Min(cwnd, MaxWindow)) bit for bit,
+// as both are finite and positive, and unlike those calls they inline.
+func (s *Sender) Window() float64 {
+	w := s.cwnd
+	if s.cfg.MaxWindow < w {
+		w = s.cfg.MaxWindow
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
+// MaxWindow returns the cap on the congestion window, in segments.
+func (s *Sender) MaxWindow() float64 { return s.cfg.MaxWindow }
 
 // InFlight returns the number of unacknowledged segments outstanding.
 func (s *Sender) InFlight() int { return s.inFlight }

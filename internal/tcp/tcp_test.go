@@ -44,8 +44,30 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewSender(Config{MinRTOSec: 10, MaxRTOSec: 5}); !errors.Is(err, ErrInvalidConfig) {
 		t.Error("max RTO below min RTO should be rejected")
 	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), maxWindowLimit + 1} {
+		if _, err := NewSender(Config{MaxWindow: w}); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("max window %v should be rejected", w)
+		}
+	}
+	if err := (Config{MaxWindow: maxWindowLimit}).Validate(); err != nil {
+		t.Errorf("max window %d should validate: %v", maxWindowLimit, err)
+	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("defaults should validate: %v", err)
+	}
+}
+
+// TestWindowIsClampedCwnd checks that Window's comparisons give
+// math.Max(1, math.Min(cwnd, MaxWindow)) bit for bit on congestion windows
+// below, at, between and above the bounds.
+func TestWindowIsClampedCwnd(t *testing.T) {
+	for _, max := range []float64{1, 2.5, 64} {
+		for _, cwnd := range []float64{0.25, 1, 1.5, 2.5, 3 + 1.0/3, 64, 64.5, 1e9} {
+			s := &Sender{cfg: Config{MaxWindow: max}, cwnd: cwnd}
+			if got, want := s.Window(), math.Max(1, math.Min(cwnd, max)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("cwnd %v, max window %v: Window() = %v, want %v", cwnd, max, got, want)
+			}
+		}
 	}
 }
 
