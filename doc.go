@@ -9,8 +9,9 @@
 // cross-replication confidence intervals.
 //
 // The implementation lives under internal/; the runnable entry points are the
-// commands under cmd/ and the examples under examples/. The benchmark harness
-// in bench_test.go regenerates every table and figure of the paper's
-// evaluation at a reduced "quick" fidelity; the command
-// cmd/gprs-experiments regenerates them at the paper's parameter setting.
+// commands under cmd/, and examples/ holds sample scenario and trace files
+// for cmd/gprs-sim. The benchmark harness in bench_test.go regenerates every
+// table and figure of the paper's evaluation at a reduced "quick" fidelity;
+// the command cmd/gprs-experiments regenerates them at the paper's parameter
+// setting.
 package repro

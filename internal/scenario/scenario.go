@@ -408,10 +408,6 @@ type Profile struct {
 	voice   float64
 	data    float64
 	sched   schedule
-	// payload is the arrival-weighted mean payload size of a trace profile
-	// with payload annotations, in bytes (0 otherwise). Reporting only: the
-	// simulator's packet model stays at the paper's fixed 480-byte packets.
-	payload float64
 }
 
 // Compile resolves the scenario against a cluster topology and the baseline
@@ -433,12 +429,11 @@ func (s Spec) Compile(topo *cluster.Topology, voiceRate, dataRate float64) (*Pro
 	if err != nil {
 		return nil, err
 	}
-	sched, payload, err := s.Temporal.compile()
+	sched, err := s.Temporal.compile()
 	if err != nil {
 		return nil, err
 	}
-	return &Profile{weights: weights, voice: voiceRate, data: dataRate,
-		sched: sched, payload: payload}, nil
+	return &Profile{weights: weights, voice: voiceRate, data: dataRate, sched: sched}, nil
 }
 
 // Apply compiles the scenario against the simulator configuration — its
@@ -599,12 +594,6 @@ func (p *Profile) NumCells() int { return len(p.weights) }
 // Weights returns a copy of the per-cell weight vector.
 func (p *Profile) Weights() []float64 { return append([]float64(nil), p.weights...) }
 
-// MeanPayloadBytes returns the arrival-weighted mean payload size of a trace
-// profile carrying payload annotations, or 0 when the profile has none. It is
-// reporting metadata: the simulator's packet model keeps the paper's fixed
-// 480-byte packets regardless.
-func (p *Profile) MeanPayloadBytes() float64 { return p.payload }
-
 // Rates returns the cell's voice and data arrival rates at time t:
 // baseline * weight(cell) * scale(t). Out-of-range cells see rate 0.
 func (p *Profile) Rates(cell int, t float64) (float64, float64) {
@@ -631,22 +620,20 @@ type schedule struct {
 }
 
 // compile resolves a validated temporal declaration into its piecewise-
-// constant schedule. The second return value is the arrival-weighted mean
-// payload of a trace profile with payload annotations (0 otherwise). It can
-// fail only for the generated kinds: a trace whose CSV was never loaded or
-// whose rows cannot be normalized.
-func (tp Temporal) compile() (schedule, float64, error) {
+// constant schedule. It can fail only for the generated kinds: a trace whose
+// CSV was never loaded or whose rows cannot be normalized.
+func (tp Temporal) compile() (schedule, error) {
 	switch tp.Kind {
 	case Steps:
-		return schedule{steps: append([]Step(nil), tp.Steps...), period: tp.PeriodSec}, 0, nil
+		return schedule{steps: append([]Step(nil), tp.Steps...), period: tp.PeriodSec}, nil
 	case Trace:
 		return tp.compileTrace()
 	case MMPP:
-		return tp.compileMMPP(), 0, nil
+		return tp.compileMMPP(), nil
 	case OnOff:
-		return tp.compileOnOff(), 0, nil
+		return tp.compileOnOff(), nil
 	default:
-		return schedule{}, 0, nil
+		return schedule{}, nil
 	}
 }
 
@@ -723,7 +710,7 @@ func (m Mobility) Compile(topo *cluster.Topology) (*DwellProfile, error) {
 			return nil, fmt.Errorf("%w: dwell weight %v in cell %d must be positive", ErrInvalidScenario, w, i)
 		}
 	}
-	sched, _, err := m.Temporal.compile()
+	sched, err := m.Temporal.compile()
 	if err != nil {
 		return nil, err
 	}

@@ -64,8 +64,8 @@ func validatePeriod(what string, period, last float64) error {
 // AtSec until the next row, arrivals occur at RatePerSec (in the trace's own
 // units — compilation normalizes the series to time-weighted mean 1, so only
 // the shape matters). PayloadBytes optionally annotates the mean payload
-// size observed in the window; it is surfaced as reporting metadata
-// (Profile.MeanPayloadBytes) and does not change the packet model.
+// size observed in the window; it is validated but does not change the
+// packet model, which keeps the paper's fixed 480-byte packets.
 type TraceRow struct {
 	AtSec        float64 `json:"at_sec"`
 	RatePerSec   float64 `json:"rate_per_s"`
@@ -127,7 +127,7 @@ func validateTraceRows(rows []TraceRow) error {
 }
 
 // compileTrace normalizes the series to time-weighted mean scale 1 and
-// returns it as a step schedule plus the arrival-weighted mean payload.
+// returns it as a step schedule.
 //
 // The mean is taken over one period for periodic traces and over the
 // measured span [0, last) otherwise — in the non-periodic case the final
@@ -139,14 +139,14 @@ func validateTraceRows(rows []TraceRow) error {
 // everywhere and coalesces to the constant schedule, so a constant-rate
 // trace reproduces the uniform profile — and with it the paper's symmetric
 // load — bit for bit.
-func (tp Temporal) compileTrace() (schedule, float64, error) {
+func (tp Temporal) compileTrace() (schedule, error) {
 	rows := tp.Rows
 	if len(rows) == 0 {
 		if tp.CSV != "" {
-			return schedule{}, 0, fmt.Errorf("%w: trace csv %q not loaded (Load resolves and reads it; ParseTraceCSV parses raw data)",
+			return schedule{}, fmt.Errorf("%w: trace csv %q not loaded (Load resolves and reads it; ParseTraceCSV parses raw data)",
 				ErrInvalidScenario, tp.CSV)
 		}
-		return schedule{}, 0, fmt.Errorf("%w: trace temporal profile without csv or rows", ErrInvalidScenario)
+		return schedule{}, fmt.Errorf("%w: trace temporal profile without csv or rows", ErrInvalidScenario)
 	}
 
 	allEqual := true
@@ -156,10 +156,12 @@ func (tp Temporal) compileTrace() (schedule, float64, error) {
 			break
 		}
 	}
+	if allEqual {
+		return schedule{}, nil
+	}
 
-	// Time-weighted mean rate and arrival-weighted mean payload over the
-	// trace span (one period when periodic).
-	var rateDur, span, payloadArr, arr float64
+	// Time-weighted mean rate over the trace span (one period when periodic).
+	var rateDur, span float64
 	for i, r := range rows {
 		var dur float64
 		switch {
@@ -172,25 +174,16 @@ func (tp Temporal) compileTrace() (schedule, float64, error) {
 		}
 		rateDur += r.RatePerSec * dur
 		span += dur
-		payloadArr += r.PayloadBytes * r.RatePerSec * dur
-		arr += r.RatePerSec * dur
-	}
-	var payload float64
-	if arr > 0 {
-		payload = payloadArr / arr
-	}
-	if allEqual {
-		return schedule{}, payload, nil
 	}
 	mean := rateDur / span
 	if mean <= 0 || math.IsInf(mean, 0) || math.IsNaN(mean) {
-		return schedule{}, 0, fmt.Errorf("%w: trace mean rate %v, cannot normalize", ErrInvalidScenario, mean)
+		return schedule{}, fmt.Errorf("%w: trace mean rate %v, cannot normalize", ErrInvalidScenario, mean)
 	}
 	steps := make([]Step, len(rows))
 	for i, r := range rows {
 		steps[i] = Step{AtSec: r.AtSec, Scale: r.RatePerSec / mean}
 	}
-	return schedule{steps: steps, period: tp.PeriodSec}, payload, nil
+	return schedule{steps: steps, period: tp.PeriodSec}, nil
 }
 
 // Trace CSV column headers. The second column selects the mode: rate_per_s

@@ -99,13 +99,14 @@ type Config struct {
 	UplinkDelaySec float64
 
 	// WarmupSec is the initial transient discarded before measurements start
-	// (default 2000 s).
+	// (default 2000 s). It must be finite and non-negative.
 	WarmupSec float64
 	// MeasurementSec is the measured simulation time after the warm-up
-	// (default 20000 s).
+	// (default 20000 s, also selected by 0). It must be finite and
+	// non-negative.
 	MeasurementSec float64
 	// Batches is the number of batch-means batches the measurement period is
-	// divided into (default 10).
+	// divided into (default 10, also selected by 0). It must not be negative.
 	Batches int
 	// ConfidenceLevel is the confidence level of the reported intervals
 	// (default 0.95).
@@ -186,13 +187,10 @@ func (c Config) withDefaults() Config {
 		voice, data := c.BaseRates()
 		c.Rates = uniformRates{voice: voice, data: data}
 	}
-	if c.WarmupSec < 0 {
-		c.WarmupSec = 0
-	}
-	if c.MeasurementSec <= 0 {
+	if c.MeasurementSec == 0 {
 		c.MeasurementSec = 20000
 	}
-	if c.Batches <= 0 {
+	if c.Batches == 0 {
 		c.Batches = 10
 	}
 	if c.ConfidenceLevel <= 0 || c.ConfidenceLevel >= 1 {
@@ -238,8 +236,23 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%w: %s = %v", ErrInvalidConfig, f.name, f.v)
 		}
 	}
-	if c.HandoverLatencySec < 0 || math.IsNaN(c.HandoverLatencySec) || math.IsInf(c.HandoverLatencySec, 0) {
-		return fmt.Errorf("%w: handover latency = %v", ErrInvalidConfig, c.HandoverLatencySec)
+	// A negative or non-finite run length would end the run at once, never
+	// end it, or make every measure NaN; a zero measurement time selects the
+	// default.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"handover latency", c.HandoverLatencySec},
+		{"warm-up", c.WarmupSec},
+		{"measurement time", c.MeasurementSec},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%w: %s = %v", ErrInvalidConfig, f.name, f.v)
+		}
+	}
+	if c.Batches < 0 {
+		return fmt.Errorf("%w: batches = %d", ErrInvalidConfig, c.Batches)
 	}
 	// Non-positive TCP path delays select the defaults; non-finite ones
 	// cannot key the fixed-delay event lanes they are scheduled on.
@@ -264,7 +277,7 @@ func (c Config) Validate() error {
 	}
 	if c.Probe != nil {
 		measurement := c.MeasurementSec
-		if measurement <= 0 {
+		if measurement == 0 {
 			measurement = 20000 // withDefaults applies the same fallback
 		}
 		if err := c.Probe.Validate(measurement); err != nil {

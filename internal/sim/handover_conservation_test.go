@@ -89,11 +89,7 @@ func TestHandoverFlowConservation(t *testing.T) {
 					if _, err := scenario.Apply(&cfg, spec); err != nil {
 						t.Fatal(err)
 					}
-					res, err := sim.RunOnce(cfg, sim.ShardedOptions{Shards: shards})
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkConservation(t, res, cells)
+					checkConservation(t, mustRun(t, cfg, shards), cells)
 				})
 			}
 		}
@@ -186,11 +182,7 @@ func TestHandoverFlowConservationPolicies(t *testing.T) {
 						t.Fatal(err)
 					}
 					cfg.Policy = p
-					res, err := sim.RunOnce(cfg, sim.ShardedOptions{Shards: shards})
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkConservation(t, res, cells)
+					checkConservation(t, mustRun(t, cfg, shards), cells)
 				})
 			}
 		}
@@ -210,15 +202,7 @@ func TestHandoverConservationEngineEquality(t *testing.T) {
 	if _, err := scenario.Apply(&cfg, gated(preset)); err != nil {
 		t.Fatal(err)
 	}
-	serial, err := sim.RunOnce(cfg, sim.ShardedOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := sim.RunOnce(cfg, sim.ShardedOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, sharded) {
+	if !reflect.DeepEqual(mustRun(t, cfg, 1), mustRun(t, cfg, 4)) {
 		t.Error("conservation workload differs between engines")
 	}
 }

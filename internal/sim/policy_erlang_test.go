@@ -84,10 +84,7 @@ func TestGuardChannelBlockingMatchesErlang(t *testing.T) {
 			}
 			cfg := guardCrossCheckConfig(lambda, dwell)
 			cfg.Policy = &policy.Config{Kind: policy.GuardChannels, Guard: g}
-			res, err := sim.RunOnce(cfg, sim.ShardedOptions{Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mustRun(t, cfg, 1)
 			got := res.GSMBlockingProbability
 			tol := got.HalfWidth + 0.015
 			if diff := got.Mean - want; diff > tol || diff < -tol {

@@ -45,7 +45,7 @@ func scenarioQuickConfig(t *testing.T, cells int) sim.Config {
 
 func mustRun(t *testing.T, cfg sim.Config, shards int) sim.Results {
 	t.Helper()
-	res, err := sim.RunOnce(cfg, sim.ShardedOptions{Shards: shards})
+	res, _, err := sim.RunOnceSeries(cfg, sim.ShardedOptions{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,9 @@ func mustRun(t *testing.T, cfg sim.Config, shards int) sim.Results {
 // {7, 19}-cell clusters and the {1, 4} engine layouts (1 is the serial
 // single-calendar engine, the reference the sharded runs are compared
 // against); the full run adds a 2-shard layout so uneven cell groupings stay
-// covered. -short restricts the table to the seven-cell cluster.
+// covered. -short restricts the table to the seven-cell cluster. The scenario
+// files committed under examples/ join the presets, loaded as gprs-sim
+// -scenario-file loads them, so the documented data stays valid too.
 func TestScenariosSerialShardedBitIdentical(t *testing.T) {
 	sizes := []int{7}
 	shardCounts := []int{4}
@@ -68,11 +70,23 @@ func TestScenariosSerialShardedBitIdentical(t *testing.T) {
 		sizes = append(sizes, 19)
 		shardCounts = append(shardCounts, 2)
 	}
+	var specs []scenario.Spec
 	for _, name := range scenario.Names() {
 		spec, err := scenario.Preset(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		specs = append(specs, spec)
+	}
+	for _, path := range []string{"../../examples/hotspot/scenario.json", "../../examples/trace/scenario.json"} {
+		spec, err := scenario.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	for _, spec := range specs {
+		name := spec.Name
 		for _, cells := range sizes {
 			t.Run(fmt.Sprintf("%s/%dcells", name, cells), func(t *testing.T) {
 				cfg := scenarioQuickConfig(t, cells)

@@ -42,6 +42,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	zero := good
+	zero.WarmupSec, zero.MeasurementSec, zero.Batches = 0, 0, 0
+	if err := zero.Validate(); err != nil {
+		t.Fatalf("zero run lengths (no warm-up, default measurement and batches) rejected: %v", err)
+	}
 	// want, when set, is the field the error must name: with two invalid
 	// fields, validation reports the first in its fixed check order.
 	mutations := []struct {
@@ -60,6 +65,13 @@ func TestConfigValidation(t *testing.T) {
 		{"gprs dwell", func(c *Config) { c.GPRSDwellTimeSec = 0 }, ""},
 		{"core-network delay", func(c *Config) { c.CoreNetworkDelaySec = math.NaN() }, ""},
 		{"uplink delay", func(c *Config) { c.UplinkDelaySec = math.Inf(1) }, ""},
+		{"NaN warm-up", func(c *Config) { c.WarmupSec = math.NaN() }, "warm-up"},
+		{"negative warm-up", func(c *Config) { c.WarmupSec = -1 }, "warm-up"},
+		{"infinite warm-up", func(c *Config) { c.WarmupSec = math.Inf(1) }, "warm-up"},
+		{"NaN measurement", func(c *Config) { c.MeasurementSec = math.NaN() }, "measurement time"},
+		{"negative measurement", func(c *Config) { c.MeasurementSec = -5 }, "measurement time"},
+		{"infinite measurement", func(c *Config) { c.MeasurementSec = math.Inf(1) }, "measurement time"},
+		{"negative batches", func(c *Config) { c.Batches = -1 }, "batches"},
 		{"call duration and gprs dwell", func(c *Config) {
 			c.GSMCallDurationSec = 0
 			c.GPRSDwellTimeSec = -1

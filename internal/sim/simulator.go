@@ -125,20 +125,12 @@ func (p *groupProc) Deliver(m shard.Message) {
 	}
 }
 
-// RunOnce builds and runs one simulator to completion: the one-group
-// simulator of New, or NewSharded's when opt.Shards > 1. Both are
-// bit-identical for a given configuration, so opt affects only how the run is
-// scheduled. It is the single engine-selection point shared by cmd/gprs-sim
-// and the replication runner.
-func RunOnce(cfg Config, opt ShardedOptions) (Results, error) {
-	res, _, err := RunOnceSeries(cfg, opt)
-	return res, err
-}
-
-// RunOnceSeries is RunOnce with the recorded sim-time series returned
-// alongside the results. The series is nil when cfg.Probe is unset; the
-// Results are bit-identical to RunOnce's either way (the probe's determinism
-// contract). Like RunOnce it is single-use per call: it builds a fresh engine.
+// RunOnceSeries builds and runs one simulator to completion and returns its
+// results with the recorded sim-time series (nil when cfg.Probe is unset).
+// It builds the one-group simulator of New, or NewSharded's when
+// opt.Shards > 1. Both are bit-identical for a given configuration, so opt
+// affects only how the run is scheduled. It is the single engine-selection
+// point of the replication runner, and it builds a fresh engine per call.
 func RunOnceSeries(cfg Config, opt ShardedOptions) (Results, *probe.Series, error) {
 	var s *Simulator
 	var err error

@@ -2,16 +2,16 @@
 // non-zero listing the offenders of either.
 //
 // The doc-comment check, in the spirit of the (deprecated) golint
-// exported-comment check, parses internal/, cmd/ and examples/: every
-// exported identifier in non-test files — functions, types, constants,
-// variables, and methods on exported receiver types — must carry a doc
-// comment, and every package must carry a package comment — library packages
-// a godoc package comment, main packages (the commands of cmd/ and the
-// programs of examples/) a command comment describing what the program does.
+// exported-comment check, parses internal/ and cmd/: every exported
+// identifier in non-test files — functions, types, constants, variables, and
+// methods on exported receiver types — must carry a doc comment, and every
+// package must carry a package comment — library packages a godoc package
+// comment, main packages (the commands of cmd/) a command comment describing
+// what the program does.
 //
 // The unused-export check type-checks every non-test package of the module,
-// perfbench/ and examples/ included, and reports each exported function or
-// method of a library package that no non-test file uses. Uses are matched
+// perfbench/ included, and reports each exported function or method of a
+// library package that no non-test file uses. Uses are matched
 // by object, not by name, so an Add method is not kept alive by another
 // type's Add. A method named like a method of an interface written in the
 // repository, named or literal, or of a standard-library interface the code
@@ -42,7 +42,7 @@ import (
 func main() {
 	var problems []string
 	pkgs := map[string]*pkgDoc{} // directory -> package-comment state
-	for _, root := range []string{"internal", "cmd", "examples"} {
+	for _, root := range []string{"internal", "cmd"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
