@@ -135,10 +135,11 @@ func BenchmarkModelSolveSingle(b *testing.B) {
 	bytesPerState(b, &before, cfg.NumStates())
 }
 
-// BenchmarkGeneratorConstruction measures building the generator, which
-// describes each (n, m, r) buffer line once by Table 1: its per-state rates
-// up and down the line, stored once per distinct row, and its rates to its
-// neighbour lines. It runs on the quick-fidelity state space and on the
+// BenchmarkGeneratorConstruction measures building the generator from the
+// model's rate rows, declared once per GSM call count n (service) and per n
+// and number of on sessions (offered packets), and its (n, m, r) buffer
+// lines, each described once by Table 1: the rows it names for its rates up
+// and down the line, and its rates to its neighbour lines. It runs on the quick-fidelity state space and on the
 // Table 2 base points of traffic models 3 (466,620 states) and 1 (2,678,520
 // states), and reports the build time per state as ns/state and the bytes
 // a build allocates per state as B/state.

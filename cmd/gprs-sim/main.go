@@ -144,6 +144,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	if err := runner.CheckBatches(cfg, ro); err != nil {
+		return err
+	}
 	scenarioLabel := "uniform (paper baseline)"
 	if prof != nil {
 		scenarioLabel = describeProfile(*setup.Scenario, prof, cfg.Mobility)

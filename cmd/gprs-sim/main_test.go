@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestRunRejectsBadSharedFlags feeds run bad shared simulator flags and
@@ -28,5 +32,32 @@ func TestRunRejectsBadSharedFlags(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("run %v printed before failing:\n%s", c.args, out.String())
 		}
+	}
+}
+
+// TestRunRejectsOneBatchInOneReplication checks that a single replication
+// of one batch, which has no variance estimate and would print ± +Inf on
+// every measure, fails with sim.ErrInvalidConfig before the run header.
+func TestRunRejectsOneBatchInOneReplication(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-warmup", "10", "-measure", "10", "-batches", "1"}, &out)
+	if !errors.Is(err, sim.ErrInvalidConfig) {
+		t.Errorf("error %v, want sim.ErrInvalidConfig", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed before failing:\n%s", out.String())
+	}
+}
+
+// TestRunOneBatchPerReplication checks that one batch in each of three
+// independent replications is a valid run: the intervals come from the
+// replications, and none is infinite.
+func TestRunOneBatchPerReplication(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-warmup", "10", "-measure", "10", "-batches", "1", "-replications", "3"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "3 replication(s)") || !strings.Contains(out.String(), "±") || strings.Contains(out.String(), "Inf") {
+		t.Errorf("want finite intervals over 3 replications, got:\n%s", out.String())
 	}
 }

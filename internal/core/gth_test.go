@@ -22,10 +22,9 @@ import (
 // code with the solver it checks.
 func gthSolve(n int, line ctmc.LineFunc) []float64 {
 	a := make([][]float64, n)
-	var none [1]float64
 	for i := range a {
 		a[i] = make([]float64, n)
-		line(i, none[:], none[:], func(to int, rate float64) {
+		line(i, func(to int, rate float64) {
 			if to != i {
 				a[i][to] += rate
 			}

@@ -121,11 +121,15 @@ func (m *Model) ServiceRate(s State) float64 {
 	return float64(m.UsablePDCH(s)) * m.rates.PacketServiceRate
 }
 
-// lines returns the description of the model's (n, m, r) lines (Table 1 of
-// the paper) for ctmc.NewGenerator. Every transition but packet arrival (v)
-// and service (vi) keeps the buffer level k at a rate independent of k, so
-// it is a jump between lines; (v) and (vi) step up and down the line.
-func (m *Model) lines() ctmc.LineFunc {
+// lines returns the rate rows and the description of the model's (n, m, r)
+// lines (Table 1 of the paper) for ctmc.NewGenerator. Every transition but
+// packet arrival (v) and service (vi) keeps the buffer level k at a rate
+// independent of k, so it is a jump between lines; (v) and (vi) step up and
+// down the line. Their rates depend only on n and the m − r sessions in the
+// on state, so the rows come in a block per n: the service rates (vi) of n
+// GSM calls, then the offered packet rates (v) of n calls and each number
+// of on sessions from 0 to M.
+func (m *Model) lines() ([]float64, ctmc.LineFunc) {
 	var (
 		space = m.space
 		width = space.BufferSize() + 1
@@ -134,8 +138,30 @@ func (m *Model) lines() ctmc.LineFunc {
 		ipp   = m.rates.IPP
 		pOn   = ipp.OnProbability()
 		pOff  = ipp.OffProbability()
+		block = maxM + 2
 	)
-	return func(l int, up, down []float64, jump func(to int, rate float64)) {
+	// (v) Data packet arrivals, while the buffer is not full (the offered
+	// rate in full-buffer states contributes to the loss probability but
+	// causes no state change), and (vi) data packet service over
+	// min(N-n, 8k) PDCHs.
+	rows := make([]float64, (nGSM+1)*block*width)
+	for n := range nGSM + 1 {
+		s := State{GSMCalls: n}
+		down := rows[n*block*width:][:width]
+		for k := 1; k < width; k++ {
+			s.Packets = k
+			down[k] = m.ServiceRate(s)
+		}
+		for on := range maxM + 1 {
+			s.Sessions = on
+			up := rows[(n*block+1+on)*width:][:width]
+			for k := range width - 1 {
+				s.Packets = k
+				up[k] = m.OfferedPacketRate(s)
+			}
+		}
+	}
+	return rows, func(l int, jump func(to int, rate float64)) (up, down int) {
 		s := space.State(l * width)
 		n, mm, r := s.GSMCalls, s.Sessions, s.OffSessions
 		line := func(n, mm, r int) int {
@@ -176,20 +202,6 @@ func (m *Model) lines() ctmc.LineFunc {
 			}
 		}
 
-		// (v) Data packet arrivals, while the buffer is not full (the
-		// offered rate in full-buffer states contributes to the loss
-		// probability but causes no state change), and (vi) data packet
-		// service over min(N-n, 8k) PDCHs.
-		for k := range width {
-			s.Packets = k
-			if k+1 < width {
-				up[k] = m.OfferedPacketRate(s)
-			}
-			if k > 0 {
-				down[k] = m.ServiceRate(s)
-			}
-		}
-
 		// (vii) MMPP phase changes of the aggregated arrival process.
 		if r < mm {
 			jump(line(n, mm, r+1), float64(mm-r)*ipp.Alpha)
@@ -197,20 +209,22 @@ func (m *Model) lines() ctmc.LineFunc {
 		if r > 0 {
 			jump(line(n, mm, r-1), float64(r)*ipp.Beta)
 		}
+		return n*block + 1 + mm - r, n * block
 	}
 }
 
 // BuildGenerator constructs the infinitesimal generator of the model, with
 // every (n, m, r) block of K+1 buffer states as one line (see StateSpace),
 // described once per line by Table 1. A line's rates up and down its buffer
-// depend only on n and the m − r sessions in the on state, so many lines
-// share them, and the generator stores each distinct row of rates once: the
-// 660 lines of a Quick Fig. 6 point share 86 up rows and 10 down rows, and
-// the 26,520 of a Table 2 traffic model 1 point 680 and 20. It keeps no
+// depend only on n and the m − r sessions in the on state, so the
+// description declares one row of them per n and per (n, m − r), and each
+// line names its two: 120 rows for the 660 lines of a Quick Fig. 6 point,
+// and 1,040 for the 26,520 of a Table 2 traffic model 1 point. It keeps no
 // vector over the states; a build of a Quick Fig. 6 point allocates about
-// 9.5 B a state.
+// 8 B a state.
 func (m *Model) BuildGenerator() (*ctmc.Generator, error) {
-	return ctmc.NewGenerator(m.space.NumStates(), m.space.BufferSize()+1, m.lines())
+	rows, line := m.lines()
+	return ctmc.NewGenerator(m.space.NumStates(), m.space.BufferSize()+1, rows, line)
 }
 
 // Result bundles the steady-state solution of the model with the derived
@@ -256,15 +270,15 @@ var ErrNotConverged = errors.New("core: model solve did not converge")
 // it, the sweeps only resolve the buffer distribution within each line,
 // which each solves exactly. Each line starts at the equilibrium of its own
 // buffer birth–death chain, and the sweeps are relaxed by an ω that each
-// solve reads from its own contraction rate (ω ≈ 1.1–1.3 at Quick size,
-// ≈ 1.45 on the Table 2 base point): the twelve Quick Fig. 6 configurations
-// take 358 sweeps in total at tolerance 1e-6, against 540 unrelaxed and 630
+// solve reads from its own contraction rate (ω ≈ 1.24–1.35 at Quick size,
+// ≈ 1.58 on the Table 2 base point): the twelve Quick Fig. 6 configurations
+// take 320 sweeps in total at tolerance 1e-6, against 540 unrelaxed and 630
 // from lines spread evenly. Each sweep solves the 660 lines of a Quick
 // Fig. 6 point in the generator's colour order (30 colours, four lines of a
 // colour at a time), which gives the iterates of a sweep in index order, so
 // the sweep count and every measure are those of index order; it leaves out
 // the lines of mass 0, which at GPRS fraction 1 or 0 are 594 or 650 of the
-// 660. Besides the generator's per-line data and shared rate rows (see
+// 660. Besides the generator's per-line data and declared rate rows (see
 // BuildGenerator), a solve holds two vectors over the states, the iterate
 // and the inverse pivots of the lines' Thomas passes: 16 B a state.
 func (m *Model) Solve(opts ctmc.SolveOptions) (*Result, error) {

@@ -20,28 +20,28 @@ func oneLine() *Aggregation { return &Aggregation{Mass: []float64{1}} }
 // distribution is (b, a)/(a+b).
 func twoStateChain(t *testing.T, a, b float64) *Generator {
 	t.Helper()
-	g, err := NewGenerator(2, 2, func(_ int, up, down []float64, _ func(int, float64)) {
-		up[0], down[1] = a, b
-	})
+	g, err := NewGenerator(2, 2, []float64{a, 0, 0, b}, func(int, func(int, float64)) (int, int) { return 0, 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-// mmckLine describes an M/M/c/K queue with arrival rate lambda and service
+// mmckChain describes an M/M/c/K queue with arrival rate lambda and service
 // rate mu as one line of capacity+1 states; state = number in system.
-func mmckLine(lambda, mu float64, c, capacity int) LineFunc {
-	return func(_ int, up, down []float64, _ func(int, float64)) {
-		for s := range up {
-			if s < capacity {
-				up[s] = lambda
-			}
-			if s > 0 {
-				down[s] = float64(min(s, c)) * mu
-			}
+func mmckChain(lambda, mu float64, c, capacity int) Chain {
+	w := capacity + 1
+	rows := make([]float64, 2*w)
+	up, down := rows[:w], rows[w:]
+	for s := range w {
+		if s < capacity {
+			up[s] = lambda
+		}
+		if s > 0 {
+			down[s] = float64(min(s, c)) * mu
 		}
 	}
+	return Chain{w, w, rows, func(int, func(int, float64)) (int, int) { return 0, 1 }}
 }
 
 // mmckExact returns the closed-form distribution of an M/M/c/K queue.
@@ -95,7 +95,7 @@ func TestMMcKMatchesClosedForm(t *testing.T) {
 		{30, 0.5, 4, 60},
 		{7, 1, 12, 12},
 	} {
-		g, err := NewGenerator(q.capacity+1, q.capacity+1, mmckLine(q.lambda, q.mu, q.c, q.capacity))
+		g, err := mmckChain(q.lambda, q.mu, q.c, q.capacity).Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,68 +128,89 @@ func TestGeneratorCountsAndRates(t *testing.T) {
 }
 
 // TestGeneratorRejectsInvalidInput gives NewGenerator each kind of bad
-// input. The valid base is a ring of three lines of two states: up 2 and
-// down 3 inside each line, and a jump at rate 1 to the next line.
+// input. The valid base is a ring of three lines of two states: each names
+// up row 0, (2, 0), and down row 1, (0, 3), and jumps at rate 1 to the next
+// line.
 func TestGeneratorRejectsInvalidInput(t *testing.T) {
-	ring := func(l int, up, down []float64, jump func(int, float64)) {
-		up[0], down[1] = 2, 3
+	rows := []float64{2, 0, 0, 3}
+	ring := func(l int, jump func(int, float64)) (int, int) {
 		jump((l+1)%3, 1)
+		return 0, 1
 	}
-	if _, err := NewGenerator(6, 2, ring); err != nil {
+	if _, err := NewGenerator(6, 2, rows, ring); err != nil {
 		t.Fatalf("valid chain: %v", err)
 	}
-	// with returns the ring with line 1 changed by edit.
-	with := func(edit func(up, down []float64, jump func(int, float64))) LineFunc {
-		return func(l int, up, down []float64, jump func(int, float64)) {
-			ring(l, up, down, jump)
+	// jumpTo returns the ring with one more jump of line 1.
+	jumpTo := func(to int, rate float64) LineFunc {
+		return func(l int, jump func(int, float64)) (int, int) {
 			if l == 1 {
-				edit(up, down, jump)
+				jump(to, rate)
 			}
+			return ring(l, jump)
 		}
 	}
-	jumpTo := func(to int, rate float64) LineFunc {
-		return with(func(_, _ []float64, jump func(int, float64)) { jump(to, rate) })
+	// names returns the ring with line 1 naming rows up and down.
+	names := func(up, down int) LineFunc {
+		return func(l int, jump func(int, float64)) (int, int) {
+			u, d := ring(l, jump)
+			if l == 1 {
+				return up, down
+			}
+			return u, d
+		}
 	}
-	setUp := func(q int, rate float64) LineFunc {
-		return with(func(up, _ []float64, _ func(int, float64)) { up[q] = rate })
-	}
-	setDown := func(q int, rate float64) LineFunc {
-		return with(func(_, down []float64, _ func(int, float64)) { down[q] = rate })
+	// rate returns the ring's rows with rate i set to x.
+	rate := func(i int, x float64) []float64 {
+		r := slices.Clone(rows)
+		r[i] = x
+		return r
 	}
 	for _, tc := range []struct {
 		name     string
 		n, width int
+		rows     []float64
 		line     LineFunc
 		want     error
 	}{
-		{"jump to a line below 0", 6, 2, jumpTo(-1, 1), ErrInvalidTransition},
-		{"jump to a line past the last", 6, 2, jumpTo(3, 1), ErrInvalidTransition},
-		{"negative jump rate", 6, 2, jumpTo(0, -1), ErrInvalidTransition},
-		{"NaN jump rate", 6, 2, jumpTo(0, math.NaN()), ErrInvalidTransition},
-		{"infinite jump rate", 6, 2, jumpTo(0, math.Inf(1)), ErrInvalidTransition},
-		{"negative up rate", 6, 2, setUp(0, -1), ErrInvalidTransition},
-		{"NaN up rate", 6, 2, setUp(0, math.NaN()), ErrInvalidTransition},
-		{"infinite up rate", 6, 2, setUp(0, math.Inf(1)), ErrInvalidTransition},
-		{"negative down rate", 6, 2, setDown(1, -1), ErrInvalidTransition},
-		{"NaN down rate", 6, 2, setDown(1, math.NaN()), ErrInvalidTransition},
-		{"infinite down rate", 6, 2, setDown(1, math.Inf(-1)), ErrInvalidTransition},
-		// Line 2's last state steps nowhere; the others still leave by a jump.
-		{"state with no outflow", 6, 2, func(l int, up, down []float64, jump func(int, float64)) {
-			up[0] = 2
+		{"jump to a line below 0", 6, 2, rows, jumpTo(-1, 1), ErrInvalidTransition},
+		{"jump to a line past the last", 6, 2, rows, jumpTo(3, 1), ErrInvalidTransition},
+		{"negative jump rate", 6, 2, rows, jumpTo(0, -1), ErrInvalidTransition},
+		{"NaN jump rate", 6, 2, rows, jumpTo(0, math.NaN()), ErrInvalidTransition},
+		{"infinite jump rate", 6, 2, rows, jumpTo(0, math.Inf(1)), ErrInvalidTransition},
+		{"up row below 0", 6, 2, rows, names(-1, 1), ErrInvalidTransition},
+		{"up row past the last", 6, 2, rows, names(2, 1), ErrInvalidTransition},
+		{"down row below 0", 6, 2, rows, names(0, -1), ErrInvalidTransition},
+		{"down row past the last", 6, 2, rows, names(0, 2), ErrInvalidTransition},
+		{"negative up rate", 6, 2, rate(0, -1), ring, ErrInvalidTransition},
+		{"NaN up rate", 6, 2, rate(0, math.NaN()), ring, ErrInvalidTransition},
+		{"infinite up rate", 6, 2, rate(0, math.Inf(1)), ring, ErrInvalidTransition},
+		{"negative down rate", 6, 2, rate(3, -1), ring, ErrInvalidTransition},
+		{"NaN down rate", 6, 2, rate(3, math.NaN()), ring, ErrInvalidTransition},
+		{"infinite down rate", 6, 2, rate(3, math.Inf(-1)), ring, ErrInvalidTransition},
+		{"NaN rate in a row no line names", 6, 2, append(slices.Clone(rows), 0, math.NaN()), ring, ErrInvalidTransition},
+		{"up row whose last rate is not 0", 6, 2, rate(1, 1), ring, ErrInvalidTransition},
+		{"down row whose first rate is not 0", 6, 2, rate(2, 1), ring, ErrInvalidTransition},
+		{"down row named as an up row", 6, 2, rows, names(1, 1), ErrInvalidTransition},
+		{"up row named as a down row", 6, 2, rows, names(0, 0), ErrInvalidTransition},
+		// Line 2's down row is 0, so its last state steps nowhere; the
+		// others still leave by a jump.
+		{"state with no outflow", 6, 2, append(slices.Clone(rows), 0, 0), func(l int, jump func(int, float64)) (int, int) {
 			if l < 2 {
-				down[1] = 3
 				jump(l+1, 1)
+				return 0, 1
 			}
+			return 0, 2
 		}, ErrNotIrreducible},
-		{"zero states", 0, 1, ring, ErrInvalidArgument},
-		{"states beyond int32 indexing", math.MaxInt32 + 1, 1, ring, ErrInvalidArgument},
-		{"line width 0", 6, 0, ring, ErrInvalidArgument},
-		{"negative line width", 6, -2, ring, ErrInvalidArgument},
-		{"line width that does not divide the states", 6, 4, ring, ErrInvalidArgument},
-		{"nil line function", 6, 2, nil, ErrInvalidArgument},
+		{"zero states", 0, 1, rows, ring, ErrInvalidArgument},
+		{"states beyond int32 indexing", math.MaxInt32 + 1, 1, rows, ring, ErrInvalidArgument},
+		{"line width 0", 6, 0, rows, ring, ErrInvalidArgument},
+		{"negative line width", 6, -2, rows, ring, ErrInvalidArgument},
+		{"line width that does not divide the states", 6, 4, rows, ring, ErrInvalidArgument},
+		{"rates that do not form whole rows", 6, 2, rows[:3], ring, ErrInvalidArgument},
+		{"nil line function", 6, 2, rows, nil, ErrInvalidArgument},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewGenerator(tc.n, tc.width, tc.line); !errors.Is(err, tc.want) {
+			if _, err := NewGenerator(tc.n, tc.width, tc.rows, tc.line); !errors.Is(err, tc.want) {
 				t.Errorf("got %v, want %v", err, tc.want)
 			}
 		})
@@ -197,25 +218,31 @@ func TestGeneratorRejectsInvalidInput(t *testing.T) {
 }
 
 // TestNewGeneratorRejectsBrokenLines checks that the one way a line
-// description can leave its line, a step up from its last position or down
-// from its first, is caught on every line of a ring of three lines, and on
-// lines of one state.
+// description can leave its line, an up row that steps up from its last
+// position or a down row that steps down from its first, is caught on
+// every line of a ring of three lines, and on lines of one state. Rows 0
+// and 1 are a valid up and down row, rows 2 and 3 the same rows broken at
+// their ends.
 func TestNewGeneratorRejectsBrokenLines(t *testing.T) {
 	for _, width := range []int{1, 3} {
+		rows := make([]float64, 4*width)
+		for q := range width - 1 {
+			rows[q], rows[width+q+1] = 1, 1
+			rows[2*width+q], rows[3*width+q+1] = 1, 1
+		}
+		rows[3*width-1], rows[3*width] = 1, 1
 		for broken := range 3 {
 			for _, end := range []string{"up from its last position", "down from its first position"} {
 				t.Run(fmt.Sprintf("width %d, line %d steps %s", width, broken, end), func(t *testing.T) {
-					_, err := NewGenerator(3*width, width, func(l int, up, down []float64, jump func(int, float64)) {
-						for q := range width - 1 {
-							up[q], down[q+1] = 1, 1
-						}
+					_, err := NewGenerator(3*width, width, rows, func(l int, jump func(int, float64)) (int, int) {
 						jump((l+1)%3, 1)
 						switch {
 						case l != broken:
+							return 0, 1
 						case end == "up from its last position":
-							up[width-1] = 1
+							return 2, 1
 						default:
-							down[0] = 1
+							return 0, 3
 						}
 					})
 					if !errors.Is(err, ErrInvalidTransition) {
@@ -228,10 +255,11 @@ func TestNewGeneratorRejectsBrokenLines(t *testing.T) {
 }
 
 func TestGeneratorIgnoresSelfLoopsAndZeroRates(t *testing.T) {
-	g, err := NewGenerator(2, 1, func(s int, _, _ []float64, jump func(int, float64)) {
+	g, err := NewGenerator(2, 1, []float64{0}, func(s int, jump func(int, float64)) (int, int) {
 		jump(s, 100) // self loop must be ignored
 		jump(1-s, 0) // zero rate must be ignored
 		jump(1-s, 1) // the real transition
+		return 0, 0
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +273,7 @@ func TestGeneratorIgnoresSelfLoopsAndZeroRates(t *testing.T) {
 }
 
 func TestSingleStateChain(t *testing.T) {
-	g, err := NewGenerator(1, 1, func(int, []float64, []float64, func(int, float64)) {})
+	g, err := NewGenerator(1, 1, []float64{0}, func(int, func(int, float64)) (int, int) { return 0, 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,17 +311,16 @@ func TestBirthDeathDetailedBalanceProperty(t *testing.T) {
 		n := int(nSeed%20) + 2
 		birth := 0.1 + float64(birthSeed%100)/20
 		death := 0.1 + float64(deathSeed%100)/20
-		line := func(_ int, up, down []float64, _ func(int, float64)) {
-			for s := range n {
-				if s < n-1 {
-					up[s] = birth
-				}
-				if s > 0 {
-					down[s] = death * float64(s)
-				}
+		rows := make([]float64, 2*n)
+		for s := range n {
+			if s < n-1 {
+				rows[s] = birth
+			}
+			if s > 0 {
+				rows[n+s] = death * float64(s)
 			}
 		}
-		g, err := NewGenerator(n, n, line)
+		g, err := NewGenerator(n, n, rows, func(int, func(int, float64)) (int, int) { return 0, 1 })
 		if err != nil {
 			return false
 		}
@@ -316,7 +343,7 @@ func TestBirthDeathDetailedBalanceProperty(t *testing.T) {
 }
 
 func TestSolutionProbabilityVectorProperties(t *testing.T) {
-	g, err := NewGenerator(50, 50, mmckLine(3, 0.5, 4, 49))
+	g, err := mmckChain(3, 0.5, 4, 49).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,21 +366,24 @@ func TestSolutionProbabilityVectorProperties(t *testing.T) {
 func TestNewGeneratorAllocationsIndependentOfStates(t *testing.T) {
 	// The jump callback is bound once, so the allocation count of a build
 	// does not grow with the number of states. Width 1 is the worst case:
-	// every transition is a jump between lines.
-	line := Points(1000, mmckLine(3, 0.5, 4, 999))
+	// every transition is a jump between lines. A build makes 11: the row
+	// counts, the generator and its lines, the builder, its bound jump
+	// callback and the jumps, the inflow offsets, the sort's places, and the
+	// sweep order's colours, colour ends and order.
+	points := Points(mmckChain(3, 0.5, 4, 999))
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := NewGenerator(1000, 1, line); err != nil {
+		if _, err := points.Build(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 16 {
-		t.Errorf("NewGenerator made %v allocations for 1000 states, want <= 16", allocs)
+	if allocs > 11 {
+		t.Errorf("NewGenerator made %v allocations for 1000 states, want <= 11", allocs)
 	}
 }
 
 func TestAggregationValidation(t *testing.T) {
-	line, _ := slowFastChain(1, 1)
-	g, err := NewGenerator(4, 2, line)
+	c, _ := slowFastChain(1, 1)
+	g, err := c.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,24 +465,28 @@ func TestAggregationRescale(t *testing.T) {
 // coordinate s is an autonomous birth–death process with rates far below
 // those of the fast coordinate f, whose rates depend on s. It returns the
 // line description and the exact marginal of s, which is the line process's
-// stationary distribution.
-func slowFastChain(slow, fast int) (LineFunc, []float64) {
+// stationary distribution. Row 0 is the down row every line names, and row
+// 1 + s the up row of line s.
+func slowFastChain(slow, fast int) (Chain, []float64) {
 	const birth, death = 0.02, 0.01
-	line := func(s int, up, down []float64, jump func(int, float64)) {
+	w := fast + 1
+	rows := make([]float64, (slow+2)*w)
+	for f := 1; f < w; f++ {
+		rows[f] = 2.5
+	}
+	for s := range slow + 1 {
+		for f := range fast {
+			rows[(1+s)*w+f] = 1 + float64(s)
+		}
+	}
+	line := func(s int, jump func(int, float64)) (int, int) {
 		if s < slow {
 			jump(s+1, birth)
 		}
 		if s > 0 {
 			jump(s-1, death*float64(s))
 		}
-		for f := range up {
-			if f < fast {
-				up[f] = 1 + float64(s)
-			}
-			if f > 0 {
-				down[f] = 2.5
-			}
-		}
+		return 1 + s, 0
 	}
 	mass := make([]float64, slow+1)
 	mass[0] = 1
@@ -464,7 +498,7 @@ func slowFastChain(slow, fast int) (LineFunc, []float64) {
 	for s := range mass {
 		mass[s] /= sum
 	}
-	return line, mass
+	return Chain{(slow + 1) * w, w, rows, line}, mass
 }
 
 // TestSlowFastChainMatchesGTH solves the slow–fast chain with the closed-form
@@ -473,14 +507,13 @@ func slowFastChain(slow, fast int) (LineFunc, []float64) {
 // solution of the whole chain.
 func TestSlowFastChainMatchesGTH(t *testing.T) {
 	const slow, fast = 8, 12
-	const n, w = (slow + 1) * (fast + 1), fast + 1
-	line, mass := slowFastChain(slow, fast)
-	for l, m := range gthLineMasses(n, w, line) {
+	c, mass := slowFastChain(slow, fast)
+	for l, m := range gthLineMasses(c) {
 		if !almostEqual(m, mass[l], 1e-15) {
 			t.Fatalf("line %d: closed-form mass %v, GTH %v", l, mass[l], m)
 		}
 	}
-	g, err := NewGenerator(n, w, line)
+	g, err := c.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +521,7 @@ func TestSlowFastChainMatchesGTH(t *testing.T) {
 	if err != nil || !sol.Converged {
 		t.Fatalf("line solve: %v, converged %v", err, sol != nil && sol.Converged)
 	}
-	for i, want := range gthSolve(n, Points(w, line)) {
+	for i, want := range gthSolve(Points(c)) {
 		if !almostEqual(sol.Pi[i], want, 1e-12) {
 			t.Fatalf("pi[%d] = %v, GTH %v", i, sol.Pi[i], want)
 		}
@@ -501,7 +534,7 @@ func TestClosedLineSolvesToClosedForm(t *testing.T) {
 	// nothing leaves it, so its last pivot is 0. The sweep keeps the last
 	// state's value, solves the rest from it, and the rescale sets the mass.
 	const lambda, mu, c, capacity = 2.5, 1.0, 3, 15
-	g, err := NewGenerator(capacity+1, capacity+1, mmckLine(lambda, mu, c, capacity))
+	g, err := mmckChain(lambda, mu, c, capacity).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,25 +558,35 @@ func TestClosedLineSolvesToClosedForm(t *testing.T) {
 // on s (up 0.4, down 0.3·s). Its stationary distribution is the product of
 // the line process's and each line's own, so every line holds its line
 // process mass, spread as its own birth–death chain's equilibrium. If
-// broken >= 0, state broken of line 2 has no step down its line. It returns
-// the line description and the line process's stationary distribution.
-func productFormChain(slow, fast, broken int) (LineFunc, []float64) {
+// broken >= 0, state broken of line 2 has no step down its line: line 2
+// names row 2, a copy of down row 1 set to 0 at position broken. It returns
+// the chain and the line process's stationary distribution.
+func productFormChain(slow, fast, broken int) (Chain, []float64) {
 	const birth, death = 0.4, 0.3
-	line := func(s int, up, down []float64, jump func(int, float64)) {
+	w := fast + 1
+	rows := make([]float64, 3*w)
+	for q := range w {
+		if q < fast {
+			rows[q] = 1.5
+		}
+		if q > 0 {
+			rows[w+q], rows[2*w+q] = 1+float64(q), 1+float64(q)
+		}
+	}
+	if broken >= 0 {
+		rows[2*w+broken] = 0
+	}
+	line := func(s int, jump func(int, float64)) (int, int) {
 		if s < slow {
 			jump(s+1, birth)
 		}
 		if s > 0 {
 			jump(s-1, death*float64(s))
 		}
-		for q := range up {
-			if q < fast {
-				up[q] = 1.5
-			}
-			if q > 0 && !(s == 2 && q == broken) {
-				down[q] = 1 + float64(q)
-			}
+		if s == 2 {
+			return 0, 2
 		}
+		return 0, 1
 	}
 	mass := make([]float64, slow+1)
 	mass[0] = 1
@@ -555,7 +598,7 @@ func productFormChain(slow, fast, broken int) (LineFunc, []float64) {
 	for s := range mass {
 		mass[s] /= sum
 	}
-	return line, mass
+	return Chain{(slow + 1) * w, w, rows, line}, mass
 }
 
 // TestStartIsEachLineEquilibrium checks the start of a line solve. On a
@@ -566,10 +609,10 @@ func productFormChain(slow, fast, broken int) (LineFunc, []float64) {
 // the line process and its masses are those of the unbroken chain.
 func TestStartIsEachLineEquilibrium(t *testing.T) {
 	const slow, fast = 5, 9
-	const n, w = (slow + 1) * (fast + 1), fast + 1
+	const w = fast + 1
 	t.Run("product form", func(t *testing.T) {
-		line, mass := productFormChain(slow, fast, -1)
-		g, err := NewGenerator(n, w, line)
+		c, mass := productFormChain(slow, fast, -1)
+		g, err := c.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -587,8 +630,8 @@ func TestStartIsEachLineEquilibrium(t *testing.T) {
 	})
 	t.Run("down rate of 0 mid-line", func(t *testing.T) {
 		const broken = fast / 2
-		line, mass := productFormChain(slow, fast, broken)
-		lines, err := NewGenerator(n, w, line)
+		c, mass := productFormChain(slow, fast, broken)
+		lines, err := c.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -605,7 +648,7 @@ func TestStartIsEachLineEquilibrium(t *testing.T) {
 		if err != nil || !sol.Converged {
 			t.Fatalf("line solve: %v, converged %v", err, sol != nil && sol.Converged)
 		}
-		for i, want := range gthSolve(n, Points(w, line)) {
+		for i, want := range gthSolve(Points(c)) {
 			if !almostEqual(sol.Pi[i], want, 1e-12) {
 				t.Fatalf("pi[%d]: line solve %v, GTH %v", i, sol.Pi[i], want)
 			}
@@ -621,8 +664,8 @@ func TestStartIsEachLineEquilibrium(t *testing.T) {
 // vector whose pi*Q is far from 0. Such a solve must not report Converged.
 func TestStalledSolveIsNotConverged(t *testing.T) {
 	const slow, fast = 8, 12
-	line, _ := slowFastChain(slow, fast)
-	g, err := NewGenerator((slow+1)*(fast+1), fast+1, line)
+	c, _ := slowFastChain(slow, fast)
+	g, err := c.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,12 +753,12 @@ func TestTooLargeRelaxationFallsBack(t *testing.T) {
 		{"no contraction, 15 states", "|B\xf8\xbf\xc9X\xa8\x9a\xeeP\xad\x0eE>k1\xfc<\u05b2f\x05\x885B\xd4\u0437\u0085\x02\v\xa7\x10\xed\xeb\x93{L>\xbc"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			n, width, line := fuzzChain([]byte(c.data))
-			g, err := NewGenerator(n, width, line)
+			chain := fuzzChain([]byte(c.data))
+			g, err := chain.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			agg := &Aggregation{Mass: gthLineMasses(n, width, line)}
+			agg := &Aggregation{Mass: gthLineMasses(chain)}
 			sol, err := SolveRelaxed(g, SolveOptions{Tolerance: 1e-10, MaxIterations: 100000, Aggregation: agg}, 1.95)
 			if err != nil {
 				t.Fatal(err)
@@ -724,7 +767,7 @@ func TestTooLargeRelaxationFallsBack(t *testing.T) {
 				t.Fatalf("after %d sweeps: converged %v at ω %v, residual %v; want converged at ω 1",
 					sol.Iterations, sol.Converged, sol.Relaxation, sol.Residual)
 			}
-			for i, want := range gthSolve(n, Points(width, line)) {
+			for i, want := range gthSolve(Points(chain)) {
 				if math.Abs(sol.Pi[i]-want) > 1e-10 {
 					t.Fatalf("pi[%d] = %v, GTH %v", i, sol.Pi[i], want)
 				}
@@ -741,12 +784,12 @@ func TestTooLargeRelaxationFallsBack(t *testing.T) {
 // solve must converge to the GTH solution.
 func TestOvershootingSecondReadingFallsBack(t *testing.T) {
 	const data = "\r*\x18\x06\xe7ρ\xc3\xe50\xb7˷LJ逤\x022I\x05\xd9<\a' v\rm\x12\x9a0){\x89I-ǣ\xd9V"
-	n, width, line := fuzzChain([]byte(data))
-	g, err := NewGenerator(n, width, line)
+	c := fuzzChain([]byte(data))
+	g, err := c.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := SolveOptions{Tolerance: 1e-10, MaxIterations: 100000, Aggregation: &Aggregation{Mass: gthLineMasses(n, width, line)}}
+	opts := SolveOptions{Tolerance: 1e-10, MaxIterations: 100000, Aggregation: &Aggregation{Mass: gthLineMasses(c)}}
 	sol, omegas, err := SolveReadings(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -770,7 +813,7 @@ func TestOvershootingSecondReadingFallsBack(t *testing.T) {
 		t.Fatalf("after %d sweeps: converged %v at ω %v, residual %v; want converged at ω 1",
 			sol.Iterations, sol.Converged, sol.Relaxation, sol.Residual)
 	}
-	for i, want := range gthSolve(n, Points(width, line)) {
+	for i, want := range gthSolve(Points(c)) {
 		if math.Abs(sol.Pi[i]-want) > 1e-10 {
 			t.Fatalf("pi[%d] = %v, GTH %v", i, sol.Pi[i], want)
 		}
@@ -781,23 +824,23 @@ func TestOvershootingSecondReadingFallsBack(t *testing.T) {
 // fuzzChain decodes fuzz bytes into a small irreducible chain described
 // line by line: lines of equal width, each a birth–death chain with random
 // rates, joined by random jumps, each from every state of its line to the
-// same position in another line at one rate. It returns the number of
-// states, the line width and the line description.
+// same position in another line at one rate.
 //
 // The first byte sets the line width W (1..8), the second the number of
 // lines L (1..8). The next 2·W·L give the rates from each state one step up
 // and one step down its line, where there is such a step. The two bytes of
 // the steps a line lacks, down from its first state and up from its last,
-// draw its rows from the lines up to it: line l takes the up row of line
+// draw its rows from the lines up to it: line l names the up row of line
 // b % (l+1) for the first byte b, and the down row of line b' % (l+1) for
-// the second, so that lines share rows as a model's do. The next L bytes
-// give the rate of a jump from each line to the next, cyclically (none for
-// L = 1).
+// the second, so that lines share rows as a model's do. A line that draws
+// its own row declares it. The next L bytes give the rate of a jump from
+// each line to the next, cyclically (none for L = 1).
 // Every following triple (from, to, rate) of states adds a transition:
 // inside a line, one more step from from towards to, at a rate added to the
-// step's; into another line, a jump from from's line to to's. Missing bytes
-// read as 0, and every rate lies in [1/16, 16].
-func fuzzChain(data []byte) (int, int, LineFunc) {
+// step's in a row of that line's own, declared the first time a row other
+// lines name changes; into another line, a jump from from's line to to's.
+// Missing bytes read as 0, and every rate lies in [1/16, 16].
+func fuzzChain(data []byte) Chain {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -810,24 +853,51 @@ func fuzzChain(data []byte) (int, int, LineFunc) {
 	w := 1 + int(next()%8)
 	lines := 1 + int(next()%8)
 	n := w * lines
-	up, down := make([]float64, n), make([]float64, n)
+	var rows []float64
+	// declare adds a row of rates and returns its index.
+	declare := func(row []float64) int {
+		rows = append(rows, row...)
+		return len(rows)/w - 1
+	}
+	// named[l] is the up row and the down row line l names.
+	named := make([][2]int, lines)
 	for l := range lines {
+		up, down := make([]float64, w), make([]float64, w)
 		var upFrom, downFrom int
 		for q := range w {
 			u, d := next(), next()
 			if q+1 < w {
-				up[l*w+q] = rate(u)
+				up[q] = rate(u)
 			} else {
 				upFrom = int(u) % (l + 1)
 			}
 			if q > 0 {
-				down[l*w+q] = rate(d)
+				down[q] = rate(d)
 			} else {
 				downFrom = int(d) % (l + 1)
 			}
 		}
-		copy(up[l*w:(l+1)*w], up[upFrom*w:])
-		copy(down[l*w:(l+1)*w], down[downFrom*w:])
+		if upFrom == l {
+			named[l][0] = declare(up)
+		} else {
+			named[l][0] = named[upFrom][0]
+		}
+		if downFrom == l {
+			named[l][1] = declare(down)
+		} else {
+			named[l][1] = named[downFrom][1]
+		}
+	}
+	// add adds rate r to position q of row i of line l, first declaring the
+	// line a row of its own if another line names row i.
+	add := func(l, i, q int, r float64) {
+		for other := range named {
+			if other != l && (named[other][0] == named[l][i] || named[other][1] == named[l][i]) {
+				named[l][i] = declare(slices.Clone(rows[named[l][i]*w:][:w]))
+				break
+			}
+		}
+		rows[named[l][i]*w+q] += r
 	}
 	type jump struct {
 		to   int
@@ -841,53 +911,48 @@ func fuzzChain(data []byte) (int, int, LineFunc) {
 	}
 	for len(data) >= 3 {
 		from, to, r := int(next())%n, int(next())%n, rate(next())
+		l, q := from/w, from%w
 		switch {
-		case from/w != to/w:
-			jumps[from/w] = append(jumps[from/w], jump{to / w, r})
+		case l != to/w:
+			jumps[l] = append(jumps[l], jump{to / w, r})
 		case to < from:
-			down[from] += r
-		case from%w+1 < w:
-			up[from] += r
-		case from%w > 0:
-			down[from] += r
+			add(l, 1, q, r)
+		case q+1 < w:
+			add(l, 0, q, r)
+		case q > 0:
+			add(l, 1, q, r)
 		}
 	}
-	return n, w, func(l int, lineUp, lineDown []float64, emit func(int, float64)) {
-		copy(lineUp, up[l*w:])
-		copy(lineDown, down[l*w:])
+	return Chain{n, w, rows, func(l int, emit func(int, float64)) (int, int) {
 		for _, j := range jumps[l] {
 			emit(j.to, j.rate)
 		}
-	}
+		return named[l][0], named[l][1]
+	}}
 }
 
-// readBackError checks that Lines(g) reads back the description line that g
-// was built from: every line's rates up and down bit for bit, and its jumps
-// of a positive rate into other lines, ordered stably by target line.
-func readBackError(g *Generator, line LineFunc) error {
+// readBackError checks that Lines(g) reads back c, from which g was built:
+// every line's rates up and down bit for bit, and its jumps of a positive
+// rate into other lines, ordered stably by target line.
+func readBackError(g *Generator, c Chain) error {
 	type jump struct {
 		to   int
 		rate float64
 	}
-	w := g.width
-	up, down, gotUp, gotDown := make([]float64, w), make([]float64, w), make([]float64, w), make([]float64, w)
 	read := Lines(g)
-	for l := range g.n / w {
+	for l := range c.States / c.Width {
 		var want, got []jump
-		clear(up)
-		clear(down)
-		line(l, up, down, func(to int, rate float64) {
+		up, down := c.Line(l, func(to int, rate float64) {
 			if rate != 0 && to != l {
 				want = append(want, jump{to, rate})
 			}
 		})
 		slices.SortStableFunc(want, func(a, b jump) int { return a.to - b.to })
-		clear(gotUp)
-		clear(gotDown)
-		read(l, gotUp, gotDown, func(to int, rate float64) { got = append(got, jump{to, rate}) })
-		for q := range w {
-			if math.Float64bits(gotUp[q]) != math.Float64bits(up[q]) || math.Float64bits(gotDown[q]) != math.Float64bits(down[q]) {
-				return fmt.Errorf("line %d, position %d: read back up %v, down %v; described %v and %v", l, q, gotUp[q], gotDown[q], up[q], down[q])
+		gotUp, gotDown := read.Line(l, func(to int, rate float64) { got = append(got, jump{to, rate}) })
+		for q := range c.Width {
+			u, d, gu, gd := c.row(up)[q], c.row(down)[q], read.row(gotUp)[q], read.row(gotDown)[q]
+			if math.Float64bits(gu) != math.Float64bits(u) || math.Float64bits(gd) != math.Float64bits(d) {
+				return fmt.Errorf("line %d, position %d: read back up %v, down %v; described %v and %v", l, q, gu, gd, u, d)
 			}
 		}
 		if !slices.Equal(got, want) {
@@ -897,18 +962,18 @@ func readBackError(g *Generator, line LineFunc) error {
 	return nil
 }
 
-// gthSolve returns the stationary distribution of the irreducible chain of n
-// states whose transitions line emits, one state per line, by the
-// Grassmann–Taksar–Heyman elimination on the dense rate matrix. GTH forms
-// every pivot as a sum of off-diagonal rates rather than from the diagonal,
-// so it subtracts nothing and is accurate to a few ulps per state on the
-// small chains of FuzzLineSweep, in O(n³) time.
-func gthSolve(n int, line LineFunc) []float64 {
+// gthSolve returns the stationary distribution of the irreducible chain c of
+// one state per line, from its jumps, by the Grassmann–Taksar–Heyman
+// elimination on the dense rate matrix. GTH forms every pivot as a sum of
+// off-diagonal rates rather than from the diagonal, so it subtracts nothing
+// and is accurate to a few ulps per state on the small chains of
+// FuzzLineSweep, in O(n³) time.
+func gthSolve(c Chain) []float64 {
+	n := c.States / c.Width
 	a := make([][]float64, n)
-	var none [1]float64
 	for i := range a {
 		a[i] = make([]float64, n)
-		line(i, none[:], none[:], func(to int, rate float64) {
+		c.Line(i, func(to int, rate float64) {
 			if to != i {
 				a[i][to] += rate
 			}
@@ -946,18 +1011,12 @@ func gthSolve(n int, line LineFunc) []float64 {
 	return pi
 }
 
-// gthLineMasses returns the stationary distribution of the line chain of
-// the chain of n states that line describes in lines of the given width:
-// the exact mass of every line, by gthSolve. The line index is itself a
-// Markov chain, as every state of a line jumps to the same lines at the
-// same rates.
-func gthLineMasses(n, width int, line LineFunc) []float64 {
-	up, down := make([]float64, width), make([]float64, width)
-	return gthSolve(n/width, func(l int, _, _ []float64, jump func(int, float64)) {
-		clear(up)
-		clear(down)
-		line(l, up, down, jump)
-	})
+// gthLineMasses returns the stationary distribution of the line chain of c:
+// the exact mass of every line, by gthSolve on its jumps alone. The line
+// index is itself a Markov chain, as every state of a line jumps to the
+// same lines at the same rates.
+func gthLineMasses(c Chain) []float64 {
+	return gthSolve(Chain{States: c.States / c.Width, Width: 1, Line: c.Line})
 }
 
 // FuzzLineSweep checks relaxed line Gauss–Seidel on random line-described
@@ -967,7 +1026,7 @@ func gthLineMasses(n, width int, line LineFunc) []float64 {
 // distribution. Given the exact line masses from that distribution, the line
 // solve must converge to it. Both builds' sweep orders must be colourings:
 // every line listed once, and no jump between two lines of one colour. And
-// both builds, which store each distinct row once, must read back their
+// both builds, whose lines share declared rows, must read back their
 // descriptions exactly.
 func FuzzLineSweep(f *testing.F) {
 	// One line holding every state: a closed birth–death line.
@@ -984,33 +1043,33 @@ func FuzzLineSweep(f *testing.F) {
 	// relaxed by ω = 1.95 do not contract.
 	f.Add([]byte("|B\xf8\xbf\xc9X\xa8\x9a\xeeP\xad\x0eE>k1\xfc<\u05b2f\x05\x885B\xd4\u0437\u0085\x02\v\xa7\x10\xed\xeb\x93{L>\xbc"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, width, line := fuzzChain(data)
-		points, err := NewGenerator(n, 1, Points(width, line))
+		c := fuzzChain(data)
+		points, err := Points(c).Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines, err := NewGenerator(n, width, line)
+		lines, err := c.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := SweepOrderError(points, Points(width, line)); err != nil {
+		if err := SweepOrderError(points, Points(c).Line); err != nil {
 			t.Fatalf("width 1: %v", err)
 		}
-		if err := SweepOrderError(lines, line); err != nil {
-			t.Fatalf("width %d: %v", width, err)
+		if err := SweepOrderError(lines, c.Line); err != nil {
+			t.Fatalf("width %d: %v", c.Width, err)
 		}
-		if err := readBackError(points, Points(width, line)); err != nil {
+		if err := readBackError(points, Points(c)); err != nil {
 			t.Fatalf("width 1: %v", err)
 		}
-		if err := readBackError(lines, line); err != nil {
-			t.Fatalf("width %d: %v", width, err)
+		if err := readBackError(lines, c); err != nil {
+			t.Fatalf("width %d: %v", c.Width, err)
 		}
 		if lines.NumTransitions() != points.NumTransitions() {
 			t.Fatalf("%d transitions with lines of %d, %d with one state per line",
-				lines.NumTransitions(), width, points.NumTransitions())
+				lines.NumTransitions(), c.Width, points.NumTransitions())
 		}
-		exact := gthSolve(n, Lines(points))
-		mass := gthLineMasses(n, width, line)
+		exact := gthSolve(Lines(points))
+		mass := gthLineMasses(c)
 		sol, err := lines.SteadyState(SolveOptions{Tolerance: 1e-13, MaxIterations: 1000000, Aggregation: &Aggregation{Mass: mass}})
 		if err != nil {
 			t.Fatalf("line solve: %v", err)

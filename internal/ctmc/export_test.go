@@ -9,12 +9,26 @@ import (
 // Colours returns the number of colours of the sweep order of g.
 func Colours(g *Generator) int { return len(g.colourEnd) }
 
+// Chain is the description of a chain for NewGenerator: States states in
+// lines of Width, the rate rows Rows and the line description Line.
+type Chain struct {
+	States, Width int
+	Rows          []float64
+	Line          LineFunc
+}
+
+// Build returns the generator of c.
+func (c Chain) Build() (*Generator, error) { return NewGenerator(c.States, c.Width, c.Rows, c.Line) }
+
+// row returns row r of c.
+func (c Chain) row(r int) []float64 { return lineOf(c.Rows, int32(r), c.Width) }
+
 // SweepOrderError checks the sweep order of g, built from the line
 // description line. The order must list every line exactly once, colour by
 // colour and in index order within a colour, and no jump of line may join
 // two lines of the same colour.
 func SweepOrderError(g *Generator, line LineFunc) error {
-	w, lines := g.width, g.n/g.width
+	lines := g.n / g.width
 	if len(g.order) != lines {
 		return fmt.Errorf("sweep order lists %d lines, want %d", len(g.order), lines)
 	}
@@ -43,12 +57,9 @@ func SweepOrderError(g *Generator, line LineFunc) error {
 	if int(start) != lines {
 		return fmt.Errorf("the colours list %d of %d lines", start, lines)
 	}
-	up, down := make([]float64, w), make([]float64, w)
 	var err error
 	for l := 0; l < lines && err == nil; l++ {
-		clear(up)
-		clear(down)
-		line(l, up, down, func(to int, rate float64) {
+		line(l, func(to int, rate float64) {
 			if err == nil && rate > 0 && to != l && colour[to] == colour[l] {
 				err = fmt.Errorf("line %d -> %d joins two lines of colour %d", l, to, colour[l])
 			}
@@ -57,53 +68,51 @@ func SweepOrderError(g *Generator, line LineFunc) error {
 	return err
 }
 
-// Points returns the description, with one state per line, of the chain
-// that line describes in lines of the given width: state l·width + q steps
-// to its neighbours in line l at the rates line gives position q, and jumps
-// to position q of the lines line jumps to. It calls line once per state
-// into scratch of its own, so a build from it allocates nothing per state,
-// and two builds must not share it at once.
-func Points(width int, line LineFunc) LineFunc {
-	up, down := make([]float64, width), make([]float64, width)
+// Points returns the description of c with one state per line: state
+// l·W + q steps to its neighbours in line l at the rates of position q of
+// the rows line l names, and jumps to position q of the lines line l jumps
+// to. Its only row is the 0 that every line names. It calls c.Line once per
+// state, and a build from it allocates nothing per state; two builds must
+// not share it at once.
+func Points(c Chain) Chain {
+	w := c.Width
 	var q int
 	var emit func(int, float64)
-	shift := func(to int, rate float64) { emit(to*width+q, rate) }
-	return func(s int, _, _ []float64, jump func(int, float64)) {
-		clear(up)
-		clear(down)
-		q, emit = s%width, jump
-		line(s/width, up, down, shift)
-		if up[q] != 0 {
-			jump(s+1, up[q])
+	shift := func(to int, rate float64) { emit(to*w+q, rate) }
+	line := func(s int, jump func(int, float64)) (int, int) {
+		q, emit = s%w, jump
+		up, down := c.Line(s/w, shift)
+		if x := c.row(up)[q]; x != 0 {
+			jump(s+1, x)
 		}
-		if down[q] != 0 {
-			jump(s-1, down[q])
+		if x := c.row(down)[q]; x != 0 {
+			jump(s-1, x)
 		}
+		return 0, 0
 	}
+	return Chain{States: c.States, Width: 1, Rows: []float64{0}, Line: line}
 }
 
-// Lines returns the line description of g, read back from its rates and
+// Lines returns the description of g, read back from its rows, rates and
 // jumps, so that a chain built with NewGenerator alone, such as a model's,
 // can be rebuilt and checked. Each line emits its jumps in target order.
-func Lines(g *Generator) LineFunc {
+func Lines(g *Generator) Chain {
 	jumps := make([][]jump, len(g.lines))
 	for _, j := range g.from {
 		jumps[j.from] = append(jumps[j.from], j)
 	}
-	return func(l int, up, down []float64, emit func(int, float64)) {
-		u, d, _ := g.rates(l)
-		copy(up, u)
-		copy(down, d)
+	line := func(l int, emit func(int, float64)) (int, int) {
 		for _, j := range jumps[l] {
 			emit(int(j.to), j.rate)
 		}
+		return int(g.lines[l].up), int(g.lines[l].down)
 	}
+	return Chain{States: g.n, Width: g.width, Rows: g.rows, Line: line}
 }
 
-// GTHLineMasses returns the exact mass of every line of the chain of n
-// states that line describes in lines of the given width (see
+// GTHLineMasses returns the exact mass of every line of c (see
 // gthLineMasses).
-func GTHLineMasses(n, width int, line LineFunc) []float64 { return gthLineMasses(n, width, line) }
+func GTHLineMasses(c Chain) []float64 { return gthLineMasses(c) }
 
 // outflows returns the total outflow rate of every state of g, the negated
 // diagonal of Q.
@@ -118,7 +127,7 @@ func outflows(g *Generator) []float64 {
 	return out
 }
 
-// Rows returns the number of rate rows g stores, and how many of them are
+// Rows returns the number of rate rows g holds, and how many of them are
 // some line's up row and some line's down row.
 func Rows(g *Generator) (rows, up, down int) {
 	ups, downs := map[int32]bool{}, map[int32]bool{}

@@ -8,18 +8,20 @@
 // transition goes one step up or down, so each line is a birth–death chain.
 // Between lines a transition keeps the position (the index mod W), and every
 // state of a line sends the same transitions to the same lines at the same
-// rates. A chain is described line by line (see LineFunc): per line, the
-// rates one step up and down from each position, and its jumps, each a
-// (target line, rate) pair, so a description cannot break the structure.
-// No matrix is stored either, nor any vector over the states. The rates one
-// step up and one step down a line form two rows of W rates, and many lines
-// share a row (in the GPRS model a row depends only on the GSM calls and the
-// sessions in the on state), so each distinct row is stored once. Per line,
-// the generator holds the index of its up row and its down row, the total
-// rate of its jumps, and the (source line, rate) pairs of its inflow from
-// other lines. A state's total outflow is its line's jump total plus its
-// rates up and down. With W = 1 every state is its own line, and any chain
-// has this structure, but its line masses are then its whole solution.
+// rates. A chain is described by rows and lines (see NewGenerator and
+// LineFunc). A row holds W rates, one per position, and the description
+// declares each row once: in the GPRS model the rates one step up and one
+// step down a line depend only on the GSM calls and the sessions in the on
+// state, so many lines share a row. Each line names the row of its rates one
+// step up from each position and the row of its rates one step down, and
+// emits its jumps, each a (target line, rate) pair, so a description cannot
+// break the structure. No matrix is stored either, nor any vector over the
+// states. Per line, the generator holds the index of its up row and its down
+// row, the total rate of its jumps, and the (source line, rate) pairs of its
+// inflow from other lines. A state's total outflow is its line's jump total
+// plus its rates up and down. With W = 1 every state is its own line, and
+// any chain has this structure, but its line masses are then its whole
+// solution.
 //
 // The line index is then itself a Markov chain, and a solve requires its
 // stationary distribution, the exact mass of every line (see
@@ -71,9 +73,9 @@ import (
 
 // Common errors returned by the package.
 var (
-	// ErrInvalidTransition is returned when a line description jumps to a
-	// line out of range, gives a negative or non-finite rate, or steps off
-	// either end of a line.
+	// ErrInvalidTransition is returned when a chain description declares a
+	// negative or non-finite rate, names a row or jumps to a line out of
+	// range, or steps off either end of a line.
 	ErrInvalidTransition = errors.New("ctmc: invalid transition")
 	// ErrNotIrreducible is returned when the chain has a state with no
 	// outgoing transitions (and therefore cannot be irreducible) or when a
@@ -84,20 +86,20 @@ var (
 	ErrInvalidArgument = errors.New("ctmc: invalid argument")
 )
 
-// LineFunc describes line l of a chain in lines of width W. It must set
-// up[q] and down[q], of length W and zero on entry, to the rates from
-// position q of the line one step up and one step down it, and call
+// LineFunc describes line l of a chain in lines of width W. It calls
 // jump(to, rate) once per transition from every state of line l to the same
-// position in line to. A jump at rate 0 or back into line l is ignored.
-type LineFunc func(l int, up, down []float64, jump func(to int, rate float64))
+// position in line to, and returns the index of its up row, whose rate q is
+// that from position q one step up the line, and of its down row, whose rate
+// q is that from position q one step down (see NewGenerator). A jump at rate
+// 0 or back into line l is ignored.
+type LineFunc func(l int, jump func(to int, rate float64)) (up, down int)
 
 // Generator is the infinitesimal generator Q of a finite CTMC with the line
 // structure of the package comment.
 type Generator struct {
 	n, width int
 
-	// rows holds the distinct rate rows of the lines, width rates each, in
-	// the order the build first met them.
+	// rows holds the rate rows the description declared, width rates each.
 	rows []float64
 	// lines[l] names the rows of line l and its jump total (see rates).
 	lines []lineRates
@@ -157,90 +159,22 @@ func (b *builder) jump(to int, rate float64) {
 	b.jumps = append(b.jumps, jump{int32(b.line), int32(to), rate})
 }
 
-// rowTable stores each distinct rate row of a build once. rows holds the
-// rows, width rates each, in the order intern first met them. slots is an
-// open-addressed hash index of them: a slot holds 0 if free, or 1 + the
-// index of a row, found from the row's hash by linear probing. rows has
-// room for as many rows as half the slots, and once it is full both
-// double, so the slots stay at least half free and a build allocates for
-// the table a number of times that grows with the log of its rows, not
-// with its lines.
-type rowTable struct {
-	width int
-	rows  []float64
-	slots []int32
-}
-
-func newRowTable(width int) *rowTable {
-	const slots = 16
-	return &rowTable{width: width, rows: make([]float64, 0, slots/2*width), slots: make([]int32, slots)}
-}
-
-// intern returns the index of the row equal to row, bit for bit, adding a
-// copy of row to the table if it holds none.
-func (t *rowTable) intern(row []float64) int32 {
-	count := len(t.rows) / t.width
-	if len(t.rows) == cap(t.rows) {
-		t.rows = append(make([]float64, 0, 2*cap(t.rows)), t.rows...)
-		t.slots = make([]int32, 2*len(t.slots))
-		for r := range int32(count) {
-			t.slots[t.free(lineOf(t.rows, r, t.width))] = r + 1
-		}
-	}
-	mask := len(t.slots) - 1
-	for i := hashRow(row) & mask; ; i = (i + 1) & mask {
-		r := t.slots[i] - 1
-		if r < 0 {
-			t.slots[i] = int32(count) + 1
-			t.rows = append(t.rows, row...)
-			return int32(count)
-		}
-		if equalBits(lineOf(t.rows, r, t.width), row) {
-			return r
-		}
-	}
-}
-
-// free returns the first free slot on the probe sequence of row.
-func (t *rowTable) free(row []float64) int {
-	mask := len(t.slots) - 1
-	i := hashRow(row) & mask
-	for t.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// hashRow hashes the bits of a row (FNV-1a over 64-bit words, with the high
-// bits folded into the low ones that index the slots).
-func hashRow(row []float64) int {
-	h := uint64(14695981039346656037)
-	for _, x := range row {
-		h = (h ^ math.Float64bits(x)) * 1099511628211
-	}
-	return int(h ^ h>>32)
-}
-
-// equalBits reports whether a and b, of equal length, hold the same bits.
-func equalBits(a, b []float64) bool {
-	for i, x := range a {
-		if math.Float64bits(x) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // validRate reports whether rate is finite and not negative.
 func validRate(rate float64) bool { return rate >= 0 && rate <= math.MaxFloat64 }
 
 // NewGenerator builds the generator of a CTMC with numStates states in lines
-// of lineWidth states from the line description, which it calls once per
-// line. It returns an error wrapping ErrInvalidTransition if a jump targets
-// a line out of range, if a rate is negative or not finite, or if a line
-// steps up from its last position or down from its first. It returns an
-// error wrapping ErrNotIrreducible if some state has no outgoing transition.
-func NewGenerator(numStates, lineWidth int, line LineFunc) (*Generator, error) {
+// of lineWidth states from its rate rows and its line description. rows
+// declares the rows, lineWidth rates each: row i is
+// rows[i·lineWidth : (i+1)·lineWidth]. A line's up row must end at 0 and
+// its down row start at 0, as no step leaves a line. The generator keeps
+// rows, which the caller must not change afterwards. NewGenerator calls line
+// once per line. It returns an error wrapping ErrInvalidTransition if a row
+// holds a negative or non-finite rate, if a line names a row out of range,
+// an up row that does not end at 0 or a down row that does not start at 0,
+// or if a jump targets a line out of range or has a negative or non-finite
+// rate. It returns an error wrapping ErrNotIrreducible if some state has no
+// outgoing transition.
+func NewGenerator(numStates, lineWidth int, rows []float64, line LineFunc) (*Generator, error) {
 	if numStates <= 0 {
 		return nil, fmt.Errorf("%w: numStates = %d", ErrInvalidArgument, numStates)
 	}
@@ -250,15 +184,28 @@ func NewGenerator(numStates, lineWidth int, line LineFunc) (*Generator, error) {
 	if lineWidth <= 0 || numStates%lineWidth != 0 {
 		return nil, fmt.Errorf("%w: line width %d does not divide %d states", ErrInvalidArgument, lineWidth, numStates)
 	}
+	if len(rows)%lineWidth != 0 || len(rows)/lineWidth > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d rates do not form rows of %d", ErrInvalidArgument, len(rows), lineWidth)
+	}
 	if line == nil {
 		return nil, fmt.Errorf("%w: nil line function", ErrInvalidArgument)
 	}
 
+	// Check every row once, and count its non-zero rates.
+	nonZero := make([]int64, len(rows)/lineWidth)
+	for r := range nonZero {
+		for q, x := range lineOf(rows, int32(r), lineWidth) {
+			if !validRate(x) {
+				return nil, fmt.Errorf("%w: row %d has rate %v at position %d", ErrInvalidTransition, r, x, q)
+			}
+			if x != 0 {
+				nonZero[r]++
+			}
+		}
+	}
+
 	lines := numStates / lineWidth
-	g := &Generator{n: numStates, width: lineWidth, lines: make([]lineRates, lines)}
-	rows := newRowTable(lineWidth)
-	scratch := make([]float64, 2*lineWidth)
-	up, down := scratch[:lineWidth], scratch[lineWidth:]
+	g := &Generator{n: numStates, width: lineWidth, rows: rows, lines: make([]lineRates, lines)}
 	// The jumps have room for eight per line before they grow.
 	b := &builder{lines: lines, jumps: make([]jump, 0, 8*lines)}
 	jumpTo := b.jump
@@ -269,44 +216,40 @@ func NewGenerator(numStates, lineWidth int, line LineFunc) (*Generator, error) {
 	var maxOut float64
 	for s := 0; b.line < lines; b.line, s = b.line+1, s+lineWidth {
 		first := len(b.jumps)
-		clear(scratch)
-		line(b.line, up, down, jumpTo)
+		u, d := line(b.line, jumpTo)
 		if b.err != nil {
 			return nil, b.err
+		}
+		if u < 0 || u >= len(nonZero) || d < 0 || d >= len(nonZero) {
+			return nil, fmt.Errorf("%w: line %d names up row %d and down row %d of %d", ErrInvalidTransition, b.line, u, d, len(nonZero))
+		}
+		up, down := lineOf(rows, int32(u), lineWidth), lineOf(rows, int32(d), lineWidth)
+		if up[lineWidth-1] != 0 {
+			return nil, fmt.Errorf("%w: state %d steps up off the end of line %d", ErrInvalidTransition, s+lineWidth-1, b.line)
+		}
+		if down[0] != 0 {
+			return nil, fmt.Errorf("%w: state %d steps down off the start of line %d", ErrInvalidTransition, s, b.line)
 		}
 		var leave float64
 		for _, j := range b.jumps[first:] {
 			leave += j.rate
 		}
-		nnz += int64(len(b.jumps)-first) * int64(lineWidth)
-		for q, u := range up {
-			d := down[q]
-			switch {
-			case !validRate(u) || !validRate(d):
-				return nil, fmt.Errorf("%w: state %d steps up at rate %v, down at %v", ErrInvalidTransition, s+q, u, d)
-			case q == lineWidth-1 && u != 0:
-				return nil, fmt.Errorf("%w: state %d steps up off the end of line %d", ErrInvalidTransition, s+q, b.line)
-			case q == 0 && d != 0:
-				return nil, fmt.Errorf("%w: state %d steps down off the start of line %d", ErrInvalidTransition, s+q, b.line)
+		nnz += nonZero[u] + nonZero[d] + int64(len(b.jumps)-first)*int64(lineWidth)
+		for q, x := range up {
+			out := leave + x + down[q]
+			if out > maxOut {
+				maxOut = out
 			}
-			if u != 0 {
-				nnz++
-			}
-			if d != 0 {
-				nnz++
-			}
-			out := leave + u + d
-			if out <= 0 && numStates > 1 && dead < 0 {
+			if out == 0 && dead < 0 {
 				dead = s + q
 			}
-			maxOut = max(maxOut, out)
 		}
-		g.lines[b.line] = lineRates{rows.intern(up), rows.intern(down), leave}
+		g.lines[b.line] = lineRates{int32(u), int32(d), leave}
 	}
-	if dead >= 0 {
+	if dead >= 0 && numStates > 1 {
 		return nil, fmt.Errorf("%w: state %d has no outgoing transitions", ErrNotIrreducible, dead)
 	}
-	g.rows, g.nnz, g.maxOutRate = rows.rows, nnz, maxOut
+	g.nnz, g.maxOutRate = nnz, maxOut
 
 	// Sort the jumps stably by target line, in place: count them per line,
 	// sum the counts up to each line's end, and place the jumps of each line

@@ -14,7 +14,7 @@ import (
 // quickFig6Model returns the model of one Quick Fig. 6 point: traffic model
 // 3 on a 10-channel cell with a 30-packet buffer and at most 10 sessions,
 // and the description of its buffer lines, read back from its generator.
-func quickFig6Model(t *testing.T, fraction, rate float64) (*core.Model, core.Config, ctmc.LineFunc) {
+func quickFig6Model(t *testing.T, fraction, rate float64) (*core.Model, core.Config, ctmc.Chain) {
 	t.Helper()
 	cfg := core.BaseConfig(traffic.Model3, rate)
 	cfg.Channels.TotalChannels = 10
@@ -51,21 +51,29 @@ func lineMasses(t *testing.T, model *core.Model, cfg core.Config, tol float64) (
 
 // denseChain returns a chain of n lines in which every line jumps to every
 // other, so its line graph is complete and needs n colours. Each line of
-// width w steps up and down at rates that vary with the line.
-func denseChain(n, w int) ctmc.LineFunc {
-	return func(l int, up, down []float64, jump func(int, float64)) {
+// width w steps up and down at rates that vary with the line: line l names
+// up row l mod 3 and down row 3 + l mod 4.
+func denseChain(n, w int) ctmc.Chain {
+	rows := make([]float64, 7*w)
+	for q := 1; q < w; q++ {
+		for l := range 3 {
+			rows[l*w+q-1] = 1 + float64((l+q)%3)
+		}
+		for l := range 4 {
+			rows[(3+l)*w+q] = 0.5 + float64((l*q)%4)
+		}
+	}
+	return ctmc.Chain{States: n * w, Width: w, Rows: rows, Line: func(l int, jump func(int, float64)) (int, int) {
 		for to := range n {
 			jump(to, 1+float64((l+2*to)%7))
 		}
-		for q := 1; q < w; q++ {
-			up[q-1], down[q] = 1+float64((l+q)%3), 0.5+float64((l*q)%4)
-		}
-	}
+		return l % 3, 3 + l%4
+	}}
 }
 
-func build(t *testing.T, n, width int, line ctmc.LineFunc) *ctmc.Generator {
+func build(t *testing.T, c ctmc.Chain) *ctmc.Generator {
 	t.Helper()
-	g, err := ctmc.NewGenerator(n, width, line)
+	g, err := c.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +88,9 @@ func build(t *testing.T, n, width int, line ctmc.LineFunc) *ctmc.Generator {
 // the first, which the plain rate, still climbing at sweep 5, puts 0.10
 // below it.
 func TestSecondReadingNearsBestFixedOmega(t *testing.T) {
-	model, cfg, line := quickFig6Model(t, 0.05, 0.6)
+	model, cfg, c := quickFig6Model(t, 0.05, 0.6)
 	mass, _ := lineMasses(t, model, cfg, 1e-12)
-	g := build(t, cfg.NumStates(), cfg.BufferSize+1, line)
+	g := build(t, c)
 	opts := ctmc.SolveOptions{Tolerance: 1e-12, Aggregation: &ctmc.Aggregation{Mass: mass}}
 	sol, omegas, err := ctmc.SolveReadings(g, opts)
 	if err != nil {
@@ -112,28 +120,26 @@ func TestSecondReadingNearsBestFixedOmega(t *testing.T) {
 // generator, built with buffer lines and with one state per line, and of a
 // dense chain whose 70 colours do not fit a 64-bit mask.
 func TestSweepOrderIsAColouring(t *testing.T) {
-	_, cfg, lines := quickFig6Model(t, 0.05, 0.6)
-	n, k := cfg.NumStates(), cfg.BufferSize
+	_, _, lines := quickFig6Model(t, 0.05, 0.6)
 	const dense = 70
 	for _, tc := range []struct {
 		name       string
-		n, width   int
-		line       ctmc.LineFunc
+		chain      ctmc.Chain
 		minColours int
 	}{
-		{"Quick Fig. 6 with buffer lines", n, k + 1, lines, 2},
-		{"Quick Fig. 6 with one state per line", n, 1, ctmc.Points(k+1, lines), 2},
-		{"dense chain with one state per line", dense, 1, denseChain(dense, 1), dense},
+		{"Quick Fig. 6 with buffer lines", lines, 2},
+		{"Quick Fig. 6 with one state per line", ctmc.Points(lines), 2},
+		{"dense chain with one state per line", denseChain(dense, 1), dense},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := build(t, tc.n, tc.width, tc.line)
-			if err := ctmc.SweepOrderError(g, tc.line); err != nil {
+			g := build(t, tc.chain)
+			if err := ctmc.SweepOrderError(g, tc.chain.Line); err != nil {
 				t.Fatal(err)
 			}
 			if c := ctmc.Colours(g); c < tc.minColours {
 				t.Errorf("%d colours, want at least %d", c, tc.minColours)
 			}
-			t.Logf("%d lines in %d colours", tc.n/tc.width, ctmc.Colours(g))
+			t.Logf("%d lines in %d colours", tc.chain.States/tc.chain.Width, ctmc.Colours(g))
 		})
 	}
 }
@@ -153,27 +159,25 @@ func TestSweepOrderIsAColouring(t *testing.T) {
 // solve them and reach the same zeros.
 func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
 	model, cfg, lines := quickFig6Model(t, 0.10, 1.0)
-	n, k := cfg.NumStates(), cfg.BufferSize
 	productForm, _ := lineMasses(t, model, cfg, 1e-6)
 	lowModel, lowCfg, lowLines := quickFig6Model(t, 0.05, 0.6)
 	lowMasses, _ := lineMasses(t, lowModel, lowCfg, 1e-6)
 	dataModel, dataCfg, dataLines := quickFig6Model(t, 1, 1.0)
 	dataMasses, _ := lineMasses(t, dataModel, dataCfg, 1e-6)
-	const dense, denseWidth = 70, 3
+	dense := denseChain(70, 3)
 	for _, tc := range []struct {
-		name     string
-		n, width int
-		line     ctmc.LineFunc
-		mass     []float64
+		name  string
+		chain ctmc.Chain
+		mass  []float64
 	}{
-		{"Quick Fig. 6 with buffer lines", n, k + 1, lowLines, lowMasses},
-		{"Quick Fig. 6 with buffer lines and product-form masses", n, k + 1, lines, productForm},
-		{"Quick Fig. 6 at GPRS fraction 1 with product-form masses", n, k + 1, dataLines, dataMasses},
-		{"dense chain in lines of 3", dense * denseWidth, denseWidth, denseChain(dense, denseWidth),
-			ctmc.GTHLineMasses(dense*denseWidth, denseWidth, denseChain(dense, denseWidth))},
+		{"Quick Fig. 6 with buffer lines", lowLines, lowMasses},
+		{"Quick Fig. 6 with buffer lines and product-form masses", lines, productForm},
+		{"Quick Fig. 6 at GPRS fraction 1 with product-form masses", dataLines, dataMasses},
+		{"dense chain in lines of 3", dense, ctmc.GTHLineMasses(dense)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := build(t, tc.n, tc.width, tc.line)
+			g := build(t, tc.chain)
+			w := tc.chain.Width
 			const sweeps = 20
 			for _, omega := range []float64{1, 1.3} {
 				four, _, err := ctmc.Iterates(g, sweeps, false, tc.mass, omega)
@@ -193,7 +197,7 @@ func TestFourWidePassMatchesOneLineAtATime(t *testing.T) {
 					}
 					for l, m := range tc.mass {
 						var sum float64
-						for _, x := range four[it][l*tc.width:][:tc.width] {
+						for _, x := range four[it][l*w:][:w] {
 							sum += x
 						}
 						if math.Abs(sum-m) > 1e-13*m {
@@ -218,7 +222,7 @@ func TestZeroMassLinesAreFitted(t *testing.T) {
 	for _, fraction := range []float64{0, 1} {
 		t.Run(fmt.Sprintf("GPRS fraction %v", fraction), func(t *testing.T) {
 			model, cfg, lines := quickFig6Model(t, fraction, 0.6)
-			n, w := cfg.NumStates(), cfg.BufferSize+1
+			w := cfg.BufferSize + 1
 			mass, _ := lineMasses(t, model, cfg, 1e-10)
 			zero := 0
 			for _, m := range mass {
@@ -229,7 +233,7 @@ func TestZeroMassLinesAreFitted(t *testing.T) {
 			if zero == 0 {
 				t.Fatal("no line has mass 0")
 			}
-			g := build(t, n, w, lines)
+			g := build(t, lines)
 			_, stats, err := ctmc.Iterates(g, 20, false, mass, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -258,13 +262,13 @@ func TestZeroMassLinesAreFitted(t *testing.T) {
 }
 
 // TestLinesShareRows checks the rate rows of the Quick Fig. 6 generator. A
-// line's rates up and down its buffer depend only on its GSM calls and its
-// sessions in the on state, so the 660 lines share 86 up rows and 10 down
-// rows, and every line must read back, bit for bit, the rates that core's
-// description of it writes: Table 1's offered packet rate one step up from
-// each buffer level below K, and its service rate one step down from each
-// level above 0. Built with one state per line, every row is 0, so the
-// generator stores a single row.
+// line's rates up and down its buffer depend only on its GSM calls n and its
+// sessions in the on state, so core declares one down row per n and one up
+// row per n and number of on sessions: 10 × (1 + 11) = 120 rows for the 660
+// lines, every one of them named by some line. Every line must read back,
+// bit for bit, the rates that Table 1 gives its states: the offered packet
+// rate one step up from each buffer level below K, and the service rate one
+// step down from each level above 0.
 func TestLinesShareRows(t *testing.T) {
 	model, cfg, lines := quickFig6Model(t, 0.05, 0.6)
 	n, w := cfg.NumStates(), cfg.BufferSize+1
@@ -272,16 +276,13 @@ func TestLinesShareRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, up, down := ctmc.Rows(g); rows != 96 || up != 86 || down != 10 {
-		t.Errorf("%d rows, %d of them up rows and %d down rows; want 96, 86 and 10", rows, up, down)
+	if rows, up, down := ctmc.Rows(g); rows != 120 || up != 110 || down != 10 {
+		t.Errorf("%d rows, %d of them up rows and %d down rows; want 120, 110 and 10", rows, up, down)
 	}
 	space := core.NewStateSpace(cfg.Channels.GSMChannels(), cfg.BufferSize, cfg.MaxSessions)
-	up, down := make([]float64, w), make([]float64, w)
-	read := ctmc.Lines(g)
 	for l := range n / w {
-		clear(up)
-		clear(down)
-		read(l, up, down, func(int, float64) {})
+		upRow, downRow := lines.Line(l, func(int, float64) {})
+		up, down := lines.Rows[upRow*w:][:w], lines.Rows[downRow*w:][:w]
 		for k := range w {
 			s := space.State(l*w + k)
 			var wantUp, wantDown float64
@@ -296,14 +297,11 @@ func TestLinesShareRows(t *testing.T) {
 			}
 		}
 	}
-	if rows, _, _ := ctmc.Rows(build(t, n, 1, ctmc.Points(w, lines))); rows != 1 {
-		t.Errorf("the build with one state per line stores %d rows, want 1", rows)
-	}
 }
 
 // TestNewGeneratorBytesPerState bounds what a build of a Quick Fig. 6
-// generator allocates per state: the lines' jumps, their rows and the sweep
-// order come to about 11 B. A vector over the states, at 8 B a state, would
+// generator allocates per state: the lines' jumps, the declared rows and the
+// sweep order come to about 8 B. A vector over the states, at 8 B a state, would
 // break the bound. The least of three builds is taken, so that what the
 // runtime allocates meanwhile does not count.
 func TestNewGeneratorBytesPerState(t *testing.T) {

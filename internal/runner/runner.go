@@ -370,6 +370,18 @@ func mergePerCell(results []sim.Results) []sim.CellMeasures {
 	return merged
 }
 
+// CheckBatches returns an error wrapping sim.ErrInvalidConfig if a run of
+// cfg under o merges a single replication of one batch: the merge passes
+// that replication's batch-means intervals through, and one batch has no
+// variance estimate, so every interval would be infinite. Run calls it; a
+// caller that runs a single replication without Run calls it first.
+func CheckBatches(cfg sim.Config, o Options) error {
+	if o = o.withDefaults(); o.Precision <= 0 && o.Replications == 1 && cfg.Batches == 1 {
+		return fmt.Errorf("%w: one batch in one replication has no confidence interval; use 2 or more batches or replications", sim.ErrInvalidConfig)
+	}
+	return nil
+}
+
 // Run executes independent replications of the given simulator configuration
 // (the configuration's own Seed field is ignored; replication i runs with
 // SeedFor(BaseSeed, i), or SeedFor(BaseSeed, i/2) on paired stream kinds
@@ -387,6 +399,9 @@ func mergePerCell(results []sim.Results) []sim.CellMeasures {
 func Run(cfg sim.Config, o Options) (Summary, error) {
 	if !o.Target.Valid() || o.VR < VRNone || o.VR > VRControl {
 		return Summary{}, fmt.Errorf("runner: unknown target %v or variance reduction %v", o.Target, o.VR)
+	}
+	if err := CheckBatches(cfg, o); err != nil {
+		return Summary{}, err
 	}
 	o = o.withDefaults()
 	lim := o.Limiter

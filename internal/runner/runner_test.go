@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sync"
@@ -181,6 +182,12 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	cfg.BufferSize = 0
 	if _, err := Run(cfg, Options{Replications: 2}); err == nil {
 		t.Error("invalid configuration should fail")
+	}
+	// One batch in one replication has no confidence interval.
+	cfg = testConfig()
+	cfg.Batches = 1
+	if _, err := Run(cfg, Options{}); !errors.Is(err, sim.ErrInvalidConfig) {
+		t.Errorf("one batch in one replication: got %v, want sim.ErrInvalidConfig", err)
 	}
 }
 
