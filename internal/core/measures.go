@@ -61,19 +61,41 @@ func (m *Model) MeasuresFrom(pi []float64) (Measures, error) {
 		offered  float64 // average offered packet arrival rate
 		queueLen float64 // mean queue length
 	)
-	// Walk the states in index order (see StateSpace), not inverting indices.
-	sp, idx := m.space, 0
-	for n := 0; n <= sp.GSMChannels(); n++ {
+	// Walk the (n, m, r) lines in index order (see StateSpace), not
+	// inverting indices, with the arithmetic of UsablePDCH and
+	// OfferedPacketRate: the m − r sessions in the on state offer their rate
+	// at every buffer level k up to the flow-control threshold, and at most
+	// the service rate above it. pdch[k] is UsablePDCH of the line's n and
+	// k; up to 127 buffer places it lives on the stack.
+	var (
+		sp       = m.space
+		width    = sp.BufferSize() + 1
+		channels = m.cfg.Channels
+		lambda   = m.rates.IPP.Lambda
+		mu       = m.rates.PacketServiceRate
+		limit    = m.flowControlLimit
+		buf      [128]float64
+		pdch     = buf[:min(width, len(buf))]
+	)
+	if width > len(buf) {
+		pdch = make([]float64, width)
+	}
+	for n, l := 0, 0; n <= sp.GSMChannels(); n++ {
+		for k := range pdch {
+			pdch[k] = float64(channels.UsablePDCH(n, k))
+		}
 		for mm := 0; mm <= sp.MaxSessions(); mm++ {
-			for r := 0; r <= mm; r++ {
-				for k := 0; k <= sp.BufferSize(); k, idx = k+1, idx+1 {
-					p := pi[idx]
-					if p == 0 {
-						continue
+			for r := 0; r <= mm; r, l = r+1, l+1 {
+				rate := float64(mm-r) * lambda
+				for k, p := range pi[l*width : (l+1)*width] {
+					o := rate
+					if !(float64(k) <= limit) {
+						if service := pdch[k] * mu; service < rate {
+							o = service
+						}
 					}
-					s := State{GSMCalls: n, Packets: k, Sessions: mm, OffSessions: r}
-					cdt += p * float64(m.UsablePDCH(s))
-					offered += p * m.OfferedPacketRate(s)
+					cdt += p * pdch[k]
+					offered += p * o
 					queueLen += p * float64(k)
 				}
 			}

@@ -161,12 +161,20 @@ func (m *Model) lines() ([]float64, ctmc.LineFunc) {
 			}
 		}
 	}
-	return rows, func(l int, jump func(to int, rate float64)) (up, down int) {
-		s := space.State(l * width)
-		n, mm, r := s.GSMCalls, s.Sessions, s.OffSessions
-		line := func(n, mm, r int) int {
-			return space.Index(State{GSMCalls: n, Sessions: mm, OffSessions: r}) / width
+	// Line n·tri + t is block (n, m, r) with t = m(m+1)/2 + r (see
+	// StateSpace), and sessions[t] is its m.
+	tri := space.triSize
+	sessions := make([]int32, 0, tri)
+	for mm := range maxM + 1 {
+		for range mm + 1 {
+			sessions = append(sessions, int32(mm))
 		}
+	}
+	return rows, func(l int, jump func(to int, rate float64)) (up, down int) {
+		n, t := l/tri, l%tri
+		mm := int(sessions[t])
+		r := t - mm*(mm+1)/2
+		line := func(n, mm, r int) int { return n*tri + mm*(mm+1)/2 + r }
 
 		// (i) Incoming GSM calls and handovers: admitted while on-demand
 		// channels remain.
@@ -278,9 +286,13 @@ var ErrNotConverged = errors.New("core: model solve did not converge")
 // colour at a time), which gives the iterates of a sweep in index order, so
 // the sweep count and every measure are those of index order; it leaves out
 // the lines of mass 0, which at GPRS fraction 1 or 0 are 594 or 650 of the
-// 660. Besides the generator's per-line data and declared rate rows (see
-// BuildGenerator), a solve holds two vectors over the states, the iterate
-// and the inverse pivots of the lines' Thomas passes: 16 B a state.
+// 660. Each line's Thomas pass writes into scratch of four line widths, and
+// the relaxed update, reading the line's old values from the iterate,
+// writes each of its states once. Besides the generator's per-line data and
+// declared rate rows (see BuildGenerator), a solve holds two vectors over
+// the states, the iterate and the inverse pivots of the lines' Thomas
+// passes, which four lines' pivot recurrences at a time compute: 16 B a
+// state.
 func (m *Model) Solve(opts ctmc.SolveOptions) (*Result, error) {
 	gen, err := m.BuildGenerator()
 	if err != nil {

@@ -547,8 +547,12 @@ func TestMeasuresFromRejectsWrongLength(t *testing.T) {
 func TestMeasuresFromWalkMatchesIndexLoop(t *testing.T) {
 	// MeasuresFrom walks the states in index order; summed in the same
 	// order, its sums must equal bit for bit those of a loop that inverts
-	// every index.
-	for name, cfg := range map[string]Config{"small": smallConfig(), "Quick Fig. 6": quickFig6Config(0.05, 0.6)} {
+	// every index and asks UsablePDCH and OfferedPacketRate of each state.
+	// Its table of UsablePDCH over the buffer levels is on the stack up to
+	// 127 places, and on the heap for the 200 of the wide buffer.
+	wide := smallConfig()
+	wide.BufferSize = 200
+	for name, cfg := range map[string]Config{"small": smallConfig(), "Quick Fig. 6": quickFig6Config(0.05, 0.6), "wide buffer": wide} {
 		model, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

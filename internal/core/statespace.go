@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // State is one state of the aggregated Markov model (Section 4.1).
 type State struct {
@@ -24,7 +21,7 @@ func (s State) String() string {
 	return fmt.Sprintf("(n=%d, k=%d, m=%d, r=%d)", s.GSMCalls, s.Packets, s.Sessions, s.OffSessions)
 }
 
-// StateSpace maps between State tuples and dense integer indices. The layout
+// StateSpace maps State tuples to dense integer indices. The layout
 // iterates n (outermost), then the triangular (m, r) index t, then the
 // buffer level k (innermost): Index = (n·tri + t)·(K+1) + k. Every (n, m, r)
 // block is thus one run of K+1 consecutive states in k order, which the
@@ -67,29 +64,4 @@ func (sp StateSpace) MaxSessions() int { return sp.maxSessions }
 func (sp StateSpace) Index(s State) int {
 	t := s.Sessions*(s.Sessions+1)/2 + s.OffSessions
 	return (s.GSMCalls*sp.triSize+t)*(sp.bufferSize+1) + s.Packets
-}
-
-// State returns the state tuple for a dense index.
-func (sp StateSpace) State(index int) State {
-	k := index % (sp.bufferSize + 1)
-	rest := index / (sp.bufferSize + 1)
-	tri := rest % sp.triSize
-	n := rest / sp.triSize
-	// Invert the triangular index: find the largest m with m(m+1)/2 <= tri.
-	m := triangularRow(tri)
-	r := tri - m*(m+1)/2
-	return State{GSMCalls: n, Packets: k, Sessions: m, OffSessions: r}
-}
-
-// triangularRow returns the largest m such that m(m+1)/2 <= tri.
-func triangularRow(tri int) int {
-	// Solve m^2 + m - 2 tri = 0 and correct for floating-point rounding.
-	m := int((math.Sqrt(8*float64(tri)+1) - 1) / 2)
-	for (m+1)*(m+2)/2 <= tri {
-		m++
-	}
-	for m > 0 && m*(m+1)/2 > tri {
-		m--
-	}
-	return m
 }

@@ -1,9 +1,37 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
+
+// State returns the state tuple for a dense index, the inverse of Index.
+// The tests decode states with it, for their per-state encoding of Table 1
+// among others; the model walks its states in index order and decodes none.
+func (sp StateSpace) State(index int) State {
+	k := index % (sp.bufferSize + 1)
+	rest := index / (sp.bufferSize + 1)
+	tri := rest % sp.triSize
+	n := rest / sp.triSize
+	// Invert the triangular index: find the largest m with m(m+1)/2 <= tri.
+	m := triangularRow(tri)
+	r := tri - m*(m+1)/2
+	return State{GSMCalls: n, Packets: k, Sessions: m, OffSessions: r}
+}
+
+// triangularRow returns the largest m such that m(m+1)/2 <= tri.
+func triangularRow(tri int) int {
+	// Solve m^2 + m - 2 tri = 0 and correct for floating-point rounding.
+	m := int((math.Sqrt(8*float64(tri)+1) - 1) / 2)
+	for (m+1)*(m+2)/2 <= tri {
+		m++
+	}
+	for m > 0 && m*(m+1)/2 > tri {
+		m--
+	}
+	return m
+}
 
 func TestStateSpaceSize(t *testing.T) {
 	// N_GSM = 19, K = 100, M = 50 gives the state-space size quoted in

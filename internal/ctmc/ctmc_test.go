@@ -689,10 +689,11 @@ func TestStalledSolveIsNotConverged(t *testing.T) {
 }
 
 // TestFitMovesLineTowardsThomasPass checks the relaxed update of one line:
-// it moves from its old values towards the Thomas pass's, scaled to its
-// mass, by ω times the distance, and reports how far it moved; a line that
-// would go negative, a line of mass 0 and a line the pass left negative are
-// each set as the unrelaxed sweep sets them.
+// it moves from its old values, which the line holds, towards the Thomas
+// pass's, scaled to its mass, by ω times the distance, and reports how far
+// it moved; a line that would go negative, a line of mass 0 and a line the
+// pass left negative are each set as the unrelaxed sweep sets them. The
+// pass's values must stay as they are.
 func TestFitMovesLineTowardsThomasPass(t *testing.T) {
 	for _, c := range []struct {
 		name         string
@@ -717,14 +718,14 @@ func TestFitMovesLineTowardsThomasPass(t *testing.T) {
 			[]float64{-0.5, 1}, false, 1.2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			line, old := slices.Clone(c.y), slices.Clone(c.old)
+			line, ys := slices.Clone(c.old), slices.Clone(c.y)
 			var sum float64
 			var signs uint64
-			for _, x := range slices.Backward(line) {
+			for _, x := range slices.Backward(ys) {
 				sum += x
 				signs |= math.Float64bits(x)
 			}
-			fitted, change := fit(line, old, c.mass, 0, sum, signs, c.omega)
+			fitted, change := fit(line, ys, c.mass, 0, sum, signs, c.omega)
 			if fitted != c.fitted || !almostEqual(change, c.change, 1e-15) {
 				t.Errorf("fit reports fitted %v, change %v; want %v, %v", fitted, change, c.fitted, c.change)
 			}
@@ -732,6 +733,9 @@ func TestFitMovesLineTowardsThomasPass(t *testing.T) {
 				if !almostEqual(line[q], c.want[q], 1e-15) {
 					t.Fatalf("line = %v, want %v", line, c.want)
 				}
+			}
+			if !slices.Equal(ys, c.y) {
+				t.Errorf("fit changed the pass's values to %v, want %v", ys, c.y)
 			}
 		})
 	}

@@ -142,8 +142,7 @@ func Rows(g *Generator) (rows, up, down int) {
 // does before the first sweep.
 func Start(g *Generator, mass []float64) ([]float64, error) {
 	pi := make([]float64, g.n)
-	g.start(pi, mass)
-	return pi, restore(g, pi, mass)
+	return pi, g.start(pi, mass)
 }
 
 // restore rescales v to the line masses.
@@ -205,9 +204,10 @@ func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64, omega f
 // sweep in index order, which the colour order equals, that gathers each
 // line's inflow and runs its Thomas pass before it moves to the next line.
 // It solves every line, those of mass 0 too. Right after its Thomas pass,
-// it keeps the line's old values in rhs, sums the line from its last state
-// down, and moves the line as fit does. It reports whether it scaled every
-// line to its mass, and how far it moved pi.
+// which writes the pass's values into the line, it keeps the line's old
+// values in rhs, sums the line from its last state down, and moves the line
+// by referenceFit, not by the solver's fit. It reports whether it scaled
+// every line to its mass, and how far it moved pi.
 func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs, mass []float64, omega float64) (bool, float64) {
 	w := g.width
 	fitted := true
@@ -240,11 +240,53 @@ func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs, mass []float64, omega 
 			sum += x
 			signs |= math.Float64bits(x)
 		}
-		ok, c := fit(line, rhs, mass, l, sum, signs, omega)
+		ok, c := referenceFit(line, rhs, mass, l, sum, signs, omega)
 		fitted = fitted && ok
 		change += c
 	}
 	return fitted, change
+}
+
+// referenceFit is the relaxed update of fit in its own arithmetic, kept
+// apart from the solver's so that the sweeps are checked against an update
+// they do not share: given the values y of the Thomas pass in line and the
+// line's old values in old, it writes the new values into line and
+// overwrites old. The line moves from old to old + omega·(f·y − old), with
+// f = mass/sum, or to f·y if that is negative anywhere. A line of mass 0 is
+// zeroed, and a line with a negative y, or whose sum is 0 or not finite,
+// is set to y.
+func referenceFit(line, old, mass []float64, l int, sum float64, signs uint64, omega float64) (bool, float64) {
+	f, fitted := 1.0, true
+	switch {
+	case mass[l] == 0:
+		var change float64
+		for _, x := range old {
+			change += math.Abs(x)
+		}
+		clear(line)
+		return true, change
+	case signs>>63 != 0 || !(sum > 0 && sum <= math.MaxFloat64):
+		f, omega, fitted = 1, 1, false
+	default:
+		f = mass[l] / sum
+	}
+	var change float64
+	var neg uint64
+	for q, y := range line {
+		y *= f
+		d := y - old[q]
+		change += math.Abs(d)
+		if omega != 1 {
+			old[q], y = y, old[q]+omega*d
+			neg |= math.Float64bits(y)
+		}
+		line[q] = y
+	}
+	if neg>>63 != 0 {
+		copy(line, old)
+		return fitted, change
+	}
+	return fitted, omega * change
 }
 
 // SolveReadings is SteadyState that also returns each ω the solve read

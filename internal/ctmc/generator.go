@@ -46,8 +46,10 @@
 // The sweeps are over-relaxed: right after its Thomas pass, each line moves
 // from its old values towards the pass's, scaled to its mass, by ω times the
 // distance. That uses only the line's own old values, so the colour order
-// still gives the iterates of index order. Each sweep also reports the L1
-// distance it moved the iterate. A solve runs five plain sweeps, reads the
+// still gives the iterates of index order. The pass writes its values into
+// scratch of the line's width, and the line, which still holds its old
+// values, is written once, by the relaxed update. Each sweep also reports
+// the L1 distance it moved the iterate. A solve runs five plain sweeps, reads the
 // contraction rate ρ of the error from the last two distances, and relaxes
 // every later sweep by Young's ω = 2/(1+√(1−ρ)) (W. J. Stewart,
 // Introduction to the Numerical Solution of Markov Chains, 1994, ch. 3),
@@ -384,28 +386,39 @@ func (g *Generator) inflow(pi []float64, l int, x []float64) {
 func lineOf(v []float64, l int32, w int) []float64 { return v[int(l)*w:][:w] }
 
 // Residual returns the infinity norm of pi*Q, i.e. max_j |inflow_j - pi_j d_j|.
-// A steady-state vector has residual 0.
+// A steady-state vector has residual 0. The first state of a line has no
+// state below it and the last none above it, so it handles those two
+// outside the loop over the line's inner states.
 func (g *Generator) Residual(pi []float64) (float64, error) {
 	if len(pi) != g.n {
 		return 0, fmt.Errorf("%w: vector length %d, want %d", ErrInvalidArgument, len(pi), g.n)
 	}
-	x := make([]float64, g.width)
+	w := g.width
+	x := make([]float64, w)
 	var worst float64
-	for l, s := 0, 0; s < g.n; l, s = l+1, s+g.width {
+	for l, s := 0, 0; s < g.n; l, s = l+1, s+w {
 		g.inflow(pi, l, x)
 		up, down, leave := g.rates(l)
-		for q, sum := range x {
-			j := s + q
-			if q > 0 {
-				sum += pi[j-1] * up[q-1]
-			}
-			if q+1 < g.width {
-				sum += pi[j+1] * down[q+1]
-			}
-			if r := math.Abs(sum - pi[j]*(leave+up[q]+down[q])); r > worst {
-				worst = r
-			}
+		up, down, line := up[:w], down[:w], pi[s:s+w]
+		if w == 1 {
+			worst = worse(worst, x[0], line[0], leave+up[0]+down[0])
+			continue
 		}
+		worst = worse(worst, x[0]+line[1]*down[1], line[0], leave+up[0]+down[0])
+		for q := 1; q < w-1; q++ {
+			worst = worse(worst, x[q]+line[q-1]*up[q-1]+line[q+1]*down[q+1], line[q], leave+up[q]+down[q])
+		}
+		q := w - 1
+		worst = worse(worst, x[q]+line[q-1]*up[q-1], line[q], leave+up[q]+down[q])
 	}
 	return worst, nil
+}
+
+// worse returns |in - p·out|, the residual of a state with inflow in,
+// probability p and outflow out, if it exceeds worst, and worst otherwise.
+func worse(worst, in, p, out float64) float64 {
+	if r := math.Abs(in - p*out); r > worst {
+		return r
+	}
+	return worst
 }

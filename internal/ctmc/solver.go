@@ -60,55 +60,76 @@ func (a *Aggregation) validate(lines int) error {
 // zero and returns ErrNotIrreducible for a clearly negative entry or a
 // vector summing to zero.
 func (a *Aggregation) rescale(v []float64, w int) (float64, error) {
-	var total, moved float64
-	unmatched := false
+	var r rescaling
 	for l, mass := range a.Mass {
-		line := v[l*w : (l+1)*w]
-		var sum float64
-		for q, x := range line {
-			if x < 0 {
-				if x < -1e-12 {
-					return 0, fmt.Errorf("%w: negative probability %v at state %d", ErrNotIrreducible, x, l*w+q)
-				}
-				line[q] = 0
-				moved -= x
-				continue
+		if err := r.line(v, l*w, w, mass); err != nil {
+			return 0, err
+		}
+	}
+	return r.finish(v)
+}
+
+// rescaling is a rescale in progress: what it has summed and moved of the
+// lines it has scaled, and whether one of them summed to 0.
+type rescaling struct {
+	total, moved float64
+	unmatched    bool
+}
+
+// line scales the line of v at states [s, s+w) to mass, as rescale does.
+func (r *rescaling) line(v []float64, s, w int, mass float64) error {
+	line := v[s : s+w]
+	var sum float64
+	for q, x := range line {
+		if x < 0 {
+			if x < -1e-12 {
+				return fmt.Errorf("%w: negative probability %v at state %d", ErrNotIrreducible, x, s+q)
 			}
-			sum += x
+			line[q] = 0
+			r.moved -= x
+			continue
 		}
-		total += sum
-		switch {
-		case mass == 0:
-			clear(line)
-			moved += sum
-		case sum == 0:
-			unmatched = true
-		default:
-			f := mass / sum
-			for q := range line {
-				line[q] *= f
-			}
-			moved += math.Abs(mass - sum)
-		}
+		sum += x
 	}
-	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
-		return 0, fmt.Errorf("%w: probability mass %v", ErrNotIrreducible, total)
+	r.total += sum
+	switch {
+	case mass == 0:
+		clear(line)
+		r.moved += sum
+	case sum == 0:
+		r.unmatched = true
+	default:
+		f := mass / sum
+		for q := range line {
+			line[q] *= f
+		}
+		r.moved += math.Abs(mass - sum)
 	}
-	if unmatched {
-		var sum float64
-		for _, x := range v {
-			sum += x
-		}
-		if sum <= 0 {
-			return 0, fmt.Errorf("%w: probability mass %v", ErrNotIrreducible, sum)
-		}
-		f := 1 / sum
-		for i := range v {
-			v[i] *= f
-		}
-		moved += math.Abs(1 - sum)
+	return nil
+}
+
+// finish ends the rescale of v once every line is scaled: it checks the
+// mass v held and renormalizes v if a line summed to 0, and returns the L1
+// distance the rescale moved v.
+func (r *rescaling) finish(v []float64) (float64, error) {
+	if r.total <= 0 || math.IsNaN(r.total) || math.IsInf(r.total, 0) {
+		return 0, fmt.Errorf("%w: probability mass %v", ErrNotIrreducible, r.total)
 	}
-	return moved, nil
+	if !r.unmatched {
+		return r.moved, nil
+	}
+	var sum float64
+	for _, x := range v {
+		sum += x
+	}
+	if sum <= 0 {
+		return 0, fmt.Errorf("%w: probability mass %v", ErrNotIrreducible, sum)
+	}
+	f := 1 / sum
+	for i := range v {
+		v[i] *= f
+	}
+	return r.moved + math.Abs(1-sum), nil
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
@@ -198,8 +219,7 @@ func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) 
 
 	mass := agg.Mass
 	pi := make([]float64, g.n)
-	g.start(pi, mass)
-	if _, err := agg.rescale(pi, g.width); err != nil {
+	if err := g.start(pi, mass); err != nil {
 		return nil, err
 	}
 
@@ -269,25 +289,32 @@ func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) 
 // start writes the starting vector of a solve into pi: every line at the
 // stationary distribution of its own birth–death chain (see equilibrium),
 // scaled to its mass. A line whose chain is broken starts with its mass
-// spread evenly over its states.
-func (g *Generator) start(pi, mass []float64) {
+// spread evenly over its states. It then rescales the vector to the masses
+// as Aggregation.rescale does, each line right after writing it, while the
+// line is still in cache.
+func (g *Generator) start(pi, mass []float64) error {
 	w := g.width
+	var r rescaling
 	for l, s := 0, 0; s < g.n; l, s = l+1, s+w {
 		m := mass[l]
 		line := pi[s : s+w]
 		up, down, _ := g.rates(l)
-		sum := equilibrium(line, up, down)
-		if sum == 0 {
+		if sum := equilibrium(line, up, down); sum == 0 {
 			for q := range line {
 				line[q] = m / float64(w)
 			}
-			continue
+		} else {
+			f := m / sum
+			for q := range line {
+				line[q] *= f
+			}
 		}
-		f := m / sum
-		for q := range line {
-			line[q] *= f
+		if err := r.line(pi, s, w, m); err != nil {
+			return err
 		}
 	}
+	_, err := r.finish(pi)
+	return err
 }
 
 // equilibrium writes into line the stationary distribution of the
@@ -332,11 +359,13 @@ const closedLine = 1e-12
 // last state keeps its value, the rest are solved from it, and the line's
 // mass is set after the pass.
 //
-// Right after its Thomas pass, the sweep moves each line from its old values
-// towards the pass's, scaled to the line's mass if given, by omega times the
-// distance (see fit), so every line that reads it sees its new values, in
-// colour order as in index order. It reports whether it scaled every line
-// to its mass, and the L1 distance it moved pi.
+// The Thomas pass writes its values into rhs, not into pi, which still holds
+// the line's old values. Right after the pass, the sweep moves each line
+// from those old values towards the pass's, scaled to the line's mass, by
+// omega times the distance (see fit), writing each state of the line once,
+// so every line that reads it sees its new values, in colour order as in
+// index order. It reports whether it scaled every line to its mass, and the
+// L1 distance it moved pi.
 func (g *Generator) sweep(pi, invPivot, rhs, mass []float64, order, colourEnd []int32, omega float64) (bool, float64) {
 	w := g.width
 	fitted := true
@@ -385,21 +414,21 @@ func (g *Generator) sweepOrder(mass []float64) (order, colourEnd []int32) {
 	return order, colourEnd
 }
 
-// fit writes the new values of line l, given the values y that the Thomas
-// pass left in line, summing to sum with their sign bits ORed in signs, and
-// the line's old values in old, which it overwrites. It returns whether it
-// scaled the line to its mass, and the L1 distance it moved the line. The
-// line moves from old to old + omega·(f·y − old), with f = mass/sum; if
-// that is negative anywhere, it moves to f·y, so it stays positive and keeps
-// its mass. A line of mass 0 is zeroed. A line with a negative y, or whose
-// sum is 0 or not finite, is set to y for Aggregation.rescale over the whole
-// vector after the sweep.
-func fit(line, old, mass []float64, l int, sum float64, signs uint64, omega float64) (bool, float64) {
+// fit writes the new values of line l, which holds its old values, given
+// the values ys of its Thomas pass, summing to sum with their sign bits ORed
+// in signs. It writes each state of line once and leaves ys as it is. It
+// returns whether it scaled the line to its mass, and the L1 distance it
+// moved the line. The line moves from old to old + omega·(f·y − old), with
+// f = mass/sum; if that is negative anywhere, it moves to f·y, so it stays
+// positive and keeps its mass. A line of mass 0 is zeroed. A line with a
+// negative y, or whose sum is 0 or not finite, is set to y for
+// Aggregation.rescale over the whole vector after the sweep.
+func fit(line, ys, mass []float64, l int, sum float64, signs uint64, omega float64) (bool, float64) {
 	f, fitted := 1.0, true
 	switch {
 	case mass[l] == 0:
 		var change float64
-		for _, x := range old {
+		for _, x := range line {
 			change += math.Abs(x)
 		}
 		clear(line)
@@ -409,20 +438,29 @@ func fit(line, old, mass []float64, l int, sum float64, signs uint64, omega floa
 	default:
 		f = mass[l] / sum
 	}
+	line = line[:len(ys)]
 	var change float64
-	var neg uint64
-	for q, y := range line {
-		y *= f
-		d := y - old[q]
-		change += math.Abs(d)
-		if omega != 1 {
-			old[q], y = y, old[q]+omega*d
-			neg |= math.Float64bits(y)
+	if omega == 1 {
+		for q, y := range ys {
+			y *= f
+			change += math.Abs(y - line[q])
+			line[q] = y
 		}
-		line[q] = y
+		return fitted, change
+	}
+	var neg uint64
+	for q, y := range ys {
+		old := line[q]
+		d := y*f - old
+		change += math.Abs(d)
+		x := old + omega*d
+		neg |= math.Float64bits(x)
+		line[q] = x
 	}
 	if neg>>63 != 0 {
-		copy(line, old)
+		for q, y := range ys {
+			line[q] = y * f
+		}
 		return fitted, change
 	}
 	return fitted, omega * change
@@ -442,18 +480,18 @@ func (g *Generator) solveLine(pi, invPivot, rhs, mass []float64, l int, omega fl
 		r = (rhs[q] + up*r) * inv[q]
 		rhs[q], up = r, ups[q]
 	}
-	// Each entry of rhs is free once read, and keeps the line's old value.
+	// The pass leaves its values in rhs, and fit moves the line to them.
 	x := line[w-1]
 	if inv[w-1] != 0 {
 		x = rhs[w-1]
 	}
-	rhs[w-1], line[w-1] = line[w-1], x
+	rhs[w-1] = x
 	sum, signs := x, math.Float64bits(x)
 	for q := w - 2; q >= 0; q-- {
 		if inv[q] != 0 {
 			x = rhs[q] + down[q+1]*inv[q]*x
 		}
-		rhs[q], line[q] = line[q], x
+		rhs[q] = x
 		sum += x
 		signs |= math.Float64bits(x)
 	}
@@ -490,6 +528,10 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32, ome
 	}
 
 	l0, l1, l2, l3 := pi[s0:s0+w], pi[s1:s1+w], pi[s2:s2+w], pi[s3:s3+w]
+	// Cut to the width w that they have, so that the compiler drops the
+	// bounds checks of the back-substitution's loads.
+	d0, d1, d2, d3 = d0[:w], d1[:w], d2[:w], d3[:w]
+	i0, i1, i2, i3 = i0[:w], i1[:w], i2[:w], i3[:w]
 	y0, y1, y2, y3 := l0[w-1], l1[w-1], l2[w-1], l3[w-1]
 	if i0[w-1] != 0 {
 		y0 = x0[w-1]
@@ -503,8 +545,7 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32, ome
 	if i3[w-1] != 0 {
 		y3 = x3[w-1]
 	}
-	x0[w-1], x1[w-1], x2[w-1], x3[w-1] = l0[w-1], l1[w-1], l2[w-1], l3[w-1]
-	l0[w-1], l1[w-1], l2[w-1], l3[w-1] = y0, y1, y2, y3
+	x0[w-1], x1[w-1], x2[w-1], x3[w-1] = y0, y1, y2, y3
 	// Each line's sum and sign bits are gathered in its own chain.
 	m0, m1, m2, m3 := y0, y1, y2, y3
 	n0, n1, n2, n3 := math.Float64bits(y0), math.Float64bits(y1), math.Float64bits(y2), math.Float64bits(y3)
@@ -521,8 +562,7 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32, ome
 		if i3[q] != 0 {
 			y3 = x3[q] + d3[q+1]*i3[q]*y3
 		}
-		x0[q], x1[q], x2[q], x3[q] = l0[q], l1[q], l2[q], l3[q]
-		l0[q], l1[q], l2[q], l3[q] = y0, y1, y2, y3
+		x0[q], x1[q], x2[q], x3[q] = y0, y1, y2, y3
 		m0, m1, m2, m3 = m0+y0, m1+y1, m2+y2, m3+y3
 		n0 |= math.Float64bits(y0)
 		n1 |= math.Float64bits(y1)
@@ -542,26 +582,54 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32, ome
 // rate out of the line, the pivot b_q = d_q - down_q up_{q-1} / b_{q-1} is summed as
 // up_q + a_q with a_q = e_q + down_q a_{q-1} / b_{q-1}, as the difference
 // loses a factor down/up of accuracy per state on a line with a strong
-// drift. down_q is 0 at a line's first state, which restarts the recurrence.
+// drift. down_q is 0 at a line's first state, which starts the recurrence.
+// Each step waits for the division of the one before it, so factor runs
+// four lines' recurrences interleaved, as solve4 runs four Thomas passes,
+// and the last one to three lines one at a time.
 func (g *Generator) factor() []float64 {
+	w := g.width
 	invPivot := make([]float64, g.n)
-	var a, inv float64
-	for l := range g.lines {
+	l := 0
+	for ; l+4 <= len(g.lines); l += 4 {
+		u0, d0, e0 := g.rates(l)
+		u1, d1, e1 := g.rates(l + 1)
+		u2, d2, e2 := g.rates(l + 2)
+		u3, d3, e3 := g.rates(l + 3)
+		i0, i1, i2, i3 := invPivot[l*w:][:w], invPivot[(l+1)*w:][:w], invPivot[(l+2)*w:][:w], invPivot[(l+3)*w:][:w]
+		var a0, a1, a2, a3, v0, v1, v2, v3 float64
+		for q := range i0 {
+			a0, v0 = pivot(e0, u0[q], d0[q], a0, v0)
+			a1, v1 = pivot(e1, u1[q], d1[q], a1, v1)
+			a2, v2 = pivot(e2, u2[q], d2[q], a2, v2)
+			a3, v3 = pivot(e3, u3[q], d3[q], a3, v3)
+			i0[q], i1[q], i2[q], i3[q] = v0, v1, v2, v3
+		}
+	}
+	for ; l < len(g.lines); l++ {
 		ups, downs, leave := g.rates(l)
-		for q, up := range ups {
-			down := downs[q]
-			out := leave + up + down
-			rest := out - up - down
-			if rest < closedLine*out {
-				rest = 0
-			}
-			a = rest + down*a*inv
-			inv = 0
-			if pivot := up + a; pivot > 0 {
-				inv = 1 / pivot
-			}
-			invPivot[l*g.width+q] = inv
+		inv := invPivot[l*w:][:w]
+		var a, v float64
+		for q := range inv {
+			a, v = pivot(leave, ups[q], downs[q], a, v)
+			inv[q] = v
 		}
 	}
 	return invPivot
+}
+
+// pivot returns a_q and the inverse pivot of a state with jump total leave
+// and rates up and down, given a_{q-1} and the inverse pivot of the state
+// before it (see factor).
+func pivot(leave, up, down, a, inv float64) (float64, float64) {
+	out := leave + up + down
+	rest := out - up - down
+	if rest < closedLine*out {
+		rest = 0
+	}
+	a = rest + down*a*inv
+	inv = 0
+	if p := up + a; p > 0 {
+		inv = 1 / p
+	}
+	return a, inv
 }

@@ -144,13 +144,16 @@ func TestSweepOrderIsAColouring(t *testing.T) {
 	}
 }
 
-// TestFourWidePassMatchesOneLineAtATime pins that the colour order and
-// solving four lines of a colour together change no arithmetic: twenty
-// sweeps give the same iterates, bit for bit, as a sweep that solves one
-// line at a time in index order. The Quick Fig. 6 builds, with the
-// product-form line masses at GPRS fraction 0.05 and 0.6 calls/s and at
-// 0.10 and 1.0 calls/s, have 30 colours of many lines each, so nearly every
-// line goes through the four-wide pass; the dense chain has one line per
+// TestFourWidePassMatchesOneLineAtATime pins that the colour order, solving
+// four lines of a colour together, and writing the Thomas pass into scratch
+// so that the relaxed update writes each state once change no arithmetic:
+// twenty sweeps give the same iterates, bit for bit, as a sweep that solves
+// one line at a time in index order, writes the pass into the line and
+// moves it by its own copy of the relaxed update (referenceFit). The Quick
+// Fig. 6 builds, with the product-form line masses at GPRS fraction 0.05
+// and 0.6 calls/s and at 0.10 and 1.0 calls/s, have 30 colours of many
+// lines each, so nearly every line goes through the four-wide pass; the
+// dense chain has one line per
 // colour, so every line goes through the one-line tail. Each line is scaled
 // to its mass right after its Thomas pass, and every line that reads it
 // must see it scaled in both orders; after every sweep, every line must hold
@@ -279,23 +282,33 @@ func TestLinesShareRows(t *testing.T) {
 	if rows, up, down := ctmc.Rows(g); rows != 120 || up != 110 || down != 10 {
 		t.Errorf("%d rows, %d of them up rows and %d down rows; want 120, 110 and 10", rows, up, down)
 	}
-	space := core.NewStateSpace(cfg.Channels.GSMChannels(), cfg.BufferSize, cfg.MaxSessions)
-	for l := range n / w {
-		upRow, downRow := lines.Line(l, func(int, float64) {})
-		up, down := lines.Rows[upRow*w:][:w], lines.Rows[downRow*w:][:w]
-		for k := range w {
-			s := space.State(l*w + k)
-			var wantUp, wantDown float64
-			if k+1 < w {
-				wantUp = model.OfferedPacketRate(s)
-			}
-			if k > 0 {
-				wantDown = model.ServiceRate(s)
-			}
-			if math.Float64bits(up[k]) != math.Float64bits(wantUp) || math.Float64bits(down[k]) != math.Float64bits(wantDown) {
-				t.Fatalf("line %d, level %d: up %v, down %v; core writes %v and %v", l, k, up[k], down[k], wantUp, wantDown)
+	// Line l is block (n, m, r) in index order, n outermost (see
+	// core.StateSpace).
+	l := 0
+	for calls := range cfg.Channels.GSMChannels() + 1 {
+		for sessions := range cfg.MaxSessions + 1 {
+			for off := range sessions + 1 {
+				upRow, downRow := lines.Line(l, func(int, float64) {})
+				up, down := lines.Rows[upRow*w:][:w], lines.Rows[downRow*w:][:w]
+				for k := range w {
+					s := core.State{GSMCalls: calls, Packets: k, Sessions: sessions, OffSessions: off}
+					var wantUp, wantDown float64
+					if k+1 < w {
+						wantUp = model.OfferedPacketRate(s)
+					}
+					if k > 0 {
+						wantDown = model.ServiceRate(s)
+					}
+					if math.Float64bits(up[k]) != math.Float64bits(wantUp) || math.Float64bits(down[k]) != math.Float64bits(wantDown) {
+						t.Fatalf("line %d, level %d: up %v, down %v; core writes %v and %v", l, k, up[k], down[k], wantUp, wantDown)
+					}
+				}
+				l++
 			}
 		}
+	}
+	if l != n/w {
+		t.Errorf("walked %d lines of %d", l, n/w)
 	}
 }
 
