@@ -196,6 +196,43 @@ func BenchmarkReplicatedSimulator(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorConstruction measures sim.New, whose cost is mostly the
+// seeding of four variate streams per cell: "7-cell" builds the eight
+// replications of `gprs-sim -replications 8 -seed 1` on the default 7-cell
+// cluster, "169-cell" one replication on cluster.Preset(169). Each reports
+// the construction time per stream as µs/stream.
+func BenchmarkSimulatorConstruction(b *testing.B) {
+	topo, err := cluster.Preset(169)
+	if err != nil {
+		b.Fatal(err)
+	}
+	big := sim.DefaultConfig(traffic.Model3, 0.5)
+	big.Topology = topo
+	for _, bc := range []struct {
+		name         string
+		cfg          sim.Config
+		cells, seeds int
+	}{
+		{"7-cell", sim.DefaultConfig(traffic.Model3, 0.5), 7, 8},
+		{"169-cell", big, 169, 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for r := range bc.seeds {
+					cfg := bc.cfg
+					cfg.Seed = runner.SeedFor(1, r)
+					if _, err := sim.New(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			streams := 4 * bc.cells * bc.seeds
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*streams), "µs/stream")
+		})
+	}
+}
+
 // shardedBenchConfig is the 19-cell quick-fidelity configuration shared by
 // the serial and sharded variants of BenchmarkShardedSimulator.
 func shardedBenchConfig(b *testing.B, seed int64) sim.Config {

@@ -67,6 +67,22 @@
 // collected when it reaches the front. The list therefore holds at most twice
 // the live count plus the floor under cancel-and-schedule churn, and dead
 // records do not cost a sift each.
+//
+// # Variate streams
+//
+// A Stream draws from the package's own copy of math/rand's additive
+// lagged-Fibonacci source (607 words, tap 273), through a rand.Rand, so the
+// variate algorithms (ziggurat exponentials, Float64, Intn) are math/rand's
+// and every draw equals that of a stream on rand.NewSource(seed). The copy
+// differs only in how it seeds: math/rand fills the 607 words from one chain
+// of 1,841 dependent steps of x ← 48271·x mod (2³¹−1); the copy runs the same
+// sequence as three independent chains, one for each of the three values a
+// word packs, each stepped by 48271³ with a Mersenne reduction (a shift and
+// an add instead of a division), and seeds four to five times faster.
+// math/rand XORs each word with a fixed table; the copy derives that table
+// once from rand.NewSource(1), whose first 607 outputs determine its
+// starting words, instead of carrying its own copy. Seeding four streams per
+// cell was most of the cost of building a simulator.
 package des
 
 import (

@@ -56,6 +56,10 @@ const (
 // are sampled by inversion), so the draw sequences of the two members of an
 // antithetic pair stay complement-synchronized per stream even when the two
 // simulation trajectories diverge.
+//
+// A Stream holds its generator inline: a copy of math/rand's source, seeded
+// faster, whose outputs equal rand.NewSource's for every seed (see the
+// package comment), behind a rand.Rand for the variate algorithms.
 type Stream struct {
 	rng  *rand.Rand
 	kind StreamKind
@@ -64,6 +68,8 @@ type Stream struct {
 	// holds pre-drawn unit exponentials; a nil buffer means unbatched draws.
 	expBuf []float64
 	expPos int
+
+	src source // the generator rng draws from
 }
 
 // NewStream returns a stream seeded deterministically, with the historic
@@ -73,9 +79,15 @@ func NewStream(seed int64) *Stream { return NewStreamKind(seed, StreamDefault) }
 // NewStreamKind returns a stream seeded deterministically with the given
 // draw behaviour. Two streams created with the same seed and the kinds
 // StreamPaired and StreamAntithetic form an antithetic pair: their j-th
-// uniform draws are u_j and 1-u_j.
+// uniform draws are u_j and 1-u_j. Every variate equals that of the same
+// kind of stream on rand.NewSource(seed): the stream's source is a copy of
+// math/rand's, seeded by three interleaved chains of the same sequence and a
+// table derived from rand.NewSource(1).
 func NewStreamKind(seed int64, kind StreamKind) *Stream {
-	return &Stream{rng: rand.New(rand.NewSource(seed)), kind: kind}
+	s := &Stream{kind: kind}
+	s.src.Seed(seed)
+	s.rng = rand.New(&s.src)
+	return s
 }
 
 // u01 returns the next underlying uniform draw: u on [0,1) for default and

@@ -25,9 +25,9 @@ var allowlist = map[string]string{
 
 // stdInterfaceMethods are the methods of the standard-library interfaces the
 // code relies on (fmt.Stringer, error, errors.Unwrap, sort.Interface,
-// heap.Interface, json.Marshaler): they are called through the interface, so
-// a method of that name counts as used.
-var stdInterfaceMethods = []string{"String", "Error", "Unwrap", "Len", "Less", "Swap", "Push", "Pop", "MarshalJSON"}
+// heap.Interface, json.Marshaler, rand.Source): they are called through the
+// interface, so a method of that name counts as used.
+var stdInterfaceMethods = []string{"String", "Error", "Unwrap", "Len", "Less", "Swap", "Push", "Pop", "MarshalJSON", "Int63"}
 
 // unusedExports type-checks every non-test package under root, the directory
 // of a go.mod, and reports each exported function or method of a non-main
