@@ -138,11 +138,14 @@ func BenchmarkModelSolveSingle(b *testing.B) {
 // BenchmarkGeneratorConstruction measures building the generator from the
 // model's rate rows, declared once per GSM call count n (service) and per n
 // and number of on sessions (offered packets), and its (n, m, r) buffer
-// lines, each described once by Table 1: the rows it names for its rates up
-// and down the line, and its rates to its neighbour lines. It runs on the quick-fidelity state space and on the
-// Table 2 base points of traffic models 3 (466,620 states) and 1 (2,678,520
-// states), and reports the build time per state as ns/state and the bytes
-// a build allocates per state as B/state.
+// lines, each described by Table 1: the rows it names for its rates up and
+// down the line, and its rates to its neighbour lines, which the build asks
+// for twice, to count them and to place them. The build does no work per
+// state, so ns/state falls as the lines widen. It runs on the
+// quick-fidelity state space and on the Table 2 base points of traffic
+// models 3 (466,620 states) and 1 (2,678,520 states), and reports the build
+// time per state as ns/state and the bytes a build allocates per state as
+// B/state.
 func BenchmarkGeneratorConstruction(b *testing.B) {
 	quick := core.BaseConfig(traffic.Model3, 0.5)
 	quick.Channels.TotalChannels = 10
@@ -174,6 +177,39 @@ func BenchmarkGeneratorConstruction(b *testing.B) {
 			bytesPerState(b, &before, bc.cfg.NumStates())
 		})
 	}
+}
+
+// BenchmarkModelBuild measures what the 12 Quick Fig. 6 solves build before
+// their first sweep, the setup that fig6-analytic times: core.New (state
+// space, handover balance, line masses) and BuildGenerator for each of the
+// configurations, GPRS fractions 0.02, 0.05 and 0.10 by total call rates
+// 0.1, 0.3, 0.6 and 1.0. It reports the time per configuration as µs/model,
+// and the bytes of the 12 builds as B/op.
+func BenchmarkModelBuild(b *testing.B) {
+	var cfgs []core.Config
+	for _, fraction := range []float64{0.02, 0.05, 0.10} {
+		for _, rate := range []float64{0.1, 0.3, 0.6, 1.0} {
+			cfg := core.BaseConfig(traffic.Model3, rate)
+			cfg.Channels.TotalChannels = 10
+			cfg.BufferSize = 30
+			cfg.MaxSessions = min(cfg.MaxSessions, 10)
+			cfg.GPRSFraction = fraction
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cfgs {
+			model, err := core.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := model.BuildGenerator(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(cfgs)), "µs/model")
 }
 
 // BenchmarkReplicatedSimulator measures the replication engine: 8

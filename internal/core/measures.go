@@ -62,11 +62,11 @@ func (m *Model) MeasuresFrom(pi []float64) (Measures, error) {
 		queueLen float64 // mean queue length
 	)
 	// Walk the (n, m, r) lines in index order (see StateSpace), not
-	// inverting indices, with the arithmetic of UsablePDCH and
-	// OfferedPacketRate: the m − r sessions in the on state offer their rate
-	// at every buffer level k up to the flow-control threshold, and at most
-	// the service rate above it. pdch[k] is UsablePDCH of the line's n and
-	// k; up to 127 buffer places it lives on the stack.
+	// inverting indices, with the arithmetic of the offered rate rows of
+	// lines: the m − r sessions in the on state offer their rate at every
+	// buffer level k up to the flow-control threshold, and at most the
+	// service rate above it. pdch[k] is min(N − n, 8k), the PDCHs usable at
+	// the line's n and k; up to 127 buffer places it lives on the stack.
 	var (
 		sp       = m.space
 		width    = sp.BufferSize() + 1

@@ -42,6 +42,42 @@ func solveSmall(t *testing.T, cfg Config) (*Model, *Result) {
 	return model, res
 }
 
+// The rates of one state, as Table 1 gives them: the tests check the rate
+// rows of lines and the measures of MeasuresFrom against them.
+
+// UsablePDCH returns the number of PDCHs usable for data transfer in the
+// given state, min(N - n, 8k).
+func (m *Model) UsablePDCH(s State) int {
+	return m.cfg.Channels.UsablePDCH(s.GSMCalls, s.Packets)
+}
+
+// OfferedPacketRate returns the packet arrival rate offered to the BSC buffer
+// in the given state, including arrivals that will be lost because the buffer
+// is full. Below the flow-control threshold the rate is (m-r)*lambda_packet;
+// above it the TCP approximation limits the rate to the current service rate
+// (Table 1 of the paper).
+func (m *Model) OfferedPacketRate(s State) float64 {
+	onSessions := s.Sessions - s.OffSessions
+	if onSessions <= 0 {
+		return 0
+	}
+	rate := float64(onSessions) * m.rates.IPP.Lambda
+	if float64(s.Packets) <= m.flowControlLimit {
+		return rate
+	}
+	serviceRate := float64(m.UsablePDCH(s)) * m.rates.PacketServiceRate
+	if serviceRate < rate {
+		return serviceRate
+	}
+	return rate
+}
+
+// ServiceRate returns the aggregate packet service rate of the given state,
+// min(N-n, 8k) * mu_service.
+func (m *Model) ServiceRate(s State) float64 {
+	return float64(m.UsablePDCH(s)) * m.rates.PacketServiceRate
+}
+
 // table1Points is the reference encoding of Table 1, independent of the
 // line description BuildGenerator uses: each state, decoded from its index,
 // enumerates its outgoing transitions as jumps of a chain with one state per
@@ -499,6 +535,79 @@ func TestOfferedRateAboveThresholdIsLimited(t *testing.T) {
 	s = State{Sessions: 2, OffSessions: 2}
 	if model.OfferedPacketRate(s) != 0 {
 		t.Error("offered rate should be zero when all sessions are off")
+	}
+}
+
+// TestRateRowsMatchStateRates checks every entry of the rate rows that
+// lines declares, bit for bit, against the methods that give one state's
+// rates: the row each (n, m, r) line names as its up row must hold
+// OfferedPacketRate one step up from every buffer level below K and 0 at K,
+// and its down row ServiceRate one step down from every level above 0 and
+// 0 at level 0. It walks the Quick Fig. 6 and Table 2 configurations, one
+// whose low flow-control threshold limits the offered rate to the service
+// rate in some states, a buffer of one place, and a buffer of 200 places,
+// whose per-n service table no longer fits on the stack.
+func TestRateRowsMatchStateRates(t *testing.T) {
+	limited := smallConfig()
+	limited.FlowControlThreshold = 0.3
+	onePlace := smallConfig()
+	onePlace.BufferSize = 1
+	wide := smallConfig()
+	wide.BufferSize = 200
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		limited bool
+	}{
+		{"Quick Fig. 6", quickFig6Config(0.05, 0.6), false},
+		{"Table 2", BaseConfig(traffic.Model3, 0.5), false},
+		{"flow-control limited", limited, true},
+		{"buffer of one place", onePlace, false},
+		{"buffer of 200 places", wide, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			model, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, line := model.lines()
+			w := model.space.BufferSize() + 1
+			same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+			l, capped := 0, 0
+			for n := range model.space.GSMChannels() + 1 {
+				for mm := range model.space.MaxSessions() + 1 {
+					for r := 0; r <= mm; r, l = r+1, l+1 {
+						u, d := line(l, func(int, float64) {})
+						up, down := rows[u*w:][:w], rows[d*w:][:w]
+						if !same(up[w-1], 0) || !same(down[0], 0) {
+							t.Fatalf("line (%d, %d, %d): up %v from level K, down %v from level 0", n, mm, r, up[w-1], down[0])
+						}
+						for k := range w - 1 {
+							s := State{GSMCalls: n, Packets: k, Sessions: mm, OffSessions: r}
+							if want := model.OfferedPacketRate(s); !same(up[k], want) {
+								t.Fatalf("line (%d, %d, %d), level %d: up %v, OfferedPacketRate %v", n, mm, r, k, up[k], want)
+							}
+							if up[k] < float64(mm-r)*model.rates.IPP.Lambda {
+								capped++
+							}
+						}
+						for k := 1; k < w; k++ {
+							s := State{GSMCalls: n, Packets: k, Sessions: mm, OffSessions: r}
+							if want := model.ServiceRate(s); !same(down[k], want) {
+								t.Fatalf("line (%d, %d, %d), level %d: down %v, ServiceRate %v", n, mm, r, k, down[k], want)
+							}
+						}
+					}
+				}
+			}
+			if l != model.space.NumStates()/w {
+				t.Errorf("walked %d lines of %d", l, model.space.NumStates()/w)
+			}
+			if tc.limited && capped == 0 {
+				t.Error("no offered rate is limited to the service rate")
+			}
+			t.Logf("%d lines; %d offered rates limited to the service rate", l, capped)
+		})
 	}
 }
 

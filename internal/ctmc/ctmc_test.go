@@ -122,23 +122,28 @@ func TestGeneratorCountsAndRates(t *testing.T) {
 	if out := outflows(g); !slices.Equal(out, []float64{2, 5}) {
 		t.Errorf("out rates = %v, want [2 5]", out)
 	}
-	if g.maxOutRate != 5 {
-		t.Errorf("maxOutRate = %v, want 5", g.maxOutRate)
+	if out := maxOutRate(g); out != 5 {
+		t.Errorf("maxOutRate = %v, want 5", out)
 	}
 }
 
-// TestGeneratorRejectsInvalidInput gives NewGenerator each kind of bad
-// input. The valid base is a ring of three lines of two states: each names
+// RejectedChain is a chain description that NewGenerator must reject with
+// an error wrapping Want.
+type RejectedChain struct {
+	Name  string
+	Chain Chain
+	Want  error
+}
+
+// invalidInputs returns each kind of bad input to NewGenerator. The valid
+// base, returned first, is a ring of three lines of two states: each names
 // up row 0, (2, 0), and down row 1, (0, 3), and jumps at rate 1 to the next
 // line.
-func TestGeneratorRejectsInvalidInput(t *testing.T) {
+func invalidInputs() (Chain, []RejectedChain) {
 	rows := []float64{2, 0, 0, 3}
 	ring := func(l int, jump func(int, float64)) (int, int) {
 		jump((l+1)%3, 1)
 		return 0, 1
-	}
-	if _, err := NewGenerator(6, 2, rows, ring); err != nil {
-		t.Fatalf("valid chain: %v", err)
 	}
 	// jumpTo returns the ring with one more jump of line 1.
 	jumpTo := func(to int, rate float64) LineFunc {
@@ -165,65 +170,72 @@ func TestGeneratorRejectsInvalidInput(t *testing.T) {
 		r[i] = x
 		return r
 	}
-	for _, tc := range []struct {
-		name     string
-		n, width int
-		rows     []float64
-		line     LineFunc
-		want     error
-	}{
-		{"jump to a line below 0", 6, 2, rows, jumpTo(-1, 1), ErrInvalidTransition},
-		{"jump to a line past the last", 6, 2, rows, jumpTo(3, 1), ErrInvalidTransition},
-		{"negative jump rate", 6, 2, rows, jumpTo(0, -1), ErrInvalidTransition},
-		{"NaN jump rate", 6, 2, rows, jumpTo(0, math.NaN()), ErrInvalidTransition},
-		{"infinite jump rate", 6, 2, rows, jumpTo(0, math.Inf(1)), ErrInvalidTransition},
-		{"up row below 0", 6, 2, rows, names(-1, 1), ErrInvalidTransition},
-		{"up row past the last", 6, 2, rows, names(2, 1), ErrInvalidTransition},
-		{"down row below 0", 6, 2, rows, names(0, -1), ErrInvalidTransition},
-		{"down row past the last", 6, 2, rows, names(0, 2), ErrInvalidTransition},
-		{"negative up rate", 6, 2, rate(0, -1), ring, ErrInvalidTransition},
-		{"NaN up rate", 6, 2, rate(0, math.NaN()), ring, ErrInvalidTransition},
-		{"infinite up rate", 6, 2, rate(0, math.Inf(1)), ring, ErrInvalidTransition},
-		{"negative down rate", 6, 2, rate(3, -1), ring, ErrInvalidTransition},
-		{"NaN down rate", 6, 2, rate(3, math.NaN()), ring, ErrInvalidTransition},
-		{"infinite down rate", 6, 2, rate(3, math.Inf(-1)), ring, ErrInvalidTransition},
-		{"NaN rate in a row no line names", 6, 2, append(slices.Clone(rows), 0, math.NaN()), ring, ErrInvalidTransition},
-		{"up row whose last rate is not 0", 6, 2, rate(1, 1), ring, ErrInvalidTransition},
-		{"down row whose first rate is not 0", 6, 2, rate(2, 1), ring, ErrInvalidTransition},
-		{"down row named as an up row", 6, 2, rows, names(1, 1), ErrInvalidTransition},
-		{"up row named as a down row", 6, 2, rows, names(0, 0), ErrInvalidTransition},
-		// Line 2's down row is 0, so its last state steps nowhere; the
-		// others still leave by a jump.
-		{"state with no outflow", 6, 2, append(slices.Clone(rows), 0, 0), func(l int, jump func(int, float64)) (int, int) {
-			if l < 2 {
-				jump(l+1, 1)
-				return 0, 1
-			}
-			return 0, 2
-		}, ErrNotIrreducible},
-		{"zero states", 0, 1, rows, ring, ErrInvalidArgument},
-		{"states beyond int32 indexing", math.MaxInt32 + 1, 1, rows, ring, ErrInvalidArgument},
-		{"line width 0", 6, 0, rows, ring, ErrInvalidArgument},
-		{"negative line width", 6, -2, rows, ring, ErrInvalidArgument},
-		{"line width that does not divide the states", 6, 4, rows, ring, ErrInvalidArgument},
-		{"rates that do not form whole rows", 6, 2, rows[:3], ring, ErrInvalidArgument},
-		{"nil line function", 6, 2, rows, nil, ErrInvalidArgument},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewGenerator(tc.n, tc.width, tc.rows, tc.line); !errors.Is(err, tc.want) {
-				t.Errorf("got %v, want %v", err, tc.want)
+	var cases []RejectedChain
+	add := func(name string, n, width int, rows []float64, line LineFunc, want error) {
+		cases = append(cases, RejectedChain{name, Chain{n, width, rows, line}, want})
+	}
+	add("jump to a line below 0", 6, 2, rows, jumpTo(-1, 1), ErrInvalidTransition)
+	add("jump to a line past the last", 6, 2, rows, jumpTo(3, 1), ErrInvalidTransition)
+	add("negative jump rate", 6, 2, rows, jumpTo(0, -1), ErrInvalidTransition)
+	add("NaN jump rate", 6, 2, rows, jumpTo(0, math.NaN()), ErrInvalidTransition)
+	add("infinite jump rate", 6, 2, rows, jumpTo(0, math.Inf(1)), ErrInvalidTransition)
+	add("up row below 0", 6, 2, rows, names(-1, 1), ErrInvalidTransition)
+	add("up row past the last", 6, 2, rows, names(2, 1), ErrInvalidTransition)
+	add("down row below 0", 6, 2, rows, names(0, -1), ErrInvalidTransition)
+	add("down row past the last", 6, 2, rows, names(0, 2), ErrInvalidTransition)
+	add("negative up rate", 6, 2, rate(0, -1), ring, ErrInvalidTransition)
+	add("NaN up rate", 6, 2, rate(0, math.NaN()), ring, ErrInvalidTransition)
+	add("infinite up rate", 6, 2, rate(0, math.Inf(1)), ring, ErrInvalidTransition)
+	add("negative down rate", 6, 2, rate(3, -1), ring, ErrInvalidTransition)
+	add("NaN down rate", 6, 2, rate(3, math.NaN()), ring, ErrInvalidTransition)
+	add("infinite down rate", 6, 2, rate(3, math.Inf(-1)), ring, ErrInvalidTransition)
+	add("NaN rate in a row no line names", 6, 2, append(slices.Clone(rows), 0, math.NaN()), ring, ErrInvalidTransition)
+	add("up row whose last rate is not 0", 6, 2, rate(1, 1), ring, ErrInvalidTransition)
+	add("down row whose first rate is not 0", 6, 2, rate(2, 1), ring, ErrInvalidTransition)
+	add("down row named as an up row", 6, 2, rows, names(1, 1), ErrInvalidTransition)
+	add("up row named as a down row", 6, 2, rows, names(0, 0), ErrInvalidTransition)
+	// Line 2's down row is 0, so its last state steps nowhere; the others
+	// still leave by a jump.
+	add("state with no outflow", 6, 2, append(slices.Clone(rows), 0, 0), func(l int, jump func(int, float64)) (int, int) {
+		if l < 2 {
+			jump(l+1, 1)
+			return 0, 1
+		}
+		return 0, 2
+	}, ErrNotIrreducible)
+	add("zero states", 0, 1, rows, ring, ErrInvalidArgument)
+	add("states beyond int32 indexing", math.MaxInt32+1, 1, rows, ring, ErrInvalidArgument)
+	add("line width 0", 6, 0, rows, ring, ErrInvalidArgument)
+	add("negative line width", 6, -2, rows, ring, ErrInvalidArgument)
+	add("line width that does not divide the states", 6, 4, rows, ring, ErrInvalidArgument)
+	add("rates that do not form whole rows", 6, 2, rows[:3], ring, ErrInvalidArgument)
+	add("nil line function", 6, 2, rows, nil, ErrInvalidArgument)
+	return Chain{6, 2, rows, ring}, cases
+}
+
+// TestGeneratorRejectsInvalidInput gives NewGenerator each kind of bad
+// input of invalidInputs.
+func TestGeneratorRejectsInvalidInput(t *testing.T) {
+	valid, cases := invalidInputs()
+	if _, err := valid.Build(); err != nil {
+		t.Fatalf("valid chain: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.Name, func(t *testing.T) {
+			if _, err := tc.Chain.Build(); !errors.Is(err, tc.Want) {
+				t.Errorf("got %v, want %v", err, tc.Want)
 			}
 		})
 	}
 }
 
-// TestNewGeneratorRejectsBrokenLines checks that the one way a line
-// description can leave its line, an up row that steps up from its last
-// position or a down row that steps down from its first, is caught on
-// every line of a ring of three lines, and on lines of one state. Rows 0
-// and 1 are a valid up and down row, rows 2 and 3 the same rows broken at
-// their ends.
-func TestNewGeneratorRejectsBrokenLines(t *testing.T) {
+// brokenLines returns the one way a line description can leave its line,
+// an up row that steps up from its last position or a down row that steps
+// down from its first, on every line of a ring of three lines, and on lines
+// of one state. Rows 0 and 1 are a valid up and down row, rows 2 and 3 the
+// same rows broken at their ends.
+func brokenLines() []RejectedChain {
+	var cases []RejectedChain
 	for _, width := range []int{1, 3} {
 		rows := make([]float64, 4*width)
 		for q := range width - 1 {
@@ -233,8 +245,9 @@ func TestNewGeneratorRejectsBrokenLines(t *testing.T) {
 		rows[3*width-1], rows[3*width] = 1, 1
 		for broken := range 3 {
 			for _, end := range []string{"up from its last position", "down from its first position"} {
-				t.Run(fmt.Sprintf("width %d, line %d steps %s", width, broken, end), func(t *testing.T) {
-					_, err := NewGenerator(3*width, width, rows, func(l int, jump func(int, float64)) (int, int) {
+				cases = append(cases, RejectedChain{
+					Name: fmt.Sprintf("width %d, line %d steps %s", width, broken, end),
+					Chain: Chain{3 * width, width, rows, func(l int, jump func(int, float64)) (int, int) {
 						jump((l+1)%3, 1)
 						switch {
 						case l != broken:
@@ -244,13 +257,24 @@ func TestNewGeneratorRejectsBrokenLines(t *testing.T) {
 						default:
 							return 0, 3
 						}
-					})
-					if !errors.Is(err, ErrInvalidTransition) {
-						t.Errorf("got %v, want ErrInvalidTransition", err)
-					}
+					}},
+					Want: ErrInvalidTransition,
 				})
 			}
 		}
+	}
+	return cases
+}
+
+// TestNewGeneratorRejectsBrokenLines checks that each broken line of
+// brokenLines is caught.
+func TestNewGeneratorRejectsBrokenLines(t *testing.T) {
+	for _, tc := range brokenLines() {
+		t.Run(tc.Name, func(t *testing.T) {
+			if _, err := tc.Chain.Build(); !errors.Is(err, tc.Want) {
+				t.Errorf("got %v, want ErrInvalidTransition", err)
+			}
+		})
 	}
 }
 
@@ -364,12 +388,12 @@ func TestSolutionProbabilityVectorProperties(t *testing.T) {
 }
 
 func TestNewGeneratorAllocationsIndependentOfStates(t *testing.T) {
-	// The jump callback is bound once, so the allocation count of a build
+	// The jump callbacks are bound once, so the allocation count of a build
 	// does not grow with the number of states. Width 1 is the worst case:
 	// every transition is a jump between lines. A build makes 11: the row
-	// counts, the generator and its lines, the builder, its bound jump
-	// callback and the jumps, the inflow offsets, the sort's places, and the
-	// sweep order's colours, colour ends and order.
+	// counts, the generator and its lines, the builder, its two bound jump
+	// callbacks, the inflow offsets and the jumps, and the sweep order's
+	// colours, colour ends and order.
 	points := Points(mmckChain(3, 0.5, 4, 999))
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := points.Build(); err != nil {
@@ -624,8 +648,8 @@ func TestStartIsEachLineEquilibrium(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res > 1e-12*g.maxOutRate {
-			t.Errorf("the start has residual %v, want at most 1e-12 × %v", res, g.maxOutRate)
+		if out := maxOutRate(g); res > 1e-12*out {
+			t.Errorf("the start has residual %v, want at most 1e-12 × %v", res, out)
 		}
 	})
 	t.Run("down rate of 0 mid-line", func(t *testing.T) {

@@ -68,6 +68,16 @@ func SweepOrderError(g *Generator, line LineFunc) error {
 	return err
 }
 
+// RejectedChains returns the cases of TestGeneratorRejectsInvalidInput and
+// TestNewGeneratorRejectsBrokenLines, in that order.
+func RejectedChains() []RejectedChain {
+	_, invalid := invalidInputs()
+	return append(invalid, brokenLines()...)
+}
+
+// DecodeFuzzChain decodes fuzz bytes into a chain (see fuzzChain).
+func DecodeFuzzChain(data []byte) Chain { return fuzzChain(data) }
+
 // Points returns the description of c with one state per line: state
 // l·W + q steps to its neighbours in line l at the rates of position q of
 // the rows line l names, and jumps to position q of the lines line l jumps
@@ -127,6 +137,13 @@ func outflows(g *Generator) []float64 {
 	return out
 }
 
+// maxOutRate returns the largest total outflow rate of a state of g, which
+// factor finds as it computes the pivots.
+func maxOutRate(g *Generator) float64 {
+	_, out := g.factor()
+	return out
+}
+
 // Rows returns the number of rate rows g holds, and how many of them are
 // some line's up row and some line's down row.
 func Rows(g *Generator) (rows, up, down int) {
@@ -177,7 +194,7 @@ func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64, omega f
 	if err != nil {
 		return nil, nil, err
 	}
-	invPivot := g.factor()
+	invPivot, _ := g.factor()
 	rhs := make([]float64, 4*g.width)
 	order, colourEnd := g.sweepOrder(mass)
 	var iterates [][]float64

@@ -19,8 +19,12 @@
 // states. Per line, the generator holds the index of its up row and its down
 // row, the total rate of its jumps, and the (source line, rate) pairs of its
 // inflow from other lines. A state's total outflow is its line's jump total
-// plus its rates up and down. With W = 1 every state is its own line, and
-// any chain has this structure, but its line masses are then its whole
+// plus its rates up and down. A build does no work per state: it checks
+// each row once and visits each line twice, once to check and count its
+// jumps and once to write each into its place among the inflow of its
+// target line, and a solve finds the largest outflow of a state as it
+// computes its pivots. With W = 1 every state is its own line, and any
+// chain has this structure, but its line masses are then its whole
 // solution.
 //
 // The line index is then itself a Markov chain, and a solve requires its
@@ -70,7 +74,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Common errors returned by the package.
@@ -93,11 +96,14 @@ var (
 // position in line to, and returns the index of its up row, whose rate q is
 // that from position q one step up the line, and of its down row, whose rate
 // q is that from position q one step down (see NewGenerator). A jump at rate
-// 0 or back into line l is ignored.
+// 0 or back into line l is ignored. NewGenerator calls it twice per line,
+// and it must emit the same jumps, in the same order, each time.
 type LineFunc func(l int, jump func(to int, rate float64)) (up, down int)
 
 // Generator is the infinitesimal generator Q of a finite CTMC with the line
-// structure of the package comment.
+// structure of the package comment. It holds the declared rows and, per
+// line, its row indices, its jump total and its inflow, and nothing per
+// state.
 type Generator struct {
 	n, width int
 
@@ -114,8 +120,7 @@ type Generator struct {
 	// colour; colour c ends at colourEnd[c] (see colour).
 	order, colourEnd []int32
 
-	maxOutRate float64
-	nnz        int64
+	nnz int64
 }
 
 // lineRates is what a generator keeps of a line's rates: the index of the
@@ -141,24 +146,42 @@ type jump struct {
 	rate     float64
 }
 
-// builder collects the jumps of the lines as NewGenerator visits them. Its
-// jump method is bound once, so a build allocates nothing per line.
+// builder visits the lines of a chain twice as NewGenerator builds it. On
+// the first visit, count checks each jump of line, adds its rate to the
+// line's jump total leave and counts it into its target line to, in
+// fromStart[to+1]. On the second, place writes each jump into from at
+// fromStart[to+1], the next free slot of line to's inflow, and moves that
+// slot on. Its methods are bound once, so a build allocates nothing per
+// line.
 type builder struct {
 	lines, line int
-	// jumps are the line-to-line transitions, in the order the lines emit
-	// them.
-	jumps []jump
-	err   error
+	// jumps is the number of jumps counted so far.
+	jumps     int
+	leave     float64
+	fromStart []int32
+	from      []jump
+	err       error
 }
 
-func (b *builder) jump(to int, rate float64) {
+func (b *builder) count(to int, rate float64) {
 	if b.err == nil && (to < 0 || to >= b.lines || !validRate(rate)) {
 		b.err = fmt.Errorf("%w: line %d -> %d of %d at rate %v", ErrInvalidTransition, b.line, to, b.lines, rate)
 	}
 	if b.err != nil || rate == 0 || to == b.line {
 		return
 	}
-	b.jumps = append(b.jumps, jump{int32(b.line), int32(to), rate})
+	b.leave += rate
+	b.jumps++
+	b.fromStart[to+1]++
+}
+
+func (b *builder) place(to int, rate float64) {
+	if rate == 0 || to == b.line {
+		return
+	}
+	p := b.fromStart[to+1]
+	b.from[p] = jump{int32(b.line), int32(to), rate}
+	b.fromStart[to+1] = p + 1
 }
 
 // validRate reports whether rate is finite and not negative.
@@ -170,12 +193,18 @@ func validRate(rate float64) bool { return rate >= 0 && rate <= math.MaxFloat64 
 // rows[i·lineWidth : (i+1)·lineWidth]. A line's up row must end at 0 and
 // its down row start at 0, as no step leaves a line. The generator keeps
 // rows, which the caller must not change afterwards. NewGenerator calls line
-// once per line. It returns an error wrapping ErrInvalidTransition if a row
-// holds a negative or non-finite rate, if a line names a row out of range,
-// an up row that does not end at 0 or a down row that does not start at 0,
-// or if a jump targets a line out of range or has a negative or non-finite
-// rate. It returns an error wrapping ErrNotIrreducible if some state has no
-// outgoing transition.
+// twice per line, in index order each time: once to check and count its
+// jumps, and once to write each into its place among the jumps into its
+// target line, so line must emit the same jumps, in the same order, on both
+// calls. It returns an error wrapping ErrInvalidTransition if a row holds a
+// negative or non-finite rate, if a line names a row out of range, an up row
+// that does not end at 0 or a down row that does not start at 0, or if a
+// jump targets a line out of range or has a negative or non-finite rate. It
+// returns an error wrapping ErrNotIrreducible if some state has no outgoing
+// transition. A build costs O(lines + jumps + rows·width), with no work per
+// state: only a line whose jump total is 0 is searched for a state with no
+// outflow, and the largest outflow of a state is left to the solve (see
+// factor).
 func NewGenerator(numStates, lineWidth int, rows []float64, line LineFunc) (*Generator, error) {
 	if numStates <= 0 {
 		return nil, fmt.Errorf("%w: numStates = %d", ErrInvalidArgument, numStates)
@@ -208,17 +237,17 @@ func NewGenerator(numStates, lineWidth int, rows []float64, line LineFunc) (*Gen
 
 	lines := numStates / lineWidth
 	g := &Generator{n: numStates, width: lineWidth, rows: rows, lines: make([]lineRates, lines)}
-	// The jumps have room for eight per line before they grow.
-	b := &builder{lines: lines, jumps: make([]jump, 0, 8*lines)}
-	jumpTo := b.jump
+	b := &builder{lines: lines, fromStart: make([]int32, lines+1)}
+	count := b.count
 	// dead is the first state with no outgoing transition, reported once
-	// every line has been checked for invalid transitions.
+	// every line has been checked for invalid transitions. The rates are
+	// not negative, so a state's outflow leave + up + down is 0 only where
+	// all three are, and only a line whose jump total is 0 can hold one.
 	dead := -1
 	var nnz int64
-	var maxOut float64
 	for s := 0; b.line < lines; b.line, s = b.line+1, s+lineWidth {
-		first := len(b.jumps)
-		u, d := line(b.line, jumpTo)
+		b.leave = 0
+		u, d := line(b.line, count)
 		if b.err != nil {
 			return nil, b.err
 		}
@@ -232,50 +261,38 @@ func NewGenerator(numStates, lineWidth int, rows []float64, line LineFunc) (*Gen
 		if down[0] != 0 {
 			return nil, fmt.Errorf("%w: state %d steps down off the start of line %d", ErrInvalidTransition, s, b.line)
 		}
-		var leave float64
-		for _, j := range b.jumps[first:] {
-			leave += j.rate
-		}
-		nnz += nonZero[u] + nonZero[d] + int64(len(b.jumps)-first)*int64(lineWidth)
-		for q, x := range up {
-			out := leave + x + down[q]
-			if out > maxOut {
-				maxOut = out
-			}
-			if out == 0 && dead < 0 {
-				dead = s + q
+		nnz += nonZero[u] + nonZero[d]
+		if b.leave == 0 && dead < 0 {
+			for q, x := range up {
+				if x == 0 && down[q] == 0 {
+					dead = s + q
+					break
+				}
 			}
 		}
-		g.lines[b.line] = lineRates{int32(u), int32(d), leave}
+		g.lines[b.line] = lineRates{int32(u), int32(d), b.leave}
 	}
 	if dead >= 0 && numStates > 1 {
 		return nil, fmt.Errorf("%w: state %d has no outgoing transitions", ErrNotIrreducible, dead)
 	}
-	g.nnz, g.maxOutRate = nnz, maxOut
+	g.nnz = nnz + int64(b.jumps)*int64(lineWidth)
 
-	// Sort the jumps stably by target line, in place: count them per line,
-	// sum the counts up to each line's end, and place the jumps of each line
-	// backwards from its end, which leaves fromStart at its start. Then move
-	// each jump to its place, one cycle of the permutation at a time.
-	g.fromStart = make([]int32, lines+1)
-	for _, j := range b.jumps {
-		g.fromStart[j.to]++
-	}
+	// Sort the jumps stably by target line, each written once: turn the
+	// counts into the start of each target line's jumps, fromStart[to+1]
+	// that of line to, and visit the lines again in index order, so that
+	// each target line receives its jumps in the order the lines emit them.
+	// That leaves fromStart[to+1] at the end of line to's jumps, which is
+	// the start of line to+1's.
+	var start int32
 	for l := range lines {
-		g.fromStart[l+1] += g.fromStart[l]
+		start, b.fromStart[l+1] = start+b.fromStart[l+1], start
 	}
-	place := make([]int32, len(b.jumps))
-	for i, j := range slices.Backward(b.jumps) {
-		g.fromStart[j.to]--
-		place[i] = g.fromStart[j.to]
+	b.from = make([]jump, b.jumps)
+	place := b.place
+	for b.line = 0; b.line < lines; b.line++ {
+		line(b.line, place)
 	}
-	for i := range place {
-		for p := place[i]; p != int32(i); p = place[i] {
-			b.jumps[i], b.jumps[p] = b.jumps[p], b.jumps[i]
-			place[i], place[p] = place[p], p
-		}
-	}
-	g.from = b.jumps
+	g.fromStart, g.from = b.fromStart, b.from
 	g.colour()
 	return g, nil
 }

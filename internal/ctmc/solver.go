@@ -223,7 +223,7 @@ func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) 
 		return nil, err
 	}
 
-	invPivot := g.factor()
+	invPivot, maxOut := g.factor()
 	rhs := make([]float64, 4*g.width)
 	order, colourEnd := g.sweepOrder(mass)
 	// changes holds the changes of the last window sweeps, oldest first.
@@ -282,7 +282,7 @@ func (g *Generator) steadyState(opts SolveOptions, relaxation func(rho float64) 
 	sol.Pi = pi
 	sol.Relaxation = omega
 	sol.Residual, _ = g.Residual(pi)
-	sol.Converged = settled && sol.Residual <= o.Tolerance*g.maxOutRate
+	sol.Converged = settled && sol.Residual <= o.Tolerance*maxOut
 	return sol, nil
 }
 
@@ -577,8 +577,9 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32, ome
 }
 
 // factor returns the inverse modified pivot of every state for the Thomas
-// pass (0 for a pivot of 0). With d_q = leave + up_q + down_q the state's
-// outflow, summed as the build sums it, and e_q = d_q - up_q - down_q the
+// pass (0 for a pivot of 0), and the largest outflow of a state, which
+// bounds the residual of a converged solve. With d_q = leave + up_q + down_q
+// the state's outflow, as Residual sums it, and e_q = d_q - up_q - down_q the
 // rate out of the line, the pivot b_q = d_q - down_q up_{q-1} / b_{q-1} is summed as
 // up_q + a_q with a_q = e_q + down_q a_{q-1} / b_{q-1}, as the difference
 // loses a factor down/up of accuracy per state on a line with a strong
@@ -586,9 +587,13 @@ func (g *Generator) solve4(pi, invPivot, rhs, mass []float64, lines []int32, ome
 // Each step waits for the division of the one before it, so factor runs
 // four lines' recurrences interleaved, as solve4 runs four Thomas passes,
 // and the last one to three lines one at a time.
-func (g *Generator) factor() []float64 {
+func (g *Generator) factor() ([]float64, float64) {
 	w := g.width
 	invPivot := make([]float64, g.n)
+	// The outflows are not negative, so their bits order them as their
+	// values do, and an integer maximum of the bits, which needs no branch,
+	// finds the largest.
+	var maxOut uint64
 	l := 0
 	for ; l+4 <= len(g.lines); l += 4 {
 		u0, d0, e0 := g.rates(l)
@@ -598,10 +603,10 @@ func (g *Generator) factor() []float64 {
 		i0, i1, i2, i3 := invPivot[l*w:][:w], invPivot[(l+1)*w:][:w], invPivot[(l+2)*w:][:w], invPivot[(l+3)*w:][:w]
 		var a0, a1, a2, a3, v0, v1, v2, v3 float64
 		for q := range i0 {
-			a0, v0 = pivot(e0, u0[q], d0[q], a0, v0)
-			a1, v1 = pivot(e1, u1[q], d1[q], a1, v1)
-			a2, v2 = pivot(e2, u2[q], d2[q], a2, v2)
-			a3, v3 = pivot(e3, u3[q], d3[q], a3, v3)
+			a0, v0, maxOut = pivot(e0, u0[q], d0[q], a0, v0, maxOut)
+			a1, v1, maxOut = pivot(e1, u1[q], d1[q], a1, v1, maxOut)
+			a2, v2, maxOut = pivot(e2, u2[q], d2[q], a2, v2, maxOut)
+			a3, v3, maxOut = pivot(e3, u3[q], d3[q], a3, v3, maxOut)
 			i0[q], i1[q], i2[q], i3[q] = v0, v1, v2, v3
 		}
 	}
@@ -610,18 +615,20 @@ func (g *Generator) factor() []float64 {
 		inv := invPivot[l*w:][:w]
 		var a, v float64
 		for q := range inv {
-			a, v = pivot(leave, ups[q], downs[q], a, v)
+			a, v, maxOut = pivot(leave, ups[q], downs[q], a, v, maxOut)
 			inv[q] = v
 		}
 	}
-	return invPivot
+	return invPivot, math.Float64frombits(maxOut)
 }
 
 // pivot returns a_q and the inverse pivot of a state with jump total leave
 // and rates up and down, given a_{q-1} and the inverse pivot of the state
-// before it (see factor).
-func pivot(leave, up, down, a, inv float64) (float64, float64) {
+// before it (see factor), and the larger of maxOut and the bits of the
+// state's outflow.
+func pivot(leave, up, down, a, inv float64, maxOut uint64) (float64, float64, uint64) {
 	out := leave + up + down
+	maxOut = max(maxOut, math.Float64bits(out))
 	rest := out - up - down
 	if rest < closedLine*out {
 		rest = 0
@@ -631,5 +638,5 @@ func pivot(leave, up, down, a, inv float64) (float64, float64) {
 	if p := up + a; p > 0 {
 		inv = 1 / p
 	}
-	return a, inv
+	return a, inv, maxOut
 }

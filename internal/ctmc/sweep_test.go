@@ -3,6 +3,7 @@ package ctmc_test
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 
@@ -271,9 +272,13 @@ func TestZeroMassLinesAreFitted(t *testing.T) {
 // lines, every one of them named by some line. Every line must read back,
 // bit for bit, the rates that Table 1 gives its states: the offered packet
 // rate one step up from each buffer level below K, and the service rate one
-// step down from each level above 0.
+// step down from each level above 0. With n calls and k packets the service
+// rate is min(N − n, 8k)·μ; the m − r sessions in the on state offer
+// (m − r)·λ up to the flow-control threshold ηK and at most the service
+// rate above it.
 func TestLinesShareRows(t *testing.T) {
 	model, cfg, lines := quickFig6Model(t, 0.05, 0.6)
+	rates, limit := model.Rates(), cfg.FlowControlThreshold*float64(cfg.BufferSize)
 	n, w := cfg.NumStates(), cfg.BufferSize+1
 	g, err := model.BuildGenerator()
 	if err != nil {
@@ -291,13 +296,16 @@ func TestLinesShareRows(t *testing.T) {
 				upRow, downRow := lines.Line(l, func(int, float64) {})
 				up, down := lines.Rows[upRow*w:][:w], lines.Rows[downRow*w:][:w]
 				for k := range w {
-					s := core.State{GSMCalls: calls, Packets: k, Sessions: sessions, OffSessions: off}
+					service := float64(cfg.Channels.UsablePDCH(calls, k)) * rates.PacketServiceRate
 					var wantUp, wantDown float64
-					if k+1 < w {
-						wantUp = model.OfferedPacketRate(s)
+					if on := sessions - off; k+1 < w && on > 0 {
+						wantUp = float64(on) * rates.IPP.Lambda
+						if float64(k) > limit && service < wantUp {
+							wantUp = service
+						}
 					}
 					if k > 0 {
-						wantDown = model.ServiceRate(s)
+						wantDown = service
 					}
 					if math.Float64bits(up[k]) != math.Float64bits(wantUp) || math.Float64bits(down[k]) != math.Float64bits(wantDown) {
 						t.Fatalf("line %d, level %d: up %v, down %v; core writes %v and %v", l, k, up[k], down[k], wantUp, wantDown)
@@ -312,11 +320,77 @@ func TestLinesShareRows(t *testing.T) {
 	}
 }
 
+// TestBuildMatchesReferenceBuild checks NewGenerator against the earlier
+// build kept as its reference (ctmc.ReferenceBuildMismatch), which visits
+// every state for the largest outflow and a dead state and sorts the jumps
+// by target in place, cycle by cycle. Every description that
+// TestGeneratorRejectsInvalidInput and TestNewGeneratorRejectsBrokenLines
+// give must fail with the same error kind and message. Every chain built
+// must give the same jumps, inflow offsets, lines, sweep order, colour ends,
+// transition count and largest outflow, rates bit for bit: the 12 Quick
+// Fig. 6 points, dense chains, 2,000 random fuzz chains, with their lines
+// and with one state per line, and, outside -short, a Table 2 traffic
+// model 1 point. A model's description is read back from its generator
+// (ctmc.Lines), so its lines emit their jumps in target order.
+func TestBuildMatchesReferenceBuild(t *testing.T) {
+	check := func(t *testing.T, name string, c ctmc.Chain) {
+		t.Helper()
+		if err := ctmc.ReferenceBuildMismatch(c); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	t.Run("rejected descriptions", func(t *testing.T) {
+		for _, c := range ctmc.RejectedChains() {
+			check(t, c.Name, c.Chain)
+		}
+	})
+	t.Run("Quick Fig. 6", func(t *testing.T) {
+		for _, fraction := range []float64{0.02, 0.05, 0.10} {
+			for _, rate := range []float64{0.1, 0.3, 0.6, 1.0} {
+				_, _, c := quickFig6Model(t, fraction, rate)
+				check(t, fmt.Sprintf("fraction %v, rate %v", fraction, rate), c)
+			}
+		}
+	})
+	t.Run("dense chains", func(t *testing.T) {
+		for _, w := range []int{1, 3} {
+			check(t, fmt.Sprintf("width %d", w), denseChain(70, w))
+		}
+	})
+	t.Run("fuzz chains", func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(1, 2))
+		for i := range 2000 {
+			data := make([]byte, rng.IntN(160))
+			for k := range data {
+				data[k] = byte(rng.Uint32())
+			}
+			c := ctmc.DecodeFuzzChain(data)
+			check(t, fmt.Sprintf("chain %d", i), c)
+			check(t, fmt.Sprintf("chain %d, one state per line", i), ctmc.Points(c))
+		}
+	})
+	t.Run("Table 2 traffic model 1", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("builds a 2,678,520-state generator three times")
+		}
+		model, err := core.New(core.BaseConfig(traffic.Model1, 0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := model.BuildGenerator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, "base point at 0.5 calls/s", ctmc.Lines(g))
+	})
+}
+
 // TestNewGeneratorBytesPerState bounds what a build of a Quick Fig. 6
-// generator allocates per state: the lines' jumps, the declared rows and the
-// sweep order come to about 8 B. A vector over the states, at 8 B a state, would
-// break the bound. The least of three builds is taken, so that what the
-// runtime allocates meanwhile does not count.
+// generator allocates per state: the declared rows, the lines, their jumps,
+// each stored once at its place, and the sweep order come to about 6.2 B. A
+// vector over the states, at 8 B a state, or a second copy of the jumps,
+// at 3.5 B, would break the bound. The least of three builds is taken, so
+// that what the runtime allocates meanwhile does not count.
 func TestNewGeneratorBytesPerState(t *testing.T) {
 	model, cfg, _ := quickFig6Model(t, 0.05, 0.6)
 	least := math.Inf(1)
@@ -329,8 +403,8 @@ func TestNewGeneratorBytesPerState(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/float64(cfg.NumStates()))
 	}
-	if least > 12 {
-		t.Errorf("a build allocates %.2f B per state, want at most 12", least)
+	if least > 7 {
+		t.Errorf("a build allocates %.2f B per state, want at most 7", least)
 	}
 	t.Logf("%.2f B per state", least)
 }
