@@ -21,7 +21,9 @@ import (
 // give bit for bit: 320 sweeps in all, the FNV-64a digest of every π entry
 // as 8 little-endian bytes, and that of every Measures field likewise. A
 // change to the solve that only reorders work must leave all three as they
-// are.
+// are. The solve takes inflow's default path, the AVX2 kernel on a CPU that
+// has it; ctmc's TestQuickFig6SolveIsPinnedOnGoLoop pins the same three
+// values on the Go loop, and a re-pin changes both tests.
 func TestQuickFig6SolveIsPinned(t *testing.T) {
 	const (
 		sweeps        = 320

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"testing"
 )
 
 // Colours returns the number of colours of the sweep order of g.
@@ -219,7 +220,8 @@ func Iterates(g *Generator, sweeps int, oneAtATime bool, mass []float64, omega f
 
 // sweepOneLineAtATime is the reference for sweep: one line Gauss–Seidel
 // sweep in index order, which the colour order equals, that gathers each
-// line's inflow and runs its Thomas pass before it moves to the next line.
+// line's inflow by referenceInflow, not by inflow, and runs its Thomas pass
+// before it moves to the next line.
 // It solves every line, those of mass 0 too. Right after its Thomas pass,
 // which writes the pass's values into the line, it keeps the line's old
 // values in rhs, sums the line from its last state down, and moves the line
@@ -230,7 +232,7 @@ func sweepOneLineAtATime(g *Generator, pi, invPivot, rhs, mass []float64, omega 
 	fitted := true
 	var change float64
 	for l, s := 0, 0; s < g.n; l, s = l+1, s+w {
-		g.inflow(pi, l, rhs)
+		referenceInflow(rhs, pi, g.from[g.fromStart[l]:g.fromStart[l+1]])
 		ups, down, _ := g.rates(l)
 		inv, line := invPivot[s:s+w], pi[s:s+w]
 		var r, up float64
@@ -317,3 +319,23 @@ func SolveReadings(g *Generator, opts SolveOptions) (*Solution, []float64, error
 	})
 	return sol, omegas, err
 }
+
+// InflowKernel reports whether inflow takes the AVX2 kernel on lines of
+// width 16 or more.
+func InflowKernel() bool { return haveKernel }
+
+// UseGoLoop makes inflow take inflowLoop on every line until tb and its
+// cleanups end. The tests that call it must not run in parallel.
+func UseGoLoop(tb testing.TB) {
+	kernel := haveKernel
+	haveKernel = false
+	tb.Cleanup(func() { haveKernel = kernel })
+}
+
+// LineInflow sets x, of the line width, to the inflow of line l of g under
+// pi.
+func LineInflow(g *Generator, pi []float64, l int, x []float64) { g.inflow(pi, l, x) }
+
+// SourceStates returns the number of source states that the inflows of all
+// the lines of g read: every jump once per state of its line.
+func SourceStates(g *Generator) int { return len(g.from) * g.width }

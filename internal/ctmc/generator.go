@@ -37,6 +37,19 @@
 // masses). The sweeps, which solve each line's balance equations exactly,
 // only resolve the distribution within each line.
 //
+// A line's inflow from the other lines is a weighted sum of whole source
+// lines, contiguous and free of branches. On amd64, when CPUID reports AVX2
+// as the package initialises, an assembly kernel sums a line of sixteen
+// states or more sixteen states at a time, in four registers of four; a
+// narrower line, and every line on a CPU without AVX2 or off amd64, takes a
+// Go loop. Both sum the sources in the same order and round every
+// product and every sum on its own: the kernel uses no FMA, and the loop
+// converts each product to float64, which keeps Go from fusing it into a
+// multiply–add. So a line's inflow is the same, bit for bit, on either path,
+// on any CPU and at any GOAMD64 level. (A kernel of two states at a time in
+// SSE2, which every amd64 CPU has and needs no CPUID, was measured to gain
+// nothing.)
+//
 // A sweep solves the lines in index order, each from the newest values of
 // the others, so each line's Thomas pass waits for the one before it. The
 // generator therefore also holds a sweep order: the lines coloured so that
@@ -360,13 +373,30 @@ func (g *Generator) NumStates() int { return g.n }
 func (g *Generator) NumTransitions() int64 { return g.nnz }
 
 // inflow sets x, of the line width, to the inflow of line l from the other
-// lines under pi.
+// lines under pi: x = Σ rate_j · pi[from_j·w : from_j·w + w], a weighted sum
+// of whole source lines. On a CPU with AVX2, found once by CPUID as the
+// package initialises, a line of width 16 or more takes inflowKernel, which
+// sums sixteen states at a time with no fused multiply–add; a narrower line,
+// and every line on a CPU without AVX2 or off amd64, takes inflowLoop. Both
+// give the same bits.
 func (g *Generator) inflow(pi []float64, l int, x []float64) {
 	from := g.from[g.fromStart[l]:g.fromStart[l+1]]
+	if haveKernel && len(x) >= 16 {
+		inflowKernel(x, pi, from)
+		return
+	}
+	inflowLoop(x, pi, from)
+}
+
+// inflowLoop sets x to the inflow of a line of width len(x) from the sources
+// from under pi. The first len(from) % 4 sources set x, and the rest add to
+// it four per pass: a line has at most eight sources in the GPRS model, so x
+// is loaded and stored at most three times, not up to eight. Each product is
+// converted to float64, which rounds it, so that no build fuses a
+// multiply–add: the sums are those of inflowKernel, which fuses none, on
+// every GOARCH and GOAMD64 level.
+func inflowLoop(x, pi []float64, from []jump) {
 	w := len(x)
-	// The first len(from) % 4 source lines set x, and the rest add to it four
-	// per pass: a line has at most eight sources in the GPRS model, so x is
-	// loaded and stored at most three times, not up to eight.
 	switch len(from) % 4 {
 	case 0:
 		clear(x)
@@ -374,19 +404,19 @@ func (g *Generator) inflow(pi []float64, l int, x []float64) {
 		a := lineOf(pi, from[0].from, w)
 		ra := from[0].rate
 		for q := range x {
-			x[q] = ra * a[q]
+			x[q] = float64(ra * a[q])
 		}
 	case 2:
 		a, b := lineOf(pi, from[0].from, w), lineOf(pi, from[1].from, w)
 		ra, rb := from[0].rate, from[1].rate
 		for q := range x {
-			x[q] = ra*a[q] + rb*b[q]
+			x[q] = float64(ra*a[q]) + float64(rb*b[q])
 		}
 	case 3:
 		a, b, c := lineOf(pi, from[0].from, w), lineOf(pi, from[1].from, w), lineOf(pi, from[2].from, w)
 		ra, rb, rc := from[0].rate, from[1].rate, from[2].rate
 		for q := range x {
-			x[q] = ra*a[q] + rb*b[q] + rc*c[q]
+			x[q] = float64(ra*a[q]) + float64(rb*b[q]) + float64(rc*c[q])
 		}
 	}
 	for from = from[len(from)%4:]; len(from) >= 4; from = from[4:] {
@@ -394,7 +424,7 @@ func (g *Generator) inflow(pi []float64, l int, x []float64) {
 		c, d := lineOf(pi, from[2].from, w), lineOf(pi, from[3].from, w)
 		ra, rb, rc, rd := from[0].rate, from[1].rate, from[2].rate, from[3].rate
 		for q := range x {
-			x[q] += ra*a[q] + rb*b[q] + rc*c[q] + rd*d[q]
+			x[q] += float64(ra*a[q]) + float64(rb*b[q]) + float64(rc*c[q]) + float64(rd*d[q])
 		}
 	}
 }

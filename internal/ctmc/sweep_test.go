@@ -12,16 +12,24 @@ import (
 	"repro/internal/traffic"
 )
 
-// quickFig6Model returns the model of one Quick Fig. 6 point: traffic model
-// 3 on a 10-channel cell with a 30-packet buffer and at most 10 sessions,
-// and the description of its buffer lines, read back from its generator.
-func quickFig6Model(t *testing.T, fraction, rate float64) (*core.Model, core.Config, ctmc.Chain) {
-	t.Helper()
+// quickFig6Config returns the configuration of one Quick Fig. 6 point:
+// traffic model 3 on a 10-channel cell with a 30-packet buffer and at most
+// 10 sessions.
+func quickFig6Config(fraction, rate float64) core.Config {
 	cfg := core.BaseConfig(traffic.Model3, rate)
 	cfg.Channels.TotalChannels = 10
 	cfg.BufferSize = 30
 	cfg.MaxSessions = min(cfg.MaxSessions, 10)
 	cfg.GPRSFraction = fraction
+	return cfg
+}
+
+// quickFig6Model returns the model of one Quick Fig. 6 point (see
+// quickFig6Config) and the description of its buffer lines, read back from
+// its generator.
+func quickFig6Model(t testing.TB, fraction, rate float64) (*core.Model, core.Config, ctmc.Chain) {
+	t.Helper()
+	cfg := quickFig6Config(fraction, rate)
 	model, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -407,4 +415,43 @@ func TestNewGeneratorBytesPerState(t *testing.T) {
 		t.Errorf("a build allocates %.2f B per state, want at most 7", least)
 	}
 	t.Logf("%.2f B per state", least)
+}
+
+// BenchmarkLineInflow gathers the inflow of every line of the Quick Fig. 6
+// point at GPRS fraction 0.05 and 0.6 calls/s, under its solution, with the
+// AVX2 kernel and with the Go loop, and reports the time per source state:
+// over the sum across lines of each line's sources times its width. The
+// kernel's sub-benchmark skips on a CPU without AVX2.
+func BenchmarkLineInflow(b *testing.B) {
+	model, cfg, _ := quickFig6Model(b, 0.05, 0.6)
+	g, err := model.BuildGenerator()
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := model.Solve(ctmc.SolveOptions{Tolerance: 1e-6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := cfg.BufferSize + 1
+	x := make([]float64, w)
+	for _, path := range []struct {
+		name   string
+		goLoop bool
+	}{{"kernel", false}, {"go-loop", true}} {
+		b.Run(path.name, func(b *testing.B) {
+			switch {
+			case path.goLoop:
+				ctmc.UseGoLoop(b)
+			case !ctmc.InflowKernel():
+				b.Skip("this CPU has no AVX2, so inflow has no kernel")
+			}
+			b.ResetTimer()
+			for range b.N {
+				for l := range len(res.Pi) / w {
+					ctmc.LineInflow(g, res.Pi, l, x)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ctmc.SourceStates(g)), "ns/source-state")
+		})
+	}
 }
